@@ -54,7 +54,8 @@ Jacobi (comparator, asymptotic leading term, alpha, beta > -1/2):
 
 Comparator reports never gate anything; a nonpositive comparator bound is
 marked ``vacuous`` and a formula outside its parameter domain is marked
-``not-applicable``.
+``not-applicable``.  :func:`bound_set` returns every derived and
+comparator report of a root vector's family.
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ from .covariance import (
 )
 from .errors import FamilyMismatchError, ParameterDomainError
 from .families import FamilyKind, PolynomialFamily
-from .roots import RootVector
+from .roots import RootVector, require_kind
 
 _HOLDS_RTOL = 1e-10
 
@@ -149,8 +150,7 @@ def _constant(value: float, count: int) -> list[float]:
 def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
     """Hermite diagonal-of-square caps, their corollaries, and the
     literature gap comparator; one report per applicable index."""
-    if z.family.kind is not FamilyKind.HERMITE:
-        raise FamilyMismatchError("hermite_diag_bound needs a Hermite root vector")
+    require_kind(z, FamilyKind.HERMITE)
     n = z.n
     if n < 2:
         raise ParameterDomainError("Hermite bounds need N >= 2")
@@ -176,8 +176,7 @@ def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
 def laguerre_bounds(z: RootVector) -> list[BoundReport]:
     """Derived Laguerre bounds: diagonal caps, smallest-root floor, and the
     three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale)."""
-    if z.family.kind is not FamilyKind.LAGUERRE:
-        raise FamilyMismatchError("laguerre_bounds needs a Laguerre root vector")
+    require_kind(z, FamilyKind.LAGUERRE)
     n = z.n
     fam = z.family
     nu = float(fam.nu)
@@ -224,8 +223,7 @@ def laguerre_bounds(z: RootVector) -> list[BoundReport]:
 
 def laguerre_comparators(z: RootVector) -> list[BoundReport]:
     """Literature comparator bounds for Laguerre roots (informational)."""
-    if z.family.kind is not FamilyKind.LAGUERRE:
-        raise FamilyMismatchError("laguerre_comparators needs a Laguerre root vector")
+    require_kind(z, FamilyKind.LAGUERRE)
     n = z.n
     fam = z.family
     nu = float(fam.nu)
@@ -252,8 +250,7 @@ def laguerre_comparators(z: RootVector) -> list[BoundReport]:
 def jacobi_bounds(z: RootVector) -> list[BoundReport]:
     """Derived Jacobi bounds: diagonal caps, the two boundary-distance
     floors, the boundary-product floors, and the gap floors."""
-    if z.family.kind is not FamilyKind.JACOBI:
-        raise FamilyMismatchError("jacobi_bounds needs a Jacobi root vector")
+    require_kind(z, FamilyKind.JACOBI)
     n = z.n
     fam = z.family
     alpha, beta = float(fam.alpha), float(fam.beta)
@@ -317,8 +314,7 @@ def jacobi_comparator(z: RootVector) -> BoundReport:
     Only meaningful for ``alpha, beta > -1/2``; the dropped ``o(1/N^2)``
     term means this never gates anything.
     """
-    if z.family.kind is not FamilyKind.JACOBI:
-        raise FamilyMismatchError("jacobi_comparator needs a Jacobi root vector")
+    require_kind(z, FamilyKind.JACOBI)
     fam = z.family
     alpha, beta = float(fam.alpha), float(fam.beta)
     upper = 1.0 - float(z.roots[-1])
@@ -329,6 +325,20 @@ def jacobi_comparator(z: RootVector) -> BoundReport:
         )
     value = alpha * (alpha + 2.0) / (2.0 * (z.n + (alpha + beta + 1.0) / 2.0) ** 2)
     return _report("jacobi-upper-edge-asymptotic", fam, z.n, None, value, upper, comparator=True)
+
+
+# Each family's bound set; the lambdas look the functions up at call time,
+# so wrappers installed on this module's attributes see every call.
+_BOUND_SETS = {
+    FamilyKind.HERMITE: lambda z: hermite_diag_bound(z),
+    FamilyKind.LAGUERRE: lambda z: laguerre_bounds(z) + laguerre_comparators(z),
+    FamilyKind.JACOBI: lambda z: jacobi_bounds(z) + [jacobi_comparator(z)],
+}
+
+
+def bound_set(z: RootVector) -> list[BoundReport]:
+    """Every derived bound and comparator report for the family of ``z``."""
+    return _BOUND_SETS[z.family.kind](z)
 
 
 @dataclass(frozen=True)
@@ -383,12 +393,10 @@ def sharpness_summary(reports: Sequence[BoundReport]) -> SharpnessSummary:
             worst[bound_id] = min(values)
             mean[bound_id] = sum(values) / len(values)
     ratio = None
-    if fam.kind is FamilyKind.HERMITE and "hermite-diag-sq" in by_id:
-        total = sum(r.bound_value for r in by_id["hermite-diag-sq"])
-        ratio = total / (n * (n - 1) * (2 * n - 1) / 6.0)
-    elif fam.kind is FamilyKind.LAGUERRE and "laguerre-diag-sq" in by_id:
-        total = sum(r.bound_value for r in by_id["laguerre-diag-sq"])
-        ratio = total / (n * (2 * n - 1) * (2 * n + 1) / 3.0)
+    _, square_target = fam.spec.trace_targets(fam, n)
+    diag_id = f"{fam.kind.value}-diag-sq"
+    if square_target is not None and diag_id in by_id:
+        ratio = sum(r.bound_value for r in by_id[diag_id]) / square_target
     comparator_ratios: dict[str, float] = {}
     for cmp_id, own_id in _COMPARATOR_PAIRS:
         if cmp_id in by_id and own_id in by_id:

@@ -13,7 +13,9 @@ column order, shortest round-trip float formatting, rows sorted by
 (family, parameters, N, id, index) regardless of worker scheduling.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
-error, 3 numerical failure.
+error (including an empty sweep and a ``--tol`` that is not finite and
+positive), 3 numerical failure.  Per-family parameters, default grids and
+minimum orders come from the ``FamilySpec`` rows in ``rootgaps.families``.
 """
 from __future__ import annotations
 
@@ -29,35 +31,28 @@ import numpy as np
 from . import bounds as bounds_mod
 from .covariance import (
     CoordinateForm,
-    diag_of_square,
-    hermite_S,
-    jacobi_S,
+    build_S,
+    diag_square_residual,
+    interaction_sums,
     laguerre_S,
-    predicted_spectrum,
-    hermite_interaction_sums,
-    jacobi_interaction_sums,
-    laguerre_interaction_sums,
 )
 from .eigensolve import DenseSymmetric, dense_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
-from .families import FamilyKind, PolynomialFamily, hermite, jacobi, laguerre
+from .families import FAMILY_SPECS, FamilyKind, PolynomialFamily, family_from
 from .roots import compute_roots, gap_statistics
 
-# Default sweep grid: the Laguerre weights span the small- and large-nu
-# regimes, the Jacobi pairs include a near-singular weight and a large
-# symmetric one.
-DEFAULT_LAGUERRE_NUS = (0.1, 0.5, 1.0, 2.0, 10.0, 50.0)
-DEFAULT_JACOBI_PARAMS = ((-0.5, -0.5), (0.0, 0.0), (1.0, -0.9), (2.0, 3.0), (10.0, 10.0))
 DEFAULT_N_MAX = 40
 
 _TINY = float(np.finfo(float).tiny)
 
-ROOTS_COLUMNS = ("family", "params", "N", "i", "z_i", "gap_i")
-VERIFY_COLUMNS = ("family", "params", "N", "check_id", "value", "tolerance", "passed")
-BOUNDS_COLUMNS = (
-    "family", "params", "N", "bound_id", "index",
-    "bound_value", "observed_value", "slack", "holds", "sharpness",
-)
+COLUMNS = {
+    "roots": ("family", "params", "N", "i", "z_i", "gap_i"),
+    "verify": ("family", "params", "N", "check_id", "value", "tolerance", "passed"),
+    "bounds": (
+        "family", "params", "N", "bound_id", "index",
+        "bound_value", "observed_value", "slack", "holds", "sharpness",
+    ),
+}
 
 
 @dataclass
@@ -76,37 +71,23 @@ class SweepConfig:
     corrupt: bool = False
 
 
-def default_families() -> list[PolynomialFamily]:
-    fams: list[PolynomialFamily] = [hermite()]
-    fams += [laguerre(nu) for nu in DEFAULT_LAGUERRE_NUS]
-    fams += [jacobi(a, b) for a, b in DEFAULT_JACOBI_PARAMS]
-    return fams
+def default_families(kinds=tuple(FamilyKind)) -> list[PolynomialFamily]:
+    """The default parameter grid of each kind in ``kinds``."""
+    return [family_from(kind, values) for kind in kinds for values in FAMILY_SPECS[kind].defaults]
 
 
 def _family_sort_key(fam: PolynomialFamily) -> tuple:
-    return (
-        fam.kind.value,
-        fam.nu if fam.nu is not None else 0.0,
-        fam.alpha if fam.alpha is not None else 0.0,
-        fam.beta if fam.beta is not None else 0.0,
-    )
-
-
-def _params_text(fam: PolynomialFamily) -> str:
-    if fam.kind is FamilyKind.HERMITE:
-        return "-"
-    if fam.kind is FamilyKind.LAGUERRE:
-        return f"nu={float(fam.nu)!r}"
-    return f"alpha={float(fam.alpha)!r} beta={float(fam.beta)!r}"
+    return (fam.kind.value, *fam.parameters())
 
 
 def sweep_points(config: SweepConfig) -> list[tuple[PolynomialFamily, int]]:
     points = []
     for fam in sorted(config.families, key=_family_sort_key):
-        lo = config.n_min if config.n_min is not None else (2 if fam.kind is FamilyKind.HERMITE else 1)
+        min_n = fam.spec.min_n
+        lo = config.n_min if config.n_min is not None else min_n
         hi = config.n_max if config.n_max is not None else DEFAULT_N_MAX
-        if config.command == "bounds" and fam.kind is FamilyKind.HERMITE:
-            lo = max(lo, 2)  # the Hermite bound set starts at N = 2
+        if config.command == "bounds":
+            lo = max(lo, min_n)  # no bound set below the family's minimum order
         for n in range(lo, hi + 1, config.n_step):
             points.append((fam, n))
     if not points:
@@ -124,7 +105,7 @@ def _roots_point(fam: PolynomialFamily, n: int) -> tuple[list[dict], dict]:
     rv = compute_roots(fam, n)
     stats = gap_statistics(rv)
     rows = []
-    params = _params_text(fam)
+    params = fam.params_text()
     for i in range(n):
         if i < n - 1:
             gap = abs(float(rv.roots[i + 1]) - float(rv.roots[i]))
@@ -153,65 +134,36 @@ def _roots_point(fam: PolynomialFamily, n: int) -> tuple[list[dict], dict]:
 
 def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[dict], dict]:
     rv = compute_roots(fam, n)
-    if fam.kind is FamilyKind.HERMITE:
-        cov = hermite_S(rv)
-    elif fam.kind is FamilyKind.LAGUERRE:
-        cov = laguerre_S(rv)
-    else:
-        cov = jacobi_S(rv)
+    cov = build_S(rv)
     matrix = cov.matrix.entries
     if corrupt:
         matrix = matrix.copy()
         j = min(1, n - 1)
         matrix[0, j] += 0.5
         matrix[j, 0] = matrix[0, j]
-    params = _params_text(fam)
+    params = fam.params_text()
     checks: list[tuple[str, float, float]] = []
 
-    predicted = predicted_spectrum(fam, n)
     spectrum = dense_eigenvalues(DenseSymmetric(matrix))
-    spectral_err = float(np.max(np.abs(spectrum.eigenvalues - predicted) / predicted))
+    spectral_err = float(np.max(np.abs(spectrum.eigenvalues - cov.predicted) / cov.predicted))
     checks.append(("spectrum-match", spectral_err, _spectral_tolerance(n, tol)))
 
+    # one (lin, cross) pair feeds both trace identities and the
+    # diagonal-of-square check
     ident_tol = 1e-10 if tol is None else tol
-    roots = rv.roots
-    if fam.kind is FamilyKind.HERMITE:
-        inv2, inv4 = hermite_interaction_sums(roots)
-        linear = float(inv2.sum())
-        linear_target = n * (n - 1) / 2.0
-        square = float((inv2 * inv2 + inv4).sum())
-        square_target = n * (n - 1) * (2 * n - 1) / 6.0
-        checks.append(
-            ("trace-identity-linear", _rel_defect(linear, linear_target), ident_tol)
-        )
-        checks.append(
-            ("trace-identity-square", _rel_defect(square, square_target), ident_tol)
-        )
-    elif fam.kind is FamilyKind.LAGUERRE:
-        lin, cross = laguerre_interaction_sums(roots, float(fam.nu))
-        # tr(S - I) is the sum of the odd numbers 1, 3, ..., 2N-1, i.e. N^2
-        linear = float(lin.sum())
-        checks.append(("trace-identity-linear", _rel_defect(linear, float(n * n)), ident_tol))
-        square = float((lin * lin + cross).sum())
-        square_target = n * (2 * n - 1) * (2 * n + 1) / 3.0
+    lin, cross = interaction_sums(rv)
+    diag_square = lin * lin + cross
+    linear_target, square_target = fam.spec.trace_targets(fam, n)
+    checks.append(("trace-identity-linear", _rel_defect(float(lin.sum()), linear_target), ident_tol))
+    if square_target is not None:
+        square = float(diag_square.sum())
         checks.append(("trace-identity-square", _rel_defect(square, square_target), ident_tol))
+    if fam.kind is FamilyKind.LAGUERRE:
         alt = laguerre_S(rv, CoordinateForm.SQRT_R)
         scale = np.maximum(np.abs(cov.matrix.entries), np.abs(alt.matrix.entries))
         diff = np.abs(cov.matrix.entries - alt.matrix.entries) / np.maximum(scale, _TINY)
         checks.append(("coordinate-forms-match", float(diff.max()), 1e-13 if tol is None else tol))
-    else:
-        checks.append(
-            ("trace-identity-linear", _rel_defect(float(np.trace(matrix)), float(predicted.sum())), ident_tol)
-        )
-
-    if corrupt:
-        shifted = matrix - np.eye(n) if fam.kind is not FamilyKind.JACOBI else matrix.copy()
-        matrix_route = (shifted * shifted).sum(axis=1)
-        closed_route = _closed_diag_square(fam, roots)
-        scale = np.maximum(np.maximum(np.abs(matrix_route), np.abs(closed_route)), _TINY)
-        diag_resid = float(np.max(np.abs(matrix_route - closed_route) / scale))
-    else:
-        diag_resid = diag_of_square(cov).residual
+    diag_resid = diag_square_residual(matrix, fam.spec.shift, diag_square)
     checks.append(("diag-square-consistency", diag_resid, ident_tol))
 
     rows = [
@@ -235,30 +187,14 @@ def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: boo
     return rows, summary
 
 
-def _closed_diag_square(fam: PolynomialFamily, roots: np.ndarray) -> np.ndarray:
-    if fam.kind is FamilyKind.HERMITE:
-        inv2, inv4 = hermite_interaction_sums(roots)
-        return inv2 * inv2 + inv4
-    if fam.kind is FamilyKind.LAGUERRE:
-        lin, cross = laguerre_interaction_sums(roots, float(fam.nu))
-        return lin * lin + cross
-    lin, cross = jacobi_interaction_sums(roots, float(fam.alpha), float(fam.beta))
-    return lin * lin + cross
-
-
 def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
 def _bounds_point(fam: PolynomialFamily, n: int) -> tuple[list[dict], dict]:
     rv = compute_roots(fam, n)
-    if fam.kind is FamilyKind.HERMITE:
-        reports = bounds_mod.hermite_diag_bound(rv)
-    elif fam.kind is FamilyKind.LAGUERRE:
-        reports = bounds_mod.laguerre_bounds(rv) + bounds_mod.laguerre_comparators(rv)
-    else:
-        reports = bounds_mod.jacobi_bounds(rv) + [bounds_mod.jacobi_comparator(rv)]
-    params = _params_text(fam)
+    reports = bounds_mod.bound_set(rv)
+    params = fam.params_text()
     rows = [
         {
             "family": fam.kind.value,
@@ -304,11 +240,10 @@ def _evaluate_point(task: tuple) -> tuple[tuple, list[dict], dict]:
     return (_family_sort_key(fam), n), rows, summary
 
 
-def _run_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
-    tasks = [
-        (config.command, fam, n, config.tol, config.corrupt)
-        for fam, n in sweep_points(config)
-    ]
+def _run_sweep(
+    config: SweepConfig, points: list[tuple[PolynomialFamily, int]]
+) -> tuple[list[dict], list[dict]]:
+    tasks = [(config.command, fam, n, config.tol, config.corrupt) for fam, n in points]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_evaluate_point, tasks))
@@ -369,25 +304,13 @@ def _emit(config: SweepConfig, columns: tuple[str, ...], rows: list[dict], summa
         sys.stdout.write(text)
 
 
-def cmd_roots(config: SweepConfig) -> int:
-    rows, summaries = _run_sweep(config)
-    _emit(config, ROOTS_COLUMNS, rows, summaries)
-    return 0
-
-
-def cmd_verify(config: SweepConfig) -> int:
-    rows, summaries = _run_sweep(config)
-    _emit(config, VERIFY_COLUMNS, rows, summaries)
-    return 0 if all(row["passed"] for row in rows) else 1
-
-
-def cmd_bounds(config: SweepConfig) -> int:
-    rows, summaries = _run_sweep(config)
-    _emit(config, BOUNDS_COLUMNS, rows, summaries)
-    ok = all(
-        row["holds"] for row in rows if not row["comparator"] and not row["note"]
-    )
-    return 0 if ok else 1
+def _run_command(config: SweepConfig, points: list[tuple[PolynomialFamily, int]]) -> int:
+    """Evaluate ``points``, write the output, and return the exit code:
+    1 when a verify check or a gating bound failed at some point, else 0."""
+    rows, summaries = _run_sweep(config, points)
+    _emit(config, COLUMNS[config.command], rows, summaries)
+    failed = any(summary.get("failed") or summary.get("violations") for summary in summaries)
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,32 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_families(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[PolynomialFamily]:
+    given = {name: getattr(args, name) for name in ("nu", "alpha", "beta")}
+    given = {name: value for name, value in given.items() if value is not None}
+    if args.family is None:
+        if given:
+            parser.error("--nu/--alpha/--beta require --family")
+        return default_families()
+    kind = FamilyKind(args.family)
+    names = FAMILY_SPECS[kind].params
+    flags = " ".join(f"--{name}" for name in names)
+    if not set(given) <= set(names):
+        parser.error(f"{kind.value} takes {flags or 'no parameters'}")
+    if not given:
+        return default_families((kind,))
+    if set(given) != set(names):
+        parser.error(f"{kind.value} needs all of {flags}")
     try:
-        if args.family is None:
-            if any(v is not None for v in (args.nu, args.alpha, args.beta)):
-                parser.error("--nu/--alpha/--beta require --family")
-            return default_families()
-        kind = FamilyKind(args.family)
-        if kind is FamilyKind.HERMITE:
-            if any(v is not None for v in (args.nu, args.alpha, args.beta)):
-                parser.error("hermite takes no parameters")
-            return [hermite()]
-        if kind is FamilyKind.LAGUERRE:
-            if args.alpha is not None or args.beta is not None:
-                parser.error("laguerre takes --nu only")
-            if args.nu is None:
-                return [laguerre(nu) for nu in DEFAULT_LAGUERRE_NUS]
-            return [laguerre(args.nu)]
-        if args.nu is not None:
-            parser.error("jacobi takes --alpha and --beta only")
-        if (args.alpha is None) != (args.beta is None):
-            parser.error("jacobi needs both --alpha and --beta")
-        if args.alpha is None:
-            return [jacobi(a, b) for a, b in DEFAULT_JACOBI_PARAMS]
-        return [jacobi(args.alpha, args.beta)]
+        return [family_from(kind, [given[name] for name in names])]
     except ParameterDomainError as exc:
         parser.error(str(exc))
-    raise AssertionError("unreachable")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -466,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n-max must be >= --n-min")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        parser.error("--tol must be finite and > 0")
     config = SweepConfig(
         command=args.command,
         families=families,
@@ -479,11 +397,11 @@ def main(argv: list[str] | None = None) -> int:
         corrupt=getattr(args, "corrupt", False),
     )
     try:
-        if args.command == "roots":
-            return cmd_roots(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        return cmd_bounds(config)
+        points = sweep_points(config)
+    except ParameterDomainError as exc:
+        parser.error(str(exc))
+    try:
+        return _run_command(config, points)
     except RootgapsError as exc:
         print(f"rootgaps: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -16,6 +16,12 @@ For each family the matrix ``S_N`` is built entrywise from the roots of
 
 The Hermite and Laguerre ``N = 1`` matrices are the natural trivial
 extensions ``[[1]]`` and ``[[2]]`` with spectra ``{1}`` and ``{2}``.
+
+The spectra, and the shift (``I`` for Hermite and Laguerre, none for
+Jacobi) under which the trace and diagonal-of-square identities are
+stated, come from the family's ``FamilySpec`` row.  :func:`build_S` and
+:func:`interaction_sums` reach the per-family builders and sums through
+one kind-keyed table.
 """
 from __future__ import annotations
 
@@ -26,14 +32,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    FamilyMismatchError,
     InternalConsistencyError,
     ParameterDomainError,
     SingularConfigurationError,
 )
 from .eigensolve import DenseSymmetric
-from .families import FamilyKind, PolynomialFamily
-from .roots import RootVector
+from .families import FamilyKind, PolynomialFamily, jacobi
+from .roots import RootVector, require_kind
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -128,14 +133,9 @@ def jacobi_interaction_sums(
     return lin, cross
 
 
-def _require_kind(z: RootVector, kind: FamilyKind) -> None:
-    if z.family.kind is not kind:
-        raise FamilyMismatchError(f"expected a {kind.value} root vector, got {z.family.kind.value}")
-
-
 def hermite_S(z: RootVector) -> InverseCovariance:
     """Hermite inverse covariance with predicted spectrum ``1..N``."""
-    _require_kind(z, FamilyKind.HERMITE)
+    require_kind(z, FamilyKind.HERMITE)
     n = z.n
     diff = _pair_differences(z.roots)
     inv2 = 1.0 / (diff * diff)
@@ -145,7 +145,7 @@ def hermite_S(z: RootVector) -> InverseCovariance:
         z.family,
         n,
         DenseSymmetric(matrix),
-        np.arange(1.0, n + 1.0),
+        predicted_spectrum(z.family, n),
         CoordinateForm.Z,
         z,
     )
@@ -158,7 +158,7 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
     roots themselves, ``SQRT_R`` in ``r_i = sqrt(2 z_i)``.  The two forms
     are algebraically identical entry by entry.
     """
-    _require_kind(z, FamilyKind.LAGUERRE)
+    require_kind(z, FamilyKind.LAGUERRE)
     if not isinstance(coordinate, CoordinateForm):
         raise ParameterDomainError(f"unknown coordinate form {coordinate!r}")
     n = z.n
@@ -187,7 +187,7 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
         z.family,
         n,
         DenseSymmetric(matrix),
-        2.0 * np.arange(1.0, n + 1.0),
+        predicted_spectrum(z.family, n),
         coordinate,
         z,
     )
@@ -195,7 +195,7 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
 
 def jacobi_S(z: RootVector) -> InverseCovariance:
     """Jacobi inverse covariance with spectrum ``2j(2N+alpha+beta+1-j)``."""
-    _require_kind(z, FamilyKind.JACOBI)
+    require_kind(z, FamilyKind.JACOBI)
     n = z.n
     alpha, beta = float(z.family.alpha), float(z.family.beta)
     roots = z.roots
@@ -225,13 +225,28 @@ def predicted_spectrum(family: PolynomialFamily, n: int) -> np.ndarray:
     """Closed-form spectrum of ``S_N``, ascending."""
     if n < 1:
         raise ParameterDomainError(f"N must be positive, got {n}")
-    if family.kind is FamilyKind.HERMITE:
-        return np.arange(1.0, n + 1.0)
-    if family.kind is FamilyKind.LAGUERRE:
-        return 2.0 * np.arange(1.0, n + 1.0)
-    j = np.arange(1.0, n + 1.0)
-    lam = 2.0 * j * (2.0 * n + family.alpha + family.beta + 1.0 - j)
-    return np.sort(lam)
+    return family.spec.spectrum(family, n)
+
+
+# Per-family interaction sums and S_N builder, keyed by kind; every higher
+# layer reaches them through interaction_sums and build_S.
+_ROUTES = {
+    FamilyKind.HERMITE: (hermite_interaction_sums, hermite_S),
+    FamilyKind.LAGUERRE: (laguerre_interaction_sums, laguerre_S),
+    FamilyKind.JACOBI: (jacobi_interaction_sums, jacobi_S),
+}
+
+
+def interaction_sums(z: RootVector) -> tuple[np.ndarray, np.ndarray]:
+    """``(lin, cross)`` for the family of ``z``: ``lin`` is the diagonal of
+    the shifted ``S_N`` and ``cross`` the row sums of its squared
+    off-diagonal, so ``lin**2 + cross`` is the diagonal of its square."""
+    return _ROUTES[z.family.kind][0](z.roots, *z.family.parameters())
+
+
+def build_S(z: RootVector) -> InverseCovariance:
+    """``S_N`` for the family of ``z`` in its default coordinate form."""
+    return _ROUTES[z.family.kind][1](z)
 
 
 def max_eigenvalue(alpha: float, beta: float, n: int) -> float:
@@ -240,35 +255,20 @@ def max_eigenvalue(alpha: float, beta: float, n: int) -> float:
     Coincides with ``2N(N+alpha+beta+1)`` whenever ``alpha+beta+1 >= 0``
     and never exceeds ``2(N+(alpha+beta+1)/2)^2``.
     """
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ParameterDomainError("max_eigenvalue requires alpha, beta > -1")
-    if n < 1:
-        raise ParameterDomainError(f"N must be positive, got {n}")
-    j = np.arange(1.0, n + 1.0)
-    return float(np.max(2.0 * j * (2.0 * n + alpha + beta + 1.0 - j)))
+    return float(predicted_spectrum(jacobi(alpha, beta), n)[-1])
 
 
-def shifted_matrix(s: InverseCovariance) -> np.ndarray:
-    """``S - I`` for Hermite and Laguerre, ``S`` itself for Jacobi.
+def diag_square_residual(matrix: np.ndarray, shift: float, closed_route: np.ndarray) -> float:
+    """Worst relative disagreement between the diagonal of
+    ``(matrix - shift I)^2``, squared explicitly, and ``closed_route``.
 
-    This is the shift under which the diagonal-of-square quantities are
-    stated for each family.
+    Never raises, so a deliberately perturbed ``matrix`` yields a failing
+    value instead of an error.
     """
-    if s.family.kind is FamilyKind.JACOBI:
-        return s.matrix.entries.copy()
-    return s.matrix.entries - np.eye(s.n)
-
-
-def _closed_form_diag_square(s: InverseCovariance) -> np.ndarray:
-    roots = s.roots.roots
-    if s.family.kind is FamilyKind.HERMITE:
-        inv2, inv4 = hermite_interaction_sums(roots)
-        return inv2 * inv2 + inv4
-    if s.family.kind is FamilyKind.LAGUERRE:
-        lin, cross = laguerre_interaction_sums(roots, float(s.family.nu))
-        return lin * lin + cross
-    lin, cross = jacobi_interaction_sums(roots, float(s.family.alpha), float(s.family.beta))
-    return lin * lin + cross
+    shifted = matrix - shift * np.eye(matrix.shape[0])
+    matrix_route = (shifted * shifted).sum(axis=1)
+    scale = np.maximum(np.maximum(np.abs(matrix_route), np.abs(closed_route)), _TINY)
+    return float(np.max(np.abs(matrix_route - closed_route) / scale))
 
 
 def diag_of_square(s: InverseCovariance) -> DiagOfSquare:
@@ -278,11 +278,9 @@ def diag_of_square(s: InverseCovariance) -> DiagOfSquare:
     route (explicit symmetric square) must agree to relative ``1e-10``;
     disagreement signals a transcription bug and raises.
     """
-    shifted = shifted_matrix(s)
-    matrix_route = (shifted * shifted).sum(axis=1)
-    closed_route = _closed_form_diag_square(s)
-    scale = np.maximum(np.maximum(np.abs(matrix_route), np.abs(closed_route)), _TINY)
-    residual = float(np.max(np.abs(matrix_route - closed_route) / scale))
+    lin, cross = interaction_sums(s.roots)
+    closed_route = lin * lin + cross
+    residual = diag_square_residual(s.matrix.entries, s.family.spec.shift, closed_route)
     if residual > 1e-10:
         raise InternalConsistencyError(
             f"diagonal-of-square routes disagree by relative {residual:.3e}"

@@ -12,12 +12,21 @@ The module provides the symmetric tridiagonal recurrence (Jacobi) matrix
 whose eigenvalues are the polynomial roots, and pointwise evaluation of
 ``P_N`` together with its derivative via the differentiated three-term
 recurrence.
+
+Everything that differs between the families is data in one
+:class:`FamilySpec` row per kind, ``FAMILY_SPECS``, reached from a family
+as ``family.spec``: parameter names and ranges, recurrence coefficients,
+orthogonality interval and root ordering, the shift and closed-form
+spectrum of ``S_N`` with its trace targets, and the default sweep grid.
+The other modules read the row instead of branching on the kind.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,6 +37,16 @@ class FamilyKind(Enum):
     HERMITE = "hermite"
     LAGUERRE = "laguerre"
     JACOBI = "jacobi"
+
+
+class RootOrdering(Enum):
+    HERMITE_DESCENDING = "descending-hermite"
+    LAGUERRE_DESCENDING = "descending-laguerre"
+    JACOBI_ASCENDING = "ascending-jacobi"
+
+    @property
+    def ascending(self) -> bool:
+        return self.value.startswith("ascending")
 
 
 @dataclass(frozen=True)
@@ -45,30 +64,38 @@ class PolynomialFamily:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind is FamilyKind.HERMITE:
-            if self.nu is not None or self.alpha is not None or self.beta is not None:
-                raise ParameterDomainError("Hermite takes no parameters")
-        elif self.kind is FamilyKind.LAGUERRE:
-            if self.nu is None or self.alpha is not None or self.beta is not None:
-                raise ParameterDomainError("Laguerre takes exactly the parameter nu")
-            if not (float(self.nu) > 0.0) or not math.isfinite(self.nu):
-                raise ParameterDomainError(f"Laguerre requires nu > 0, got {self.nu}")
-        elif self.kind is FamilyKind.JACOBI:
-            if self.alpha is None or self.beta is None or self.nu is not None:
-                raise ParameterDomainError("Jacobi takes exactly the parameters alpha, beta")
-            for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-                if not (float(value) > -1.0) or not math.isfinite(value):
-                    raise ParameterDomainError(f"Jacobi requires {name} > -1, got {value}")
-        else:
+        if not isinstance(self.kind, FamilyKind):
             raise ParameterDomainError(f"unknown family kind {self.kind!r}")
+        names = self.spec.params
+        given = tuple(name for name in ("nu", "alpha", "beta") if getattr(self, name) is not None)
+        if given != names:
+            raise ParameterDomainError(
+                f"{self.kind.value} takes exactly the parameters ({', '.join(names)}),"
+                f" got ({', '.join(given)})"
+            )
+        for name in names:
+            value = getattr(self, name)
+            if not (float(value) > self.spec.lower) or not math.isfinite(value):
+                raise ParameterDomainError(
+                    f"{self.kind.value} requires {name} > {self.spec.lower:g}, got {value}"
+                )
+
+    @property
+    def spec(self) -> FamilySpec:
+        return FAMILY_SPECS[self.kind]
+
+    def parameters(self) -> tuple[float, ...]:
+        """The family's parameter values as floats, in ``spec.params`` order."""
+        return tuple(float(getattr(self, name)) for name in self.spec.params)
+
+    def params_text(self) -> str:
+        """``name=value`` pairs, e.g. ``alpha=1.0 beta=-0.9``; ``-`` for none."""
+        pairs = zip(self.spec.params, self.parameters())
+        return " ".join(f"{name}={value!r}" for name, value in pairs) or "-"
 
     def label(self) -> str:
         """Short deterministic text form, e.g. ``laguerre(nu=2.0)``."""
-        if self.kind is FamilyKind.HERMITE:
-            return "hermite"
-        if self.kind is FamilyKind.LAGUERRE:
-            return f"laguerre(nu={self.nu!r})"
-        return f"jacobi(alpha={self.alpha!r} beta={self.beta!r})"
+        return f"{self.kind.value}({self.params_text()})" if self.spec.params else self.kind.value
 
 
 def hermite() -> PolynomialFamily:
@@ -81,6 +108,129 @@ def laguerre(nu: float) -> PolynomialFamily:
 
 def jacobi(alpha: float, beta: float) -> PolynomialFamily:
     return PolynomialFamily(FamilyKind.JACOBI, alpha=float(alpha), beta=float(beta))
+
+
+def family_from(kind: FamilyKind, values) -> PolynomialFamily:
+    """Family of ``kind`` with ``values`` given in ``spec.params`` order."""
+    names = FAMILY_SPECS[kind].params
+    return PolynomialFamily(kind, **{name: float(v) for name, v in zip(names, values)})
+
+
+Steps = Iterator[tuple[float, float, float, float]]
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything that differs between the classical families, as data.
+
+    ``params`` names the :class:`PolynomialFamily` fields the family uses,
+    each of which must exceed ``lower``; ``defaults`` lists their values on
+    the default sweep grid.  ``recurrence(family, n)`` gives the diagonal and off-diagonal of the
+    monic recurrence matrix.  ``steps(family, n)`` yields, for
+    ``k = 0 .. n-1``, the coefficients ``(A, B, C, D)`` of
+    ``P_{k+1} = ((A x + B) P_k - C P_{k-1}) / D`` in the standard
+    normalization, starting from ``P_0 = 1`` and ``P_{-1} = 0``.
+    ``spectrum(family, n)`` is the closed-form spectrum of ``S_N``
+    (ascending) and ``shift`` the multiple of the identity removed from
+    ``S_N`` before the trace and diagonal-of-square identities are stated.
+    ``min_n`` is the smallest order of default sweeps and bound sets.
+    """
+
+    params: tuple[str, ...]
+    lower: float
+    defaults: tuple[tuple[float, ...], ...]
+    min_n: int
+    recurrence: Callable[[PolynomialFamily, int], tuple[np.ndarray, np.ndarray]]
+    steps: Callable[[PolynomialFamily, int], Steps]
+    domain: tuple[float, float]
+    ordering: RootOrdering
+    shift: float
+    spectrum: Callable[[PolynomialFamily, int], np.ndarray]
+    square_identity: bool
+
+    def trace_targets(self, family: PolynomialFamily, n: int) -> tuple[float, float | None]:
+        """Exact ``tr(S_N - shift I)`` and, where the family states that
+        identity, ``tr((S_N - shift I)^2)``; ``None`` otherwise."""
+        lam = self.spectrum(family, n)
+        square = float(((lam - self.shift) ** 2).sum()) if self.square_identity else None
+        return float(lam.sum()) - self.shift * n, square
+
+
+def _laguerre_recurrence(family: PolynomialFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
+    (nu,) = family.parameters()
+    k = np.arange(1.0, n)
+    return 2.0 * np.arange(float(n)) + nu, np.sqrt(k * (k + nu - 1.0))
+
+
+def _laguerre_steps(family: PolynomialFamily, n: int) -> Steps:
+    a = family.parameters()[0] - 1.0
+    for k in range(n):
+        yield -1.0, 2.0 * k + 1.0 + a, k + a, k + 1.0
+
+
+def _jacobi_recurrence(family: PolynomialFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
+    alpha, beta = family.parameters()
+    ab = alpha + beta
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    k = np.arange(1.0, n)
+    diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+    b = np.empty(n - 1)
+    if n > 1:
+        # k = 1 has its own closed form; the generic one is 0/0 at ab = -1
+        b[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+        k = np.arange(2.0, n)
+        s = 2.0 * k + ab
+        b[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
+    return diag, np.sqrt(b)
+
+
+def _jacobi_steps(family: PolynomialFamily, n: int) -> Steps:
+    alpha, beta = family.parameters()
+    ab = alpha + beta
+    # P_1 has its own closed form; the generic step divides by 0 at ab = 0
+    yield 0.5 * (ab + 2.0), 0.5 * (alpha - beta), 0.0, 1.0
+    for k in range(2, n + 1):
+        s = 2.0 * k + ab
+        yield (
+            (s - 1.0) * s * (s - 2.0),
+            (s - 1.0) * (alpha - beta) * ab,
+            2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s,
+            2.0 * k * (k + ab) * (s - 2.0),
+        )
+
+
+def _jacobi_spectrum(family: PolynomialFamily, n: int) -> np.ndarray:
+    alpha, beta = family.parameters()
+    j = np.arange(1.0, n + 1.0)
+    return np.sort(2.0 * j * (2.0 * n + alpha + beta + 1.0 - j))
+
+
+# Default grid: the Laguerre weights span the small- and large-nu regimes,
+# the Jacobi pairs include a near-singular weight and a large symmetric one.
+FAMILY_SPECS = {
+    FamilyKind.HERMITE: FamilySpec(
+        params=(), lower=-math.inf, defaults=((),), min_n=2,
+        recurrence=lambda family, n: (np.zeros(n), np.sqrt(np.arange(1.0, n) / 2.0)),
+        steps=lambda family, n: ((2.0, 0.0, 2.0 * k, 1.0) for k in range(n)),
+        domain=(-math.inf, math.inf), ordering=RootOrdering.HERMITE_DESCENDING,
+        shift=1.0, spectrum=lambda family, n: np.arange(1.0, n + 1.0), square_identity=True,
+    ),
+    FamilyKind.LAGUERRE: FamilySpec(
+        params=("nu",), lower=0.0,
+        defaults=((0.1,), (0.5,), (1.0,), (2.0,), (10.0,), (50.0,)), min_n=1,
+        recurrence=_laguerre_recurrence, steps=_laguerre_steps,
+        domain=(0.0, math.inf), ordering=RootOrdering.LAGUERRE_DESCENDING,
+        shift=1.0, spectrum=lambda family, n: 2.0 * np.arange(1.0, n + 1.0), square_identity=True,
+    ),
+    FamilyKind.JACOBI: FamilySpec(
+        params=("alpha", "beta"), lower=-1.0,
+        defaults=((-0.5, -0.5), (0.0, 0.0), (1.0, -0.9), (2.0, 3.0), (10.0, 10.0)), min_n=1,
+        recurrence=_jacobi_recurrence, steps=_jacobi_steps,
+        domain=(-1.0, 1.0), ordering=RootOrdering.JACOBI_ASCENDING,
+        shift=0.0, spectrum=_jacobi_spectrum, square_identity=False,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -133,32 +283,7 @@ def jacobi_matrix(family: PolynomialFamily, n: int) -> SymTridiagonal:
     family (the Golub-Welsch construction, without the weight vector).
     """
     _check_order(n)
-    if family.kind is FamilyKind.HERMITE:
-        diag = np.zeros(n)
-        k = np.arange(1.0, n)
-        offdiag = np.sqrt(k / 2.0)
-    elif family.kind is FamilyKind.LAGUERRE:
-        nu = float(family.nu)
-        k = np.arange(float(n))
-        diag = 2.0 * k + nu
-        k = np.arange(1.0, n)
-        offdiag = np.sqrt(k * (k + nu - 1.0))
-    else:
-        alpha, beta = float(family.alpha), float(family.beta)
-        ab = alpha + beta
-        diag = np.empty(n)
-        diag[0] = (beta - alpha) / (ab + 2.0)
-        k = np.arange(1.0, n)
-        diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-        b = np.empty(n - 1)
-        if n > 1:
-            # k = 1 has its own closed form; the generic one is 0/0 at ab = -1
-            b[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-            k = np.arange(2.0, n)
-            s = 2.0 * k + ab
-            b[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
-        offdiag = np.sqrt(b)
-    return SymTridiagonal(diag, offdiag)
+    return SymTridiagonal(*family.spec.recurrence(family, n))
 
 
 # Rescaling threshold for the forward recurrences.  Only sign and the
@@ -166,6 +291,14 @@ def jacobi_matrix(family: PolynomialFamily, n: int) -> SymTridiagonal:
 # polish consumes.
 _RESCALE_LIMIT = 2.0**500
 _RESCALE_EXP = 500
+
+
+@functools.lru_cache(maxsize=4)
+def _step_table(family: PolynomialFamily, n: int) -> tuple[tuple[float, float, float, float], ...]:
+    # the root polish evaluates one (family, n) up to 3n times in a row;
+    # building its coefficients once keeps the shared loop as fast as a
+    # per-family one
+    return tuple(family.spec.steps(family, n))
 
 
 def _evaluate_scaled(family: PolynomialFamily, n: int, x: float) -> tuple[float, float, int]:
@@ -179,54 +312,13 @@ def _evaluate_scaled(family: PolynomialFamily, n: int, x: float) -> tuple[float,
     if not math.isfinite(x):
         raise ParameterDomainError(f"evaluation point must be finite, got {x}")
     exp2 = 0
-    if family.kind is FamilyKind.HERMITE:
-        pm1, dm1 = 1.0, 0.0
-        p, dp = 2.0 * x, 2.0
-        for k in range(1, n):
-            p, dp, pm1, dm1 = (
-                2.0 * x * p - 2.0 * k * pm1,
-                2.0 * x * dp + 2.0 * p - 2.0 * k * dm1,
-                p,
-                dp,
-            )
-            if abs(p) > _RESCALE_LIMIT or abs(dp) > _RESCALE_LIMIT:
-                p, dp, pm1, dm1 = (v * 2.0**-_RESCALE_EXP for v in (p, dp, pm1, dm1))
-                exp2 += _RESCALE_EXP
-    elif family.kind is FamilyKind.LAGUERRE:
-        a = float(family.nu) - 1.0
-        pm1, dm1 = 1.0, 0.0
-        p, dp = 1.0 + a - x, -1.0
-        for k in range(1, n):
-            c = 2.0 * k + 1.0 + a - x
-            p, dp, pm1, dm1 = (
-                (c * p - (k + a) * pm1) / (k + 1.0),
-                (c * dp - p - (k + a) * dm1) / (k + 1.0),
-                p,
-                dp,
-            )
-            if abs(p) > _RESCALE_LIMIT or abs(dp) > _RESCALE_LIMIT:
-                p, dp, pm1, dm1 = (v * 2.0**-_RESCALE_EXP for v in (p, dp, pm1, dm1))
-                exp2 += _RESCALE_EXP
-    else:
-        alpha, beta = float(family.alpha), float(family.beta)
-        ab = alpha + beta
-        pm1, dm1 = 1.0, 0.0
-        p = 0.5 * (ab + 2.0) * x + 0.5 * (alpha - beta)
-        dp = 0.5 * (ab + 2.0)
-        for k in range(2, n + 1):
-            c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
-            c2 = (2.0 * k + ab - 1.0) * (2.0 * k + ab) * (2.0 * k + ab - 2.0)
-            c3 = (2.0 * k + ab - 1.0) * (alpha - beta) * (alpha + beta)
-            c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
-            p, dp, pm1, dm1 = (
-                ((c2 * x + c3) * p - c4 * pm1) / c1,
-                (c2 * p + (c2 * x + c3) * dp - c4 * dm1) / c1,
-                p,
-                dp,
-            )
-            if abs(p) > _RESCALE_LIMIT or abs(dp) > _RESCALE_LIMIT:
-                p, dp, pm1, dm1 = (v * 2.0**-_RESCALE_EXP for v in (p, dp, pm1, dm1))
-                exp2 += _RESCALE_EXP
+    p, dp, pm1, dm1 = 1.0, 0.0, 0.0, 0.0
+    for a, b, c, d in _step_table(family, n):
+        t = a * x + b
+        p, dp, pm1, dm1 = (t * p - c * pm1) / d, (a * p + t * dp - c * dm1) / d, p, dp
+        if abs(p) > _RESCALE_LIMIT or abs(dp) > _RESCALE_LIMIT:
+            p, dp, pm1, dm1 = (v * 2.0**-_RESCALE_EXP for v in (p, dp, pm1, dm1))
+            exp2 += _RESCALE_EXP
     return p, dp, exp2
 
 

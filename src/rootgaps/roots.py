@@ -3,43 +3,23 @@
 Each family keeps its conventional ordering so that index-based formulas
 downstream can be transcribed literally: Hermite and Laguerre roots are
 stored descending (``z_1`` largest), Jacobi roots ascending (``z_1``
-smallest).  The ordering is tagged on the vector to rule out silent
-index flips.
+smallest).  The ordering and the orthogonality interval come from the
+family's ``FamilySpec`` row and the ordering is tagged on the vector to
+rule out silent index flips.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FamilyMismatchError, InternalConsistencyError
-from .families import FamilyKind, PolynomialFamily, _evaluate_scaled, jacobi_matrix
+from .families import FamilyKind, PolynomialFamily, RootOrdering, _evaluate_scaled, jacobi_matrix
 from .eigensolve import _tridiag_eigenvalues_only
 
 _EPS = float(np.finfo(float).eps)
-
-
-class RootOrdering(Enum):
-    HERMITE_DESCENDING = "descending-hermite"
-    LAGUERRE_DESCENDING = "descending-laguerre"
-    JACOBI_ASCENDING = "ascending-jacobi"
-
-
-_ORDERING_FOR_KIND = {
-    FamilyKind.HERMITE: RootOrdering.HERMITE_DESCENDING,
-    FamilyKind.LAGUERRE: RootOrdering.LAGUERRE_DESCENDING,
-    FamilyKind.JACOBI: RootOrdering.JACOBI_ASCENDING,
-}
-
-# Orthogonality interval per family; roots must stay strictly inside.
-_DOMAIN = {
-    FamilyKind.HERMITE: (-math.inf, math.inf),
-    FamilyKind.LAGUERRE: (0.0, math.inf),
-    FamilyKind.JACOBI: (-1.0, 1.0),
-}
 
 
 @dataclass(frozen=True)
@@ -61,17 +41,15 @@ class RootVector:
         object.__setattr__(self, "roots", roots)
         if roots.size != self.n:
             raise InternalConsistencyError(f"expected {self.n} roots, got {roots.size}")
-        if self.ordering is not _ORDERING_FOR_KIND[self.family.kind]:
+        spec = self.family.spec
+        if self.ordering is not spec.ordering:
             raise FamilyMismatchError(
                 f"ordering {self.ordering} does not match family {self.family.kind}"
             )
-        diffs = np.diff(roots)
-        if self.ordering is RootOrdering.JACOBI_ASCENDING:
-            if np.any(diffs <= 0.0):
-                raise InternalConsistencyError("Jacobi roots must be strictly ascending")
-        elif np.any(diffs >= 0.0):
-            raise InternalConsistencyError("roots must be strictly descending")
-        lo, hi = _DOMAIN[self.family.kind]
+        diffs = np.diff(roots) if spec.ordering.ascending else -np.diff(roots)
+        if np.any(diffs <= 0.0):
+            raise InternalConsistencyError(f"roots are not strictly ordered {spec.ordering.value}")
+        lo, hi = spec.domain
         if np.any(roots <= lo) or np.any(roots >= hi):
             raise InternalConsistencyError(
                 f"roots left the orthogonality interval ({lo}, {hi})"
@@ -111,8 +89,9 @@ def compute_roots(family: PolynomialFamily, n: int) -> RootVector:
     the midpoint bracket around its eigenvalue (or the orthogonality
     interval) rejects the polish for that root and keeps the eigenvalue.
     """
+    spec = family.spec
     eigs = _tridiag_eigenvalues_only(jacobi_matrix(family, n))
-    lo_dom, hi_dom = _DOMAIN[family.kind]
+    lo_dom, hi_dom = spec.domain
     polished = np.empty(n)
     skipped: list[int] = []
     for i in range(n):
@@ -142,20 +121,24 @@ def compute_roots(family: PolynomialFamily, n: int) -> RootVector:
         else:
             polished[i] = eigs[i]
             skipped.append(i)
-    ordering = _ORDERING_FOR_KIND[family.kind]
-    if ordering is RootOrdering.JACOBI_ASCENDING:
+    if spec.ordering.ascending:
         roots = polished
         flags = tuple(skipped)
     else:
         roots = polished[::-1].copy()
         flags = tuple(sorted(n - 1 - i for i in skipped))
-    return RootVector(family, n, roots, ordering, flags)
+    return RootVector(family, n, roots, spec.ordering, flags)
+
+
+def require_kind(z: RootVector, kind: FamilyKind) -> None:
+    """Input check of the family-specific functions built on root vectors."""
+    if z.family.kind is not kind:
+        raise FamilyMismatchError(f"expected a {kind.value} root vector, got {z.family.kind.value}")
 
 
 def to_sqrt_coordinates(rv: RootVector) -> SqrtRootVector:
     """Map a Laguerre root vector to ``r_i = sqrt(2 z_i)``, order preserved."""
-    if rv.family.kind is not FamilyKind.LAGUERRE:
-        raise FamilyMismatchError("sqrt coordinates are defined for Laguerre roots only")
+    require_kind(rv, FamilyKind.LAGUERRE)
     return SqrtRootVector(np.sqrt(2.0 * rv.roots))
 
 
@@ -166,14 +149,10 @@ def gap_statistics(rv: RootVector) -> GapStatistics:
     on sides where the orthogonality interval is unbounded.
     """
     roots = rv.roots
-    if rv.n == 1:
-        min_gap = None
-    elif rv.ordering is RootOrdering.JACOBI_ASCENDING:
-        min_gap = float(np.min(roots[1:] - roots[:-1]))
-    else:
-        min_gap = float(np.min(roots[:-1] - roots[1:]))
-    if rv.family.kind is FamilyKind.HERMITE:
-        return GapStatistics(min_gap, None, None)
-    if rv.family.kind is FamilyKind.LAGUERRE:
-        return GapStatistics(min_gap, float(roots[-1]), None)
-    return GapStatistics(min_gap, float(1.0 + roots[0]), float(1.0 - roots[-1]))
+    min_gap = None if rv.n == 1 else float(np.min(np.abs(np.diff(roots))))
+    lo, hi = rv.family.spec.domain
+    return GapStatistics(
+        min_gap,
+        float(roots.min() - lo) if math.isfinite(lo) else None,
+        float(hi - roots.max()) if math.isfinite(hi) else None,
+    )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -124,6 +125,32 @@ class TestDeterminism:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+class TestGoldenOutput:
+    # sha256 of the full output, pinned so that refactors keep every byte;
+    # these commands run no BLAS-backed product, so the digest is portable
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["roots", "--n-max", "8"],
+                "ed2198f2b34af06efa87c9a0b837fb1f6a8160ae8b082422d86bc14dd073c587",
+            ),
+            (
+                ["bounds", "--n-max", "8"],
+                "3d36c67052cfa1ab40e5221b7e4608279288410834633d6b50f894336ae86974",
+            ),
+            (
+                ["bounds", "--n-max", "8", "--format", "json"],
+                "64bef665f0d633d707d1da11d6a42a9e338915f152eb0ddc39ad2eb9a22f2272",
+            ),
+        ],
+    )
+    def test_sha256(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -137,6 +164,11 @@ class TestUsageErrors:
             ["roots", "--family", "hermite", "--n", "0"],
             ["roots", "--family", "hermite", "--n-min", "5", "--n-max", "2"],
             ["roots", "--family", "hermite", "--n", "3", "--jobs", "0"],
+            ["verify", "--family", "hermite", "--n", "3", "--tol", "inf", "--format", "json"],
+            ["verify", "--family", "hermite", "--n", "3", "--tol", "nan", "--format", "json"],
+            ["verify", "--family", "hermite", "--n", "3", "--tol", "0"],
+            ["verify", "--family", "hermite", "--n", "3", "--tol", "-1"],
+            ["bounds", "--family", "hermite", "--n", "1"],
             ["frobnicate"],
         ],
     )
