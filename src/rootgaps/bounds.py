@@ -56,11 +56,21 @@ Comparator reports never gate anything; a nonpositive comparator bound is
 marked ``vacuous`` and a formula outside its parameter domain is marked
 ``not-applicable``.  :func:`bound_set` returns every derived and
 comparator report of a root vector's family.
+
+Each public bound function writes its bound set as one list of rows
+``(bound_id, bound, observed[, note])`` and hands it to one expander.  A
+row whose two sides are scalars gives one report with ``index=None``; a
+row with an array side (per-root sums, gaps, boundary products) gives one
+report per entry, indices ``1..k``, with the scalar side repeated, so the
+gap rows give no report at ``N = 1``.  The comparator flag comes from the
+id: the comparator ids are the left column of the comparator/derived
+pairs that the sharpness summary compares.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,6 +86,21 @@ from .families import FamilyKind, PolynomialFamily
 from .roots import RootVector, require_kind
 
 _HOLDS_RTOL = 1e-10
+
+# Each literature comparator with the derived bound it is measured against;
+# a report whose id is on the left is a comparator and never gates anything.
+_COMPARATOR_PAIRS = (
+    ("hermite-gap-comparator", "hermite-gap"),
+    ("laguerre-min-root-bessel", "laguerre-min-root"),
+    ("laguerre-gap-comparator-1", "laguerre-gap-strong"),
+    ("laguerre-gap-comparator-2", "laguerre-gap-strong"),
+    ("laguerre-gap-comparator-3", "laguerre-gap-strong"),
+    ("laguerre-gap-comparator-1", "laguerre-gap-bessel-strong"),
+    ("laguerre-gap-comparator-2", "laguerre-gap-bessel-strong"),
+    ("laguerre-gap-comparator-3", "laguerre-gap-bessel-strong"),
+    ("jacobi-upper-edge-asymptotic", "jacobi-upper-edge-strong"),
+)
+_COMPARATOR_IDS = frozenset(cmp_id for cmp_id, _ in _COMPARATOR_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -102,49 +127,42 @@ class BoundReport:
     note: str = ""
 
 
-def _report(
-    bound_id: str,
-    family: PolynomialFamily,
-    n: int,
-    index: int | None,
-    bound_value: float,
-    observed_value: float,
-    comparator: bool = False,
-    note: str = "",
-) -> BoundReport:
-    bound_value = float(bound_value)
-    observed_value = float(observed_value)
-    slack = observed_value - bound_value
-    if math.isnan(bound_value) or math.isnan(observed_value):
-        holds = False
-    else:
-        holds = slack >= -_HOLDS_RTOL * max(abs(bound_value), 1.0)
-    sharpness = observed_value / bound_value if bound_value > 0.0 else math.nan
-    if comparator and not note and bound_value <= 0.0:
-        note = "vacuous"
-    return BoundReport(
-        bound_id, family, n, index, bound_value, observed_value, slack, holds, sharpness,
-        comparator, note,
-    )
+def _expand(z: RootVector, rows: Iterable[tuple]) -> list[BoundReport]:
+    """Expand ``(bound_id, bound, observed[, note])`` rows into reports.
 
-
-def _per_index(
-    bound_id: str,
-    family: PolynomialFamily,
-    n: int,
-    bounds: Iterable[float],
-    observed: Iterable[float],
-    comparator: bool = False,
-    note: str = "",
-) -> list[BoundReport]:
-    return [
-        _report(bound_id, family, n, i, b, o, comparator, note)
-        for i, (b, o) in enumerate(zip(bounds, observed), start=1)
-    ]
-
-
-def _constant(value: float, count: int) -> list[float]:
-    return [value] * count
+    Two scalar sides give one report with ``index=None``.  A row with one
+    array side gives one report per entry, indices ``1..k``, with the
+    scalar side repeated; an empty array side, such as the gaps at
+    ``N = 1``, gives no report.
+    """
+    reports = []
+    family, n = z.family, z.n
+    for bound_id, bound, observed, *rest in rows:
+        comparator = bound_id in _COMPARATOR_IDS
+        note = rest[0] if rest else ""
+        if isinstance(bound, np.ndarray):
+            entries = zip(count(1), bound.tolist(), repeat(observed))
+        elif isinstance(observed, np.ndarray):
+            entries = zip(count(1), repeat(bound), observed.tolist())
+        else:
+            entries = [(None, bound, observed)]
+        for index, bound_value, observed_value in entries:
+            bound_value = float(bound_value)
+            observed_value = float(observed_value)
+            slack = observed_value - bound_value
+            if math.isnan(bound_value) or math.isnan(observed_value):
+                holds = False
+            else:
+                holds = slack >= -_HOLDS_RTOL * max(abs(bound_value), 1.0)
+            sharpness = observed_value / bound_value if bound_value > 0.0 else math.nan
+            vacuous = comparator and not note and bound_value <= 0.0
+            reports.append(
+                BoundReport(
+                    bound_id, family, n, index, bound_value, observed_value, slack, holds,
+                    sharpness, comparator, "vacuous" if vacuous else note,
+                )
+            )
+    return reports
 
 
 def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
@@ -154,23 +172,15 @@ def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
     n = z.n
     if n < 2:
         raise ParameterDomainError("Hermite bounds need N >= 2")
-    fam = z.family
     inv2, inv4 = hermite_interaction_sums(z.roots)
-    diag_sq = inv2 * inv2 + inv4
     gaps = z.roots[:-1] - z.roots[1:]
-    reports = []
-    reports += _per_index("hermite-diag-sq", fam, n, diag_sq, _constant((n - 1) ** 3 / n, n))
-    reports += _per_index("hermite-inv4-sum", fam, n, inv4, _constant((n - 1) ** 3 / (2 * n), n))
-    reports += _per_index(
-        "hermite-inv2-sum", fam, n, inv2, _constant((n - 1) ** 1.5 / math.sqrt(n), n)
-    )
-    gap_floor = (2.0 * n) ** 0.25 / (n - 1) ** 0.75
-    reports += _per_index("hermite-gap", fam, n, _constant(gap_floor, n - 1), gaps)
-    reports += _per_index(
-        "hermite-gap-comparator", fam, n, _constant(2.0 / math.sqrt(n), n - 1), gaps,
-        comparator=True,
-    )
-    return reports
+    return _expand(z, [
+        ("hermite-diag-sq", inv2 * inv2 + inv4, (n - 1) ** 3 / n),
+        ("hermite-inv4-sum", inv4, (n - 1) ** 3 / (2 * n)),
+        ("hermite-inv2-sum", inv2, (n - 1) ** 1.5 / math.sqrt(n)),
+        ("hermite-gap", (2.0 * n) ** 0.25 / (n - 1) ** 0.75, gaps),
+        ("hermite-gap-comparator", 2.0 / math.sqrt(n), gaps),
+    ])
 
 
 def laguerre_bounds(z: RootVector) -> list[BoundReport]:
@@ -178,73 +188,55 @@ def laguerre_bounds(z: RootVector) -> list[BoundReport]:
     three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale)."""
     require_kind(z, FamilyKind.LAGUERRE)
     n = z.n
-    fam = z.family
-    nu = float(fam.nu)
+    nu = float(z.family.nu)
     lin, cross = laguerre_interaction_sums(z.roots, nu)
-    diag_sq = lin * lin + cross
     two_n1 = 2.0 * n - 1.0
-    reports = _per_index("laguerre-diag-sq", fam, n, diag_sq, _constant(two_n1**2, n))
-    reports.append(
-        _report("laguerre-min-root", fam, n, None, nu / two_n1, float(z.roots[-1]))
-    )
-    if n >= 2:
-        gaps = z.roots[:-1] - z.roots[1:]
-        strong = math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1
-        weak = 2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1
-        reports += _per_index("laguerre-gap-strong", fam, n, _constant(strong, n - 1), gaps)
-        reports += _per_index("laguerre-gap-weak", fam, n, _constant(weak, n - 1), gaps)
-        if nu >= 1.0:
-            q = two_n1**2 * (nu * nu - 1.0) ** 2 / (n + nu / 2.0) ** 2
-            bessel_strong = (
-                math.sqrt(2.0) / two_n1
-                * math.sqrt(2.0 + math.sqrt(2.0) * math.sqrt(2.0 + q))
-            )
-            bessel_weak = (
-                2.0**0.75 * math.sqrt(nu * nu - 1.0) / math.sqrt(two_n1 * (n + nu / 2.0))
-            )
-            note = ""
-        else:
-            # sqrt(nu^2 - 1) is imaginary below nu = 1; the source floor is
-            # vacuous there, so the report carries no values
-            bessel_strong = bessel_weak = math.nan
-            note = "not-applicable"
-        reports += _per_index(
-            "laguerre-gap-bessel-strong", fam, n, _constant(bessel_strong, n - 1), gaps, note=note
+    gaps = z.roots[:-1] - z.roots[1:]
+    if nu >= 1.0:
+        q = two_n1**2 * (nu * nu - 1.0) ** 2 / (n + nu / 2.0) ** 2
+        bessel_strong = (
+            math.sqrt(2.0) / two_n1
+            * math.sqrt(2.0 + math.sqrt(2.0) * math.sqrt(2.0 + q))
         )
-        reports += _per_index(
-            "laguerre-gap-bessel-weak", fam, n, _constant(bessel_weak, n - 1), gaps, note=note
+        bessel_weak = (
+            2.0**0.75 * math.sqrt(nu * nu - 1.0) / math.sqrt(two_n1 * (n + nu / 2.0))
         )
-        sqrt_gaps = np.sqrt(z.roots[:-1]) - np.sqrt(z.roots[1:])
-        reports += _per_index(
-            "laguerre-sqrt-gap", fam, n, _constant(1.0 / math.sqrt(two_n1), n - 1), sqrt_gaps
-        )
-    return reports
+        note = ""
+    else:
+        # sqrt(nu^2 - 1) is imaginary below nu = 1; the source floor is
+        # vacuous there, so the report carries no values
+        bessel_strong = bessel_weak = math.nan
+        note = "not-applicable"
+    strong = math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1
+    weak = 2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1
+    sqrt_gaps = np.sqrt(z.roots[:-1]) - np.sqrt(z.roots[1:])
+    return _expand(z, [
+        ("laguerre-diag-sq", lin * lin + cross, two_n1**2),
+        ("laguerre-min-root", nu / two_n1, float(z.roots[-1])),
+        ("laguerre-gap-strong", strong, gaps),
+        ("laguerre-gap-weak", weak, gaps),
+        ("laguerre-gap-bessel-strong", bessel_strong, gaps, note),
+        ("laguerre-gap-bessel-weak", bessel_weak, gaps, note),
+        ("laguerre-sqrt-gap", 1.0 / math.sqrt(two_n1), sqrt_gaps),
+    ])
 
 
 def laguerre_comparators(z: RootVector) -> list[BoundReport]:
     """Literature comparator bounds for Laguerre roots (informational)."""
     require_kind(z, FamilyKind.LAGUERRE)
     n = z.n
-    fam = z.family
-    nu = float(fam.nu)
-    reports = [
-        _report(
-            "laguerre-min-root-bessel", fam, n, None,
-            (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)), float(z.roots[-1]), comparator=True,
-        )
-    ]
-    if n >= 2:
-        gaps = z.roots[:-1] - z.roots[1:]
-        cmp1 = (nu - 1.0) / math.sqrt((n + nu - 1.0) * n)
-        cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
-        cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
-        for bound_id, value in (
-            ("laguerre-gap-comparator-1", cmp1),
-            ("laguerre-gap-comparator-2", cmp2),
-            ("laguerre-gap-comparator-3", cmp3),
-        ):
-            reports += _per_index(bound_id, fam, n, _constant(value, n - 1), gaps, comparator=True)
-    return reports
+    nu = float(z.family.nu)
+    gaps = z.roots[:-1] - z.roots[1:]
+    smallest = float(z.roots[-1])
+    cmp1 = (nu - 1.0) / math.sqrt((n + nu - 1.0) * n)
+    cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
+    cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
+    return _expand(z, [
+        ("laguerre-min-root-bessel", (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)), smallest),
+        ("laguerre-gap-comparator-1", cmp1, gaps),
+        ("laguerre-gap-comparator-2", cmp2, gaps),
+        ("laguerre-gap-comparator-3", cmp3, gaps),
+    ])
 
 
 def jacobi_bounds(z: RootVector) -> list[BoundReport]:
@@ -252,60 +244,38 @@ def jacobi_bounds(z: RootVector) -> list[BoundReport]:
     floors, the boundary-product floors, and the gap floors."""
     require_kind(z, FamilyKind.JACOBI)
     n = z.n
-    fam = z.family
-    alpha, beta = float(fam.alpha), float(fam.beta)
+    alpha, beta = float(z.family.alpha), float(z.family.beta)
     big_m = max_eigenvalue(alpha, beta, n)
     lin, cross = jacobi_interaction_sums(z.roots, alpha, beta)
-    diag_sq = lin * lin + cross
-    reports = _per_index("jacobi-diag-sq", fam, n, diag_sq, _constant(big_m**2, n))
     disc = math.sqrt(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0))
     upper = 1.0 - float(z.roots[-1])
     lower = 1.0 + float(z.roots[0])
-    reports.append(
-        _report(
-            "jacobi-upper-edge-strong", fam, n, None,
-            8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0) + disc), upper,
-        )
-    )
-    reports.append(
-        _report(
-            "jacobi-upper-edge-weak", fam, n, None,
-            4.0 * (alpha + 1.0) / (big_m + 2.0 * (alpha + 1.0)), upper,
-        )
-    )
-    reports.append(
-        _report(
-            "jacobi-lower-edge-strong", fam, n, None,
-            8.0 * (beta + 1.0) / (big_m + 4.0 * (beta + 1.0) + disc), lower,
-        )
-    )
-    reports.append(
-        _report(
-            "jacobi-lower-edge-weak", fam, n, None,
-            4.0 * (beta + 1.0) / (big_m + 2.0 * (beta + 1.0)), lower,
-        )
-    )
     width = 1.0 - z.roots * z.roots
+    gaps = z.roots[1:] - z.roots[:-1]
+    upper_strong = 8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0) + disc)
+    lower_strong = 8.0 * (beta + 1.0) / (big_m + 4.0 * (beta + 1.0) + disc)
     floor = 2.0 * min(alpha + 1.0, beta + 1.0) / big_m
-    reports += _per_index("jacobi-boundary-product", fam, n, _constant(floor, n), width)
+    gap_floor = 2.0**1.75 * math.sqrt(min(alpha + 1.0, beta + 1.0)) / big_m
+    rows = [
+        ("jacobi-diag-sq", lin * lin + cross, big_m**2),
+        ("jacobi-upper-edge-strong", upper_strong, upper),
+        ("jacobi-upper-edge-weak", 4.0 * (alpha + 1.0) / (big_m + 2.0 * (alpha + 1.0)), upper),
+        ("jacobi-lower-edge-strong", lower_strong, lower),
+        ("jacobi-lower-edge-weak", 4.0 * (beta + 1.0) / (big_m + 2.0 * (beta + 1.0)), lower),
+        ("jacobi-boundary-product", floor, width),
+        ("jacobi-gap", gap_floor, gaps),
+    ]
     if alpha == beta:
         floor_sym = 8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0))
-        reports += _per_index(
-            "jacobi-boundary-product-symmetric", fam, n, _constant(floor_sym, n), width
+        gap_sym = (
+            2.0**2.75 * math.sqrt(alpha + 1.0)
+            / math.sqrt(big_m * (big_m + 4.0 * (alpha + 1.0)))
         )
-    if n >= 2:
-        gaps = z.roots[1:] - z.roots[:-1]
-        gap_floor = 2.0**1.75 * math.sqrt(min(alpha + 1.0, beta + 1.0)) / big_m
-        reports += _per_index("jacobi-gap", fam, n, _constant(gap_floor, n - 1), gaps)
-        if alpha == beta:
-            gap_sym = (
-                2.0**2.75 * math.sqrt(alpha + 1.0)
-                / math.sqrt(big_m * (big_m + 4.0 * (alpha + 1.0)))
-            )
-            reports += _per_index(
-                "jacobi-gap-symmetric", fam, n, _constant(gap_sym, n - 1), gaps
-            )
-    return reports
+        rows += [
+            ("jacobi-boundary-product-symmetric", floor_sym, width),
+            ("jacobi-gap-symmetric", gap_sym, gaps),
+        ]
+    return _expand(z, rows)
 
 
 def jacobi_comparator(z: RootVector) -> BoundReport:
@@ -315,16 +285,14 @@ def jacobi_comparator(z: RootVector) -> BoundReport:
     term means this never gates anything.
     """
     require_kind(z, FamilyKind.JACOBI)
-    fam = z.family
-    alpha, beta = float(fam.alpha), float(fam.beta)
+    alpha, beta = float(z.family.alpha), float(z.family.beta)
     upper = 1.0 - float(z.roots[-1])
     if alpha <= -0.5 or beta <= -0.5:
-        return _report(
-            "jacobi-upper-edge-asymptotic", fam, z.n, None, math.nan, upper,
-            comparator=True, note="not-applicable",
-        )
-    value = alpha * (alpha + 2.0) / (2.0 * (z.n + (alpha + beta + 1.0) / 2.0) ** 2)
-    return _report("jacobi-upper-edge-asymptotic", fam, z.n, None, value, upper, comparator=True)
+        row = ("jacobi-upper-edge-asymptotic", math.nan, upper, "not-applicable")
+    else:
+        value = alpha * (alpha + 2.0) / (2.0 * (z.n + (alpha + beta + 1.0) / 2.0) ** 2)
+        row = ("jacobi-upper-edge-asymptotic", value, upper)
+    return _expand(z, [row])[0]
 
 
 # Each family's bound set; the lambdas look the functions up at call time,
@@ -358,19 +326,6 @@ class SharpnessSummary:
     diag_square_identity_ratio: float | None
     comparator_ratios: dict[str, float]
     empty: bool = False
-
-
-_COMPARATOR_PAIRS = (
-    ("hermite-gap-comparator", "hermite-gap"),
-    ("laguerre-min-root-bessel", "laguerre-min-root"),
-    ("laguerre-gap-comparator-1", "laguerre-gap-strong"),
-    ("laguerre-gap-comparator-2", "laguerre-gap-strong"),
-    ("laguerre-gap-comparator-3", "laguerre-gap-strong"),
-    ("laguerre-gap-comparator-1", "laguerre-gap-bessel-strong"),
-    ("laguerre-gap-comparator-2", "laguerre-gap-bessel-strong"),
-    ("laguerre-gap-comparator-3", "laguerre-gap-bessel-strong"),
-    ("jacobi-upper-edge-asymptotic", "jacobi-upper-edge-strong"),
-)
 
 
 def sharpness_summary(reports: Sequence[BoundReport]) -> SharpnessSummary:

@@ -13,9 +13,10 @@ column order, shortest round-trip float formatting, rows sorted by
 (family, parameters, N, id, index) regardless of worker scheduling.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
-error (including an empty sweep and a ``--tol`` that is not finite and
-positive), 3 numerical failure.  Per-family parameters, default grids and
-minimum orders come from the ``FamilySpec`` rows in ``rootgaps.families``.
+error (including an empty sweep, a ``--tol`` that is not finite and
+positive, and an ``--out`` path that cannot be written), 3 numerical
+failure.  Per-family parameters, default grids and minimum orders come
+from the ``FamilySpec`` rows in ``rootgaps.families``.
 """
 from __future__ import annotations
 
@@ -244,8 +245,10 @@ def _run_sweep(
     config: SweepConfig, points: list[tuple[PolynomialFamily, int]]
 ) -> tuple[list[dict], list[dict]]:
     tasks = [(config.command, fam, n, config.tol, config.corrupt) for fam, n in points]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # the pool starts all its workers up front, so never more than there are points
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_point, tasks))
     else:
         outcomes = [_evaluate_point(task) for task in tasks]
@@ -306,9 +309,16 @@ def _emit(config: SweepConfig, columns: tuple[str, ...], rows: list[dict], summa
 
 def _run_command(config: SweepConfig, points: list[tuple[PolynomialFamily, int]]) -> int:
     """Evaluate ``points``, write the output, and return the exit code:
-    1 when a verify check or a gating bound failed at some point, else 0."""
+    2 when ``--out`` cannot be written, 1 when a verify check or a gating
+    bound failed at some point, else 0."""
     rows, summaries = _run_sweep(config, points)
-    _emit(config, COLUMNS[config.command], rows, summaries)
+    try:
+        _emit(config, COLUMNS[config.command], rows, summaries)
+    except OSError as exc:
+        if not config.out:
+            raise
+        print(f"rootgaps: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     failed = any(summary.get("failed") or summary.get("violations") for summary in summaries)
     return 1 if failed else 0
 

@@ -133,22 +133,23 @@ def jacobi_interaction_sums(
     return lin, cross
 
 
+def _inverse_covariance(
+    z: RootVector, matrix: np.ndarray, coordinate: CoordinateForm = CoordinateForm.Z
+) -> InverseCovariance:
+    """Wrap an ``S_N`` ``matrix`` with the predicted spectrum of ``z``'s family."""
+    return InverseCovariance(
+        z.family, z.n, DenseSymmetric(matrix), predicted_spectrum(z.family, z.n), coordinate, z
+    )
+
+
 def hermite_S(z: RootVector) -> InverseCovariance:
     """Hermite inverse covariance with predicted spectrum ``1..N``."""
     require_kind(z, FamilyKind.HERMITE)
-    n = z.n
     diff = _pair_differences(z.roots)
     inv2 = 1.0 / (diff * diff)
     matrix = -inv2
     np.fill_diagonal(matrix, 1.0 + inv2.sum(axis=1))
-    return InverseCovariance(
-        z.family,
-        n,
-        DenseSymmetric(matrix),
-        predicted_spectrum(z.family, n),
-        CoordinateForm.Z,
-        z,
-    )
+    return _inverse_covariance(z, matrix)
 
 
 def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> InverseCovariance:
@@ -161,7 +162,6 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
     require_kind(z, FamilyKind.LAGUERRE)
     if not isinstance(coordinate, CoordinateForm):
         raise ParameterDomainError(f"unknown coordinate form {coordinate!r}")
-    n = z.n
     nu = float(z.family.nu)
     roots = z.roots
     if np.any(roots <= 0.0):
@@ -183,20 +183,12 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
         pair = inv_minus + inv_plus
         np.fill_diagonal(pair, 0.0)
         np.fill_diagonal(matrix, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=1))
-    return InverseCovariance(
-        z.family,
-        n,
-        DenseSymmetric(matrix),
-        predicted_spectrum(z.family, n),
-        coordinate,
-        z,
-    )
+    return _inverse_covariance(z, matrix, coordinate)
 
 
 def jacobi_S(z: RootVector) -> InverseCovariance:
     """Jacobi inverse covariance with spectrum ``2j(2N+alpha+beta+1-j)``."""
     require_kind(z, FamilyKind.JACOBI)
-    n = z.n
     alpha, beta = float(z.family.alpha), float(z.family.beta)
     roots = z.roots
     if np.any(np.abs(roots) >= 1.0):
@@ -211,14 +203,7 @@ def jacobi_S(z: RootVector) -> InverseCovariance:
         + 2.0 * (alpha + 1.0) * (1.0 + roots) / (1.0 - roots)
         + 2.0 * (beta + 1.0) * (1.0 - roots) / (1.0 + roots),
     )
-    return InverseCovariance(
-        z.family,
-        n,
-        DenseSymmetric(matrix),
-        predicted_spectrum(z.family, n),
-        CoordinateForm.Z,
-        z,
-    )
+    return _inverse_covariance(z, matrix)
 
 
 def predicted_spectrum(family: PolynomialFamily, n: int) -> np.ndarray:

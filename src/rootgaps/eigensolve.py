@@ -147,34 +147,33 @@ def _tridiag_eigenvalues_only(t: SymTridiagonal) -> np.ndarray:
     return d
 
 
-def _eigenpair_residual(matrix: np.ndarray, lam: np.ndarray, vectors: np.ndarray) -> float:
+def _diagonalize(
+    matrix: np.ndarray, d: np.ndarray, sub: np.ndarray, vectors: np.ndarray, scale: float
+) -> Spectrum:
+    """Shared tail of both solvers: QL on the tridiagonal form ``(d, sub)``
+    of ``matrix`` with ``vectors`` rotated along, the residual, and a trace
+    check to ``1e-12 (n scale + 1)``.  Each caller passes its own ``scale``
+    (``max|diag|`` tridiagonal, ``max|entries|`` dense), so the tridiagonal
+    check is not loosened by its off-diagonal entries."""
+    _ql_implicit(d, np.append(sub, 0.0), vectors)
+    order = np.argsort(d, kind="stable")
+    lam = d[order]
+    vectors = vectors[:, order]
     defect = matrix @ vectors - vectors * lam
     worst = math.sqrt(float(np.max(np.sum(defect * defect, axis=0))))
-    scale = math.sqrt(float(np.sum(matrix * matrix)))
-    return worst / max(scale, _EPS)
-
-
-def _check_trace(lam: np.ndarray, trace: float, n: int, max_entry: float) -> None:
-    tol = 1e-12 * (n * max_entry + 1.0)
-    if abs(float(np.sum(lam)) - trace) > tol:
+    residual = worst / max(math.sqrt(float(np.sum(matrix * matrix))), _EPS)
+    tol = 1e-12 * (d.size * scale + 1.0)
+    if abs(float(np.sum(lam)) - float(np.trace(matrix))) > tol:
         raise InternalConsistencyError(
             f"eigenvalue sum differs from trace by more than {tol:.3e}"
         )
+    return Spectrum(lam, residual)
 
 
 def tridiag_eigenvalues(t: SymTridiagonal) -> Spectrum:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending."""
-    n = t.n
-    d = t.diag.copy()
-    e = np.append(t.offdiag, 0.0)
-    vectors = np.eye(n)
-    _ql_implicit(d, e, vectors)
-    order = np.argsort(d, kind="stable")
-    lam = d[order]
-    vectors = vectors[:, order]
-    residual = _eigenpair_residual(t.to_dense(), lam, vectors)
-    _check_trace(lam, float(np.sum(t.diag)), n, float(np.max(np.abs(t.diag), initial=0.0)))
-    return Spectrum(lam, residual)
+    scale = float(np.max(np.abs(t.diag), initial=0.0))
+    return _diagonalize(t.to_dense(), t.diag.copy(), t.offdiag, np.eye(t.n), scale)
 
 
 def _householder_tridiag(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,18 +213,8 @@ def dense_eigenvalues(m: DenseSymmetric) -> Spectrum:
 
     Householder reduction to tridiagonal form followed by implicit QL.
     """
-    n = m.n
-    if n == 1:
-        return Spectrum(m.entries[0, :1].copy(), 0.0)
     d, sub, q = _householder_tridiag(m.entries)
-    e = np.append(sub, 0.0)
-    _ql_implicit(d, e, q)
-    order = np.argsort(d, kind="stable")
-    lam = d[order]
-    vectors = q[:, order]
-    residual = _eigenpair_residual(m.entries, lam, vectors)
-    _check_trace(lam, float(np.trace(m.entries)), n, float(np.max(np.abs(m.entries))))
-    return Spectrum(lam, residual)
+    return _diagonalize(m.entries, d, sub, q, float(np.max(np.abs(m.entries))))
 
 
 def trace_power(m: DenseSymmetric, k: int) -> float:

@@ -50,6 +50,53 @@ class TestReportInvariants:
                 assert rep.sharpness >= 1.0 - 1e-10
 
 
+SINGLE_ROOT_IDS = {
+    "laguerre-min-root",
+    "laguerre-min-root-bessel",
+    "jacobi-upper-edge-strong",
+    "jacobi-upper-edge-weak",
+    "jacobi-lower-edge-strong",
+    "jacobi-lower-edge-weak",
+    "jacobi-upper-edge-asymptotic",
+}
+
+
+def expected_indices(bound_id, n):
+    if bound_id in SINGLE_ROOT_IDS:
+        return [None]
+    if (
+        bound_id.endswith("-diag-sq")
+        or bound_id in ("hermite-inv2-sum", "hermite-inv4-sum")
+        or bound_id.startswith("jacobi-boundary-product")
+    ):
+        return list(range(1, n + 1))
+    assert "gap" in bound_id, bound_id
+    return list(range(1, n))
+
+
+class TestIndexContract:
+    """Single-root ids give one report without an index, per-root ids one
+    per root, gap ids one per gap (none at N = 1)."""
+
+    @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
+    def test_indices_per_bound_id(self, family):
+        ids_at = {}
+        for n in (1, 2, 9):
+            if family.kind is FamilyKind.HERMITE and n < 2:
+                continue
+            indices = {}
+            for rep in reports_for(family, n):
+                indices.setdefault(rep.bound_id, []).append(rep.index)
+            for bound_id, got in indices.items():
+                assert sorted(got, key=lambda i: i or 0) == expected_indices(bound_id, n), (
+                    bound_id, n,
+                )
+            ids_at[n] = set(indices)
+        assert ids_at[9] == ids_at[2]
+        if 1 in ids_at:
+            assert ids_at[1] == {i for i in ids_at[2] if "gap" not in i}
+
+
 class TestHermiteBounds:
     def test_n2_gap_bound_is_an_equality(self):
         reports = by_id(reports_for(hermite(), 2), "hermite-gap")

@@ -178,6 +178,53 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code = cli.main(["roots", "--family", "hermite", "--n", "3", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"rootgaps: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the requested worker
+    count and maps in this process, so no worker is ever started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestJobs:
+    @pytest.mark.parametrize(
+        "argv,workers",
+        [
+            (["verify", "--family", "hermite", "--n", "3", "--jobs", "500"], []),
+            (["roots", "--family", "hermite", "--n-min", "2", "--n-max", "4", "--jobs", "500"], [3]),
+            (["roots", "--family", "hermite", "--n-min", "2", "--n-max", "4", "--jobs", "2"], [2]),
+        ],
+    )
+    def test_workers_capped_at_point_count(self, monkeypatch, capsys, argv, workers):
+        monkeypatch.setattr(RecordingPool, "created", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert RecordingPool.created == workers
+        monkeypatch.undo()
+        assert run_cli(capsys, *argv[:-2]) == (code, out)
+
+
 class TestNumericalFailure:
     def test_exit_code_three(self, monkeypatch, capsys):
         def explode(family, n):
