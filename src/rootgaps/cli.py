@@ -8,21 +8,30 @@ Subcommands:
   diagonal-of-square consistency check,
 * ``bounds``  the full bound-report table plus a sharpness summary.
 
+Each point function returns its rows as tuples in ``COLUMNS`` order
+without the (family, params, N) key, plus a summary dict;
+``_evaluate_point`` adds the key once and, for CSV, formats the point's
+lines where they are computed, so ``--jobs`` workers send text.
+
 Output is CSV (default) or JSON, deterministic byte for byte: fixed
-column order, shortest round-trip float formatting, rows sorted by
-(family, parameters, N, id, index) regardless of worker scheduling.
+column order, shortest round-trip float formatting.  Points come in
+(family, parameters, N) order from ``sweep_points``, and the serial
+``map`` and ``pool.map`` both keep that order whatever the worker
+scheduling; rows within a point are sorted by (id, index).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error (including an empty sweep, a ``--tol`` that is not finite and
-positive, and an ``--out`` path that cannot be written), 3 numerical
-failure.  Per-family parameters, default grids and minimum orders come
-from the ``FamilySpec`` rows in ``rootgaps.families``.
+positive, and an ``--out`` path that cannot be written, which is checked
+before the sweep), 3 numerical failure, reported with the sweep point
+that raised it.  Per-family parameters, default grids and minimum orders
+come from the ``FamilySpec`` rows in ``rootgaps.families``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,14 +55,18 @@ DEFAULT_N_MAX = 40
 
 _TINY = float(np.finfo(float).tiny)
 
+# every row and summary starts with the point key
+POINT_KEY = ("family", "params", "N")
 COLUMNS = {
-    "roots": ("family", "params", "N", "i", "z_i", "gap_i"),
-    "verify": ("family", "params", "N", "check_id", "value", "tolerance", "passed"),
-    "bounds": (
-        "family", "params", "N", "bound_id", "index",
-        "bound_value", "observed_value", "slack", "holds", "sharpness",
+    "roots": POINT_KEY + ("i", "z_i", "gap_i"),
+    "verify": POINT_KEY + ("check_id", "value", "tolerance", "passed"),
+    "bounds": POINT_KEY + (
+        "bound_id", "index", "bound_value", "observed_value", "slack", "holds", "sharpness",
     ),
 }
+
+# bound rows carry two more fields, which only JSON writes
+JSON_ONLY_COLUMNS = {"bounds": ("comparator", "note")}
 
 
 @dataclass
@@ -96,36 +109,13 @@ def sweep_points(config: SweepConfig) -> list[tuple[PolynomialFamily, int]]:
     return points
 
 
-def _spectral_tolerance(n: int, override: float | None) -> float:
-    if override is not None:
-        return override
-    return 1e-8 if n <= 20 else 1e-6
-
-
-def _roots_point(fam: PolynomialFamily, n: int) -> tuple[list[dict], dict]:
+def _roots_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     rv = compute_roots(fam, n)
     stats = gap_statistics(rv)
-    rows = []
-    params = fam.params_text()
-    for i in range(n):
-        if i < n - 1:
-            gap = abs(float(rv.roots[i + 1]) - float(rv.roots[i]))
-        else:
-            gap = None
-        rows.append(
-            {
-                "family": fam.kind.value,
-                "params": params,
-                "N": n,
-                "i": i + 1,
-                "z_i": float(rv.roots[i]),
-                "gap_i": gap,
-            }
-        )
+    z = rv.roots.tolist()
+    gaps = [abs(b - a) for a, b in zip(z, z[1:])] + [None]
+    rows = list(zip(range(1, n + 1), z, gaps))
     summary = {
-        "family": fam.kind.value,
-        "params": params,
-        "N": n,
         "min_gap": stats.min_gap,
         "boundary_low": stats.boundary_low,
         "boundary_high": stats.boundary_high,
@@ -133,7 +123,7 @@ def _roots_point(fam: PolynomialFamily, n: int) -> tuple[list[dict], dict]:
     return rows, summary
 
 
-def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[dict], dict]:
+def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     rv = compute_roots(fam, n)
     cov = build_S(rv)
     matrix = cov.matrix.entries
@@ -142,12 +132,12 @@ def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: boo
         j = min(1, n - 1)
         matrix[0, j] += 0.5
         matrix[j, 0] = matrix[0, j]
-    params = fam.params_text()
     checks: list[tuple[str, float, float]] = []
 
     spectrum = dense_eigenvalues(DenseSymmetric(matrix))
     spectral_err = float(np.max(np.abs(spectrum.eigenvalues - cov.predicted) / cov.predicted))
-    checks.append(("spectrum-match", spectral_err, _spectral_tolerance(n, tol)))
+    spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
+    checks.append(("spectrum-match", spectral_err, spectral_tol))
 
     # one (lin, cross) pair feeds both trace identities and the
     # diagonal-of-square check
@@ -167,62 +157,30 @@ def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: boo
     diag_resid = diag_square_residual(matrix, fam.spec.shift, diag_square)
     checks.append(("diag-square-consistency", diag_resid, ident_tol))
 
-    rows = [
-        {
-            "family": fam.kind.value,
-            "params": params,
-            "N": n,
-            "check_id": check_id,
-            "value": value,
-            "tolerance": tolerance,
-            "passed": value <= tolerance,
-        }
-        for check_id, value, tolerance in sorted(checks)
-    ]
-    summary = {
-        "family": fam.kind.value,
-        "params": params,
-        "N": n,
-        "failed": sum(1 for row in rows if not row["passed"]),
-    }
-    return rows, summary
+    rows = [(check_id, value, tolerance, value <= tolerance) for check_id, value, tolerance in sorted(checks)]
+    return rows, {"failed": sum(1 for row in rows if not row[-1])}
 
 
 def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_point(fam: PolynomialFamily, n: int) -> tuple[list[dict], dict]:
+def _bounds_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     rv = compute_roots(fam, n)
     reports = bounds_mod.bound_set(rv)
-    params = fam.params_text()
     rows = [
-        {
-            "family": fam.kind.value,
-            "params": params,
-            "N": n,
-            "bound_id": rep.bound_id,
-            "index": rep.index,
-            "bound_value": rep.bound_value,
-            "observed_value": rep.observed_value,
-            "slack": rep.slack,
-            "holds": rep.holds,
-            "sharpness": rep.sharpness,
-            "comparator": rep.comparator,
-            "note": rep.note,
-        }
-        for rep in reports
+        (
+            rep.bound_id, rep.index, rep.bound_value, rep.observed_value, rep.slack,
+            rep.holds, rep.sharpness, rep.comparator, rep.note,
+        )
+        for rep in sorted(reports, key=lambda rep: (rep.bound_id, rep.index or 0))
     ]
-    rows.sort(key=lambda row: (row["bound_id"], row["index"] if row["index"] is not None else 0))
     agg = bounds_mod.sharpness_summary(reports)
     summary = {
-        "family": fam.kind.value,
-        "params": params,
-        "N": n,
-        "worst_sharpness": {k: agg.worst[k] for k in sorted(agg.worst)},
-        "mean_sharpness": {k: agg.mean[k] for k in sorted(agg.mean)},
+        "worst_sharpness": agg.worst,
+        "mean_sharpness": agg.mean,
         "diag_square_identity_ratio": agg.diag_square_identity_ratio,
-        "comparator_ratios": {k: agg.comparator_ratios[k] for k in sorted(agg.comparator_ratios)},
+        "comparator_ratios": agg.comparator_ratios,
         "violations": sum(
             1 for rep in reports if not rep.comparator and not rep.note and not rep.holds
         ),
@@ -230,35 +188,40 @@ def _bounds_point(fam: PolynomialFamily, n: int) -> tuple[list[dict], dict]:
     return rows, summary
 
 
-def _evaluate_point(task: tuple) -> tuple[tuple, list[dict], dict]:
-    command, fam, n, tol, corrupt = task
-    if command == "roots":
-        rows, summary = _roots_point(fam, n)
-    elif command == "verify":
-        rows, summary = _verify_point(fam, n, tol, corrupt)
+# one signature: (family, N, tol, corrupt) -> (rows in column order
+# without the point key, summary without the point key)
+_POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
+
+
+def _evaluate_point(task: tuple) -> tuple[str | list[tuple], dict]:
+    """One sweep point: its CSV lines as one string (``fmt == "csv"``) or
+    its keyed row tuples, plus its keyed summary."""
+    command, fmt, fam, n, tol, corrupt = task
+    try:
+        rows, summary = _POINT_FUNCTIONS[command](fam, n, tol, corrupt)
+    except RootgapsError as exc:
+        raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
+    key = (fam.kind.value, fam.params_text(), n)
+    if fmt == "csv":
+        width = len(COLUMNS[command]) - len(POINT_KEY)
+        head = ",".join(map(_format_cell, key)) + ","
+        out = "".join(head + ",".join(map(_format_cell, row[:width])) + "\n" for row in rows)
     else:
-        rows, summary = _bounds_point(fam, n)
-    return (_family_sort_key(fam), n), rows, summary
+        out = [key + row for row in rows]
+    return out, dict(zip(POINT_KEY, key), **summary)
 
 
 def _run_sweep(
     config: SweepConfig, points: list[tuple[PolynomialFamily, int]]
-) -> tuple[list[dict], list[dict]]:
-    tasks = [(config.command, fam, n, config.tol, config.corrupt) for fam, n in points]
+) -> list[tuple[str | list[tuple], dict]]:
+    # points come in (family, params, N) order and both maps keep it
+    tasks = [(config.command, config.fmt, fam, n, config.tol, config.corrupt) for fam, n in points]
     # the pool starts all its workers up front, so never more than there are points
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_point, tasks))
-    else:
-        outcomes = [_evaluate_point(task) for task in tasks]
-    outcomes.sort(key=lambda item: item[0])
-    rows: list[dict] = []
-    summaries: list[dict] = []
-    for _, point_rows, summary in outcomes:
-        rows.extend(point_rows)
-        summaries.append(summary)
-    return rows, summaries
+            return list(pool.map(_evaluate_point, tasks))
+    return [_evaluate_point(task) for task in tasks]
 
 
 def _format_cell(value) -> str:
@@ -276,17 +239,15 @@ def _json_safe(value):
         return None
     if isinstance(value, dict):
         return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(item) for item in value]
     return value
 
 
-def _emit(config: SweepConfig, columns: tuple[str, ...], rows: list[dict], summaries: list[dict]) -> None:
+def _emit(config: SweepConfig, outcomes: list[tuple[str | list[tuple], dict]]) -> None:
+    columns = COLUMNS[config.command]
     if config.fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_format_cell(row[col]) for col in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
+        chunks = [",".join(columns) + "\n", *(text for text, _ in outcomes)]
     else:
+        names = columns + JSON_ONLY_COLUMNS.get(config.command, ())
         document = {
             "config": {
                 "command": config.command,
@@ -296,30 +257,50 @@ def _emit(config: SweepConfig, columns: tuple[str, ...], rows: list[dict], summa
                 "n_step": config.n_step,
                 "tol": config.tol,
             },
-            "results": [_json_safe(row) for row in rows],
-            "summary": [_json_safe(item) for item in summaries],
+            "results": [_json_safe(dict(zip(names, row))) for rows, _ in outcomes for row in rows],
+            "summary": [_json_safe(summary) for _, summary in outcomes],
         }
-        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        chunks = [json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"]
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _check_out(path: str) -> None:
+    """Raise ``OSError`` unless ``path`` opens for writing; an existing
+    file keeps its bytes and a new one is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"rootgaps: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _run_command(config: SweepConfig, points: list[tuple[PolynomialFamily, int]]) -> int:
     """Evaluate ``points``, write the output, and return the exit code:
-    2 when ``--out`` cannot be written, 1 when a verify check or a gating
-    bound failed at some point, else 0."""
-    rows, summaries = _run_sweep(config, points)
+    2 when ``--out`` cannot be written (checked before the sweep and
+    again on writing), 1 when a verify check or a gating bound failed at
+    some point, else 0.  Nothing is written unless the whole sweep ran."""
+    if config.out:
+        try:
+            _check_out(config.out)
+        except OSError as exc:
+            return _cannot_write(config.out, exc)
+    outcomes = _run_sweep(config, points)
     try:
-        _emit(config, COLUMNS[config.command], rows, summaries)
+        _emit(config, outcomes)
     except OSError as exc:
         if not config.out:
             raise
-        print(f"rootgaps: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    failed = any(summary.get("failed") or summary.get("violations") for summary in summaries)
+        return _cannot_write(config.out, exc)
+    failed = any(summary.get("failed") or summary.get("violations") for _, summary in outcomes)
     return 1 if failed else 0
 
 

@@ -178,7 +178,7 @@ def _jacobi_recurrence(family: PolynomialFamily, n: int) -> tuple[np.ndarray, np
     b = np.empty(n - 1)
     if n > 1:
         # k = 1 has its own closed form; the generic one is 0/0 at ab = -1
-        b[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+        b[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) * (ab + 2.0) * (ab + 3.0))
         k = np.arange(2.0, n)
         s = 2.0 * k + ab
         b[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
@@ -283,7 +283,10 @@ def jacobi_matrix(family: PolynomialFamily, n: int) -> SymTridiagonal:
     family (the Golub-Welsch construction, without the weight vector).
     """
     _check_order(n)
-    return SymTridiagonal(*family.spec.recurrence(family, n))
+    # huge parameters overflow the coefficients; SymTridiagonal rejects
+    # the resulting inf/nan entries with a ParameterDomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SymTridiagonal(*family.spec.recurrence(family, n))
 
 
 # Rescaling threshold for the forward recurrences.  Only sign and the

@@ -8,6 +8,8 @@ import pytest
 import rootgaps.cli as cli
 from rootgaps import ConvergenceError
 
+real_compute_roots = cli.compute_roots
+
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
@@ -17,6 +19,15 @@ def run_cli(capsys, *args):
 
 def read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def explode_at(n_bad):
+    def compute_roots(family, n):
+        if n == n_bad:
+            raise ConvergenceError("stuck", stuck_index=0)
+        return real_compute_roots(family, n)
+
+    return compute_roots
 
 
 class TestRootsCommand:
@@ -116,12 +127,19 @@ class TestDeterminism:
         assert cli.main([*args, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_parallel_output_matches_serial(self, tmp_path):
-        args = ("verify", "--family", "jacobi", "--n-min", "1", "--n-max", "8")
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        assert cli.main([*args, "--format", "json", "--out", str(serial)]) == 0
-        assert cli.main([*args, "--format", "json", "--out", str(parallel), "--jobs", "2"]) == 0
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--family", "jacobi", "--n-min", "1", "--n-max", "8", "--format", "json"),
+            ("roots", "--family", "jacobi", "--n-min", "1", "--n-max", "8"),
+            ("bounds", "--family", "laguerre", "--n-min", "1", "--n-max", "8"),
+        ],
+    )
+    def test_parallel_output_matches_serial(self, tmp_path, args):
+        serial = tmp_path / "serial.out"
+        parallel = tmp_path / "parallel.out"
+        assert cli.main([*args, "--out", str(serial)]) == 0
+        assert cli.main([*args, "--out", str(parallel), "--jobs", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
 
@@ -134,6 +152,10 @@ class TestGoldenOutput:
             (
                 ["roots", "--n-max", "8"],
                 "ed2198f2b34af06efa87c9a0b837fb1f6a8160ae8b082422d86bc14dd073c587",
+            ),
+            (
+                ["roots", "--n-max", "8", "--format", "json"],
+                "f97d41aba46a53d0dc6e56c2001c2e0841b9594378610acf8340a420c446ba67",
             ),
             (
                 ["bounds", "--n-max", "8"],
@@ -178,7 +200,9 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
-    def test_unwritable_out_path(self, tmp_path, capsys):
+    def test_unwritable_out_path(self, monkeypatch, tmp_path, capsys):
+        # checked before the sweep: a sweep that ran would exit 3 here
+        monkeypatch.setattr(cli, "compute_roots", explode_at(3))
         target = tmp_path / "missing" / "x.csv"
         code = cli.main(["roots", "--family", "hermite", "--n", "3", "--out", str(target)])
         captured = capsys.readouterr()
@@ -227,11 +251,49 @@ class TestJobs:
 
 class TestNumericalFailure:
     def test_exit_code_three(self, monkeypatch, capsys):
-        def explode(family, n):
-            raise ConvergenceError("stuck", stuck_index=0)
-
-        monkeypatch.setattr(cli, "compute_roots", explode)
+        monkeypatch.setattr(cli, "compute_roots", explode_at(3))
         code = cli.main(["roots", "--family", "hermite", "--n", "3"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "numerical failure" in captured.err
+        assert captured.err == "rootgaps: numerical failure: hermite N=3: stuck\n"
+
+    @pytest.mark.parametrize(
+        "jobs,workers", [(["--jobs", "1"], []), (["--jobs", "2"], [2])]
+    )
+    def test_names_failing_point(self, monkeypatch, capsys, jobs, workers):
+        monkeypatch.setattr(RecordingPool, "created", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "compute_roots", explode_at(4))
+        argv = ["verify", "--family", "laguerre", "--nu", "2", "--n-min", "2", "--n-max", "6"]
+        code = cli.main([*argv, *jobs])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "rootgaps: numerical failure: laguerre(nu=2.0) N=4: stuck\n"
+        assert RecordingPool.created == workers
+
+    @pytest.mark.parametrize(
+        "value,reason",
+        [
+            ("1e100", "off-diagonal entries must be strictly positive"),
+            ("1e160", "non-finite tridiagonal entries"),
+        ],
+    )
+    def test_overflowing_parameters(self, capsys, value, reason):
+        code = cli.main(
+            ["roots", "--family", "jacobi", "--alpha", value, "--beta", value, "--n", "3"]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            f"rootgaps: numerical failure: jacobi(alpha={float(value)!r} beta={float(value)!r})"
+            f" N=3: {reason}\n"
+        )
+
+    @pytest.mark.parametrize("earlier", [b"earlier output\n", None])
+    def test_failed_sweep_leaves_out_as_it_was(self, monkeypatch, tmp_path, capsys, earlier):
+        monkeypatch.setattr(cli, "compute_roots", explode_at(3))
+        target = tmp_path / "x.csv"
+        if earlier is not None:
+            target.write_bytes(earlier)
+        assert cli.main(["roots", "--family", "hermite", "--n", "3", "--out", str(target)]) == 3
+        assert (target.read_bytes() if target.exists() else None) == earlier
