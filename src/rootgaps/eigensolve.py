@@ -6,9 +6,13 @@ Householder reflections and then handed to the same QL core; this variant
 was chosen over cyclic Jacobi sweeps because the reduction vectorizes
 cleanly while sharing the well-tested tridiagonal kernel.
 
-Both solvers accumulate eigenvectors so the reported ``residual`` is an
-honest backward-error measure, ``max_i ||A v_i - lambda_i v_i||_2``
-scaled by the Frobenius norm of ``A``.
+The two ``Spectrum``-returning solvers, ``tridiag_eigenvalues`` and
+``dense_eigenvalues``, accumulate eigenvectors so the reported
+``residual`` is an honest backward-error measure,
+``max_i ||A v_i - lambda_i v_i||_2`` scaled by the Frobenius norm of
+``A``.  Their eigenvalues-only twins, ``_tridiag_eigenvalues_only`` (used
+by ``roots``) and ``_dense_eigenvalues_only`` (used by ``verify``), skip
+the vectors and return bit-identical eigenvalues.
 """
 from __future__ import annotations
 
@@ -86,8 +90,14 @@ def _ql_implicit(
     ``vectors`` is given, its columns are rotated along, so that on return
     ``A = V diag(d) V^T``.  An off-diagonal entry is treated as negligible
     when ``|e[i]| <= eps * (|d[i]| + |d[i+1]|)``.
+
+    The scalar loop runs on Python floats, which give the same IEEE
+    results as numpy scalars without their per-access overhead; ``d`` and
+    ``e`` are written back on return.
     """
-    n = d.size
+    d_out, e_out = d, e
+    d, e = d.tolist(), e.tolist()
+    n = len(d)
     cap = 50 * n if max_sweeps is None else max_sweeps
     sweeps = 0
     for l in range(n):
@@ -136,6 +146,8 @@ def _ql_implicit(
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+    d_out[:] = d
+    e_out[:] = e
 
 
 def _tridiag_eigenvalues_only(t: SymTridiagonal) -> np.ndarray:
@@ -147,14 +159,24 @@ def _tridiag_eigenvalues_only(t: SymTridiagonal) -> np.ndarray:
     return d
 
 
+def _check_trace(lam: np.ndarray, matrix: np.ndarray, scale: float) -> None:
+    """Raise unless ``sum(lam)`` matches ``tr(matrix)`` to
+    ``1e-12 (n scale + 1)``.  Each caller passes its own ``scale``
+    (``max|diag|`` tridiagonal, ``max|entries|`` dense), so the tridiagonal
+    check is not loosened by its off-diagonal entries."""
+    tol = 1e-12 * (lam.size * scale + 1.0)
+    if abs(float(np.sum(lam)) - float(np.trace(matrix))) > tol:
+        raise InternalConsistencyError(
+            f"eigenvalue sum differs from trace by more than {tol:.3e}"
+        )
+
+
 def _diagonalize(
     matrix: np.ndarray, d: np.ndarray, sub: np.ndarray, vectors: np.ndarray, scale: float
 ) -> Spectrum:
-    """Shared tail of both solvers: QL on the tridiagonal form ``(d, sub)``
-    of ``matrix`` with ``vectors`` rotated along, the residual, and a trace
-    check to ``1e-12 (n scale + 1)``.  Each caller passes its own ``scale``
-    (``max|diag|`` tridiagonal, ``max|entries|`` dense), so the tridiagonal
-    check is not loosened by its off-diagonal entries."""
+    """Shared tail of both ``Spectrum`` solvers: QL on the tridiagonal form
+    ``(d, sub)`` of ``matrix`` with ``vectors`` rotated along, the residual,
+    and the trace check."""
     _ql_implicit(d, np.append(sub, 0.0), vectors)
     order = np.argsort(d, kind="stable")
     lam = d[order]
@@ -162,11 +184,7 @@ def _diagonalize(
     defect = matrix @ vectors - vectors * lam
     worst = math.sqrt(float(np.max(np.sum(defect * defect, axis=0))))
     residual = worst / max(math.sqrt(float(np.sum(matrix * matrix))), _EPS)
-    tol = 1e-12 * (d.size * scale + 1.0)
-    if abs(float(np.sum(lam)) - float(np.trace(matrix))) > tol:
-        raise InternalConsistencyError(
-            f"eigenvalue sum differs from trace by more than {tol:.3e}"
-        )
+    _check_trace(lam, matrix, scale)
     return Spectrum(lam, residual)
 
 
@@ -176,15 +194,17 @@ def tridiag_eigenvalues(t: SymTridiagonal) -> Spectrum:
     return _diagonalize(t.to_dense(), t.diag.copy(), t.offdiag, np.eye(t.n), scale)
 
 
-def _householder_tridiag(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _householder_tridiag(
+    matrix: np.ndarray, q: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a symmetric matrix to tridiagonal ``Q^T A Q``.
 
-    Returns ``(d, e, Q)`` with ``Q`` orthogonal and ``d, e`` the diagonal
-    and subdiagonal of the reduced matrix.
+    Returns ``(d, e)``, the diagonal and subdiagonal of the reduced
+    matrix.  When ``q`` is given (the identity, for ``Q`` itself), each
+    reflection is applied to its columns in place.
     """
     n = matrix.shape[0]
     a = matrix.copy()
-    q = np.eye(n)
     for k in range(n - 2):
         x = a[k + 1 :, k].copy()
         norm_x = math.sqrt(float(np.dot(x, x)))
@@ -204,8 +224,9 @@ def _householder_tridiag(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         a[k, k + 1] = alpha
         a[k + 2 :, k] = 0.0
         a[k, k + 2 :] = 0.0
-        q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ v, v) * (2.0 / vnorm2)
-    return np.diag(a).copy(), np.diag(a, -1).copy(), q
+        if q is not None:
+            q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ v, v) * (2.0 / vnorm2)
+    return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
 def dense_eigenvalues(m: DenseSymmetric) -> Spectrum:
@@ -213,8 +234,20 @@ def dense_eigenvalues(m: DenseSymmetric) -> Spectrum:
 
     Householder reduction to tridiagonal form followed by implicit QL.
     """
-    d, sub, q = _householder_tridiag(m.entries)
+    q = np.eye(m.n)
+    d, sub = _householder_tridiag(m.entries, q)
     return _diagonalize(m.entries, d, sub, q, float(np.max(np.abs(m.entries))))
+
+
+def _dense_eigenvalues_only(m: DenseSymmetric) -> np.ndarray:
+    """Ascending eigenvalues of ``m`` without eigenvectors or residual;
+    bit-identical to ``dense_eigenvalues(m).eigenvalues``, with the same
+    trace check."""
+    d, sub = _householder_tridiag(m.entries)
+    _ql_implicit(d, np.append(sub, 0.0))
+    lam = np.sort(d, kind="stable")
+    _check_trace(lam, m.entries, float(np.max(np.abs(m.entries))))
+    return lam
 
 
 def trace_power(m: DenseSymmetric, k: int) -> float:

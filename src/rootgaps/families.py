@@ -283,10 +283,14 @@ def jacobi_matrix(family: PolynomialFamily, n: int) -> SymTridiagonal:
     family (the Golub-Welsch construction, without the weight vector).
     """
     _check_order(n)
-    # huge parameters overflow the coefficients; SymTridiagonal rejects
-    # the resulting inf/nan entries with a ParameterDomainError
+    # admissible parameters give finite entries and positive off-diagonal
+    # ones; huge parameters overflow the coefficients to inf/nan, or to a
+    # zero off-diagonal entry where only a denominator overflowed
     with np.errstate(over="ignore", invalid="ignore"):
-        return SymTridiagonal(*family.spec.recurrence(family, n))
+        diag, offdiag = family.spec.recurrence(family, n)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag)) and np.all(offdiag > 0.0)):
+        raise MagnitudeError("recurrence coefficients overflow the floating-point range")
+    return SymTridiagonal(diag, offdiag)
 
 
 # Rescaling threshold for the forward recurrences.  Only sign and the

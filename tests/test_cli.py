@@ -274,8 +274,8 @@ class TestNumericalFailure:
     @pytest.mark.parametrize(
         "value,reason",
         [
-            ("1e100", "off-diagonal entries must be strictly positive"),
-            ("1e160", "non-finite tridiagonal entries"),
+            ("1e100", "recurrence coefficients overflow the floating-point range"),
+            ("1e160", "recurrence coefficients overflow the floating-point range"),
         ],
     )
     def test_overflowing_parameters(self, capsys, value, reason):

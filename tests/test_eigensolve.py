@@ -13,15 +13,59 @@ from rootgaps import (
     ParameterDomainError,
     Spectrum,
     SymTridiagonal,
+    compute_roots,
     dense_eigenvalues,
     hermite,
     jacobi_matrix,
     trace_power,
     tridiag_eigenvalues,
 )
-from rootgaps.eigensolve import _ql_implicit
+from rootgaps.covariance import build_S
+from rootgaps.eigensolve import _dense_eigenvalues_only, _ql_implicit, _tridiag_eigenvalues_only
 
-from conftest import ones_kernel_projection, random_symmetric
+from conftest import all_families, ones_kernel_projection, random_symmetric
+
+
+def _ql_on_numpy_scalars(d, e):
+    """Reference: the eigenvalues-only QL loop on numpy scalars, reading
+    and writing ``d`` and ``e`` directly.  ``_ql_implicit`` runs the same
+    arithmetic on Python floats, so the bits must match."""
+    n = d.size
+    eps = np.finfo(float).eps
+    for l in range(n):
+        while True:
+            for m in range(l, n - 1):
+                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                    break
+            else:
+                m = n - 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
 
 
 class TestDenseSymmetricType:
@@ -83,12 +127,26 @@ class TestTridiagEigenvalues:
             scale = max(np.max(np.abs(expected)), 1.0)
             np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=0, atol=1e-13 * scale)
             assert spectrum.residual <= 1e-13
+            assert np.array_equal(_tridiag_eigenvalues_only(t), spectrum.eigenvalues)
 
     def test_hermite_eigenvalue_symmetry(self):
         for n in range(2, 51):
             lam = tridiag_eigenvalues(jacobi_matrix(hermite(), n)).eigenvalues
             pair_defect = np.max(np.abs(lam + lam[::-1]))
             assert pair_defect <= 1e-12 * np.max(np.abs(lam))
+
+    def test_python_float_kernel_matches_numpy_scalar_loop(self, rng):
+        inputs = [jacobi_matrix(fam, n) for fam in all_families() for n in (2, 9, 40)]
+        inputs += [
+            SymTridiagonal(rng.normal(size=n), np.abs(rng.normal(size=n - 1)) + 0.1)
+            for n in (2, 3, 17, 40)
+        ]
+        for t in inputs:
+            d, e = t.diag.copy(), np.append(t.offdiag, 0.0)
+            d_ref, e_ref = d.copy(), e.copy()
+            _ql_implicit(d, e)
+            _ql_on_numpy_scalars(d_ref, e_ref)
+            assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)
 
     def test_sweep_cap_raises_convergence_error(self):
         d = np.zeros(3)
@@ -120,6 +178,20 @@ class TestDenseEigenvalues:
             scale = max(np.max(np.abs(expected)), 1.0)
             np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=0, atol=1e-12 * scale)
             assert spectrum.residual <= 1e-12
+            assert np.array_equal(_dense_eigenvalues_only(m), spectrum.eigenvalues)
+
+
+class TestEigenvaluesOnlyTwins:
+    """The vector-free solvers behind ``roots`` and ``verify`` return the
+    same bits as the ``Spectrum`` solvers on the default-grid matrices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
+    def test_bit_identical_on_default_families(self, family, n):
+        t = jacobi_matrix(family, n)
+        assert np.array_equal(_tridiag_eigenvalues_only(t), tridiag_eigenvalues(t).eigenvalues)
+        m = build_S(compute_roots(family, n)).matrix
+        assert np.array_equal(_dense_eigenvalues_only(m), dense_eigenvalues(m).eigenvalues)
 
 
 class TestTracePower:

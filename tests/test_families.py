@@ -105,6 +105,17 @@ class TestJacobiMatrix:
         t = jacobi_matrix(jacobi(alpha, beta), n)
         assert np.all(t.offdiag > 0.0)
 
+    # 1e100 overflows only the denominator of the off-diagonal entries,
+    # which would round them to zero; 1e160 makes entries inf/nan
+    @pytest.mark.parametrize(
+        "family",
+        [jacobi(1e100, 1e100), jacobi(1e160, 1e160), laguerre(1e308)],
+        ids=lambda fam: fam.label(),
+    )
+    def test_coefficient_overflow_raises_magnitude_error(self, family):
+        with pytest.raises(MagnitudeError, match="recurrence coefficients overflow"):
+            jacobi_matrix(family, 3)
+
 
 def _sympy_poly(family, n, x):
     # parameters in the fixtures are exact binary fractions, so Rational()
