@@ -8,6 +8,16 @@ Subcommands:
   diagonal-of-square consistency check,
 * ``bounds``  the full bound-report table plus a sharpness summary.
 
+``spectrum-match`` diagonalizes nothing.  It encloses the eigenvalues of
+``S_N`` with the closed-form eigenbasis (``covariance.eigenbasis``,
+``eigensolve.enclose_eigenvalues``) and reports
+``max_k (|rho_k - lambda_k| + radius_k) / lambda_k`` against the
+predicted spectrum ``lambda``.  With disjoint intervals, the radius is
+the Kato-Temple one, and the value bounds the relative distance from the
+k-th ascending eigenvalue to ``lambda_k``, up to rounding of order
+``N eps ||S_N||``.  With overlapping intervals, as under ``--corrupt``,
+the radius is the residual itself: a finite value, not a bound.
+
 Each point function returns its rows as tuples in ``COLUMNS`` order
 without the (family, params, N) key, plus a summary dict;
 ``_evaluate_point`` adds the key once and, for CSV, formats the point's
@@ -43,12 +53,11 @@ from .covariance import (
     CoordinateForm,
     build_S,
     diag_square_residual,
+    eigenbasis,
     interaction_sums,
     laguerre_S,
 )
-# verify reads only the eigenvalues; the module name dense_eigenvalues is
-# the bench tracer's eigensolve.dense target
-from .eigensolve import DenseSymmetric, _dense_eigenvalues_only as dense_eigenvalues
+from .eigensolve import DenseSymmetric, enclose_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
 from .families import FAMILY_SPECS, FamilyKind, PolynomialFamily, family_from
 from .roots import compute_roots, gap_statistics
@@ -136,8 +145,12 @@ def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: boo
         matrix[j, 0] = matrix[0, j]
     checks: list[tuple[str, float, float]] = []
 
-    eigenvalues = dense_eigenvalues(DenseSymmetric(matrix))
-    spectral_err = float(np.max(np.abs(eigenvalues - cov.predicted) / cov.predicted))
+    # the closed-form eigenbasis encloses the eigenvalues of the matrix as
+    # given, so a corrupted copy fails here without being diagonalized
+    enclosure = enclose_eigenvalues(DenseSymmetric(matrix), eigenbasis(rv))
+    spectral_err = float(
+        np.max((np.abs(enclosure.centers - cov.predicted) + enclosure.radii) / cov.predicted)
+    )
     spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
     checks.append(("spectrum-match", spectral_err, spectral_tol))
 

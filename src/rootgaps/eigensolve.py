@@ -1,4 +1,4 @@
-"""Self-contained symmetric eigensolvers.
+"""Self-contained symmetric eigensolvers and a residual eigenvalue enclosure.
 
 Tridiagonal matrices are diagonalized by implicit-shift QL with Wilkinson
 shifts.  Dense symmetric matrices are first reduced to tridiagonal form by
@@ -10,9 +10,22 @@ The two ``Spectrum``-returning solvers, ``tridiag_eigenvalues`` and
 ``dense_eigenvalues``, accumulate eigenvectors so the reported
 ``residual`` is an honest backward-error measure,
 ``max_i ||A v_i - lambda_i v_i||_2`` scaled by the Frobenius norm of
-``A``.  Their eigenvalues-only twins, ``_tridiag_eigenvalues_only`` (used
-by ``roots``) and ``_dense_eigenvalues_only`` (used by ``verify``), skip
-the vectors and return bit-identical eigenvalues.
+``A``.  Their eigenvalues-only twin ``_tridiag_eigenvalues_only`` (used by
+``roots``) skips the vectors and returns bit-identical eigenvalues.
+
+``enclose_eigenvalues`` needs no solve when approximate eigenvectors are
+known, as they are for ``S_N`` (``covariance.eigenbasis``).  For each
+column ``q`` it forms the Rayleigh quotient ``rho`` and the residual
+``r = ||A q - rho q|| / ||q||``; the interval ``[rho - r, rho + r]`` holds
+an eigenvalue of ``A`` (Parlett, *The Symmetric Eigenvalue Problem*,
+ch. 11).  When the n intervals are pairwise disjoint each holds exactly
+one, so the k-th ascending interval holds the k-th ascending eigenvalue,
+and Kato-Temple tightens its radius to ``r^2 / gap``, ``gap`` being the
+distance from ``rho`` to the neighbouring intervals.  Neither step needs
+the columns to be exactly orthonormal.  The enclosure holds for ``rho``
+and ``r`` as computed; they carry rounding errors of order
+``n eps ||A||``, so it is exact up to that rounding, not an
+interval-arithmetic proof.
 """
 from __future__ import annotations
 
@@ -159,24 +172,15 @@ def _tridiag_eigenvalues_only(t: SymTridiagonal) -> np.ndarray:
     return d
 
 
-def _check_trace(lam: np.ndarray, matrix: np.ndarray, scale: float) -> None:
-    """Raise unless ``sum(lam)`` matches ``tr(matrix)`` to
-    ``1e-12 (n scale + 1)``.  Each caller passes its own ``scale``
-    (``max|diag|`` tridiagonal, ``max|entries|`` dense), so the tridiagonal
-    check is not loosened by its off-diagonal entries."""
-    tol = 1e-12 * (lam.size * scale + 1.0)
-    if abs(float(np.sum(lam)) - float(np.trace(matrix))) > tol:
-        raise InternalConsistencyError(
-            f"eigenvalue sum differs from trace by more than {tol:.3e}"
-        )
-
-
 def _diagonalize(
     matrix: np.ndarray, d: np.ndarray, sub: np.ndarray, vectors: np.ndarray, scale: float
 ) -> Spectrum:
     """Shared tail of both ``Spectrum`` solvers: QL on the tridiagonal form
     ``(d, sub)`` of ``matrix`` with ``vectors`` rotated along, the residual,
-    and the trace check."""
+    and a check that the eigenvalue sum matches the trace to
+    ``1e-12 (n scale + 1)``.  Each caller passes its own ``scale``
+    (``max|diag|`` tridiagonal, ``max|entries|`` dense), so the tridiagonal
+    check is not loosened by its off-diagonal entries."""
     _ql_implicit(d, np.append(sub, 0.0), vectors)
     order = np.argsort(d, kind="stable")
     lam = d[order]
@@ -184,7 +188,11 @@ def _diagonalize(
     defect = matrix @ vectors - vectors * lam
     worst = math.sqrt(float(np.max(np.sum(defect * defect, axis=0))))
     residual = worst / max(math.sqrt(float(np.sum(matrix * matrix))), _EPS)
-    _check_trace(lam, matrix, scale)
+    tol = 1e-12 * (lam.size * scale + 1.0)
+    if abs(float(np.sum(lam)) - float(np.trace(matrix))) > tol:
+        raise InternalConsistencyError(
+            f"eigenvalue sum differs from trace by more than {tol:.3e}"
+        )
     return Spectrum(lam, residual)
 
 
@@ -194,14 +202,12 @@ def tridiag_eigenvalues(t: SymTridiagonal) -> Spectrum:
     return _diagonalize(t.to_dense(), t.diag.copy(), t.offdiag, np.eye(t.n), scale)
 
 
-def _householder_tridiag(
-    matrix: np.ndarray, q: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _householder_tridiag(matrix: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a symmetric matrix to tridiagonal ``Q^T A Q``.
 
     Returns ``(d, e)``, the diagonal and subdiagonal of the reduced
-    matrix.  When ``q`` is given (the identity, for ``Q`` itself), each
-    reflection is applied to its columns in place.
+    matrix.  Each reflection is applied to the columns of ``q`` in place,
+    so the identity passed in comes back as ``Q``.
     """
     n = matrix.shape[0]
     a = matrix.copy()
@@ -224,8 +230,7 @@ def _householder_tridiag(
         a[k, k + 1] = alpha
         a[k + 2 :, k] = 0.0
         a[k, k + 2 :] = 0.0
-        if q is not None:
-            q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ v, v) * (2.0 / vnorm2)
+        q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ v, v) * (2.0 / vnorm2)
     return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
@@ -239,15 +244,44 @@ def dense_eigenvalues(m: DenseSymmetric) -> Spectrum:
     return _diagonalize(m.entries, d, sub, q, float(np.max(np.abs(m.entries))))
 
 
-def _dense_eigenvalues_only(m: DenseSymmetric) -> np.ndarray:
-    """Ascending eigenvalues of ``m`` without eigenvectors or residual;
-    bit-identical to ``dense_eigenvalues(m).eigenvalues``, with the same
-    trace check."""
-    d, sub = _householder_tridiag(m.entries)
-    _ql_implicit(d, np.append(sub, 0.0))
-    lam = np.sort(d, kind="stable")
-    _check_trace(lam, m.entries, float(np.max(np.abs(m.entries))))
-    return lam
+@dataclass(frozen=True)
+class Enclosure:
+    """Intervals ``centers[k] +- radii[k]``, ascending by center.
+
+    ``disjoint`` says the residual intervals were pairwise disjoint: then
+    the k-th holds the k-th ascending eigenvalue, and ``radii`` are the
+    Kato-Temple radii.  Otherwise each residual interval still holds some
+    eigenvalue, but not necessarily the k-th, and ``radii`` are the
+    residuals themselves.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    disjoint: bool
+
+
+def enclose_eigenvalues(m: DenseSymmetric, basis: np.ndarray) -> Enclosure:
+    """Eigenvalue enclosure of ``m`` from approximate eigenvectors, the n
+    nonzero columns of ``basis``, by residuals and Kato-Temple."""
+    basis = np.asarray(basis, dtype=float)
+    if basis.shape != m.entries.shape:
+        raise ParameterDomainError(f"expected a {m.n} x {m.n} basis, got shape {basis.shape}")
+    norm2 = np.einsum("ij,ij->j", basis, basis)
+    if not np.all(norm2 > 0.0):
+        raise ParameterDomainError("basis columns must be nonzero")
+    image = m.entries @ basis
+    rho = np.einsum("ij,ij->j", basis, image) / norm2
+    defect = image - basis * rho
+    r = np.sqrt(np.einsum("ij,ij->j", defect, defect) / norm2)
+    order = np.argsort(rho, kind="stable")
+    rho, r = rho[order], r[order]
+    lower, upper = rho - r, rho + r
+    disjoint = bool(np.all(lower[1:] > upper[:-1]))
+    if disjoint:
+        # disjointness makes every gap exceed its r, so r^2 / gap < r
+        gap = np.minimum(rho - np.append(-np.inf, upper[:-1]), np.append(lower[1:], np.inf) - rho)
+        r = r * r / gap
+    return Enclosure(rho, r, disjoint)
 
 
 def trace_power(m: DenseSymmetric, k: int) -> float:

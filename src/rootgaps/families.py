@@ -17,7 +17,8 @@ Everything that differs between the families is data in one
 :class:`FamilySpec` row per kind, ``FAMILY_SPECS``, reached from a family
 as ``family.spec``: parameter names and ranges, recurrence coefficients,
 orthogonality interval and root ordering, the shift and closed-form
-spectrum of ``S_N`` with its trace targets, and the default sweep grid.
+spectrum of ``S_N`` with its trace targets, the factor ``omega`` of its
+eigenvectors, and the default sweep grid.
 The other modules read the row instead of branching on the kind.
 """
 from __future__ import annotations
@@ -133,6 +134,9 @@ class FamilySpec:
     ``spectrum(family, n)`` is the closed-form spectrum of ``S_N``
     (ascending) and ``shift`` the multiple of the identity removed from
     ``S_N`` before the trace and diagonal-of-square identities are stated.
+    ``omega(z)`` is the root factor of the eigenvectors of ``S_N``: the
+    k-th (ascending) is ``(omega(z_i) q_{k-1}(z_i))_i`` with ``q_{k-1}`` of
+    degree ``k - 1``, orthonormal on the roots with weights ``omega**2``.
     ``min_n`` is the smallest order of default sweeps and bound sets.
     """
 
@@ -147,6 +151,7 @@ class FamilySpec:
     shift: float
     spectrum: Callable[[PolynomialFamily, int], np.ndarray]
     square_identity: bool
+    omega: Callable[[np.ndarray], np.ndarray]
 
     def trace_targets(self, family: PolynomialFamily, n: int) -> tuple[float, float | None]:
         """Exact ``tr(S_N - shift I)`` and, where the family states that
@@ -215,6 +220,7 @@ FAMILY_SPECS = {
         steps=lambda family, n: ((2.0, 0.0, 2.0 * k, 1.0) for k in range(n)),
         domain=(-math.inf, math.inf), ordering=RootOrdering.HERMITE_DESCENDING,
         shift=1.0, spectrum=lambda family, n: np.arange(1.0, n + 1.0), square_identity=True,
+        omega=np.ones_like,
     ),
     FamilyKind.LAGUERRE: FamilySpec(
         params=("nu",), lower=0.0,
@@ -222,6 +228,7 @@ FAMILY_SPECS = {
         recurrence=_laguerre_recurrence, steps=_laguerre_steps,
         domain=(0.0, math.inf), ordering=RootOrdering.LAGUERRE_DESCENDING,
         shift=1.0, spectrum=lambda family, n: 2.0 * np.arange(1.0, n + 1.0), square_identity=True,
+        omega=np.sqrt,
     ),
     FamilyKind.JACOBI: FamilySpec(
         params=("alpha", "beta"), lower=-1.0,
@@ -229,6 +236,8 @@ FAMILY_SPECS = {
         recurrence=_jacobi_recurrence, steps=_jacobi_steps,
         domain=(-1.0, 1.0), ordering=RootOrdering.JACOBI_ASCENDING,
         shift=0.0, spectrum=_jacobi_spectrum, square_identity=False,
+        # (1 - z)(1 + z) keeps its relative accuracy next to z = +-1
+        omega=lambda z: np.sqrt((1.0 - z) * (1.0 + z)),
     ),
 }
 

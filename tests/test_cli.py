@@ -87,6 +87,25 @@ class TestVerifyCommand:
         rows = read_csv(out)
         assert any(row["passed"] == "false" for row in rows)
 
+    def test_corrupted_sweep_writes_json(self, capsys):
+        # the corrupted Hermite N = 2 matrix has a double eigenvalue, so its
+        # enclosure intervals overlap; the value must stay finite for JSON
+        code, out = run_cli(capsys, "verify", "--corrupt", "--n-max", "6", "--format", "json")
+        assert code == 1
+        spectral = [r for r in json.loads(out)["results"] if r["check_id"] == "spectrum-match"]
+        assert len(spectral) == 71
+        assert not any(r["passed"] for r in spectral)
+
+    @pytest.mark.parametrize(
+        "family",
+        [("hermite",), ("laguerre", "--nu", "2"), ("jacobi", "--alpha", "1", "--beta", "-0.9")],
+        ids=lambda argv: argv[0],
+    )
+    def test_large_order_passes(self, capsys, family):
+        code, out = run_cli(capsys, "verify", "--family", *family, "--n", "300")
+        assert code == 0
+        assert all(row["passed"] == "true" for row in read_csv(out))
+
 
 class TestBoundsCommand:
     def test_hermite_n2_equality_row(self, capsys):

@@ -18,7 +18,9 @@ from rootgaps import (
     max_eigenvalue,
     predicted_spectrum,
 )
-from rootgaps.covariance import _pair_differences
+from rootgaps import RootVector, covariance
+from rootgaps.covariance import _pair_differences, eigenbasis
+from rootgaps.eigensolve import enclose_eigenvalues
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
@@ -203,6 +205,54 @@ class TestSpectralMatchSweep:
     def test_spectrum_matches_prediction(self, family, n):
         tol = 1e-8 if n <= 20 else 1e-6
         assert spectral_error(build_S(family, n)) <= tol
+
+
+EIGENBASIS_FAMILIES = [
+    hermite(), laguerre(0.1), laguerre(50.0),
+    jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 10.0),
+]
+EPS = np.finfo(float).eps
+
+
+def root_sensitivity(rv, s):
+    """``||dS|| / (d ||S||)`` for the relative root change ``d`` of
+    alternating sign, which moves each gap and each boundary distance by
+    its relative condition number: the factor by which ulp-level root
+    errors reach ``S``."""
+    d = 2.0**-40
+    moved = rv.roots * (1.0 + d * (-1.0) ** np.arange(rv.n))
+    shifted = covariance.build_S(RootVector(rv.family, rv.n, moved, rv.ordering)).matrix.entries
+    return np.linalg.norm(shifted - s, 2) / (d * np.linalg.norm(s, 2))
+
+
+class TestEigenbasis:
+    """The closed-form eigenbasis against numpy.linalg.eigh/eigvalsh."""
+
+    @pytest.mark.parametrize("n", (1, 2, 10, 40, 200))
+    @pytest.mark.parametrize("family", EIGENBASIS_FAMILIES, ids=lambda fam: fam.label())
+    def test_eigenbasis_residual_at_rounding_level(self, family, n):
+        cov = build_S(family, n)
+        rv, s, lam = cov.roots, cov.matrix.entries, cov.predicted
+        q = eigenbasis(rv)
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= n * EPS
+        # each column is an eigenvector of S at the exact roots; roots a few
+        # ulps off move S by up to sensitivity * eps ||S||, and eigvalsh
+        # shows how far that moved each eigenvalue from its prediction
+        column = np.linalg.norm(s @ q - q * lam, axis=0)
+        drift = np.abs(np.linalg.eigvalsh(s) - lam)
+        budget = 4.0 * EPS * np.linalg.norm(s, 2) * (n + root_sensitivity(rv, s))
+        assert np.all(column <= drift + budget)
+
+    @pytest.mark.parametrize("n", (1, 2, 10, 40, 200))
+    @pytest.mark.parametrize("family", EIGENBASIS_FAMILIES, ids=lambda fam: fam.label())
+    def test_enclosure_holds_eigvalsh(self, family, n):
+        cov = build_S(family, n)
+        enclosure = enclose_eigenvalues(cov.matrix, eigenbasis(cov.roots))
+        assert enclosure.disjoint
+        # eigvalsh is itself within n eps ||S|| of the true eigenvalues
+        slack = n * EPS * np.linalg.norm(cov.matrix.entries, 2)
+        lam = np.linalg.eigvalsh(cov.matrix.entries)
+        assert np.all(np.abs(lam - enclosure.centers) <= enclosure.radii + slack)
 
 
 def test_coincident_roots_are_singular():

@@ -20,8 +20,8 @@ from rootgaps import (
     trace_power,
     tridiag_eigenvalues,
 )
-from rootgaps.covariance import build_S
-from rootgaps.eigensolve import _dense_eigenvalues_only, _ql_implicit, _tridiag_eigenvalues_only
+from rootgaps.covariance import build_S, eigenbasis
+from rootgaps.eigensolve import _ql_implicit, _tridiag_eigenvalues_only, enclose_eigenvalues
 
 from conftest import all_families, ones_kernel_projection, random_symmetric
 
@@ -178,20 +178,67 @@ class TestDenseEigenvalues:
             scale = max(np.max(np.abs(expected)), 1.0)
             np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=0, atol=1e-12 * scale)
             assert spectrum.residual <= 1e-12
-            assert np.array_equal(_dense_eigenvalues_only(m), spectrum.eigenvalues)
 
 
 class TestEigenvaluesOnlyTwins:
-    """The vector-free solvers behind ``roots`` and ``verify`` return the
-    same bits as the ``Spectrum`` solvers on the default-grid matrices."""
+    """The vector-free solver behind ``roots`` returns the same bits as the
+    ``Spectrum`` solver on the default-grid recurrence matrices."""
 
     @pytest.mark.parametrize("n", [1, 2, 9, 40])
     @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
     def test_bit_identical_on_default_families(self, family, n):
         t = jacobi_matrix(family, n)
         assert np.array_equal(_tridiag_eigenvalues_only(t), tridiag_eigenvalues(t).eigenvalues)
-        m = build_S(compute_roots(family, n)).matrix
-        assert np.array_equal(_dense_eigenvalues_only(m), dense_eigenvalues(m).eigenvalues)
+
+
+class TestEncloseEigenvalues:
+    def test_exact_eigenvectors_give_points(self):
+        m = DenseSymmetric(np.diag([3.0, 1.0, 2.0]))
+        enclosure = enclose_eigenvalues(m, 2.0 * np.eye(3))
+        assert enclosure.disjoint
+        assert enclosure.centers.tolist() == [1.0, 2.0, 3.0]
+        assert enclosure.radii.tolist() == [0.0, 0.0, 0.0]
+
+    def test_perturbed_eigenvectors_enclose_numpy_eigenvalues(self, rng):
+        for n in (2, 5, 12, 25):
+            a = random_symmetric(rng, n)
+            lam, vectors = np.linalg.eigh(a)
+            basis = vectors + 1e-6 * rng.normal(size=(n, n))
+            enclosure = enclose_eigenvalues(DenseSymmetric(a), basis)
+            assert enclosure.disjoint
+            # eigvalsh is itself within n eps ||a|| of the true eigenvalues
+            slack = n * np.finfo(float).eps * np.linalg.norm(a, 2)
+            assert np.all(np.abs(lam - enclosure.centers) <= enclosure.radii + slack)
+            # Kato-Temple radii are second order in the 1e-6 eigenvector
+            # error; the residuals themselves are first order, above 1e-6
+            assert np.max(enclosure.radii) <= 1e-8
+
+    def test_overlapping_intervals_stay_finite(self):
+        # the corrupted Hermite N = 2 matrix of `verify --corrupt` is 1.5 I:
+        # both residual intervals are the point 1.5, so they overlap, and a
+        # Kato-Temple radius would be 0/0
+        s = build_S(compute_roots(hermite(), 2))
+        corrupted = s.matrix.entries.copy()
+        corrupted[0, 1] = corrupted[1, 0] = corrupted[0, 1] + 0.5
+        enclosure = enclose_eigenvalues(DenseSymmetric(corrupted), eigenbasis(s.roots))
+        assert not enclosure.disjoint
+        assert np.all(np.isfinite(enclosure.centers)) and np.all(np.isfinite(enclosure.radii))
+        value = np.max((np.abs(enclosure.centers - s.predicted) + enclosure.radii) / s.predicted)
+        assert value == pytest.approx(0.5) and value > 1e-8
+        # overlapping intervals keep the residuals as radii, where r^2 / gap
+        # would be negative: both unit vectors give 2 +- 1, around 1 and 3
+        m = DenseSymmetric(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        enclosure = enclose_eigenvalues(m, np.eye(2))
+        assert not enclosure.disjoint
+        assert enclosure.centers.tolist() == [2.0, 2.0]
+        assert enclosure.radii.tolist() == [1.0, 1.0]
+
+    def test_rejects_bad_basis(self):
+        m = DenseSymmetric(np.eye(2))
+        with pytest.raises(ParameterDomainError):
+            enclose_eigenvalues(m, np.eye(3))
+        with pytest.raises(ParameterDomainError):
+            enclose_eigenvalues(m, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestTracePower:
