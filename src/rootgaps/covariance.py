@@ -17,14 +17,8 @@ For each family the matrix ``S_N`` is built entrywise from the roots of
 The Hermite and Laguerre ``N = 1`` matrices are the natural trivial
 extensions ``[[1]]`` and ``[[2]]`` with spectra ``{1}`` and ``{2}``.
 
-The eigenvectors are known in closed form too (Ahmed, Bruschi, Calogero,
-Olshanetsky & Perelomov, Nuovo Cimento B 49, 1979): with ``omega`` equal
-to ``1``, ``sqrt(z)`` and ``sqrt(1 - z^2)`` for the three families, the
-k-th eigenvector, ascending, is ``(omega(z_i) q_{k-1}(z_i))_i``, where
-``q_0, q_1, ...`` are the polynomials orthonormal on the roots with
-weights ``omega(z_i)^2``.  :func:`eigenbasis` builds them from the roots
-by Lanczos on ``diag(z)``; ``verify`` checks the spectrum with them
-instead of diagonalizing ``S_N``.
+The eigenvectors are known in closed form too; :func:`eigenbasis` builds
+them from the roots.
 
 The spectra, and the shift (``I`` for Hermite and Laguerre, none for
 Jacobi) under which the trace and diagonal-of-square identities are
@@ -247,10 +241,15 @@ def eigenbasis(z: RootVector) -> np.ndarray:
     """The closed-form eigenvectors of ``S_N`` for the roots ``z``, as the
     columns of an orthonormal matrix, in ascending eigenvalue order.
 
-    Lanczos on ``diag(z)`` from the start vector ``omega(z)``: column k is
-    ``z`` times column ``k - 1``, orthogonalized against the earlier
-    columns by classical Gram-Schmidt run twice, which keeps them
-    orthonormal to rounding, then normalized.
+    The k-th is ``(omega(z_i) q_{k-1}(z_i))_i``, where ``q_0, q_1, ...``
+    are the polynomials orthonormal on the roots with weights
+    ``omega(z_i)^2`` and ``omega`` (``FamilySpec.omega``) is ``1``,
+    ``sqrt(z)`` and ``sqrt(1 - z^2)`` for Hermite, Laguerre and Jacobi
+    (Ahmed, Bruschi, Calogero, Olshanetsky & Perelomov, Nuovo Cimento B 49,
+    1979).  They come from Lanczos on ``diag(z)`` from the start vector
+    ``omega(z)``: column k is ``z`` times column ``k - 1``, orthogonalized
+    against the earlier columns by classical Gram-Schmidt run twice, which
+    keeps them orthonormal to rounding, then normalized.
     """
     x = z.roots
     rows = np.empty((z.n, z.n))

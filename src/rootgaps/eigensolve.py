@@ -13,19 +13,8 @@ The two ``Spectrum``-returning solvers, ``tridiag_eigenvalues`` and
 ``A``.  Their eigenvalues-only twin ``_tridiag_eigenvalues_only`` (used by
 ``roots``) skips the vectors and returns bit-identical eigenvalues.
 
-``enclose_eigenvalues`` needs no solve when approximate eigenvectors are
-known, as they are for ``S_N`` (``covariance.eigenbasis``).  For each
-column ``q`` it forms the Rayleigh quotient ``rho`` and the residual
-``r = ||A q - rho q|| / ||q||``; the interval ``[rho - r, rho + r]`` holds
-an eigenvalue of ``A`` (Parlett, *The Symmetric Eigenvalue Problem*,
-ch. 11).  When the n intervals are pairwise disjoint each holds exactly
-one, so the k-th ascending interval holds the k-th ascending eigenvalue,
-and Kato-Temple tightens its radius to ``r^2 / gap``, ``gap`` being the
-distance from ``rho`` to the neighbouring intervals.  Neither step needs
-the columns to be exactly orthonormal.  The enclosure holds for ``rho``
-and ``r`` as computed; they carry rounding errors of order
-``n eps ||A||``, so it is exact up to that rounding, not an
-interval-arithmetic proof.
+``enclose_eigenvalues`` encloses the eigenvalues of a dense matrix from
+approximate eigenvectors, without a solve.
 """
 from __future__ import annotations
 
@@ -244,44 +233,35 @@ def dense_eigenvalues(m: DenseSymmetric) -> Spectrum:
     return _diagonalize(m.entries, d, sub, q, float(np.max(np.abs(m.entries))))
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """Intervals ``centers[k] +- radii[k]``, ascending by center.
+def enclose_eigenvalues(m: DenseSymmetric, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending intervals ``centers +- radii`` that enclose the eigenvalues
+    of ``m``, from approximate unit eigenvectors, the columns of ``basis``.
 
-    ``disjoint`` says the residual intervals were pairwise disjoint: then
-    the k-th holds the k-th ascending eigenvalue, and ``radii`` are the
-    Kato-Temple radii.  Otherwise each residual interval still holds some
-    eigenvalue, but not necessarily the k-th, and ``radii`` are the
-    residuals themselves.
+    For each column ``q`` the center is the Rayleigh quotient ``rho`` and
+    the residual ``r = ||m q - rho q||`` is the radius of an interval that
+    holds an eigenvalue (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 11).  When the intervals are pairwise disjoint each holds exactly
+    one, so the k-th holds the k-th ascending eigenvalue, and Kato-Temple
+    tightens its radius to ``r^2 / gap``, ``gap`` being the distance from
+    ``rho`` to the neighbouring intervals.  Otherwise the radii stay the
+    residuals: finite, but the k-th interval need not hold the k-th
+    eigenvalue.  Neither step needs the columns to be exactly orthogonal.
+    ``rho`` and ``r`` carry rounding errors of order ``n eps ||m||``, so
+    the enclosure is exact up to that rounding, not an interval-arithmetic
+    proof.
     """
-
-    centers: np.ndarray
-    radii: np.ndarray
-    disjoint: bool
-
-
-def enclose_eigenvalues(m: DenseSymmetric, basis: np.ndarray) -> Enclosure:
-    """Eigenvalue enclosure of ``m`` from approximate eigenvectors, the n
-    nonzero columns of ``basis``, by residuals and Kato-Temple."""
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape != m.entries.shape:
-        raise ParameterDomainError(f"expected a {m.n} x {m.n} basis, got shape {basis.shape}")
-    norm2 = np.einsum("ij,ij->j", basis, basis)
-    if not np.all(norm2 > 0.0):
-        raise ParameterDomainError("basis columns must be nonzero")
     image = m.entries @ basis
-    rho = np.einsum("ij,ij->j", basis, image) / norm2
+    rho = np.einsum("ij,ij->j", basis, image)
     defect = image - basis * rho
-    r = np.sqrt(np.einsum("ij,ij->j", defect, defect) / norm2)
+    r = np.sqrt(np.einsum("ij,ij->j", defect, defect))
     order = np.argsort(rho, kind="stable")
     rho, r = rho[order], r[order]
     lower, upper = rho - r, rho + r
-    disjoint = bool(np.all(lower[1:] > upper[:-1]))
-    if disjoint:
+    if np.all(lower[1:] > upper[:-1]):
         # disjointness makes every gap exceed its r, so r^2 / gap < r
         gap = np.minimum(rho - np.append(-np.inf, upper[:-1]), np.append(lower[1:], np.inf) - rho)
         r = r * r / gap
-    return Enclosure(rho, r, disjoint)
+    return rho, r
 
 
 def trace_power(m: DenseSymmetric, k: int) -> float:

@@ -134,9 +134,8 @@ class FamilySpec:
     ``spectrum(family, n)`` is the closed-form spectrum of ``S_N``
     (ascending) and ``shift`` the multiple of the identity removed from
     ``S_N`` before the trace and diagonal-of-square identities are stated.
-    ``omega(z)`` is the root factor of the eigenvectors of ``S_N``: the
-    k-th (ascending) is ``(omega(z_i) q_{k-1}(z_i))_i`` with ``q_{k-1}`` of
-    degree ``k - 1``, orthonormal on the roots with weights ``omega**2``.
+    ``omega(z)`` is the root factor of the eigenvectors of ``S_N`` (see
+    ``covariance.eigenbasis``).
     ``min_n`` is the smallest order of default sweeps and bound sets.
     """
 
