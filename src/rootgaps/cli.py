@@ -14,8 +14,12 @@ eigenbasis (``covariance.eigenbasis``, ``eigensolve.enclose_eigenvalues``).
 
 Each point function returns its rows as tuples in ``COLUMNS`` order
 without the (family, params, N) key, plus a summary dict;
-``_evaluate_point`` adds the key once and, for CSV, formats the point's
-lines where they are computed, so ``--jobs`` workers send text.
+``_evaluate_point`` adds the key once and turns the rows into text where
+they are computed, so ``--jobs`` workers send text.  CSV is written column
+by column, each with its formatter from ``CSV_FORMATS``.  JSON is encoded
+one row at a time by one encoder and indented to its place in the
+document, so the document is written in pieces and never joined into one
+string.
 
 Output is CSV (default) or JSON, deterministic byte for byte: fixed
 column order, shortest round-trip float formatting.  Points come in
@@ -39,6 +43,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,6 +77,30 @@ COLUMNS = {
 
 # bound rows carry two more fields, which only JSON writes
 JSON_ONLY_COLUMNS = {"bounds": ("comparator", "note")}
+
+
+def _optional(fmt):
+    return lambda value: "" if value is None else fmt(value)
+
+
+_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+
+# the CSV text of each column's cells: floats in shortest round-trip form,
+# booleans in lower case, a missing index or gap as an empty cell
+CSV_FORMATS = {
+    "family": str, "params": str, "N": str,
+    "i": str, "z_i": repr, "gap_i": _optional(repr),
+    "check_id": str, "value": repr, "tolerance": repr, "passed": _BOOL_TEXT,
+    "bound_id": str, "index": _optional(str), "bound_value": repr, "observed_value": repr,
+    "slack": repr, "holds": _BOOL_TEXT, "sharpness": repr,
+}
+_LINE_FORMATS = {
+    command: tuple(CSV_FORMATS[name] for name in names) for command, names in COLUMNS.items()
+}
+
+# one encoder for every JSON row and summary; each is encoded alone and
+# indented to its nesting level in the document
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 @dataclass
@@ -175,13 +204,10 @@ def _rel_defect(value: float, target: float) -> float:
 def _bounds_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     rv = compute_roots(fam, n)
     reports = bounds_mod.bound_set(rv)
-    rows = [
-        (
-            rep.bound_id, rep.index, rep.bound_value, rep.observed_value, rep.slack,
-            rep.holds, rep.sharpness, rep.comparator, rep.note,
-        )
-        for rep in sorted(reports, key=lambda rep: (rep.bound_id, rep.index or 0))
-    ]
+    # ids are unique per bound row and each id's reports come in index
+    # order, so the stable sort by id alone orders them by (id, index);
+    # a row is the report without its family and N
+    rows = [rep[:1] + rep[3:] for rep in sorted(reports, key=itemgetter(0))]
     agg = bounds_mod.sharpness_summary(reports)
     summary = {
         "worst_sharpness": agg.worst,
@@ -200,27 +226,44 @@ def _bounds_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: boo
 _POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
 
 
-def _evaluate_point(task: tuple) -> tuple[str | list[tuple], dict]:
-    """One sweep point: its CSV lines as one string (``fmt == "csv"``) or
-    its keyed row tuples, plus its keyed summary."""
+def _evaluate_point(task: tuple) -> tuple[str, dict]:
+    """One sweep point: the text of its rows in the output format, plus
+    its keyed summary."""
     command, fmt, fam, n, tol, corrupt = task
     try:
         rows, summary = _POINT_FUNCTIONS[command](fam, n, tol, corrupt)
     except RootgapsError as exc:
         raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
     key = (fam.kind.value, fam.params_text(), n)
-    if fmt == "csv":
-        width = len(COLUMNS[command]) - len(POINT_KEY)
-        head = ",".join(map(_format_cell, key)) + ","
-        out = "".join(head + ",".join(map(_format_cell, row[:width])) + "\n" for row in rows)
-    else:
-        out = [key + row for row in rows]
-    return out, dict(zip(POINT_KEY, key), **summary)
+    text = (_csv_lines if fmt == "csv" else _json_rows)(command, key, rows)
+    return text, dict(zip(POINT_KEY, key), **summary)
+
+
+def _csv_lines(command: str, key: tuple, rows: list[tuple]) -> str:
+    """The CSV lines of one point, formatted column by column; the columns
+    that only JSON writes are dropped."""
+    formats = _LINE_FORMATS[command]
+    head = ",".join(fmt(value) for fmt, value in zip(formats, key)) + ","
+    cells = [map(fmt, column) for fmt, column in zip(formats[len(key):], zip(*rows))]
+    return "".join([head + line + "\n" for line in map(",".join, zip(*cells))])
+
+
+def _json_rows(command: str, key: tuple, rows: list[tuple]) -> str:
+    """The JSON objects of one point's rows, as elements of the document's
+    ``results`` list, separated by commas."""
+    names = COLUMNS[command] + JSON_ONLY_COLUMNS.get(command, ())
+    return ",\n".join(_json_element(dict(zip(names, key + row))) for row in rows)
+
+
+def _json_element(value) -> str:
+    # an element of a list in the document's top-level object: indented by
+    # two levels, as ``json.dumps(document, indent=2)`` would place it
+    return "    " + _JSON.encode(_json_safe(value)).replace("\n", "\n    ")
 
 
 def _run_sweep(
     config: SweepConfig, points: list[tuple[PolynomialFamily, int]]
-) -> list[tuple[str | list[tuple], dict]]:
+) -> list[tuple[str, dict]]:
     # points come in (family, params, N) order and both maps keep it
     tasks = [(config.command, config.fmt, fam, n, config.tol, config.corrupt) for fam, n in points]
     # the pool starts all its workers up front, so never more than there are points
@@ -231,16 +274,6 @@ def _run_sweep(
     return [_evaluate_point(task) for task in tasks]
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _json_safe(value):
     if isinstance(value, float) and math.isnan(value):
         return None
@@ -249,25 +282,43 @@ def _json_safe(value):
     return value
 
 
-def _emit(config: SweepConfig, outcomes: list[tuple[str | list[tuple], dict]]) -> None:
-    columns = COLUMNS[config.command]
+def _json_document(config: SweepConfig, outcomes: list[tuple[str, dict]]) -> list[str]:
+    """The JSON document ``{config, results, summary}`` as chunks: the rows
+    come encoded from the points, and the summaries are encoded here, all
+    before anything is written."""
+    header = {
+        "command": config.command,
+        "families": [fam.label() for fam in sorted(config.families, key=_family_sort_key)],
+        "n_min": config.n_min,
+        "n_max": config.n_max,
+        "n_step": config.n_step,
+        "tol": config.tol,
+    }
+    return [
+        '{\n  "config": ' + _JSON.encode(header).replace("\n", "\n  ") + ',\n  "results": ',
+        *_json_list([text for text, _ in outcomes if text]),
+        ',\n  "summary": ',
+        *_json_list([_json_element(summary) for _, summary in outcomes]),
+        "\n}\n",
+    ]
+
+
+def _json_list(elements: list[str]) -> list[str]:
+    """A list of the top-level object as chunks, from its encoded elements."""
+    if not elements:
+        return ["[]"]
+    chunks = ["[\n"]
+    for element in elements:
+        chunks += (element, ",\n")
+    chunks[-1] = "\n  ]"
+    return chunks
+
+
+def _emit(config: SweepConfig, outcomes: list[tuple[str, dict]]) -> None:
     if config.fmt == "csv":
-        chunks = [",".join(columns) + "\n", *(text for text, _ in outcomes)]
+        chunks = [",".join(COLUMNS[config.command]) + "\n", *(text for text, _ in outcomes)]
     else:
-        names = columns + JSON_ONLY_COLUMNS.get(config.command, ())
-        document = {
-            "config": {
-                "command": config.command,
-                "families": [fam.label() for fam in sorted(config.families, key=_family_sort_key)],
-                "n_min": config.n_min,
-                "n_max": config.n_max,
-                "n_step": config.n_step,
-                "tol": config.tol,
-            },
-            "results": [_json_safe(dict(zip(names, row))) for rows, _ in outcomes for row in rows],
-            "summary": [_json_safe(summary) for _, summary in outcomes],
-        }
-        chunks = [json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"]
+        chunks = _json_document(config, outcomes)
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rootgaps import (
+    BoundReport,
     FamilyKind,
     FamilyMismatchError,
     ParameterDomainError,
@@ -48,6 +49,31 @@ class TestReportInvariants:
                 assert rep.holds == (rep.slack >= -tol)
             if rep.holds and rep.bound_value > 0.0:
                 assert rep.sharpness >= 1.0 - 1e-10
+
+
+class TestReportRecord:
+    def test_immutable(self):
+        rep = reports_for(hermite(), 3)[0]
+        with pytest.raises(AttributeError):
+            rep.holds = False
+        with pytest.raises(AttributeError):
+            rep.note = "vacuous"
+
+    def test_keyword_construction_and_defaults(self):
+        rep = BoundReport(
+            bound_id="hermite-gap", family=hermite(), n=3, index=1, bound_value=1.0,
+            observed_value=2.0, slack=1.0, holds=True, sharpness=2.0,
+        )
+        assert (rep.comparator, rep.note) == (False, "")
+        assert rep.index == 1 and rep.sharpness == 2.0
+
+    @pytest.mark.parametrize(
+        "bound_id,side", [("hermite-gap", "bound_value"), ("hermite-diag-sq", "observed_value")]
+    )
+    def test_repeated_scalar_side_is_one_object(self, bound_id, side):
+        values = [getattr(rep, side) for rep in by_id(reports_for(hermite(), 6), bound_id)]
+        assert len(values) > 1
+        assert all(value is values[0] for value in values)
 
 
 SINGLE_ROOT_IDS = {
@@ -326,6 +352,12 @@ class TestSharpnessSummary:
         mixed = reports_for(hermite(), 3) + reports_for(laguerre(1.0), 3)
         with pytest.raises(FamilyMismatchError):
             sharpness_summary(mixed)
+
+    def test_equal_family_objects_accepted(self):
+        # reports of one family from two equal but distinct family objects
+        reports = reports_for(laguerre(2.0), 5) + reports_for(laguerre(2.0), 5)
+        assert reports[0].family is not reports[-1].family
+        assert not sharpness_summary(reports).empty
 
     def test_mixed_orders_rejected(self):
         mixed = reports_for(hermite(), 3) + reports_for(hermite(), 4)

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 
 import pytest
 
@@ -184,12 +186,81 @@ class TestGoldenOutput:
                 ["bounds", "--n-max", "8", "--format", "json"],
                 "64bef665f0d633d707d1da11d6a42a9e338915f152eb0ddc39ad2eb9a22f2272",
             ),
+            # the full default sweep, 64,757 rows
+            (
+                ["bounds"],
+                "20b4d5ef5a7feab6c056a4fbf48d98fa98b0a4a76361d3b2c3846331176daf95",
+            ),
         ],
     )
     def test_sha256(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["roots", "verify", "bounds"])
+    def test_json_layout_is_that_of_one_dump(self, capsys, command):
+        # the document is written in pieces; it must read as if dumped whole
+        code, out = run_cli(capsys, command, "--n-max", "4", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def per_cell_format(value):
+    """The CSV rule before formatting went per column: one type dispatch
+    per cell.  Kept as the reference for the column formatters."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+FLOATS = [
+    0.5, -2.25, 0.1, 1 / 3, 2.220446049250313e-16, 1e16, 123456789.125, 0.0, -0.0,
+    1e-300, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+INTS = [0, 1, 7, 40, 64757]
+BOOLS = [True, False]
+TEXTS = ["hermite", "-", "alpha=1.0 beta=-0.9", "laguerre-gap-bessel-strong"]
+
+# the values each CSV column can hold
+COLUMN_VALUES = {
+    "family": TEXTS, "params": TEXTS, "N": INTS,
+    "i": INTS, "z_i": FLOATS, "gap_i": FLOATS + [None],
+    "check_id": TEXTS, "value": FLOATS, "tolerance": FLOATS, "passed": BOOLS,
+    "bound_id": TEXTS, "index": INTS + [None], "bound_value": FLOATS, "observed_value": FLOATS,
+    "slack": FLOATS, "holds": BOOLS, "sharpness": FLOATS,
+}
+
+
+class TestColumnFormats:
+    def test_every_column_has_a_formatter(self):
+        names = {name for columns in cli.COLUMNS.values() for name in columns}
+        assert set(cli.CSV_FORMATS) == names == set(COLUMN_VALUES)
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_VALUES))
+    def test_formatter_matches_per_cell_rule(self, name):
+        for value in COLUMN_VALUES[name]:
+            assert cli.CSV_FORMATS[name](value) == per_cell_format(value), value
+
+    @pytest.mark.parametrize("command", sorted(cli.COLUMNS))
+    def test_lines_match_per_cell_rule(self, command):
+        names = cli.COLUMNS[command]
+        width = len(names) - len(cli.POINT_KEY)
+        count = max(len(values) for values in COLUMN_VALUES.values())
+        columns = [itertools.cycle(COLUMN_VALUES[name]) for name in names[len(cli.POINT_KEY):]]
+        # bound rows carry the two JSON-only fields, which CSV drops
+        extra = [itertools.cycle(BOOLS), itertools.cycle(["", "vacuous"])]
+        extra = extra[: len(cli.JSON_ONLY_COLUMNS.get(command, ()))]
+        rows = list(itertools.islice(zip(*columns, *extra), count))
+        key = ("jacobi", "alpha=1.0 beta=-0.9", 12)
+        head = ",".join(map(per_cell_format, key)) + ","
+        expected = "".join(head + ",".join(map(per_cell_format, row[:width])) + "\n" for row in rows)
+        assert cli._csv_lines(command, key, rows) == expected
+        assert cli._csv_lines(command, key, []) == ""
 
 
 class TestUsageErrors:
