@@ -21,6 +21,10 @@ one row at a time by one encoder and indented to its place in the
 document, so the document is written in pieces and never joined into one
 string.
 
+The parsed ``argparse.Namespace`` is the sweep request: ``main`` writes
+the resolved families, in sweep order, and the ``--n`` range onto it, and
+the sweep and the writers read it.
+
 Output is CSV (default) or JSON, deterministic byte for byte: fixed
 column order, shortest round-trip float formatting.  Points come in
 (family, parameters, N) order from ``sweep_points``, and the serial
@@ -32,7 +36,8 @@ error (including an empty sweep, a ``--tol`` that is not finite and
 positive, and an ``--out`` path that cannot be written, which is checked
 before the sweep), 3 numerical failure, reported with the sweep point
 that raised it.  Per-family parameters, default grids and minimum orders
-come from the ``FamilySpec`` rows in ``rootgaps.families``.
+come from the ``FamilySpec`` rows in ``rootgaps.families``; a wrong
+parameter set or value is worded by ``PolynomialFamily`` itself.
 """
 from __future__ import annotations
 
@@ -42,7 +47,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -103,22 +107,6 @@ _LINE_FORMATS = {
 _JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
-@dataclass
-class SweepConfig:
-    """Resolved sweep request: grid points, tolerances, output shape."""
-
-    command: str
-    families: list[PolynomialFamily]
-    n_min: int | None = None
-    n_max: int | None = None
-    n_step: int = 1
-    fmt: str = "csv"
-    out: str | None = None
-    tol: float | None = None
-    jobs: int = 1
-    corrupt: bool = False
-
-
 def default_families(kinds=tuple(FamilyKind)) -> list[PolynomialFamily]:
     """The default parameter grid of each kind in ``kinds``."""
     return [family_from(kind, values) for kind in kinds for values in FAMILY_SPECS[kind].defaults]
@@ -128,15 +116,15 @@ def _family_sort_key(fam: PolynomialFamily) -> tuple:
     return (fam.kind.value, *fam.parameters())
 
 
-def sweep_points(config: SweepConfig) -> list[tuple[PolynomialFamily, int]]:
+def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]:
     points = []
-    for fam in sorted(config.families, key=_family_sort_key):
+    for fam in args.families:
         min_n = fam.spec.min_n
-        lo = config.n_min if config.n_min is not None else min_n
-        hi = config.n_max if config.n_max is not None else DEFAULT_N_MAX
-        if config.command == "bounds":
+        lo = args.n_min if args.n_min is not None else min_n
+        hi = args.n_max if args.n_max is not None else DEFAULT_N_MAX
+        if args.command == "bounds":
             lo = max(lo, min_n)  # no bound set below the family's minimum order
-        for n in range(lo, hi + 1, config.n_step):
+        for n in range(lo, hi + 1, args.n_step):
             points.append((fam, n))
     if not points:
         raise ParameterDomainError("empty sweep: no (family, N) points selected")
@@ -261,13 +249,11 @@ def _json_element(value) -> str:
     return "    " + _JSON.encode(_json_safe(value)).replace("\n", "\n    ")
 
 
-def _run_sweep(
-    config: SweepConfig, points: list[tuple[PolynomialFamily, int]]
-) -> list[tuple[str, dict]]:
+def _run_sweep(args: argparse.Namespace, points: list[tuple[PolynomialFamily, int]]) -> list[tuple[str, dict]]:
     # points come in (family, params, N) order and both maps keep it
-    tasks = [(config.command, config.fmt, fam, n, config.tol, config.corrupt) for fam, n in points]
+    tasks = [(args.command, args.format, fam, n, args.tol, args.corrupt) for fam, n in points]
     # the pool starts all its workers up front, so never more than there are points
-    workers = min(config.jobs, len(tasks))
+    workers = min(args.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_evaluate_point, tasks))
@@ -282,17 +268,17 @@ def _json_safe(value):
     return value
 
 
-def _json_document(config: SweepConfig, outcomes: list[tuple[str, dict]]) -> list[str]:
+def _json_document(args: argparse.Namespace, outcomes: list[tuple[str, dict]]) -> list[str]:
     """The JSON document ``{config, results, summary}`` as chunks: the rows
     come encoded from the points, and the summaries are encoded here, all
     before anything is written."""
     header = {
-        "command": config.command,
-        "families": [fam.label() for fam in sorted(config.families, key=_family_sort_key)],
-        "n_min": config.n_min,
-        "n_max": config.n_max,
-        "n_step": config.n_step,
-        "tol": config.tol,
+        "command": args.command,
+        "families": [fam.label() for fam in args.families],
+        "n_min": args.n_min,
+        "n_max": args.n_max,
+        "n_step": args.n_step,
+        "tol": args.tol,
     }
     return [
         '{\n  "config": ' + _JSON.encode(header).replace("\n", "\n  ") + ',\n  "results": ',
@@ -314,13 +300,13 @@ def _json_list(elements: list[str]) -> list[str]:
     return chunks
 
 
-def _emit(config: SweepConfig, outcomes: list[tuple[str, dict]]) -> None:
-    if config.fmt == "csv":
-        chunks = [",".join(COLUMNS[config.command]) + "\n", *(text for text, _ in outcomes)]
+def _emit(args: argparse.Namespace, outcomes: list[tuple[str, dict]]) -> None:
+    if args.format == "csv":
+        chunks = [",".join(COLUMNS[args.command]) + "\n", *(text for text, _ in outcomes)]
     else:
-        chunks = _json_document(config, outcomes)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
+        chunks = _json_document(args, outcomes)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -341,23 +327,23 @@ def _cannot_write(path: str, exc: OSError) -> int:
     return 2
 
 
-def _run_command(config: SweepConfig, points: list[tuple[PolynomialFamily, int]]) -> int:
+def _run_command(args: argparse.Namespace, points: list[tuple[PolynomialFamily, int]]) -> int:
     """Evaluate ``points``, write the output, and return the exit code:
     2 when ``--out`` cannot be written (checked before the sweep and
     again on writing), 1 when a verify check or a gating bound failed at
     some point, else 0.  Nothing is written unless the whole sweep ran."""
-    if config.out:
+    if args.out:
         try:
-            _check_out(config.out)
+            _check_out(args.out)
         except OSError as exc:
-            return _cannot_write(config.out, exc)
-    outcomes = _run_sweep(config, points)
+            return _cannot_write(args.out, exc)
+    outcomes = _run_sweep(args, points)
     try:
-        _emit(config, outcomes)
+        _emit(args, outcomes)
     except OSError as exc:
-        if not config.out:
+        if not args.out:
             raise
-        return _cannot_write(config.out, exc)
+        return _cannot_write(args.out, exc)
     failed = any(summary.get("failed") or summary.get("violations") for _, summary in outcomes)
     return 1 if failed else 0
 
@@ -367,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rootgaps",
         description="Roots of classical orthogonal polynomials and their verified gap bounds.",
     )
+    parser.set_defaults(corrupt=False)  # only verify takes --corrupt
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("roots", "emit ordered roots and consecutive gaps"),
@@ -402,16 +389,10 @@ def _resolve_families(parser: argparse.ArgumentParser, args: argparse.Namespace)
             parser.error("--nu/--alpha/--beta require --family")
         return default_families()
     kind = FamilyKind(args.family)
-    names = FAMILY_SPECS[kind].params
-    flags = " ".join(f"--{name}" for name in names)
-    if not set(given) <= set(names):
-        parser.error(f"{kind.value} takes {flags or 'no parameters'}")
     if not given:
         return default_families((kind,))
-    if set(given) != set(names):
-        parser.error(f"{kind.value} needs all of {flags}")
     try:
-        return [family_from(kind, [given[name] for name in names])]
+        return [PolynomialFamily(kind, **given)]
     except ParameterDomainError as exc:
         parser.error(str(exc))
 
@@ -419,38 +400,27 @@ def _resolve_families(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    families = _resolve_families(parser, args)
-    if args.n is not None and (args.n_min is not None or args.n_max is not None):
-        parser.error("--n conflicts with --n-min/--n-max")
-    n_min, n_max = (args.n, args.n) if args.n is not None else (args.n_min, args.n_max)
+    args.families = sorted(_resolve_families(parser, args), key=_family_sort_key)
+    if args.n is not None:
+        if args.n_min is not None or args.n_max is not None:
+            parser.error("--n conflicts with --n-min/--n-max")
+        args.n_min = args.n_max = args.n
     if args.n_step < 1:
         parser.error("--n-step must be >= 1")
-    if n_min is not None and n_min < 1:
+    if args.n_min is not None and args.n_min < 1:
         parser.error("--n/--n-min must be >= 1")
-    if n_min is not None and n_max is not None and n_max < n_min:
+    if args.n_min is not None and args.n_max is not None and args.n_max < args.n_min:
         parser.error("--n-max must be >= --n-min")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
         parser.error("--tol must be finite and > 0")
-    config = SweepConfig(
-        command=args.command,
-        families=families,
-        n_min=n_min,
-        n_max=n_max,
-        n_step=args.n_step,
-        fmt=args.format,
-        out=args.out,
-        tol=args.tol,
-        jobs=args.jobs,
-        corrupt=getattr(args, "corrupt", False),
-    )
     try:
-        points = sweep_points(config)
+        points = sweep_points(args)
     except ParameterDomainError as exc:
         parser.error(str(exc))
     try:
-        return _run_command(config, points)
+        return _run_command(args, points)
     except RootgapsError as exc:
         print(f"rootgaps: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -25,6 +25,10 @@ Jacobi) under which the trace and diagonal-of-square identities are
 stated, come from the family's ``FamilySpec`` row.  :func:`build_S` and
 :func:`interaction_sums` reach the per-family builders and sums through
 one kind-keyed table.
+
+A builder returns an :class:`InverseCovariance`: the roots, the matrix and
+the read-only predicted spectrum.  Its family and ``N`` are those of the
+roots, which ``RootVector`` keeps inside the orthogonality interval.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from .errors import (
 )
 from .eigensolve import DenseSymmetric
 from .families import FamilyKind, PolynomialFamily, jacobi
-from .roots import RootVector, require_kind
+from .roots import RootVector, require_kind, to_sqrt_coordinates
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -53,23 +57,11 @@ class CoordinateForm(Enum):
 
 @dataclass(frozen=True)
 class InverseCovariance:
-    """``S_N`` with its predicted spectrum and the roots it was built from."""
+    """``S_N``, the roots it was built from, and its read-only predicted spectrum."""
 
-    family: PolynomialFamily
-    n: int
+    roots: RootVector
     matrix: DenseSymmetric
     predicted: np.ndarray
-    coordinate: CoordinateForm
-    roots: RootVector
-
-    def __post_init__(self):
-        predicted = np.asarray(self.predicted, dtype=float)
-        object.__setattr__(self, "predicted", predicted)
-        if self.matrix.n != self.n or predicted.size != self.n:
-            raise InternalConsistencyError("matrix, spectrum, and N sizes disagree")
-        if np.any(predicted <= 0.0) or np.any(np.diff(predicted) < 0.0):
-            raise InternalConsistencyError("predicted spectrum must be positive and ascending")
-        predicted.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -136,13 +128,11 @@ def jacobi_interaction_sums(
     return lin, cross
 
 
-def _inverse_covariance(
-    z: RootVector, matrix: np.ndarray, coordinate: CoordinateForm = CoordinateForm.Z
-) -> InverseCovariance:
+def _inverse_covariance(z: RootVector, matrix: np.ndarray) -> InverseCovariance:
     """Wrap an ``S_N`` ``matrix`` with the predicted spectrum of ``z``'s family."""
-    return InverseCovariance(
-        z.family, z.n, DenseSymmetric(matrix), predicted_spectrum(z.family, z.n), coordinate, z
-    )
+    predicted = predicted_spectrum(z.family, z.n)
+    predicted.setflags(write=False)
+    return InverseCovariance(z, DenseSymmetric(matrix), predicted)
 
 
 def hermite_S(z: RootVector) -> InverseCovariance:
@@ -167,8 +157,6 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
         raise ParameterDomainError(f"unknown coordinate form {coordinate!r}")
     nu = float(z.family.nu)
     roots = z.roots
-    if np.any(roots <= 0.0):
-        raise SingularConfigurationError("Laguerre roots must be positive")
     if coordinate is CoordinateForm.Z:
         diff = _pair_differences(roots)
         inv2 = 1.0 / (diff * diff)
@@ -177,7 +165,7 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
             matrix, 1.0 + nu / roots + 2.0 * ((roots[:, None] + roots[None, :]) * inv2).sum(axis=1)
         )
     else:
-        r = np.sqrt(2.0 * roots)
+        r = to_sqrt_coordinates(z).values
         dminus = _pair_differences(r)
         inv_minus = 1.0 / (dminus * dminus)
         dplus = r[:, None] + r[None, :]
@@ -186,7 +174,7 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
         pair = inv_minus + inv_plus
         np.fill_diagonal(pair, 0.0)
         np.fill_diagonal(matrix, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=1))
-    return _inverse_covariance(z, matrix, coordinate)
+    return _inverse_covariance(z, matrix)
 
 
 def jacobi_S(z: RootVector) -> InverseCovariance:
@@ -194,8 +182,6 @@ def jacobi_S(z: RootVector) -> InverseCovariance:
     require_kind(z, FamilyKind.JACOBI)
     alpha, beta = float(z.family.alpha), float(z.family.beta)
     roots = z.roots
-    if np.any(np.abs(roots) >= 1.0):
-        raise SingularConfigurationError("Jacobi roots must lie strictly inside (-1, 1)")
     diff = _pair_differences(roots)
     inv2 = 1.0 / (diff * diff)
     w = 1.0 - roots * roots
@@ -294,7 +280,7 @@ def diag_of_square(s: InverseCovariance) -> DiagOfSquare:
     """
     lin, cross = interaction_sums(s.roots)
     closed_route = lin * lin + cross
-    residual = diag_square_residual(s.matrix.entries, s.family.spec.shift, closed_route)
+    residual = diag_square_residual(s.matrix.entries, s.roots.family.spec.shift, closed_route)
     if residual > 1e-10:
         raise InternalConsistencyError(
             f"diagonal-of-square routes disagree by relative {residual:.3e}"

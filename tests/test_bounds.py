@@ -19,6 +19,7 @@ from rootgaps import (
     laguerre_comparators,
     sharpness_summary,
 )
+from rootgaps.bounds import _expand
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
@@ -49,6 +50,12 @@ class TestReportInvariants:
                 assert rep.holds == (rep.slack >= -tol)
             if rep.holds and rep.bound_value > 0.0:
                 assert rep.sharpness >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("shortfall,holds", [(0.75e-10, True), (1.5e-10, False)])
+    def test_holds_tolerance_has_a_floor_of_one(self, shortfall, holds):
+        # a bound of 0.5 is allowed a shortfall of 1e-10, not 0.5e-10
+        (rep,) = _expand(compute_roots(hermite(), 3), [("hermite-gap", 0.5, 0.5 - shortfall)])
+        assert rep.holds is holds
 
 
 class TestReportRecord:

@@ -276,6 +276,10 @@ class TestUsageErrors:
             ["roots", "--family", "hermite", "--n", "0"],
             ["roots", "--family", "hermite", "--n-min", "5", "--n-max", "2"],
             ["roots", "--family", "hermite", "--n", "3", "--jobs", "0"],
+            ["roots", "--family", "hermite", "--n", "3", "--n-step", "0"],
+            ["roots", "--family", "hermite", "--n-min", "0", "--n-max", "3"],
+            ["roots", "--family", "jacobi", "--alpha", "1", "--beta", "-1", "--n", "2"],
+            ["roots", "--family", "laguerre", "--nu", "2", "--alpha", "1", "--n", "2"],
             ["verify", "--family", "hermite", "--n", "3", "--tol", "inf", "--format", "json"],
             ["verify", "--family", "hermite", "--n", "3", "--tol", "nan", "--format", "json"],
             ["verify", "--family", "hermite", "--n", "3", "--tol", "0"],
@@ -288,6 +292,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["hermite", "--nu", "1"], "hermite takes exactly the parameters (), got (nu)"),
+            (["jacobi", "--alpha", "1"], "jacobi takes exactly the parameters (alpha, beta), got (alpha)"),
+            (["laguerre", "--nu", "-3"], "laguerre requires nu > 0, got -3.0"),
+        ],
+    )
+    def test_parameter_errors_are_worded_by_the_family_record(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["roots", "--n", "2", "--family", *flags])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"rootgaps: error: {message}\n")
 
 
     def test_unwritable_out_path(self, monkeypatch, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ def build_S(family, n):
 def spectral_error(cov):
     computed = dense_eigenvalues(cov.matrix).eigenvalues
     return float(np.max(np.abs(computed - cov.predicted) / cov.predicted))
+
+
+def test_inverse_covariance_holds_roots_matrix_and_read_only_spectrum():
+    rv = compute_roots(laguerre(2.0), 5)
+    cov = laguerre_S(rv, CoordinateForm.SQRT_R)
+    assert [field.name for field in dataclasses.fields(cov)] == ["roots", "matrix", "predicted"]
+    assert cov.roots is rv
+    with pytest.raises(ValueError):
+        cov.predicted[0] = 0.0
 
 
 class TestHermiteS:
