@@ -12,10 +12,13 @@ Subcommands:
 against the eigenvalue enclosure of ``S_N`` from its closed-form
 eigenbasis (``covariance.eigenbasis``, ``eigensolve.enclose_eigenvalues``).
 
-Each point function returns its rows as tuples in ``COLUMNS`` order
-without the (family, params, N) key, plus a summary dict;
-``_evaluate_point`` adds the key once and turns the rows into text where
-they are computed, so ``--jobs`` workers send text.  CSV is written column
+The sweep is split into runs of consecutive points, one per ``--jobs``
+worker (one run when serial).  Each run computes its roots with one
+``compute_roots_many`` batch per family, then hands each point its
+``RootVector``.  Each point function returns its rows as tuples in
+``COLUMNS`` order without the (family, params, N) key, plus a summary
+dict; ``_evaluate_point`` adds the key once and turns the rows into text
+where they are computed, so ``--jobs`` workers send text.  CSV is written column
 by column, each with its formatter from ``CSV_FORMATS``.  JSON is encoded
 one row at a time by one encoder and indented to its place in the
 document, so the document is written in pieces and never joined into one
@@ -27,9 +30,11 @@ the sweep and the writers read it.
 
 Output is CSV (default) or JSON, deterministic byte for byte: fixed
 column order, shortest round-trip float formatting.  Points come in
-(family, parameters, N) order from ``sweep_points``, and the serial
-``map`` and ``pool.map`` both keep that order whatever the worker
-scheduling; rows within a point are sorted by (id, index).
+(family, parameters, N) order from ``sweep_points``, each run keeps it,
+and the serial ``map`` and ``pool.map`` both keep the order of the runs
+whatever the worker scheduling; rows within a point are sorted by
+(id, index).  A batch of roots is bit for bit what each point would get
+alone, so the output does not depend on ``--jobs``.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error (including an empty sweep, a ``--tol`` that is not finite and
@@ -47,6 +52,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -63,7 +69,7 @@ from .covariance import (
 from .eigensolve import DenseSymmetric, enclose_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
 from .families import FAMILY_SPECS, FamilyKind, PolynomialFamily, family_from
-from .roots import compute_roots, gap_statistics
+from .roots import RootVector, compute_roots_many, gap_statistics
 
 DEFAULT_N_MAX = 40
 
@@ -131,12 +137,11 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
     return points
 
 
-def _roots_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
-    rv = compute_roots(fam, n)
+def _roots_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     stats = gap_statistics(rv)
     z = rv.roots.tolist()
     gaps = [abs(b - a) for a, b in zip(z, z[1:])] + [None]
-    rows = list(zip(range(1, n + 1), z, gaps))
+    rows = list(zip(range(1, rv.n + 1), z, gaps))
     summary = {
         "min_gap": stats.min_gap,
         "boundary_low": stats.boundary_low,
@@ -145,8 +150,8 @@ def _roots_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool
     return rows, summary
 
 
-def _verify_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
-    rv = compute_roots(fam, n)
+def _verify_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
+    fam, n = rv.family, rv.n
     cov = build_S(rv)
     matrix = cov.matrix.entries
     if corrupt:
@@ -189,8 +194,7 @@ def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
-    rv = compute_roots(fam, n)
+def _bounds_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     reports = bounds_mod.bound_set(rv)
     # ids are unique per bound row and each id's reports come in index
     # order, so the stable sort by id alone orders them by (id, index);
@@ -209,20 +213,40 @@ def _bounds_point(fam: PolynomialFamily, n: int, tol: float | None, corrupt: boo
     return rows, summary
 
 
-# one signature: (family, N, tol, corrupt) -> (rows in column order
-# without the point key, summary without the point key)
+# one signature: (roots, tol, corrupt) -> (rows in column order without
+# the point key, summary without the point key)
 _POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
 
 
-def _evaluate_point(task: tuple) -> tuple[str, dict]:
-    """One sweep point: the text of its rows in the output format, plus
-    its keyed summary."""
-    command, fmt, fam, n, tol, corrupt = task
-    try:
-        rows, summary = _POINT_FUNCTIONS[command](fam, n, tol, corrupt)
-    except RootgapsError as exc:
-        raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
-    key = (fam.kind.value, fam.params_text(), n)
+def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:
+    """The outcomes of a run of sweep points, in order.  The roots of each
+    family's points are computed in one batch; a numerical failure is
+    named by the first point in sweep order that raises it."""
+    command, fmt, points, tol, corrupt = task
+    outcomes = []
+    for fam, group in groupby(points, key=itemgetter(0)):
+        orders = [n for _, n in group]
+        try:
+            batch = compute_roots_many(fam, orders)
+        except RootgapsError:
+            # some order failed: each point computes its own roots, so the
+            # points before it run and the failing one is named
+            batch = None
+        for i, n in enumerate(orders):
+            try:
+                rv = batch[i] if batch else compute_roots_many(fam, [n])[0]
+                outcomes.append(_evaluate_point(command, fmt, rv, tol, corrupt))
+            except RootgapsError as exc:
+                raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
+    return outcomes
+
+
+def _evaluate_point(command: str, fmt: str, rv: RootVector, tol: float | None, corrupt: bool) -> tuple[str, dict]:
+    """One sweep point from its roots: the text of its rows in the output
+    format, plus its keyed summary."""
+    rows, summary = _POINT_FUNCTIONS[command](rv, tol, corrupt)
+    fam = rv.family
+    key = (fam.kind.value, fam.params_text(), rv.n)
     text = (_csv_lines if fmt == "csv" else _json_rows)(command, key, rows)
     return text, dict(zip(POINT_KEY, key), **summary)
 
@@ -250,14 +274,22 @@ def _json_element(value) -> str:
 
 
 def _run_sweep(args: argparse.Namespace, points: list[tuple[PolynomialFamily, int]]) -> list[tuple[str, dict]]:
-    # points come in (family, params, N) order and both maps keep it
-    tasks = [(args.command, args.format, fam, n, args.tol, args.corrupt) for fam, n in points]
     # the pool starts all its workers up front, so never more than there are points
-    workers = min(args.jobs, len(tasks))
+    workers = min(args.jobs, len(points))
+    # one run of consecutive points per worker, their sizes at most one
+    # apart; points come in (family, params, N) order, both maps keep the
+    # order of the runs and each run keeps its own
+    ends = [len(points) * i // workers for i in range(workers + 1)]
+    tasks = [
+        (args.command, args.format, points[start:end], args.tol, args.corrupt)
+        for start, end in zip(ends, ends[1:])
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_point, tasks))
-    return [_evaluate_point(task) for task in tasks]
+            chunks = list(pool.map(_evaluate_chunk, tasks))
+    else:
+        chunks = [_evaluate_chunk(task) for task in tasks]
+    return [outcome for chunk in chunks for outcome in chunk]
 
 
 def _json_safe(value):

@@ -23,7 +23,6 @@ The other modules read the row instead of branching on the kind.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -308,33 +307,60 @@ _RESCALE_LIMIT = 2.0**500
 _RESCALE_EXP = 500
 
 
-@functools.lru_cache(maxsize=4)
-def _step_table(family: PolynomialFamily, n: int) -> tuple[tuple[float, float, float, float], ...]:
-    # the root polish evaluates one (family, n) up to 3n times in a row;
-    # building its coefficients once keeps the shared loop as fast as a
-    # per-family one
-    return tuple(family.spec.steps(family, n))
+# values past the double range become inf or nan without a warning, as in
+# Python float arithmetic; evaluate_with_derivative reports them
+@np.errstate(over="ignore", invalid="ignore")
+def _evaluate_scaled(
+    family: PolynomialFamily, orders: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate ``(P_n, P_n')`` at every entry ``(n, x)`` of the integer
+    ``orders`` (each ``>= 1``) and the finite ``x``, returning arrays
+    ``(p, dp, exp2)`` in entry order.
 
-
-def _evaluate_scaled(family: PolynomialFamily, n: int, x: float) -> tuple[float, float, int]:
-    """Evaluate ``(P_n, P_n')`` at ``x``, returning ``(p, dp, exp2)``.
-
-    The true values are ``p * 2**exp2`` and ``dp * 2**exp2``; the pair is
-    kept inside the representable range by power-of-two rescaling.
+    The true values are ``p * 2**exp2`` and ``dp * 2**exp2``; each entry is
+    kept inside the representable range by its own power-of-two rescaling.
+    The step coefficients depend on ``k`` alone, so one pass of the
+    recurrence, run to the largest order, serves every entry: with the
+    entries sorted by order, descending, the ones still running at step
+    ``k`` are those of order above ``k``, a prefix that shrinks as orders
+    finish.  Each entry sees the same operations as a scalar recurrence,
+    so the values are bit for bit those of one entry alone.
     """
-    _check_order(n)
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterDomainError(f"evaluation point must be finite, got {x}")
-    exp2 = 0
-    p, dp, pm1, dm1 = 1.0, 0.0, 0.0, 0.0
-    for a, b, c, d in _step_table(family, n):
-        t = a * x + b
-        p, dp, pm1, dm1 = (t * p - c * pm1) / d, (a * p + t * dp - c * dm1) / d, p, dp
-        if abs(p) > _RESCALE_LIMIT or abs(dp) > _RESCALE_LIMIT:
-            p, dp, pm1, dm1 = (v * 2.0**-_RESCALE_EXP for v in (p, dp, pm1, dm1))
-            exp2 += _RESCALE_EXP
-    return p, dp, exp2
+    size = x.size
+    values = np.empty((2, size))  # (P_n, P_n') of each entry, in sorted order
+    exp2 = np.zeros(size, dtype=np.int64)
+    rank = np.argsort(-orders, kind="stable")
+    descending = orders[rank]
+    xs = x[rank]
+    # (P_k, P_k') and (P_{k-1}, P_{k-1}') of the entries still running
+    cur, prev = np.zeros((2, size)), np.zeros((2, size))
+    cur[0] = 1.0
+    top = int(descending[0])
+    m = size
+    # for every step k, the number of entries with order above k
+    running = np.searchsorted(-descending, -np.arange(top), side="left").tolist()
+    for (a, b, c, d), count in zip(family.spec.steps(family, top), running):
+        if count < m:
+            values[:, count:m] = cur[:, count:m]
+            m = count
+            cur, prev, xs = cur[:, :m], prev[:, :m], xs[:m]
+        t = a * xs + b
+        # (t p - c p_prev) / d and (a p + t p' - c p'_prev) / d, each
+        # rounded as the scalar expressions are
+        new = t * cur
+        new[1] += a * cur[0]
+        new -= c * prev
+        new /= d
+        prev, cur = cur, new
+        over = np.abs(new) > _RESCALE_LIMIT
+        if over.any():
+            big = np.flatnonzero(over.any(axis=0))
+            cur[:, big] *= 2.0**-_RESCALE_EXP
+            prev[:, big] *= 2.0**-_RESCALE_EXP
+            exp2[big] += _RESCALE_EXP
+    values[:, :m] = cur
+    unsort = np.argsort(rank)
+    return values[0, unsort], values[1, unsort], exp2[unsort]
 
 
 def evaluate_with_derivative(family: PolynomialFamily, n: int, x: float) -> tuple[float, float]:
@@ -344,7 +370,12 @@ def evaluate_with_derivative(family: PolynomialFamily, n: int, x: float) -> tupl
     range; the error carries an approximate base-2 exponent so callers can
     tell how far out of range the request was.
     """
-    p, dp, exp2 = _evaluate_scaled(family, n, x)
+    _check_order(n)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ParameterDomainError(f"evaluation point must be finite, got {x}")
+    p, dp, exp2 = _evaluate_scaled(family, np.array([n]), np.array([x]))
+    p, dp, exp2 = float(p[0]), float(dp[0]), int(exp2[0])
     if exp2 == 0:
         return p, dp
     try:

@@ -1,5 +1,10 @@
 """Ordered root vectors with Newton polishing and per-family orderings.
 
+``compute_roots_many`` takes the eigenvalues of each order's recurrence
+matrix and polishes the roots of all its orders together: every Newton
+step is one vectorized evaluation of the whole batch.  ``compute_roots``
+is a batch of one.
+
 Each family keeps its conventional ordering so that index-based formulas
 downstream can be transcribed literally: Hermite and Laguerre roots are
 stored descending (``z_1`` largest), Jacobi roots ascending (``z_1``
@@ -83,51 +88,69 @@ _POLISH_STEPS = 3
 
 
 def compute_roots(family: PolynomialFamily, n: int) -> RootVector:
-    """Roots of ``P_n`` via the recurrence matrix plus Newton polishing.
+    """Roots of ``P_n``: :func:`compute_roots_many` with one order."""
+    return compute_roots_many(family, [n])[0]
 
-    Each eigenvalue gets up to three Newton steps; a step that would leave
-    the midpoint bracket around its eigenvalue (or the orthogonality
-    interval) rejects the polish for that root and keeps the eigenvalue.
+
+def compute_roots_many(family: PolynomialFamily, orders) -> list[RootVector]:
+    """Roots of ``P_n`` for each ``n`` in ``orders``, via the recurrence
+    matrix plus Newton polishing.
+
+    Each order's eigenvalues come from QL on its own recurrence matrix.
+    Then every eigenvalue of every order gets up to three Newton steps, all
+    of them polished together: each step evaluates the whole batch in one
+    pass of the recurrence (``families._evaluate_scaled``).  A root stops
+    at ``P_n = 0``, at a step that leaves it unchanged, or at a step of at
+    most ``2 eps |x|``.  A derivative of 0 or a step that would leave the
+    midpoint bracket around its eigenvalue (or the orthogonality interval)
+    rejects the polish for that root and keeps the eigenvalue.
     """
     spec = family.spec
-    eigs = _tridiag_eigenvalues_only(jacobi_matrix(family, n))
-    lo_dom, hi_dom = spec.domain
-    polished = np.empty(n)
-    skipped: list[int] = []
-    for i in range(n):
-        lo = 0.5 * (eigs[i - 1] + eigs[i]) if i > 0 else lo_dom
-        hi = 0.5 * (eigs[i] + eigs[i + 1]) if i < n - 1 else hi_dom
-        x = float(eigs[i])
-        ok = True
-        for _ in range(_POLISH_STEPS):
-            p, dp, _ = _evaluate_scaled(family, n, x)
-            if p == 0.0:
-                break
-            if dp == 0.0:
-                ok = False
-                break
+    orders = list(orders)
+    eigs = [_tridiag_eigenvalues_only(jacobi_matrix(family, n)) for n in orders]
+    if not eigs:
+        return []
+    # the n eigenvalues of each order, stacked in the order given
+    raw = np.concatenate(eigs)
+    degree = np.repeat(orders, orders)
+    first = np.cumsum([0, *orders[:-1]])
+    # midpoint brackets, with each order's outer ends at the domain ends
+    mid = 0.5 * (raw[:-1] + raw[1:])
+    lo, hi = np.append(np.nan, mid), np.append(mid, np.nan)
+    lo[first] = spec.domain[0]
+    hi[first + orders - 1] = spec.domain[1]
+
+    x = raw.copy()
+    rejected = np.zeros(raw.size, dtype=bool)
+    live = np.arange(raw.size)
+    for _ in range(_POLISH_STEPS):
+        if not live.size:
+            break
+        current = x[live]
+        p, dp, _ = _evaluate_scaled(family, degree[live], current)
+        with np.errstate(divide="ignore", invalid="ignore"):
             step = p / dp
-            candidate = x - step
-            if not (lo < candidate < hi):
-                ok = False
-                break
-            if candidate == x:
-                break
-            x = candidate
-            if abs(step) <= 2.0 * _EPS * abs(x):
-                break
-        if ok:
-            polished[i] = x
+        candidate = current - step
+        inside = (lo[live] < candidate) & (candidate < hi[live])
+        reject = (p != 0.0) & ((dp == 0.0) | ~inside)
+        moved = (p != 0.0) & ~reject & (candidate != current)
+        rejected[live[reject]] = True
+        x[live[moved]] = candidate[moved]
+        live = live[moved & (np.abs(step) > 2.0 * _EPS * np.abs(candidate))]
+    x[rejected] = raw[rejected]
+
+    vectors = []
+    for n, start in zip(orders, first.tolist()):
+        polished = x[start:start + n]
+        skipped = np.flatnonzero(rejected[start:start + n]).tolist()
+        if spec.ordering.ascending:
+            roots = polished.copy()
+            flags = tuple(skipped)
         else:
-            polished[i] = eigs[i]
-            skipped.append(i)
-    if spec.ordering.ascending:
-        roots = polished
-        flags = tuple(skipped)
-    else:
-        roots = polished[::-1].copy()
-        flags = tuple(sorted(n - 1 - i for i in skipped))
-    return RootVector(family, n, roots, spec.ordering, flags)
+            roots = polished[::-1].copy()
+            flags = tuple(sorted(n - 1 - i for i in skipped))
+        vectors.append(RootVector(family, n, roots, spec.ordering, flags))
+    return vectors
 
 
 def require_kind(z: RootVector, kind: FamilyKind) -> None:

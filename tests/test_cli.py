@@ -10,7 +10,7 @@ import pytest
 import rootgaps.cli as cli
 from rootgaps import ConvergenceError
 
-real_compute_roots = cli.compute_roots
+real_compute_roots_many = cli.compute_roots_many
 
 
 def run_cli(capsys, *args):
@@ -23,13 +23,16 @@ def read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def explode_at(n_bad):
-    def compute_roots(family, n):
-        if n == n_bad:
-            raise ConvergenceError("stuck", stuck_index=0)
-        return real_compute_roots(family, n)
+def explode_at(n_bad, label=None):
+    """A ``compute_roots_many`` whose batches fail when they hold order
+    ``n_bad`` (of the family labelled ``label``, if given)."""
 
-    return compute_roots
+    def compute_roots_many(family, orders):
+        if n_bad in orders and label in (None, family.label()):
+            raise ConvergenceError("stuck", stuck_index=0)
+        return real_compute_roots_many(family, orders)
+
+    return compute_roots_many
 
 
 class TestRootsCommand:
@@ -149,18 +152,21 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize(
-        "args",
+        "args,jobs",
         [
-            ("verify", "--family", "jacobi", "--n-min", "1", "--n-max", "8", "--format", "json"),
-            ("roots", "--family", "jacobi", "--n-min", "1", "--n-max", "8"),
-            ("bounds", "--family", "laguerre", "--n-min", "1", "--n-max", "8"),
+            (("verify", "--family", "jacobi", "--n-min", "1", "--n-max", "8", "--format", "json"), "2"),
+            (("roots", "--family", "jacobi", "--n-min", "1", "--n-max", "8"), "2"),
+            (("bounds", "--family", "laguerre", "--n-min", "1", "--n-max", "8"), "2"),
+            # 20 points of five Jacobi families in runs of 6, 7 and 7, so
+            # families are split across the runs
+            (("verify", "--family", "jacobi", "--n-min", "1", "--n-max", "4"), "3"),
         ],
     )
-    def test_parallel_output_matches_serial(self, tmp_path, args):
+    def test_parallel_output_matches_serial(self, tmp_path, args, jobs):
         serial = tmp_path / "serial.out"
         parallel = tmp_path / "parallel.out"
         assert cli.main([*args, "--out", str(serial)]) == 0
-        assert cli.main([*args, "--out", str(parallel), "--jobs", "2"]) == 0
+        assert cli.main([*args, "--out", str(parallel), "--jobs", jobs]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
 
@@ -310,7 +316,7 @@ class TestUsageErrors:
 
     def test_unwritable_out_path(self, monkeypatch, tmp_path, capsys):
         # checked before the sweep: a sweep that ran would exit 3 here
-        monkeypatch.setattr(cli, "compute_roots", explode_at(3))
+        monkeypatch.setattr(cli, "compute_roots_many", explode_at(3))
         target = tmp_path / "missing" / "x.csv"
         code = cli.main(["roots", "--family", "hermite", "--n", "3", "--out", str(target)])
         captured = capsys.readouterr()
@@ -359,24 +365,33 @@ class TestJobs:
 
 class TestNumericalFailure:
     def test_exit_code_three(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "compute_roots", explode_at(3))
+        monkeypatch.setattr(cli, "compute_roots_many", explode_at(3))
         code = cli.main(["roots", "--family", "hermite", "--n", "3"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == "rootgaps: numerical failure: hermite N=3: stuck\n"
 
     @pytest.mark.parametrize(
-        "jobs,workers", [(["--jobs", "1"], []), (["--jobs", "2"], [2])]
+        "flags,label,jobs,workers",
+        [
+            (["--nu", "2"], None, ["--jobs", "1"], []),
+            (["--nu", "2"], None, ["--jobs", "2"], [2]),
+            # the failure sits in the second family of the sweep, inside
+            # the first of the two runs of points
+            ([], "laguerre(nu=0.5)", ["--jobs", "2"], [2]),
+        ],
     )
-    def test_names_failing_point(self, monkeypatch, capsys, jobs, workers):
+    def test_names_failing_point(self, monkeypatch, capsys, flags, label, jobs, workers):
         monkeypatch.setattr(RecordingPool, "created", [])
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "compute_roots", explode_at(4))
-        argv = ["verify", "--family", "laguerre", "--nu", "2", "--n-min", "2", "--n-max", "6"]
+        monkeypatch.setattr(cli, "compute_roots_many", explode_at(4, label))
+        argv = ["verify", "--family", "laguerre", *flags, "--n-min", "2", "--n-max", "6"]
         code = cli.main([*argv, *jobs])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert captured.err == "rootgaps: numerical failure: laguerre(nu=2.0) N=4: stuck\n"
+        assert captured.err == (
+            f"rootgaps: numerical failure: {label or 'laguerre(nu=2.0)'} N=4: stuck\n"
+        )
         assert RecordingPool.created == workers
 
     @pytest.mark.parametrize(
@@ -399,7 +414,7 @@ class TestNumericalFailure:
 
     @pytest.mark.parametrize("earlier", [b"earlier output\n", None])
     def test_failed_sweep_leaves_out_as_it_was(self, monkeypatch, tmp_path, capsys, earlier):
-        monkeypatch.setattr(cli, "compute_roots", explode_at(3))
+        monkeypatch.setattr(cli, "compute_roots_many", explode_at(3))
         target = tmp_path / "x.csv"
         if earlier is not None:
             target.write_bytes(earlier)

@@ -187,6 +187,11 @@ class TestEvaluate:
         assert excinfo.value.scale_hint is not None
         assert excinfo.value.scale_hint > 1024
 
+    def test_overflow_inside_one_step_raises_magnitude_error(self):
+        # 2e300 squared overflows before any rescale can act
+        with pytest.raises(MagnitudeError):
+            evaluate_with_derivative(hermite(), 3, 1e300)
+
     def test_large_but_representable_values_survive_rescaling(self):
         # big enough to trigger the internal rescale, small enough to fit
         value, derivative = evaluate_with_derivative(hermite(), 120, 40.0)

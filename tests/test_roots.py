@@ -15,7 +15,10 @@ from rootgaps import (
     to_sqrt_coordinates,
     tridiag_eigenvalues,
 )
+import rootgaps.roots as roots_mod
+from rootgaps.eigensolve import _tridiag_eigenvalues_only
 from rootgaps.families import _evaluate_scaled
+from rootgaps.roots import compute_roots_many
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
@@ -70,7 +73,8 @@ class TestOrderingAndInvariants:
         # internal scale so huge polynomial values cannot overflow
         rv = compute_roots(family, n)
         roots = np.sort(rv.roots)
-        for i, x in enumerate(roots):
+        values, derivatives, _ = _evaluate_scaled(family, np.full(n, n), roots)
+        for i, (x, p, dp) in enumerate(zip(roots, values, derivatives)):
             if n == 1:
                 scale = max(1.0, abs(x))
             else:
@@ -80,7 +84,6 @@ class TestOrderingAndInvariants:
                 if i < n - 1:
                     gaps.append(roots[i + 1] - roots[i])
                 scale = min(gaps)
-            p, dp, _ = _evaluate_scaled(family, n, float(x))
             assert abs(p) <= 1e-12 * abs(dp) * scale, (family.label(), n, i)
 
     @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
@@ -109,6 +112,170 @@ class TestOrderingAndInvariants:
         polished = np.sort(compute_roots(family, n).roots)
         half_gap = 0.5 * np.min(np.diff(raw))
         assert np.max(np.abs(polished - raw)) <= half_gap
+
+
+def scalar_evaluate_scaled(family, n, x):
+    """Reference: the scalar recurrence, one point at a time, with the same
+    2**500 rescaling as ``families._evaluate_scaled``."""
+    exp2 = 0
+    p, dp, pm1, dm1 = 1.0, 0.0, 0.0, 0.0
+    for a, b, c, d in family.spec.steps(family, n):
+        t = a * x + b
+        p, dp, pm1, dm1 = (t * p - c * pm1) / d, (a * p + t * dp - c * dm1) / d, p, dp
+        if abs(p) > 2.0**500 or abs(dp) > 2.0**500:
+            p, dp, pm1, dm1 = (v * 2.0**-500 for v in (p, dp, pm1, dm1))
+            exp2 += 500
+    return p, dp, exp2
+
+
+def scalar_polish(family, n):
+    """Reference: up to three scalar Newton steps per eigenvalue, one root
+    at a time.  Returns the roots in stored order and ``polish_skipped``."""
+    eigs = _tridiag_eigenvalues_only(jacobi_matrix(family, n))
+    lo_dom, hi_dom = family.spec.domain
+    polished = np.empty(n)
+    skipped = []
+    for i in range(n):
+        lo = 0.5 * (eigs[i - 1] + eigs[i]) if i > 0 else lo_dom
+        hi = 0.5 * (eigs[i] + eigs[i + 1]) if i < n - 1 else hi_dom
+        x = float(eigs[i])
+        ok = True
+        for _ in range(3):
+            p, dp, _ = scalar_evaluate_scaled(family, n, x)
+            if p == 0.0:
+                break
+            if dp == 0.0:
+                ok = False
+                break
+            step = p / dp
+            candidate = x - step
+            if not (lo < candidate < hi):
+                ok = False
+                break
+            if candidate == x:
+                break
+            x = candidate
+            if abs(step) <= 2.0 * np.finfo(float).eps * abs(x):
+                break
+        if ok:
+            polished[i] = x
+        else:
+            polished[i] = eigs[i]
+            skipped.append(i)
+    if family.spec.ordering.ascending:
+        return polished, tuple(skipped)
+    return polished[::-1], tuple(sorted(n - 1 - i for i in skipped))
+
+
+def assert_matches_scalar_polish(family, orders):
+    batch = compute_roots_many(family, orders)
+    assert [rv.n for rv in batch] == list(orders)
+    for rv in batch:
+        roots, skipped = scalar_polish(family, rv.n)
+        assert np.array_equal(rv.roots, roots), (family.label(), rv.n)
+        assert rv.polish_skipped == skipped, (family.label(), rv.n)
+
+
+# N = 1..40 in a mixed order, so that neither the batch nor its sort
+# starts out sorted by order
+MIXED_ORDERS = tuple(1 + (7 * k) % 40 for k in range(40))
+
+
+class TestBatchPolish:
+    @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
+    def test_default_grid_matches_scalar_polish(self, family):
+        assert sorted(MIXED_ORDERS) == list(range(1, 41))
+        assert_matches_scalar_polish(family, MIXED_ORDERS)
+
+    @pytest.mark.parametrize(
+        "family,orders",
+        [
+            (hermite(), (100, 300)),
+            (laguerre(2.0), (300, 100)),
+            (jacobi(1.0, -0.9), (100, 300)),
+            (jacobi(-0.999, -0.999), (200, 3)),
+            (laguerre(1e-10), (3, 40)),
+        ],
+        ids=lambda value: value.label() if hasattr(value, "label") else str(value),
+    )
+    def test_stress_points_match_scalar_polish(self, family, orders):
+        assert_matches_scalar_polish(family, orders)
+
+    def test_single_order_is_a_batch_of_one(self):
+        (rv,) = compute_roots_many(laguerre(2.0), [7])
+        assert np.array_equal(compute_roots(laguerre(2.0), 7).roots, rv.roots)
+        assert compute_roots_many(hermite(), []) == []
+
+    @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
+    def test_evaluator_matches_scalar_recurrence(self, family):
+        rng = np.random.default_rng(7)
+        orders = rng.integers(1, 61, size=50)
+        lo, hi = family.spec.domain
+        x = rng.uniform(max(lo, -6.0), min(hi, 60.0), size=50)
+        assert_matches_scalar_recurrence(family, orders, x)
+
+    def test_rescaled_entries_match_scalar_recurrence(self):
+        # Hermite N = 120 at x = 40 passes 2**500; the others stay below it
+        orders = np.array([3, 120, 40, 120, 1, 120])
+        x = np.array([0.25, 40.0, -2.5, 1.5, 3.0, -40.0])
+        exp2 = assert_matches_scalar_recurrence(hermite(), orders, x)
+        assert exp2.tolist() == [0, 500, 0, 0, 0, 500]
+
+
+def assert_matches_scalar_recurrence(family, orders, x):
+    p, dp, exp2 = _evaluate_scaled(family, orders, x)
+    want = [scalar_evaluate_scaled(family, int(n), float(xi)) for n, xi in zip(orders, x)]
+    assert p.tolist() == [w[0] for w in want]
+    assert dp.tolist() == [w[1] for w in want]
+    assert exp2.tolist() == [w[2] for w in want]
+    return exp2
+
+
+class TestRejectedPolish:
+    """No default or stress point rejects a polish, so a stand-in
+    evaluator forces the two reject rules on two roots of one order."""
+
+    @pytest.mark.parametrize(
+        "family,expected",
+        # ascending eigenvalue indices 0 and 3 of N = 6, in stored order:
+        # Laguerre stores roots descending, Jacobi ascending
+        [(laguerre(2.0), (2, 5)), (jacobi(1.0, -0.9), (0, 3))],
+        ids=lambda value: value.label() if hasattr(value, "label") else str(value),
+    )
+    def test_raw_eigenvalue_is_kept_and_flagged(self, monkeypatch, family, expected):
+        orders = [4, 6, 2]
+        raw = _tridiag_eigenvalues_only(jacobi_matrix(family, 6))
+        zero_slope, far_step = raw[0], raw[3]
+        short = 0.1 * np.min(np.diff(raw))
+        real = roots_mod._evaluate_scaled
+        calls = []
+
+        def evaluate(fam, degree, x):
+            p, dp, exp2 = real(fam, degree, x)
+            at_six = degree == 6
+            # a derivative of 0 at the first step
+            dp[at_six & (x == zero_slope)] = 0.0
+            # a short step inside the bracket, then one far outside it
+            near = at_six & (np.abs(x - far_step) < 2.0 * short)
+            p[near] = (1e6 if calls else short) * dp[near]
+            calls.append(bool(near.any()))
+            return p, dp, exp2
+
+        monkeypatch.setattr(roots_mod, "_evaluate_scaled", evaluate)
+        got = compute_roots_many(family, orders)
+        monkeypatch.undo()
+        want = compute_roots_many(family, orders)
+
+        assert calls[:2] == [True, True]
+        assert [rv.polish_skipped for rv in got] == [(), expected, ()]
+        assert all(rv.polish_skipped == () for rv in want)
+        for rv, ref in zip(got, want):
+            kept = np.zeros(rv.n, dtype=bool)
+            kept[list(rv.polish_skipped)] = True
+            assert np.array_equal(rv.roots[~kept], ref.roots[~kept])
+        stored = raw if family.spec.ordering.ascending else raw[::-1]
+        assert got[1].roots[list(expected)].tolist() == stored[list(expected)].tolist()
+        assert set(stored[list(expected)].tolist()) == {zero_slope, far_step}
 
 
 class TestSqrtCoordinates:
