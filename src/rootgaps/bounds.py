@@ -70,7 +70,10 @@ summary compares.
 A report is a ``BoundReport``, an immutable named tuple of Python values
 that the expander builds with ``_make``: a default sweep builds tens of
 thousands of them, and a named tuple is several times cheaper to build
-than a frozen dataclass.
+than a frozen dataclass.  Its fields are the row the ``bounds`` command
+writes after its point key; the family and ``N`` are not copied into it
+but read from the root vector, which :func:`sharpness_summary` takes
+alongside the reports.
 """
 from __future__ import annotations
 
@@ -87,8 +90,8 @@ from .covariance import (
     laguerre_interaction_sums,
     max_eigenvalue,
 )
-from .errors import FamilyMismatchError, ParameterDomainError
-from .families import FamilyKind, PolynomialFamily
+from .errors import ParameterDomainError
+from .families import FamilyKind
 from .roots import RootVector, require_kind
 
 _HOLDS_RTOL = 1e-10
@@ -110,7 +113,9 @@ _COMPARATOR_IDS = frozenset(cmp_id for cmp_id, _ in _COMPARATOR_PAIRS)
 
 
 class BoundReport(NamedTuple):
-    """One evaluated inequality at one sweep point.
+    """One evaluated inequality at one sweep point, its fields in the
+    column order of a ``bounds`` output row (CSV leaves out ``comparator``
+    and ``note``).
 
     ``index`` is the 1-based root or gap index, ``None`` for bounds that
     involve a single extreme root.  ``note`` is empty for a regular
@@ -120,8 +125,6 @@ class BoundReport(NamedTuple):
     """
 
     bound_id: str
-    family: PolynomialFamily
-    n: int
     index: int | None
     bound_value: float
     observed_value: float
@@ -132,7 +135,7 @@ class BoundReport(NamedTuple):
     note: str = ""
 
 
-def _expand(z: RootVector, rows: Iterable[tuple]) -> list[BoundReport]:
+def _expand(rows: Iterable[tuple]) -> list[BoundReport]:
     """Expand ``(bound_id, bound, observed[, note])`` rows into reports.
 
     Two scalar sides give one report with ``index=None``.  A row with one
@@ -142,7 +145,6 @@ def _expand(z: RootVector, rows: Iterable[tuple]) -> list[BoundReport]:
     """
     reports = []
     make = BoundReport._make
-    family, n = z.family, z.n
     for bound_id, bound, observed, *rest in rows:
         comparator = bound_id in _COMPARATOR_IDS
         note = rest[0] if rest else ""
@@ -159,8 +161,8 @@ def _expand(z: RootVector, rows: Iterable[tuple]) -> list[BoundReport]:
             sharpness = observed_value / bound_value if bound_value > 0.0 else math.nan
             vacuous = comparator and not note and bound_value <= 0.0
             reports.append(make((
-                bound_id, family, n, index, bound_value, observed_value, slack, holds,
-                sharpness, comparator, "vacuous" if vacuous else note,
+                bound_id, index, bound_value, observed_value, slack, holds, sharpness,
+                comparator, "vacuous" if vacuous else note,
             )))
     return reports
 
@@ -174,7 +176,7 @@ def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
         raise ParameterDomainError("Hermite bounds need N >= 2")
     inv2, inv4 = hermite_interaction_sums(z.roots)
     gaps = z.roots[:-1] - z.roots[1:]
-    return _expand(z, [
+    return _expand([
         ("hermite-diag-sq", inv2 * inv2 + inv4, (n - 1) ** 3 / n),
         ("hermite-inv4-sum", inv4, (n - 1) ** 3 / (2 * n)),
         ("hermite-inv2-sum", inv2, (n - 1) ** 1.5 / math.sqrt(n)),
@@ -210,7 +212,7 @@ def laguerre_bounds(z: RootVector) -> list[BoundReport]:
     strong = math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1
     weak = 2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1
     sqrt_gaps = np.sqrt(z.roots[:-1]) - np.sqrt(z.roots[1:])
-    return _expand(z, [
+    return _expand([
         ("laguerre-diag-sq", lin * lin + cross, two_n1**2),
         ("laguerre-min-root", nu / two_n1, float(z.roots[-1])),
         ("laguerre-gap-strong", strong, gaps),
@@ -231,7 +233,7 @@ def laguerre_comparators(z: RootVector) -> list[BoundReport]:
     cmp1 = (nu - 1.0) / math.sqrt((n + nu - 1.0) * n)
     cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
     cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
-    return _expand(z, [
+    return _expand([
         ("laguerre-min-root-bessel", (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)), smallest),
         ("laguerre-gap-comparator-1", cmp1, gaps),
         ("laguerre-gap-comparator-2", cmp2, gaps),
@@ -275,7 +277,7 @@ def jacobi_bounds(z: RootVector) -> list[BoundReport]:
             ("jacobi-boundary-product-symmetric", floor_sym, width),
             ("jacobi-gap-symmetric", gap_sym, gaps),
         ]
-    return _expand(z, rows)
+    return _expand(rows)
 
 
 def jacobi_comparator(z: RootVector) -> BoundReport:
@@ -292,7 +294,7 @@ def jacobi_comparator(z: RootVector) -> BoundReport:
     else:
         value = alpha * (alpha + 2.0) / (2.0 * (z.n + (alpha + beta + 1.0) / 2.0) ** 2)
         row = ("jacobi-upper-edge-asymptotic", value, upper)
-    return _expand(z, [row])[0]
+    return _expand([row])[0]
 
 
 # Each family's bound set; the lambdas look the functions up at call time,
@@ -311,7 +313,7 @@ def bound_set(z: RootVector) -> list[BoundReport]:
 
 @dataclass(frozen=True)
 class SharpnessSummary:
-    """Aggregate sharpness per bound id for one family and order.
+    """Aggregate sharpness per bound id for one root vector's reports.
 
     ``diag_square_identity_ratio`` is the summed diagonal-of-square left
     side divided by its exact trace value; it must be 1 up to rounding for
@@ -319,25 +321,14 @@ class SharpnessSummary:
     ``"<comparator-id>/<own-id>"`` to the ratio of the two bound values.
     """
 
-    family: PolynomialFamily | None
-    n: int | None
     worst: dict[str, float]
     mean: dict[str, float]
     diag_square_identity_ratio: float | None
     comparator_ratios: dict[str, float]
-    empty: bool = False
 
 
-def sharpness_summary(reports: Sequence[BoundReport]) -> SharpnessSummary:
-    """Aggregate a list of reports from a single family and order."""
-    if not reports:
-        return SharpnessSummary(None, None, {}, {}, None, {}, empty=True)
-    fam = reports[0].family
-    n = reports[0].n
-    for rep in reports:
-        # the reports of one bound set share one family object
-        if (rep.family is not fam and rep.family != fam) or rep.n != n:
-            raise FamilyMismatchError("sharpness_summary needs reports from one family and N")
+def sharpness_summary(z: RootVector, reports: Sequence[BoundReport]) -> SharpnessSummary:
+    """Aggregate the reports evaluated on the root vector ``z``."""
     worst: dict[str, float] = {}
     mean: dict[str, float] = {}
     by_id: dict[str, list[BoundReport]] = {}
@@ -349,7 +340,8 @@ def sharpness_summary(reports: Sequence[BoundReport]) -> SharpnessSummary:
             worst[bound_id] = min(values)
             mean[bound_id] = sum(values) / len(values)
     ratio = None
-    _, square_target = fam.spec.trace_targets(fam, n)
+    fam = z.family
+    _, square_target = fam.spec.trace_targets(fam, z.n)
     diag_id = f"{fam.kind.value}-diag-sq"
     if square_target is not None and diag_id in by_id:
         ratio = sum(r.bound_value for r in by_id[diag_id]) / square_target
@@ -360,4 +352,4 @@ def sharpness_summary(reports: Sequence[BoundReport]) -> SharpnessSummary:
             own_value = by_id[own_id][0].bound_value
             if math.isfinite(cmp_value) and own_value > 0.0:
                 comparator_ratios[f"{cmp_id}/{own_id}"] = cmp_value / own_value
-    return SharpnessSummary(fam, n, worst, mean, ratio, comparator_ratios)
+    return SharpnessSummary(worst, mean, ratio, comparator_ratios)

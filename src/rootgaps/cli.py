@@ -40,7 +40,9 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error (including an empty sweep, a ``--tol`` that is not finite and
 positive, and an ``--out`` path that cannot be written, which is checked
 before the sweep), 3 numerical failure, reported with the sweep point
-that raised it.  Per-family parameters, default grids and minimum orders
+that raised it.  A reader that closes stdout early, as ``| head`` does,
+leaves the exit code to the sweep.  Only ``verify`` takes ``--tol`` and
+``--corrupt``.  Per-family parameters, default grids and minimum orders
 come from the ``FamilySpec`` rows in ``rootgaps.families``; a wrong
 parameter set or value is worded by ``PolynomialFamily`` itself.
 """
@@ -198,9 +200,9 @@ def _bounds_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[lis
     reports = bounds_mod.bound_set(rv)
     # ids are unique per bound row and each id's reports come in index
     # order, so the stable sort by id alone orders them by (id, index);
-    # a row is the report without its family and N
-    rows = [rep[:1] + rep[3:] for rep in sorted(reports, key=itemgetter(0))]
-    agg = bounds_mod.sharpness_summary(reports)
+    # a report is its row
+    rows = sorted(reports, key=itemgetter(0))
+    agg = bounds_mod.sharpness_summary(rv, reports)
     summary = {
         "worst_sharpness": agg.worst,
         "mean_sharpness": agg.mean,
@@ -340,8 +342,14 @@ def _emit(args: argparse.Namespace, outcomes: list[tuple[str, dict]]) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
-    else:
+        return
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, as ``| head`` does; stdout now goes to
+        # the null device so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _check_out(path: str) -> None:
@@ -385,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rootgaps",
         description="Roots of classical orthogonal polynomials and their verified gap bounds.",
     )
-    parser.set_defaults(corrupt=False)  # only verify takes --corrupt
+    parser.set_defaults(tol=None, corrupt=False)  # only verify takes --tol and --corrupt
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("roots", "emit ordered roots and consecutive gaps"),
@@ -403,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-step", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, help="override check tolerances")
         p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
         if name == "verify":
+            p.add_argument("--tol", type=float, default=None, help="override check tolerances")
             p.add_argument(
                 "--corrupt", action="store_true",
                 help="testing hook: perturb one matrix entry per sweep point",

@@ -39,16 +39,6 @@ class FamilyKind(Enum):
     JACOBI = "jacobi"
 
 
-class RootOrdering(Enum):
-    HERMITE_DESCENDING = "descending-hermite"
-    LAGUERRE_DESCENDING = "descending-laguerre"
-    JACOBI_ASCENDING = "ascending-jacobi"
-
-    @property
-    def ascending(self) -> bool:
-        return self.value.startswith("ascending")
-
-
 @dataclass(frozen=True)
 class PolynomialFamily:
     """Tagged parameter record selecting one classical family.
@@ -130,9 +120,12 @@ class FamilySpec:
     ``k = 0 .. n-1``, the coefficients ``(A, B, C, D)`` of
     ``P_{k+1} = ((A x + B) P_k - C P_{k-1}) / D`` in the standard
     normalization, starting from ``P_0 = 1`` and ``P_{-1} = 0``.
-    ``spectrum(family, n)`` is the closed-form spectrum of ``S_N``
-    (ascending) and ``shift`` the multiple of the identity removed from
-    ``S_N`` before the trace and diagonal-of-square identities are stated.
+    ``domain`` is the open orthogonality interval; root vectors are stored
+    ascending (``z_1`` smallest) when ``ascending`` is true, else
+    descending (``z_1`` largest).  ``spectrum(family, n)`` is the
+    closed-form spectrum of ``S_N`` (ascending) and ``shift`` the multiple
+    of the identity removed from ``S_N`` before the trace and
+    diagonal-of-square identities are stated.
     ``omega(z)`` is the root factor of the eigenvectors of ``S_N`` (see
     ``covariance.eigenbasis``).
     ``min_n`` is the smallest order of default sweeps and bound sets.
@@ -145,7 +138,7 @@ class FamilySpec:
     recurrence: Callable[[PolynomialFamily, int], tuple[np.ndarray, np.ndarray]]
     steps: Callable[[PolynomialFamily, int], Steps]
     domain: tuple[float, float]
-    ordering: RootOrdering
+    ascending: bool
     shift: float
     spectrum: Callable[[PolynomialFamily, int], np.ndarray]
     square_identity: bool
@@ -216,7 +209,7 @@ FAMILY_SPECS = {
         params=(), lower=-math.inf, defaults=((),), min_n=2,
         recurrence=lambda family, n: (np.zeros(n), np.sqrt(np.arange(1.0, n) / 2.0)),
         steps=lambda family, n: ((2.0, 0.0, 2.0 * k, 1.0) for k in range(n)),
-        domain=(-math.inf, math.inf), ordering=RootOrdering.HERMITE_DESCENDING,
+        domain=(-math.inf, math.inf), ascending=False,
         shift=1.0, spectrum=lambda family, n: np.arange(1.0, n + 1.0), square_identity=True,
         omega=np.ones_like,
     ),
@@ -224,7 +217,7 @@ FAMILY_SPECS = {
         params=("nu",), lower=0.0,
         defaults=((0.1,), (0.5,), (1.0,), (2.0,), (10.0,), (50.0,)), min_n=1,
         recurrence=_laguerre_recurrence, steps=_laguerre_steps,
-        domain=(0.0, math.inf), ordering=RootOrdering.LAGUERRE_DESCENDING,
+        domain=(0.0, math.inf), ascending=False,
         shift=1.0, spectrum=lambda family, n: 2.0 * np.arange(1.0, n + 1.0), square_identity=True,
         omega=np.sqrt,
     ),
@@ -232,7 +225,7 @@ FAMILY_SPECS = {
         params=("alpha", "beta"), lower=-1.0,
         defaults=((-0.5, -0.5), (0.0, 0.0), (1.0, -0.9), (2.0, 3.0), (10.0, 10.0)), min_n=1,
         recurrence=_jacobi_recurrence, steps=_jacobi_steps,
-        domain=(-1.0, 1.0), ordering=RootOrdering.JACOBI_ASCENDING,
+        domain=(-1.0, 1.0), ascending=True,
         shift=0.0, spectrum=_jacobi_spectrum, square_identity=False,
         # (1 - z)(1 + z) keeps its relative accuracy next to z = +-1
         omega=lambda z: np.sqrt((1.0 - z) * (1.0 + z)),

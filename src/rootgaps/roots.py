@@ -1,4 +1,4 @@
-"""Ordered root vectors with Newton polishing and per-family orderings.
+"""Ordered root vectors with Newton polishing.
 
 ``compute_roots_many`` takes the eigenvalues of each order's recurrence
 matrix and polishes the roots of all its orders together: every Newton
@@ -8,9 +8,10 @@ is a batch of one.
 Each family keeps its conventional ordering so that index-based formulas
 downstream can be transcribed literally: Hermite and Laguerre roots are
 stored descending (``z_1`` largest), Jacobi roots ascending (``z_1``
-smallest).  The ordering and the orthogonality interval come from the
-family's ``FamilySpec`` row and the ordering is tagged on the vector to
-rule out silent index flips.
+smallest).  The direction and the orthogonality interval come from the
+family's ``FamilySpec`` row, and a ``RootVector`` rejects roots that are
+not strictly ordered in that direction, so a flipped vector cannot pass
+for its family.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FamilyMismatchError, InternalConsistencyError
-from .families import FamilyKind, PolynomialFamily, RootOrdering, _evaluate_scaled, jacobi_matrix
+from .families import FamilyKind, PolynomialFamily, _evaluate_scaled, jacobi_matrix
 from .eigensolve import _tridiag_eigenvalues_only
 
 _EPS = float(np.finfo(float).eps)
@@ -29,7 +30,9 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class RootVector:
-    """Ordered roots of ``P_n`` for one family.
+    """Ordered roots of ``P_n`` for one family, in the family's storage
+    direction (``family.spec.ascending``) and inside its orthogonality
+    interval.
 
     ``polish_skipped`` lists stored-order indices whose Newton refinement
     was rejected (the raw eigenvalue was kept instead).
@@ -38,7 +41,6 @@ class RootVector:
     family: PolynomialFamily
     n: int
     roots: np.ndarray
-    ordering: RootOrdering
     polish_skipped: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -47,13 +49,10 @@ class RootVector:
         if roots.size != self.n:
             raise InternalConsistencyError(f"expected {self.n} roots, got {roots.size}")
         spec = self.family.spec
-        if self.ordering is not spec.ordering:
-            raise FamilyMismatchError(
-                f"ordering {self.ordering} does not match family {self.family.kind}"
-            )
-        diffs = np.diff(roots) if spec.ordering.ascending else -np.diff(roots)
+        diffs = np.diff(roots) if spec.ascending else -np.diff(roots)
         if np.any(diffs <= 0.0):
-            raise InternalConsistencyError(f"roots are not strictly ordered {spec.ordering.value}")
+            order = "ascending" if spec.ascending else "descending"
+            raise InternalConsistencyError(f"roots are not strictly {order}")
         lo, hi = spec.domain
         if np.any(roots <= lo) or np.any(roots >= hi):
             raise InternalConsistencyError(
@@ -143,13 +142,13 @@ def compute_roots_many(family: PolynomialFamily, orders) -> list[RootVector]:
     for n, start in zip(orders, first.tolist()):
         polished = x[start:start + n]
         skipped = np.flatnonzero(rejected[start:start + n]).tolist()
-        if spec.ordering.ascending:
+        if spec.ascending:
             roots = polished.copy()
             flags = tuple(skipped)
         else:
             roots = polished[::-1].copy()
             flags = tuple(sorted(n - 1 - i for i in skipped))
-        vectors.append(RootVector(family, n, roots, spec.ordering, flags))
+        vectors.append(RootVector(family, n, roots, flags))
     return vectors
 
 

@@ -4,6 +4,10 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +294,8 @@ class TestUsageErrors:
             ["verify", "--family", "hermite", "--n", "3", "--tol", "nan", "--format", "json"],
             ["verify", "--family", "hermite", "--n", "3", "--tol", "0"],
             ["verify", "--family", "hermite", "--n", "3", "--tol", "-1"],
+            ["roots", "--family", "hermite", "--n", "3", "--tol", "1e-3"],
+            ["bounds", "--family", "hermite", "--n", "3", "--tol", "1e-3"],
             ["bounds", "--family", "hermite", "--n", "1"],
             ["frobnicate"],
         ],
@@ -323,6 +329,25 @@ class TestUsageErrors:
         assert code == 2
         assert captured.err == f"rootgaps: cannot write {target}: No such file or directory\n"
         assert not target.parent.exists()
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_leaves_exit_code_and_stderr_clean(self):
+        # the Hermite bound table is far larger than a pipe buffer, so the
+        # write meets the closed pipe
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rootgaps.cli", "bounds", "--family", "hermite"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+        )
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+        assert header == ",".join(cli.COLUMNS["bounds"]).encode() + b"\n"
 
 
 class RecordingPool:

@@ -232,7 +232,7 @@ def root_sensitivity(rv, s):
     errors reach ``S``."""
     d = 2.0**-40
     moved = rv.roots * (1.0 + d * (-1.0) ** np.arange(rv.n))
-    shifted = covariance.build_S(RootVector(rv.family, rv.n, moved, rv.ordering)).matrix.entries
+    shifted = covariance.build_S(RootVector(rv.family, rv.n, moved)).matrix.entries
     return np.linalg.norm(shifted - s, 2) / (d * np.linalg.norm(s, 2))
 
 

@@ -19,6 +19,8 @@ from rootgaps import (
     laguerre,
     tridiag_eigenvalues,
 )
+from rootgaps.eigensolve import _tridiag_eigenvalues_only
+from rootgaps.families import _evaluate_scaled
 
 
 class TestFamilyValidation:
@@ -169,17 +171,15 @@ class TestEvaluate:
     def test_sign_changes_alternate_across_computed_roots(self):
         for family in (hermite(), laguerre(2.0), jacobi(0.0, 0.0), jacobi(2.0, 3.0)):
             for n in range(1, 51):
-                t = jacobi_matrix(family, n)
-                eigs = tridiag_eigenvalues(t).eigenvalues
-                probes = [eigs[0] - 1.0]
-                probes += [0.5 * (eigs[i] + eigs[i + 1]) for i in range(n - 1)]
-                probes.append(eigs[-1] + 1.0)
-                signs = [
-                    math.copysign(1.0, evaluate_with_derivative(family, n, p)[0])
-                    for p in probes
-                ]
-                for a, b in zip(signs, signs[1:]):
-                    assert a == -b, (family.label(), n)
+                # ascending eigenvalues, bit for bit those of tridiag_eigenvalues
+                eigs = _tridiag_eigenvalues_only(jacobi_matrix(family, n))
+                probes = np.concatenate(
+                    ([eigs[0] - 1.0], 0.5 * (eigs[:-1] + eigs[1:]), [eigs[-1] + 1.0])
+                )
+                # one batch per (family, N); the rescaled values keep their signs
+                values, _, _ = _evaluate_scaled(family, np.full(n + 1, n), probes)
+                signs = np.copysign(1.0, values)
+                assert np.array_equal(signs[1:], -signs[:-1]), (family.label(), n)
 
     def test_overflow_raises_magnitude_error(self):
         with pytest.raises(MagnitudeError) as excinfo:

@@ -5,7 +5,8 @@ import pytest
 
 from rootgaps import (
     FamilyMismatchError,
-    RootOrdering,
+    InternalConsistencyError,
+    RootVector,
     compute_roots,
     gap_statistics,
     hermite,
@@ -29,7 +30,7 @@ SWEEP_N = (1, 2, 3, 5, 8, 13, 21, 34, 50)
 class TestKnownRoots:
     def test_hermite_n2(self):
         rv = compute_roots(hermite(), 2)
-        assert rv.ordering is RootOrdering.HERMITE_DESCENDING
+        assert not rv.family.spec.ascending
         expected = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(rv.roots, [expected, -expected], atol=1e-16)
         # known closed-form gap for N = 2
@@ -38,13 +39,13 @@ class TestKnownRoots:
     @pytest.mark.parametrize("nu", LAGUERRE_NUS)
     def test_laguerre_n1_root_is_nu(self, nu):
         rv = compute_roots(laguerre(nu), 1)
-        assert rv.ordering is RootOrdering.LAGUERRE_DESCENDING
+        assert not rv.family.spec.ascending
         assert abs(rv.roots[0] - nu) <= 1e-14 * nu
 
     @pytest.mark.parametrize("alpha,beta", JACOBI_PARAMS)
     def test_jacobi_n1_closed_form(self, alpha, beta):
         rv = compute_roots(jacobi(alpha, beta), 1)
-        assert rv.ordering is RootOrdering.JACOBI_ASCENDING
+        assert rv.family.spec.ascending
         expected = (beta - alpha) / (alpha + beta + 2.0)
         assert abs(rv.roots[0] - expected) <= 1e-14 * max(1.0, abs(expected))
 
@@ -56,10 +57,12 @@ class TestOrderingAndInvariants:
         rv = compute_roots(family, n)
         assert rv.polish_skipped == ()
         roots = rv.roots
-        if rv.ordering is RootOrdering.JACOBI_ASCENDING:
+        if rv.family.kind.value == "jacobi":
+            assert rv.family.spec.ascending
             assert np.all(np.diff(roots) > 0.0)
             assert np.all(np.abs(roots) < 1.0)
         else:
+            assert not rv.family.spec.ascending
             assert np.all(np.diff(roots) < 0.0)
         if rv.family.kind.value == "laguerre":
             assert np.all(roots > 0.0)
@@ -114,6 +117,39 @@ class TestOrderingAndInvariants:
         assert np.max(np.abs(polished - raw)) <= half_gap
 
 
+class TestRootVectorChecks:
+    """``RootVector`` rejects roots that are not strictly ordered in the
+    family's direction, that leave the orthogonality interval, or whose
+    count is not ``n``."""
+
+    @pytest.mark.parametrize("family", [hermite(), jacobi(2.0, 3.0)], ids=lambda fam: fam.label())
+    def test_reversed_vector_rejected(self, family):
+        rv = compute_roots(family, 6)
+        with pytest.raises(InternalConsistencyError):
+            RootVector(family, 6, rv.roots[::-1])
+
+    @pytest.mark.parametrize(
+        "family,roots",
+        [
+            (hermite(), [1.0, 1.0]),
+            (laguerre(2.0), [3.0, 0.0]),
+            (laguerre(2.0), [3.0, -0.5]),
+            (jacobi(0.0, 0.0), [-1.0, 0.5]),
+            (jacobi(0.0, 0.0), [-0.5, 1.5]),
+        ],
+        ids=[
+            "repeated", "laguerre-on-0", "laguerre-below-0", "jacobi-on-minus-1", "jacobi-above-1",
+        ],
+    )
+    def test_repeated_or_outside_roots_rejected(self, family, roots):
+        with pytest.raises(InternalConsistencyError):
+            RootVector(family, 2, np.array(roots))
+
+    def test_wrong_root_count_rejected(self):
+        with pytest.raises(InternalConsistencyError):
+            RootVector(hermite(), 3, compute_roots(hermite(), 2).roots)
+
+
 def scalar_evaluate_scaled(family, n, x):
     """Reference: the scalar recurrence, one point at a time, with the same
     2**500 rescaling as ``families._evaluate_scaled``."""
@@ -162,7 +198,7 @@ def scalar_polish(family, n):
         else:
             polished[i] = eigs[i]
             skipped.append(i)
-    if family.spec.ordering.ascending:
+    if family.spec.ascending:
         return polished, tuple(skipped)
     return polished[::-1], tuple(sorted(n - 1 - i for i in skipped))
 
@@ -273,7 +309,7 @@ class TestRejectedPolish:
             kept = np.zeros(rv.n, dtype=bool)
             kept[list(rv.polish_skipped)] = True
             assert np.array_equal(rv.roots[~kept], ref.roots[~kept])
-        stored = raw if family.spec.ordering.ascending else raw[::-1]
+        stored = raw if family.spec.ascending else raw[::-1]
         assert got[1].roots[list(expected)].tolist() == stored[list(expected)].tolist()
         assert set(stored[list(expected)].tolist()) == {zero_slope, far_step}
 
