@@ -13,16 +13,16 @@ against the eigenvalue enclosure of ``S_N`` from its closed-form
 eigenbasis (``covariance.eigenbasis``, ``eigensolve.enclose_eigenvalues``).
 
 The sweep is split into runs of consecutive points, one per ``--jobs``
-worker (one run when serial).  Each run computes its roots with one
-``compute_roots_many`` batch per family, then hands each point its
-``RootVector``.  Each point function returns its rows as tuples in
-``COLUMNS`` order without the (family, params, N) key, plus a summary
-dict; ``_evaluate_point`` adds the key once and turns the rows into text
-where they are computed, so ``--jobs`` workers send text.  CSV is written column
-by column, each with its formatter from ``CSV_FORMATS``.  JSON is encoded
-one row at a time by one encoder and indented to its place in the
-document, so the document is written in pieces and never joined into one
-string.
+worker (one run when serial).  Each run computes the roots of all its
+points, whatever their families, in one ``compute_roots_many`` batch,
+then hands each point its ``RootVector``.  Each point function returns
+its rows as tuples in ``COLUMNS`` order without the (family, params, N)
+key, plus a summary dict; ``_evaluate_point`` adds the key once and turns
+the rows into text where they are computed, so ``--jobs`` workers send
+text.  CSV is written column by column, each with its formatter from
+``CSV_FORMATS``.  JSON is encoded one row at a time by one encoder and
+indented to its place in the document, so the document is written in
+pieces and never joined into one string.
 
 The parsed ``argparse.Namespace`` is the sweep request: ``main`` writes
 the resolved families, in sweep order, and the ``--n`` range onto it, and
@@ -54,7 +54,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -221,25 +220,23 @@ _POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _b
 
 
 def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:
-    """The outcomes of a run of sweep points, in order.  The roots of each
-    family's points are computed in one batch; a numerical failure is
+    """The outcomes of a run of sweep points, in order.  The roots of all
+    the run's points are computed in one batch; a numerical failure is
     named by the first point in sweep order that raises it."""
     command, fmt, points, tol, corrupt = task
+    try:
+        batch = compute_roots_many(points)
+    except RootgapsError:
+        # some point failed: each point computes its own roots, so the
+        # points before it run and the failing one is named
+        batch = None
     outcomes = []
-    for fam, group in groupby(points, key=itemgetter(0)):
-        orders = [n for _, n in group]
+    for i, (fam, n) in enumerate(points):
         try:
-            batch = compute_roots_many(fam, orders)
-        except RootgapsError:
-            # some order failed: each point computes its own roots, so the
-            # points before it run and the failing one is named
-            batch = None
-        for i, n in enumerate(orders):
-            try:
-                rv = batch[i] if batch else compute_roots_many(fam, [n])[0]
-                outcomes.append(_evaluate_point(command, fmt, rv, tol, corrupt))
-            except RootgapsError as exc:
-                raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
+            rv = batch[i] if batch else compute_roots_many([(fam, n)])[0]
+            outcomes.append(_evaluate_point(command, fmt, rv, tol, corrupt))
+        except RootgapsError as exc:
+            raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
     return outcomes
 
 

@@ -10,8 +10,8 @@ The two ``Spectrum``-returning solvers, ``tridiag_eigenvalues`` and
 ``dense_eigenvalues``, accumulate eigenvectors so the reported
 ``residual`` is an honest backward-error measure,
 ``max_i ||A v_i - lambda_i v_i||_2`` scaled by the Frobenius norm of
-``A``.  Their eigenvalues-only twin ``_tridiag_eigenvalues_only`` (used by
-``roots``) skips the vectors and returns bit-identical eigenvalues.
+``A``.  Polynomial roots do not come from here: ``roots`` finds them by
+Sturm bisection and Newton polish.
 
 ``enclose_eigenvalues`` encloses the eigenvalues of a dense matrix from
 approximate eigenvectors, without a solve.
@@ -150,15 +150,6 @@ def _ql_implicit(
                 e[m] = 0.0
     d_out[:] = d
     e_out[:] = e
-
-
-def _tridiag_eigenvalues_only(t: SymTridiagonal) -> np.ndarray:
-    """Ascending eigenvalues without eigenvector accumulation (fast path)."""
-    d = t.diag.copy()
-    e = np.append(t.offdiag, 0.0)
-    _ql_implicit(d, e)
-    d.sort()
-    return d
 
 
 def _diagonalize(

@@ -155,13 +155,14 @@ class FamilySpec:
 def _laguerre_recurrence(family: PolynomialFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
     (nu,) = family.parameters()
     k = np.arange(1.0, n)
-    return 2.0 * np.arange(float(n)) + nu, np.sqrt(k * (k + nu - 1.0))
+    # (k - 1) + nu, not k + (nu - 1): at k = 1 the latter cancels a tiny nu
+    return 2.0 * np.arange(float(n)) + nu, np.sqrt(k * ((k - 1.0) + nu))
 
 
 def _laguerre_steps(family: PolynomialFamily, n: int) -> Steps:
-    a = family.parameters()[0] - 1.0
+    (nu,) = family.parameters()
     for k in range(n):
-        yield -1.0, 2.0 * k + 1.0 + a, k + a, k + 1.0
+        yield -1.0, 2.0 * k + nu, (k - 1.0) + nu, k + 1.0
 
 
 def _jacobi_recurrence(family: PolynomialFamily, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,14 @@
-"""Ordered root vectors with Newton polishing.
+"""Ordered root vectors from batched Sturm bisection and Newton polishing.
 
-``compute_roots_many`` takes the eigenvalues of each order's recurrence
-matrix and polishes the roots of all its orders together: every Newton
-step is one vectorized evaluation of the whole batch.  ``compute_roots``
-is a batch of one.
+``compute_roots_many`` takes ``(family, n)`` points, of any families and
+orders, and finds all their roots together.  The roots of ``P_n`` are the
+eigenvalues of the order-``n`` recurrence matrix ``T_n``: every root is
+first bisected on Sturm counts (LAPACK ``dstebz``'s rule, Barth, Martin
+and Wilkinson 1967), every step one vectorized pass over all the roots of
+the batch in blocks of one family, and then polished by Newton, one
+vectorized evaluation of the recurrence per family and step.  ``compute_roots`` is a batch of one.
+Each root is computed from its own ``T_n`` only, so it does not depend on
+the batch it came in.
 
 Each family keeps its conventional ordering so that index-based formulas
 downstream can be transcribed literally: Hermite and Laguerre roots are
@@ -15,6 +20,7 @@ for its family.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FamilyMismatchError, InternalConsistencyError
-from .families import FamilyKind, PolynomialFamily, _evaluate_scaled, jacobi_matrix
-from .eigensolve import _tridiag_eigenvalues_only
+from .families import FamilyKind, PolynomialFamily, _check_order, _evaluate_scaled, jacobi_matrix
 
 _EPS = float(np.finfo(float).eps)
 
@@ -35,7 +40,8 @@ class RootVector:
     interval.
 
     ``polish_skipped`` lists stored-order indices whose Newton refinement
-    was rejected (the raw eigenvalue was kept instead).
+    was rejected or did not settle (the root was bisected to full width
+    and the midpoint of its bracket kept instead).
     """
 
     family: PolynomialFamily
@@ -83,73 +89,265 @@ class GapStatistics(NamedTuple):
     boundary_high: float | None
 
 
-_POLISH_STEPS = 3
+# bisection steps before Newton takes over, Newton evaluations before a
+# root that has not settled is bisected instead, and the most values one
+# block of Sturm counts holds in its pivot table
+_BISECT_STEPS = 20
+_NEWTON_CAP = 12
+_TABLE_CAP = 2**17
+_TINY = float(np.finfo(float).tiny)
 
 
 def compute_roots(family: PolynomialFamily, n: int) -> RootVector:
-    """Roots of ``P_n``: :func:`compute_roots_many` with one order."""
-    return compute_roots_many(family, [n])[0]
+    """Roots of ``P_n``: :func:`compute_roots_many` of one point."""
+    return compute_roots_many([(family, n)])[0]
 
 
-def compute_roots_many(family: PolynomialFamily, orders) -> list[RootVector]:
-    """Roots of ``P_n`` for each ``n`` in ``orders``, via the recurrence
-    matrix plus Newton polishing.
+def compute_roots_many(points) -> list[RootVector]:
+    """Roots of ``P_n`` for each ``(family, n)`` in ``points``, in order.
 
-    Each order's eigenvalues come from QL on its own recurrence matrix.
-    Then every eigenvalue of every order gets up to three Newton steps, all
-    of them polished together: each step evaluates the whole batch in one
-    pass of the recurrence (``families._evaluate_scaled``).  A root stops
-    at ``P_n = 0``, at a step that leaves it unchanged, or at a step of at
-    most ``2 eps |x|``.  A derivative of 0 or a step that would leave the
-    midpoint bracket around its eigenvalue (or the orthogonality interval)
-    rejects the polish for that root and keeps the eigenvalue.
+    Every root of every point is an entry ``(family, n, k)``: the ``k``-th
+    smallest eigenvalue of the order-``n`` recurrence matrix ``T_n``, the
+    leading block of the family's matrix at its largest order in
+    ``points``.  All entries are bisected together on Sturm counts
+    (:func:`_bisect`), each from the Gershgorin interval of its own ``T_n``
+    clipped to the orthogonality interval, for ``_BISECT_STEPS`` steps and
+    on until its bracket holds its eigenvalue alone.
+    Newton then polishes each root inside its bracket, one batch
+    evaluation per family and step (:func:`_polish`).  A root whose polish
+    is rejected or does not settle is bisected on to full width and its
+    midpoint kept; its stored-order index is listed in ``polish_skipped``.
+    Every decision is made per entry, from its own ``T_n``, so a point's
+    roots do not depend on the other points of the batch.
     """
-    spec = family.spec
-    orders = list(orders)
-    eigs = [_tridiag_eigenvalues_only(jacobi_matrix(family, n)) for n in orders]
-    if not eigs:
+    points = list(points)
+    if not points:
         return []
-    # the n eigenvalues of each order, stacked in the order given
-    raw = np.concatenate(eigs)
-    degree = np.repeat(orders, orders)
-    first = np.cumsum([0, *orders[:-1]])
-    # midpoint brackets, with each order's outer ends at the domain ends
-    mid = 0.5 * (raw[:-1] + raw[1:])
-    lo, hi = np.append(np.nan, mid), np.append(mid, np.nan)
-    lo[first] = spec.domain[0]
-    hi[first + orders - 1] = spec.domain[1]
+    for _, n in points:
+        _check_order(n)
+    families = list(dict.fromkeys(fam for fam, _ in points))
+    index = {fam: i for i, fam in enumerate(families)}
+    orders = np.array([n for _, n in points])
+    fam_of_point = np.array([index[fam] for fam, _ in points])
+    tables, start = _start_brackets(families, fam_of_point, orders)
 
-    x = raw.copy()
-    rejected = np.zeros(raw.size, dtype=bool)
-    live = np.arange(raw.size)
-    for _ in range(_POLISH_STEPS):
+    # the entries, by family and then by order, descending
+    point = np.repeat(np.arange(orders.size), orders)
+    first = np.cumsum(orders) - orders
+    k = np.arange(point.size) - first[point]
+    rank = np.lexsort((-orders[point], fam_of_point[point]))
+    point, k = point[rank], k[rank]
+    fam, degree = fam_of_point[point], orders[point]
+    lo, hi, pivmin, slack = start[:, point]
+
+    alone = _bisect(tables, fam, degree, k, lo, hi, pivmin, _BISECT_STEPS)
+    x = np.empty(lo.size)
+    settled = np.zeros(lo.size, dtype=bool)
+    for f, family in enumerate(families):
+        sel = np.flatnonzero(alone & (fam == f))
+        x[sel], settled[sel] = _polish(family, degree[sel], lo[sel], hi[sel], slack[sel])
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        sub_lo, sub_hi = lo[rest], hi[rest]
+        _bisect(tables, fam[rest], degree[rest], k[rest], sub_lo, sub_hi, pivmin[rest])
+        x[rest] = 0.5 * (sub_lo + sub_hi)
+
+    # back to point order, each point's roots ascending
+    at = first[point] + k
+    roots, skipped = np.empty(x.size), np.empty(x.size, dtype=bool)
+    roots[at], skipped[at] = x, ~settled
+    vectors = []
+    for (family, n), begin in zip(points, first.tolist()):
+        ascending = roots[begin:begin + n]
+        flags = np.flatnonzero(skipped[begin:begin + n]).tolist()
+        if not family.spec.ascending:
+            ascending = ascending[::-1]
+            flags = sorted(n - 1 - i for i in flags)
+        vectors.append(RootVector(family, n, ascending.copy(), tuple(flags)))
+    return vectors
+
+
+def _start_brackets(families, fam_of_point, orders):
+    """Each family's recurrence coefficients and each point's start.
+
+    ``tables[f]`` holds the diagonal and the squared off-diagonal (entry
+    ``i`` couples rows ``i`` and ``i + 1``) of family ``f``'s recurrence
+    matrix at its largest order.  Each point's column of ``start`` holds
+    the Gershgorin interval of its own ``T_n``, widened as LAPACK
+    ``dstebz`` widens it and clipped to the orthogonality interval; the
+    pivot floor ``pivmin = tiny * max(1, max b_i^2)`` of its ``T_n``; and
+    that widening, ``slack``, which is how far a Sturm count may misplace
+    an eigenvalue.
+    """
+    tables = []
+    start = np.empty((4, orders.size))
+    for f, family in enumerate(families):
+        sel = np.flatnonzero(fam_of_point == f)
+        ns = orders[sel]
+        t = jacobi_matrix(family, int(ns.max()))
+        a, b = t.diag, t.offdiag
+        tables.append((a, (b * b).tolist()))
+        # edge[i] = b_{i-1}; the last row of T_n has only edge[n - 1]
+        edge = np.concatenate(([0.0], b, [0.0]))
+        radius = edge[:-1] + edge[1:]
+        inner_lo = np.concatenate(([np.inf], np.minimum.accumulate(a - radius)))
+        inner_hi = np.concatenate(([-np.inf], np.maximum.accumulate(a + radius)))
+        last = ns - 1
+        low = np.minimum(inner_lo[last], a[last] - edge[last])
+        high = np.maximum(inner_hi[last], a[last] + edge[last])
+        b2max = np.concatenate(([1.0], np.maximum.accumulate(np.maximum(b * b, 1.0))))
+        pivmin = _TINY * b2max[last]
+        slack = 2.1 * _EPS * ns * np.maximum(np.abs(low), np.abs(high)) + 4.2 * pivmin
+        dom_lo, dom_hi = family.spec.domain
+        start[:, sel] = np.maximum(low - slack, dom_lo), np.minimum(high + slack, dom_hi), pivmin, slack
+    return tables, start
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _bisect(tables, fam, degree, k, lo, hi, pivmin, steps=None) -> np.ndarray:
+    """Bisect each entry's bracket ``[lo, hi]`` on its eigenvalue ``k``, in
+    place; the entries come by family and then by order, descending.
+
+    An entry stops at full width, ``hi - lo < 2 eps max(|lo|, |hi|) +
+    pivmin`` as in LAPACK ``dstebz``, or, when ``steps`` is given, once it
+    has taken that many steps and its bracket holds its eigenvalue alone.
+    Returns the mask of the entries whose bracket holds their eigenvalue
+    alone (the start brackets count as holding all ``n``).
+    """
+    alone = np.zeros(lo.size, dtype=bool)
+    # the entries still bisecting, compacted whenever some stop
+    live, f, n, kk, floor = np.arange(lo.size), fam, degree, k, pivmin
+    l, h = lo.copy(), hi.copy()
+    below, upto = np.zeros(lo.size, dtype=np.int64), degree.copy()  # eigenvalues below l, h
+    for step in itertools.count():
+        done = h - l < 2.0 * _EPS * np.maximum(np.abs(l), np.abs(h)) + floor
+        isolated = (below == kk) & (upto == kk + 1)
+        if steps is not None and step >= steps:
+            done |= isolated
+        if done.any():
+            stop = live[done]
+            lo[stop], hi[stop], alone[stop] = l[done], h[done], isolated[done]
+            keep = ~done
+            live, f, n, kk, floor, l, h, below, upto = (
+                v[keep] for v in (live, f, n, kk, floor, l, h, below, upto)
+            )
+            if not live.size:
+                break
+        x = 0.5 * (l + h)
+        count = _sturm_counts(tables, f, n, x, floor)
+        up = count > kk
+        l, below = np.where(up, l, x), np.where(up, below, count)
+        h, upto = np.where(up, x, h), np.where(up, count, upto)
+    return alone
+
+
+def _sturm_counts(tables, fam, degree, x, pivmin) -> np.ndarray:
+    """The number of eigenvalues of each entry's ``T_n`` below ``x``, the
+    number of negative pivots ``q_i = (a_i - x) - b_{i-1}^2 / q_{i-1}``,
+    for entries by family and then by order, descending.
+
+    Each family's entries go in blocks whose pivot table, one row per
+    ``i`` and one column per entry, holds at most ``_TABLE_CAP`` values.
+    A block is run without a guard first; the entries with a pivot within
+    ``pivmin`` of 0 are run again with LAPACK ``dstebz``'s guard, which
+    replaces such a pivot by ``-pivmin``.  Without such a pivot the two
+    runs are the same.
+    """
+    counts = np.empty(x.size, dtype=np.int64)
+    runs = [0, *(np.flatnonzero(np.diff(fam)) + 1).tolist(), x.size]
+    for begin, run_end in zip(runs, runs[1:]):
+        table = tables[fam[begin]]
+        while begin < run_end:
+            end = min(run_end, begin + max(1, _TABLE_CAP // int(degree[begin])))
+            block = slice(begin, end)
+            q = _pivots(table, degree[block], x[block], None)
+            counts[block] = np.count_nonzero(q < 0.0, axis=0)
+            # a NaN pivot follows only a small pivot, which this finds
+            small = np.flatnonzero(np.fmin.reduce(np.abs(q, out=q), axis=0) < pivmin[block])
+            if small.size:
+                cols = begin + small
+                q = _pivots(table, degree[cols], x[cols], pivmin[cols])
+                counts[cols] = np.count_nonzero(q < 0.0, axis=0)
+            begin = end
+    return counts
+
+
+def _pivots(table, degree, x, pivmin) -> np.ndarray:
+    """The pivot table of one block of one family, guarded when
+    ``pivmin`` is given.
+
+    Rows past an entry's order are set to ``+inf``, which the recurrence
+    keeps at ``+inf`` or NaN, so they never count as negative.
+    """
+    diag, off2 = table
+    top = int(degree[0])
+    q = diag[:top, None] - x
+    # each run of one order ends its rows at that order
+    for begin in (np.flatnonzero(np.diff(degree)) + 1).tolist():
+        q[degree[begin]:, begin:] = np.inf
+    if pivmin is not None:
+        np.copyto(q[0], -pivmin, where=np.abs(q[0]) < pivmin)
+    for row, prev, b2 in zip(q[1:], q, off2[:top - 1]):
+        row -= b2 / prev
+        if pivmin is not None:
+            np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
+    return q
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _polish(family: PolynomialFamily, degree, lo, hi, slack) -> tuple[np.ndarray, np.ndarray]:
+    """Newton from each bracket's midpoint, all entries of ``family`` in
+    one evaluation per step.  Returns the polished points and the mask of
+    entries that settled.
+
+    The iterates stay in the bracket widened by ``slack`` (the root of
+    ``P_n`` may sit that far outside a bracket of Sturm counts) and clipped
+    to the orthogonality interval.  A step that leaves it moves to the end
+    it crossed; a second such step rejects the polish, as does a
+    derivative of 0.  An entry settles at ``P_n = 0``, at a step of 0, or
+    at a step within ``slack`` that is no shorter than the one before (a
+    2-cycle is one): rounding, not the root, then sets the steps.  Of the
+    points it visited it keeps the one with the smallest ``|P_n|``,
+    compared as ``log2|p| + exp2`` because the rescaled values can overflow
+    when formed; of equal ones, the one with the shortest Newton step.
+    Entries that do not settle within ``_NEWTON_CAP`` evaluations are not
+    settled.
+    """
+    x = 0.5 * (lo + hi)
+    dom_lo, dom_hi = family.spec.domain
+    lo, hi = np.maximum(lo - slack, dom_lo), np.minimum(hi + slack, dom_hi)
+    best = x.copy()
+    best_mag = np.full(x.size, np.inf)
+    best_step = np.full(x.size, np.inf)
+    last_step = np.full(x.size, np.inf)
+    clamped = np.zeros(x.size, dtype=bool)
+    settled = np.zeros(x.size, dtype=bool)
+    live = np.arange(x.size)
+    for _ in range(_NEWTON_CAP):
         if not live.size:
             break
         current = x[live]
-        p, dp, _ = _evaluate_scaled(family, degree[live], current)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / dp
-        candidate = current - step
-        inside = (lo[live] < candidate) & (candidate < hi[live])
-        reject = (p != 0.0) & ((dp == 0.0) | ~inside)
-        moved = (p != 0.0) & ~reject & (candidate != current)
-        rejected[live[reject]] = True
-        x[live[moved]] = candidate[moved]
-        live = live[moved & (np.abs(step) > 2.0 * _EPS * np.abs(candidate))]
-    x[rejected] = raw[rejected]
-
-    vectors = []
-    for n, start in zip(orders, first.tolist()):
-        polished = x[start:start + n]
-        skipped = np.flatnonzero(rejected[start:start + n]).tolist()
-        if spec.ascending:
-            roots = polished.copy()
-            flags = tuple(skipped)
-        else:
-            roots = polished[::-1].copy()
-            flags = tuple(sorted(n - 1 - i for i in skipped))
-        vectors.append(RootVector(family, n, roots, flags))
-    return vectors
+        p, dp, exp2 = _evaluate_scaled(family, degree[live], current)
+        mag = np.log2(np.abs(p)) + exp2
+        newton = p / dp
+        tie = (mag == best_mag[live]) & (np.abs(newton) < best_step[live])
+        better = (mag < best_mag[live]) | tie
+        best[live[better]] = current[better]
+        best_mag[live[better]], best_step[live[better]] = mag[better], np.abs(newton[better])
+        candidate = current - newton
+        l, h = lo[live], hi[live]
+        outside = ~((l <= candidate) & (candidate <= h))
+        candidate = np.clip(candidate, l, h)
+        step = np.abs(candidate - current)
+        reject = (p != 0.0) & ((dp == 0.0) | (outside & clamped[live]))
+        stop = (p == 0.0) | (step == 0.0) | ((step >= last_step[live]) & (step <= slack[live]))
+        settled[live[stop & ~reject]] = True
+        go = ~stop & ~reject
+        clamped[live[outside]] = True
+        last_step[live] = step
+        x[live[go]] = candidate[go]
+        live = live[go]
+    return best, settled
 
 
 def require_kind(z: RootVector, kind: FamilyKind) -> None:

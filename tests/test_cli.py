@@ -28,13 +28,14 @@ def read_csv(text):
 
 
 def explode_at(n_bad, label=None):
-    """A ``compute_roots_many`` whose batches fail when they hold order
-    ``n_bad`` (of the family labelled ``label``, if given)."""
+    """A ``compute_roots_many`` whose batches fail when they hold a point
+    of order ``n_bad`` (of the family labelled ``label``, if given)."""
 
-    def compute_roots_many(family, orders):
-        if n_bad in orders and label in (None, family.label()):
+    def compute_roots_many(points):
+        points = list(points)
+        if any(n == n_bad and label in (None, fam.label()) for fam, n in points):
             raise ConvergenceError("stuck", stuck_index=0)
-        return real_compute_roots_many(family, orders)
+        return real_compute_roots_many(points)
 
     return compute_roots_many
 
@@ -182,24 +183,24 @@ class TestGoldenOutput:
         [
             (
                 ["roots", "--n-max", "8"],
-                "ed2198f2b34af06efa87c9a0b837fb1f6a8160ae8b082422d86bc14dd073c587",
+                "9d8f80daa9b54317c1539b299dece5e456e44d8ef93e80ad68251c2a9707d64b",
             ),
             (
                 ["roots", "--n-max", "8", "--format", "json"],
-                "f97d41aba46a53d0dc6e56c2001c2e0841b9594378610acf8340a420c446ba67",
+                "86889affff7ac2809712da3dede665720409e4bc84b0ab1814453a18c57675b3",
             ),
             (
                 ["bounds", "--n-max", "8"],
-                "3d36c67052cfa1ab40e5221b7e4608279288410834633d6b50f894336ae86974",
+                "9ccf29890c6a25d6aa7d929dd02b9f0dfcdae355ec70f2f66964faf1afa85eca",
             ),
             (
                 ["bounds", "--n-max", "8", "--format", "json"],
-                "64bef665f0d633d707d1da11d6a42a9e338915f152eb0ddc39ad2eb9a22f2272",
+                "35f5769850ad68b304998ff64f056a6e69d4f20017950f41aa27a4e80174a10c",
             ),
             # the full default sweep, 64,757 rows
             (
                 ["bounds"],
-                "20b4d5ef5a7feab6c056a4fbf48d98fa98b0a4a76361d3b2c3846331176daf95",
+                "5bfc3c50de16f496a53084db14d8de28cceb636445bcbdf35b17c15b109ba215",
             ),
         ],
     )
@@ -404,6 +405,9 @@ class TestNumericalFailure:
             # the failure sits in the second family of the sweep, inside
             # the first of the two runs of points
             ([], "laguerre(nu=0.5)", ["--jobs", "2"], [2]),
+            # the same in a serial sweep, whose one batch holds all six
+            # families
+            ([], "laguerre(nu=0.5)", ["--jobs", "1"], []),
         ],
     )
     def test_names_failing_point(self, monkeypatch, capsys, flags, label, jobs, workers):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from rootgaps import (
     tridiag_eigenvalues,
 )
 import rootgaps.roots as roots_mod
-from rootgaps.eigensolve import _tridiag_eigenvalues_only
 from rootgaps.families import _evaluate_scaled
 from rootgaps.roots import compute_roots_many
 
@@ -164,57 +164,144 @@ def scalar_evaluate_scaled(family, n, x):
     return p, dp, exp2
 
 
-def scalar_polish(family, n):
-    """Reference: up to three scalar Newton steps per eigenvalue, one root
-    at a time.  Returns the roots in stored order and ``polish_skipped``."""
-    eigs = _tridiag_eigenvalues_only(jacobi_matrix(family, n))
-    lo_dom, hi_dom = family.spec.domain
-    polished = np.empty(n)
-    skipped = []
-    for i in range(n):
-        lo = 0.5 * (eigs[i - 1] + eigs[i]) if i > 0 else lo_dom
-        hi = 0.5 * (eigs[i] + eigs[i + 1]) if i < n - 1 else hi_dom
-        x = float(eigs[i])
-        ok = True
-        for _ in range(3):
-            p, dp, _ = scalar_evaluate_scaled(family, n, x)
-            if p == 0.0:
-                break
-            if dp == 0.0:
-                ok = False
-                break
-            step = p / dp
-            candidate = x - step
-            if not (lo < candidate < hi):
-                ok = False
-                break
-            if candidate == x:
-                break
-            x = candidate
-            if abs(step) <= 2.0 * np.finfo(float).eps * abs(x):
-                break
-        if ok:
-            polished[i] = x
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+
+
+def scalar_start(family, n):
+    """Reference: the start bracket of every root of ``P_n``, the pivot
+    floor and the slack, from ``T_n`` alone, in Python floats."""
+    t = jacobi_matrix(family, n)
+    a, b = t.diag.tolist(), t.offdiag.tolist()
+    edge = [0.0, *b, 0.0]
+    low = min(a[i] - (edge[i] + edge[i + 1]) for i in range(n))
+    high = max(a[i] + (edge[i] + edge[i + 1]) for i in range(n))
+    pivmin = TINY * max([1.0] + [max(v * v, 1.0) for v in b])
+    slack = 2.1 * EPS * n * max(abs(low), abs(high)) + 4.2 * pivmin
+    dom_lo, dom_hi = family.spec.domain
+    return max(low - slack, dom_lo), min(high + slack, dom_hi), pivmin, slack
+
+
+def scalar_sturm_count(a, b2, x, pivmin):
+    """Reference: the negative pivots of ``T_n - x I``, each pivot within
+    ``pivmin`` of 0 replaced by ``-pivmin`` as LAPACK ``dstebz`` does."""
+    count = 0
+    q = 1.0
+    for i, ai in enumerate(a):
+        q = ai - x if i == 0 else (ai - x) - b2[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
+
+
+def scalar_bisect(a, b2, k, lo, hi, pivmin, steps=None):
+    """Reference: bisection of one root's bracket, to full width, or
+    after ``steps`` steps once it holds the root alone."""
+    below, upto = 0, len(a)
+    step = 0
+    while hi - lo >= 2.0 * EPS * max(abs(lo), abs(hi)) + pivmin:
+        if steps is not None and step >= steps and below == k and upto == k + 1:
+            break
+        x = 0.5 * (lo + hi)
+        count = scalar_sturm_count(a, b2, x, pivmin)
+        if count > k:
+            hi, upto = x, count
         else:
-            polished[i] = eigs[i]
-            skipped.append(i)
+            lo, below = x, count
+        step += 1
+    return lo, hi, below == k and upto == k + 1
+
+
+def log2_abs(value):
+    with np.errstate(divide="ignore"):
+        return float(np.log2(np.abs(np.array([value])))[0])
+
+
+def scalar_newton(family, n, lo, hi, slack):
+    """Reference: the Newton polish of one root inside its bracket.
+    Returns the kept point and whether it settled."""
+    x = 0.5 * (lo + hi)
+    dom_lo, dom_hi = family.spec.domain
+    lo, hi = max(lo - slack, dom_lo), min(hi + slack, dom_hi)
+    best, best_mag, best_step = x, math.inf, math.inf
+    last_step, clamped = math.inf, False
+    for _ in range(roots_mod._NEWTON_CAP):
+        p, dp, exp2 = scalar_evaluate_scaled(family, n, x)
+        mag = log2_abs(p) + exp2
+        if dp != 0.0:
+            newton = p / dp
+        else:
+            newton = math.nan if p == 0.0 else math.copysign(math.inf, p)
+        if mag < best_mag or (mag == best_mag and abs(newton) < best_step):
+            best, best_mag, best_step = x, mag, abs(newton)
+        candidate = x - newton
+        outside = not (lo <= candidate <= hi)
+        candidate = lo if candidate < lo else hi if candidate > hi else candidate
+        step = abs(candidate - x)
+        if p != 0.0 and (dp == 0.0 or (outside and clamped)):
+            return best, False
+        if p == 0.0 or step == 0.0 or last_step <= step <= slack:
+            return best, True
+        clamped |= outside
+        last_step, x = step, candidate
+    return best, False
+
+
+def scalar_polish(family, n):
+    """Reference: every root of ``P_n`` one at a time, by Sturm bisection
+    from the Gershgorin interval and Newton inside the bracket, with the
+    full bisection of a root whose polish fails.  Returns the roots in
+    stored order and ``polish_skipped``."""
+    t = jacobi_matrix(family, n)
+    a, b2 = t.diag.tolist(), (t.offdiag * t.offdiag).tolist()
+    start_lo, start_hi, pivmin, slack = scalar_start(family, n)
+    roots, skipped = [], []
+    for k in range(n):
+        lo, hi, alone = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, roots_mod._BISECT_STEPS)
+        x, settled = scalar_newton(family, n, lo, hi, slack) if alone else (None, False)
+        if not settled:
+            lo, hi, _ = scalar_bisect(a, b2, k, lo, hi, pivmin)
+            x = 0.5 * (lo + hi)
+            skipped.append(k)
+        roots.append(x)
     if family.spec.ascending:
-        return polished, tuple(skipped)
-    return polished[::-1], tuple(sorted(n - 1 - i for i in skipped))
-
-
-def assert_matches_scalar_polish(family, orders):
-    batch = compute_roots_many(family, orders)
-    assert [rv.n for rv in batch] == list(orders)
-    for rv in batch:
-        roots, skipped = scalar_polish(family, rv.n)
-        assert np.array_equal(rv.roots, roots), (family.label(), rv.n)
-        assert rv.polish_skipped == skipped, (family.label(), rv.n)
+        return np.array(roots), tuple(skipped)
+    return np.array(roots[::-1]), tuple(sorted(n - 1 - i for i in skipped))
 
 
 # N = 1..40 in a mixed order, so that neither the batch nor its sort
 # starts out sorted by order
 MIXED_ORDERS = tuple(1 + (7 * k) % 40 for k in range(40))
+
+STRESS_POINTS = (
+    (hermite(), (100, 300)),
+    (laguerre(2.0), (300, 100)),
+    (jacobi(1.0, -0.9), (100, 300)),
+    (jacobi(-0.999, -0.999), (200, 3)),
+    (laguerre(1e-10), (3, 40)),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def mixed_batch():
+    """The 12 default families at N = 1..40 and the stress points, as one
+    batch that interleaves families and orders, and its roots."""
+    grid = [(family, n) for n in MIXED_ORDERS for family in all_families()]
+    stress = [(family, n) for family, orders in STRESS_POINTS for n in orders]
+    points = grid[::2] + stress + grid[1::2]
+    return points, compute_roots_many(points)
+
+
+def assert_matches_scalar_polish(family, orders):
+    points, batch = mixed_batch()
+    assert [(rv.family, rv.n) for rv in batch] == points
+    found = {(rv.family, rv.n): rv for rv in batch}
+    for n in orders:
+        rv = found[(family, n)]
+        roots, skipped = scalar_polish(family, n)
+        assert np.array_equal(rv.roots, roots), (family.label(), n)
+        assert rv.polish_skipped == skipped, (family.label(), n)
 
 
 class TestBatchPolish:
@@ -225,22 +312,23 @@ class TestBatchPolish:
 
     @pytest.mark.parametrize(
         "family,orders",
-        [
-            (hermite(), (100, 300)),
-            (laguerre(2.0), (300, 100)),
-            (jacobi(1.0, -0.9), (100, 300)),
-            (jacobi(-0.999, -0.999), (200, 3)),
-            (laguerre(1e-10), (3, 40)),
-        ],
+        STRESS_POINTS,
         ids=lambda value: value.label() if hasattr(value, "label") else str(value),
     )
     def test_stress_points_match_scalar_polish(self, family, orders):
         assert_matches_scalar_polish(family, orders)
 
+    def test_roots_do_not_depend_on_the_batch(self):
+        points, batch = mixed_batch()
+        for (family, n), rv in zip(points, batch):
+            (alone,) = compute_roots_many([(family, n)])
+            assert np.array_equal(alone.roots, rv.roots), (family.label(), n)
+            assert alone.polish_skipped == rv.polish_skipped
+
     def test_single_order_is_a_batch_of_one(self):
-        (rv,) = compute_roots_many(laguerre(2.0), [7])
+        (rv,) = compute_roots_many([(laguerre(2.0), 7)])
         assert np.array_equal(compute_roots(laguerre(2.0), 7).roots, rv.roots)
-        assert compute_roots_many(hermite(), []) == []
+        assert compute_roots_many([]) == []
 
     @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
     def test_evaluator_matches_scalar_recurrence(self, family):
@@ -267,22 +355,31 @@ def assert_matches_scalar_recurrence(family, orders, x):
     return exp2
 
 
+def within_eigenvalue_error(family, n, rv):
+    """Each root within ``n eps ||T_n||`` of numpy's eigenvalues of
+    ``T_n``, the oracle."""
+    dense = jacobi_matrix(family, n).to_dense()
+    eigs = np.linalg.eigvalsh(dense)
+    stored = eigs if family.spec.ascending else eigs[::-1]
+    return np.abs(rv.roots - stored) <= n * EPS * np.linalg.norm(dense, 2)
+
+
 class TestRejectedPolish:
     """No default or stress point rejects a polish, so a stand-in
     evaluator forces the two reject rules on two roots of one order."""
 
     @pytest.mark.parametrize(
         "family,expected",
-        # ascending eigenvalue indices 0 and 3 of N = 6, in stored order:
+        # ascending root indices 0 and 3 of N = 6, in stored order:
         # Laguerre stores roots descending, Jacobi ascending
         [(laguerre(2.0), (2, 5)), (jacobi(1.0, -0.9), (0, 3))],
         ids=lambda value: value.label() if hasattr(value, "label") else str(value),
     )
-    def test_raw_eigenvalue_is_kept_and_flagged(self, monkeypatch, family, expected):
-        orders = [4, 6, 2]
-        raw = _tridiag_eigenvalues_only(jacobi_matrix(family, 6))
-        zero_slope, far_step = raw[0], raw[3]
-        short = 0.1 * np.min(np.diff(raw))
+    def test_bisected_root_is_kept_and_flagged(self, monkeypatch, family, expected):
+        points = [(family, 4), (family, 6), (family, 2)]
+        eigs = np.linalg.eigvalsh(jacobi_matrix(family, 6).to_dense())
+        zero_slope, far_step = eigs[0], eigs[3]
+        near = 0.1 * np.min(np.diff(eigs))
         real = roots_mod._evaluate_scaled
         calls = []
 
@@ -290,28 +387,55 @@ class TestRejectedPolish:
             p, dp, exp2 = real(fam, degree, x)
             at_six = degree == 6
             # a derivative of 0 at the first step
-            dp[at_six & (x == zero_slope)] = 0.0
-            # a short step inside the bracket, then one far outside it
-            near = at_six & (np.abs(x - far_step) < 2.0 * short)
-            p[near] = (1e6 if calls else short) * dp[near]
-            calls.append(bool(near.any()))
+            dp[at_six & (np.abs(x - zero_slope) < near)] = 0.0
+            # every step far outside the bracket: the first moves to its
+            # end, the second rejects the polish
+            far = at_six & (np.abs(x - far_step) < near)
+            p[far] = 1e6 * dp[far]
+            calls.append(int(far.sum()))
             return p, dp, exp2
 
         monkeypatch.setattr(roots_mod, "_evaluate_scaled", evaluate)
-        got = compute_roots_many(family, orders)
+        got = compute_roots_many(points)
         monkeypatch.undo()
-        want = compute_roots_many(family, orders)
+        want = compute_roots_many(points)
 
-        assert calls[:2] == [True, True]
+        assert calls[:2] == [1, 1]
         assert [rv.polish_skipped for rv in got] == [(), expected, ()]
         assert all(rv.polish_skipped == () for rv in want)
         for rv, ref in zip(got, want):
             kept = np.zeros(rv.n, dtype=bool)
             kept[list(rv.polish_skipped)] = True
             assert np.array_equal(rv.roots[~kept], ref.roots[~kept])
-        stored = raw if family.spec.ascending else raw[::-1]
-        assert got[1].roots[list(expected)].tolist() == stored[list(expected)].tolist()
-        assert set(stored[list(expected)].tolist()) == {zero_slope, far_step}
+        # the flagged roots are the full-width bisection midpoints
+        t = jacobi_matrix(family, 6)
+        a, b2 = t.diag.tolist(), (t.offdiag * t.offdiag).tolist()
+        start_lo, start_hi, pivmin, _ = scalar_start(family, 6)
+        for i in expected:
+            k = i if family.spec.ascending else 5 - i
+            lo, hi, _ = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, roots_mod._BISECT_STEPS)
+            lo, hi, _ = scalar_bisect(a, b2, k, lo, hi, pivmin)
+            assert got[1].roots[i] == 0.5 * (lo + hi)
+        assert within_eigenvalue_error(family, 6, got[1]).all()
+
+
+def test_unsettled_polish_is_bisected_to_full_width(monkeypatch):
+    # Jacobi (-0.999, -0.999) at N = 1000, with Newton cut at two
+    # evaluations: the roots that do not settle in two are bisected to
+    # full width and flagged, and each is an eigenvalue of T_n to
+    # n eps ||T_n||; the others are the roots of the uncut polish
+    family, n = jacobi(-0.999, -0.999), 1000
+    monkeypatch.setattr(roots_mod, "_NEWTON_CAP", 2)
+    cut = compute_roots(family, n)
+    monkeypatch.undo()
+    polished = compute_roots(family, n)
+    flagged = np.zeros(n, dtype=bool)
+    flagged[list(cut.polish_skipped)] = True
+    assert 0 < flagged.sum() < n
+    assert within_eigenvalue_error(family, n, cut)[flagged].all()
+    assert np.array_equal(cut.roots[~flagged], polished.roots[~flagged])
+    assert polished.polish_skipped == ()
+    assert within_eigenvalue_error(family, n, polished).all()
 
 
 class TestSqrtCoordinates:
@@ -357,12 +481,6 @@ class TestGapStatistics:
         assert abs(stats.boundary_high - (1.0 - root)) <= 1e-15
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the Laguerre recurrence and steps write k + nu - 1 and k + (nu - 1), "
-    "which cancel nu at k = 1 when nu is tiny",
-)
 def test_laguerre_tiny_nu_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     nu, n = 1e-10, 3
@@ -376,5 +494,5 @@ def test_laguerre_tiny_nu_against_mpmath():
         exact = sorted(mpmath.polyroots(coeffs, maxsteps=200, extraprec=200), reverse=True)
         roots = compute_roots(laguerre(nu), n).roots
         worst = max(abs((mpmath.mpf(float(z)) - e) / e) for z, e in zip(roots, exact))
-    # every root to a few ulps; today the smallest is off by 8.3e-8 relative
+    # every root to a few ulps
     assert float(worst) <= 4.0 * np.finfo(float).eps
