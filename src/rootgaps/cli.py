@@ -15,7 +15,9 @@ eigenbasis (``covariance.eigenbasis``, ``eigensolve.enclose_eigenvalues``).
 The sweep is split into runs of consecutive points, one per ``--jobs``
 worker (one run when serial).  Each run computes the roots of all its
 points, whatever their families, in one ``compute_roots_many`` batch,
-then hands each point its ``RootVector``.  Each point function returns
+and for ``verify`` the eigenbases of all their ``S_N`` in one
+``eigenbasis`` batch, then hands each point its ``RootVector`` (and
+basis).  Each point function returns
 its rows as tuples in ``COLUMNS`` order without the (family, params, N)
 key, plus a summary dict; ``_evaluate_point`` adds the key once and turns
 the rows into text where they are computed, so ``--jobs`` workers send
@@ -33,8 +35,8 @@ column order, shortest round-trip float formatting.  Points come in
 (family, parameters, N) order from ``sweep_points``, each run keeps it,
 and the serial ``map`` and ``pool.map`` both keep the order of the runs
 whatever the worker scheduling; rows within a point are sorted by
-(id, index).  A batch of roots is bit for bit what each point would get
-alone, so the output does not depend on ``--jobs``.
+(id, index).  A batch of roots or of bases is bit for bit what each
+point would get alone, so the output does not depend on ``--jobs``.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error (including an empty sweep, a ``--tol`` that is not finite and
@@ -138,7 +140,7 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
     return points
 
 
-def _roots_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
+def _roots_point(rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     stats = gap_statistics(rv)
     z = rv.roots.tolist()
     gaps = [abs(b - a) for a, b in zip(z, z[1:])] + [None]
@@ -151,7 +153,7 @@ def _roots_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[list
     return rows, summary
 
 
-def _verify_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
+def _verify_point(rv: RootVector, basis: np.ndarray, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     fam, n = rv.family, rv.n
     cov = build_S(rv)
     matrix = cov.matrix.entries
@@ -164,7 +166,7 @@ def _verify_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[lis
 
     # the closed-form eigenbasis encloses the eigenvalues of the matrix as
     # given, so a corrupted copy fails here without being diagonalized
-    centers, radii = enclose_eigenvalues(DenseSymmetric(matrix), eigenbasis(rv))
+    centers, radii = enclose_eigenvalues(DenseSymmetric(matrix), basis)
     spectral_err = float(np.max((np.abs(centers - cov.predicted) + radii) / cov.predicted))
     spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
     checks.append(("spectrum-match", spectral_err, spectral_tol))
@@ -195,7 +197,7 @@ def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
+def _bounds_point(rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     reports = bounds_mod.bound_set(rv)
     # ids are unique per bound row and each id's reports come in index
     # order, so the stable sort by id alone orders them by (id, index);
@@ -214,36 +216,48 @@ def _bounds_point(rv: RootVector, tol: float | None, corrupt: bool) -> tuple[lis
     return rows, summary
 
 
-# one signature: (roots, tol, corrupt) -> (rows in column order without
-# the point key, summary without the point key)
+# one signature: (roots, basis, tol, corrupt) -> (rows in column order
+# without the point key, summary without the point key); only verify
+# reads the basis
 _POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
 
 
 def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:
-    """The outcomes of a run of sweep points, in order.  The roots of all
+    """The outcomes of a run of sweep points, in order.  The inputs of all
     the run's points are computed in one batch; a numerical failure is
     named by the first point in sweep order that raises it."""
     command, fmt, points, tol, corrupt = task
     try:
-        batch = compute_roots_many(points)
+        batch = _point_inputs(command, points)
     except RootgapsError:
-        # some point failed: each point computes its own roots, so the
+        # some point failed: each point computes its own inputs, so the
         # points before it run and the failing one is named
         batch = None
     outcomes = []
     for i, (fam, n) in enumerate(points):
         try:
-            rv = batch[i] if batch else compute_roots_many([(fam, n)])[0]
-            outcomes.append(_evaluate_point(command, fmt, rv, tol, corrupt))
+            rv, basis = batch[i] if batch else _point_inputs(command, [(fam, n)])[0]
+            outcomes.append(_evaluate_point(command, fmt, rv, basis, tol, corrupt))
         except RootgapsError as exc:
             raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
     return outcomes
 
 
-def _evaluate_point(command: str, fmt: str, rv: RootVector, tol: float | None, corrupt: bool) -> tuple[str, dict]:
-    """One sweep point from its roots: the text of its rows in the output
-    format, plus its keyed summary."""
-    rows, summary = _POINT_FUNCTIONS[command](rv, tol, corrupt)
+def _point_inputs(command: str, points: list[tuple[PolynomialFamily, int]]) -> list[tuple]:
+    """The ``(roots, basis)`` of each point: its ``RootVector`` and, for
+    ``verify``, the closed-form eigenbasis of its ``S_N`` (else ``None``),
+    each kind computed in one batch."""
+    batch = compute_roots_many(points)
+    bases = eigenbasis(batch) if command == "verify" else [None] * len(batch)
+    return list(zip(batch, bases))
+
+
+def _evaluate_point(
+    command: str, fmt: str, rv: RootVector, basis: np.ndarray | None, tol: float | None, corrupt: bool
+) -> tuple[str, dict]:
+    """One sweep point from its roots (and basis): the text of its rows in
+    the output format, plus its keyed summary."""
+    rows, summary = _POINT_FUNCTIONS[command](rv, basis, tol, corrupt)
     fam = rv.family
     key = (fam.kind.value, fam.params_text(), rv.n)
     text = (_csv_lines if fmt == "csv" else _json_rows)(command, key, rows)

@@ -18,7 +18,9 @@ The Hermite and Laguerre ``N = 1`` matrices are the natural trivial
 extensions ``[[1]]`` and ``[[2]]`` with spectra ``{1}`` and ``{2}``.
 
 The eigenvectors are known in closed form too; :func:`eigenbasis` builds
-them from the roots.
+them from the roots of a whole batch of points, one Lanczos per order,
+each point's basis independent of the batch; a last column that the
+Lanczos loses to rounding is taken from the complement of the others.
 
 The spectra, and the shift (``I`` for Hermite and Laguerre, none for
 Jacobi) under which the trace and diagonal-of-square identities are
@@ -33,6 +35,7 @@ roots, which ``RootVector`` keeps inside the orthogonality interval.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +51,7 @@ from .families import FamilyKind, PolynomialFamily, jacobi
 from .roots import RootVector, require_kind, to_sqrt_coordinates
 
 _TINY = float(np.finfo(float).tiny)
+_SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 
 
 class CoordinateForm(Enum):
@@ -223,9 +227,10 @@ def build_S(z: RootVector) -> InverseCovariance:
     return _ROUTES[z.family.kind][1](z)
 
 
-def eigenbasis(z: RootVector) -> np.ndarray:
-    """The closed-form eigenvectors of ``S_N`` for the roots ``z``, as the
-    columns of an orthonormal matrix, in ascending eigenvalue order.
+def eigenbasis(roots: Sequence[RootVector]) -> list[np.ndarray]:
+    """The closed-form eigenvectors of ``S_N`` for each root vector in
+    ``roots``, in order: for each, the columns of an orthonormal matrix in
+    ascending eigenvalue order.
 
     The k-th is ``(omega(z_i) q_{k-1}(z_i))_i``, where ``q_0, q_1, ...``
     are the polynomials orthonormal on the roots with weights
@@ -236,17 +241,78 @@ def eigenbasis(z: RootVector) -> np.ndarray:
     ``omega(z)``: column k is ``z`` times column ``k - 1``, orthogonalized
     against the earlier columns by classical Gram-Schmidt run twice, which
     keeps them orthonormal to rounding, then normalized.
+
+    When ``omega`` spans many decades (Laguerre with a tiny ``nu``), the
+    last column can lose all but rounding of ``z`` times the one before:
+    if Gram-Schmidt leaves less than ``sqrt(eps)`` of its norm, the last
+    column is taken from the orthogonal complement of the others instead,
+    starting from the coordinate vector least represented in them.
+
+    The points are grouped by order and each group runs one Lanczos, every
+    product a stacked ``np.matmul`` over the group.  Each slice of a
+    stacked product is the same BLAS call on the same operands as a lone
+    point's, and every decision is made per point, so a point's basis is
+    bit for bit the same in any batch.
     """
-    x = z.roots
-    rows = np.empty((z.n, z.n))
-    v = z.family.spec.omega(x)
-    for k in range(z.n):
+    roots = list(roots)
+    bases = [None] * len(roots)
+    groups: dict[int, list[int]] = {}
+    for i, rv in enumerate(roots):
+        groups.setdefault(rv.n, []).append(i)
+    for n, members in groups.items():
+        rows = _lanczos(
+            np.stack([roots[i].roots for i in members]),
+            np.stack([roots[i].family.spec.omega(roots[i].roots) for i in members]),
+        )
+        for i, slice_ in zip(members, rows):
+            bases[i] = slice_.T
+    return bases
+
+
+def _lanczos(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Orthonormal Lanczos rows on ``diag(x[p])`` from ``v[p]``, for each
+    row ``p`` of the ``(P, n)`` arrays, as a ``(P, n, n)`` array.  The
+    vectors are ``(P, n, 1)`` stacks of columns, so each product is one
+    stacked matmul."""
+    count, n = x.shape
+    rows = np.empty((count, n, n))
+    x, v = x[:, :, None], v[:, :, None]
+    for k in range(n):
         if k:
-            v = x * rows[k - 1]
-            for _ in range(2):
-                v = v - (rows[:k] @ v) @ rows[:k]
-        rows[k] = v / math.sqrt(float(v @ v))
-    return rows.T
+            w = x * rows[:, k - 1, :, None]
+            done = rows[:, :k]
+            v = w - _project(done, w)
+            v -= _project(done, v)
+            if k == n - 1:
+                lost = _norms(v)[:, 0, 0] < _SQRT_EPS * _norms(w)[:, 0, 0]
+                if lost.any():
+                    v[lost] = _complement(done[lost])
+        np.divide(v, _norms(v), out=rows[:, k, :, None])
+    return rows
+
+
+def _project(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The component of each column ``v[p]`` in the span of the
+    orthonormal rows ``rows[p]``: ``rows[p].T @ (rows[p] @ v[p])``."""
+    return rows.transpose(0, 2, 1) @ (rows @ v)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each column ``v[p]``, each from one dot
+    product, as a ``(P, 1, 1)`` array."""
+    return np.sqrt(v.transpose(0, 2, 1) @ v)
+
+
+def _complement(rows: np.ndarray) -> np.ndarray:
+    """For each stack of ``n - 1`` orthonormal rows of length ``n``, a
+    column orthogonal to them, not yet normalized: the coordinate vector
+    least represented in them, orthogonalized twice."""
+    count, _, n = rows.shape
+    v = np.zeros((count, n, 1))
+    v[np.arange(count), np.argmin((rows * rows).sum(axis=1), axis=1), 0] = 1.0
+    v -= _project(rows, v)
+    v -= _project(rows, v)
+    return v
 
 
 def max_eigenvalue(alpha: float, beta: float, n: int) -> float:

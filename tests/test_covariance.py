@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from rootgaps import (
 )
 from rootgaps import RootVector, covariance
 from rootgaps.covariance import _pair_differences, eigenbasis
+from rootgaps.roots import compute_roots_many
 from rootgaps.eigensolve import enclose_eigenvalues
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
@@ -244,7 +247,7 @@ class TestEigenbasis:
     def test_eigenbasis_residual_at_rounding_level(self, family, n):
         cov = build_S(family, n)
         rv, s, lam = cov.roots, cov.matrix.entries, cov.predicted
-        q = eigenbasis(rv)
+        (q,) = eigenbasis([rv])
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= n * EPS
         # each column is an eigenvector of S at the exact roots; roots a few
         # ulps off move S by up to sensitivity * eps ||S||, and eigvalsh
@@ -258,13 +261,85 @@ class TestEigenbasis:
     @pytest.mark.parametrize("family", EIGENBASIS_FAMILIES, ids=lambda fam: fam.label())
     def test_enclosure_holds_eigvalsh(self, family, n):
         cov = build_S(family, n)
-        centers, radii = enclose_eigenvalues(cov.matrix, eigenbasis(cov.roots))
+        (basis,) = eigenbasis([cov.roots])
+        centers, radii = enclose_eigenvalues(cov.matrix, basis)
         # disjoint residual intervals stay disjoint at the Kato-Temple radii
         assert np.all(centers[1:] - radii[1:] > centers[:-1] + radii[:-1])
         # eigvalsh is itself within n eps ||S|| of the true eigenvalues
         slack = n * EPS * np.linalg.norm(cov.matrix.entries, 2)
         lam = np.linalg.eigvalsh(cov.matrix.entries)
         assert np.all(np.abs(lam - centers) <= radii + slack)
+
+
+def scalar_eigenbasis(z):
+    """The per-point Lanczos that the batched ``eigenbasis`` replaced, kept
+    as its reference: one point, one ``rows[:k] @ v`` per product, and no
+    rule for a lost last column."""
+    x = z.roots
+    rows = np.empty((z.n, z.n))
+    v = z.family.spec.omega(x)
+    for k in range(z.n):
+        if k:
+            v = x * rows[k - 1]
+            for _ in range(2):
+                v = v - (rows[:k] @ v) @ rows[:k]
+        rows[k] = v / math.sqrt(float(v @ v))
+    return rows.T
+
+
+@functools.cache
+def mixed_batch():
+    """One batch over every default-grid point (12 families, N = 1..40),
+    interleaved by order, and two large stress points."""
+    points = [(family, n) for n in range(1, 41) for family in all_families()]
+    points += [(jacobi(-0.999, -0.999), 200), (laguerre(1000.0), 300)]
+    roots = compute_roots_many(points)
+    return roots, eigenbasis(roots)
+
+
+class TestBatchedEigenbasis:
+    def test_matches_scalar_lanczos_bit_for_bit(self):
+        roots, bases = mixed_batch()
+        assert len(bases) == len(roots) == 482
+        for rv, q in zip(roots, bases):
+            assert np.array_equal(q, scalar_eigenbasis(rv)), (rv.family.label(), rv.n)
+
+    def test_basis_does_not_depend_on_the_batch(self):
+        roots, bases = mixed_batch()
+        for rv, q in zip(roots, bases):
+            (alone,) = eigenbasis([rv])
+            assert np.array_equal(alone, q), (rv.family.label(), rv.n)
+
+    def test_empty_batch(self):
+        assert eigenbasis([]) == []
+
+    def test_lost_last_column_is_replaced_in_its_slice_only(self):
+        # one order, one tiny-nu slice whose last column is lost and one
+        # ordinary slice: only the lost column differs from the reference
+        tiny, plain = compute_roots_many([(laguerre(1e-300), 10), (laguerre(2.0), 10)])
+        q_tiny, q_plain = eigenbasis([tiny, plain])
+        assert np.array_equal(q_plain, scalar_eigenbasis(plain))
+        reference = scalar_eigenbasis(tiny)
+        assert np.array_equal(q_tiny[:, :-1], reference[:, :-1])
+        assert not np.array_equal(q_tiny[:, -1], reference[:, -1])
+        assert np.max(np.abs(q_tiny.T @ q_tiny - np.eye(10))) <= 10 * EPS
+
+    @pytest.mark.parametrize("n", (3, 10, 40))
+    @pytest.mark.parametrize("nu", (1e-100, 1e-300))
+    def test_tiny_nu_spectrum(self, nu, n):
+        # omega = sqrt(z) spans more than 1e50 here, so z times the
+        # next-to-last column carries the smallest root only below the
+        # underflow level and the last column comes from the complement
+        cov = build_S(laguerre(nu), n)
+        (basis,) = eigenbasis([cov.roots])
+        assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= n * EPS
+        centers, radii = enclose_eigenvalues(cov.matrix, basis)
+        slack = n * EPS * np.linalg.norm(cov.matrix.entries, 2)
+        lam = np.linalg.eigvalsh(cov.matrix.entries)
+        assert np.all(np.abs(lam - centers) <= radii + slack)
+        # the `spectrum-match` value of `verify`, against its tolerance
+        value = np.max((np.abs(centers - cov.predicted) + radii) / cov.predicted)
+        assert value <= (1e-8 if n <= 20 else 1e-6)
 
 
 def test_coincident_roots_are_singular():

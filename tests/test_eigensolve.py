@@ -229,7 +229,7 @@ class TestEncloseEigenvalues:
         s = build_S(compute_roots(hermite(), 2))
         corrupted = s.matrix.entries.copy()
         corrupted[0, 1] = corrupted[1, 0] = corrupted[0, 1] + 0.5
-        centers, radii = enclose_eigenvalues(DenseSymmetric(corrupted), eigenbasis(s.roots))
+        centers, radii = enclose_eigenvalues(DenseSymmetric(corrupted), eigenbasis([s.roots])[0])
         assert not disjoint(centers, radii)
         assert np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))
         value = np.max((np.abs(centers - s.predicted) + radii) / s.predicted)
