@@ -2,7 +2,6 @@
 matrices of their freezing-limit Gaussians, and verified root-gap bounds."""
 
 from .errors import (
-    ConvergenceError,
     EmptyProblemError,
     FamilyMismatchError,
     InternalConsistencyError,
@@ -21,31 +20,20 @@ from .families import (
     jacobi_matrix,
     laguerre,
 )
-from .eigensolve import (
-    DenseSymmetric,
-    Spectrum,
-    dense_eigenvalues,
-    trace_power,
-    tridiag_eigenvalues,
-)
+from .eigensolve import DenseSymmetric, trace_power
 from .roots import (
     GapStatistics,
     RootVector,
-    SqrtRootVector,
     compute_roots,
     gap_statistics,
     to_sqrt_coordinates,
 )
 from .covariance import (
     CoordinateForm,
-    DiagOfSquare,
     InverseCovariance,
-    diag_of_square,
     hermite_S,
     jacobi_S,
     laguerre_S,
-    max_eigenvalue,
-    predicted_spectrum,
 )
 from .bounds import (
     BoundReport,
@@ -62,10 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ConvergenceError",
     "CoordinateForm",
     "DenseSymmetric",
-    "DiagOfSquare",
     "EmptyProblemError",
     "FamilyKind",
     "FamilyMismatchError",
@@ -79,12 +65,8 @@ __all__ = [
     "RootgapsError",
     "SharpnessSummary",
     "SingularConfigurationError",
-    "Spectrum",
-    "SqrtRootVector",
     "SymTridiagonal",
     "compute_roots",
-    "dense_eigenvalues",
-    "diag_of_square",
     "evaluate_with_derivative",
     "gap_statistics",
     "hermite",
@@ -99,10 +81,7 @@ __all__ = [
     "laguerre_S",
     "laguerre_bounds",
     "laguerre_comparators",
-    "max_eigenvalue",
-    "predicted_spectrum",
     "sharpness_summary",
     "to_sqrt_coordinates",
     "trace_power",
-    "tridiag_eigenvalues",
 ]

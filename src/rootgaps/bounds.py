@@ -38,7 +38,7 @@ Laguerre (comparators, from the literature):
   laguerre-gap-comparator-2   z_i - z_{i+1} >= 2 sqrt(2) nu/sqrt((N+nu)N)
   laguerre-gap-comparator-3   z_i - z_{i+1} >= pi sqrt(2)/sqrt(2 nu N + nu + 2N^2)
 
-Jacobi (derived; M is the spectral radius from ``max_eigenvalue``):
+Jacobi (derived; M is the spectral radius, the largest eigenvalue of ``S_N``):
   jacobi-diag-sq      (s_ii closed form)^2 + 16 sum_l (1-z_i^2)(1-z_l^2)/(z_i-z_l)^4 <= M^2
   jacobi-upper-edge-strong  1 - z_N >= 8(alpha+1)/(M + 4(alpha+1) + sqrt(M^2 - 16(alpha+1)(beta+1)))
   jacobi-upper-edge-weak    1 - z_N >= 4(alpha+1)/(M + 2(alpha+1))
@@ -88,7 +88,6 @@ from .covariance import (
     hermite_interaction_sums,
     jacobi_interaction_sums,
     laguerre_interaction_sums,
-    max_eigenvalue,
 )
 from .errors import ParameterDomainError
 from .families import FamilyKind
@@ -247,7 +246,7 @@ def jacobi_bounds(z: RootVector) -> list[BoundReport]:
     require_kind(z, FamilyKind.JACOBI)
     n = z.n
     alpha, beta = float(z.family.alpha), float(z.family.beta)
-    big_m = max_eigenvalue(alpha, beta, n)
+    big_m = float(z.family.spec.spectrum(z.family, n)[-1])
     lin, cross = jacobi_interaction_sums(z.roots, alpha, beta)
     disc = math.sqrt(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0))
     upper = 1.0 - float(z.roots[-1])

@@ -41,13 +41,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    ParameterDomainError,
-    SingularConfigurationError,
-)
+from .errors import ParameterDomainError, SingularConfigurationError
 from .eigensolve import DenseSymmetric
-from .families import FamilyKind, PolynomialFamily, jacobi
+from .families import FamilyKind
 from .roots import RootVector, require_kind, to_sqrt_coordinates
 
 _TINY = float(np.finfo(float).tiny)
@@ -66,18 +62,6 @@ class InverseCovariance:
     roots: RootVector
     matrix: DenseSymmetric
     predicted: np.ndarray
-
-
-@dataclass(frozen=True)
-class DiagOfSquare:
-    """Diagonal of the squared (shifted) matrix.
-
-    ``values`` holds the closed-form route; ``residual`` is the worst
-    relative disagreement against the matrix-multiplication route.
-    """
-
-    values: np.ndarray
-    residual: float
 
 
 def _pair_differences(z: np.ndarray) -> np.ndarray:
@@ -134,7 +118,7 @@ def jacobi_interaction_sums(
 
 def _inverse_covariance(z: RootVector, matrix: np.ndarray) -> InverseCovariance:
     """Wrap an ``S_N`` ``matrix`` with the predicted spectrum of ``z``'s family."""
-    predicted = predicted_spectrum(z.family, z.n)
+    predicted = z.family.spec.spectrum(z.family, z.n)
     predicted.setflags(write=False)
     return InverseCovariance(z, DenseSymmetric(matrix), predicted)
 
@@ -169,12 +153,14 @@ def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> 
             matrix, 1.0 + nu / roots + 2.0 * ((roots[:, None] + roots[None, :]) * inv2).sum(axis=1)
         )
     else:
-        r = to_sqrt_coordinates(z).values
+        r = to_sqrt_coordinates(z)
         dminus = _pair_differences(r)
         inv_minus = 1.0 / (dminus * dminus)
         dplus = r[:, None] + r[None, :]
         inv_plus = 1.0 / (dplus * dplus)
-        matrix = 2.0 * (inv_plus - inv_minus)
+        # 2 (inv_plus - inv_minus) as one product, which does not cancel
+        # when r_j / r_i is below rounding
+        matrix = -8.0 * np.outer(r, r) * inv_minus * inv_plus
         pair = inv_minus + inv_plus
         np.fill_diagonal(pair, 0.0)
         np.fill_diagonal(matrix, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=1))
@@ -197,13 +183,6 @@ def jacobi_S(z: RootVector) -> InverseCovariance:
         + 2.0 * (beta + 1.0) * (1.0 - roots) / (1.0 + roots),
     )
     return _inverse_covariance(z, matrix)
-
-
-def predicted_spectrum(family: PolynomialFamily, n: int) -> np.ndarray:
-    """Closed-form spectrum of ``S_N``, ascending."""
-    if n < 1:
-        raise ParameterDomainError(f"N must be positive, got {n}")
-    return family.spec.spectrum(family, n)
 
 
 # Per-family interaction sums and S_N builder, keyed by kind; every higher
@@ -315,15 +294,6 @@ def _complement(rows: np.ndarray) -> np.ndarray:
     return v
 
 
-def max_eigenvalue(alpha: float, beta: float, n: int) -> float:
-    """Spectral radius ``M = max_j 2j(2N+alpha+beta+1-j)`` by direct scan.
-
-    Coincides with ``2N(N+alpha+beta+1)`` whenever ``alpha+beta+1 >= 0``
-    and never exceeds ``2(N+(alpha+beta+1)/2)^2``.
-    """
-    return float(predicted_spectrum(jacobi(alpha, beta), n)[-1])
-
-
 def diag_square_residual(matrix: np.ndarray, shift: float, closed_route: np.ndarray) -> float:
     """Worst relative disagreement between the diagonal of
     ``(matrix - shift I)^2``, squared explicitly, and ``closed_route``.
@@ -335,20 +305,3 @@ def diag_square_residual(matrix: np.ndarray, shift: float, closed_route: np.ndar
     matrix_route = (shifted * shifted).sum(axis=1)
     scale = np.maximum(np.maximum(np.abs(matrix_route), np.abs(closed_route)), _TINY)
     return float(np.max(np.abs(matrix_route - closed_route) / scale))
-
-
-def diag_of_square(s: InverseCovariance) -> DiagOfSquare:
-    """Diagonal of the squared shifted matrix, validated two ways.
-
-    The closed-form route (sums over root differences) and the matrix
-    route (explicit symmetric square) must agree to relative ``1e-10``;
-    disagreement signals a transcription bug and raises.
-    """
-    lin, cross = interaction_sums(s.roots)
-    closed_route = lin * lin + cross
-    residual = diag_square_residual(s.matrix.entries, s.roots.family.spec.shift, closed_route)
-    if residual > 1e-10:
-        raise InternalConsistencyError(
-            f"diagonal-of-square routes disagree by relative {residual:.3e}"
-        )
-    return DiagOfSquare(closed_route, residual)

@@ -1,20 +1,11 @@
-"""Self-contained symmetric eigensolvers and a residual eigenvalue enclosure.
+"""Dense symmetric matrices, a residual eigenvalue enclosure and trace powers.
 
-Tridiagonal matrices are diagonalized by implicit-shift QL with Wilkinson
-shifts.  Dense symmetric matrices are first reduced to tridiagonal form by
-Householder reflections and then handed to the same QL core; this variant
-was chosen over cyclic Jacobi sweeps because the reduction vectorizes
-cleanly while sharing the well-tested tridiagonal kernel.
-
-The two ``Spectrum``-returning solvers, ``tridiag_eigenvalues`` and
-``dense_eigenvalues``, accumulate eigenvectors so the reported
-``residual`` is an honest backward-error measure,
-``max_i ||A v_i - lambda_i v_i||_2`` scaled by the Frobenius norm of
-``A``.  Polynomial roots do not come from here: ``roots`` finds them by
-Sturm bisection and Newton polish.
-
-``enclose_eigenvalues`` encloses the eigenvalues of a dense matrix from
-approximate eigenvectors, without a solve.
+No eigensolver lives here.  Polynomial roots come from Sturm bisection
+and Newton polish in ``roots``, and the spectrum of ``S_N`` is known in
+closed form (``FamilySpec.spectrum``).  ``enclose_eigenvalues`` checks a
+matrix against such a spectrum: it encloses the eigenvalues of a
+``DenseSymmetric`` from approximate eigenvectors, without a solve.
+``trace_power`` takes ``tr(m**k)`` by matrix multiplication alone.
 """
 from __future__ import annotations
 
@@ -23,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    EmptyProblemError,
-    InternalConsistencyError,
-    MagnitudeError,
-    ParameterDomainError,
-)
-from .families import SymTridiagonal
-
-_EPS = float(np.finfo(float).eps)
+from .errors import EmptyProblemError, MagnitudeError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -61,167 +43,6 @@ class DenseSymmetric:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order plus a backward-error residual."""
-
-    eigenvalues: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        if np.any(np.diff(eigenvalues) < 0.0):
-            raise ParameterDomainError("eigenvalues must be ascending")
-        if not (self.residual >= 0.0):
-            raise ParameterDomainError("residual must be nonnegative")
-        eigenvalues.setflags(write=False)
-
-
-def _ql_implicit(
-    d: np.ndarray,
-    e: np.ndarray,
-    vectors: np.ndarray | None = None,
-    max_sweeps: int | None = None,
-) -> None:
-    """Implicit-shift QL, in place on ``d`` (length n) and ``e`` (length n).
-
-    ``e[i]`` couples ``d[i]`` and ``d[i+1]``; ``e[n-1]`` is scratch.  When
-    ``vectors`` is given, its columns are rotated along, so that on return
-    ``A = V diag(d) V^T``.  An off-diagonal entry is treated as negligible
-    when ``|e[i]| <= eps * (|d[i]| + |d[i+1]|)``.
-
-    The scalar loop runs on Python floats, which give the same IEEE
-    results as numpy scalars without their per-access overhead; ``d`` and
-    ``e`` are written back on return.
-    """
-    d_out, e_out = d, e
-    d, e = d.tolist(), e.tolist()
-    n = len(d)
-    cap = 50 * n if max_sweeps is None else max_sweeps
-    sweeps = 0
-    for l in range(n):
-        while True:
-            for m in range(l, n - 1):
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > cap:
-                raise ConvergenceError(
-                    f"QL iteration exceeded {cap} sweeps while deflating index {l}",
-                    stuck_index=l,
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # underflow in the rotation chain; recover and restart
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if vectors is not None:
-                    col = vectors[:, i].copy()
-                    nxt = vectors[:, i + 1].copy()
-                    vectors[:, i + 1] = s * col + c * nxt
-                    vectors[:, i] = c * col - s * nxt
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    d_out[:] = d
-    e_out[:] = e
-
-
-def _diagonalize(
-    matrix: np.ndarray, d: np.ndarray, sub: np.ndarray, vectors: np.ndarray, scale: float
-) -> Spectrum:
-    """Shared tail of both ``Spectrum`` solvers: QL on the tridiagonal form
-    ``(d, sub)`` of ``matrix`` with ``vectors`` rotated along, the residual,
-    and a check that the eigenvalue sum matches the trace to
-    ``1e-12 (n scale + 1)``.  Each caller passes its own ``scale``
-    (``max|diag|`` tridiagonal, ``max|entries|`` dense), so the tridiagonal
-    check is not loosened by its off-diagonal entries."""
-    _ql_implicit(d, np.append(sub, 0.0), vectors)
-    order = np.argsort(d, kind="stable")
-    lam = d[order]
-    vectors = vectors[:, order]
-    defect = matrix @ vectors - vectors * lam
-    worst = math.sqrt(float(np.max(np.sum(defect * defect, axis=0))))
-    residual = worst / max(math.sqrt(float(np.sum(matrix * matrix))), _EPS)
-    tol = 1e-12 * (lam.size * scale + 1.0)
-    if abs(float(np.sum(lam)) - float(np.trace(matrix))) > tol:
-        raise InternalConsistencyError(
-            f"eigenvalue sum differs from trace by more than {tol:.3e}"
-        )
-    return Spectrum(lam, residual)
-
-
-def tridiag_eigenvalues(t: SymTridiagonal) -> Spectrum:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending."""
-    scale = float(np.max(np.abs(t.diag), initial=0.0))
-    return _diagonalize(t.to_dense(), t.diag.copy(), t.offdiag, np.eye(t.n), scale)
-
-
-def _householder_tridiag(matrix: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a symmetric matrix to tridiagonal ``Q^T A Q``.
-
-    Returns ``(d, e)``, the diagonal and subdiagonal of the reduced
-    matrix.  Each reflection is applied to the columns of ``q`` in place,
-    so the identity passed in comes back as ``Q``.
-    """
-    n = matrix.shape[0]
-    a = matrix.copy()
-    for k in range(n - 2):
-        x = a[k + 1 :, k].copy()
-        norm_x = math.sqrt(float(np.dot(x, x)))
-        if norm_x == 0.0:
-            continue
-        alpha = -math.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
-        v = x
-        v[0] -= alpha
-        vnorm2 = float(np.dot(v, v))
-        if vnorm2 == 0.0:
-            continue
-        p = a[k + 1 :, k + 1 :] @ v * (2.0 / vnorm2)
-        kappa = float(np.dot(v, p)) / vnorm2
-        w = p - kappa * v
-        a[k + 1 :, k + 1 :] -= np.outer(w, v) + np.outer(v, w)
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        a[k + 2 :, k] = 0.0
-        a[k, k + 2 :] = 0.0
-        q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ v, v) * (2.0 / vnorm2)
-    return np.diag(a).copy(), np.diag(a, -1).copy()
-
-
-def dense_eigenvalues(m: DenseSymmetric) -> Spectrum:
-    """All eigenvalues of a dense symmetric matrix, ascending.
-
-    Householder reduction to tridiagonal form followed by implicit QL.
-    """
-    q = np.eye(m.n)
-    d, sub = _householder_tridiag(m.entries, q)
-    return _diagonalize(m.entries, d, sub, q, float(np.max(np.abs(m.entries))))
 
 
 def enclose_eigenvalues(m: DenseSymmetric, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

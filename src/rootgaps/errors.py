@@ -25,18 +25,6 @@ class MagnitudeError(RootgapsError, OverflowError):
         self.scale_hint = scale_hint
 
 
-class ConvergenceError(RootgapsError, RuntimeError):
-    """An iterative eigensolver exhausted its sweep budget.
-
-    ``stuck_index`` identifies the eigenvalue position that failed to
-    deflate.
-    """
-
-    def __init__(self, message: str, stuck_index: int | None = None):
-        super().__init__(message)
-        self.stuck_index = stuck_index
-
-
 class FamilyMismatchError(RootgapsError, TypeError):
     """An operation received data belonging to the wrong polynomial family."""
 

@@ -67,20 +67,6 @@ class RootVector:
         roots.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SqrtRootVector:
-    """Laguerre roots mapped to the scale ``r_i = sqrt(2 z_i)``, descending."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if np.any(values <= 0.0) or np.any(np.diff(values) >= 0.0):
-            raise InternalConsistencyError("sqrt-scale roots must be positive and strictly descending")
-        values.setflags(write=False)
-
-
 class GapStatistics(NamedTuple):
     """``None`` marks an undefined statistic, not a zero or an infinity."""
 
@@ -356,10 +342,10 @@ def require_kind(z: RootVector, kind: FamilyKind) -> None:
         raise FamilyMismatchError(f"expected a {kind.value} root vector, got {z.family.kind.value}")
 
 
-def to_sqrt_coordinates(rv: RootVector) -> SqrtRootVector:
+def to_sqrt_coordinates(rv: RootVector) -> np.ndarray:
     """Map a Laguerre root vector to ``r_i = sqrt(2 z_i)``, order preserved."""
     require_kind(rv, FamilyKind.LAGUERRE)
-    return SqrtRootVector(np.sqrt(2.0 * rv.roots))
+    return np.sqrt(2.0 * rv.roots)
 
 
 def gap_statistics(rv: RootVector) -> GapStatistics:

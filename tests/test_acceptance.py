@@ -11,12 +11,9 @@ from rootgaps import (
     CoordinateForm,
     DenseSymmetric,
     compute_roots,
-    dense_eigenvalues,
     hermite,
-    hermite_S,
     hermite_diag_bound,
     jacobi,
-    jacobi_S,
     jacobi_bounds,
     jacobi_comparator,
     laguerre,
@@ -25,7 +22,7 @@ from rootgaps import (
     laguerre_comparators,
     trace_power,
 )
-from rootgaps.covariance import hermite_interaction_sums, laguerre_interaction_sums
+from rootgaps.covariance import build_S, hermite_interaction_sums, laguerre_interaction_sums
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, ones_kernel_projection, random_symmetric
 
@@ -49,14 +46,8 @@ def roots_of(family, n):
 
 @lru_cache(maxsize=None)
 def spectrum_error(family, n):
-    rv = roots_of(family, n)
-    if family == hermite():
-        cov = hermite_S(rv)
-    elif family.nu is not None:
-        cov = laguerre_S(rv)
-    else:
-        cov = jacobi_S(rv)
-    computed = dense_eigenvalues(cov.matrix).eigenvalues
+    cov = build_S(roots_of(family, n))
+    computed = np.linalg.eigvalsh(cov.matrix.entries)
     return float(np.max(np.abs(computed - cov.predicted) / cov.predicted))
 
 

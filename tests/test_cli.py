@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rootgaps.cli as cli
-from rootgaps import ConvergenceError
+from rootgaps import MagnitudeError
 
 real_compute_roots_many = cli.compute_roots_many
 
@@ -34,7 +34,7 @@ def explode_at(n_bad, label=None):
     def compute_roots_many(points):
         points = list(points)
         if any(n == n_bad and label in (None, fam.label()) for fam, n in points):
-            raise ConvergenceError("stuck", stuck_index=0)
+            raise MagnitudeError("stuck")
         return real_compute_roots_many(points)
 
     return compute_roots_many

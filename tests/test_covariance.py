@@ -7,20 +7,15 @@ import pytest
 
 from rootgaps import (
     CoordinateForm,
-    FamilyKind,
     FamilyMismatchError,
     SingularConfigurationError,
     compute_roots,
-    dense_eigenvalues,
-    diag_of_square,
     hermite,
     hermite_S,
     jacobi,
     jacobi_S,
     laguerre,
     laguerre_S,
-    max_eigenvalue,
-    predicted_spectrum,
 )
 from rootgaps import RootVector, covariance
 from rootgaps.covariance import _pair_differences, eigenbasis
@@ -31,17 +26,37 @@ from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
 
 def build_S(family, n):
-    rv = compute_roots(family, n)
-    if family.kind is FamilyKind.HERMITE:
-        return hermite_S(rv)
-    if family.kind is FamilyKind.LAGUERRE:
-        return laguerre_S(rv)
-    return jacobi_S(rv)
+    return covariance.build_S(compute_roots(family, n))
 
 
 def spectral_error(cov):
-    computed = dense_eigenvalues(cov.matrix).eigenvalues
+    computed = np.linalg.eigvalsh(cov.matrix.entries)
     return float(np.max(np.abs(computed - cov.predicted) / cov.predicted))
+
+
+def coordinate_form_error(rv):
+    """Worst relative entrywise disagreement of the two Laguerre forms."""
+    base = laguerre_S(rv, CoordinateForm.Z).matrix.entries
+    alt = laguerre_S(rv, CoordinateForm.SQRT_R).matrix.entries
+    scale = np.maximum(np.maximum(np.abs(base), np.abs(alt)), np.finfo(float).tiny)
+    return float(np.max(np.abs(base - alt) / scale))
+
+
+def spectrum(family, n):
+    return family.spec.spectrum(family, n)
+
+
+def max_eigenvalue(alpha, beta, n):
+    return float(spectrum(jacobi(alpha, beta), n)[-1])
+
+
+def diag_of_square(cov):
+    """The diagonal of the squared shifted ``S_N`` from the interaction
+    sums, and its worst relative disagreement with the explicit square."""
+    lin, cross = covariance.interaction_sums(cov.roots)
+    closed = lin * lin + cross
+    shift = cov.roots.family.spec.shift
+    return closed, covariance.diag_square_residual(cov.matrix.entries, shift, closed)
 
 
 def test_inverse_covariance_holds_roots_matrix_and_read_only_spectrum():
@@ -61,9 +76,7 @@ class TestHermiteS:
         np.testing.assert_allclose(cov.matrix.entries, expected, atol=1e-14)
         np.testing.assert_array_equal(cov.predicted, [1.0, 2.0])
         # 2x2 eigenvalues by hand: 3/2 -+ 1/2
-        np.testing.assert_allclose(
-            dense_eigenvalues(cov.matrix).eigenvalues, [1.0, 2.0], atol=1e-14
-        )
+        np.testing.assert_allclose(np.linalg.eigvalsh(cov.matrix.entries), [1.0, 2.0], atol=1e-14)
 
     def test_n1_trivial_extension(self):
         cov = hermite_S(compute_roots(hermite(), 1))
@@ -101,11 +114,24 @@ class TestLaguerreS:
     @pytest.mark.parametrize("nu", LAGUERRE_NUS)
     @pytest.mark.parametrize("n", (1, 2, 5, 20, 40))
     def test_coordinate_forms_agree_entrywise(self, nu, n):
-        rv = compute_roots(laguerre(nu), n)
-        base = laguerre_S(rv, CoordinateForm.Z).matrix.entries
-        alt = laguerre_S(rv, CoordinateForm.SQRT_R).matrix.entries
-        scale = np.maximum(np.maximum(np.abs(base), np.abs(alt)), np.finfo(float).tiny)
-        assert float(np.max(np.abs(base - alt) / scale)) <= 1e-13
+        assert coordinate_form_error(compute_roots(laguerre(nu), n)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "nu,n",
+        [(0.01, 100), (1e-6, 100)] + [(nu, n) for nu in (1e-50, 1e-100, 1e-300) for n in (3, 10, 40)],
+    )
+    def test_coordinate_forms_agree_at_small_nu(self, nu, n):
+        # the smallest root is tiny against the others, so the r-form
+        # off-diagonal must not be a difference of the two inverse squares
+        assert coordinate_form_error(compute_roots(laguerre(nu), n)) <= 1e-13
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FOUND in CHANGES.md: coordinate-forms-match at Laguerre nu = 1000, N = 300",
+    )
+    def test_coordinate_forms_agree_at_large_nu(self):
+        assert coordinate_form_error(compute_roots(laguerre(1000.0), 300)) <= 1e-13
 
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatchError):
@@ -139,13 +165,13 @@ class TestJacobiS:
 
 class TestPredictedSpectrum:
     def test_hermite(self):
-        np.testing.assert_array_equal(predicted_spectrum(hermite(), 4), [1, 2, 3, 4])
+        np.testing.assert_array_equal(spectrum(hermite(), 4), [1, 2, 3, 4])
 
     def test_laguerre(self):
-        np.testing.assert_array_equal(predicted_spectrum(laguerre(7.0), 3), [2, 4, 6])
+        np.testing.assert_array_equal(spectrum(laguerre(7.0), 3), [2, 4, 6])
 
     def test_jacobi_chebyshev_like(self):
-        np.testing.assert_array_equal(predicted_spectrum(jacobi(-0.5, -0.5), 2), [6.0, 8.0])
+        np.testing.assert_array_equal(spectrum(jacobi(-0.5, -0.5), 2), [6.0, 8.0])
 
 
 class TestMaxEigenvalue:
@@ -170,19 +196,19 @@ class TestMaxEigenvalue:
 class TestDiagOfSquare:
     def test_hermite_n2_by_hand(self):
         # (S - I)^2 has diagonal (1/2)^2 + (1/2)^2 = 1/2 at both indices
-        result = diag_of_square(build_S(hermite(), 2))
-        np.testing.assert_allclose(result.values, [0.5, 0.5], rtol=1e-14)
+        values, _ = diag_of_square(build_S(hermite(), 2))
+        np.testing.assert_allclose(values, [0.5, 0.5], rtol=1e-14)
 
     def test_laguerre_n1(self):
-        result = diag_of_square(build_S(laguerre(2.0), 1))
-        np.testing.assert_allclose(result.values, [1.0], rtol=1e-13)
+        values, _ = diag_of_square(build_S(laguerre(2.0), 1))
+        np.testing.assert_allclose(values, [1.0], rtol=1e-13)
 
     @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
     @pytest.mark.parametrize("n", (1, 2, 3, 7, 10))
     def test_two_routes_agree(self, family, n):
-        result = diag_of_square(build_S(family, n))
-        assert result.residual <= 1e-10
-        assert np.all(result.values >= 0.0)
+        values, residual = diag_of_square(build_S(family, n))
+        assert residual <= 1e-10
+        assert np.all(values >= 0.0)
 
 
 class TestTraceIdentities:

@@ -1,71 +1,22 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootgaps import (
-    ConvergenceError,
     DenseSymmetric,
     EmptyProblemError,
     MagnitudeError,
     ParameterDomainError,
-    Spectrum,
-    SymTridiagonal,
     compute_roots,
-    dense_eigenvalues,
     hermite,
     jacobi_matrix,
     trace_power,
-    tridiag_eigenvalues,
 )
 from rootgaps.covariance import build_S, eigenbasis
-from rootgaps.eigensolve import _ql_implicit, enclose_eigenvalues
+from rootgaps.eigensolve import enclose_eigenvalues
 
 from conftest import all_families, ones_kernel_projection, random_symmetric
-
-
-def _ql_on_numpy_scalars(d, e):
-    """Reference: the eigenvalues-only QL loop on numpy scalars, reading
-    and writing ``d`` and ``e`` directly.  ``_ql_implicit`` runs the same
-    arithmetic on Python floats, so the bits must match."""
-    n = d.size
-    eps = np.finfo(float).eps
-    for l in range(n):
-        while True:
-            for m in range(l, n - 1):
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
 
 
 class TestDenseSymmetricType:
@@ -91,104 +42,16 @@ class TestDenseSymmetricType:
             m.entries[0, 0] = 3.0
 
 
-class TestSpectrumType:
-    def test_rejects_descending_eigenvalues(self):
-        with pytest.raises(ParameterDomainError):
-            Spectrum(np.array([2.0, 1.0]), 0.0)
-
-    def test_rejects_negative_residual(self):
-        with pytest.raises(ParameterDomainError):
-            Spectrum(np.array([1.0]), -1.0)
-
-
-class TestTridiagEigenvalues:
-    def test_one_by_one(self):
-        spectrum = tridiag_eigenvalues(SymTridiagonal(np.array([0.0]), np.array([])))
-        assert spectrum.eigenvalues.tolist() == [0.0]
-        assert spectrum.residual == 0.0
-
-    def test_two_by_two_zero_diagonal(self):
-        spectrum = tridiag_eigenvalues(SymTridiagonal(np.zeros(2), np.array([1.0])))
-        np.testing.assert_allclose(spectrum.eigenvalues, [-1.0, 1.0], atol=1e-15)
-
-    def test_two_by_two_quadratic_oracle(self):
-        # characteristic polynomial (2-x)(4-x) - 2 = x^2 - 6x + 6
-        t = SymTridiagonal(np.array([2.0, 4.0]), np.array([math.sqrt(2.0)]))
-        spectrum = tridiag_eigenvalues(t)
-        disc = math.sqrt(36.0 - 24.0)
-        expected = [(6.0 - disc) / 2.0, (6.0 + disc) / 2.0]
-        np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=1e-15)
-
-    def test_against_numpy_on_random_tridiagonals(self, rng):
-        for n in (2, 3, 5, 9, 17, 40):
-            t = SymTridiagonal(rng.normal(size=n), np.abs(rng.normal(size=n - 1)) + 0.1)
-            spectrum = tridiag_eigenvalues(t)
-            expected = np.linalg.eigvalsh(t.to_dense())
-            scale = max(np.max(np.abs(expected)), 1.0)
-            np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=0, atol=1e-13 * scale)
-            assert spectrum.residual <= 1e-13
-
-    def test_hermite_eigenvalue_symmetry(self):
-        for n in range(2, 51):
-            lam = tridiag_eigenvalues(jacobi_matrix(hermite(), n)).eigenvalues
-            pair_defect = np.max(np.abs(lam + lam[::-1]))
-            assert pair_defect <= 1e-12 * np.max(np.abs(lam))
-
-    def test_python_float_kernel_matches_numpy_scalar_loop(self, rng):
-        inputs = [jacobi_matrix(fam, n) for fam in all_families() for n in (2, 9, 40)]
-        inputs += [
-            SymTridiagonal(rng.normal(size=n), np.abs(rng.normal(size=n - 1)) + 0.1)
-            for n in (2, 3, 17, 40)
-        ]
-        for t in inputs:
-            d, e = t.diag.copy(), np.append(t.offdiag, 0.0)
-            d_ref, e_ref = d.copy(), e.copy()
-            _ql_implicit(d, e)
-            _ql_on_numpy_scalars(d_ref, e_ref)
-            assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)
-
-    def test_sweep_cap_raises_convergence_error(self):
-        d = np.zeros(3)
-        e = np.array([1.0, 1.0, 0.0])
-        with pytest.raises(ConvergenceError) as excinfo:
-            _ql_implicit(d, e, max_sweeps=0)
-        assert excinfo.value.stuck_index is not None
-
-
-class TestDenseEigenvalues:
-    def test_identity(self):
-        spectrum = dense_eigenvalues(DenseSymmetric(np.eye(3)))
-        np.testing.assert_array_equal(spectrum.eigenvalues, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        spectrum = dense_eigenvalues(DenseSymmetric(np.diag([1.0, 2.0, 3.0])))
-        np.testing.assert_allclose(spectrum.eigenvalues, [1.0, 2.0, 3.0], atol=1e-15)
-
-    def test_exchange_matrix_oracle(self):
-        # characteristic polynomial x^2 - 1
-        spectrum = dense_eigenvalues(DenseSymmetric(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        np.testing.assert_allclose(spectrum.eigenvalues, [-1.0, 1.0], atol=1e-15)
-
-    def test_against_numpy_on_random_matrices(self, rng):
-        for n in (2, 3, 4, 6, 8, 12, 25, 40):
-            m = DenseSymmetric(random_symmetric(rng, n))
-            spectrum = dense_eigenvalues(m)
-            expected = np.linalg.eigvalsh(m.entries)
-            scale = max(np.max(np.abs(expected)), 1.0)
-            np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=0, atol=1e-12 * scale)
-            assert spectrum.residual <= 1e-12
-
-
 class TestSpectrumAgreesWithRoots:
-    """The ``Spectrum`` solver (QL) and the roots path (Sturm bisection
-    and Newton) share no code, so on the default-grid recurrence matrices
+    """``numpy.linalg.eigvalsh`` and the roots path (Sturm bisection and
+    Newton) share no code, so on the default-grid recurrence matrices
     they must agree to ``n eps ||T_n||``, the error model of each."""
 
     @pytest.mark.parametrize("n", [1, 2, 9, 40])
     @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
     def test_agree_on_default_families(self, family, n):
         t = jacobi_matrix(family, n)
-        eigs = tridiag_eigenvalues(t).eigenvalues
+        eigs = np.linalg.eigvalsh(t.to_dense())
         roots = compute_roots(family, n).roots
         ascending = roots if family.spec.ascending else roots[::-1]
         bound = n * np.finfo(float).eps * np.linalg.norm(t.to_dense(), 2)
@@ -268,7 +131,7 @@ class TestTracePower:
         for _ in range(40):
             n = int(rng.integers(2, 13))
             m = DenseSymmetric(random_symmetric(rng, n))
-            lam = dense_eigenvalues(m).eigenvalues
+            lam = np.linalg.eigvalsh(m.entries)
             for k in (1, 2, 4, 8):
                 direct = trace_power(m, k)
                 spectral = float(np.sum(lam**k))
