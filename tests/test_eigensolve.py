@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from rootgaps import (
     ParameterDomainError,
     compute_roots,
     hermite,
+    jacobi,
     jacobi_matrix,
+    laguerre,
     trace_power,
 )
 from rootgaps.covariance import build_S, eigenbasis
@@ -40,6 +44,72 @@ class TestDenseSymmetricType:
         m = DenseSymmetric(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 3.0
+
+
+class TestTridiagEigenvalues:
+    """The eigenvalues of a recurrence matrix ``T_n`` are the roots of
+    ``P_n``; the roots path finds them by Sturm bisection and Newton."""
+
+    def test_one_by_one(self):
+        assert jacobi_matrix(hermite(), 1).diag.tolist() == [0.0]
+        assert compute_roots(hermite(), 1).roots.tolist() == [0.0]
+
+    def test_two_by_two_zero_diagonal(self):
+        # Legendre T_2 has zero diagonal and off-diagonal 1/sqrt(3)
+        t = jacobi_matrix(jacobi(0.0, 0.0), 2)
+        assert t.diag.tolist() == [0.0, 0.0]
+        expected = 1.0 / math.sqrt(3.0)
+        np.testing.assert_allclose(compute_roots(jacobi(0.0, 0.0), 2).roots, [-expected, expected], atol=1e-15)
+
+    def test_two_by_two_quadratic_oracle(self):
+        # Laguerre nu = 1: T_2 = [[1, 1], [1, 3]], characteristic
+        # polynomial (1-x)(3-x) - 1 = x^2 - 4x + 2; roots come descending
+        t = jacobi_matrix(laguerre(1.0), 2)
+        assert t.diag.tolist() == [1.0, 3.0] and t.offdiag.tolist() == [1.0]
+        disc = math.sqrt(16.0 - 8.0)
+        expected = [(4.0 + disc) / 2.0, (4.0 - disc) / 2.0]
+        np.testing.assert_allclose(compute_roots(laguerre(1.0), 2).roots, expected, rtol=1e-15)
+
+    def test_against_numpy_on_random_tridiagonals(self, rng):
+        # recurrence matrices off the default grid, against eigvalsh to
+        # n eps ||T_n||, as in TestSpectrumAgreesWithRoots
+        for trial in range(20):
+            if trial % 2:
+                family = laguerre(rng.uniform(0.05, 10.0))
+            else:
+                family = jacobi(rng.uniform(-0.95, 5.0), rng.uniform(-0.95, 5.0))
+            for n in (2, 3, 5, 9, 17, 40):
+                t = jacobi_matrix(family, n).to_dense()
+                expected = np.linalg.eigvalsh(t)
+                roots = np.sort(compute_roots(family, n).roots)
+                bound = n * np.finfo(float).eps * np.linalg.norm(t, 2)
+                assert np.all(np.abs(roots - expected) <= bound), (family.label(), n)
+
+
+class TestDenseEigenvalues:
+    """``enclose_eigenvalues`` reads the eigenvalues of a dense symmetric
+    matrix off exact or numerical eigenvectors."""
+
+    def test_identity(self):
+        centers, radii = enclose_eigenvalues(DenseSymmetric(np.eye(3)), np.eye(3))
+        assert centers.tolist() == [1.0, 1.0, 1.0]
+        assert radii.tolist() == [0.0, 0.0, 0.0]
+
+    def test_exchange_matrix_oracle(self):
+        # characteristic polynomial x^2 - 1, eigenvectors (1, -1) and (1, 1)
+        basis = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+        centers, radii = enclose_eigenvalues(DenseSymmetric(np.array([[0.0, 1.0], [1.0, 0.0]])), basis)
+        np.testing.assert_allclose(centers, [-1.0, 1.0], atol=1e-15)
+        assert np.all(radii <= 1e-15)
+
+    def test_against_numpy_on_random_matrices(self, rng):
+        for n in (2, 3, 4, 6, 8, 12, 25, 40):
+            a = random_symmetric(rng, n)
+            expected, vectors = np.linalg.eigh(a)
+            centers, radii = enclose_eigenvalues(DenseSymmetric(a), vectors)
+            scale = max(np.max(np.abs(expected)), 1.0)
+            np.testing.assert_allclose(centers, expected, rtol=0, atol=1e-12 * scale)
+            assert np.all(radii <= 1e-12 * scale)
 
 
 class TestSpectrumAgreesWithRoots:
