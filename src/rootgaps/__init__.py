@@ -28,21 +28,14 @@ from .roots import (
     gap_statistics,
     to_sqrt_coordinates,
 )
-from .covariance import (
-    CoordinateForm,
-    InverseCovariance,
-    hermite_S,
-    jacobi_S,
-    laguerre_S,
-)
+from .covariance import build_S, interaction_sums, laguerre_sqrt_r_S
 from .bounds import (
     BoundReport,
     SharpnessSummary,
+    bound_set,
     hermite_diag_bound,
     jacobi_bounds,
-    jacobi_comparator,
     laguerre_bounds,
-    laguerre_comparators,
     sharpness_summary,
 )
 
@@ -50,14 +43,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CoordinateForm",
     "DenseSymmetric",
     "EmptyProblemError",
     "FamilyKind",
     "FamilyMismatchError",
     "GapStatistics",
     "InternalConsistencyError",
-    "InverseCovariance",
     "MagnitudeError",
     "ParameterDomainError",
     "PolynomialFamily",
@@ -66,21 +57,20 @@ __all__ = [
     "SharpnessSummary",
     "SingularConfigurationError",
     "SymTridiagonal",
+    "bound_set",
+    "build_S",
     "compute_roots",
     "evaluate_with_derivative",
     "gap_statistics",
     "hermite",
-    "hermite_S",
     "hermite_diag_bound",
+    "interaction_sums",
     "jacobi",
-    "jacobi_S",
     "jacobi_bounds",
-    "jacobi_comparator",
     "jacobi_matrix",
     "laguerre",
-    "laguerre_S",
     "laguerre_bounds",
-    "laguerre_comparators",
+    "laguerre_sqrt_r_S",
     "sharpness_summary",
     "to_sqrt_coordinates",
     "trace_power",

@@ -54,18 +54,21 @@ Jacobi (comparator, asymptotic leading term, alpha, beta > -1/2):
 
 Comparator reports never gate anything; a nonpositive comparator bound is
 marked ``vacuous`` and a formula outside its parameter domain is marked
-``not-applicable``.  :func:`bound_set` returns every derived and
-comparator report of a root vector's family.
+``not-applicable``.
 
-Each public bound function writes its bound set as one list of rows
-``(bound_id, bound, observed[, note])`` and hands it to one expander,
-``_expand``.  A row whose two sides are scalars gives one report with
-``index=None``; a row with an array side (per-root sums, gaps, boundary
-products) gives one report per entry, indices ``1..k``, with the scalar
-side repeated as one shared float, so the gap rows give no report at
-``N = 1``.  The comparator flag comes from the id: the comparator ids are
-the left column of the comparator/derived pairs that the sharpness
-summary compares.
+Each family has one bound function, :func:`hermite_diag_bound`,
+:func:`laguerre_bounds` and :func:`jacobi_bounds`, which reads the
+family's ``(lin, cross)`` from ``covariance.interaction_sums`` and returns
+every derived and comparator report of the family; :func:`bound_set`
+picks the function of a root vector's family.  Each writes its bound set
+as one list of rows ``(bound_id, bound, observed[, note])`` and hands it
+to one expander, ``_expand``.  A row whose two sides are scalars gives
+one report with ``index=None``; a row with an array side (per-root sums,
+gaps, boundary products) gives one report per entry, indices ``1..k``,
+with the scalar side repeated as one shared float, so the gap rows give
+no report at ``N = 1``.  The comparator flag comes from the id: the
+comparator ids are the left column of the comparator/derived pairs that
+the sharpness summary compares.
 
 A report is a ``BoundReport``, an immutable named tuple of Python values
 that the expander builds with ``_make``: a default sweep builds tens of
@@ -84,11 +87,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .covariance import (
-    hermite_interaction_sums,
-    jacobi_interaction_sums,
-    laguerre_interaction_sums,
-)
+from .covariance import interaction_sums
 from .errors import ParameterDomainError
 from .families import FamilyKind
 from .roots import RootVector, require_kind
@@ -173,7 +172,7 @@ def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
     n = z.n
     if n < 2:
         raise ParameterDomainError("Hermite bounds need N >= 2")
-    inv2, inv4 = hermite_interaction_sums(z.roots)
+    inv2, inv4 = interaction_sums(z)
     gaps = z.roots[:-1] - z.roots[1:]
     return _expand([
         ("hermite-diag-sq", inv2 * inv2 + inv4, (n - 1) ** 3 / n),
@@ -185,14 +184,16 @@ def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
 
 
 def laguerre_bounds(z: RootVector) -> list[BoundReport]:
-    """Derived Laguerre bounds: diagonal caps, smallest-root floor, and the
-    three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale)."""
+    """Laguerre bounds: the derived diagonal caps, smallest-root floor and
+    three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale), and
+    the literature comparators (informational)."""
     require_kind(z, FamilyKind.LAGUERRE)
     n = z.n
-    nu = float(z.family.nu)
-    lin, cross = laguerre_interaction_sums(z.roots, nu)
+    (nu,) = z.family.parameters()
+    lin, cross = interaction_sums(z)
     two_n1 = 2.0 * n - 1.0
     gaps = z.roots[:-1] - z.roots[1:]
+    smallest = float(z.roots[-1])
     if nu >= 1.0:
         q = two_n1**2 * (nu * nu - 1.0) ** 2 / (n + nu / 2.0) ** 2
         bessel_strong = (
@@ -211,28 +212,17 @@ def laguerre_bounds(z: RootVector) -> list[BoundReport]:
     strong = math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1
     weak = 2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1
     sqrt_gaps = np.sqrt(z.roots[:-1]) - np.sqrt(z.roots[1:])
+    cmp1 = (nu - 1.0) / math.sqrt((n + nu - 1.0) * n)
+    cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
+    cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
     return _expand([
         ("laguerre-diag-sq", lin * lin + cross, two_n1**2),
-        ("laguerre-min-root", nu / two_n1, float(z.roots[-1])),
+        ("laguerre-min-root", nu / two_n1, smallest),
         ("laguerre-gap-strong", strong, gaps),
         ("laguerre-gap-weak", weak, gaps),
         ("laguerre-gap-bessel-strong", bessel_strong, gaps, note),
         ("laguerre-gap-bessel-weak", bessel_weak, gaps, note),
         ("laguerre-sqrt-gap", 1.0 / math.sqrt(two_n1), sqrt_gaps),
-    ])
-
-
-def laguerre_comparators(z: RootVector) -> list[BoundReport]:
-    """Literature comparator bounds for Laguerre roots (informational)."""
-    require_kind(z, FamilyKind.LAGUERRE)
-    n = z.n
-    nu = float(z.family.nu)
-    gaps = z.roots[:-1] - z.roots[1:]
-    smallest = float(z.roots[-1])
-    cmp1 = (nu - 1.0) / math.sqrt((n + nu - 1.0) * n)
-    cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
-    cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
-    return _expand([
         ("laguerre-min-root-bessel", (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)), smallest),
         ("laguerre-gap-comparator-1", cmp1, gaps),
         ("laguerre-gap-comparator-2", cmp2, gaps),
@@ -241,13 +231,18 @@ def laguerre_comparators(z: RootVector) -> list[BoundReport]:
 
 
 def jacobi_bounds(z: RootVector) -> list[BoundReport]:
-    """Derived Jacobi bounds: diagonal caps, the two boundary-distance
-    floors, the boundary-product floors, and the gap floors."""
+    """Jacobi bounds: the derived diagonal caps, the two boundary-distance
+    floors, the boundary-product floors and the gap floors, and the
+    asymptotic leading-term comparator for the upper boundary distance.
+
+    The comparator is only meaningful for ``alpha, beta > -1/2``; the
+    dropped ``o(1/N^2)`` term means it never gates anything.
+    """
     require_kind(z, FamilyKind.JACOBI)
     n = z.n
-    alpha, beta = float(z.family.alpha), float(z.family.beta)
+    alpha, beta = z.family.parameters()
     big_m = float(z.family.spec.spectrum(z.family, n)[-1])
-    lin, cross = jacobi_interaction_sums(z.roots, alpha, beta)
+    lin, cross = interaction_sums(z)
     disc = math.sqrt(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0))
     upper = 1.0 - float(z.roots[-1])
     lower = 1.0 + float(z.roots[0])
@@ -276,32 +271,20 @@ def jacobi_bounds(z: RootVector) -> list[BoundReport]:
             ("jacobi-boundary-product-symmetric", floor_sym, width),
             ("jacobi-gap-symmetric", gap_sym, gaps),
         ]
-    return _expand(rows)
-
-
-def jacobi_comparator(z: RootVector) -> BoundReport:
-    """Asymptotic leading-term comparator for the upper boundary distance.
-
-    Only meaningful for ``alpha, beta > -1/2``; the dropped ``o(1/N^2)``
-    term means this never gates anything.
-    """
-    require_kind(z, FamilyKind.JACOBI)
-    alpha, beta = float(z.family.alpha), float(z.family.beta)
-    upper = 1.0 - float(z.roots[-1])
     if alpha <= -0.5 or beta <= -0.5:
-        row = ("jacobi-upper-edge-asymptotic", math.nan, upper, "not-applicable")
+        rows.append(("jacobi-upper-edge-asymptotic", math.nan, upper, "not-applicable"))
     else:
-        value = alpha * (alpha + 2.0) / (2.0 * (z.n + (alpha + beta + 1.0) / 2.0) ** 2)
-        row = ("jacobi-upper-edge-asymptotic", value, upper)
-    return _expand([row])[0]
+        asymptotic = alpha * (alpha + 2.0) / (2.0 * (n + (alpha + beta + 1.0) / 2.0) ** 2)
+        rows.append(("jacobi-upper-edge-asymptotic", asymptotic, upper))
+    return _expand(rows)
 
 
 # Each family's bound set; the lambdas look the functions up at call time,
 # so wrappers installed on this module's attributes see every call.
 _BOUND_SETS = {
     FamilyKind.HERMITE: lambda z: hermite_diag_bound(z),
-    FamilyKind.LAGUERRE: lambda z: laguerre_bounds(z) + laguerre_comparators(z),
-    FamilyKind.JACOBI: lambda z: jacobi_bounds(z) + [jacobi_comparator(z)],
+    FamilyKind.LAGUERRE: lambda z: laguerre_bounds(z),
+    FamilyKind.JACOBI: lambda z: jacobi_bounds(z),
 }
 
 

@@ -62,12 +62,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .covariance import (
-    CoordinateForm,
     build_S,
     diag_square_residual,
     eigenbasis,
     interaction_sums,
-    laguerre_S,
+    laguerre_sqrt_r_S,
 )
 from .eigensolve import DenseSymmetric, enclose_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
@@ -155,8 +154,8 @@ def _roots_point(rv: RootVector, basis: None, tol: float | None, corrupt: bool) 
 
 def _verify_point(rv: RootVector, basis: np.ndarray, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
     fam, n = rv.family, rv.n
-    cov = build_S(rv)
-    matrix = cov.matrix.entries
+    s = build_S(rv).entries
+    matrix = s
     if corrupt:
         matrix = matrix.copy()
         j = min(1, n - 1)
@@ -167,7 +166,8 @@ def _verify_point(rv: RootVector, basis: np.ndarray, tol: float | None, corrupt:
     # the closed-form eigenbasis encloses the eigenvalues of the matrix as
     # given, so a corrupted copy fails here without being diagonalized
     centers, radii = enclose_eigenvalues(DenseSymmetric(matrix), basis)
-    spectral_err = float(np.max((np.abs(centers - cov.predicted) + radii) / cov.predicted))
+    predicted = fam.spec.spectrum(fam, n)
+    spectral_err = float(np.max((np.abs(centers - predicted) + radii) / predicted))
     spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
     checks.append(("spectrum-match", spectral_err, spectral_tol))
 
@@ -182,9 +182,8 @@ def _verify_point(rv: RootVector, basis: np.ndarray, tol: float | None, corrupt:
         square = float(diag_square.sum())
         checks.append(("trace-identity-square", _rel_defect(square, square_target), ident_tol))
     if fam.kind is FamilyKind.LAGUERRE:
-        alt = laguerre_S(rv, CoordinateForm.SQRT_R)
-        scale = np.maximum(np.abs(cov.matrix.entries), np.abs(alt.matrix.entries))
-        diff = np.abs(cov.matrix.entries - alt.matrix.entries) / np.maximum(scale, _TINY)
+        alt = laguerre_sqrt_r_S(rv).entries
+        diff = np.abs(s - alt) / np.maximum(np.maximum(np.abs(s), np.abs(alt)), _TINY)
         checks.append(("coordinate-forms-match", float(diff.max()), 1e-13 if tol is None else tol))
     diag_resid = diag_square_residual(matrix, fam.spec.shift, diag_square)
     checks.append(("diag-square-consistency", diag_resid, ident_tol))

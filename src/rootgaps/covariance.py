@@ -1,18 +1,28 @@
 """Inverse covariance matrices of the freezing-limit Gaussians.
 
 For each family the matrix ``S_N`` is built entrywise from the roots of
-``P_N`` and carries a closed-form spectrum:
+``P_N`` with one pattern: the off-diagonal is
 
-* Hermite:   ``s_ii = 1 + sum_{l!=i} (z_i - z_l)^-2``,
-  ``s_ij = -(z_i - z_j)^-2``; eigenvalues ``1, 2, ..., N``.
-* Laguerre:  ``s_ii = 1 + nu/z_i + 2 sum_{l!=i} (z_i + z_l)/(z_i - z_l)^2``,
-  ``s_ij = -4 sqrt(z_i z_j)/(z_i - z_j)^2``; eigenvalues ``2, 4, ..., 2N``.
-  An equivalent form on the scale ``r_i = sqrt(2 z_i)`` is available and
-  must agree entrywise.
-* Jacobi:    ``s_ii = 4 sum_{l!=i} (1 - z_i^2)/(z_i - z_l)^2
-  + 2(alpha+1)(1+z_i)/(1-z_i) + 2(beta+1)(1-z_i)/(1+z_i)``,
-  ``s_ij = -4 sqrt((1-z_i^2)(1-z_j^2))/(z_i - z_j)^2``; eigenvalues
+    ``s_ij = -sqrt(d_i d_j) / (z_i - z_j)^2``
+
+with the weight ``d = 1, 4z, 4(1 - z^2)`` for Hermite, Laguerre and
+Jacobi, and the diagonal is ``s_ii = shift + lin_i``, the family's shift
+(``FamilySpec.shift``: 1 for Hermite and Laguerre, 0 for Jacobi) plus the
+diagonal ``lin`` of ``S_N - shift I``:
+
+* Hermite:   ``lin_i = sum_{l!=i} (z_i - z_l)^-2``; eigenvalues ``1, 2, ..., N``.
+* Laguerre:  ``lin_i = nu/z_i + 2 sum_{l!=i} (z_i + z_l)/(z_i - z_l)^2``;
+  eigenvalues ``2, 4, ..., 2N``.  An equivalent form on the scale
+  ``r_i = sqrt(2 z_i)`` (:func:`laguerre_sqrt_r_S`) must agree entrywise.
+* Jacobi:    ``lin_i = 4 sum_{l!=i} (1 - z_i^2)/(z_i - z_l)^2
+  + 2(alpha+1)(1+z_i)/(1-z_i) + 2(beta+1)(1-z_i)/(1+z_i)``; eigenvalues
   ``2j(2N + alpha + beta + 1 - j)``.
+
+The two terms of each family, ``d`` and ``lin``, are one row of a
+kind-keyed table that :func:`build_S` and :func:`interaction_sums` both
+read, so each formula above is written once.  The row sums of the squared
+off-diagonal are ``cross_i = sum_{l!=i} d_i d_l / (z_i - z_l)^4``, and
+``lin**2 + cross`` is the diagonal of ``(S_N - shift I)^2``.
 
 The Hermite and Laguerre ``N = 1`` matrices are the natural trivial
 extensions ``[[1]]`` and ``[[2]]`` with spectra ``{1}`` and ``{2}``.
@@ -21,47 +31,23 @@ The eigenvectors are known in closed form too; :func:`eigenbasis` builds
 them from the roots of a whole batch of points, one Lanczos per order,
 each point's basis independent of the batch; a last column that the
 Lanczos loses to rounding is taken from the complement of the others.
-
-The spectra, and the shift (``I`` for Hermite and Laguerre, none for
-Jacobi) under which the trace and diagonal-of-square identities are
-stated, come from the family's ``FamilySpec`` row.  :func:`build_S` and
-:func:`interaction_sums` reach the per-family builders and sums through
-one kind-keyed table.
-
-A builder returns an :class:`InverseCovariance`: the roots, the matrix and
-the read-only predicted spectrum.  Its family and ``N`` are those of the
-roots, which ``RootVector`` keeps inside the orthogonality interval.
+The spectra, and the shift under which the trace and diagonal-of-square
+identities are stated, come from the family's ``FamilySpec`` row.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterDomainError, SingularConfigurationError
+from .errors import SingularConfigurationError
 from .eigensolve import DenseSymmetric
 from .families import FamilyKind
-from .roots import RootVector, require_kind, to_sqrt_coordinates
+from .roots import RootVector, to_sqrt_coordinates
 
 _TINY = float(np.finfo(float).tiny)
 _SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
-
-
-class CoordinateForm(Enum):
-    Z = "z"
-    SQRT_R = "sqrt-r"
-
-
-@dataclass(frozen=True)
-class InverseCovariance:
-    """``S_N``, the roots it was built from, and its read-only predicted spectrum."""
-
-    roots: RootVector
-    matrix: DenseSymmetric
-    predicted: np.ndarray
 
 
 def _pair_differences(z: np.ndarray) -> np.ndarray:
@@ -77,133 +63,71 @@ def _pair_differences(z: np.ndarray) -> np.ndarray:
     return diff
 
 
-def hermite_interaction_sums(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums ``sum_{l!=i} (z_i-z_l)^-2`` and ``sum_{l!=i} (z_i-z_l)^-4``."""
-    diff = _pair_differences(np.asarray(z, dtype=float))
-    inv2 = 1.0 / (diff * diff)
-    return inv2.sum(axis=1), (inv2 * inv2).sum(axis=1)
-
-
-def laguerre_interaction_sums(z: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of ``S_N - I`` and row sums of its squared off-diagonal.
-
-    Returns ``(lin, cross)`` with
-    ``lin_i = nu/z_i + 2 sum_{l!=i} (z_i+z_l)/(z_i-z_l)^2`` and
-    ``cross_i = 16 sum_{l!=i} z_i z_l / (z_i-z_l)^4``.
-    """
-    z = np.asarray(z, dtype=float)
-    diff = _pair_differences(z)
-    inv2 = 1.0 / (diff * diff)
-    lin = nu / z + 2.0 * ((z[:, None] + z[None, :]) * inv2).sum(axis=1)
-    cross = 16.0 * (np.outer(z, z) * inv2 * inv2).sum(axis=1)
-    return lin, cross
-
-
-def jacobi_interaction_sums(
-    z: np.ndarray, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of the Jacobi ``S_N`` and row sums of its squared off-diagonal."""
-    z = np.asarray(z, dtype=float)
-    diff = _pair_differences(z)
-    w = 1.0 - z * z
-    inv2 = 1.0 / (diff * diff)
-    lin = (
-        4.0 * (w[:, None] * inv2).sum(axis=1)
+def _jacobi_lin(z, d, inv2, alpha, beta):
+    return (
+        (d[:, None] * inv2).sum(axis=1)
         + 2.0 * (alpha + 1.0) * (1.0 + z) / (1.0 - z)
         + 2.0 * (beta + 1.0) * (1.0 - z) / (1.0 + z)
     )
-    cross = 16.0 * (np.outer(w, w) * inv2 * inv2).sum(axis=1)
-    return lin, cross
 
 
-def _inverse_covariance(z: RootVector, matrix: np.ndarray) -> InverseCovariance:
-    """Wrap an ``S_N`` ``matrix`` with the predicted spectrum of ``z``'s family."""
-    predicted = z.family.spec.spectrum(z.family, z.n)
-    predicted.setflags(write=False)
-    return InverseCovariance(z, DenseSymmetric(matrix), predicted)
+# Each family's weight d(z) and the diagonal lin(z, d, inv2, *parameters)
+# of S_N - shift I, where inv2 = (z_i - z_l)^-2 with a zero diagonal.
+_TERMS = {
+    FamilyKind.HERMITE: (np.ones_like, lambda z, d, inv2: inv2.sum(axis=1)),
+    FamilyKind.LAGUERRE: (
+        lambda z: 4.0 * z,
+        lambda z, d, inv2, nu: nu / z + 2.0 * ((z[:, None] + z[None, :]) * inv2).sum(axis=1),
+    ),
+    FamilyKind.JACOBI: (lambda z: 4.0 * (1.0 - z * z), _jacobi_lin),
+}
 
 
-def hermite_S(z: RootVector) -> InverseCovariance:
-    """Hermite inverse covariance with predicted spectrum ``1..N``."""
-    require_kind(z, FamilyKind.HERMITE)
-    diff = _pair_differences(z.roots)
-    inv2 = 1.0 / (diff * diff)
-    matrix = -inv2
-    np.fill_diagonal(matrix, 1.0 + inv2.sum(axis=1))
-    return _inverse_covariance(z, matrix)
-
-
-def laguerre_S(z: RootVector, coordinate: CoordinateForm = CoordinateForm.Z) -> InverseCovariance:
-    """Laguerre inverse covariance with predicted spectrum ``2, 4, ..., 2N``.
-
-    ``coordinate`` selects the entry formulas: ``Z`` writes them in the
-    roots themselves, ``SQRT_R`` in ``r_i = sqrt(2 z_i)``.  The two forms
-    are algebraically identical entry by entry.
-    """
-    require_kind(z, FamilyKind.LAGUERRE)
-    if not isinstance(coordinate, CoordinateForm):
-        raise ParameterDomainError(f"unknown coordinate form {coordinate!r}")
-    nu = float(z.family.nu)
-    roots = z.roots
-    if coordinate is CoordinateForm.Z:
-        diff = _pair_differences(roots)
-        inv2 = 1.0 / (diff * diff)
-        matrix = -4.0 * np.sqrt(np.outer(roots, roots)) * inv2
-        np.fill_diagonal(
-            matrix, 1.0 + nu / roots + 2.0 * ((roots[:, None] + roots[None, :]) * inv2).sum(axis=1)
-        )
-    else:
-        r = to_sqrt_coordinates(z)
-        dminus = _pair_differences(r)
-        inv_minus = 1.0 / (dminus * dminus)
-        dplus = r[:, None] + r[None, :]
-        inv_plus = 1.0 / (dplus * dplus)
-        # 2 (inv_plus - inv_minus) as one product, which does not cancel
-        # when r_j / r_i is below rounding
-        matrix = -8.0 * np.outer(r, r) * inv_minus * inv_plus
-        pair = inv_minus + inv_plus
-        np.fill_diagonal(pair, 0.0)
-        np.fill_diagonal(matrix, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=1))
-    return _inverse_covariance(z, matrix)
-
-
-def jacobi_S(z: RootVector) -> InverseCovariance:
-    """Jacobi inverse covariance with spectrum ``2j(2N+alpha+beta+1-j)``."""
-    require_kind(z, FamilyKind.JACOBI)
-    alpha, beta = float(z.family.alpha), float(z.family.beta)
+def _terms(z: RootVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, inv2, lin)`` for the family of ``z``."""
+    weight, lin = _TERMS[z.family.kind]
     roots = z.roots
     diff = _pair_differences(roots)
     inv2 = 1.0 / (diff * diff)
-    w = 1.0 - roots * roots
-    matrix = -4.0 * np.sqrt(np.outer(w, w)) * inv2
-    np.fill_diagonal(
-        matrix,
-        4.0 * (w[:, None] * inv2).sum(axis=1)
-        + 2.0 * (alpha + 1.0) * (1.0 + roots) / (1.0 - roots)
-        + 2.0 * (beta + 1.0) * (1.0 - roots) / (1.0 + roots),
-    )
-    return _inverse_covariance(z, matrix)
-
-
-# Per-family interaction sums and S_N builder, keyed by kind; every higher
-# layer reaches them through interaction_sums and build_S.
-_ROUTES = {
-    FamilyKind.HERMITE: (hermite_interaction_sums, hermite_S),
-    FamilyKind.LAGUERRE: (laguerre_interaction_sums, laguerre_S),
-    FamilyKind.JACOBI: (jacobi_interaction_sums, jacobi_S),
-}
+    d = weight(roots)
+    return d, inv2, lin(roots, d, inv2, *z.family.parameters())
 
 
 def interaction_sums(z: RootVector) -> tuple[np.ndarray, np.ndarray]:
     """``(lin, cross)`` for the family of ``z``: ``lin`` is the diagonal of
     the shifted ``S_N`` and ``cross`` the row sums of its squared
     off-diagonal, so ``lin**2 + cross`` is the diagonal of its square."""
-    return _ROUTES[z.family.kind][0](z.roots, *z.family.parameters())
+    d, inv2, lin = _terms(z)
+    return lin, (np.outer(d, d) * inv2 * inv2).sum(axis=1)
 
 
-def build_S(z: RootVector) -> InverseCovariance:
-    """``S_N`` for the family of ``z`` in its default coordinate form."""
-    return _ROUTES[z.family.kind][1](z)
+def build_S(z: RootVector) -> DenseSymmetric:
+    """``S_N`` for the family of ``z``; its predicted spectrum is
+    ``z.family.spec.spectrum(z.family, z.n)``."""
+    d, inv2, lin = _terms(z)
+    matrix = -np.sqrt(np.outer(d, d)) * inv2
+    np.fill_diagonal(matrix, z.family.spec.shift + lin)
+    return DenseSymmetric(matrix)
+
+
+def laguerre_sqrt_r_S(z: RootVector) -> DenseSymmetric:
+    """The Laguerre ``S_N`` written in ``r_i = sqrt(2 z_i)``, algebraically
+    identical to :func:`build_S` entry by entry:
+    ``s_ij = 2 (r_i + r_j)^-2 - 2 (r_i - r_j)^-2`` and
+    ``s_ii = 1 + 2 nu / r_i^2 + 2 sum_{l!=i} ((r_i - r_l)^-2 + (r_i + r_l)^-2)``."""
+    r = to_sqrt_coordinates(z)
+    (nu,) = z.family.parameters()
+    dminus = _pair_differences(r)
+    inv_minus = 1.0 / (dminus * dminus)
+    dplus = r[:, None] + r[None, :]
+    inv_plus = 1.0 / (dplus * dplus)
+    # 2 (inv_plus - inv_minus) as one product, which does not cancel
+    # when r_j / r_i is below rounding
+    matrix = -8.0 * np.outer(r, r) * inv_minus * inv_plus
+    pair = inv_minus + inv_plus
+    np.fill_diagonal(pair, 0.0)
+    np.fill_diagonal(matrix, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=1))
+    return DenseSymmetric(matrix)
 
 
 def eigenbasis(roots: Sequence[RootVector]) -> list[np.ndarray]:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FamilyMismatchError, InternalConsistencyError
+from .errors import FamilyMismatchError, InternalConsistencyError, SingularConfigurationError
 from .families import FamilyKind, PolynomialFamily, _check_order, _evaluate_scaled, jacobi_matrix
 
 _EPS = float(np.finfo(float).eps)
@@ -56,9 +56,11 @@ class RootVector:
             raise InternalConsistencyError(f"expected {self.n} roots, got {roots.size}")
         spec = self.family.spec
         diffs = np.diff(roots) if spec.ascending else -np.diff(roots)
-        if np.any(diffs <= 0.0):
+        if np.any(diffs < 0.0):
             order = "ascending" if spec.ascending else "descending"
-            raise InternalConsistencyError(f"roots are not strictly {order}")
+            raise InternalConsistencyError(f"roots are not {order}")
+        if np.any(diffs == 0.0):
+            raise SingularConfigurationError("neighbouring roots coincide in double precision")
         lo, hi = spec.domain
         if np.any(roots <= lo) or np.any(roots >= hi):
             raise InternalConsistencyError(

@@ -8,21 +8,20 @@ from functools import lru_cache
 import numpy as np
 
 from rootgaps import (
-    CoordinateForm,
     DenseSymmetric,
+    bound_set,
+    build_S,
     compute_roots,
     hermite,
     hermite_diag_bound,
+    interaction_sums,
     jacobi,
     jacobi_bounds,
-    jacobi_comparator,
     laguerre,
-    laguerre_S,
     laguerre_bounds,
-    laguerre_comparators,
+    laguerre_sqrt_r_S,
     trace_power,
 )
-from rootgaps.covariance import build_S, hermite_interaction_sums, laguerre_interaction_sums
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, ones_kernel_projection, random_symmetric
 
@@ -46,9 +45,9 @@ def roots_of(family, n):
 
 @lru_cache(maxsize=None)
 def spectrum_error(family, n):
-    cov = build_S(roots_of(family, n))
-    computed = np.linalg.eigvalsh(cov.matrix.entries)
-    return float(np.max(np.abs(computed - cov.predicted) / cov.predicted))
+    computed = np.linalg.eigvalsh(build_S(roots_of(family, n)).entries)
+    predicted = family.spec.spectrum(family, n)
+    return float(np.max(np.abs(computed - predicted) / predicted))
 
 
 def test_criterion_1_hermite_spectra():
@@ -72,8 +71,8 @@ def test_criterion_2_laguerre_spectra_and_coordinate_forms():
             worst_spec = max(worst_spec, err)
             ok = ok and err <= spectral_tolerance(n)
             rv = roots_of(fam, n)
-            base = laguerre_S(rv, CoordinateForm.Z).matrix.entries
-            alt = laguerre_S(rv, CoordinateForm.SQRT_R).matrix.entries
+            base = build_S(rv).entries
+            alt = laguerre_sqrt_r_S(rv).entries
             scale = np.maximum(np.maximum(np.abs(base), np.abs(alt)), _TINY)
             form_err = float(np.max(np.abs(base - alt) / scale))
             worst_form = max(worst_form, form_err)
@@ -101,7 +100,7 @@ def test_criterion_4_trace_identities():
     worst = 0.0
     ok = True
     for n in range(2, N_MAX + 1):
-        inv2, inv4 = hermite_interaction_sums(roots_of(hermite(), n).roots)
+        inv2, inv4 = interaction_sums(roots_of(hermite(), n))
         linear = float(inv2.sum())
         target = n * (n - 1) / 2.0
         err = abs(linear - target) / target
@@ -113,7 +112,7 @@ def test_criterion_4_trace_identities():
     for nu in LAGUERRE_NUS:
         fam = laguerre(nu)
         for n in range(1, N_MAX + 1):
-            lin, cross = laguerre_interaction_sums(roots_of(fam, n).roots, nu)
+            lin, cross = interaction_sums(roots_of(fam, n))
             # tr(S_N - I_N) = 1 + 3 + ... + (2N-1) = N^2
             linear = float(lin.sum())
             err = abs(linear - n * n) / (n * n)
@@ -125,15 +124,6 @@ def test_criterion_4_trace_identities():
     check(ok, f"criterion 4: trace identities hold, worst relative residual {worst:.3e}")
 
 
-def _all_reports(family, n):
-    rv = roots_of(family, n)
-    if family == hermite():
-        return hermite_diag_bound(rv)
-    if family.nu is not None:
-        return laguerre_bounds(rv) + laguerre_comparators(rv)
-    return jacobi_bounds(rv) + [jacobi_comparator(rv)]
-
-
 def test_criterion_5_bound_suite():
     families = [hermite()]
     families += [laguerre(nu) for nu in LAGUERRE_NUS]
@@ -143,7 +133,7 @@ def test_criterion_5_bound_suite():
     for fam in families:
         start = 2 if fam == hermite() else 1
         for n in range(start, N_MAX + 1):
-            for rep in _all_reports(fam, n):
+            for rep in bound_set(roots_of(fam, n)):
                 if rep.comparator or rep.note:
                     continue
                 checked += 1
@@ -224,23 +214,17 @@ def test_criterion_8_comparator_crossovers():
 
     failures = []
 
-    small = laguerre_bounds(roots_of(laguerre(0.1), 10)) + laguerre_comparators(
-        roots_of(laguerre(0.1), 10)
-    )
+    small = laguerre_bounds(roots_of(laguerre(0.1), 10))
     if not bound_of(small, "laguerre-gap-comparator-3") > bound_of(small, "laguerre-gap-strong"):
         failures.append("pi-comparator should win at nu=0.1")
-    large = laguerre_bounds(roots_of(laguerre(50.0), 10)) + laguerre_comparators(
-        roots_of(laguerre(50.0), 10)
-    )
+    large = laguerre_bounds(roots_of(laguerre(50.0), 10))
     if not bound_of(large, "laguerre-gap-comparator-3") < bound_of(large, "laguerre-gap-strong"):
         failures.append("pi-comparator should lose at nu=50")
 
     high = jacobi_bounds(roots_of(jacobi(5.0, 0.0), 30))
-    high.append(jacobi_comparator(roots_of(jacobi(5.0, 0.0), 30)))
     if not bound_of(high, "jacobi-upper-edge-asymptotic") > bound_of(high, "jacobi-upper-edge-strong"):
         failures.append("asymptotic comparator should win at alpha=5")
     low = jacobi_bounds(roots_of(jacobi(0.5, 0.5), 30))
-    low.append(jacobi_comparator(roots_of(jacobi(0.5, 0.5), 30)))
     if not bound_of(low, "jacobi-upper-edge-asymptotic") < bound_of(low, "jacobi-upper-edge-strong"):
         failures.append("asymptotic comparator should lose at alpha=0.5")
 

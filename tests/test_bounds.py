@@ -8,15 +8,13 @@ from rootgaps import (
     FamilyKind,
     FamilyMismatchError,
     ParameterDomainError,
+    bound_set,
     compute_roots,
     hermite,
     hermite_diag_bound,
     jacobi,
     jacobi_bounds,
-    jacobi_comparator,
     laguerre,
-    laguerre_bounds,
-    laguerre_comparators,
     sharpness_summary,
 )
 from rootgaps.bounds import _expand
@@ -25,20 +23,12 @@ from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
 
 def reports_for(family, n):
-    return reports_of(compute_roots(family, n))
-
-
-def reports_of(rv):
-    if rv.family.kind is FamilyKind.HERMITE:
-        return hermite_diag_bound(rv)
-    if rv.family.kind is FamilyKind.LAGUERRE:
-        return laguerre_bounds(rv) + laguerre_comparators(rv)
-    return jacobi_bounds(rv) + [jacobi_comparator(rv)]
+    return bound_set(compute_roots(family, n))
 
 
 def summary_for(family, n):
     rv = compute_roots(family, n)
-    return sharpness_summary(rv, reports_of(rv))
+    return sharpness_summary(rv, bound_set(rv))
 
 
 def by_id(reports, bound_id):
@@ -304,9 +294,13 @@ class TestJacobiBounds:
         )
 
     def test_comparator_markers(self):
-        vacuous = jacobi_comparator(compute_roots(jacobi(0.0, 0.0), 4))
+        def asymptotic(alpha, beta):
+            reports = jacobi_bounds(compute_roots(jacobi(alpha, beta), 4))
+            return by_id(reports, "jacobi-upper-edge-asymptotic")[0]
+
+        vacuous = asymptotic(0.0, 0.0)
         assert vacuous.note == "vacuous" and vacuous.bound_value == 0.0
-        outside = jacobi_comparator(compute_roots(jacobi(-0.5, -0.5), 4))
+        outside = asymptotic(-0.5, -0.5)
         assert outside.note == "not-applicable"
         assert math.isnan(outside.bound_value)
 

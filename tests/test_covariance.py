@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -6,16 +5,16 @@ import numpy as np
 import pytest
 
 from rootgaps import (
-    CoordinateForm,
+    FamilyKind,
     FamilyMismatchError,
     SingularConfigurationError,
+    build_S,
     compute_roots,
     hermite,
-    hermite_S,
+    interaction_sums,
     jacobi,
-    jacobi_S,
     laguerre,
-    laguerre_S,
+    laguerre_sqrt_r_S,
 )
 from rootgaps import RootVector, covariance
 from rootgaps.covariance import _pair_differences, eigenbasis
@@ -25,91 +24,81 @@ from rootgaps.eigensolve import enclose_eigenvalues
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
 
-def build_S(family, n):
-    return covariance.build_S(compute_roots(family, n))
+def spectrum(family, n):
+    return family.spec.spectrum(family, n)
 
 
-def spectral_error(cov):
-    computed = np.linalg.eigvalsh(cov.matrix.entries)
-    return float(np.max(np.abs(computed - cov.predicted) / cov.predicted))
+def covariance_of(family, n):
+    """The roots of ``P_n``, the entries of their ``S_N`` and its predicted
+    spectrum."""
+    rv = compute_roots(family, n)
+    return rv, build_S(rv).entries, spectrum(family, n)
+
+
+def spectral_error(family, n):
+    _, s, lam = covariance_of(family, n)
+    return float(np.max(np.abs(np.linalg.eigvalsh(s) - lam) / lam))
 
 
 def coordinate_form_error(rv):
     """Worst relative entrywise disagreement of the two Laguerre forms."""
-    base = laguerre_S(rv, CoordinateForm.Z).matrix.entries
-    alt = laguerre_S(rv, CoordinateForm.SQRT_R).matrix.entries
+    base = build_S(rv).entries
+    alt = laguerre_sqrt_r_S(rv).entries
     scale = np.maximum(np.maximum(np.abs(base), np.abs(alt)), np.finfo(float).tiny)
     return float(np.max(np.abs(base - alt) / scale))
-
-
-def spectrum(family, n):
-    return family.spec.spectrum(family, n)
 
 
 def max_eigenvalue(alpha, beta, n):
     return float(spectrum(jacobi(alpha, beta), n)[-1])
 
 
-def diag_of_square(cov):
+def diag_of_square(rv):
     """The diagonal of the squared shifted ``S_N`` from the interaction
     sums, and its worst relative disagreement with the explicit square."""
-    lin, cross = covariance.interaction_sums(cov.roots)
+    lin, cross = interaction_sums(rv)
     closed = lin * lin + cross
-    shift = cov.roots.family.spec.shift
-    return closed, covariance.diag_square_residual(cov.matrix.entries, shift, closed)
-
-
-def test_inverse_covariance_holds_roots_matrix_and_read_only_spectrum():
-    rv = compute_roots(laguerre(2.0), 5)
-    cov = laguerre_S(rv, CoordinateForm.SQRT_R)
-    assert [field.name for field in dataclasses.fields(cov)] == ["roots", "matrix", "predicted"]
-    assert cov.roots is rv
-    with pytest.raises(ValueError):
-        cov.predicted[0] = 0.0
+    shift = rv.family.spec.shift
+    return closed, covariance.diag_square_residual(build_S(rv).entries, shift, closed)
 
 
 class TestHermiteS:
     def test_n2_matrix_by_hand(self):
         # roots +-1/sqrt(2), squared distance 2, so off-diagonal -1/2
-        cov = hermite_S(compute_roots(hermite(), 2))
+        _, s, lam = covariance_of(hermite(), 2)
         expected = np.array([[1.5, -0.5], [-0.5, 1.5]])
-        np.testing.assert_allclose(cov.matrix.entries, expected, atol=1e-14)
-        np.testing.assert_array_equal(cov.predicted, [1.0, 2.0])
+        np.testing.assert_allclose(s, expected, atol=1e-14)
+        np.testing.assert_array_equal(lam, [1.0, 2.0])
         # 2x2 eigenvalues by hand: 3/2 -+ 1/2
-        np.testing.assert_allclose(np.linalg.eigvalsh(cov.matrix.entries), [1.0, 2.0], atol=1e-14)
+        np.testing.assert_allclose(np.linalg.eigvalsh(s), [1.0, 2.0], atol=1e-14)
 
     def test_n1_trivial_extension(self):
-        cov = hermite_S(compute_roots(hermite(), 1))
-        np.testing.assert_array_equal(cov.matrix.entries, [[1.0]])
-        np.testing.assert_array_equal(cov.predicted, [1.0])
+        _, s, lam = covariance_of(hermite(), 1)
+        np.testing.assert_array_equal(s, [[1.0]])
+        np.testing.assert_array_equal(lam, [1.0])
 
     def test_n3_spectrum(self):
-        assert spectral_error(build_S(hermite(), 3)) <= 1e-12
+        assert spectral_error(hermite(), 3) <= 1e-12
 
     def test_row_sums_are_one(self):
         # diagonal equals 1 plus the negated off-diagonal row magnitudes
         for n in (2, 5, 17, 40):
-            entries = build_S(hermite(), n).matrix.entries
+            _, entries, _ = covariance_of(hermite(), n)
             np.testing.assert_allclose(entries.sum(axis=1), np.ones(n), rtol=0, atol=1e-9)
             off = entries - np.diag(np.diag(entries))
             np.testing.assert_allclose(
                 np.diag(entries), 1.0 + np.abs(off).sum(axis=1), rtol=1e-12
             )
 
-    def test_rejects_other_families(self):
-        with pytest.raises(FamilyMismatchError):
-            hermite_S(compute_roots(laguerre(1.0), 2))
-
 
 class TestLaguerreS:
     def test_n1_is_two(self):
         for nu in LAGUERRE_NUS:
-            cov = laguerre_S(compute_roots(laguerre(nu), 1))
-            np.testing.assert_allclose(cov.matrix.entries, [[2.0]], rtol=1e-14)
-            np.testing.assert_array_equal(cov.predicted, [2.0])
+            _, s, lam = covariance_of(laguerre(nu), 1)
+            np.testing.assert_allclose(s, [[2.0]], rtol=1e-14)
+            np.testing.assert_array_equal(lam, [2.0])
 
     def test_n3_nu2_spectrum(self):
-        assert spectral_error(build_S(laguerre(2.0), 3)) <= 1e-12
+        assert spectral_error(laguerre(2.0), 3) <= 1e-12
 
     @pytest.mark.parametrize("nu", LAGUERRE_NUS)
     @pytest.mark.parametrize("n", (1, 2, 5, 20, 40))
@@ -135,32 +124,27 @@ class TestLaguerreS:
 
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatchError):
-            laguerre_S(compute_roots(hermite(), 2))
+            laguerre_sqrt_r_S(compute_roots(hermite(), 2))
 
 
 class TestJacobiS:
     @pytest.mark.parametrize("alpha,beta", JACOBI_PARAMS)
     def test_n1_scalar_value(self, alpha, beta):
-        cov = jacobi_S(compute_roots(jacobi(alpha, beta), 1))
+        _, s, lam = covariance_of(jacobi(alpha, beta), 1)
         expected = 2.0 * (alpha + beta + 2.0)
-        np.testing.assert_allclose(cov.matrix.entries, [[expected]], rtol=1e-12)
-        np.testing.assert_allclose(cov.predicted, [expected], rtol=1e-15)
+        np.testing.assert_allclose(s, [[expected]], rtol=1e-12)
+        np.testing.assert_allclose(lam, [expected], rtol=1e-15)
 
     def test_n2_legendre_spectrum(self):
-        cov = build_S(jacobi(0.0, 0.0), 2)
-        np.testing.assert_array_equal(cov.predicted, [8.0, 12.0])
-        assert spectral_error(cov) <= 1e-12
+        np.testing.assert_array_equal(spectrum(jacobi(0.0, 0.0), 2), [8.0, 12.0])
+        assert spectral_error(jacobi(0.0, 0.0), 2) <= 1e-12
 
     @pytest.mark.parametrize("alpha,beta", JACOBI_PARAMS)
     @pytest.mark.parametrize("n", (1, 3, 11, 40))
     def test_trace_matches_spectrum_sum(self, alpha, beta, n):
-        cov = build_S(jacobi(alpha, beta), n)
-        trace = float(np.trace(cov.matrix.entries))
-        assert abs(trace - float(cov.predicted.sum())) <= 1e-10 * abs(trace)
-
-    def test_rejects_other_families(self):
-        with pytest.raises(FamilyMismatchError):
-            jacobi_S(compute_roots(laguerre(1.0), 2))
+        _, s, lam = covariance_of(jacobi(alpha, beta), n)
+        trace = float(np.trace(s))
+        assert abs(trace - float(lam.sum())) <= 1e-10 * abs(trace)
 
 
 class TestPredictedSpectrum:
@@ -196,17 +180,17 @@ class TestMaxEigenvalue:
 class TestDiagOfSquare:
     def test_hermite_n2_by_hand(self):
         # (S - I)^2 has diagonal (1/2)^2 + (1/2)^2 = 1/2 at both indices
-        values, _ = diag_of_square(build_S(hermite(), 2))
+        values, _ = diag_of_square(compute_roots(hermite(), 2))
         np.testing.assert_allclose(values, [0.5, 0.5], rtol=1e-14)
 
     def test_laguerre_n1(self):
-        values, _ = diag_of_square(build_S(laguerre(2.0), 1))
+        values, _ = diag_of_square(compute_roots(laguerre(2.0), 1))
         np.testing.assert_allclose(values, [1.0], rtol=1e-13)
 
     @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
     @pytest.mark.parametrize("n", (1, 2, 3, 7, 10))
     def test_two_routes_agree(self, family, n):
-        values, residual = diag_of_square(build_S(family, n))
+        values, residual = diag_of_square(compute_roots(family, n))
         assert residual <= 1e-10
         assert np.all(values >= 0.0)
 
@@ -214,10 +198,7 @@ class TestDiagOfSquare:
 class TestTraceIdentities:
     @pytest.mark.parametrize("n", (2, 3, 10, 27, 40))
     def test_hermite_identities(self, n):
-        from rootgaps.covariance import hermite_interaction_sums
-
-        roots = compute_roots(hermite(), n).roots
-        inv2, inv4 = hermite_interaction_sums(roots)
+        inv2, inv4 = interaction_sums(compute_roots(hermite(), n))
         linear = float(inv2.sum())
         assert abs(linear - n * (n - 1) / 2.0) <= 1e-10 * max(1.0, linear)
         square = float((inv2**2 + inv4).sum())
@@ -227,10 +208,7 @@ class TestTraceIdentities:
     @pytest.mark.parametrize("nu", LAGUERRE_NUS)
     @pytest.mark.parametrize("n", (1, 2, 10, 40))
     def test_laguerre_identities(self, nu, n):
-        from rootgaps.covariance import laguerre_interaction_sums
-
-        roots = compute_roots(laguerre(nu), n).roots
-        lin, cross = laguerre_interaction_sums(roots, nu)
+        lin, cross = interaction_sums(compute_roots(laguerre(nu), n))
         # the linear sum is tr(S - I), the sum of the odd spectrum 1, 3, ..., 2N-1
         linear = float(lin.sum())
         assert abs(linear - n * n) <= 1e-10 * n * n
@@ -244,7 +222,7 @@ class TestSpectralMatchSweep:
     @pytest.mark.parametrize("n", (2, 5, 12, 20, 29, 40))
     def test_spectrum_matches_prediction(self, family, n):
         tol = 1e-8 if n <= 20 else 1e-6
-        assert spectral_error(build_S(family, n)) <= tol
+        assert spectral_error(family, n) <= tol
 
 
 EIGENBASIS_FAMILIES = [
@@ -261,7 +239,7 @@ def root_sensitivity(rv, s):
     errors reach ``S``."""
     d = 2.0**-40
     moved = rv.roots * (1.0 + d * (-1.0) ** np.arange(rv.n))
-    shifted = covariance.build_S(RootVector(rv.family, rv.n, moved)).matrix.entries
+    shifted = build_S(RootVector(rv.family, rv.n, moved)).entries
     return np.linalg.norm(shifted - s, 2) / (d * np.linalg.norm(s, 2))
 
 
@@ -271,8 +249,7 @@ class TestEigenbasis:
     @pytest.mark.parametrize("n", (1, 2, 10, 40, 200))
     @pytest.mark.parametrize("family", EIGENBASIS_FAMILIES, ids=lambda fam: fam.label())
     def test_eigenbasis_residual_at_rounding_level(self, family, n):
-        cov = build_S(family, n)
-        rv, s, lam = cov.roots, cov.matrix.entries, cov.predicted
+        rv, s, lam = covariance_of(family, n)
         (q,) = eigenbasis([rv])
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= n * EPS
         # each column is an eigenvector of S at the exact roots; roots a few
@@ -286,14 +263,15 @@ class TestEigenbasis:
     @pytest.mark.parametrize("n", (1, 2, 10, 40, 200))
     @pytest.mark.parametrize("family", EIGENBASIS_FAMILIES, ids=lambda fam: fam.label())
     def test_enclosure_holds_eigvalsh(self, family, n):
-        cov = build_S(family, n)
-        (basis,) = eigenbasis([cov.roots])
-        centers, radii = enclose_eigenvalues(cov.matrix, basis)
+        rv = compute_roots(family, n)
+        s = build_S(rv)
+        (basis,) = eigenbasis([rv])
+        centers, radii = enclose_eigenvalues(s, basis)
         # disjoint residual intervals stay disjoint at the Kato-Temple radii
         assert np.all(centers[1:] - radii[1:] > centers[:-1] + radii[:-1])
         # eigvalsh is itself within n eps ||S|| of the true eigenvalues
-        slack = n * EPS * np.linalg.norm(cov.matrix.entries, 2)
-        lam = np.linalg.eigvalsh(cov.matrix.entries)
+        slack = n * EPS * np.linalg.norm(s.entries, 2)
+        lam = np.linalg.eigvalsh(s.entries)
         assert np.all(np.abs(lam - centers) <= radii + slack)
 
 
@@ -356,18 +334,138 @@ class TestBatchedEigenbasis:
         # omega = sqrt(z) spans more than 1e50 here, so z times the
         # next-to-last column carries the smallest root only below the
         # underflow level and the last column comes from the complement
-        cov = build_S(laguerre(nu), n)
-        (basis,) = eigenbasis([cov.roots])
+        rv = compute_roots(laguerre(nu), n)
+        s = build_S(rv)
+        (basis,) = eigenbasis([rv])
         assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= n * EPS
-        centers, radii = enclose_eigenvalues(cov.matrix, basis)
-        slack = n * EPS * np.linalg.norm(cov.matrix.entries, 2)
-        lam = np.linalg.eigvalsh(cov.matrix.entries)
+        centers, radii = enclose_eigenvalues(s, basis)
+        slack = n * EPS * np.linalg.norm(s.entries, 2)
+        lam = np.linalg.eigvalsh(s.entries)
         assert np.all(np.abs(lam - centers) <= radii + slack)
         # the `spectrum-match` value of `verify`, against its tolerance
-        value = np.max((np.abs(centers - cov.predicted) + radii) / cov.predicted)
+        predicted = spectrum(laguerre(nu), n)
+        value = np.max((np.abs(centers - predicted) + radii) / predicted)
         assert value <= (1e-8 if n <= 20 else 1e-6)
 
 
 def test_coincident_roots_are_singular():
     with pytest.raises(SingularConfigurationError):
         _pair_differences(np.array([1.0, 1.0, 2.0]))
+
+
+# The per-family builders and interaction sums that the one build_S and the
+# one interaction_sums replaced, kept as their references: each writes its
+# family's entries in its own formulas.
+
+
+def reference_hermite_S(roots):
+    diff = _pair_differences(roots)
+    inv2 = 1.0 / (diff * diff)
+    matrix = -inv2
+    np.fill_diagonal(matrix, 1.0 + inv2.sum(axis=1))
+    return matrix
+
+
+def reference_laguerre_S(roots, nu):
+    diff = _pair_differences(roots)
+    inv2 = 1.0 / (diff * diff)
+    matrix = -4.0 * np.sqrt(np.outer(roots, roots)) * inv2
+    np.fill_diagonal(
+        matrix, 1.0 + nu / roots + 2.0 * ((roots[:, None] + roots[None, :]) * inv2).sum(axis=1)
+    )
+    return matrix
+
+
+def reference_jacobi_S(roots, alpha, beta):
+    diff = _pair_differences(roots)
+    inv2 = 1.0 / (diff * diff)
+    w = 1.0 - roots * roots
+    matrix = -4.0 * np.sqrt(np.outer(w, w)) * inv2
+    np.fill_diagonal(
+        matrix,
+        4.0 * (w[:, None] * inv2).sum(axis=1)
+        + 2.0 * (alpha + 1.0) * (1.0 + roots) / (1.0 - roots)
+        + 2.0 * (beta + 1.0) * (1.0 - roots) / (1.0 + roots),
+    )
+    return matrix
+
+
+def reference_hermite_sums(z):
+    diff = _pair_differences(z)
+    inv2 = 1.0 / (diff * diff)
+    return inv2.sum(axis=1), (inv2 * inv2).sum(axis=1)
+
+
+def reference_laguerre_sums(z, nu):
+    diff = _pair_differences(z)
+    inv2 = 1.0 / (diff * diff)
+    lin = nu / z + 2.0 * ((z[:, None] + z[None, :]) * inv2).sum(axis=1)
+    cross = 16.0 * (np.outer(z, z) * inv2 * inv2).sum(axis=1)
+    return lin, cross
+
+
+def reference_jacobi_sums(z, alpha, beta):
+    diff = _pair_differences(z)
+    w = 1.0 - z * z
+    inv2 = 1.0 / (diff * diff)
+    lin = (
+        4.0 * (w[:, None] * inv2).sum(axis=1)
+        + 2.0 * (alpha + 1.0) * (1.0 + z) / (1.0 - z)
+        + 2.0 * (beta + 1.0) * (1.0 - z) / (1.0 + z)
+    )
+    cross = 16.0 * (np.outer(w, w) * inv2 * inv2).sum(axis=1)
+    return lin, cross
+
+
+REFERENCES = {
+    FamilyKind.HERMITE: (reference_hermite_S, reference_hermite_sums),
+    FamilyKind.LAGUERRE: (reference_laguerre_S, reference_laguerre_sums),
+    FamilyKind.JACOBI: (reference_jacobi_S, reference_jacobi_sums),
+}
+
+# off the default grid: near-singular Jacobi, large and tiny nu
+REFERENCE_STRESS = [
+    (jacobi(-0.999, -0.999), 200), (laguerre(1000.0), 300),
+    (laguerre(1e-300), 40), (jacobi(-0.9999, 5.0), 300),
+]
+
+
+@functools.cache
+def reference_roots():
+    """Every default-grid point (12 families, N = 1..40) and the stress
+    points, their roots in one batch."""
+    points = [(family, n) for family in all_families() for n in range(1, 41)]
+    return compute_roots_many(points + REFERENCE_STRESS)
+
+
+class TestSingleRouteMatchesReference:
+    """``build_S`` and ``interaction_sums`` against the per-family
+    builders and sums they replaced: bit for bit, except the Laguerre
+    diagonal, which adds ``1 + (nu/z + 2 sum)`` where the reference adds
+    ``(1 + nu/z) + 2 sum``, a difference of at most one rounding."""
+
+    def test_batch_covers_the_grid_and_the_stress_points(self):
+        assert len(reference_roots()) == 12 * 40 + len(REFERENCE_STRESS)
+
+    def test_sums_are_bit_equal(self):
+        for rv in reference_roots():
+            want = REFERENCES[rv.family.kind][1](rv.roots, *rv.family.parameters())
+            got = interaction_sums(rv)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (rv.family.label(), rv.n)
+
+    def test_off_diagonals_are_bit_equal(self):
+        for rv in reference_roots():
+            want = REFERENCES[rv.family.kind][0](rv.roots, *rv.family.parameters())
+            got = build_S(rv).entries
+            off = ~np.eye(rv.n, dtype=bool)
+            assert np.array_equal(got[off], want[off]), (rv.family.label(), rv.n)
+
+    def test_diagonals(self):
+        for rv in reference_roots():
+            want = np.diag(REFERENCES[rv.family.kind][0](rv.roots, *rv.family.parameters()))
+            got = np.diag(build_S(rv).entries)
+            if rv.family.kind is FamilyKind.LAGUERRE:
+                assert np.all(np.abs(got - want) <= EPS * np.abs(want)), (rv.family.label(), rv.n)
+            else:
+                assert np.array_equal(got, want), (rv.family.label(), rv.n)

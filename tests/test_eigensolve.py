@@ -159,13 +159,14 @@ class TestEncloseEigenvalues:
         # the corrupted Hermite N = 2 matrix of `verify --corrupt` is 1.5 I:
         # both residual intervals are the point 1.5, so they overlap, and a
         # Kato-Temple radius would be 0/0
-        s = build_S(compute_roots(hermite(), 2))
-        corrupted = s.matrix.entries.copy()
+        rv = compute_roots(hermite(), 2)
+        corrupted = build_S(rv).entries.copy()
         corrupted[0, 1] = corrupted[1, 0] = corrupted[0, 1] + 0.5
-        centers, radii = enclose_eigenvalues(DenseSymmetric(corrupted), eigenbasis([s.roots])[0])
+        centers, radii = enclose_eigenvalues(DenseSymmetric(corrupted), eigenbasis([rv])[0])
         assert not disjoint(centers, radii)
         assert np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))
-        value = np.max((np.abs(centers - s.predicted) + radii) / s.predicted)
+        predicted = np.array([1.0, 2.0])
+        value = np.max((np.abs(centers - predicted) + radii) / predicted)
         assert value == pytest.approx(0.5) and value > 1e-8
         # overlapping intervals keep the residuals as radii, where r^2 / gap
         # would be negative: both unit vectors give 2 +- 1, around 1 and 3

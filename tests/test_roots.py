@@ -8,6 +8,7 @@ from rootgaps import (
     FamilyMismatchError,
     InternalConsistencyError,
     RootVector,
+    SingularConfigurationError,
     compute_roots,
     gap_statistics,
     hermite,
@@ -128,21 +129,27 @@ class TestRootVectorChecks:
             RootVector(family, 6, rv.roots[::-1])
 
     @pytest.mark.parametrize(
-        "family,roots",
+        "family,roots,error",
         [
-            (hermite(), [1.0, 1.0]),
-            (laguerre(2.0), [3.0, 0.0]),
-            (laguerre(2.0), [3.0, -0.5]),
-            (jacobi(0.0, 0.0), [-1.0, 0.5]),
-            (jacobi(0.0, 0.0), [-0.5, 1.5]),
+            # equal neighbours are a singular configuration, not a broken order
+            (hermite(), [1.0, 1.0], SingularConfigurationError),
+            (laguerre(2.0), [3.0, 0.0], InternalConsistencyError),
+            (laguerre(2.0), [3.0, -0.5], InternalConsistencyError),
+            (jacobi(0.0, 0.0), [-1.0, 0.5], InternalConsistencyError),
+            (jacobi(0.0, 0.0), [-0.5, 1.5], InternalConsistencyError),
         ],
         ids=[
             "repeated", "laguerre-on-0", "laguerre-below-0", "jacobi-on-minus-1", "jacobi-above-1",
         ],
     )
-    def test_repeated_or_outside_roots_rejected(self, family, roots):
-        with pytest.raises(InternalConsistencyError):
+    def test_repeated_or_outside_roots_rejected(self, family, roots, error):
+        with pytest.raises(error):
             RootVector(family, 2, np.array(roots))
+
+    def test_coincident_computed_roots_are_singular(self):
+        # at nu = 1e32 the two smaller computed roots of P_3 are one double
+        with pytest.raises(SingularConfigurationError, match="coincide"):
+            compute_roots(laguerre(1e32), 3)
 
     def test_wrong_root_count_rejected(self):
         with pytest.raises(InternalConsistencyError):
