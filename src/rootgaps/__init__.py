@@ -30,8 +30,11 @@ from .roots import (
 )
 from .covariance import build_S, interaction_sums, laguerre_sqrt_r_S
 from .bounds import (
+    BoundColumns,
     BoundReport,
     SharpnessSummary,
+    bound_columns,
+    bound_rows,
     bound_set,
     hermite_diag_bound,
     jacobi_bounds,
@@ -42,6 +45,7 @@ from .bounds import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BoundColumns",
     "BoundReport",
     "DenseSymmetric",
     "EmptyProblemError",
@@ -57,6 +61,8 @@ __all__ = [
     "SharpnessSummary",
     "SingularConfigurationError",
     "SymTridiagonal",
+    "bound_columns",
+    "bound_rows",
     "bound_set",
     "build_S",
     "compute_roots",

@@ -59,31 +59,31 @@ marked ``vacuous`` and a formula outside its parameter domain is marked
 Each family has one bound function, :func:`hermite_diag_bound`,
 :func:`laguerre_bounds` and :func:`jacobi_bounds`, which reads the
 family's ``(lin, cross)`` from ``covariance.interaction_sums`` and returns
-every derived and comparator report of the family; :func:`bound_set`
-picks the function of a root vector's family.  Each writes its bound set
-as one list of rows ``(bound_id, bound, observed[, note])`` and hands it
-to one expander, ``_expand``.  A row whose two sides are scalars gives
-one report with ``index=None``; a row with an array side (per-root sums,
-gaps, boundary products) gives one report per entry, indices ``1..k``,
-with the scalar side repeated as one shared float, so the gap rows give
-no report at ``N = 1``.  The comparator flag comes from the id: the
-comparator ids are the left column of the comparator/derived pairs that
-the sharpness summary compares.
+the family's derived and comparator bounds as one list of rows
+``(bound_id, bound, observed[, note])``; :func:`bound_rows` picks the
+function of a root vector's family.  A row whose two sides are scalars
+gives one entry with ``index=None``; a row with an array side (per-root
+sums, gaps, boundary products) gives one entry per array element, indices
+``1..k``, with the scalar side repeated, so the gap rows give no entry at
+``N = 1``.  The comparator flag comes from the id: the comparator ids are
+the left column of the comparator/derived pairs that the sharpness
+summary compares.
 
-A report is a ``BoundReport``, an immutable named tuple of Python values
-that the expander builds with ``_make``: a default sweep builds tens of
-thousands of them, and a named tuple is several times cheaper to build
-than a frozen dataclass.  Its fields are the row the ``bounds`` command
-writes after its point key; the family and ``N`` are not copied into it
-but read from the root vector, which :func:`sharpness_summary` takes
-alongside the reports.
+:func:`bound_columns` turns a point's rows into columns, with no tuple
+per entry: the bound and observed values become two flat lists of Python
+floats, a scalar side one float object repeated, and ``slack``, ``holds``
+and ``sharpness`` come from one numpy pass over them.  The ``bounds``
+command writes its output from these columns, and the library's views
+are built from the same columns: :func:`bound_set`, a ``BoundReport`` per
+entry (an immutable named tuple, its fields the output row after the
+point key), and :func:`sharpness_summary`, which reads the family and
+``N`` from the root vector it takes alongside the columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,58 +133,114 @@ class BoundReport(NamedTuple):
     note: str = ""
 
 
-def _expand(rows: Iterable[tuple]) -> list[BoundReport]:
-    """Expand ``(bound_id, bound, observed[, note])`` rows into reports.
+class BoundColumns(NamedTuple):
+    """One point's bound set as columns.
 
-    Two scalar sides give one report with ``index=None``.  A row with one
-    array side gives one report per entry, indices ``1..k``, with the
-    scalar side repeated; an empty array side, such as the gaps at
-    ``N = 1``, gives no report.
+    ``rows`` holds the rows as ``(bound_id, bound, observed, note, count)``,
+    each side a float or the array of the row's ``count`` entries (one
+    array object for a side that several rows share, as the gaps);
+    ``count`` is ``None`` for a row of two scalars, which gives one entry
+    without an index.  The other fields hold one item per entry, the rows'
+    entries in turn, the values as Python floats.
     """
-    reports = []
-    make = BoundReport._make
+
+    rows: list[tuple]
+    bound_value: list[float]
+    observed_value: list[float]
+    slack: list[float]
+    holds: list[bool]
+    sharpness: list[float]
+
+    def spans(self) -> Iterator[tuple[tuple, int, int]]:
+        """Each row with the ``start`` and ``stop`` of its entries."""
+        start = 0
+        for row in self.rows:
+            stop = start + (1 if row[4] is None else row[4])
+            yield row, start, stop
+            start = stop
+
+    def entries(self) -> list[tuple]:
+        """One tuple per entry, its fields those of a ``BoundReport``."""
+        bound_id, index, comparator, note = [], [], [], []
+        for (row_id, _, _, row_note, count), start, stop in self.spans():
+            is_comparator = row_id in _COMPARATOR_IDS
+            bound_id += [row_id] * (stop - start)
+            index += [None] if count is None else range(1, count + 1)
+            comparator += [is_comparator] * (stop - start)
+            if is_comparator and not row_note:
+                # a comparator bound that is not positive carries no information
+                note += ["vacuous" if value <= 0.0 else "" for value in self.bound_value[start:stop]]
+            else:
+                note += [row_note] * (stop - start)
+        return list(zip(
+            bound_id, index, self.bound_value, self.observed_value, self.slack, self.holds,
+            self.sharpness, comparator, note,
+        ))
+
+    def violations(self) -> int:
+        """The number of entries of gating rows, neither comparators nor
+        annotated, that do not hold."""
+        return sum(
+            self.holds[start:stop].count(False)
+            for (bound_id, _, _, note, _), start, stop in self.spans()
+            if not note and bound_id not in _COMPARATOR_IDS
+        )
+
+
+def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
+    """The columns of the rows ``(bound_id, bound, observed[, note])``, in
+    their order.
+
+    ``slack = observed - bound``; the bound holds when the slack is at
+    least ``-1e-10 max(|bound|, 1)``, which a NaN side never is;
+    ``sharpness = observed / bound`` when the bound is positive, else NaN.
+    """
+    table, bound_value, observed_value = [], [], []
     for bound_id, bound, observed, *rest in rows:
-        comparator = bound_id in _COMPARATOR_IDS
-        note = rest[0] if rest else ""
         if isinstance(bound, np.ndarray):
-            entries = zip(count(1), bound.tolist(), repeat(float(observed)))
+            observed, count = float(observed), bound.size
+            bound_value += bound.tolist()
+            observed_value += [observed] * count
         elif isinstance(observed, np.ndarray):
-            entries = zip(count(1), repeat(float(bound)), observed.tolist())
+            bound, count = float(bound), observed.size
+            bound_value += [bound] * count
+            observed_value += observed.tolist()
         else:
-            entries = ((None, float(bound), float(observed)),)
-        for index, bound_value, observed_value in entries:
-            slack = observed_value - bound_value
-            # a NaN side makes the slack NaN, which fails the comparison
-            holds = slack >= -_HOLDS_RTOL * max(abs(bound_value), 1.0)
-            sharpness = observed_value / bound_value if bound_value > 0.0 else math.nan
-            vacuous = comparator and not note and bound_value <= 0.0
-            reports.append(make((
-                bound_id, index, bound_value, observed_value, slack, holds, sharpness,
-                comparator, "vacuous" if vacuous else note,
-            )))
-    return reports
+            bound, observed, count = float(bound), float(observed), None
+            bound_value.append(bound)
+            observed_value.append(observed)
+        table.append((bound_id, bound, observed, rest[0] if rest else "", count))
+    b, o = np.array(bound_value, dtype=float), np.array(observed_value, dtype=float)
+    # numpy warns where Python floats give a NaN or an infinity silently
+    with np.errstate(invalid="ignore", over="ignore"):
+        slack = o - b
+        holds = slack >= -_HOLDS_RTOL * np.maximum(np.abs(b), 1.0)
+        sharpness = np.divide(o, b, out=np.full_like(b, math.nan), where=b > 0.0)
+    return BoundColumns(
+        table, bound_value, observed_value, slack.tolist(), holds.tolist(), sharpness.tolist()
+    )
 
 
-def hermite_diag_bound(z: RootVector) -> list[BoundReport]:
-    """Hermite diagonal-of-square caps, their corollaries, and the
-    literature gap comparator; one report per applicable index."""
+def hermite_diag_bound(z: RootVector) -> list[tuple]:
+    """Hermite rows: the diagonal-of-square caps, their corollaries, and
+    the literature gap comparator."""
     require_kind(z, FamilyKind.HERMITE)
     n = z.n
     if n < 2:
         raise ParameterDomainError("Hermite bounds need N >= 2")
     inv2, inv4 = interaction_sums(z)
     gaps = z.roots[:-1] - z.roots[1:]
-    return _expand([
+    return [
         ("hermite-diag-sq", inv2 * inv2 + inv4, (n - 1) ** 3 / n),
         ("hermite-inv4-sum", inv4, (n - 1) ** 3 / (2 * n)),
         ("hermite-inv2-sum", inv2, (n - 1) ** 1.5 / math.sqrt(n)),
         ("hermite-gap", (2.0 * n) ** 0.25 / (n - 1) ** 0.75, gaps),
         ("hermite-gap-comparator", 2.0 / math.sqrt(n), gaps),
-    ])
+    ]
 
 
-def laguerre_bounds(z: RootVector) -> list[BoundReport]:
-    """Laguerre bounds: the derived diagonal caps, smallest-root floor and
+def laguerre_bounds(z: RootVector) -> list[tuple]:
+    """Laguerre rows: the derived diagonal caps, smallest-root floor and
     three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale), and
     the literature comparators (informational)."""
     require_kind(z, FamilyKind.LAGUERRE)
@@ -215,7 +271,7 @@ def laguerre_bounds(z: RootVector) -> list[BoundReport]:
     cmp1 = (nu - 1.0) / math.sqrt((n + nu - 1.0) * n)
     cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
     cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
-    return _expand([
+    return [
         ("laguerre-diag-sq", lin * lin + cross, two_n1**2),
         ("laguerre-min-root", nu / two_n1, smallest),
         ("laguerre-gap-strong", strong, gaps),
@@ -227,11 +283,11 @@ def laguerre_bounds(z: RootVector) -> list[BoundReport]:
         ("laguerre-gap-comparator-1", cmp1, gaps),
         ("laguerre-gap-comparator-2", cmp2, gaps),
         ("laguerre-gap-comparator-3", cmp3, gaps),
-    ])
+    ]
 
 
-def jacobi_bounds(z: RootVector) -> list[BoundReport]:
-    """Jacobi bounds: the derived diagonal caps, the two boundary-distance
+def jacobi_bounds(z: RootVector) -> list[tuple]:
+    """Jacobi rows: the derived diagonal caps, the two boundary-distance
     floors, the boundary-product floors and the gap floors, and the
     asymptotic leading-term comparator for the upper boundary distance.
 
@@ -276,10 +332,10 @@ def jacobi_bounds(z: RootVector) -> list[BoundReport]:
     else:
         asymptotic = alpha * (alpha + 2.0) / (2.0 * (n + (alpha + beta + 1.0) / 2.0) ** 2)
         rows.append(("jacobi-upper-edge-asymptotic", asymptotic, upper))
-    return _expand(rows)
+    return rows
 
 
-# Each family's bound set; the lambdas look the functions up at call time,
+# Each family's bound rows; the lambdas look the functions up at call time,
 # so wrappers installed on this module's attributes see every call.
 _BOUND_SETS = {
     FamilyKind.HERMITE: lambda z: hermite_diag_bound(z),
@@ -288,14 +344,20 @@ _BOUND_SETS = {
 }
 
 
-def bound_set(z: RootVector) -> list[BoundReport]:
-    """Every derived bound and comparator report for the family of ``z``."""
+def bound_rows(z: RootVector) -> list[tuple]:
+    """Every derived bound and comparator row for the family of ``z``."""
     return _BOUND_SETS[z.family.kind](z)
+
+
+def bound_set(z: RootVector) -> list[BoundReport]:
+    """Every derived bound and comparator report for the family of ``z``,
+    in row order."""
+    return list(map(BoundReport._make, bound_columns(bound_rows(z)).entries()))
 
 
 @dataclass(frozen=True)
 class SharpnessSummary:
-    """Aggregate sharpness per bound id for one root vector's reports.
+    """Aggregate sharpness per bound id for one root vector's bound set.
 
     ``diag_square_identity_ratio`` is the summed diagonal-of-square left
     side divided by its exact trace value; it must be 1 up to rounding for
@@ -309,15 +371,21 @@ class SharpnessSummary:
     comparator_ratios: dict[str, float]
 
 
-def sharpness_summary(z: RootVector, reports: Sequence[BoundReport]) -> SharpnessSummary:
-    """Aggregate the reports evaluated on the root vector ``z``."""
+def sharpness_summary(z: RootVector, columns: BoundColumns) -> SharpnessSummary:
+    """Aggregate the bound ``columns`` evaluated on the root vector ``z``.
+
+    A row without entries, such as a gap row at ``N = 1``, is left out.
+    Sums are Python's, in entry order.
+    """
     worst: dict[str, float] = {}
     mean: dict[str, float] = {}
-    by_id: dict[str, list[BoundReport]] = {}
-    for rep in reports:
-        by_id.setdefault(rep.bound_id, []).append(rep)
-    for bound_id, group in by_id.items():
-        values = [r.sharpness for r in group if not r.note and math.isfinite(r.sharpness)]
+    spans: dict[str, tuple[int, int]] = {}
+    for (bound_id, _, _, note, _), start, stop in columns.spans():
+        if start == stop:
+            continue
+        spans[bound_id] = start, stop
+        # a vacuous entry has a NaN sharpness, so only the row's note counts
+        values = [] if note else [v for v in columns.sharpness[start:stop] if math.isfinite(v)]
         if values:
             worst[bound_id] = min(values)
             mean[bound_id] = sum(values) / len(values)
@@ -325,13 +393,14 @@ def sharpness_summary(z: RootVector, reports: Sequence[BoundReport]) -> Sharpnes
     fam = z.family
     _, square_target = fam.spec.trace_targets(fam, z.n)
     diag_id = f"{fam.kind.value}-diag-sq"
-    if square_target is not None and diag_id in by_id:
-        ratio = sum(r.bound_value for r in by_id[diag_id]) / square_target
+    if square_target is not None and diag_id in spans:
+        start, stop = spans[diag_id]
+        ratio = sum(columns.bound_value[start:stop]) / square_target
     comparator_ratios: dict[str, float] = {}
     for cmp_id, own_id in _COMPARATOR_PAIRS:
-        if cmp_id in by_id and own_id in by_id:
-            cmp_value = by_id[cmp_id][0].bound_value
-            own_value = by_id[own_id][0].bound_value
+        if cmp_id in spans and own_id in spans:
+            cmp_value = columns.bound_value[spans[cmp_id][0]]
+            own_value = columns.bound_value[spans[own_id][0]]
             if math.isfinite(cmp_value) and own_value > 0.0:
                 comparator_ratios[f"{cmp_id}/{own_id}"] = cmp_value / own_value
     return SharpnessSummary(worst, mean, ratio, comparator_ratios)

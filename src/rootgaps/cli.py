@@ -17,14 +17,20 @@ worker (one run when serial).  Each run computes the roots of all its
 points, whatever their families, in one ``compute_roots_many`` batch,
 and for ``verify`` the eigenbases of all their ``S_N`` in one
 ``eigenbasis`` batch, then hands each point its ``RootVector`` (and
-basis).  Each point function returns
-its rows as tuples in ``COLUMNS`` order without the (family, params, N)
-key, plus a summary dict; ``_evaluate_point`` adds the key once and turns
-the rows into text where they are computed, so ``--jobs`` workers send
-text.  CSV is written column by column, each with its formatter from
+basis).  Each point function is given the point's (family, params, N)
+key and the output format and returns the text of its rows, plus a
+summary dict, so the rows become text where they are computed and
+``--jobs`` workers send text.  ``roots`` and ``verify`` build their rows
+as tuples in ``COLUMNS`` order after the key.  ``bounds`` writes from the
+point's ``bounds.BoundColumns``: CSV from the columns, each side of a
+bound row formatted once for all its entries (and the gaps once for all
+the rows that share them), JSON from one tuple per entry; only JSON
+computes the sharpness summary, CSV needs only the violation count.  CSV
+is written column by column, each with its formatter from
 ``CSV_FORMATS``.  JSON is encoded one row at a time by one encoder and
 indented to its place in the document, so the document is written in
-pieces and never joined into one string.
+pieces and never joined into one string.  The process pool is imported
+only when ``--jobs`` asks for more than one worker.
 
 The parsed ``argparse.Namespace`` is the sweep request: ``main`` writes
 the resolved families, in sweep order, and the ``--n`` range onto it, and
@@ -55,7 +61,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from operator import itemgetter
 
 import numpy as np
@@ -67,6 +72,7 @@ from .covariance import (
     eigenbasis,
     interaction_sums,
     laguerre_sqrt_r_S,
+    pair_terms,
 )
 from .eigensolve import DenseSymmetric, enclose_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
@@ -139,7 +145,7 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
     return points
 
 
-def _roots_point(rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
+def _roots_point(key: tuple, fmt: str, rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[str, dict]:
     stats = gap_statistics(rv)
     z = rv.roots.tolist()
     gaps = [abs(b - a) for a, b in zip(z, z[1:])] + [None]
@@ -149,12 +155,14 @@ def _roots_point(rv: RootVector, basis: None, tol: float | None, corrupt: bool) 
         "boundary_low": stats.boundary_low,
         "boundary_high": stats.boundary_high,
     }
-    return rows, summary
+    return _rows_text("roots", fmt, key, rows), summary
 
 
-def _verify_point(rv: RootVector, basis: np.ndarray, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
+def _verify_point(key: tuple, fmt: str, rv: RootVector, basis: np.ndarray, tol: float | None, corrupt: bool) -> tuple[str, dict]:
     fam, n = rv.family, rv.n
-    s = build_S(rv).entries
+    # one evaluation of the pair terms builds S_N and its interaction sums
+    terms = pair_terms(rv)
+    s = build_S(rv, terms).entries
     matrix = s
     if corrupt:
         matrix = matrix.copy()
@@ -174,7 +182,7 @@ def _verify_point(rv: RootVector, basis: np.ndarray, tol: float | None, corrupt:
     # one (lin, cross) pair feeds both trace identities and the
     # diagonal-of-square check
     ident_tol = 1e-10 if tol is None else tol
-    lin, cross = interaction_sums(rv)
+    lin, cross = interaction_sums(rv, terms)
     diag_square = lin * lin + cross
     linear_target, square_target = fam.spec.trace_targets(fam, n)
     checks.append(("trace-identity-linear", _rel_defect(float(lin.sum()), linear_target), ident_tol))
@@ -189,35 +197,35 @@ def _verify_point(rv: RootVector, basis: np.ndarray, tol: float | None, corrupt:
     checks.append(("diag-square-consistency", diag_resid, ident_tol))
 
     rows = [(check_id, value, tolerance, value <= tolerance) for check_id, value, tolerance in sorted(checks)]
-    return rows, {"failed": sum(1 for row in rows if not row[-1])}
+    return _rows_text("verify", fmt, key, rows), {"failed": sum(1 for row in rows if not row[-1])}
 
 
 def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_point(rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[list[tuple], dict]:
-    reports = bounds_mod.bound_set(rv)
-    # ids are unique per bound row and each id's reports come in index
-    # order, so the stable sort by id alone orders them by (id, index);
-    # a report is its row
-    rows = sorted(reports, key=itemgetter(0))
-    agg = bounds_mod.sharpness_summary(rv, reports)
-    summary = {
-        "worst_sharpness": agg.worst,
-        "mean_sharpness": agg.mean,
-        "diag_square_identity_ratio": agg.diag_square_identity_ratio,
-        "comparator_ratios": agg.comparator_ratios,
-        "violations": sum(
-            1 for rep in reports if not rep.comparator and not rep.note and not rep.holds
-        ),
-    }
-    return rows, summary
+def _bounds_point(key: tuple, fmt: str, rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[str, dict]:
+    # ids are unique per bound row and each row's entries come in index
+    # order, so the stable sort of the rows by id alone orders the entries
+    # by (id, index)
+    columns = bounds_mod.bound_columns(sorted(bounds_mod.bound_rows(rv), key=itemgetter(0)))
+    summary = {"violations": columns.violations()}
+    if fmt == "csv":
+        # CSV writes no summary; the sweep reads only the violation count
+        return _bounds_csv(key, columns), summary
+    agg = bounds_mod.sharpness_summary(rv, columns)
+    summary.update(
+        worst_sharpness=agg.worst,
+        mean_sharpness=agg.mean,
+        diag_square_identity_ratio=agg.diag_square_identity_ratio,
+        comparator_ratios=agg.comparator_ratios,
+    )
+    return _json_rows("bounds", key, columns.entries()), summary
 
 
-# one signature: (roots, basis, tol, corrupt) -> (rows in column order
-# without the point key, summary without the point key); only verify
-# reads the basis
+# one signature: (point key, format, roots, basis, tol, corrupt) -> (the
+# text of the point's rows in the format, summary without the point key);
+# only verify reads the basis
 _POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
 
 
@@ -256,20 +264,66 @@ def _evaluate_point(
 ) -> tuple[str, dict]:
     """One sweep point from its roots (and basis): the text of its rows in
     the output format, plus its keyed summary."""
-    rows, summary = _POINT_FUNCTIONS[command](rv, basis, tol, corrupt)
     fam = rv.family
     key = (fam.kind.value, fam.params_text(), rv.n)
-    text = (_csv_lines if fmt == "csv" else _json_rows)(command, key, rows)
+    text, summary = _POINT_FUNCTIONS[command](key, fmt, rv, basis, tol, corrupt)
     return text, dict(zip(POINT_KEY, key), **summary)
+
+
+def _rows_text(command: str, fmt: str, key: tuple, rows: list[tuple]) -> str:
+    return (_csv_lines if fmt == "csv" else _json_rows)(command, key, rows)
+
+
+def _csv_head(command: str, key: tuple) -> str:
+    return ",".join(fmt(value) for fmt, value in zip(_LINE_FORMATS[command], key)) + ","
 
 
 def _csv_lines(command: str, key: tuple, rows: list[tuple]) -> str:
     """The CSV lines of one point, formatted column by column; the columns
     that only JSON writes are dropped."""
-    formats = _LINE_FORMATS[command]
-    head = ",".join(fmt(value) for fmt, value in zip(formats, key)) + ","
-    cells = [map(fmt, column) for fmt, column in zip(formats[len(key):], zip(*rows))]
+    formats = _LINE_FORMATS[command][len(key):]
+    cells = [map(fmt, column) for fmt, column in zip(formats, zip(*rows))]
+    head = _csv_head(command, key)
     return "".join([head + line + "\n" for line in map(",".join, zip(*cells))])
+
+
+def _bounds_csv(key: tuple, columns: bounds_mod.BoundColumns) -> str:
+    """The CSV lines of one point's bound columns, as ``_csv_lines`` writes
+    their entries.  Each side is formatted once: a row's scalar side for
+    all its entries, and a side that several rows share (the gaps) for all
+    of them."""
+    fmt = CSV_FORMATS
+    longest = max((row[4] or 0 for row in columns.rows), default=0)
+    numbers = list(map(fmt["index"], range(1, longest + 1)))
+    shared: dict[tuple, list[str]] = {}
+    ids, index, bound_text, observed_text = [], [], [], []
+    for bound_id, bound, observed, _, count in columns.rows:
+        if count is None:
+            count = 1
+            index.append(fmt["index"](None))
+        else:
+            index += numbers[:count]
+        ids += [fmt["bound_id"](bound_id)] * count
+        bound_text += _side_cells(fmt["bound_value"], bound, count, shared)
+        observed_text += _side_cells(fmt["observed_value"], observed, count, shared)
+    cells = zip(
+        ids, index, bound_text, observed_text, map(fmt["slack"], columns.slack),
+        map(fmt["holds"], columns.holds), map(fmt["sharpness"], columns.sharpness),
+    )
+    head = _csv_head("bounds", key)
+    return "".join([head + line + "\n" for line in map(",".join, cells)])
+
+
+def _side_cells(fmt, side, count: int, shared: dict[tuple, list[str]]) -> list[str]:
+    """The ``count`` cells of one side of a bound row: a scalar repeated,
+    or the cells of an array, formatted once per array object and
+    formatter (the columns hold the arrays, so their ids stay distinct)."""
+    if not isinstance(side, np.ndarray):
+        return [fmt(side)] * count
+    cells = shared.get((id(side), fmt))
+    if cells is None:
+        cells = shared[id(side), fmt] = list(map(fmt, side.tolist()))
+    return cells
 
 
 def _json_rows(command: str, key: tuple, rows: list[tuple]) -> str:
@@ -297,11 +351,19 @@ def _run_sweep(args: argparse.Namespace, points: list[tuple[PolynomialFamily, in
         for start, end in zip(ends, ends[1:])
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             chunks = list(pool.map(_evaluate_chunk, tasks))
     else:
         chunks = [_evaluate_chunk(task) for task in tasks]
     return [outcome for chunk in chunks for outcome in chunk]
+
+
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.  The import is here, so a serial
+    sweep never loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _json_safe(value):

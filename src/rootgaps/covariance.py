@@ -19,8 +19,9 @@ diagonal ``lin`` of ``S_N - shift I``:
   ``2j(2N + alpha + beta + 1 - j)``.
 
 The two terms of each family, ``d`` and ``lin``, are one row of a
-kind-keyed table that :func:`build_S` and :func:`interaction_sums` both
-read, so each formula above is written once.  The row sums of the squared
+kind-keyed table that :func:`pair_terms` evaluates and :func:`build_S`
+and :func:`interaction_sums` both read, so each formula above is written
+once; a caller that needs both passes them one evaluation.  The row sums of the squared
 off-diagonal are ``cross_i = sum_{l!=i} d_i d_l / (z_i - z_l)^4``, and
 ``lin**2 + cross`` is the diagonal of ``(S_N - shift I)^2``.
 
@@ -83,8 +84,9 @@ _TERMS = {
 }
 
 
-def _terms(z: RootVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(d, inv2, lin)`` for the family of ``z``."""
+def pair_terms(z: RootVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, inv2, lin)`` for the family of ``z``, which
+    :func:`interaction_sums` and :func:`build_S` both read."""
     weight, lin = _TERMS[z.family.kind]
     roots = z.roots
     diff = _pair_differences(roots)
@@ -93,18 +95,20 @@ def _terms(z: RootVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, inv2, lin(roots, d, inv2, *z.family.parameters())
 
 
-def interaction_sums(z: RootVector) -> tuple[np.ndarray, np.ndarray]:
+def interaction_sums(z: RootVector, terms: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(lin, cross)`` for the family of ``z``: ``lin`` is the diagonal of
     the shifted ``S_N`` and ``cross`` the row sums of its squared
-    off-diagonal, so ``lin**2 + cross`` is the diagonal of its square."""
-    d, inv2, lin = _terms(z)
+    off-diagonal, so ``lin**2 + cross`` is the diagonal of its square.
+    ``terms`` is ``pair_terms(z)``, if the caller has it already."""
+    d, inv2, lin = pair_terms(z) if terms is None else terms
     return lin, (np.outer(d, d) * inv2 * inv2).sum(axis=1)
 
 
-def build_S(z: RootVector) -> DenseSymmetric:
+def build_S(z: RootVector, terms: tuple | None = None) -> DenseSymmetric:
     """``S_N`` for the family of ``z``; its predicted spectrum is
-    ``z.family.spec.spectrum(z.family, z.n)``."""
-    d, inv2, lin = _terms(z)
+    ``z.family.spec.spectrum(z.family, z.n)``.  ``terms`` is
+    ``pair_terms(z)``, if the caller has it already."""
+    d, inv2, lin = pair_terms(z) if terms is None else terms
     matrix = -np.sqrt(np.outer(d, d)) * inv2
     np.fill_diagonal(matrix, z.family.spec.shift + lin)
     return DenseSymmetric(matrix)

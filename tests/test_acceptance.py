@@ -13,12 +13,9 @@ from rootgaps import (
     build_S,
     compute_roots,
     hermite,
-    hermite_diag_bound,
     interaction_sums,
     jacobi,
-    jacobi_bounds,
     laguerre,
-    laguerre_bounds,
     laguerre_sqrt_r_S,
     trace_power,
 )
@@ -149,14 +146,14 @@ def test_criterion_5_bound_suite():
 def test_criterion_6_equality_certificates():
     failures = []
 
-    reports = {r.bound_id: r for r in hermite_diag_bound(roots_of(hermite(), 2))}
+    reports = {r.bound_id: r for r in bound_set(roots_of(hermite(), 2))}
     gap = reports["hermite-gap"]
     if abs(gap.observed_value - math.sqrt(2.0)) > 1e-14 or abs(gap.slack) > 1e-12:
         failures.append("hermite gap")
 
     for nu in LAGUERRE_NUS:
         rep = next(
-            r for r in laguerre_bounds(roots_of(laguerre(nu), 1))
+            r for r in bound_set(roots_of(laguerre(nu), 1))
             if r.bound_id == "laguerre-min-root"
         )
         if abs(rep.slack) > 1e-12:
@@ -172,7 +169,7 @@ def test_criterion_6_equality_certificates():
         (2.0, 3.0): ("upper",),
     }
     for (alpha, beta), sides in tight_sides.items():
-        reports = {r.bound_id: r for r in jacobi_bounds(roots_of(jacobi(alpha, beta), 1))}
+        reports = {r.bound_id: r for r in bound_set(roots_of(jacobi(alpha, beta), 1))}
         for side in sides:
             rep = reports[f"jacobi-{side}-edge-strong"]
             if abs(rep.slack) > 1e-12:
@@ -214,17 +211,17 @@ def test_criterion_8_comparator_crossovers():
 
     failures = []
 
-    small = laguerre_bounds(roots_of(laguerre(0.1), 10))
+    small = bound_set(roots_of(laguerre(0.1), 10))
     if not bound_of(small, "laguerre-gap-comparator-3") > bound_of(small, "laguerre-gap-strong"):
         failures.append("pi-comparator should win at nu=0.1")
-    large = laguerre_bounds(roots_of(laguerre(50.0), 10))
+    large = bound_set(roots_of(laguerre(50.0), 10))
     if not bound_of(large, "laguerre-gap-comparator-3") < bound_of(large, "laguerre-gap-strong"):
         failures.append("pi-comparator should lose at nu=50")
 
-    high = jacobi_bounds(roots_of(jacobi(5.0, 0.0), 30))
+    high = bound_set(roots_of(jacobi(5.0, 0.0), 30))
     if not bound_of(high, "jacobi-upper-edge-asymptotic") > bound_of(high, "jacobi-upper-edge-strong"):
         failures.append("asymptotic comparator should win at alpha=5")
-    low = jacobi_bounds(roots_of(jacobi(0.5, 0.5), 30))
+    low = bound_set(roots_of(jacobi(0.5, 0.5), 30))
     if not bound_of(low, "jacobi-upper-edge-asymptotic") < bound_of(low, "jacobi-upper-edge-strong"):
         failures.append("asymptotic comparator should lose at alpha=0.5")
 

@@ -1,4 +1,6 @@
 import math
+import struct
+from itertools import count, repeat
 
 import numpy as np
 import pytest
@@ -8,16 +10,18 @@ from rootgaps import (
     FamilyKind,
     FamilyMismatchError,
     ParameterDomainError,
+    bound_columns,
+    bound_rows,
     bound_set,
     compute_roots,
     hermite,
     hermite_diag_bound,
     jacobi,
-    jacobi_bounds,
     laguerre,
     sharpness_summary,
 )
-from rootgaps.bounds import _expand
+from rootgaps.bounds import _COMPARATOR_IDS, _COMPARATOR_PAIRS, _HOLDS_RTOL
+from rootgaps.cli import DEFAULT_N_MAX, default_families
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
@@ -28,7 +32,7 @@ def reports_for(family, n):
 
 def summary_for(family, n):
     rv = compute_roots(family, n)
-    return sharpness_summary(rv, bound_set(rv))
+    return sharpness_summary(rv, bound_columns(bound_rows(rv)))
 
 
 def by_id(reports, bound_id):
@@ -52,8 +56,8 @@ class TestReportInvariants:
     @pytest.mark.parametrize("shortfall,holds", [(0.75e-10, True), (1.5e-10, False)])
     def test_holds_tolerance_has_a_floor_of_one(self, shortfall, holds):
         # a bound of 0.5 is allowed a shortfall of 1e-10, not 0.5e-10
-        (rep,) = _expand([("hermite-gap", 0.5, 0.5 - shortfall)])
-        assert rep.holds is holds
+        columns = bound_columns([("hermite-gap", 0.5, 0.5 - shortfall)])
+        assert columns.holds == [holds]
 
 
 class TestReportRecord:
@@ -295,7 +299,7 @@ class TestJacobiBounds:
 
     def test_comparator_markers(self):
         def asymptotic(alpha, beta):
-            reports = jacobi_bounds(compute_roots(jacobi(alpha, beta), 4))
+            reports = bound_set(compute_roots(jacobi(alpha, beta), 4))
             return by_id(reports, "jacobi-upper-edge-asymptotic")[0]
 
         vacuous = asymptotic(0.0, 0.0)
@@ -353,6 +357,165 @@ class TestSharpnessSummary:
             assert value >= 1.0 - 1e-10, bound_id
 
     def test_no_reports_give_an_empty_summary(self):
-        summary = sharpness_summary(compute_roots(hermite(), 3), [])
+        summary = sharpness_summary(compute_roots(hermite(), 3), bound_columns([]))
         assert (summary.worst, summary.mean, summary.comparator_ratios) == ({}, {}, {})
         assert summary.diag_square_identity_ratio is None
+
+
+def expand(rows):
+    """The scalar rule before bound sets went to columns: one report per
+    entry, each field computed on Python floats.  Kept as the reference
+    for ``bound_columns``."""
+    reports = []
+    make = BoundReport._make
+    for bound_id, bound, observed, *rest in rows:
+        comparator = bound_id in _COMPARATOR_IDS
+        note = rest[0] if rest else ""
+        if isinstance(bound, np.ndarray):
+            entries = zip(count(1), bound.tolist(), repeat(float(observed)))
+        elif isinstance(observed, np.ndarray):
+            entries = zip(count(1), repeat(float(bound)), observed.tolist())
+        else:
+            entries = ((None, float(bound), float(observed)),)
+        for index, bound_value, observed_value in entries:
+            slack = observed_value - bound_value
+            holds = slack >= -_HOLDS_RTOL * max(abs(bound_value), 1.0)
+            sharpness = observed_value / bound_value if bound_value > 0.0 else math.nan
+            vacuous = comparator and not note and bound_value <= 0.0
+            reports.append(make((
+                bound_id, index, bound_value, observed_value, slack, holds, sharpness,
+                comparator, "vacuous" if vacuous else note,
+            )))
+    return reports
+
+
+def summary_of_reports(z, reports):
+    """The sharpness summary as it was computed from reports, with
+    Python's sequential sums.  Kept as the reference for
+    ``sharpness_summary``."""
+    worst, mean, by_id = {}, {}, {}
+    for rep in reports:
+        by_id.setdefault(rep.bound_id, []).append(rep)
+    for bound_id, group in by_id.items():
+        values = [r.sharpness for r in group if not r.note and math.isfinite(r.sharpness)]
+        if values:
+            worst[bound_id] = min(values)
+            mean[bound_id] = sum(values) / len(values)
+    ratio = None
+    fam = z.family
+    _, square_target = fam.spec.trace_targets(fam, z.n)
+    diag_id = f"{fam.kind.value}-diag-sq"
+    if square_target is not None and diag_id in by_id:
+        ratio = sum(r.bound_value for r in by_id[diag_id]) / square_target
+    comparator_ratios = {}
+    for cmp_id, own_id in _COMPARATOR_PAIRS:
+        if cmp_id in by_id and own_id in by_id:
+            cmp_value = by_id[cmp_id][0].bound_value
+            own_value = by_id[own_id][0].bound_value
+            if math.isfinite(cmp_value) and own_value > 0.0:
+                comparator_ratios[f"{cmp_id}/{own_id}"] = cmp_value / own_value
+    return worst, mean, ratio, comparator_ratios
+
+
+def same(a, b):
+    """Equal in type and value, floats bit for bit (so -0.0 is not 0.0
+    and a NaN equals a NaN of the same bits)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def assert_reports_match(got, expected):
+    assert len(got) == len(expected)
+    for rep, ref in zip(got, expected):
+        assert len(rep) == len(ref) == len(BoundReport._fields)
+        for name, x, y in zip(BoundReport._fields, rep, ref):
+            assert same(x, y), (name, rep, ref)
+
+
+def assert_columns_match_scalar_rule(rows):
+    columns = bound_columns(rows)
+    reports = expand(rows)
+    assert_reports_match(columns.entries(), reports)
+    violations = sum(1 for r in reports if not r.comparator and not r.note and not r.holds)
+    assert columns.violations() == violations
+    return columns, reports
+
+
+# rows that the default grid does not give, or gives only incidentally
+EDGE_ROWS = {
+    # a NaN bound with its note, as the Bessel rows at nu < 1
+    "not-applicable": [
+        ("laguerre-gap-bessel-strong", math.nan, np.array([0.5, 0.25]), "not-applicable"),
+        ("jacobi-upper-edge-asymptotic", math.nan, 0.5, "not-applicable"),
+    ],
+    # nonpositive comparator bounds are vacuous; a nonpositive derived
+    # bound is not, and a failing comparator never gates
+    "vacuous": [
+        ("laguerre-gap-comparator-1", -0.25, np.array([0.5, 0.25])),
+        ("laguerre-min-root-bessel", 0.0, 0.125),
+        ("laguerre-gap-comparator-2", 2.0, np.array([0.5, 0.25])),
+        ("laguerre-gap-strong", -0.5, np.array([0.5, 0.25])),
+    ],
+    # the gap rows at N = 1
+    "empty": [
+        ("hermite-gap", 0.5, np.array([])),
+        ("jacobi-diag-sq", np.array([]), 2.0),
+        ("laguerre-min-root", 0.5, 0.75),
+    ],
+    "negative-zero": [
+        ("hermite-gap-comparator", -0.0, np.array([0.0, -0.0])),
+        ("hermite-gap", -0.0, 0.0),
+        ("hermite-inv2-sum", np.array([-0.0, 0.0]), -0.0),
+    ],
+    # slacks on either side of the tolerance -1e-10 max(|bound|, 1), one ulp
+    # of the observed side apart (exactly at it for a zero bound), at the
+    # floor of one and above it
+    "holds-edge": [
+        ("hermite-gap", 0.0, -_HOLDS_RTOL),
+        ("hermite-gap", -0.0, np.array([-_HOLDS_RTOL, np.nextafter(-_HOLDS_RTOL, -1.0)])),
+        ("jacobi-gap", 1.0, np.array([np.nextafter(1.0 - _HOLDS_RTOL, 2.0), 1.0 - _HOLDS_RTOL])),
+        ("jacobi-gap", 4.0, np.array([np.nextafter(4.0 - 4 * _HOLDS_RTOL, 5.0), 4.0 - 4 * _HOLDS_RTOL])),
+    ],
+    "infinite": [
+        ("hermite-gap", math.inf, np.array([math.inf, 1.0])),
+        ("hermite-gap-comparator", -math.inf, 1.0),
+    ],
+}
+
+
+class TestColumnsMatchScalarRule:
+    """``bound_columns`` against the scalar rule, field by field, bit for
+    bit, and the views built from the columns against their former
+    report-based computation."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    def test_edge_rows(self, name):
+        assert_columns_match_scalar_rule(EDGE_ROWS[name])
+
+    def test_edge_rows_give_every_note_and_outcome(self):
+        reports = [rep for rows in EDGE_ROWS.values() for rep in expand(rows)]
+        assert {rep.note for rep in reports} == {"", "vacuous", "not-applicable"}
+        assert {rep.holds for rep in reports if not rep.comparator and not rep.note} == {
+            True, False,
+        }
+
+    @pytest.mark.parametrize("fam", default_families(), ids=lambda fam: fam.label())
+    def test_every_default_point(self, fam):
+        for n in range(fam.spec.min_n, DEFAULT_N_MAX + 1):
+            rv = compute_roots(fam, n)
+            rows = bound_rows(rv)
+            columns, reports = assert_columns_match_scalar_rule(rows)
+            assert_reports_match(bound_set(rv), reports)
+            assert all(type(rep) is BoundReport for rep in bound_set(rv))
+            summary = sharpness_summary(rv, columns)
+            got = (
+                summary.worst, summary.mean, summary.diag_square_identity_ratio,
+                summary.comparator_ratios,
+            )
+            for x, y in zip(got, summary_of_reports(rv, reports)):
+                assert same(x, y), (fam.label(), n, x, y)

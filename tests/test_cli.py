@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import rootgaps.bounds as bounds_mod
 import rootgaps.cli as cli
-from rootgaps import MagnitudeError
+from rootgaps import FamilyKind, MagnitudeError, compute_roots
+
+from test_bounds import EDGE_ROWS
 
 real_compute_roots_many = cli.compute_roots_many
 
@@ -323,6 +326,33 @@ class TestColumnFormats:
         assert cli._csv_lines(command, key, []) == ""
 
 
+class TestBoundLines:
+    """The bound CSV lines, written from the columns with each side
+    formatted once, against the per-cell rule on their entries."""
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [("hermite", 2), ("hermite", 9), ("laguerre", 1), ("laguerre", 7), ("jacobi", 1), ("jacobi", 6)],
+    )
+    def test_grid_points(self, family, n):
+        for fam in cli.default_families((FamilyKind(family),)):
+            rv = compute_roots(fam, n)
+            self.check(("x", fam.params_text(), n), bounds_mod.bound_columns(bounds_mod.bound_rows(rv)))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    def test_edge_rows(self, name):
+        self.check(("jacobi", "alpha=1.0 beta=-0.9", 12), bounds_mod.bound_columns(EDGE_ROWS[name]))
+
+    @staticmethod
+    def check(key, columns):
+        head = ",".join(map(per_cell_format, key)) + ","
+        width = len(cli.COLUMNS["bounds"]) - len(key)
+        expected = "".join(
+            head + ",".join(map(per_cell_format, entry[:width])) + "\n" for entry in columns.entries()
+        )
+        assert cli._bounds_csv(key, columns) == expected
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -401,8 +431,8 @@ class TestClosedPipe:
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the requested worker
-    count and maps in this process, so no worker is ever started."""
+    """Stands in for the process pool: records the requested worker count
+    and maps in this process, so no worker is ever started."""
 
     created: list[int] = []
 
@@ -430,12 +460,26 @@ class TestJobs:
     )
     def test_workers_capped_at_point_count(self, monkeypatch, capsys, argv, workers):
         monkeypatch.setattr(RecordingPool, "created", [])
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert RecordingPool.created == workers
         monkeypatch.undo()
         assert run_cli(capsys, *argv[:-2]) == (code, out)
+
+    def test_serial_sweep_loads_no_process_pool(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = (
+            "import sys, rootgaps.cli as cli; "
+            "assert cli.main(['roots', '--family', 'hermite', '--n-max', '4', '--out', sys.argv[1]]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, os.devnull], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestNumericalFailure:
@@ -461,7 +505,7 @@ class TestNumericalFailure:
     )
     def test_names_failing_point(self, monkeypatch, capsys, flags, label, jobs, workers):
         monkeypatch.setattr(RecordingPool, "created", [])
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
         monkeypatch.setattr(cli, "compute_roots_many", explode_at(4, label))
         argv = ["verify", "--family", "laguerre", *flags, "--n-min", "2", "--n-max", "6"]
         code = cli.main([*argv, *jobs])
