@@ -301,58 +301,91 @@ _RESCALE_LIMIT = 2.0**500
 _RESCALE_EXP = 500
 
 
+def step_table(families, tops) -> np.ndarray:
+    """The recurrence steps of each family, stacked: ``steps[k, :, f]`` is
+    ``(A, B, C, D)`` of step ``k`` of ``families[f]`` (see
+    :class:`FamilySpec`), for ``k < tops[f]``; the rows past a family's top
+    are 0 and never read."""
+    tops = [int(top) for top in tops]
+    steps = np.zeros((max(tops), 4, len(tops)))
+    for f, (family, top) in enumerate(zip(families, tops)):
+        steps[:top, :, f] = list(family.spec.steps(family, top))
+    return steps
+
+
 # values past the double range become inf or nan without a warning, as in
 # Python float arithmetic; evaluate_with_derivative reports them
 @np.errstate(over="ignore", invalid="ignore")
 def _evaluate_scaled(
-    family: PolynomialFamily, orders: np.ndarray, x: np.ndarray
+    steps: np.ndarray, orders: np.ndarray, x: np.ndarray, which: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate ``(P_n, P_n')`` at every entry ``(n, x)`` of the integer
     ``orders`` (each ``>= 1``) and the finite ``x``, returning arrays
-    ``(p, dp, exp2)`` in entry order.
+    ``(p, dp, exp2)`` in entry order.  Entry ``j`` is of the family in
+    column ``which[j]`` of the :func:`step_table` ``steps``; a table of one
+    family needs no ``which``.
 
     The true values are ``p * 2**exp2`` and ``dp * 2**exp2``; each entry is
     kept inside the representable range by its own power-of-two rescaling.
-    The step coefficients depend on ``k`` alone, so one pass of the
-    recurrence, run to the largest order, serves every entry: with the
-    entries sorted by order, descending, the ones still running at step
-    ``k`` are those of order above ``k``, a prefix that shrinks as orders
-    finish.  Each entry sees the same operations as a scalar recurrence,
-    so the values are bit for bit those of one entry alone.
+    One pass of the recurrence, run to the largest order, serves every
+    entry of every family: with the entries sorted by order, descending,
+    the ones still running at step ``k`` are those of order above ``k``, a
+    prefix that shrinks as orders finish, and each step reads the
+    coefficients of that prefix from its row of ``steps``.  Each entry
+    sees the same operations as a scalar recurrence, so the values are bit
+    for bit those of one entry alone.
     """
     size = x.size
     values = np.empty((2, size))  # (P_n, P_n') of each entry, in sorted order
     exp2 = np.zeros(size, dtype=np.int64)
-    rank = np.argsort(-orders, kind="stable")
-    descending = orders[rank]
-    xs = x[rank]
-    # (P_k, P_k') and (P_{k-1}, P_{k-1}') of the entries still running
-    cur, prev = np.zeros((2, size)), np.zeros((2, size))
+    # entries that come sorted, as the root polish passes them, stay in place
+    rank = None if np.all(orders[1:] <= orders[:-1]) else np.argsort(-orders, kind="stable")
+    descending, xs, pick = orders, x, which
+    if rank is not None:
+        descending, xs = orders[rank], x[rank]
+        pick = None if which is None else which[rank]
+    # a table of one family gives its steps as floats; the entries of
+    # several families read theirs from each row
+    if steps.shape[2] == 1:
+        pick, rows = None, steps[:, :, 0].tolist()
+    else:
+        rows, coef = steps, np.empty(4 * size)
+    # (P_k, P_k') and (P_{k-1}, P_{k-1}') of the entries still running,
+    # and room for the next pair
+    cur, prev, spare = np.zeros((3, 2, size))
     cur[0] = 1.0
     top = int(descending[0])
     m = size
     # for every step k, the number of entries with order above k
     running = np.searchsorted(-descending, -np.arange(top), side="left").tolist()
-    for (a, b, c, d), count in zip(family.spec.steps(family, top), running):
+    for row, count in zip(rows, running):
         if count < m:
             values[:, count:m] = cur[:, count:m]
             m = count
-            cur, prev, xs = cur[:, :m], prev[:, :m], xs[:m]
+            cur, prev, spare, xs = cur[:, :m], prev[:, :m], spare[:, :m], xs[:m]
+            if pick is not None:
+                pick = pick[:m]
+        if pick is not None:
+            # mode="clip" writes into ``out`` directly; every index is valid
+            row = row.take(pick, axis=1, out=coef[:4 * m].reshape(4, m), mode="clip")
+        a, b, c, d = row
         t = a * xs + b
         # (t p - c p_prev) / d and (a p + t p' - c p'_prev) / d, each
         # rounded as the scalar expressions are
-        new = t * cur
+        new = np.multiply(t, cur, out=spare)
         new[1] += a * cur[0]
-        new -= c * prev
+        new -= np.multiply(c, prev, out=prev)
         new /= d
-        prev, cur = cur, new
-        over = np.abs(new) > _RESCALE_LIMIT
+        spare, prev, cur = prev, cur, new
+        over = np.abs(new, out=spare) > _RESCALE_LIMIT
         if over.any():
             big = np.flatnonzero(over.any(axis=0))
             cur[:, big] *= 2.0**-_RESCALE_EXP
             prev[:, big] *= 2.0**-_RESCALE_EXP
             exp2[big] += _RESCALE_EXP
     values[:, :m] = cur
+    if rank is None:
+        return values[0], values[1], exp2
     unsort = np.argsort(rank)
     return values[0, unsort], values[1, unsort], exp2[unsort]
 
@@ -368,7 +401,7 @@ def evaluate_with_derivative(family: PolynomialFamily, n: int, x: float) -> tupl
     x = float(x)
     if not math.isfinite(x):
         raise ParameterDomainError(f"evaluation point must be finite, got {x}")
-    p, dp, exp2 = _evaluate_scaled(family, np.array([n]), np.array([x]))
+    p, dp, exp2 = _evaluate_scaled(step_table([family], [n]), np.array([n]), np.array([x]))
     p, dp, exp2 = float(p[0]), float(dp[0]), int(exp2[0])
     if exp2 == 0:
         return p, dp

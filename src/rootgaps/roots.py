@@ -4,11 +4,13 @@
 orders, and finds all their roots together.  The roots of ``P_n`` are the
 eigenvalues of the order-``n`` recurrence matrix ``T_n``: every root is
 first bisected on Sturm counts (LAPACK ``dstebz``'s rule, Barth, Martin
-and Wilkinson 1967), every step one vectorized pass over all the roots of
-the batch in blocks of one family, and then polished by Newton, one
-vectorized evaluation of the recurrence per family and step.  ``compute_roots`` is a batch of one.
-Each root is computed from its own ``T_n`` only, so it does not depend on
-the batch it came in.
+and Wilkinson 1967) and then polished by Newton.  The roots of all
+families are ordered by ``n``, descending, and each reads its own family's
+coefficients, so every bisection step is one pass of Sturm counts over all
+the roots of the batch, each distinct midpoint of a point counted once,
+and every Newton step one vectorized evaluation of the recurrence.
+``compute_roots`` is a batch of one.  Each root is computed from its own
+``T_n`` only, so it does not depend on the batch it came in.
 
 Each family keeps its conventional ordering so that index-based formulas
 downstream can be transcribed literally: Hermite and Laguerre roots are
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FamilyMismatchError, InternalConsistencyError, SingularConfigurationError
-from .families import FamilyKind, PolynomialFamily, _check_order, _evaluate_scaled, jacobi_matrix
+from .families import FamilyKind, PolynomialFamily, _check_order, _evaluate_scaled, jacobi_matrix, step_table
 
 _EPS = float(np.finfo(float).eps)
 
@@ -97,16 +99,17 @@ def compute_roots_many(points) -> list[RootVector]:
     Every root of every point is an entry ``(family, n, k)``: the ``k``-th
     smallest eigenvalue of the order-``n`` recurrence matrix ``T_n``, the
     leading block of the family's matrix at its largest order in
-    ``points``.  All entries are bisected together on Sturm counts
-    (:func:`_bisect`), each from the Gershgorin interval of its own ``T_n``
-    clipped to the orthogonality interval, for ``_BISECT_STEPS`` steps and
-    on until its bracket holds its eigenvalue alone.
-    Newton then polishes each root inside its bracket, one batch
-    evaluation per family and step (:func:`_polish`).  A root whose polish
-    is rejected or does not settle is bisected on to full width and its
-    midpoint kept; its stored-order index is listed in ``polish_skipped``.
-    Every decision is made per entry, from its own ``T_n``, so a point's
-    roots do not depend on the other points of the batch.
+    ``points``.  The entries of all families are ordered by ``n``,
+    descending, and bisected together on Sturm counts (:func:`_bisect`),
+    each from the Gershgorin interval of its own ``T_n`` clipped to the
+    orthogonality interval, for ``_BISECT_STEPS`` steps and on until its
+    bracket holds its eigenvalue alone.  Newton then polishes each root
+    inside its bracket, one evaluation of the recurrence per step for all
+    the entries (:func:`_polish`).  A root whose polish is rejected or does
+    not settle is bisected on to full width and its midpoint kept; its
+    stored-order index is listed in ``polish_skipped``.  Every decision is
+    made per entry, from its own ``T_n``, so a point's roots do not depend
+    on the other points of the batch.
     """
     points = list(points)
     if not points:
@@ -117,27 +120,32 @@ def compute_roots_many(points) -> list[RootVector]:
     index = {fam: i for i, fam in enumerate(families)}
     orders = np.array([n for _, n in points])
     fam_of_point = np.array([index[fam] for fam, _ in points])
-    tables, start = _start_brackets(families, fam_of_point, orders)
+    tops = np.zeros(len(families), dtype=np.int64)
+    np.maximum.at(tops, fam_of_point, orders)
+    tables, start = _start_brackets(families, tops, fam_of_point, orders)
 
-    # the entries, by family and then by order, descending
+    # the entries, by order, descending, then by point and index
     point = np.repeat(np.arange(orders.size), orders)
     first = np.cumsum(orders) - orders
     k = np.arange(point.size) - first[point]
-    rank = np.lexsort((-orders[point], fam_of_point[point]))
+    rank = np.argsort(-orders[point], kind="stable")
     point, k = point[rank], k[rank]
     fam, degree = fam_of_point[point], orders[point]
     lo, hi, pivmin, slack = start[:, point]
 
-    alone = _bisect(tables, fam, degree, k, lo, hi, pivmin, _BISECT_STEPS)
+    alone = _bisect(tables, point, fam, degree, k, lo, hi, pivmin, _BISECT_STEPS)
     x = np.empty(lo.size)
     settled = np.zeros(lo.size, dtype=bool)
-    for f, family in enumerate(families):
-        sel = np.flatnonzero(alone & (fam == f))
-        x[sel], settled[sel] = _polish(family, degree[sel], lo[sel], hi[sel], slack[sel])
+    if alone.any():
+        # views, not copies, when every entry is isolated, as on the default grid
+        sel = slice(None) if alone.all() else np.flatnonzero(alone)
+        steps = step_table(families, tops)
+        domain = np.array([family.spec.domain for family in families]).T
+        x[sel], settled[sel] = _polish(steps, domain, fam[sel], degree[sel], lo[sel], hi[sel], slack[sel])
     rest = np.flatnonzero(~settled)
     if rest.size:
         sub_lo, sub_hi = lo[rest], hi[rest]
-        _bisect(tables, fam[rest], degree[rest], k[rest], sub_lo, sub_hi, pivmin[rest])
+        _bisect(tables, point[rest], fam[rest], degree[rest], k[rest], sub_lo, sub_hi, pivmin[rest])
         x[rest] = 0.5 * (sub_lo + sub_hi)
 
     # back to point order, each point's roots ascending
@@ -155,26 +163,27 @@ def compute_roots_many(points) -> list[RootVector]:
     return vectors
 
 
-def _start_brackets(families, fam_of_point, orders):
-    """Each family's recurrence coefficients and each point's start.
+def _start_brackets(families, tops, fam_of_point, orders):
+    """The recurrence coefficients of all families and each point's start.
 
-    ``tables[f]`` holds the diagonal and the squared off-diagonal (entry
-    ``i`` couples rows ``i`` and ``i + 1``) of family ``f``'s recurrence
-    matrix at its largest order.  Each point's column of ``start`` holds
-    the Gershgorin interval of its own ``T_n``, widened as LAPACK
-    ``dstebz`` widens it and clipped to the orthogonality interval; the
-    pivot floor ``pivmin = tiny * max(1, max b_i^2)`` of its ``T_n``; and
-    that widening, ``slack``, which is how far a Sturm count may misplace
-    an eigenvalue.
+    ``tables`` holds the diagonal and the squared off-diagonal (entry
+    ``i`` couples rows ``i`` and ``i + 1``) of the recurrence matrix of
+    family ``f`` at its largest order ``tops[f]`` in column ``f``, padded
+    with 0.  Each point's column of ``start`` holds the Gershgorin interval
+    of its own ``T_n``, widened as LAPACK ``dstebz`` widens it and clipped
+    to the orthogonality interval; the pivot floor ``pivmin = tiny * max(1,
+    max b_i^2)`` of its ``T_n``; and that widening, ``slack``, which is how
+    far a Sturm count may misplace an eigenvalue.
     """
-    tables = []
+    top = int(tops.max())
+    diag, off2 = np.zeros((top, len(families))), np.zeros((top - 1, len(families)))
     start = np.empty((4, orders.size))
     for f, family in enumerate(families):
         sel = np.flatnonzero(fam_of_point == f)
         ns = orders[sel]
-        t = jacobi_matrix(family, int(ns.max()))
+        t = jacobi_matrix(family, int(tops[f]))
         a, b = t.diag, t.offdiag
-        tables.append((a, (b * b).tolist()))
+        diag[:a.size, f], off2[:b.size, f] = a, b * b
         # edge[i] = b_{i-1}; the last row of T_n has only edge[n - 1]
         edge = np.concatenate(([0.0], b, [0.0]))
         radius = edge[:-1] + edge[1:]
@@ -188,23 +197,28 @@ def _start_brackets(families, fam_of_point, orders):
         slack = 2.1 * _EPS * ns * np.maximum(np.abs(low), np.abs(high)) + 4.2 * pivmin
         dom_lo, dom_hi = family.spec.domain
         start[:, sel] = np.maximum(low - slack, dom_lo), np.minimum(high + slack, dom_hi), pivmin, slack
-    return tables, start
+    return (diag, off2), start
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _bisect(tables, fam, degree, k, lo, hi, pivmin, steps=None) -> np.ndarray:
+def _bisect(tables, point, fam, degree, k, lo, hi, pivmin, steps=None) -> np.ndarray:
     """Bisect each entry's bracket ``[lo, hi]`` on its eigenvalue ``k``, in
-    place; the entries come by family and then by order, descending.
+    place; the entries come by order, descending, and then by point and
+    ``k``.
 
     An entry stops at full width, ``hi - lo < 2 eps max(|lo|, |hi|) +
     pivmin`` as in LAPACK ``dstebz``, or, when ``steps`` is given, once it
     has taken that many steps and its bracket holds its eigenvalue alone.
-    Returns the mask of the entries whose bracket holds their eigenvalue
-    alone (the start brackets count as holding all ``n``).
+    Entries of one point that share a bracket, neighbours in this order,
+    share its midpoint, whose Sturm count is computed once.  Returns the
+    mask of the entries whose bracket holds their eigenvalue alone (the
+    start brackets count as holding all ``n``).
     """
     alone = np.zeros(lo.size, dtype=bool)
+    # room for one block's pivot table and its signs, reused by every block
+    work = np.empty(_TABLE_CAP), np.empty(_TABLE_CAP, dtype=bool)
     # the entries still bisecting, compacted whenever some stop
-    live, f, n, kk, floor = np.arange(lo.size), fam, degree, k, pivmin
+    live, pt, f, n, kk, floor = np.arange(lo.size), point, fam, degree, k, pivmin
     l, h = lo.copy(), hi.copy()
     below, upto = np.zeros(lo.size, dtype=np.int64), degree.copy()  # eigenvalues below l, h
     for step in itertools.count():
@@ -216,77 +230,106 @@ def _bisect(tables, fam, degree, k, lo, hi, pivmin, steps=None) -> np.ndarray:
             stop = live[done]
             lo[stop], hi[stop], alone[stop] = l[done], h[done], isolated[done]
             keep = ~done
-            live, f, n, kk, floor, l, h, below, upto = (
-                v[keep] for v in (live, f, n, kk, floor, l, h, below, upto)
+            live, pt, f, n, kk, floor, l, h, below, upto = (
+                v[keep] for v in (live, pt, f, n, kk, floor, l, h, below, upto)
             )
             if not live.size:
                 break
         x = 0.5 * (l + h)
-        count = _sturm_counts(tables, f, n, x, floor)
+        # a point's count at x is one number, however many entries ask
+        shared = (x[1:] == x[:-1]) & (pt[1:] == pt[:-1])
+        if shared.any():
+            fresh = np.concatenate(([True], ~shared))
+            heads = np.flatnonzero(fresh)
+            count = _sturm_counts(tables, f[heads], n[heads], x[heads], floor[heads], work)
+            count = count[np.cumsum(fresh) - 1]
+        else:
+            count = _sturm_counts(tables, f, n, x, floor, work)
         up = count > kk
-        l, below = np.where(up, l, x), np.where(up, below, count)
-        h, upto = np.where(up, x, h), np.where(up, count, upto)
+        np.copyto(h, x, where=up)
+        np.copyto(upto, count, where=up)
+        np.logical_not(up, out=up)
+        np.copyto(l, x, where=up)
+        np.copyto(below, count, where=up)
     return alone
 
 
-def _sturm_counts(tables, fam, degree, x, pivmin) -> np.ndarray:
+def _sturm_counts(tables, fam, degree, x, pivmin, work) -> np.ndarray:
     """The number of eigenvalues of each entry's ``T_n`` below ``x``, the
     number of negative pivots ``q_i = (a_i - x) - b_{i-1}^2 / q_{i-1}``,
-    for entries by family and then by order, descending.
+    for entries by order, descending, of the families ``fam``.
 
-    Each family's entries go in blocks whose pivot table, one row per
-    ``i`` and one column per entry, holds at most ``_TABLE_CAP`` values.
-    A block is run without a guard first; the entries with a pivot within
-    ``pivmin`` of 0 are run again with LAPACK ``dstebz``'s guard, which
-    replaces such a pivot by ``-pivmin``.  Without such a pivot the two
-    runs are the same.
+    The entries go in blocks whose pivot table, one row per ``i`` and one
+    column per entry, holds at most ``_TABLE_CAP`` values, whatever their
+    families, and is written into ``work``.  A block is run without a
+    guard first; the entries with a pivot within ``pivmin`` of 0 are run
+    again with LAPACK ``dstebz``'s guard, which replaces such a pivot by
+    ``-pivmin``.  Without such a pivot the two runs are the same.
     """
     counts = np.empty(x.size, dtype=np.int64)
-    runs = [0, *(np.flatnonzero(np.diff(fam)) + 1).tolist(), x.size]
-    for begin, run_end in zip(runs, runs[1:]):
-        table = tables[fam[begin]]
-        while begin < run_end:
-            end = min(run_end, begin + max(1, _TABLE_CAP // int(degree[begin])))
-            block = slice(begin, end)
-            q = _pivots(table, degree[block], x[block], None)
-            counts[block] = np.count_nonzero(q < 0.0, axis=0)
-            # a NaN pivot follows only a small pivot, which this finds
-            small = np.flatnonzero(np.fmin.reduce(np.abs(q, out=q), axis=0) < pivmin[block])
-            if small.size:
-                cols = begin + small
-                q = _pivots(table, degree[cols], x[cols], pivmin[cols])
-                counts[cols] = np.count_nonzero(q < 0.0, axis=0)
-            begin = end
+    begin = 0
+    while begin < x.size:
+        end = min(x.size, begin + max(1, _TABLE_CAP // int(degree[begin])))
+        block = slice(begin, end)
+        q = _pivots(tables, fam[block], degree[block], x[block], None, work)
+        counts[block] = _negatives(q, work)
+        # a NaN pivot follows only a small pivot, which this finds
+        small = np.flatnonzero(np.fmin.reduce(np.abs(q, out=q), axis=0) < pivmin[block])
+        if small.size:
+            cols = begin + small
+            q = _pivots(tables, fam[cols], degree[cols], x[cols], pivmin[cols], work)
+            counts[cols] = _negatives(q, work)
+        begin = end
     return counts
 
 
-def _pivots(table, degree, x, pivmin) -> np.ndarray:
-    """The pivot table of one block of one family, guarded when
-    ``pivmin`` is given.
+def _negatives(q, work) -> np.ndarray:
+    """The number of negative values in each column of ``q``."""
+    negative = work[1][:q.size].reshape(q.shape)
+    return np.count_nonzero(np.less(q, 0.0, out=negative), axis=0)
+
+
+def _pivots(tables, fam, degree, x, pivmin, work) -> np.ndarray:
+    """The pivot table of one block, in ``work``, whose entries read the
+    coefficient columns ``fam`` of ``tables``, guarded when ``pivmin`` is
+    given.  The block's entries come by order, descending.
 
     Rows past an entry's order are set to ``+inf``, which the recurrence
     keeps at ``+inf`` or NaN, so they never count as negative.
     """
-    diag, off2 = table
-    top = int(degree[0])
-    q = diag[:top, None] - x
+    diag, off2 = tables
+    top, size = int(degree[0]), x.size
+    q = work[0][:top * size].reshape(top, size)
+    one = diag.shape[1] == 1
+    if one:
+        # one family: its coefficients broadcast over the block as floats
+        np.subtract(diag[:top], x, out=q)
+        b2 = off2[:top - 1, 0].tolist()
+    else:
+        # mode="clip" writes into ``out`` directly; every index is valid
+        np.subtract(diag[:top].take(fam, axis=1, out=q, mode="clip"), x, out=q)
     # each run of one order ends its rows at that order
-    for begin in (np.flatnonzero(np.diff(degree)) + 1).tolist():
-        q[degree[begin]:, begin:] = np.inf
+    runs = (np.flatnonzero(np.diff(degree)) + 1).tolist()
+    for begin, end in zip(runs, runs[1:] + [size]):
+        q[degree[begin]:, begin:end] = np.inf
     if pivmin is not None:
         np.copyto(q[0], -pivmin, where=np.abs(q[0]) < pivmin)
-    for row, prev, b2 in zip(q[1:], q, off2[:top - 1]):
-        row -= b2 / prev
+    ratio = np.empty(size)
+    for i, (row, prev) in enumerate(zip(q[1:], q)):
+        b = b2[i] if one else off2[i].take(fam, out=ratio, mode="clip")
+        row -= np.divide(b, prev, out=ratio)
         if pivmin is not None:
             np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
     return q
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _polish(family: PolynomialFamily, degree, lo, hi, slack) -> tuple[np.ndarray, np.ndarray]:
-    """Newton from each bracket's midpoint, all entries of ``family`` in
-    one evaluation per step.  Returns the polished points and the mask of
-    entries that settled.
+def _polish(steps, domain, fam, degree, lo, hi, slack) -> tuple[np.ndarray, np.ndarray]:
+    """Newton from each bracket's midpoint, all entries in one evaluation
+    of the recurrence per step; entry ``j`` is of the family in column
+    ``fam[j]`` of the step table ``steps``, whose orthogonality interval
+    is column ``fam[j]`` of ``domain``.  Returns the polished points and
+    the mask of entries that settled.
 
     The iterates stay in the bracket widened by ``slack`` (the root of
     ``P_n`` may sit that far outside a bracket of Sturm counts) and clipped
@@ -302,8 +345,7 @@ def _polish(family: PolynomialFamily, degree, lo, hi, slack) -> tuple[np.ndarray
     settled.
     """
     x = 0.5 * (lo + hi)
-    dom_lo, dom_hi = family.spec.domain
-    lo, hi = np.maximum(lo - slack, dom_lo), np.minimum(hi + slack, dom_hi)
+    lo, hi = np.maximum(lo - slack, domain[0][fam]), np.minimum(hi + slack, domain[1][fam])
     best = x.copy()
     best_mag = np.full(x.size, np.inf)
     best_step = np.full(x.size, np.inf)
@@ -315,7 +357,7 @@ def _polish(family: PolynomialFamily, degree, lo, hi, slack) -> tuple[np.ndarray
         if not live.size:
             break
         current = x[live]
-        p, dp, exp2 = _evaluate_scaled(family, degree[live], current)
+        p, dp, exp2 = _evaluate_scaled(steps, degree[live], current, fam[live])
         mag = np.log2(np.abs(p)) + exp2
         newton = p / dp
         tie = (mag == best_mag[live]) & (np.abs(newton) < best_step[live])

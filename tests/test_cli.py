@@ -254,6 +254,12 @@ class TestGoldenOutput:
                 ["bounds"],
                 "5bfc3c50de16f496a53084db14d8de28cceb636445bcbdf35b17c15b109ba215",
             ),
+            # every default-grid root, 9,839 in 479 points: a root that
+            # moves by one ulp and changes no bound cell shows here
+            (
+                ["roots"],
+                "62784928389f429b6050ab02a81f3d31f9e1178921de5d2e0d1b607f403d5d70",
+            ),
         ],
     )
     def test_sha256(self, capsys, argv, digest):

@@ -18,7 +18,7 @@ from rootgaps import (
     jacobi_matrix,
     laguerre,
 )
-from rootgaps.families import _evaluate_scaled
+from rootgaps.families import _evaluate_scaled, step_table
 
 
 class TestFamilyValidation:
@@ -174,7 +174,7 @@ class TestEvaluate:
                     ([eigs[0] - 1.0], 0.5 * (eigs[:-1] + eigs[1:]), [eigs[-1] + 1.0])
                 )
                 # one batch per (family, N); the rescaled values keep their signs
-                values, _, _ = _evaluate_scaled(family, np.full(n + 1, n), probes)
+                values, _, _ = _evaluate_scaled(step_table([family], [n]), np.full(n + 1, n), probes)
                 signs = np.copysign(1.0, values)
                 assert np.array_equal(signs[1:], -signs[:-1]), (family.label(), n)
 

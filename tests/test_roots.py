@@ -18,7 +18,7 @@ from rootgaps import (
     to_sqrt_coordinates,
 )
 import rootgaps.roots as roots_mod
-from rootgaps.families import _evaluate_scaled
+from rootgaps.families import _evaluate_scaled, step_table
 from rootgaps.roots import compute_roots_many
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
@@ -76,7 +76,7 @@ class TestOrderingAndInvariants:
         # internal scale so huge polynomial values cannot overflow
         rv = compute_roots(family, n)
         roots = np.sort(rv.roots)
-        values, derivatives, _ = _evaluate_scaled(family, np.full(n, n), roots)
+        values, derivatives, _ = _evaluate_scaled(step_table([family], [n]), np.full(n, n), roots)
         for i, (x, p, dp) in enumerate(zip(roots, values, derivatives)):
             if n == 1:
                 scale = max(1.0, abs(x))
@@ -331,6 +331,54 @@ class TestBatchPolish:
             assert np.array_equal(alone.roots, rv.roots), (family.label(), n)
             assert alone.polish_skipped == rv.polish_skipped
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # a repeated point, with another family between its two copies
+            [(hermite(), 7), (laguerre(2.0), 7), (hermite(), 7)],
+            # two families at one order, and a copy next to its twin
+            [(jacobi(1.0, -0.9), 12), (laguerre(0.5), 12), (laguerre(0.5), 12), (hermite(), 5)],
+        ],
+        ids=["repeated-point", "two-families-one-order"],
+    )
+    def test_merged_points_match_batches_of_one(self, monkeypatch, points):
+        real = roots_mod._pivots
+        families_per_block = []
+
+        def pivots(tables, fam, degree, x, pivmin, work):
+            families_per_block.append(np.unique(fam).size)
+            return real(tables, fam, degree, x, pivmin, work)
+
+        monkeypatch.setattr(roots_mod, "_pivots", pivots)
+        batch = compute_roots_many(points)
+        monkeypatch.undo()
+        # the points were counted in shared blocks, not one family at a time
+        assert max(families_per_block) >= 2
+        for (family, n), rv in zip(points, batch):
+            (alone,) = compute_roots_many([(family, n)])
+            assert np.array_equal(alone.roots, rv.roots), (family.label(), n)
+            assert alone.polish_skipped == rv.polish_skipped
+            roots, skipped = scalar_polish(family, n)
+            assert np.array_equal(rv.roots, roots) and rv.polish_skipped == skipped
+
+    def test_guard_fires_in_a_merged_block(self, monkeypatch):
+        # the first Hermite midpoint is x = 0 = a_0: its first pivot is 0,
+        # so the Hermite columns of the shared block are run again guarded
+        real = roots_mod._pivots
+        calls = []
+
+        def pivots(tables, fam, degree, x, pivmin, work):
+            calls.append((fam.copy(), x.copy(), pivmin is not None))
+            return real(tables, fam, degree, x, pivmin, work)
+
+        monkeypatch.setattr(roots_mod, "_pivots", pivots)
+        compute_roots_many([(hermite(), 7), (laguerre(2.0), 7), (hermite(), 7)])
+        monkeypatch.undo()
+        (fam, x, guarded), (guard_fam, guard_x, second_guarded) = calls[:2]
+        # one block of the three points' first midpoints, one per point
+        assert not guarded and fam.tolist() == [0, 1, 0] and x[0] == x[2] == 0.0
+        assert second_guarded and guard_fam.tolist() == [0, 0] and guard_x.tolist() == [0.0, 0.0]
+
     def test_single_order_is_a_batch_of_one(self):
         (rv,) = compute_roots_many([(laguerre(2.0), 7)])
         assert np.array_equal(compute_roots(laguerre(2.0), 7).roots, rv.roots)
@@ -342,19 +390,38 @@ class TestBatchPolish:
         orders = rng.integers(1, 61, size=50)
         lo, hi = family.spec.domain
         x = rng.uniform(max(lo, -6.0), min(hi, 60.0), size=50)
-        assert_matches_scalar_recurrence(family, orders, x)
+        assert_matches_scalar_recurrence([family], orders, x)
+
+    def test_stacked_evaluator_matches_scalar_recurrence(self):
+        # all default families in one call, interleaved, each entry reading
+        # its own family's steps
+        families = all_families()
+        rng = np.random.default_rng(11)
+        which = rng.integers(0, len(families), size=200)
+        orders = rng.integers(1, 61, size=200)
+        x = np.array([
+            rng.uniform(max(lo, -6.0), min(hi, 60.0))
+            for lo, hi in (families[f].spec.domain for f in which)
+        ])
+        assert_matches_scalar_recurrence(families, orders, x, which)
 
     def test_rescaled_entries_match_scalar_recurrence(self):
         # Hermite N = 120 at x = 40 passes 2**500; the others stay below it
         orders = np.array([3, 120, 40, 120, 1, 120])
         x = np.array([0.25, 40.0, -2.5, 1.5, 3.0, -40.0])
-        exp2 = assert_matches_scalar_recurrence(hermite(), orders, x)
+        exp2 = assert_matches_scalar_recurrence([hermite()], orders, x)
         assert exp2.tolist() == [0, 500, 0, 0, 0, 500]
 
 
-def assert_matches_scalar_recurrence(family, orders, x):
-    p, dp, exp2 = _evaluate_scaled(family, orders, x)
-    want = [scalar_evaluate_scaled(family, int(n), float(xi)) for n, xi in zip(orders, x)]
+def assert_matches_scalar_recurrence(families, orders, x, which=None):
+    """Entry ``j`` is of ``families[which[j]]``, of the only family when
+    ``which`` is not given."""
+    which = np.zeros(orders.size, dtype=int) if which is None else which
+    tops = [max([1, *orders[which == f]]) for f in range(len(families))]
+    p, dp, exp2 = _evaluate_scaled(step_table(families, tops), orders, x, which)
+    want = [
+        scalar_evaluate_scaled(families[f], int(n), float(xi)) for f, n, xi in zip(which, orders, x)
+    ]
     assert p.tolist() == [w[0] for w in want]
     assert dp.tolist() == [w[1] for w in want]
     assert exp2.tolist() == [w[2] for w in want]
@@ -389,8 +456,8 @@ class TestRejectedPolish:
         real = roots_mod._evaluate_scaled
         calls = []
 
-        def evaluate(fam, degree, x):
-            p, dp, exp2 = real(fam, degree, x)
+        def evaluate(steps, degree, x, which):
+            p, dp, exp2 = real(steps, degree, x, which)
             at_six = degree == 6
             # a derivative of 0 at the first step
             dp[at_six & (np.abs(x - zero_slope) < near)] = 0.0
