@@ -58,8 +58,10 @@ marked ``vacuous`` and a formula outside its parameter domain is marked
 
 Each family has one bound function, :func:`hermite_diag_bound`,
 :func:`laguerre_bounds` and :func:`jacobi_bounds`, which reads the
-family's ``(lin, cross)`` from ``covariance.interaction_sums`` and returns
-the family's derived and comparator bounds as one list of rows
+family's ``(lin, cross)``, from ``covariance.interaction_sums`` unless
+the caller passes them (the ``bounds`` command takes each point's from
+one ``interaction_sums_stack`` per order), and returns the family's
+derived and comparator bounds as one list of rows
 ``(bound_id, bound, observed[, note])``; :func:`bound_rows` picks the
 function of a root vector's family.  A row whose two sides are scalars
 gives one entry with ``index=None``; a row with an array side (per-root
@@ -221,14 +223,15 @@ def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
     )
 
 
-def hermite_diag_bound(z: RootVector) -> list[tuple]:
+def hermite_diag_bound(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     """Hermite rows: the diagonal-of-square caps, their corollaries, and
-    the literature gap comparator."""
+    the literature gap comparator.  ``sums`` is ``interaction_sums(z)``,
+    if the caller has it already."""
     require_kind(z, FamilyKind.HERMITE)
     n = z.n
     if n < 2:
         raise ParameterDomainError("Hermite bounds need N >= 2")
-    inv2, inv4 = interaction_sums(z)
+    inv2, inv4 = interaction_sums(z) if sums is None else sums
     gaps = z.roots[:-1] - z.roots[1:]
     return [
         ("hermite-diag-sq", inv2 * inv2 + inv4, (n - 1) ** 3 / n),
@@ -239,14 +242,15 @@ def hermite_diag_bound(z: RootVector) -> list[tuple]:
     ]
 
 
-def laguerre_bounds(z: RootVector) -> list[tuple]:
+def laguerre_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     """Laguerre rows: the derived diagonal caps, smallest-root floor and
     three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale), and
-    the literature comparators (informational)."""
+    the literature comparators (informational).  ``sums`` is
+    ``interaction_sums(z)``, if the caller has it already."""
     require_kind(z, FamilyKind.LAGUERRE)
     n = z.n
     (nu,) = z.family.parameters()
-    lin, cross = interaction_sums(z)
+    lin, cross = interaction_sums(z) if sums is None else sums
     two_n1 = 2.0 * n - 1.0
     gaps = z.roots[:-1] - z.roots[1:]
     smallest = float(z.roots[-1])
@@ -286,19 +290,20 @@ def laguerre_bounds(z: RootVector) -> list[tuple]:
     ]
 
 
-def jacobi_bounds(z: RootVector) -> list[tuple]:
+def jacobi_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     """Jacobi rows: the derived diagonal caps, the two boundary-distance
     floors, the boundary-product floors and the gap floors, and the
     asymptotic leading-term comparator for the upper boundary distance.
 
     The comparator is only meaningful for ``alpha, beta > -1/2``; the
-    dropped ``o(1/N^2)`` term means it never gates anything.
+    dropped ``o(1/N^2)`` term means it never gates anything.  ``sums`` is
+    ``interaction_sums(z)``, if the caller has it already.
     """
     require_kind(z, FamilyKind.JACOBI)
     n = z.n
     alpha, beta = z.family.parameters()
     big_m = float(z.family.spec.spectrum(z.family, n)[-1])
-    lin, cross = interaction_sums(z)
+    lin, cross = interaction_sums(z) if sums is None else sums
     disc = math.sqrt(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0))
     upper = 1.0 - float(z.roots[-1])
     lower = 1.0 + float(z.roots[0])
@@ -338,15 +343,16 @@ def jacobi_bounds(z: RootVector) -> list[tuple]:
 # Each family's bound rows; the lambdas look the functions up at call time,
 # so wrappers installed on this module's attributes see every call.
 _BOUND_SETS = {
-    FamilyKind.HERMITE: lambda z: hermite_diag_bound(z),
-    FamilyKind.LAGUERRE: lambda z: laguerre_bounds(z),
-    FamilyKind.JACOBI: lambda z: jacobi_bounds(z),
+    FamilyKind.HERMITE: lambda z, sums: hermite_diag_bound(z, sums),
+    FamilyKind.LAGUERRE: lambda z, sums: laguerre_bounds(z, sums),
+    FamilyKind.JACOBI: lambda z, sums: jacobi_bounds(z, sums),
 }
 
 
-def bound_rows(z: RootVector) -> list[tuple]:
-    """Every derived bound and comparator row for the family of ``z``."""
-    return _BOUND_SETS[z.family.kind](z)
+def bound_rows(z: RootVector, sums: tuple | None = None) -> list[tuple]:
+    """Every derived bound and comparator row for the family of ``z``;
+    ``sums`` is ``interaction_sums(z)``, if the caller has it already."""
+    return _BOUND_SETS[z.family.kind](z, sums)
 
 
 def bound_set(z: RootVector) -> list[BoundReport]:

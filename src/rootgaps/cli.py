@@ -10,19 +10,25 @@ Subcommands:
 
 ``spectrum-match`` diagonalizes nothing: it checks the predicted spectrum
 against the eigenvalue enclosure of ``S_N`` from its closed-form
-eigenbasis (``covariance.eigenbasis``, ``eigensolve.enclose_eigenvalues``).
+eigenbasis (``covariance.eigenbasis_stack``,
+``eigensolve.enclose_eigenvalues``).
 
 The sweep is split into runs of consecutive points, one per ``--jobs``
 worker (one run when serial).  Each run computes the roots of all its
 points, whatever their families, in one ``compute_roots_many`` batch,
-and for ``verify`` the eigenbases of all their ``S_N`` in one
-``eigenbasis`` batch, then hands each point its ``RootVector`` (and
-basis).  Each point function is given the point's (family, params, N)
-key and the output format and returns the text of its rows, plus a
-summary dict, so the rows become text where they are computed and
-``--jobs`` workers send text.  ``roots`` and ``verify`` build their rows
-as tuples in ``COLUMNS`` order after the key.  ``bounds`` writes from the
-point's ``bounds.BoundColumns``: CSV from the columns, each side of a
+then groups the points by order (at large orders a few points at a
+time, so that no stack exceeds ``_STACK_ENTRIES`` matrix entries).
+For ``verify`` each group's checks are evaluated once on ``(P, n)`` and
+``(P, n, n)`` stacks (its ``S_N``, its eigenbases, its interaction sums;
+``_verify_checks``), and for ``bounds`` each group's ``(lin, cross)``
+come from one ``interaction_sums_stack``.  Each point is then handed its
+``RootVector`` and its slice of that data, and its point function is
+given the point's (family, params, N) key and the output format and
+returns the text of its rows, plus a summary dict, so the rows become
+text where they are computed and ``--jobs`` workers send text.
+``roots`` and ``verify`` build their rows as tuples in ``COLUMNS`` order
+after the key.  ``bounds`` writes from the point's
+``bounds.BoundColumns``: CSV from the columns, each side of a
 bound row formatted once for all its entries (and the gaps once for all
 the rows that share them), JSON from one tuple per entry; only JSON
 computes the sharpness summary, CSV needs only the violation count.  CSV
@@ -41,8 +47,8 @@ column order, shortest round-trip float formatting.  Points come in
 (family, parameters, N) order from ``sweep_points``, each run keeps it,
 and the serial ``map`` and ``pool.map`` both keep the order of the runs
 whatever the worker scheduling; rows within a point are sorted by
-(id, index).  A batch of roots or of bases is bit for bit what each
-point would get alone, so the output does not depend on ``--jobs``.
+(id, index).  A point's roots, bases and check values are bit for bit
+what it would get alone, so the output does not depend on ``--jobs``.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error (including an empty sweep, a ``--tol`` that is not finite and
@@ -67,14 +73,15 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .covariance import (
-    build_S,
+    build_S_stack,
+    by_order,
     diag_square_residual,
-    eigenbasis,
-    interaction_sums,
-    laguerre_sqrt_r_S,
+    eigenbasis_stack,
+    interaction_sums_stack,
+    laguerre_sqrt_r_S_stack,
     pair_terms,
 )
-from .eigensolve import DenseSymmetric, enclose_eigenvalues
+from .eigensolve import check_symmetric, enclose_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
 from .families import FAMILY_SPECS, FamilyKind, PolynomialFamily, family_from
 from .roots import RootVector, compute_roots_many, gap_statistics
@@ -145,7 +152,7 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
     return points
 
 
-def _roots_point(key: tuple, fmt: str, rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[str, dict]:
+def _roots_point(key: tuple, fmt: str, rv: RootVector, data: None) -> tuple[str, dict]:
     stats = gap_statistics(rv)
     z = rv.roots.tolist()
     gaps = [abs(b - a) for a, b in zip(z, z[1:])] + [None]
@@ -158,57 +165,78 @@ def _roots_point(key: tuple, fmt: str, rv: RootVector, basis: None, tol: float |
     return _rows_text("roots", fmt, key, rows), summary
 
 
-def _verify_point(key: tuple, fmt: str, rv: RootVector, basis: np.ndarray, tol: float | None, corrupt: bool) -> tuple[str, dict]:
-    fam, n = rv.family, rv.n
-    # one evaluation of the pair terms builds S_N and its interaction sums
-    terms = pair_terms(rv)
-    s = build_S(rv, terms).entries
-    matrix = s
-    if corrupt:
-        matrix = matrix.copy()
-        j = min(1, n - 1)
-        matrix[0, j] += 0.5
-        matrix[j, 0] = matrix[0, j]
-    checks: list[tuple[str, float, float]] = []
+def _verify_point(key: tuple, fmt: str, rv: RootVector, checks: list[tuple]) -> tuple[str, dict]:
+    rows = [(check_id, value, tolerance, value <= tolerance) for check_id, value, tolerance in sorted(checks)]
+    return _rows_text("verify", fmt, key, rows), {"failed": sum(1 for row in rows if not row[-1])}
 
-    # the closed-form eigenbasis encloses the eigenvalues of the matrix as
-    # given, so a corrupted copy fails here without being diagonalized
-    centers, radii = enclose_eigenvalues(DenseSymmetric(matrix), basis)
-    predicted = fam.spec.spectrum(fam, n)
-    spectral_err = float(np.max((np.abs(centers - predicted) + radii) / predicted))
+
+def _verify_checks(group: list[RootVector], tol: float | None, corrupt: bool) -> list[list[tuple]]:
+    """The ``(check_id, value, tolerance)`` checks of each point of one
+    order, every check evaluated once for the whole group."""
+    n = group[0].n
+    # one evaluation of the pair terms builds S_N and its interaction sums
+    terms = pair_terms(group)
+    s = build_S_stack(group, terms)
+    matrices = s
+    if corrupt:
+        # every point's own slice of a copy
+        matrices = matrices.copy()
+        j = min(1, n - 1)
+        matrices[:, 0, j] += 0.5
+        matrices[:, j, 0] = matrices[:, 0, j]
+
+    # the closed-form eigenbasis encloses the eigenvalues of the matrices
+    # as given, so a corrupted copy fails here without being diagonalized
+    centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(group))
+    predicted = np.stack([rv.family.spec.spectrum(rv.family, n) for rv in group])
+    spectral = np.max((np.abs(centers - predicted) + radii) / predicted, axis=1).tolist()
     spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
-    checks.append(("spectrum-match", spectral_err, spectral_tol))
 
     # one (lin, cross) pair feeds both trace identities and the
     # diagonal-of-square check
     ident_tol = 1e-10 if tol is None else tol
-    lin, cross = interaction_sums(rv, terms)
+    lin, cross = interaction_sums_stack(group, terms)
     diag_square = lin * lin + cross
-    linear_target, square_target = fam.spec.trace_targets(fam, n)
-    checks.append(("trace-identity-linear", _rel_defect(float(lin.sum()), linear_target), ident_tol))
-    if square_target is not None:
-        square = float(diag_square.sum())
-        checks.append(("trace-identity-square", _rel_defect(square, square_target), ident_tol))
-    if fam.kind is FamilyKind.LAGUERRE:
-        alt = laguerre_sqrt_r_S(rv).entries
-        diff = np.abs(s - alt) / np.maximum(np.maximum(np.abs(s), np.abs(alt)), _TINY)
-        checks.append(("coordinate-forms-match", float(diff.max()), 1e-13 if tol is None else tol))
-    diag_resid = diag_square_residual(matrix, fam.spec.shift, diag_square)
-    checks.append(("diag-square-consistency", diag_resid, ident_tol))
+    linear, square = lin.sum(axis=1).tolist(), diag_square.sum(axis=1).tolist()
+    shifts = np.array([rv.family.spec.shift for rv in group])
+    residual = diag_square_residual(matrices, shifts, diag_square).tolist()
 
-    rows = [(check_id, value, tolerance, value <= tolerance) for check_id, value, tolerance in sorted(checks)]
-    return _rows_text("verify", fmt, key, rows), {"failed": sum(1 for row in rows if not row[-1])}
+    laguerre = [p for p, rv in enumerate(group) if rv.family.kind is FamilyKind.LAGUERRE]
+    coordinate = {}
+    if laguerre:
+        alt = laguerre_sqrt_r_S_stack([group[p] for p in laguerre])
+        # the second form is held to the checks of S_N itself
+        check_symmetric(alt)
+        base = s[laguerre]
+        diff = np.abs(base - alt) / np.maximum(np.maximum(np.abs(base), np.abs(alt)), _TINY)
+        coordinate = dict(zip(laguerre, diff.max(axis=(1, 2)).tolist()))
+
+    outcomes = []
+    for p, rv in enumerate(group):
+        fam = rv.family
+        linear_target, square_target = fam.spec.trace_targets(fam, n)
+        checks = [
+            ("spectrum-match", spectral[p], spectral_tol),
+            ("trace-identity-linear", _rel_defect(linear[p], linear_target), ident_tol),
+        ]
+        if square_target is not None:
+            checks.append(("trace-identity-square", _rel_defect(square[p], square_target), ident_tol))
+        if p in coordinate:
+            checks.append(("coordinate-forms-match", coordinate[p], 1e-13 if tol is None else tol))
+        checks.append(("diag-square-consistency", residual[p], ident_tol))
+        outcomes.append(checks)
+    return outcomes
 
 
 def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_point(key: tuple, fmt: str, rv: RootVector, basis: None, tol: float | None, corrupt: bool) -> tuple[str, dict]:
+def _bounds_point(key: tuple, fmt: str, rv: RootVector, sums: tuple) -> tuple[str, dict]:
     # ids are unique per bound row and each row's entries come in index
     # order, so the stable sort of the rows by id alone orders the entries
     # by (id, index)
-    columns = bounds_mod.bound_columns(sorted(bounds_mod.bound_rows(rv), key=itemgetter(0)))
+    columns = bounds_mod.bound_columns(sorted(bounds_mod.bound_rows(rv, sums), key=itemgetter(0)))
     summary = {"violations": columns.violations()}
     if fmt == "csv":
         # CSV writes no summary; the sweep reads only the violation count
@@ -223,10 +251,25 @@ def _bounds_point(key: tuple, fmt: str, rv: RootVector, basis: None, tol: float 
     return _json_rows("bounds", key, columns.entries()), summary
 
 
-# one signature: (point key, format, roots, basis, tol, corrupt) -> (the
-# text of the point's rows in the format, summary without the point key);
-# only verify reads the basis
+def _bounds_sums(group: list[RootVector], tol: float | None, corrupt: bool) -> list[tuple]:
+    """The ``(lin, cross)`` of each point of one order, from one stack."""
+    lin, cross = interaction_sums_stack(group)
+    return list(zip(lin, cross))
+
+
+# one signature: (point key, format, roots, data) -> (the text of the
+# point's rows in the format, summary without the point key), where data
+# is what the command's group stage gave the point (roots has none)
 _POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
+
+# one signature: (the root vectors of one order, tol, corrupt) -> the data
+# of each point, in order
+_GROUP_STAGES = {"verify": _verify_checks, "bounds": _bounds_sums}
+
+# the most matrix entries of one (P, n, n) stack (2 MB of doubles): a group
+# stage holds several such stacks at once, so the points of a large order
+# are taken a few at a time; each point's values do not depend on its group
+_STACK_ENTRIES = 1 << 18
 
 
 def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:
@@ -235,7 +278,7 @@ def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:
     named by the first point in sweep order that raises it."""
     command, fmt, points, tol, corrupt = task
     try:
-        batch = _point_inputs(command, points)
+        batch = _point_inputs(command, points, tol, corrupt)
     except RootgapsError:
         # some point failed: each point computes its own inputs, so the
         # points before it run and the failing one is named
@@ -243,30 +286,39 @@ def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:
     outcomes = []
     for i, (fam, n) in enumerate(points):
         try:
-            rv, basis = batch[i] if batch else _point_inputs(command, [(fam, n)])[0]
-            outcomes.append(_evaluate_point(command, fmt, rv, basis, tol, corrupt))
+            rv, data = batch[i] if batch else _point_inputs(command, [(fam, n)], tol, corrupt)[0]
+            outcomes.append(_evaluate_point(command, fmt, rv, data))
         except RootgapsError as exc:
             raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
     return outcomes
 
 
-def _point_inputs(command: str, points: list[tuple[PolynomialFamily, int]]) -> list[tuple]:
-    """The ``(roots, basis)`` of each point: its ``RootVector`` and, for
-    ``verify``, the closed-form eigenbasis of its ``S_N`` (else ``None``),
-    each kind computed in one batch."""
+def _point_inputs(
+    command: str, points: list[tuple[PolynomialFamily, int]], tol: float | None, corrupt: bool
+) -> list[tuple]:
+    """The ``(roots, data)`` of each point: its ``RootVector`` from one
+    batch, and the data its rows are written from, which the command's
+    group stage computes once for all the points of each order, at most
+    ``_STACK_ENTRIES`` matrix entries at a time (``roots`` has none)."""
     batch = compute_roots_many(points)
-    bases = eigenbasis(batch) if command == "verify" else [None] * len(batch)
-    return list(zip(batch, bases))
+    data = [None] * len(batch)
+    stage = _GROUP_STAGES.get(command)
+    if stage is not None:
+        for n, members in by_order(batch).items():
+            size = max(1, _STACK_ENTRIES // (n * n))
+            for start in range(0, len(members), size):
+                group = members[start:start + size]
+                for i, item in zip(group, stage([batch[i] for i in group], tol, corrupt)):
+                    data[i] = item
+    return list(zip(batch, data))
 
 
-def _evaluate_point(
-    command: str, fmt: str, rv: RootVector, basis: np.ndarray | None, tol: float | None, corrupt: bool
-) -> tuple[str, dict]:
-    """One sweep point from its roots (and basis): the text of its rows in
+def _evaluate_point(command: str, fmt: str, rv: RootVector, data) -> tuple[str, dict]:
+    """One sweep point from its roots and data: the text of its rows in
     the output format, plus its keyed summary."""
     fam = rv.family
     key = (fam.kind.value, fam.params_text(), rv.n)
-    text, summary = _POINT_FUNCTIONS[command](key, fmt, rv, basis, tol, corrupt)
+    text, summary = _POINT_FUNCTIONS[command](key, fmt, rv, data)
     return text, dict(zip(POINT_KEY, key), **summary)
 
 

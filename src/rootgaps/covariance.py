@@ -13,25 +13,34 @@ diagonal ``lin`` of ``S_N - shift I``:
 * Hermite:   ``lin_i = sum_{l!=i} (z_i - z_l)^-2``; eigenvalues ``1, 2, ..., N``.
 * Laguerre:  ``lin_i = nu/z_i + 2 sum_{l!=i} (z_i + z_l)/(z_i - z_l)^2``;
   eigenvalues ``2, 4, ..., 2N``.  An equivalent form on the scale
-  ``r_i = sqrt(2 z_i)`` (:func:`laguerre_sqrt_r_S`) must agree entrywise.
+  ``r_i = sqrt(2 z_i)`` (:func:`laguerre_sqrt_r_S_stack`) must agree entrywise.
 * Jacobi:    ``lin_i = 4 sum_{l!=i} (1 - z_i^2)/(z_i - z_l)^2
   + 2(alpha+1)(1+z_i)/(1-z_i) + 2(beta+1)(1-z_i)/(1+z_i)``; eigenvalues
   ``2j(2N + alpha + beta + 1 - j)``.
 
 The two terms of each family, ``d`` and ``lin``, are one row of a
-kind-keyed table that :func:`pair_terms` evaluates and :func:`build_S`
-and :func:`interaction_sums` both read, so each formula above is written
-once; a caller that needs both passes them one evaluation.  The row sums of the squared
-off-diagonal are ``cross_i = sum_{l!=i} d_i d_l / (z_i - z_l)^4``, and
-``lin**2 + cross`` is the diagonal of ``(S_N - shift I)^2``.
+kind-keyed table that :func:`pair_terms` evaluates and
+:func:`build_S_stack` and :func:`interaction_sums_stack` both read, so
+each formula above is written once; a caller that needs both passes them
+one evaluation.  The row sums of the squared off-diagonal are
+``cross_i = sum_{l!=i} d_i d_l / (z_i - z_l)^4``, and ``lin**2 + cross``
+is the diagonal of ``(S_N - shift I)^2``.
 
 The Hermite and Laguerre ``N = 1`` matrices are the natural trivial
 extensions ``[[1]]`` and ``[[2]]`` with spectra ``{1}`` and ``{2}``.
 
-The eigenvectors are known in closed form too; :func:`eigenbasis` builds
-them from the roots of a whole batch of points, one Lanczos per order,
-each point's basis independent of the batch; a last column that the
-Lanczos loses to rounding is taken from the complement of the others.
+Every kernel here takes the root vectors of one order, of any families,
+and works on their stacks: ``(P, n)`` roots and ``(P, n, n)`` matrices,
+each kind's terms applied to its own rows (:func:`by_order` groups a
+batch).  Each slice sees the IEEE operations of the point alone: row sums
+run over the contiguous last axis and every decision is taken per slice,
+so a point's values are bit for bit the same in any stack.  The
+per-point names :func:`build_S`, :func:`interaction_sums` and
+:func:`laguerre_sqrt_r_S` are stacks of one.
+
+The eigenvectors are known in closed form too; :func:`eigenbasis_stack`
+builds them with one Lanczos per order; a last column that the Lanczos
+loses to rounding is taken from the complement of the others.
 The spectra, and the shift under which the trace and diagonal-of-square
 identities are stated, come from the family's ``FamilySpec`` row.
 """
@@ -51,93 +60,162 @@ _TINY = float(np.finfo(float).tiny)
 _SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 
 
+def by_order(roots: Sequence[RootVector]) -> dict[int, list[int]]:
+    """The indices of ``roots`` grouped by order, each group in order of
+    first appearance, for the kernels below that take one order's points."""
+    groups: dict[int, list[int]] = {}
+    for i, rv in enumerate(roots):
+        groups.setdefault(rv.n, []).append(i)
+    return groups
+
+
+def _fill_diagonal(matrices: np.ndarray, values) -> None:
+    """``np.fill_diagonal`` of each matrix along the leading axes."""
+    i = np.arange(matrices.shape[-1])
+    matrices[..., i, i] = values
+
+
 def _pair_differences(z: np.ndarray) -> np.ndarray:
-    """Pairwise ``z_i - z_l`` with the diagonal set to ``inf``.
+    """Pairwise ``z_i - z_l`` along the last axis of ``z``, with the
+    diagonal set to ``inf``; for ``(P, n)`` roots a ``(P, n, n)`` stack.
 
     The infinite diagonal turns every self-interaction term into an exact
     zero, so row sums over ``l != i`` need no masking.
     """
-    diff = z[:, None] - z[None, :]
-    if np.any((diff == 0.0) & ~np.eye(z.size, dtype=bool)):
+    diff = z[..., :, None] - z[..., None, :]
+    if np.any((diff == 0.0) & ~np.eye(z.shape[-1], dtype=bool)):
         raise SingularConfigurationError("coincident roots")
-    np.fill_diagonal(diff, math.inf)
+    _fill_diagonal(diff, math.inf)
     return diff
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """``np.outer(v, v)`` of each row of ``v``."""
+    return v[..., :, None] * v[..., None, :]
 
 
 def _jacobi_lin(z, d, inv2, alpha, beta):
     return (
-        (d[:, None] * inv2).sum(axis=1)
+        (d[..., :, None] * inv2).sum(axis=-1)
         + 2.0 * (alpha + 1.0) * (1.0 + z) / (1.0 - z)
         + 2.0 * (beta + 1.0) * (1.0 - z) / (1.0 + z)
     )
 
 
 # Each family's weight d(z) and the diagonal lin(z, d, inv2, *parameters)
-# of S_N - shift I, where inv2 = (z_i - z_l)^-2 with a zero diagonal.
+# of S_N - shift I, where inv2 = (z_i - z_l)^-2 with a zero diagonal; z
+# holds the rows of one kind, each parameter a column of their values.
 _TERMS = {
-    FamilyKind.HERMITE: (np.ones_like, lambda z, d, inv2: inv2.sum(axis=1)),
+    FamilyKind.HERMITE: (np.ones_like, lambda z, d, inv2: inv2.sum(axis=-1)),
     FamilyKind.LAGUERRE: (
         lambda z: 4.0 * z,
-        lambda z, d, inv2, nu: nu / z + 2.0 * ((z[:, None] + z[None, :]) * inv2).sum(axis=1),
+        lambda z, d, inv2, nu: (
+            nu / z + 2.0 * ((z[..., :, None] + z[..., None, :]) * inv2).sum(axis=-1)
+        ),
     ),
     FamilyKind.JACOBI: (lambda z: 4.0 * (1.0 - z * z), _jacobi_lin),
 }
 
 
-def pair_terms(z: RootVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(d, inv2, lin)`` for the family of ``z``, which
-    :func:`interaction_sums` and :func:`build_S` both read."""
-    weight, lin = _TERMS[z.family.kind]
-    roots = z.roots
-    diff = _pair_differences(roots)
+def pair_terms(group: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, inv2, lin)`` for the root vectors of one order, stacked: ``d``
+    and ``lin`` are ``(P, n)``, ``inv2`` is ``(P, n, n)``.  Each kind's
+    terms are applied to the rows of that kind only.
+    :func:`interaction_sums_stack` and :func:`build_S_stack` both read them."""
+    z = np.stack([rv.roots for rv in group])
+    diff = _pair_differences(z)
     inv2 = 1.0 / (diff * diff)
-    d = weight(roots)
-    return d, inv2, lin(roots, d, inv2, *z.family.parameters())
+    d, lin = np.empty_like(z), np.empty_like(z)
+    kinds: dict[FamilyKind, list[int]] = {}
+    for p, rv in enumerate(group):
+        kinds.setdefault(rv.family.kind, []).append(p)
+    for kind, rows in kinds.items():
+        weight, diagonal = _TERMS[kind]
+        parameters = np.array([group[p].family.parameters() for p in rows]).T[..., None]
+        zk = z[rows]
+        d[rows] = dk = weight(zk)
+        lin[rows] = diagonal(zk, dk, inv2[rows], *parameters)
+    return d, inv2, lin
 
 
-def interaction_sums(z: RootVector, terms: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(lin, cross)`` for the family of ``z``: ``lin`` is the diagonal of
-    the shifted ``S_N`` and ``cross`` the row sums of its squared
-    off-diagonal, so ``lin**2 + cross`` is the diagonal of its square.
-    ``terms`` is ``pair_terms(z)``, if the caller has it already."""
-    d, inv2, lin = pair_terms(z) if terms is None else terms
-    return lin, (np.outer(d, d) * inv2 * inv2).sum(axis=1)
+def interaction_sums_stack(
+    group: Sequence[RootVector], terms: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lin, cross)`` for the root vectors of one order, as ``(P, n)``
+    stacks: ``lin`` is the diagonal of the shifted ``S_N`` and ``cross``
+    the row sums of its squared off-diagonal, so ``lin**2 + cross`` is the
+    diagonal of its square.  ``terms`` is ``pair_terms(group)``, if the
+    caller has it already."""
+    d, inv2, lin = pair_terms(group) if terms is None else terms
+    return lin, (_outer(d) * inv2 * inv2).sum(axis=-1)
 
 
-def build_S(z: RootVector, terms: tuple | None = None) -> DenseSymmetric:
-    """``S_N`` for the family of ``z``; its predicted spectrum is
-    ``z.family.spec.spectrum(z.family, z.n)``.  ``terms`` is
-    ``pair_terms(z)``, if the caller has it already."""
-    d, inv2, lin = pair_terms(z) if terms is None else terms
-    matrix = -np.sqrt(np.outer(d, d)) * inv2
-    np.fill_diagonal(matrix, z.family.spec.shift + lin)
-    return DenseSymmetric(matrix)
+def interaction_sums(z: RootVector) -> tuple[np.ndarray, np.ndarray]:
+    """``(lin, cross)`` for ``z``: :func:`interaction_sums_stack` of one
+    root vector."""
+    lin, cross = interaction_sums_stack([z])
+    return lin[0], cross[0]
 
 
-def laguerre_sqrt_r_S(z: RootVector) -> DenseSymmetric:
-    """The Laguerre ``S_N`` written in ``r_i = sqrt(2 z_i)``, algebraically
-    identical to :func:`build_S` entry by entry:
+def build_S_stack(group: Sequence[RootVector], terms: tuple | None = None) -> np.ndarray:
+    """``S_N`` for each root vector of one order, as a ``(P, n, n)`` stack;
+    the predicted spectrum of each is ``family.spec.spectrum(family, n)``.
+    ``terms`` is ``pair_terms(group)``, if the caller has it already."""
+    d, inv2, lin = pair_terms(group) if terms is None else terms
+    matrices = -np.sqrt(_outer(d)) * inv2
+    shifts = np.array([rv.family.spec.shift for rv in group])
+    _fill_diagonal(matrices, shifts[:, None] + lin)
+    return matrices
+
+
+def build_S(z: RootVector) -> DenseSymmetric:
+    """``S_N`` for ``z``: :func:`build_S_stack` of one root vector."""
+    return DenseSymmetric(build_S_stack([z])[0])
+
+
+def laguerre_sqrt_r_S_stack(group: Sequence[RootVector]) -> np.ndarray:
+    """The Laguerre ``S_N`` of each root vector of one order written in
+    ``r_i = sqrt(2 z_i)``, as a ``(P, n, n)`` stack, algebraically
+    identical to :func:`build_S_stack` entry by entry:
     ``s_ij = 2 (r_i + r_j)^-2 - 2 (r_i - r_j)^-2`` and
     ``s_ii = 1 + 2 nu / r_i^2 + 2 sum_{l!=i} ((r_i - r_l)^-2 + (r_i + r_l)^-2)``."""
-    r = to_sqrt_coordinates(z)
-    (nu,) = z.family.parameters()
+    r = np.stack([to_sqrt_coordinates(rv) for rv in group])
+    nu = np.array([rv.family.parameters() for rv in group])
     dminus = _pair_differences(r)
     inv_minus = 1.0 / (dminus * dminus)
-    dplus = r[:, None] + r[None, :]
+    dplus = r[..., :, None] + r[..., None, :]
     inv_plus = 1.0 / (dplus * dplus)
     # 2 (inv_plus - inv_minus) as one product, which does not cancel
     # when r_j / r_i is below rounding
-    matrix = -8.0 * np.outer(r, r) * inv_minus * inv_plus
+    matrices = -8.0 * _outer(r) * inv_minus * inv_plus
     pair = inv_minus + inv_plus
-    np.fill_diagonal(pair, 0.0)
-    np.fill_diagonal(matrix, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=1))
-    return DenseSymmetric(matrix)
+    _fill_diagonal(pair, 0.0)
+    _fill_diagonal(matrices, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=-1))
+    return matrices
+
+
+def laguerre_sqrt_r_S(z: RootVector) -> DenseSymmetric:
+    """The Laguerre ``S_N`` of ``z`` in ``r_i = sqrt(2 z_i)``:
+    :func:`laguerre_sqrt_r_S_stack` of one root vector."""
+    return DenseSymmetric(laguerre_sqrt_r_S_stack([z])[0])
 
 
 def eigenbasis(roots: Sequence[RootVector]) -> list[np.ndarray]:
     """The closed-form eigenvectors of ``S_N`` for each root vector in
-    ``roots``, in order: for each, the columns of an orthonormal matrix in
-    ascending eigenvalue order.
+    ``roots``, of any orders, in order: :func:`eigenbasis_stack` of each
+    order's points, one slice per point."""
+    roots = list(roots)
+    bases = [None] * len(roots)
+    for members in by_order(roots).values():
+        for i, basis in zip(members, eigenbasis_stack([roots[i] for i in members])):
+            bases[i] = basis
+    return bases
+
+
+def eigenbasis_stack(group: Sequence[RootVector]) -> np.ndarray:
+    """The closed-form eigenvectors of ``S_N`` for each root vector of one
+    order, as a ``(P, n, n)`` stack: for each, the columns of an
+    orthonormal matrix in ascending eigenvalue order.
 
     The k-th is ``(omega(z_i) q_{k-1}(z_i))_i``, where ``q_0, q_1, ...``
     are the polynomials orthonormal on the roots with weights
@@ -155,25 +233,16 @@ def eigenbasis(roots: Sequence[RootVector]) -> list[np.ndarray]:
     column is taken from the orthogonal complement of the others instead,
     starting from the coordinate vector least represented in them.
 
-    The points are grouped by order and each group runs one Lanczos, every
-    product a stacked ``np.matmul`` over the group.  Each slice of a
-    stacked product is the same BLAS call on the same operands as a lone
-    point's, and every decision is made per point, so a point's basis is
-    bit for bit the same in any batch.
+    The group runs one Lanczos, every product a stacked ``np.matmul``.
+    Each slice of a stacked product is the same BLAS call on the same
+    operands as a lone point's, and every decision is made per point, so
+    a point's basis is bit for bit the same in any batch.
     """
-    roots = list(roots)
-    bases = [None] * len(roots)
-    groups: dict[int, list[int]] = {}
-    for i, rv in enumerate(roots):
-        groups.setdefault(rv.n, []).append(i)
-    for n, members in groups.items():
-        rows = _lanczos(
-            np.stack([roots[i].roots for i in members]),
-            np.stack([roots[i].family.spec.omega(roots[i].roots) for i in members]),
-        )
-        for i, slice_ in zip(members, rows):
-            bases[i] = slice_.T
-    return bases
+    rows = _lanczos(
+        np.stack([rv.roots for rv in group]),
+        np.stack([rv.family.spec.omega(rv.roots) for rv in group]),
+    )
+    return rows.transpose(0, 2, 1)
 
 
 def _lanczos(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -222,14 +291,16 @@ def _complement(rows: np.ndarray) -> np.ndarray:
     return v
 
 
-def diag_square_residual(matrix: np.ndarray, shift: float, closed_route: np.ndarray) -> float:
-    """Worst relative disagreement between the diagonal of
-    ``(matrix - shift I)^2``, squared explicitly, and ``closed_route``.
+def diag_square_residual(matrices: np.ndarray, shifts: np.ndarray, closed_route: np.ndarray) -> np.ndarray:
+    """For each matrix of the ``(P, n, n)`` stack ``matrices``, the worst
+    relative disagreement between the diagonal of ``(matrix - shift I)^2``,
+    squared explicitly, and its row of ``closed_route``; ``shifts`` holds
+    one shift per matrix.
 
-    Never raises, so a deliberately perturbed ``matrix`` yields a failing
+    Never raises, so a deliberately perturbed matrix yields a failing
     value instead of an error.
     """
-    shifted = matrix - shift * np.eye(matrix.shape[0])
-    matrix_route = (shifted * shifted).sum(axis=1)
+    shifted = matrices - shifts[:, None, None] * np.eye(matrices.shape[-1])
+    matrix_route = (shifted * shifted).sum(axis=-1)
     scale = np.maximum(np.maximum(np.abs(matrix_route), np.abs(closed_route)), _TINY)
-    return float(np.max(np.abs(matrix_route - closed_route) / scale))
+    return np.max(np.abs(matrix_route - closed_route) / scale, axis=-1)

@@ -2,10 +2,12 @@
 
 No eigensolver lives here.  Polynomial roots come from Sturm bisection
 and Newton polish in ``roots``, and the spectrum of ``S_N`` is known in
-closed form (``FamilySpec.spectrum``).  ``enclose_eigenvalues`` checks a
-matrix against such a spectrum: it encloses the eigenvalues of a
-``DenseSymmetric`` from approximate eigenvectors, without a solve.
-``trace_power`` takes ``tr(m**k)`` by matrix multiplication alone.
+closed form (``FamilySpec.spectrum``).  ``enclose_eigenvalues`` checks
+matrices against such spectra: it encloses the eigenvalues of each matrix
+of a ``(P, n, n)`` stack from approximate eigenvectors, without a solve.
+``check_symmetric`` is the one check of a ``DenseSymmetric`` and of each
+slice of such a stack.  ``trace_power`` takes ``tr(m**k)`` by matrix
+multiplication alone.
 """
 from __future__ import annotations
 
@@ -34,10 +36,7 @@ class DenseSymmetric:
             raise ParameterDomainError(f"expected a square matrix, got shape {entries.shape}")
         if entries.shape[0] == 0:
             raise EmptyProblemError("empty matrix")
-        if not np.all(np.isfinite(entries)):
-            raise ParameterDomainError("matrix entries must be finite")
-        if not np.array_equal(entries, entries.T):
-            raise ParameterDomainError("matrix is not symmetric")
+        check_symmetric(entries)
         entries.setflags(write=False)
 
     @property
@@ -45,9 +44,21 @@ class DenseSymmetric:
         return self.entries.shape[0]
 
 
-def enclose_eigenvalues(m: DenseSymmetric, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending intervals ``centers +- radii`` that enclose the eigenvalues
-    of ``m``, from approximate unit eigenvectors, the columns of ``basis``.
+def check_symmetric(matrices: np.ndarray) -> None:
+    """Raise ``ParameterDomainError`` unless the matrix, or each matrix of
+    a stack along the leading axes, is finite and symmetric bit for bit."""
+    if not np.all(np.isfinite(matrices)):
+        raise ParameterDomainError("matrix entries must be finite")
+    if not np.array_equal(matrices, matrices.swapaxes(-1, -2)):
+        raise ParameterDomainError("matrix is not symmetric")
+
+
+def enclose_eigenvalues(matrices: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix ``m`` of the ``(P, n, n)`` stack ``matrices``,
+    ascending intervals ``centers +- radii`` that enclose its eigenvalues,
+    from approximate unit eigenvectors, the columns of its slice of
+    ``bases``; ``centers`` and ``radii`` are ``(P, n)`` arrays.  Each
+    matrix must pass :func:`check_symmetric`.
 
     For each column ``q`` the center is the Rayleigh quotient ``rho`` and
     the residual ``r = ||m q - rho q||`` is the radius of an interval that
@@ -61,18 +72,30 @@ def enclose_eigenvalues(m: DenseSymmetric, basis: np.ndarray) -> tuple[np.ndarra
     ``rho`` and ``r`` carry rounding errors of order ``n eps ||m||``, so
     the enclosure is exact up to that rounding, not an interval-arithmetic
     proof.
+
+    Each slice's products are one BLAS call on its own operands, its sums
+    run over its own columns, and disjointness is decided per slice, so a
+    matrix's enclosure is bit for bit the same in any stack.
     """
-    image = m.entries @ basis
-    rho = np.einsum("ij,ij->j", basis, image)
-    defect = image - basis * rho
-    r = np.sqrt(np.einsum("ij,ij->j", defect, defect))
-    order = np.argsort(rho, kind="stable")
-    rho, r = rho[order], r[order]
+    check_symmetric(matrices)
+    image = matrices @ bases
+    rho = np.einsum("pij,pij->pj", bases, image)
+    defect = image - bases * rho[:, None, :]
+    r = np.sqrt(np.einsum("pij,pij->pj", defect, defect))
+    order = np.argsort(rho, axis=1, kind="stable")
+    rho, r = np.take_along_axis(rho, order, axis=1), np.take_along_axis(r, order, axis=1)
     lower, upper = rho - r, rho + r
-    if np.all(lower[1:] > upper[:-1]):
-        # disjointness makes every gap exceed its r, so r^2 / gap < r
-        gap = np.minimum(rho - np.append(-np.inf, upper[:-1]), np.append(lower[1:], np.inf) - rho)
-        r = r * r / gap
+    disjoint = np.all(lower[:, 1:] > upper[:, :-1], axis=1)
+    if disjoint.any():
+        # disjointness makes every gap exceed its r, so r^2 / gap < r; the
+        # other slices keep their residuals, with no gap computed for them
+        rho_d, lower, upper = rho[disjoint], lower[disjoint], upper[disjoint]
+        edge = np.full((rho_d.shape[0], 1), np.inf)
+        gap = np.minimum(
+            rho_d - np.hstack([-edge, upper[:, :-1]]), np.hstack([lower[:, 1:], edge]) - rho_d
+        )
+        r_d = r[disjoint]
+        r[disjoint] = r_d * r_d / gap
     return rho, r
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rootgaps import hermite, jacobi, laguerre
+from rootgaps.eigensolve import enclose_eigenvalues
 
 # Parameter grid shared by the sweep-style tests; mirrors the CLI default.
 LAGUERRE_NUS = (0.1, 0.5, 1.0, 2.0, 10.0, 50.0)
@@ -26,6 +27,13 @@ def ones_kernel_projection(a):
     p = np.eye(n) - np.full((n, n), 1.0 / n)
     b = p @ a @ p
     return (b + b.T) / 2.0
+
+
+def enclose_one(m, basis):
+    """``enclose_eigenvalues`` of the one ``DenseSymmetric`` ``m``, a stack
+    of one: its ``(centers, radii)``."""
+    centers, radii = enclose_eigenvalues(m.entries[None], basis[None])
+    return centers[0], radii[0]
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -9,11 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rootgaps.bounds as bounds_mod
 import rootgaps.cli as cli
-from rootgaps import FamilyKind, MagnitudeError, compute_roots
+from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, hermite, jacobi, laguerre
+from rootgaps.covariance import eigenbasis
+from rootgaps.roots import compute_roots_many
 
 from test_bounds import EDGE_ROWS
 
@@ -118,6 +122,170 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "--family", *family, "--n", "300")
         assert code == 0
         assert all(row["passed"] == "true" for row in read_csv(out))
+
+
+# The per-point verify checks that the checks stacked by order replaced,
+# kept as their reference: one point, 2-D arrays, its own enclosure.
+
+
+def reference_terms(rv):
+    z = rv.roots
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, math.inf)
+    inv2 = 1.0 / (diff * diff)
+    kind = rv.family.kind
+    if kind is FamilyKind.HERMITE:
+        return np.ones_like(z), inv2, inv2.sum(axis=1)
+    if kind is FamilyKind.LAGUERRE:
+        (nu,) = rv.family.parameters()
+        return 4.0 * z, inv2, nu / z + 2.0 * ((z[:, None] + z[None, :]) * inv2).sum(axis=1)
+    alpha, beta = rv.family.parameters()
+    d = 4.0 * (1.0 - z * z)
+    lin = (
+        (d[:, None] * inv2).sum(axis=1)
+        + 2.0 * (alpha + 1.0) * (1.0 + z) / (1.0 - z)
+        + 2.0 * (beta + 1.0) * (1.0 - z) / (1.0 + z)
+    )
+    return d, inv2, lin
+
+
+def reference_sqrt_r_S(rv):
+    r = np.sqrt(2.0 * rv.roots)
+    (nu,) = rv.family.parameters()
+    dminus = r[:, None] - r[None, :]
+    np.fill_diagonal(dminus, math.inf)
+    inv_minus = 1.0 / (dminus * dminus)
+    dplus = r[:, None] + r[None, :]
+    inv_plus = 1.0 / (dplus * dplus)
+    matrix = -8.0 * np.outer(r, r) * inv_minus * inv_plus
+    pair = inv_minus + inv_plus
+    np.fill_diagonal(pair, 0.0)
+    np.fill_diagonal(matrix, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=1))
+    return matrix
+
+
+def reference_enclosure(matrix, basis):
+    image = matrix @ basis
+    rho = np.einsum("ij,ij->j", basis, image)
+    defect = image - basis * rho
+    r = np.sqrt(np.einsum("ij,ij->j", defect, defect))
+    order = np.argsort(rho, kind="stable")
+    rho, r = rho[order], r[order]
+    lower, upper = rho - r, rho + r
+    if np.all(lower[1:] > upper[:-1]):
+        gap = np.minimum(rho - np.append(-np.inf, upper[:-1]), np.append(lower[1:], np.inf) - rho)
+        r = r * r / gap
+    return rho, r
+
+
+def reference_verify_checks(rv, basis, tol, corrupt):
+    fam, n = rv.family, rv.n
+    d, inv2, lin = reference_terms(rv)
+    s = -np.sqrt(np.outer(d, d)) * inv2
+    np.fill_diagonal(s, fam.spec.shift + lin)
+    matrix = s
+    if corrupt:
+        matrix = matrix.copy()
+        j = min(1, n - 1)
+        matrix[0, j] += 0.5
+        matrix[j, 0] = matrix[0, j]
+    checks = []
+    centers, radii = reference_enclosure(matrix, basis)
+    predicted = fam.spec.spectrum(fam, n)
+    spectral_err = float(np.max((np.abs(centers - predicted) + radii) / predicted))
+    spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
+    checks.append(("spectrum-match", spectral_err, spectral_tol))
+    ident_tol = 1e-10 if tol is None else tol
+    cross = (np.outer(d, d) * inv2 * inv2).sum(axis=1)
+    diag_square = lin * lin + cross
+    linear_target, square_target = fam.spec.trace_targets(fam, n)
+    checks.append(("trace-identity-linear", cli._rel_defect(float(lin.sum()), linear_target), ident_tol))
+    if square_target is not None:
+        square = float(diag_square.sum())
+        checks.append(("trace-identity-square", cli._rel_defect(square, square_target), ident_tol))
+    if fam.kind is FamilyKind.LAGUERRE:
+        alt = reference_sqrt_r_S(rv)
+        diff = np.abs(s - alt) / np.maximum(np.maximum(np.abs(s), np.abs(alt)), np.finfo(float).tiny)
+        checks.append(("coordinate-forms-match", float(diff.max()), 1e-13 if tol is None else tol))
+    shifted = matrix - fam.spec.shift * np.eye(n)
+    matrix_route = (shifted * shifted).sum(axis=1)
+    scale = np.maximum(np.maximum(np.abs(matrix_route), np.abs(diag_square)), np.finfo(float).tiny)
+    checks.append(("diag-square-consistency", float(np.max(np.abs(matrix_route - diag_square) / scale)), ident_tol))
+    return sorted(checks)
+
+
+@functools.cache
+def default_grid():
+    """The roots and closed-form eigenbases of every default-grid point."""
+    families = cli.default_families()
+    roots = compute_roots_many([(fam, n) for fam in families for n in range(fam.spec.min_n, 41)])
+    return roots, eigenbasis(roots)
+
+
+def verify_rows(out, fmt):
+    """The rows of a verify output, as ``{point key: [(check_id, value,
+    tolerance, passed), ...]}`` with values as floats."""
+    if fmt == "csv":
+        rows = [
+            (r["family"], r["params"], int(r["N"]), r["check_id"], float(r["value"]),
+             float(r["tolerance"]), {"true": True, "false": False}[r["passed"]])
+            for r in read_csv(out)
+        ]
+    else:
+        rows = [tuple(r[name] for name in cli.COLUMNS["verify"]) for r in json.loads(out)["results"]]
+    points = {}
+    for row in rows:
+        points.setdefault(row[:3], []).append(row[3:])
+    return points
+
+
+class TestStackedChecksMatchReference:
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupt"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_default_grid_point(self, capsys, fmt, corrupt):
+        code, out = run_cli(capsys, "verify", "--format", fmt, *(["--corrupt"] if corrupt else []))
+        assert code == (1 if corrupt else 0)
+        got = verify_rows(out, fmt)
+        roots, bases = default_grid()
+        assert len(got) == len(roots) == 479
+        for rv, basis in zip(roots, bases):
+            key = (rv.family.kind.value, rv.family.params_text(), rv.n)
+            want = [(cid, v, t, v <= t) for cid, v, t in reference_verify_checks(rv, basis, None, corrupt)]
+            assert got[key] == want, key
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupt"])
+    def test_each_point_of_a_group_matches_its_batch_of_one(self, corrupt):
+        # all three kinds at one order, a repeated point, and a tiny-nu
+        # point whose eigenbasis takes its last column from the complement
+        families = [laguerre(0.5), hermite(), jacobi(1.0, -0.9), laguerre(0.5), laguerre(1e-300)]
+        group = compute_roots_many([(fam, 12) for fam in families])
+        checks = cli._verify_checks(group, None, corrupt)
+        assert checks[0] == checks[3]
+        for rv, point_checks in zip(group, checks):
+            assert point_checks == cli._verify_checks([rv], None, corrupt)[0], rv.family.label()
+            (basis,) = eigenbasis([rv])
+            assert sorted(point_checks) == reference_verify_checks(rv, basis, None, corrupt)
+
+
+class TestStackSize:
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_split_groups_write_the_same_output(self, monkeypatch, capsys, command):
+        argv = (command, "--n-max", "10")
+        whole = run_cli(capsys, *argv)
+        groups = []
+        real_pair_terms = covariance.pair_terms
+
+        def pair_terms(group):
+            groups.append((group[0].n, len(group)))
+            return real_pair_terms(group)
+
+        # verify calls the pair terms through cli, bounds through its sums
+        monkeypatch.setattr(cli, "pair_terms", pair_terms)
+        monkeypatch.setattr(covariance, "pair_terms", pair_terms)
+        monkeypatch.setattr(cli, "_STACK_ENTRIES", 50)
+        assert run_cli(capsys, *argv) == whole
+        assert len(groups) > 10
+        assert all(size <= max(1, 50 // (n * n)) for n, size in groups)
 
 
 def _known_failure(reason):
@@ -520,6 +688,27 @@ class TestNumericalFailure:
         assert captured.err == (
             f"rootgaps: numerical failure: {label or 'laguerre(nu=2.0)'} N=4: stuck\n"
         )
+        assert RecordingPool.created == workers
+
+    @pytest.mark.parametrize("jobs,workers", [("1", []), ("2", [2])])
+    def test_names_failing_point_inside_an_order_group(self, monkeypatch, capsys, jobs, workers):
+        # the pair terms of the N = 4 group of the default families fail
+        # when it holds laguerre(nu=0.5); Hermite N = 4, in the same group,
+        # comes first in sweep order but does not fail alone
+        real_pair_terms = cli.pair_terms
+
+        def pair_terms(group):
+            if any(rv.n == 4 and rv.family.label() == "laguerre(nu=0.5)" for rv in group):
+                raise MagnitudeError("stuck")
+            return real_pair_terms(group)
+
+        monkeypatch.setattr(RecordingPool, "created", [])
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+        monkeypatch.setattr(cli, "pair_terms", pair_terms)
+        code = cli.main(["verify", "--n-min", "2", "--n-max", "6", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "rootgaps: numerical failure: laguerre(nu=0.5) N=4: stuck\n"
         assert RecordingPool.created == workers
 
     @pytest.mark.parametrize(

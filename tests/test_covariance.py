@@ -19,9 +19,8 @@ from rootgaps import (
 from rootgaps import RootVector, covariance
 from rootgaps.covariance import _pair_differences, eigenbasis
 from rootgaps.roots import compute_roots_many
-from rootgaps.eigensolve import enclose_eigenvalues
 
-from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
+from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, enclose_one
 
 
 def spectrum(family, n):
@@ -57,8 +56,9 @@ def diag_of_square(rv):
     sums, and its worst relative disagreement with the explicit square."""
     lin, cross = interaction_sums(rv)
     closed = lin * lin + cross
-    shift = rv.family.spec.shift
-    return closed, covariance.diag_square_residual(build_S(rv).entries, shift, closed)
+    shift = np.array([rv.family.spec.shift])
+    (residual,) = covariance.diag_square_residual(build_S(rv).entries[None], shift, closed[None])
+    return closed, float(residual)
 
 
 class TestHermiteS:
@@ -266,7 +266,7 @@ class TestEigenbasis:
         rv = compute_roots(family, n)
         s = build_S(rv)
         (basis,) = eigenbasis([rv])
-        centers, radii = enclose_eigenvalues(s, basis)
+        centers, radii = enclose_one(s, basis)
         # disjoint residual intervals stay disjoint at the Kato-Temple radii
         assert np.all(centers[1:] - radii[1:] > centers[:-1] + radii[:-1])
         # eigvalsh is itself within n eps ||S|| of the true eigenvalues
@@ -338,7 +338,7 @@ class TestBatchedEigenbasis:
         s = build_S(rv)
         (basis,) = eigenbasis([rv])
         assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= n * EPS
-        centers, radii = enclose_eigenvalues(s, basis)
+        centers, radii = enclose_one(s, basis)
         slack = n * EPS * np.linalg.norm(s.entries, 2)
         lam = np.linalg.eigvalsh(s.entries)
         assert np.all(np.abs(lam - centers) <= radii + slack)
@@ -348,9 +348,12 @@ class TestBatchedEigenbasis:
         assert value <= (1e-8 if n <= 20 else 1e-6)
 
 
-def test_coincident_roots_are_singular():
+@pytest.mark.parametrize(
+    "roots", [[1.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]]], ids=["point", "stack"]
+)
+def test_coincident_roots_are_singular(roots):
     with pytest.raises(SingularConfigurationError):
-        _pair_differences(np.array([1.0, 1.0, 2.0]))
+        _pair_differences(np.array(roots))
 
 
 # The per-family builders and interaction sums that the one build_S and the
@@ -460,6 +463,22 @@ class TestSingleRouteMatchesReference:
             got = build_S(rv).entries
             off = ~np.eye(rv.n, dtype=bool)
             assert np.array_equal(got[off], want[off]), (rv.family.label(), rv.n)
+
+    def test_stacks_by_order_match_batches_of_one(self):
+        roots = reference_roots()
+        for members in covariance.by_order(roots).values():
+            group = [roots[i] for i in members]
+            terms = covariance.pair_terms(group)
+            matrices = covariance.build_S_stack(group, terms)
+            lin, cross = covariance.interaction_sums_stack(group, terms)
+            for p, rv in enumerate(group):
+                assert np.array_equal(matrices[p], build_S(rv).entries), (rv.family.label(), rv.n)
+                want_lin, want_cross = interaction_sums(rv)
+                assert np.array_equal(lin[p], want_lin) and np.array_equal(cross[p], want_cross)
+            laguerres = [rv for rv in group if rv.family.kind is FamilyKind.LAGUERRE]
+            if laguerres:
+                for rv, alt in zip(laguerres, covariance.laguerre_sqrt_r_S_stack(laguerres)):
+                    assert np.array_equal(alt, laguerre_sqrt_r_S(rv).entries), (rv.family.label(), rv.n)
 
     def test_diagonals(self):
         for rv in reference_roots():

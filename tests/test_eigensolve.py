@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rootgaps import (
 from rootgaps.covariance import build_S, eigenbasis
 from rootgaps.eigensolve import enclose_eigenvalues
 
-from conftest import all_families, ones_kernel_projection, random_symmetric
+from conftest import all_families, enclose_one, ones_kernel_projection, random_symmetric
 
 
 class TestDenseSymmetricType:
@@ -91,14 +92,14 @@ class TestDenseEigenvalues:
     matrix off exact or numerical eigenvectors."""
 
     def test_identity(self):
-        centers, radii = enclose_eigenvalues(DenseSymmetric(np.eye(3)), np.eye(3))
+        centers, radii = enclose_one(DenseSymmetric(np.eye(3)), np.eye(3))
         assert centers.tolist() == [1.0, 1.0, 1.0]
         assert radii.tolist() == [0.0, 0.0, 0.0]
 
     def test_exchange_matrix_oracle(self):
         # characteristic polynomial x^2 - 1, eigenvectors (1, -1) and (1, 1)
         basis = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        centers, radii = enclose_eigenvalues(DenseSymmetric(np.array([[0.0, 1.0], [1.0, 0.0]])), basis)
+        centers, radii = enclose_one(DenseSymmetric(np.array([[0.0, 1.0], [1.0, 0.0]])), basis)
         np.testing.assert_allclose(centers, [-1.0, 1.0], atol=1e-15)
         assert np.all(radii <= 1e-15)
 
@@ -106,7 +107,7 @@ class TestDenseEigenvalues:
         for n in (2, 3, 4, 6, 8, 12, 25, 40):
             a = random_symmetric(rng, n)
             expected, vectors = np.linalg.eigh(a)
-            centers, radii = enclose_eigenvalues(DenseSymmetric(a), vectors)
+            centers, radii = enclose_one(DenseSymmetric(a), vectors)
             scale = max(np.max(np.abs(expected)), 1.0)
             np.testing.assert_allclose(centers, expected, rtol=0, atol=1e-12 * scale)
             assert np.all(radii <= 1e-12 * scale)
@@ -136,7 +137,7 @@ def disjoint(centers, radii):
 
 class TestEncloseEigenvalues:
     def test_exact_eigenvectors_give_points(self):
-        centers, radii = enclose_eigenvalues(DenseSymmetric(np.diag([3.0, 1.0, 2.0])), np.eye(3))
+        centers, radii = enclose_one(DenseSymmetric(np.diag([3.0, 1.0, 2.0])), np.eye(3))
         assert centers.tolist() == [1.0, 2.0, 3.0]
         assert radii.tolist() == [0.0, 0.0, 0.0]
 
@@ -146,7 +147,7 @@ class TestEncloseEigenvalues:
             lam, vectors = np.linalg.eigh(a)
             basis = vectors + 1e-6 * rng.normal(size=(n, n))
             basis /= np.linalg.norm(basis, axis=0)
-            centers, radii = enclose_eigenvalues(DenseSymmetric(a), basis)
+            centers, radii = enclose_one(DenseSymmetric(a), basis)
             assert disjoint(centers, radii)
             # eigvalsh is itself within n eps ||a|| of the true eigenvalues
             slack = n * np.finfo(float).eps * np.linalg.norm(a, 2)
@@ -162,7 +163,7 @@ class TestEncloseEigenvalues:
         rv = compute_roots(hermite(), 2)
         corrupted = build_S(rv).entries.copy()
         corrupted[0, 1] = corrupted[1, 0] = corrupted[0, 1] + 0.5
-        centers, radii = enclose_eigenvalues(DenseSymmetric(corrupted), eigenbasis([rv])[0])
+        centers, radii = enclose_one(DenseSymmetric(corrupted), eigenbasis([rv])[0])
         assert not disjoint(centers, radii)
         assert np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))
         predicted = np.array([1.0, 2.0])
@@ -170,9 +171,44 @@ class TestEncloseEigenvalues:
         assert value == pytest.approx(0.5) and value > 1e-8
         # overlapping intervals keep the residuals as radii, where r^2 / gap
         # would be negative: both unit vectors give 2 +- 1, around 1 and 3
-        centers, radii = enclose_eigenvalues(DenseSymmetric(np.array([[2.0, 1.0], [1.0, 2.0]])), np.eye(2))
+        centers, radii = enclose_one(DenseSymmetric(np.array([[2.0, 1.0], [1.0, 2.0]])), np.eye(2))
         assert centers.tolist() == [2.0, 2.0]
         assert radii.tolist() == [1.0, 1.0]
+
+
+class TestEncloseStack:
+    def test_kato_temple_is_decided_per_slice(self, rng):
+        # slice 0: perturbed eigenvectors, disjoint intervals; slice 1: two
+        # unit vectors of a 2 +- 1 block, overlapping; slice 2: 1.5 I, three
+        # point intervals at one center, where a Kato-Temple radius would
+        # be 0/0
+        a = random_symmetric(rng, 3)
+        _, vectors = np.linalg.eigh(a)
+        perturbed = vectors + 1e-6 * rng.normal(size=(3, 3))
+        perturbed /= np.linalg.norm(perturbed, axis=0)
+        block = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+        matrices = np.stack([a, block, 1.5 * np.eye(3)])
+        bases = np.stack([perturbed, np.eye(3), np.eye(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centers, radii = enclose_eigenvalues(matrices, bases)
+        assert disjoint(centers[0], radii[0])
+        assert np.max(radii[0]) <= 1e-8
+        assert centers[1].tolist() == [2.0, 2.0, 5.0] and radii[1].tolist() == [1.0, 1.0, 0.0]
+        assert centers[2].tolist() == [1.5] * 3 and radii[2].tolist() == [0.0] * 3
+        for p in range(3):
+            alone = enclose_eigenvalues(matrices[p:p + 1], bases[p:p + 1])
+            assert np.array_equal(alone[0][0], centers[p]) and np.array_equal(alone[1][0], radii[p])
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "asymmetric"])
+    def test_a_bad_slice_raises(self, bad):
+        matrices = np.stack([np.eye(3), np.eye(3)])
+        if bad == "asymmetric":
+            matrices[1, 0, 2] = 0.5
+        else:
+            matrices[1, 0, 2] = matrices[1, 2, 0] = float(bad)
+        with pytest.raises(ParameterDomainError):
+            enclose_eigenvalues(matrices, np.stack([np.eye(3), np.eye(3)]))
 
 
 class TestTracePower:
