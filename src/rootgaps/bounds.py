@@ -71,21 +71,21 @@ sums, gaps, boundary products) gives one entry per array element, indices
 the left column of the comparator/derived pairs that the sharpness
 summary compares.
 
-:func:`bound_columns` turns a point's rows into columns, with no tuple
-per entry: the bound and observed values become two flat lists of Python
-floats, a scalar side one float object repeated, and ``slack``, ``holds``
-and ``sharpness`` come from one numpy pass over them.  The ``bounds``
-command writes its output from these columns, and the library's views
-are built from the same columns: :func:`bound_set`, a ``BoundReport`` per
-entry (an immutable named tuple, its fields the output row after the
-point key), and :func:`sharpness_summary`, which reads the family and
-``N`` from the root vector it takes alongside the columns.
+:func:`bound_columns` turns a point's rows into the columns of its output
+rows, with no tuple per entry: one side per row for the id, index, bound
+and observed values and comparator flag, and one value per entry for
+``slack``, ``holds``, ``sharpness`` (one numpy pass) and ``note``.  The
+``bounds`` command writes from these columns, and the library's views
+read them: :func:`bound_set`, a ``BoundReport`` per entry (an immutable
+named tuple, its fields the output row after the point key), and
+:func:`sharpness_summary`, which takes the root vector alongside them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,57 +136,43 @@ class BoundReport(NamedTuple):
 
 
 class BoundColumns(NamedTuple):
-    """One point's bound set as columns.
-
-    ``rows`` holds the rows as ``(bound_id, bound, observed, note, count)``,
-    each side a float or the array of the row's ``count`` entries (one
-    array object for a side that several rows share, as the gaps);
-    ``count`` is ``None`` for a row of two scalars, which gives one entry
-    without an index.  The other fields hold one item per entry, the rows'
-    entries in turn, the values as Python floats.
+    """One point's bound set as the columns of its output rows after the
+    point key, ``counts`` giving the entries of each row.  A tuple column
+    holds one side per row: a scalar for all the row's entries, or an
+    array with one item per entry, which rows may share (the gaps, and
+    the indices ``1..count``; a row of two scalars has one entry and the
+    index ``None``).  A list column holds one Python value per entry.
     """
 
-    rows: list[tuple]
-    bound_value: list[float]
-    observed_value: list[float]
+    counts: tuple
+    bound_id: tuple
+    index: tuple
+    bound_value: tuple
+    observed_value: tuple
     slack: list[float]
     holds: list[bool]
     sharpness: list[float]
+    comparator: tuple
+    note: list[str]
 
-    def spans(self) -> Iterator[tuple[tuple, int, int]]:
-        """Each row with the ``start`` and ``stop`` of its entries."""
-        start = 0
-        for row in self.rows:
-            stop = start + (1 if row[4] is None else row[4])
-            yield row, start, stop
-            start = stop
-
-    def entries(self) -> list[tuple]:
-        """One tuple per entry, its fields those of a ``BoundReport``."""
-        bound_id, index, comparator, note = [], [], [], []
-        for (row_id, _, _, row_note, count), start, stop in self.spans():
-            is_comparator = row_id in _COMPARATOR_IDS
-            bound_id += [row_id] * (stop - start)
-            index += [None] if count is None else range(1, count + 1)
-            comparator += [is_comparator] * (stop - start)
-            if is_comparator and not row_note:
-                # a comparator bound that is not positive carries no information
-                note += ["vacuous" if value <= 0.0 else "" for value in self.bound_value[start:stop]]
-            else:
-                note += [row_note] * (stop - start)
-        return list(zip(
-            bound_id, index, self.bound_value, self.observed_value, self.slack, self.holds,
-            self.sharpness, comparator, note,
-        ))
+    def spans(self) -> list[tuple[int, int]]:
+        """The ``start`` and ``stop`` of each row's entries."""
+        stops = list(accumulate(self.counts))
+        return list(zip([0] + stops[:-1], stops))
 
     def violations(self) -> int:
-        """The number of entries of gating rows, neither comparators nor
-        annotated, that do not hold."""
+        """The number of entries that do not hold of the gating rows, neither
+        comparators nor noted (a gating row's entries share its note)."""
         return sum(
             self.holds[start:stop].count(False)
-            for (bound_id, _, _, note, _), start, stop in self.spans()
-            if not note and bound_id not in _COMPARATOR_IDS
+            for comparator, (start, stop) in zip(self.comparator, self.spans())
+            if not comparator and not any(self.note[start:stop])
         )
+
+
+def _entries(side, count: int) -> list:
+    """The values of one side of a row, one per entry."""
+    return side.tolist() if isinstance(side, np.ndarray) else [side] * count
 
 
 def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
@@ -196,31 +182,44 @@ def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
     ``slack = observed - bound``; the bound holds when the slack is at
     least ``-1e-10 max(|bound|, 1)``, which a NaN side never is;
     ``sharpness = observed / bound`` when the bound is positive, else NaN.
+    A comparator entry whose bound is not positive carries no information
+    and is noted ``vacuous``, unless its row has a note of its own.
     """
-    table, bound_value, observed_value = [], [], []
+    table, bound_value, observed_value, note = [], [], [], []
+    numbers: dict[int, np.ndarray] = {}
     for bound_id, bound, observed, *rest in rows:
         if isinstance(bound, np.ndarray):
             observed, count = float(observed), bound.size
-            bound_value += bound.tolist()
-            observed_value += [observed] * count
         elif isinstance(observed, np.ndarray):
             bound, count = float(bound), observed.size
-            bound_value += [bound] * count
-            observed_value += observed.tolist()
         else:
             bound, observed, count = float(bound), float(observed), None
-            bound_value.append(bound)
-            observed_value.append(observed)
-        table.append((bound_id, bound, observed, rest[0] if rest else "", count))
+        if count is None:
+            count, index = 1, None
+        elif count in numbers:
+            index = numbers[count]
+        else:
+            # rows of one count share one index array
+            index = numbers[count] = np.arange(1, count + 1)
+        bounds = _entries(bound, count)
+        bound_value += bounds
+        observed_value += _entries(observed, count)
+        row_note = rest[0] if rest else ""
+        comparator = bound_id in _COMPARATOR_IDS
+        if comparator and not row_note:
+            note += ["vacuous" if value <= 0.0 else "" for value in bounds]
+        else:
+            note += [row_note] * count
+        table.append((count, bound_id, index, bound, observed, comparator))
     b, o = np.array(bound_value, dtype=float), np.array(observed_value, dtype=float)
     # numpy warns where Python floats give a NaN or an infinity silently
     with np.errstate(invalid="ignore", over="ignore"):
         slack = o - b
         holds = slack >= -_HOLDS_RTOL * np.maximum(np.abs(b), 1.0)
         sharpness = np.divide(o, b, out=np.full_like(b, math.nan), where=b > 0.0)
-    return BoundColumns(
-        table, bound_value, observed_value, slack.tolist(), holds.tolist(), sharpness.tolist()
-    )
+    counts, bound_id, index, bound, observed, comparator = zip(*table) if table else [()] * 6
+    entries = slack.tolist(), holds.tolist(), sharpness.tolist()
+    return BoundColumns(counts, bound_id, index, bound, observed, *entries, comparator, note)
 
 
 def hermite_diag_bound(z: RootVector, sums: tuple | None = None) -> list[tuple]:
@@ -358,7 +357,13 @@ def bound_rows(z: RootVector, sums: tuple | None = None) -> list[tuple]:
 def bound_set(z: RootVector) -> list[BoundReport]:
     """Every derived bound and comparator report for the family of ``z``,
     in row order."""
-    return list(map(BoundReport._make, bound_columns(bound_rows(z)).entries()))
+    columns = bound_columns(bound_rows(z))
+    fields = [
+        column if isinstance(column, list)
+        else [value for side, count in zip(column, columns.counts) for value in _entries(side, count)]
+        for column in columns[1:]
+    ]
+    return list(map(BoundReport._make, zip(*fields)))
 
 
 @dataclass(frozen=True)
@@ -385,13 +390,16 @@ def sharpness_summary(z: RootVector, columns: BoundColumns) -> SharpnessSummary:
     """
     worst: dict[str, float] = {}
     mean: dict[str, float] = {}
-    spans: dict[str, tuple[int, int]] = {}
-    for (bound_id, _, _, note, _), start, stop in columns.spans():
+    bounds: dict[str, list[float]] = {}
+    for bound_id, side, (start, stop) in zip(columns.bound_id, columns.bound_value, columns.spans()):
         if start == stop:
             continue
-        spans[bound_id] = start, stop
-        # a vacuous entry has a NaN sharpness, so only the row's note counts
-        values = [] if note else [v for v in columns.sharpness[start:stop] if math.isfinite(v)]
+        bounds[bound_id] = _entries(side, stop - start)
+        # a vacuous entry has a NaN sharpness, and a noted row counts not at all
+        values = [
+            value for value, note in zip(columns.sharpness[start:stop], columns.note[start:stop])
+            if not note and math.isfinite(value)
+        ]
         if values:
             worst[bound_id] = min(values)
             mean[bound_id] = sum(values) / len(values)
@@ -399,14 +407,12 @@ def sharpness_summary(z: RootVector, columns: BoundColumns) -> SharpnessSummary:
     fam = z.family
     _, square_target = fam.spec.trace_targets(fam, z.n)
     diag_id = f"{fam.kind.value}-diag-sq"
-    if square_target is not None and diag_id in spans:
-        start, stop = spans[diag_id]
-        ratio = sum(columns.bound_value[start:stop]) / square_target
+    if square_target is not None and diag_id in bounds:
+        ratio = sum(bounds[diag_id]) / square_target
     comparator_ratios: dict[str, float] = {}
     for cmp_id, own_id in _COMPARATOR_PAIRS:
-        if cmp_id in spans and own_id in spans:
-            cmp_value = columns.bound_value[spans[cmp_id][0]]
-            own_value = columns.bound_value[spans[own_id][0]]
+        if cmp_id in bounds and own_id in bounds:
+            cmp_value, own_value = bounds[cmp_id][0], bounds[own_id][0]
             if math.isfinite(cmp_value) and own_value > 0.0:
                 comparator_ratios[f"{cmp_id}/{own_id}"] = cmp_value / own_value
     return SharpnessSummary(worst, mean, ratio, comparator_ratios)

@@ -22,31 +22,30 @@ For ``verify`` each group's checks are evaluated once on ``(P, n)`` and
 ``(P, n, n)`` stacks (its ``S_N``, its eigenbases, its interaction sums;
 ``_verify_checks``), and for ``bounds`` each group's ``(lin, cross)``
 come from one ``interaction_sums_stack``.  Each point is then handed its
-``RootVector`` and its slice of that data, and its point function is
-given the point's (family, params, N) key and the output format and
-returns the text of its rows, plus a summary dict, so the rows become
-text where they are computed and ``--jobs`` workers send text.
-``roots`` and ``verify`` build their rows as tuples in ``COLUMNS`` order
-after the key.  ``bounds`` writes from the point's
-``bounds.BoundColumns``: CSV from the columns, each side of a
-bound row formatted once for all its entries (and the gaps once for all
-the rows that share them), JSON from one tuple per entry; only JSON
-computes the sharpness summary, CSV needs only the violation count.  CSV
-is written column by column, each with its formatter from
-``CSV_FORMATS``.  JSON is encoded one row at a time by one encoder and
-indented to its place in the document, so the document is written in
-pieces and never joined into one string.  The process pool is imported
-only when ``--jobs`` asks for more than one worker.
+``RootVector`` and its slice of that data, and its point function
+returns the point's rows as columns, plus a summary dict: a list per
+column for ``roots`` and ``verify``, the point's ``bounds.BoundColumns``
+for ``bounds`` (only JSON computes the sharpness summary).  One writer,
+``_point_text``, turns any command's columns into text where they are
+computed, so ``--jobs`` workers send text: each column is formatted once
+with its formatter from ``CSV_FORMATS`` or ``JSON_FORMATS`` (a side
+shared by a bound row's entries once, and an array shared by rows once
+per point), then each entry is joined into a CSV line or filled into a
+JSON object template, indented to its place in the document, which is
+written in pieces; the JSON encoder writes only the config header and
+the summaries.  The process pool is imported only when ``--jobs`` asks
+for more than one worker.
 
 The parsed ``argparse.Namespace`` is the sweep request: ``main`` writes
 the resolved families, in sweep order, and the ``--n`` range onto it, and
 the sweep and the writers read it.
 
 Output is CSV (default) or JSON, deterministic byte for byte: fixed
-column order, shortest round-trip float formatting.  Points come in
-(family, parameters, N) order from ``sweep_points``, each run keeps it,
-and the serial ``map`` and ``pool.map`` both keep the order of the runs
-whatever the worker scheduling; rows within a point are sorted by
+column order, shortest round-trip float formatting, and in JSON null for
+a NaN or an infinity.  Points come in (family, parameters, N) order from
+``sweep_points``, each run keeps it, and the serial ``map`` and
+``pool.map`` both keep the order of the runs whatever the worker
+scheduling; rows within a point are sorted by
 (id, index).  A point's roots, bases and check values are bit for bit
 what it would get alone, so the output does not depend on ``--jobs``.
 
@@ -67,6 +66,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -104,27 +104,39 @@ COLUMNS = {
 JSON_ONLY_COLUMNS = {"bounds": ("comparator", "note")}
 
 
-def _optional(fmt):
-    return lambda value: "" if value is None else fmt(value)
+def _optional(fmt, missing: str):
+    return lambda value: missing if value is None else fmt(value)
+
+
+def _json_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
 
 
 _BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+_JSON_TEXT = json.encoder.encode_basestring_ascii
 
-# the CSV text of each column's cells: floats in shortest round-trip form,
-# booleans in lower case, a missing index or gap as an empty cell
+# the text of each column's cells, per format.  CSV: floats in shortest
+# round-trip form, booleans in lower case, a missing index or gap as an
+# empty cell.  JSON: as ``json.dumps`` writes each value, except that a
+# float that is not finite is null, as a missing index or gap is
 CSV_FORMATS = {
     "family": str, "params": str, "N": str,
-    "i": str, "z_i": repr, "gap_i": _optional(repr),
+    "i": str, "z_i": repr, "gap_i": _optional(repr, ""),
     "check_id": str, "value": repr, "tolerance": repr, "passed": _BOOL_TEXT,
-    "bound_id": str, "index": _optional(str), "bound_value": repr, "observed_value": repr,
+    "bound_id": str, "index": _optional(str, ""), "bound_value": repr, "observed_value": repr,
     "slack": repr, "holds": _BOOL_TEXT, "sharpness": repr,
 }
-_LINE_FORMATS = {
-    command: tuple(CSV_FORMATS[name] for name in names) for command, names in COLUMNS.items()
+JSON_FORMATS = {
+    "family": _JSON_TEXT, "params": _JSON_TEXT, "N": int.__repr__,
+    "i": int.__repr__, "z_i": _json_float, "gap_i": _optional(_json_float, "null"),
+    "check_id": _JSON_TEXT, "value": _json_float, "tolerance": _json_float, "passed": _BOOL_TEXT,
+    "bound_id": _JSON_TEXT, "index": _optional(int.__repr__, "null"), "bound_value": _json_float,
+    "observed_value": _json_float, "slack": _json_float, "holds": _BOOL_TEXT,
+    "sharpness": _json_float, "comparator": _BOOL_TEXT, "note": _JSON_TEXT,
 }
 
-# one encoder for every JSON row and summary; each is encoded alone and
-# indented to its nesting level in the document
+# one encoder for the config header and the summaries; each summary is
+# encoded alone and indented to its nesting level in the document
 _JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
@@ -152,22 +164,22 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
     return points
 
 
-def _roots_point(key: tuple, fmt: str, rv: RootVector, data: None) -> tuple[str, dict]:
+def _roots_point(fmt: str, rv: RootVector, data: None) -> tuple[tuple, dict]:
     stats = gap_statistics(rv)
     z = rv.roots.tolist()
     gaps = [abs(b - a) for a, b in zip(z, z[1:])] + [None]
-    rows = list(zip(range(1, rv.n + 1), z, gaps))
     summary = {
         "min_gap": stats.min_gap,
         "boundary_low": stats.boundary_low,
         "boundary_high": stats.boundary_high,
     }
-    return _rows_text("roots", fmt, key, rows), summary
+    return ([rv.n], list(range(1, rv.n + 1)), z, gaps), summary
 
 
-def _verify_point(key: tuple, fmt: str, rv: RootVector, checks: list[tuple]) -> tuple[str, dict]:
-    rows = [(check_id, value, tolerance, value <= tolerance) for check_id, value, tolerance in sorted(checks)]
-    return _rows_text("verify", fmt, key, rows), {"failed": sum(1 for row in rows if not row[-1])}
+def _verify_point(fmt: str, rv: RootVector, checks: list[tuple]) -> tuple[tuple, dict]:
+    check_ids, values, tolerances = map(list, zip(*sorted(checks)))
+    passed = [value <= tolerance for value, tolerance in zip(values, tolerances)]
+    return ([len(passed)], check_ids, values, tolerances, passed), {"failed": passed.count(False)}
 
 
 def _verify_checks(group: list[RootVector], tol: float | None, corrupt: bool) -> list[list[tuple]]:
@@ -232,23 +244,22 @@ def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_point(key: tuple, fmt: str, rv: RootVector, sums: tuple) -> tuple[str, dict]:
+def _bounds_point(fmt: str, rv: RootVector, sums: tuple) -> tuple[tuple, dict]:
     # ids are unique per bound row and each row's entries come in index
     # order, so the stable sort of the rows by id alone orders the entries
     # by (id, index)
     columns = bounds_mod.bound_columns(sorted(bounds_mod.bound_rows(rv, sums), key=itemgetter(0)))
     summary = {"violations": columns.violations()}
-    if fmt == "csv":
+    if fmt == "json":
         # CSV writes no summary; the sweep reads only the violation count
-        return _bounds_csv(key, columns), summary
-    agg = bounds_mod.sharpness_summary(rv, columns)
-    summary.update(
-        worst_sharpness=agg.worst,
-        mean_sharpness=agg.mean,
-        diag_square_identity_ratio=agg.diag_square_identity_ratio,
-        comparator_ratios=agg.comparator_ratios,
-    )
-    return _json_rows("bounds", key, columns.entries()), summary
+        agg = bounds_mod.sharpness_summary(rv, columns)
+        summary.update(
+            worst_sharpness=agg.worst,
+            mean_sharpness=agg.mean,
+            diag_square_identity_ratio=agg.diag_square_identity_ratio,
+            comparator_ratios=agg.comparator_ratios,
+        )
+    return columns, summary
 
 
 def _bounds_sums(group: list[RootVector], tol: float | None, corrupt: bool) -> list[tuple]:
@@ -257,9 +268,9 @@ def _bounds_sums(group: list[RootVector], tol: float | None, corrupt: bool) -> l
     return list(zip(lin, cross))
 
 
-# one signature: (point key, format, roots, data) -> (the text of the
-# point's rows in the format, summary without the point key), where data
-# is what the command's group stage gave the point (roots has none)
+# one signature: (format, roots, data) -> (the point's table for
+# ``_point_text``, summary without the point key), where data is what the
+# command's group stage gave the point (roots has none)
 _POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
 
 # one signature: (the root vectors of one order, tol, corrupt) -> the data
@@ -318,77 +329,55 @@ def _evaluate_point(command: str, fmt: str, rv: RootVector, data) -> tuple[str, 
     the output format, plus its keyed summary."""
     fam = rv.family
     key = (fam.kind.value, fam.params_text(), rv.n)
-    text, summary = _POINT_FUNCTIONS[command](key, fmt, rv, data)
-    return text, dict(zip(POINT_KEY, key), **summary)
+    table, summary = _POINT_FUNCTIONS[command](fmt, rv, data)
+    return _point_text(command, fmt, key, table), dict(zip(POINT_KEY, key), **summary)
 
 
-def _rows_text(command: str, fmt: str, key: tuple, rows: list[tuple]) -> str:
-    return (_csv_lines if fmt == "csv" else _json_rows)(command, key, rows)
+def _point_text(command: str, fmt: str, key: tuple, table: tuple) -> str:
+    """The text of one point's rows in the output format, from its table
+    ``(counts, *columns)``, the columns those of the command's rows after
+    the point key (see ``_column_cells``; CSV drops the JSON-only ones).
+    Each column is formatted once with the format's formatter for it, then
+    each entry is joined into a CSV line or a JSON ``results`` element."""
+    counts, *columns = table
+    names = COLUMNS[command] + (JSON_ONLY_COLUMNS.get(command, ()) if fmt == "json" else ())
+    formats = CSV_FORMATS if fmt == "csv" else JSON_FORMATS
+    # the memo outlives no column, so no id in it can be reused meanwhile
+    memo: dict[tuple, list[str]] = {}
+    cells = [
+        _column_cells(formats[name], column, counts, memo)
+        for name, column in zip(names[len(key):], columns)
+    ]
+    if not cells[0]:
+        return ""
+    head = [formats[name](value) for name, value in zip(POINT_KEY, key)]
+    if fmt == "csv":
+        head = ",".join(head) + ","
+        return head + ("\n" + head).join(map(",".join, zip(*cells))) + "\n"
+    # an object as ``json.dumps(document, indent=2, sort_keys=True)``
+    # places it in the ``results`` list
+    by_name = dict(zip(names, [repeat(cell) for cell in head] + cells))
+    order = sorted(names)
+    template = "    {\n" + ",\n".join(["      " + _JSON_TEXT(name) + ": %s" for name in order]) + "\n    }"
+    return ",\n".join(map(template.__mod__, zip(*[by_name[name] for name in order])))
 
 
-def _csv_head(command: str, key: tuple) -> str:
-    return ",".join(fmt(value) for fmt, value in zip(_LINE_FORMATS[command], key)) + ","
-
-
-def _csv_lines(command: str, key: tuple, rows: list[tuple]) -> str:
-    """The CSV lines of one point, formatted column by column; the columns
-    that only JSON writes are dropped."""
-    formats = _LINE_FORMATS[command][len(key):]
-    cells = [map(fmt, column) for fmt, column in zip(formats, zip(*rows))]
-    head = _csv_head(command, key)
-    return "".join([head + line + "\n" for line in map(",".join, zip(*cells))])
-
-
-def _bounds_csv(key: tuple, columns: bounds_mod.BoundColumns) -> str:
-    """The CSV lines of one point's bound columns, as ``_csv_lines`` writes
-    their entries.  Each side is formatted once: a row's scalar side for
-    all its entries, and a side that several rows share (the gaps) for all
-    of them."""
-    fmt = CSV_FORMATS
-    longest = max((row[4] or 0 for row in columns.rows), default=0)
-    numbers = list(map(fmt["index"], range(1, longest + 1)))
-    shared: dict[tuple, list[str]] = {}
-    ids, index, bound_text, observed_text = [], [], [], []
-    for bound_id, bound, observed, _, count in columns.rows:
-        if count is None:
-            count = 1
-            index.append(fmt["index"](None))
+def _column_cells(fmt, column, counts: list[int], memo: dict[tuple, list[str]]) -> list[str]:
+    """The cells of one column, one per entry: a list item by item, and a
+    tuple, one side per row group, a scalar side once for its group and an
+    array side once per array object and formatter, for all its groups."""
+    if isinstance(column, list):
+        return list(map(fmt, column))
+    cells = []
+    for side, count in zip(column, counts):
+        if isinstance(side, np.ndarray):
+            shared = memo.get((id(side), fmt))
+            if shared is None:
+                shared = memo[id(side), fmt] = list(map(fmt, side.tolist()))
+            cells += shared
         else:
-            index += numbers[:count]
-        ids += [fmt["bound_id"](bound_id)] * count
-        bound_text += _side_cells(fmt["bound_value"], bound, count, shared)
-        observed_text += _side_cells(fmt["observed_value"], observed, count, shared)
-    cells = zip(
-        ids, index, bound_text, observed_text, map(fmt["slack"], columns.slack),
-        map(fmt["holds"], columns.holds), map(fmt["sharpness"], columns.sharpness),
-    )
-    head = _csv_head("bounds", key)
-    return "".join([head + line + "\n" for line in map(",".join, cells)])
-
-
-def _side_cells(fmt, side, count: int, shared: dict[tuple, list[str]]) -> list[str]:
-    """The ``count`` cells of one side of a bound row: a scalar repeated,
-    or the cells of an array, formatted once per array object and
-    formatter (the columns hold the arrays, so their ids stay distinct)."""
-    if not isinstance(side, np.ndarray):
-        return [fmt(side)] * count
-    cells = shared.get((id(side), fmt))
-    if cells is None:
-        cells = shared[id(side), fmt] = list(map(fmt, side.tolist()))
+            cells += [fmt(side)] * count
     return cells
-
-
-def _json_rows(command: str, key: tuple, rows: list[tuple]) -> str:
-    """The JSON objects of one point's rows, as elements of the document's
-    ``results`` list, separated by commas."""
-    names = COLUMNS[command] + JSON_ONLY_COLUMNS.get(command, ())
-    return ",\n".join(_json_element(dict(zip(names, key + row))) for row in rows)
-
-
-def _json_element(value) -> str:
-    # an element of a list in the document's top-level object: indented by
-    # two levels, as ``json.dumps(document, indent=2)`` would place it
-    return "    " + _JSON.encode(_json_safe(value)).replace("\n", "\n    ")
 
 
 def _run_sweep(args: argparse.Namespace, points: list[tuple[PolynomialFamily, int]]) -> list[tuple[str, dict]]:
@@ -419,7 +408,7 @@ def _process_pool(workers: int):
 
 
 def _json_safe(value):
-    if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
         return {key: _json_safe(item) for key, item in value.items()}
@@ -442,7 +431,10 @@ def _json_document(args: argparse.Namespace, outcomes: list[tuple[str, dict]]) -
         '{\n  "config": ' + _JSON.encode(header).replace("\n", "\n  ") + ',\n  "results": ',
         *_json_list([text for text, _ in outcomes if text]),
         ',\n  "summary": ',
-        *_json_list([_json_element(summary) for _, summary in outcomes]),
+        # each summary indented by two levels, to its place in the list
+        *_json_list([
+            "    " + _JSON.encode(_json_safe(summary)).replace("\n", "\n    ") for _, summary in outcomes
+        ]),
         "\n}\n",
     ]
 

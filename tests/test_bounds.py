@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rootgaps import (
+    BoundColumns,
     BoundReport,
     FamilyKind,
     FamilyMismatchError,
@@ -437,10 +438,33 @@ def assert_reports_match(got, expected):
             assert same(x, y), (name, rep, ref)
 
 
+def column_entries(columns):
+    """One tuple per entry from the columns, its fields those of a
+    ``BoundReport``: a list column item by item, and a tuple column's side
+    repeated over its row's entries, or its array item by item."""
+    total = sum(columns.counts)
+    fields = []
+    for name, column in zip(BoundColumns._fields[1:], columns[1:]):
+        if isinstance(column, list):
+            assert len(column) == total, name
+            fields.append(column)
+            continue
+        assert type(column) is tuple and len(column) == len(columns.counts), name
+        values = []
+        for side, count in zip(column, columns.counts):
+            if isinstance(side, np.ndarray):
+                assert side.shape == (count,), name
+                values += side.tolist()
+            else:
+                values += [side] * count
+        fields.append(values)
+    return list(zip(*fields))
+
+
 def assert_columns_match_scalar_rule(rows):
     columns = bound_columns(rows)
     reports = expand(rows)
-    assert_reports_match(columns.entries(), reports)
+    assert_reports_match(column_entries(columns), reports)
     violations = sum(1 for r in reports if not r.comparator and not r.note and not r.holds)
     assert columns.violations() == violations
     return columns, reports

@@ -19,7 +19,7 @@ from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, herm
 from rootgaps.covariance import eigenbasis
 from rootgaps.roots import compute_roots_many
 
-from test_bounds import EDGE_ROWS
+from test_bounds import EDGE_ROWS, expand
 
 real_compute_roots_many = cli.compute_roots_many
 
@@ -367,6 +367,20 @@ class TestBoundsCommand:
         assert all("violations" in point for point in document["summary"])
 
 
+    def test_infinite_sharpness_is_null_in_json(self, capsys):
+        # the comparator-2 bound 5.657e-321 is subnormal, so each sharpness
+        # overflows to an infinity, which CSV writes and JSON cannot
+        argv = ("bounds", "--family", "laguerre", "--nu", "1e-320", "--n", "5")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        rows = [r for r in read_csv(out) if r["bound_id"] == "laguerre-gap-comparator-2"]
+        assert [(r["bound_value"], r["sharpness"]) for r in rows] == [("5.657e-321", "inf")] * 4
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = [r for r in json.loads(out)["results"] if r["bound_id"] == "laguerre-gap-comparator-2"]
+        assert [(r["bound_value"], r["sharpness"]) for r in rows] == [(5.657e-321, None)] * 4
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ("bounds", "--family", "laguerre", "--nu", "2", "--n-min", "1", "--n-max", "6")
@@ -422,6 +436,10 @@ class TestGoldenOutput:
                 ["bounds"],
                 "5bfc3c50de16f496a53084db14d8de28cceb636445bcbdf35b17c15b109ba215",
             ),
+            (
+                ["bounds", "--format", "json"],
+                "a60407616436b00e763607b9ccd909ccc2a05f13606fef6a3efc1f7101d235d3",
+            ),
             # every default-grid root, 9,839 in 479 points: a root that
             # moves by one ulp and changes no bound cell shows here
             (
@@ -461,7 +479,7 @@ FLOATS = [
 ]
 INTS = [0, 1, 7, 40, 64757]
 BOOLS = [True, False]
-TEXTS = ["hermite", "-", "alpha=1.0 beta=-0.9", "laguerre-gap-bessel-strong"]
+TEXTS = ["hermite", "-", "alpha=1.0 beta=-0.9", "laguerre-gap-bessel-strong", 'a "quoted" \\ 100% \u03bd']
 
 # the values each CSV column can hold
 COLUMN_VALUES = {
@@ -471,60 +489,120 @@ COLUMN_VALUES = {
     "bound_id": TEXTS, "index": INTS + [None], "bound_value": FLOATS, "observed_value": FLOATS,
     "slack": FLOATS, "holds": BOOLS, "sharpness": FLOATS,
 }
+# the values of the columns that only JSON writes
+JSON_ONLY_VALUES = {"comparator": BOOLS, "note": TEXTS + [""]}
+
+
+def json_cell(value):
+    """The JSON rule for one cell: ``json.dumps`` of the value, with a
+    float that is not finite written as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
+    return json.dumps(value)
+
+
+def json_elements(names, rows):
+    """The JSON text of rows as ``json.dumps`` places them in the
+    document's ``results`` list, non-finite floats as null."""
+    return ",\n".join(
+        "    " + json.dumps(
+            {name: None if json_cell(value) == "null" else value for name, value in zip(names, row)},
+            indent=2, sort_keys=True,
+        ).replace("\n", "\n    ")
+        for row in rows
+    )
 
 
 class TestColumnFormats:
     def test_every_column_has_a_formatter(self):
         names = {name for columns in cli.COLUMNS.values() for name in columns}
         assert set(cli.CSV_FORMATS) == names == set(COLUMN_VALUES)
+        json_only = {name for columns in cli.JSON_ONLY_COLUMNS.values() for name in columns}
+        assert set(cli.JSON_FORMATS) == names | json_only == set(COLUMN_VALUES) | set(JSON_ONLY_VALUES)
 
     @pytest.mark.parametrize("name", sorted(COLUMN_VALUES))
     def test_formatter_matches_per_cell_rule(self, name):
         for value in COLUMN_VALUES[name]:
             assert cli.CSV_FORMATS[name](value) == per_cell_format(value), value
 
+    @pytest.mark.parametrize("name", sorted({**COLUMN_VALUES, **JSON_ONLY_VALUES}))
+    def test_json_formatter_matches_json_dumps(self, name):
+        for value in {**COLUMN_VALUES, **JSON_ONLY_VALUES}[name]:
+            assert cli.JSON_FORMATS[name](value) == json_cell(value), value
+        if name in ("z_i", "value", "bound_value", "slack", "sharpness"):
+            assert [cli.JSON_FORMATS[name](value) for value in (math.nan, math.inf, -math.inf)] == ["null"] * 3
+
+    def test_json_summaries_write_non_finite_floats_as_null(self):
+        summary = {"worst": {"a": math.inf, "b": 0.5}, "ratio": -math.inf, "mean": math.nan, "n": 3}
+        assert cli._json_safe(summary) == {"worst": {"a": None, "b": 0.5}, "ratio": None, "mean": None, "n": 3}
+
+    # a point key with characters that JSON escapes and a "%"
+    @pytest.mark.parametrize("key", [("jacobi", "alpha=1.0 beta=-0.9", 12), ("x%s", TEXTS[-1], 7)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", sorted(cli.COLUMNS))
-    def test_lines_match_per_cell_rule(self, command):
+    def test_lines_match_per_cell_rule(self, command, fmt, key):
         names = cli.COLUMNS[command]
         width = len(names) - len(cli.POINT_KEY)
         count = max(len(values) for values in COLUMN_VALUES.values())
         columns = [itertools.cycle(COLUMN_VALUES[name]) for name in names[len(cli.POINT_KEY):]]
         # bound rows carry the two JSON-only fields, which CSV drops
-        extra = [itertools.cycle(BOOLS), itertools.cycle(["", "vacuous"])]
-        extra = extra[: len(cli.JSON_ONLY_COLUMNS.get(command, ()))]
+        json_only = cli.JSON_ONLY_COLUMNS.get(command, ())
+        extra = [itertools.cycle(JSON_ONLY_VALUES[name]) for name in json_only]
         rows = list(itertools.islice(zip(*columns, *extra), count))
-        key = ("jacobi", "alpha=1.0 beta=-0.9", 12)
-        head = ",".join(map(per_cell_format, key)) + ","
-        expected = "".join(head + ",".join(map(per_cell_format, row[:width])) + "\n" for row in rows)
-        assert cli._csv_lines(command, key, rows) == expected
-        assert cli._csv_lines(command, key, []) == ""
+        if fmt == "csv":
+            head = ",".join(map(per_cell_format, key)) + ","
+            expected = "".join(head + ",".join(map(per_cell_format, row[:width])) + "\n" for row in rows)
+        else:
+            expected = json_elements(names + json_only, [key + row for row in rows])
+        table = ([len(rows)], *map(list, zip(*rows)))
+        assert cli._point_text(command, fmt, key, table) == expected
+        empty = ([0], *([] for _ in rows[0]))
+        assert cli._point_text(command, fmt, key, empty) == ""
 
 
 class TestBoundLines:
-    """The bound CSV lines, written from the columns with each side
-    formatted once, against the per-cell rule on their entries."""
+    """The bound lines, written from the columns with each side formatted
+    once, against the per-cell rules on the entries of the scalar rule."""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "family,n",
         [("hermite", 2), ("hermite", 9), ("laguerre", 1), ("laguerre", 7), ("jacobi", 1), ("jacobi", 6)],
     )
-    def test_grid_points(self, family, n):
+    def test_grid_points(self, family, n, fmt):
         for fam in cli.default_families((FamilyKind(family),)):
             rv = compute_roots(fam, n)
-            self.check(("x", fam.params_text(), n), bounds_mod.bound_columns(bounds_mod.bound_rows(rv)))
+            self.check(("x", fam.params_text(), n), bounds_mod.bound_rows(rv), fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
-    def test_edge_rows(self, name):
-        self.check(("jacobi", "alpha=1.0 beta=-0.9", 12), bounds_mod.bound_columns(EDGE_ROWS[name]))
+    def test_edge_rows(self, name, fmt):
+        self.check(("jacobi", "alpha=1.0 beta=-0.9", 12), EDGE_ROWS[name], fmt)
+
+    def test_shared_side_is_formatted_once_per_formatter(self):
+        calls = []
+
+        def formatter(tag):
+            return lambda value: calls.append(tag) or f"{tag}{value}"
+
+        side, memo = np.array([0.5, 0.25]), {}
+        first, second = formatter("a"), formatter("b")
+        got = cli._column_cells(first, (side, 1.0, side), [2, 3, 2], memo)
+        assert got == ["a0.5", "a0.25"] + ["a1.0"] * 3 + ["a0.5", "a0.25"]
+        assert cli._column_cells(second, (side,), [2], memo) == ["b0.5", "b0.25"]
+        assert calls == ["a", "a", "a", "b", "b"]
 
     @staticmethod
-    def check(key, columns):
-        head = ",".join(map(per_cell_format, key)) + ","
-        width = len(cli.COLUMNS["bounds"]) - len(key)
-        expected = "".join(
-            head + ",".join(map(per_cell_format, entry[:width])) + "\n" for entry in columns.entries()
-        )
-        assert cli._bounds_csv(key, columns) == expected
+    def check(key, rows, fmt):
+        columns = bounds_mod.bound_columns(rows)
+        if fmt == "csv":
+            head = ",".join(map(per_cell_format, key)) + ","
+            width = len(cli.COLUMNS["bounds"]) - len(key)
+            expected = "".join(head + ",".join(map(per_cell_format, rep[:width])) + "\n" for rep in expand(rows))
+        else:
+            names = cli.COLUMNS["bounds"] + cli.JSON_ONLY_COLUMNS["bounds"]
+            expected = json_elements(names, [key + tuple(rep) for rep in expand(rows)])
+        assert cli._point_text("bounds", fmt, key, columns) == expected
 
 
 class TestUsageErrors:
