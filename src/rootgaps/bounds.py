@@ -271,7 +271,8 @@ def laguerre_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     strong = math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1
     weak = 2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1
     sqrt_gaps = np.sqrt(z.roots[:-1]) - np.sqrt(z.roots[1:])
-    cmp1 = (nu - 1.0) / math.sqrt((n + nu - 1.0) * n)
+    # n - 1 first: at N = 1 the sum in the other order cancels a tiny nu
+    cmp1 = (nu - 1.0) / math.sqrt(((n - 1.0) + nu) * n)
     cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
     cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
     return [

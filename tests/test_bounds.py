@@ -19,6 +19,7 @@ from rootgaps import (
     hermite_diag_bound,
     jacobi,
     laguerre,
+    laguerre_bounds,
     sharpness_summary,
 )
 from rootgaps.bounds import _COMPARATOR_IDS, _COMPARATOR_PAIRS, _HOLDS_RTOL
@@ -230,6 +231,20 @@ class TestLaguerreBounds:
             by_id(large, "laguerre-gap-comparator-3")[0].bound_value
             < by_id(large, "laguerre-gap-strong")[0].bound_value
         )
+
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 2.0, 50.0, 3e-16, 1e-20, 1e-300])
+    def test_comparator_1_against_mpmath(self, nu):
+        # (nu - 1) / sqrt(((n - 1) + nu) n) takes five roundings of half an
+        # ulp each, the square root halving its argument's: at most two
+        # units of relative error, so at most 4 ulps.  Summed as n + nu - 1,
+        # the bound at N = 1 lost a nu below 1.1e-16, or divided by zero.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for n in (1, 2, 4, 16, 40):
+                rows = laguerre_bounds(compute_roots(laguerre(nu), n))
+                (bound,) = [row[1] for row in rows if row[0] == "laguerre-gap-comparator-1"]
+                exact = (mpmath.mpf(nu) - 1) / mpmath.sqrt(((n - 1) + mpmath.mpf(nu)) * n)
+                assert abs(mpmath.mpf(bound) - exact) <= 4 * math.ulp(bound), (n, bound)
 
     def test_large_nu_comparator_has_best_constant(self):
         reports = reports_for(laguerre(10.0), 5)

@@ -367,6 +367,13 @@ class TestBoundsCommand:
         assert all("violations" in point for point in document["summary"])
 
 
+    @pytest.mark.parametrize("flags", [("--n", "1"), ("--n-max", "3")])
+    def test_comparator_1_at_tiny_nu(self, capsys, flags):
+        # at N = 1 the comparator-1 bound divides by sqrt(((N - 1) + nu) N)
+        code, out = run_cli(capsys, "bounds", "--family", "laguerre", "--nu", "1e-20", *flags)
+        assert code == 0
+        assert {row["N"] for row in read_csv(out)} == ({"1"} if flags[0] == "--n" else {"1", "2", "3"})
+
     def test_infinite_sharpness_is_null_in_json(self, capsys):
         # the comparator-2 bound 5.657e-321 is subnormal, so each sharpness
         # overflows to an infinity, which CSV writes and JSON cannot
@@ -425,20 +432,20 @@ class TestGoldenOutput:
             ),
             (
                 ["bounds", "--n-max", "8"],
-                "9ccf29890c6a25d6aa7d929dd02b9f0dfcdae355ec70f2f66964faf1afa85eca",
+                "bb7a40e5f414f86c73d3427941e7258f38ea4c41b42643c133ae3e9c9fe9ea35",
             ),
             (
                 ["bounds", "--n-max", "8", "--format", "json"],
-                "35f5769850ad68b304998ff64f056a6e69d4f20017950f41aa27a4e80174a10c",
+                "1f4e9647c8f155c03009ba799b216934ada1735c5ae7aab23c3f38af75d58db0",
             ),
             # the full default sweep, 64,757 rows
             (
                 ["bounds"],
-                "5bfc3c50de16f496a53084db14d8de28cceb636445bcbdf35b17c15b109ba215",
+                "a6c375a4eaafcb43d9ac7a750f432000c444e899fef2245c971c5b9431ba4be3",
             ),
             (
                 ["bounds", "--format", "json"],
-                "a60407616436b00e763607b9ccd909ccc2a05f13606fef6a3efc1f7101d235d3",
+                "266eb7e69545ea354751948570ad4cfe3744d99f8d42d9e095bfb9458b07f643",
             ),
             # every default-grid root, 9,839 in 479 points: a root that
             # moves by one ulp and changes no bound cell shows here
