@@ -201,13 +201,13 @@ def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
         else:
             # rows of one count share one index array
             index = numbers[count] = np.arange(1, count + 1)
-        bounds = _entries(bound, count)
-        bound_value += bounds
+        row_bounds = _entries(bound, count)
+        bound_value += row_bounds
         observed_value += _entries(observed, count)
         row_note = rest[0] if rest else ""
         comparator = bound_id in _COMPARATOR_IDS
         if comparator and not row_note:
-            note += ["vacuous" if value <= 0.0 else "" for value in bounds]
+            note += ["vacuous" if value <= 0.0 else "" for value in row_bounds]
         else:
             note += [row_note] * count
         table.append((count, bound_id, index, bound, observed, comparator))
@@ -217,9 +217,9 @@ def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
         slack = o - b
         holds = slack >= -_HOLDS_RTOL * np.maximum(np.abs(b), 1.0)
         sharpness = np.divide(o, b, out=np.full_like(b, math.nan), where=b > 0.0)
-    counts, bound_id, index, bound, observed, comparator = zip(*table) if table else [()] * 6
+    counts, ids, indices, bound_sides, observed_sides, comparators = zip(*table) if table else [()] * 6
     entries = slack.tolist(), holds.tolist(), sharpness.tolist()
-    return BoundColumns(counts, bound_id, index, bound, observed, *entries, comparator, note)
+    return BoundColumns(counts, ids, indices, bound_sides, observed_sides, *entries, comparators, note)
 
 
 def hermite_diag_bound(z: RootVector, sums: tuple | None = None) -> list[tuple]:

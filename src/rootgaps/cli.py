@@ -350,13 +350,13 @@ def _point_text(command: str, fmt: str, key: tuple, table: tuple) -> str:
     ]
     if not cells[0]:
         return ""
-    head = [formats[name](value) for name, value in zip(POINT_KEY, key)]
+    key_cells = [formats[name](value) for name, value in zip(POINT_KEY, key)]
     if fmt == "csv":
-        head = ",".join(head) + ","
+        head = ",".join(key_cells) + ","
         return head + ("\n" + head).join(map(",".join, zip(*cells))) + "\n"
     # an object as ``json.dumps(document, indent=2, sort_keys=True)``
     # places it in the ``results`` list
-    by_name = dict(zip(names, [repeat(cell) for cell in head] + cells))
+    by_name = dict(zip(names, [repeat(cell) for cell in key_cells] + cells))
     order = sorted(names)
     template = "    {\n" + ",\n".join(["      " + _JSON_TEXT(name) + ": %s" for name in order]) + "\n    }"
     return ",\n".join(map(template.__mod__, zip(*[by_name[name] for name in order])))

@@ -443,15 +443,16 @@ class TestGoldenOutput:
                 ["bounds"],
                 "a6c375a4eaafcb43d9ac7a750f432000c444e899fef2245c971c5b9431ba4be3",
             ),
-            (
-                ["bounds", "--format", "json"],
-                "266eb7e69545ea354751948570ad4cfe3744d99f8d42d9e095bfb9458b07f643",
-            ),
             # every default-grid root, 9,839 in 479 points: a root that
             # moves by one ulp and changes no bound cell shows here
             (
                 ["roots"],
                 "62784928389f429b6050ab02a81f3d31f9e1178921de5d2e0d1b607f403d5d70",
+            ),
+            # the full default sweep as JSON
+            (
+                ["bounds", "--format", "json"],
+                "266eb7e69545ea354751948570ad4cfe3744d99f8d42d9e095bfb9458b07f643",
             ),
         ],
     )
@@ -605,7 +606,8 @@ class TestBoundLines:
         if fmt == "csv":
             head = ",".join(map(per_cell_format, key)) + ","
             width = len(cli.COLUMNS["bounds"]) - len(key)
-            expected = "".join(head + ",".join(map(per_cell_format, rep[:width])) + "\n" for rep in expand(rows))
+            lines = (",".join(map(per_cell_format, rep[:width])) for rep in expand(rows))
+            expected = "".join(head + line + "\n" for line in lines)
         else:
             names = cli.COLUMNS["bounds"] + cli.JSON_ONLY_COLUMNS["bounds"]
             expected = json_elements(names, [key + tuple(rep) for rep in expand(rows)])
