@@ -34,6 +34,15 @@ def read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def golden(argv, digest):
+    """A golden-output case whose id is built from its argv, not its
+    digest, so that a declared digest change keeps the test's name:
+    ``["roots", "--n-max", "8", "--format", "json"]`` is
+    ``roots-n-max-8-json``."""
+    words = [arg.lstrip("-") for arg in argv if arg != "--format"]
+    return pytest.param(argv, digest, id="-".join(words))
+
+
 def explode_at(n_bad, label=None):
     """A ``compute_roots_many`` whose batches fail when they hold a point
     of order ``n_bad`` (of the family labelled ``label``, if given)."""
@@ -422,35 +431,35 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "argv,digest",
         [
-            (
+            golden(
                 ["roots", "--n-max", "8"],
                 "9d8f80daa9b54317c1539b299dece5e456e44d8ef93e80ad68251c2a9707d64b",
             ),
-            (
+            golden(
                 ["roots", "--n-max", "8", "--format", "json"],
                 "86889affff7ac2809712da3dede665720409e4bc84b0ab1814453a18c57675b3",
             ),
-            (
+            golden(
                 ["bounds", "--n-max", "8"],
                 "bb7a40e5f414f86c73d3427941e7258f38ea4c41b42643c133ae3e9c9fe9ea35",
             ),
-            (
+            golden(
                 ["bounds", "--n-max", "8", "--format", "json"],
                 "1f4e9647c8f155c03009ba799b216934ada1735c5ae7aab23c3f38af75d58db0",
             ),
             # the full default sweep, 64,757 rows
-            (
+            golden(
                 ["bounds"],
                 "a6c375a4eaafcb43d9ac7a750f432000c444e899fef2245c971c5b9431ba4be3",
             ),
             # every default-grid root, 9,839 in 479 points: a root that
             # moves by one ulp and changes no bound cell shows here
-            (
+            golden(
                 ["roots"],
                 "62784928389f429b6050ab02a81f3d31f9e1178921de5d2e0d1b607f403d5d70",
             ),
             # the full default sweep as JSON
-            (
+            golden(
                 ["bounds", "--format", "json"],
                 "266eb7e69545ea354751948570ad4cfe3744d99f8d42d9e095bfb9458b07f643",
             ),
