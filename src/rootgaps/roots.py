@@ -4,7 +4,8 @@
 orders, and finds all their roots together.  The roots of ``P_n`` are the
 eigenvalues of the order-``n`` recurrence matrix ``T_n``: every root is
 first bisected on Sturm counts (LAPACK ``dstebz``'s rule, Barth, Martin
-and Wilkinson 1967) and then polished by Newton.  The roots of all
+and Wilkinson 1967), until its bracket holds it alone and then a few steps
+more, and then polished by Newton.  The roots of all
 families are ordered by ``n``, descending, and each reads its own family's
 coefficients, so every bisection step is one pass of Sturm counts over all
 the roots of the batch, each distinct midpoint of a point counted once,
@@ -18,11 +19,10 @@ stored descending (``z_1`` largest), Jacobi roots ascending (``z_1``
 smallest).  The direction and the orthogonality interval come from the
 family's ``FamilySpec`` row, and a ``RootVector`` rejects roots that are
 not strictly ordered in that direction, so a flipped vector cannot pass
-for its family.
+for its family; a root that is not finite is rejected too.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,19 +56,32 @@ class RootVector:
         object.__setattr__(self, "roots", roots)
         if roots.size != self.n:
             raise InternalConsistencyError(f"expected {self.n} roots, got {roots.size}")
-        spec = self.family.spec
-        diffs = np.diff(roots) if spec.ascending else -np.diff(roots)
-        if np.any(diffs < 0.0):
-            order = "ascending" if spec.ascending else "descending"
-            raise InternalConsistencyError(f"roots are not {order}")
-        if np.any(diffs == 0.0):
-            raise SingularConfigurationError("neighbouring roots coincide in double precision")
-        lo, hi = spec.domain
-        if np.any(roots <= lo) or np.any(roots >= hi):
-            raise InternalConsistencyError(
-                f"roots left the orthogonality interval ({lo}, {hi})"
-            )
+        if roots.size:
+            _check_roots(roots, self.family.spec)
         roots.setflags(write=False)
+
+
+def _check_roots(roots, spec) -> None:
+    """Raise unless ``roots`` are strictly ordered in the direction of
+    ``spec`` and inside its orthogonality interval.  One test accepts them,
+    both end roots inside and every signed difference positive, which a NaN
+    fails; only a failure is classified."""
+    lo, hi = spec.domain
+    diffs = roots[1:] - roots[:-1]
+    if not spec.ascending:
+        if lo < roots[-1] and roots[0] < hi and (diffs < 0.0).all():
+            return
+        np.negative(diffs, out=diffs)
+    elif lo < roots[0] and roots[-1] < hi and (diffs > 0.0).all():
+        return
+    if not np.isfinite(roots).all():
+        raise InternalConsistencyError("roots are not finite")
+    if (diffs < 0.0).any():
+        order = "ascending" if spec.ascending else "descending"
+        raise InternalConsistencyError(f"roots are not {order}")
+    if (diffs == 0.0).any():
+        raise SingularConfigurationError("neighbouring roots coincide in double precision")
+    raise InternalConsistencyError(f"roots left the orthogonality interval ({lo}, {hi})")
 
 
 class GapStatistics(NamedTuple):
@@ -79,10 +92,11 @@ class GapStatistics(NamedTuple):
     boundary_high: float | None
 
 
-# bisection steps before Newton takes over, Newton evaluations before a
-# root that has not settled is bisected instead, and the most values one
-# block of Sturm counts holds in its pivot table
-_BISECT_STEPS = 20
+# bisection steps a root takes after its bracket first holds it alone,
+# before Newton takes over; Newton evaluations before a root that has not
+# settled is bisected instead; and the most values one block of Sturm
+# counts holds in its pivot table
+_STEPS_AFTER = 4
 _NEWTON_CAP = 12
 _TABLE_CAP = 2**17
 _TINY = float(np.finfo(float).tiny)
@@ -102,8 +116,8 @@ def compute_roots_many(points) -> list[RootVector]:
     ``points``.  The entries of all families are ordered by ``n``,
     descending, and bisected together on Sturm counts (:func:`_bisect`),
     each from the Gershgorin interval of its own ``T_n`` clipped to the
-    orthogonality interval, for ``_BISECT_STEPS`` steps and on until its
-    bracket holds its eigenvalue alone.  Newton then polishes each root
+    orthogonality interval, until its bracket holds its eigenvalue alone
+    and then ``_STEPS_AFTER`` steps more.  Newton then polishes each root
     inside its bracket, one evaluation of the recurrence per step for all
     the entries (:func:`_polish`).  A root whose polish is rejected or does
     not settle is bisected on to full width and its midpoint kept; its
@@ -133,7 +147,7 @@ def compute_roots_many(points) -> list[RootVector]:
     fam, degree = fam_of_point[point], orders[point]
     lo, hi, pivmin, slack = start[:, point]
 
-    alone = _bisect(tables, point, fam, degree, k, lo, hi, pivmin, _BISECT_STEPS)
+    alone = _bisect(tables, point, fam, degree, k, lo, hi, pivmin, _STEPS_AFTER)
     x = np.empty(lo.size)
     settled = np.zeros(lo.size, dtype=bool)
     if alone.any():
@@ -207,8 +221,9 @@ def _bisect(tables, point, fam, degree, k, lo, hi, pivmin, steps=None) -> np.nda
     ``k``.
 
     An entry stops at full width, ``hi - lo < 2 eps max(|lo|, |hi|) +
-    pivmin`` as in LAPACK ``dstebz``, or, when ``steps`` is given, once it
-    has taken that many steps and its bracket holds its eigenvalue alone.
+    pivmin`` as in LAPACK ``dstebz``, or, when ``steps`` is given, once its
+    bracket holds its eigenvalue alone and it has taken ``steps`` steps
+    since it first did; so each entry stops at a step of its own.
     Entries of one point that share a bracket, neighbours in this order,
     share its midpoint, whose Sturm count is computed once.  Returns the
     mask of the entries whose bracket holds their eigenvalue alone (the
@@ -221,20 +236,22 @@ def _bisect(tables, point, fam, degree, k, lo, hi, pivmin, steps=None) -> np.nda
     live, pt, f, n, kk, floor = np.arange(lo.size), point, fam, degree, k, pivmin
     l, h = lo.copy(), hi.copy()
     below, upto = np.zeros(lo.size, dtype=np.int64), degree.copy()  # eigenvalues below l, h
-    for step in itertools.count():
+    after = np.zeros(lo.size, dtype=np.int64)  # steps taken while isolated
+    while True:
         done = h - l < 2.0 * _EPS * np.maximum(np.abs(l), np.abs(h)) + floor
         isolated = (below == kk) & (upto == kk + 1)
-        if steps is not None and step >= steps:
-            done |= isolated
+        if steps is not None:
+            done |= isolated & (after >= steps)
         if done.any():
             stop = live[done]
             lo[stop], hi[stop], alone[stop] = l[done], h[done], isolated[done]
             keep = ~done
-            live, pt, f, n, kk, floor, l, h, below, upto = (
-                v[keep] for v in (live, pt, f, n, kk, floor, l, h, below, upto)
+            live, pt, f, n, kk, floor, l, h, below, upto, after, isolated = (
+                v[keep] for v in (live, pt, f, n, kk, floor, l, h, below, upto, after, isolated)
             )
             if not live.size:
                 break
+        after += isolated
         x = 0.5 * (l + h)
         # a point's count at x is one number, however many entries ask
         shared = (x[1:] == x[:-1]) & (pt[1:] == pt[:-1])

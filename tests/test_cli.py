@@ -433,35 +433,35 @@ class TestGoldenOutput:
         [
             golden(
                 ["roots", "--n-max", "8"],
-                "9d8f80daa9b54317c1539b299dece5e456e44d8ef93e80ad68251c2a9707d64b",
+                "2b27ba25e2e58ac71abf6135b2d74bdde1750b0557718509bbfa63bf830cd9b5",
             ),
             golden(
                 ["roots", "--n-max", "8", "--format", "json"],
-                "86889affff7ac2809712da3dede665720409e4bc84b0ab1814453a18c57675b3",
+                "5eb19cf80b216a60662c4e868653d7154d057499a291c9f2c891f0470a98c117",
             ),
             golden(
                 ["bounds", "--n-max", "8"],
-                "bb7a40e5f414f86c73d3427941e7258f38ea4c41b42643c133ae3e9c9fe9ea35",
+                "5c3dd1020a073255fda72ebeb6f616c41c0cbfca110a0ada013e66ed83596e6b",
             ),
             golden(
                 ["bounds", "--n-max", "8", "--format", "json"],
-                "1f4e9647c8f155c03009ba799b216934ada1735c5ae7aab23c3f38af75d58db0",
+                "5dda955414ee4538fce4a3ba4aa8e088bb5dcaae4997956685b637fcba472eb2",
             ),
             # the full default sweep, 64,757 rows
             golden(
                 ["bounds"],
-                "a6c375a4eaafcb43d9ac7a750f432000c444e899fef2245c971c5b9431ba4be3",
+                "363163d6b4f97391e1677d22b9aba9d1fc605169a99a5d40f47651abbbf25d83",
             ),
             # every default-grid root, 9,839 in 479 points: a root that
             # moves by one ulp and changes no bound cell shows here
             golden(
                 ["roots"],
-                "62784928389f429b6050ab02a81f3d31f9e1178921de5d2e0d1b607f403d5d70",
+                "a9d81fbc35568f095b6c1ac255517aa848364e2579d0d4155b016932349465d5",
             ),
             # the full default sweep as JSON
             golden(
                 ["bounds", "--format", "json"],
-                "266eb7e69545ea354751948570ad4cfe3744d99f8d42d9e095bfb9458b07f643",
+                "9df21d6d780ba5d0679e754ec0c5b8718f29b020890e3ddba9b3eb7721e426ff",
             ),
         ],
     )

@@ -146,6 +146,55 @@ class TestRootVectorChecks:
         with pytest.raises(error):
             RootVector(family, 2, np.array(roots))
 
+    @pytest.mark.parametrize(
+        "family,roots,error,message",
+        [
+            (hermite(), [2.0, -1.0, 0.5], InternalConsistencyError, "not descending"),
+            (laguerre(2.0), [1.0, 3.0], InternalConsistencyError, "not descending"),
+            (jacobi(1.0, -0.9), [-0.5, 0.5, 0.0], InternalConsistencyError, "not ascending"),
+            # a broken order is named before a root outside the interval
+            (jacobi(1.0, -0.9), [0.5, -1.5], InternalConsistencyError, "not ascending"),
+            (laguerre(2.0), [3.0, 1.0, 1.0], SingularConfigurationError, "coincide"),
+            (jacobi(1.0, -0.9), [-0.5, -0.5], SingularConfigurationError, "coincide"),
+            (laguerre(2.0), [3.0, 1.0, 0.0], InternalConsistencyError, "orthogonality interval"),
+            (jacobi(1.0, -0.9), [0.5, 1.0], InternalConsistencyError, "orthogonality interval"),
+            (laguerre(2.0), [-1.0], InternalConsistencyError, "orthogonality interval"),
+        ],
+        ids=[
+            "hermite-order", "laguerre-order", "jacobi-order", "jacobi-order-and-outside",
+            "laguerre-repeated", "jacobi-repeated", "laguerre-on-0-at-the-end", "jacobi-on-1",
+            "laguerre-one-root-below-0",
+        ],
+    )
+    def test_each_error_keeps_its_type(self, family, roots, error, message):
+        with pytest.raises(error, match=message):
+            RootVector(family, len(roots), np.array(roots))
+
+    @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
+    @pytest.mark.parametrize("at", range(4))
+    def test_nan_root_rejected(self, family, at):
+        # a NaN fails every order and interval comparison, so no single
+        # test of those can reject it
+        roots = compute_roots(family, 4).roots.copy()
+        roots[at] = np.nan
+        with pytest.raises(InternalConsistencyError, match="not finite"):
+            RootVector(family, 4, roots)
+
+    @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_all_nan_vector_rejected(self, family, n):
+        with pytest.raises(InternalConsistencyError, match="not finite"):
+            RootVector(family, n, np.full(n, np.nan))
+
+    @pytest.mark.parametrize("family", [hermite(), laguerre(2.0), jacobi(1.0, -0.9)], ids=lambda fam: fam.label())
+    @pytest.mark.parametrize("value", (math.inf, -math.inf), ids=("inf", "minus-inf"))
+    @pytest.mark.parametrize("at", (0, 2))
+    def test_infinite_root_rejected(self, family, value, at):
+        roots = compute_roots(family, 3).roots.copy()
+        roots[at] = value
+        with pytest.raises(InternalConsistencyError, match="not finite"):
+            RootVector(family, 3, roots)
+
     def test_coincident_computed_roots_are_singular(self):
         # at nu = 1e32 the two smaller computed roots of P_3 are one double
         with pytest.raises(SingularConfigurationError, match="coincide"):
@@ -203,11 +252,15 @@ def scalar_sturm_count(a, b2, x, pivmin):
 
 def scalar_bisect(a, b2, k, lo, hi, pivmin, steps=None):
     """Reference: bisection of one root's bracket, to full width, or
-    after ``steps`` steps once it holds the root alone."""
+    until it has taken ``steps`` steps while holding the root alone.
+    Returns the bracket, whether it holds the root alone, and the step at
+    which it first did (``None`` if it never did)."""
     below, upto = 0, len(a)
-    step = 0
+    step, isolated_at = 0, None
     while hi - lo >= 2.0 * EPS * max(abs(lo), abs(hi)) + pivmin:
-        if steps is not None and step >= steps and below == k and upto == k + 1:
+        if below == k and upto == k + 1 and isolated_at is None:
+            isolated_at = step
+        if steps is not None and isolated_at is not None and step - isolated_at >= steps:
             break
         x = 0.5 * (lo + hi)
         count = scalar_sturm_count(a, b2, x, pivmin)
@@ -216,7 +269,7 @@ def scalar_bisect(a, b2, k, lo, hi, pivmin, steps=None):
         else:
             lo, below = x, count
         step += 1
-    return lo, hi, below == k and upto == k + 1
+    return lo, hi, below == k and upto == k + 1, isolated_at
 
 
 def log2_abs(value):
@@ -264,10 +317,10 @@ def scalar_polish(family, n):
     start_lo, start_hi, pivmin, slack = scalar_start(family, n)
     roots, skipped = [], []
     for k in range(n):
-        lo, hi, alone = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, roots_mod._BISECT_STEPS)
+        lo, hi, alone, _ = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, roots_mod._STEPS_AFTER)
         x, settled = scalar_newton(family, n, lo, hi, slack) if alone else (None, False)
         if not settled:
-            lo, hi, _ = scalar_bisect(a, b2, k, lo, hi, pivmin)
+            lo, hi, _, _ = scalar_bisect(a, b2, k, lo, hi, pivmin)
             x = 0.5 * (lo + hi)
             skipped.append(k)
         roots.append(x)
@@ -287,6 +340,15 @@ STRESS_POINTS = (
     (jacobi(-0.999, -0.999), (200, 3)),
     (laguerre(1e-10), (3, 40)),
 )
+
+
+# inputs on which the polish was tried when the batched bisection came in
+STRESS_FAMILIES = (
+    hermite(), laguerre(2.0), jacobi(1.0, -0.9),
+    jacobi(-0.999, -0.999), jacobi(-0.9999, -0.9999), jacobi(-0.9999, 5.0), jacobi(50.0, 50.0),
+    laguerre(1e-300), laguerre(1e-10), laguerre(0.01), laguerre(1000.0),
+)
+STRESS_ORDERS = (1, 2, 3, 10, 40, 100, 200, 300)
 
 
 @functools.lru_cache(maxsize=None)
@@ -452,7 +514,10 @@ class TestRejectedPolish:
         points = [(family, 4), (family, 6), (family, 2)]
         eigs = np.linalg.eigvalsh(jacobi_matrix(family, 6).to_dense())
         zero_slope, far_step = eigs[0], eigs[3]
-        near = 0.1 * np.min(np.diff(eigs))
+        # a quarter of each one's distance to its nearest neighbour: the
+        # first iterates of that root fall inside, no other root's do
+        near_zero = 0.25 * (eigs[1] - eigs[0])
+        near_far = 0.25 * np.min(np.diff(eigs[2:5]))
         real = roots_mod._evaluate_scaled
         calls = []
 
@@ -460,10 +525,10 @@ class TestRejectedPolish:
             p, dp, exp2 = real(steps, degree, x, which)
             at_six = degree == 6
             # a derivative of 0 at the first step
-            dp[at_six & (np.abs(x - zero_slope) < near)] = 0.0
+            dp[at_six & (np.abs(x - zero_slope) < near_zero)] = 0.0
             # every step far outside the bracket: the first moves to its
             # end, the second rejects the polish
-            far = at_six & (np.abs(x - far_step) < near)
+            far = at_six & (np.abs(x - far_step) < near_far)
             p[far] = 1e6 * dp[far]
             calls.append(int(far.sum()))
             return p, dp, exp2
@@ -486,19 +551,19 @@ class TestRejectedPolish:
         start_lo, start_hi, pivmin, _ = scalar_start(family, 6)
         for i in expected:
             k = i if family.spec.ascending else 5 - i
-            lo, hi, _ = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, roots_mod._BISECT_STEPS)
-            lo, hi, _ = scalar_bisect(a, b2, k, lo, hi, pivmin)
+            lo, hi, _, _ = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, roots_mod._STEPS_AFTER)
+            lo, hi, _, _ = scalar_bisect(a, b2, k, lo, hi, pivmin)
             assert got[1].roots[i] == 0.5 * (lo + hi)
         assert within_eigenvalue_error(family, 6, got[1]).all()
 
 
 def test_unsettled_polish_is_bisected_to_full_width(monkeypatch):
-    # Jacobi (-0.999, -0.999) at N = 1000, with Newton cut at two
-    # evaluations: the roots that do not settle in two are bisected to
+    # Jacobi (-0.999, -0.999) at N = 1000, with Newton cut at three
+    # evaluations: the roots that do not settle in three are bisected to
     # full width and flagged, and each is an eigenvalue of T_n to
     # n eps ||T_n||; the others are the roots of the uncut polish
     family, n = jacobi(-0.999, -0.999), 1000
-    monkeypatch.setattr(roots_mod, "_NEWTON_CAP", 2)
+    monkeypatch.setattr(roots_mod, "_NEWTON_CAP", 3)
     cut = compute_roots(family, n)
     monkeypatch.undo()
     polished = compute_roots(family, n)
@@ -509,6 +574,58 @@ def test_unsettled_polish_is_bisected_to_full_width(monkeypatch):
     assert np.array_equal(cut.roots[~flagged], polished.roots[~flagged])
     assert polished.polish_skipped == ()
     assert within_eigenvalue_error(family, n, polished).all()
+
+
+class TestBisectionStop:
+    """Each root is bisected until its bracket holds its eigenvalue alone
+    and then ``_STEPS_AFTER`` steps more, whatever the other roots do."""
+
+    @pytest.mark.parametrize("family,n", [(laguerre(2.0), 30), (jacobi(1.0, -0.9), 25), (hermite(), 12)],
+                             ids=lambda value: value.label() if hasattr(value, "label") else str(value))
+    def test_entry_takes_its_isolation_step_plus_steps_after(self, monkeypatch, family, n):
+        tables, start = roots_mod._start_brackets([family], np.array([n]), np.array([0]), np.array([n]))
+        start_lo, start_hi, pivmin, _ = start[:, 0].tolist()
+        t = jacobi_matrix(family, n)
+        a, b2 = t.diag.tolist(), (t.offdiag * t.offdiag).tolist()
+        real = roots_mod._sturm_counts
+        passes = []
+
+        def counting(tables, fam, degree, x, pivmin, work):
+            passes.append(x.size)
+            return real(tables, fam, degree, x, pivmin, work)
+
+        monkeypatch.setattr(roots_mod, "_sturm_counts", counting)
+        after = roots_mod._STEPS_AFTER
+        isolated_at = []
+        for k in range(n):
+            del passes[:]
+            lo, hi = np.array([start_lo]), np.array([start_hi])
+            alone = roots_mod._bisect(
+                tables, np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.array([n]), np.array([k]),
+                lo, hi, np.array([pivmin]), after,
+            )
+            want_lo, want_hi, want_alone, step = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, after)
+            assert alone.tolist() == [want_alone] == [True]
+            assert len(passes) == step + after, k
+            assert (lo[0], hi[0]) == (want_lo, want_hi)
+            isolated_at.append(step)
+        # the roots isolate at different steps, so a fixed count would not do
+        assert len(set(isolated_at)) > 1
+        # all the roots together: the pass count is that of the last to stop
+        del passes[:]
+        roots_mod._bisect(
+            tables, np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(n, n), np.arange(n),
+            np.full(n, start_lo), np.full(n, start_hi), np.full(n, pivmin), after,
+        )
+        assert len(passes) == max(isolated_at) + after
+
+    @pytest.mark.parametrize("family", STRESS_FAMILIES, ids=lambda fam: fam.label())
+    def test_polish_does_not_fall_back_on_stress_inputs(self, family):
+        # near-singular Jacobi weights, tiny and huge nu, and large orders:
+        # every root settles from the shorter bisection, none is bisected
+        # to full width instead
+        for rv in compute_roots_many([(family, n) for n in STRESS_ORDERS]):
+            assert rv.polish_skipped == (), (family.label(), rv.n)
 
 
 class TestSqrtCoordinates:
@@ -569,3 +686,61 @@ def test_laguerre_tiny_nu_against_mpmath():
         worst = max(abs((mpmath.mpf(float(z)) - e) / e) for z, e in zip(roots, exact))
     # every root to a few ulps
     assert float(worst) <= 4.0 * np.finfo(float).eps
+
+
+def mpmath_steps(mpmath, family, n):
+    """Reference: the recurrence steps of ``P_n`` in mpmath, from the
+    family's parameters taken exactly, each step ``(a, b, c, d)`` of
+    ``d p_{k+1} = (a x + b) p_k - c p_{k-1}``."""
+    mpf = mpmath.mpf
+    params = [mpf(value) for value in family.parameters()]
+    kind = family.kind.value
+    if kind == "hermite":
+        return [(mpf(2), mpf(0), mpf(2 * k), mpf(1)) for k in range(n)]
+    if kind == "laguerre":
+        (nu,) = params
+        return [(mpf(-1), 2 * k + nu, (k - 1) + nu, mpf(k + 1)) for k in range(n)]
+    alpha, beta = params
+    ab = alpha + beta
+    steps = [((ab + 2) / 2, (alpha - beta) / 2, mpf(0), mpf(1))]
+    for k in range(2, n + 1):
+        s = 2 * k + ab
+        steps.append((
+            (s - 1) * s * (s - 2), (s - 1) * (alpha - beta) * ab,
+            2 * (k + alpha - 1) * (k + beta - 1) * s, 2 * k * (k + ab) * (s - 2),
+        ))
+    return steps
+
+
+def mpmath_root(mpmath, steps, x):
+    """Reference: Newton on the recurrence from ``x``, to 45 digits."""
+    x = mpmath.mpf(x)
+    for _ in range(20):
+        p, dp, pm1, dm1 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+        for a, b, c, d in steps:
+            t = a * x + b
+            p, dp, pm1, dm1 = (t * p - c * pm1) / d, (a * p + t * dp - c * dm1) / d, p, dp
+        delta = p / dp
+        x -= delta
+        if abs(delta) <= mpmath.mpf(10) ** -45 * max(1, abs(x)):
+            break
+    return x
+
+
+# the largest error over every default-grid root, in spacings of the
+# double nearest the true root (the digest-change table of CHANGES.md)
+MAX_ULPS = {"hermite": 0.75, "laguerre": 108.1, "jacobi": 19.5}
+
+
+@pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
+def test_default_roots_against_mpmath(family):
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for n in (10, 25, 40):
+            steps = mpmath_steps(mpmath, family, n)
+            for z in compute_roots(family, n).roots.tolist():
+                exact = mpmath_root(mpmath, steps, z)
+                spacing = np.spacing(abs(float(exact)))
+                worst = max(worst, float(abs(mpmath.mpf(z) - exact)) / spacing)
+    assert worst <= MAX_ULPS[family.kind.value]
