@@ -4,7 +4,7 @@
 orders, and finds all their roots together.  The roots of ``P_n`` are the
 eigenvalues of the order-``n`` recurrence matrix ``T_n``: every root is
 first bisected on Sturm counts (LAPACK ``dstebz``'s rule, Barth, Martin
-and Wilkinson 1967), until its bracket holds it alone and then a few steps
+and Wilkinson 1967) until its bracket holds it alone, then a few steps
 more, and then polished by Newton.  The roots of all
 families are ordered by ``n``, descending, and each reads its own family's
 coefficients, so every bisection step is one pass of Sturm counts over all
@@ -93,9 +93,10 @@ class GapStatistics(NamedTuple):
 
 
 # bisection steps a root takes after its bracket first holds it alone,
-# before Newton takes over; Newton evaluations before a root that has not
-# settled is bisected instead; and the most values one block of Sturm
-# counts holds in its pivot table
+# before Newton takes over (with three, some large Laguerre roots at
+# N = 1000 do not settle and fall back to full width); Newton evaluations
+# before a root that has not settled is bisected instead; and the most
+# values one block of Sturm counts holds in its pivot table
 _STEPS_AFTER = 4
 _NEWTON_CAP = 12
 _TABLE_CAP = 2**17
@@ -221,13 +222,14 @@ def _bisect(tables, point, fam, degree, k, lo, hi, pivmin, steps=None) -> np.nda
     ``k``.
 
     An entry stops at full width, ``hi - lo < 2 eps max(|lo|, |hi|) +
-    pivmin`` as in LAPACK ``dstebz``, or, when ``steps`` is given, once its
-    bracket holds its eigenvalue alone and it has taken ``steps`` steps
-    since it first did; so each entry stops at a step of its own.
-    Entries of one point that share a bracket, neighbours in this order,
-    share its midpoint, whose Sturm count is computed once.  Returns the
-    mask of the entries whose bracket holds their eigenvalue alone (the
-    start brackets count as holding all ``n``).
+    pivmin`` as in LAPACK ``dstebz``, or, when ``steps`` is given, once it
+    has taken ``steps`` steps with its bracket holding its eigenvalue alone
+    (Sturm counts are monotone, so such a bracket keeps holding it alone),
+    so each entry stops at a step of its own.  Entries of one point that
+    share a bracket, neighbours in this order, share its midpoint, whose
+    Sturm count is computed once.  Returns the mask of the entries whose
+    bracket holds their eigenvalue alone (the start brackets count as
+    holding all ``n``).
     """
     alone = np.zeros(lo.size, dtype=bool)
     # room for one block's pivot table and its signs, reused by every block

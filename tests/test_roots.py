@@ -186,7 +186,9 @@ class TestRootVectorChecks:
         with pytest.raises(InternalConsistencyError, match="not finite"):
             RootVector(family, n, np.full(n, np.nan))
 
-    @pytest.mark.parametrize("family", [hermite(), laguerre(2.0), jacobi(1.0, -0.9)], ids=lambda fam: fam.label())
+    @pytest.mark.parametrize(
+        "family", [hermite(), laguerre(2.0), jacobi(1.0, -0.9)], ids=lambda fam: fam.label()
+    )
     @pytest.mark.parametrize("value", (math.inf, -math.inf), ids=("inf", "minus-inf"))
     @pytest.mark.parametrize("at", (0, 2))
     def test_infinite_root_rejected(self, family, value, at):
@@ -256,12 +258,14 @@ def scalar_bisect(a, b2, k, lo, hi, pivmin, steps=None):
     Returns the bracket, whether it holds the root alone, and the step at
     which it first did (``None`` if it never did)."""
     below, upto = 0, len(a)
-    step, isolated_at = 0, None
+    step, after, isolated_at = 0, 0, None
     while hi - lo >= 2.0 * EPS * max(abs(lo), abs(hi)) + pivmin:
-        if below == k and upto == k + 1 and isolated_at is None:
+        alone = below == k and upto == k + 1
+        if alone and isolated_at is None:
             isolated_at = step
-        if steps is not None and isolated_at is not None and step - isolated_at >= steps:
+        if steps is not None and alone and after >= steps:
             break
+        after += alone
         x = 0.5 * (lo + hi)
         count = scalar_sturm_count(a, b2, x, pivmin)
         if count > k:
@@ -580,10 +584,14 @@ class TestBisectionStop:
     """Each root is bisected until its bracket holds its eigenvalue alone
     and then ``_STEPS_AFTER`` steps more, whatever the other roots do."""
 
-    @pytest.mark.parametrize("family,n", [(laguerre(2.0), 30), (jacobi(1.0, -0.9), 25), (hermite(), 12)],
-                             ids=lambda value: value.label() if hasattr(value, "label") else str(value))
+    @pytest.mark.parametrize(
+        "family,n",
+        [(laguerre(2.0), 30), (jacobi(1.0, -0.9), 25), (hermite(), 12)],
+        ids=lambda value: value.label() if hasattr(value, "label") else str(value),
+    )
     def test_entry_takes_its_isolation_step_plus_steps_after(self, monkeypatch, family, n):
-        tables, start = roots_mod._start_brackets([family], np.array([n]), np.array([0]), np.array([n]))
+        one = np.zeros(1, dtype=int)
+        tables, start = roots_mod._start_brackets([family], np.array([n]), one, np.array([n]))
         start_lo, start_hi, pivmin, _ = start[:, 0].tolist()
         t = jacobi_matrix(family, n)
         a, b2 = t.diag.tolist(), (t.offdiag * t.offdiag).tolist()
@@ -601,10 +609,11 @@ class TestBisectionStop:
             del passes[:]
             lo, hi = np.array([start_lo]), np.array([start_hi])
             alone = roots_mod._bisect(
-                tables, np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.array([n]), np.array([k]),
-                lo, hi, np.array([pivmin]), after,
+                tables, one, one, np.array([n]), np.array([k]), lo, hi, np.array([pivmin]), after
             )
-            want_lo, want_hi, want_alone, step = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, after)
+            want_lo, want_hi, want_alone, step = scalar_bisect(
+                a, b2, k, start_lo, start_hi, pivmin, after
+            )
             assert alone.tolist() == [want_alone] == [True]
             assert len(passes) == step + after, k
             assert (lo[0], hi[0]) == (want_lo, want_hi)
