@@ -67,7 +67,9 @@ function of a root vector's family.  A row whose two sides are scalars
 gives one entry with ``index=None``; a row with an array side (per-root
 sums, gaps, boundary products) gives one entry per array element, indices
 ``1..k``, with the scalar side repeated, so the gap rows give no entry at
-``N = 1``.  The comparator flag comes from the id: the comparator ids are
+``N = 1``.  The gap rows read the root vector's ``gaps``, which are in
+the index convention of the formulas above; only the sqrt-scale gaps of
+``laguerre-sqrt-gap`` are formed here.  The comparator flag comes from the id: the comparator ids are
 the left column of the comparator/derived pairs that the sharpness
 summary compares.
 
@@ -231,13 +233,12 @@ def hermite_diag_bound(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     if n < 2:
         raise ParameterDomainError("Hermite bounds need N >= 2")
     inv2, inv4 = interaction_sums(z) if sums is None else sums
-    gaps = z.roots[:-1] - z.roots[1:]
     return [
         ("hermite-diag-sq", inv2 * inv2 + inv4, (n - 1) ** 3 / n),
         ("hermite-inv4-sum", inv4, (n - 1) ** 3 / (2 * n)),
         ("hermite-inv2-sum", inv2, (n - 1) ** 1.5 / math.sqrt(n)),
-        ("hermite-gap", (2.0 * n) ** 0.25 / (n - 1) ** 0.75, gaps),
-        ("hermite-gap-comparator", 2.0 / math.sqrt(n), gaps),
+        ("hermite-gap", (2.0 * n) ** 0.25 / (n - 1) ** 0.75, z.gaps),
+        ("hermite-gap-comparator", 2.0 / math.sqrt(n), z.gaps),
     ]
 
 
@@ -251,7 +252,6 @@ def laguerre_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     (nu,) = z.family.parameters()
     lin, cross = interaction_sums(z) if sums is None else sums
     two_n1 = 2.0 * n - 1.0
-    gaps = z.roots[:-1] - z.roots[1:]
     smallest = float(z.roots[-1])
     if nu >= 1.0:
         q = two_n1**2 * (nu * nu - 1.0) ** 2 / (n + nu / 2.0) ** 2
@@ -278,15 +278,15 @@ def laguerre_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     return [
         ("laguerre-diag-sq", lin * lin + cross, two_n1**2),
         ("laguerre-min-root", nu / two_n1, smallest),
-        ("laguerre-gap-strong", strong, gaps),
-        ("laguerre-gap-weak", weak, gaps),
-        ("laguerre-gap-bessel-strong", bessel_strong, gaps, note),
-        ("laguerre-gap-bessel-weak", bessel_weak, gaps, note),
+        ("laguerre-gap-strong", strong, z.gaps),
+        ("laguerre-gap-weak", weak, z.gaps),
+        ("laguerre-gap-bessel-strong", bessel_strong, z.gaps, note),
+        ("laguerre-gap-bessel-weak", bessel_weak, z.gaps, note),
         ("laguerre-sqrt-gap", 1.0 / math.sqrt(two_n1), sqrt_gaps),
         ("laguerre-min-root-bessel", (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)), smallest),
-        ("laguerre-gap-comparator-1", cmp1, gaps),
-        ("laguerre-gap-comparator-2", cmp2, gaps),
-        ("laguerre-gap-comparator-3", cmp3, gaps),
+        ("laguerre-gap-comparator-1", cmp1, z.gaps),
+        ("laguerre-gap-comparator-2", cmp2, z.gaps),
+        ("laguerre-gap-comparator-3", cmp3, z.gaps),
     ]
 
 
@@ -308,7 +308,6 @@ def jacobi_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
     upper = 1.0 - float(z.roots[-1])
     lower = 1.0 + float(z.roots[0])
     width = 1.0 - z.roots * z.roots
-    gaps = z.roots[1:] - z.roots[:-1]
     upper_strong = 8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0) + disc)
     lower_strong = 8.0 * (beta + 1.0) / (big_m + 4.0 * (beta + 1.0) + disc)
     floor = 2.0 * min(alpha + 1.0, beta + 1.0) / big_m
@@ -320,7 +319,7 @@ def jacobi_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
         ("jacobi-lower-edge-strong", lower_strong, lower),
         ("jacobi-lower-edge-weak", 4.0 * (beta + 1.0) / (big_m + 2.0 * (beta + 1.0)), lower),
         ("jacobi-boundary-product", floor, width),
-        ("jacobi-gap", gap_floor, gaps),
+        ("jacobi-gap", gap_floor, z.gaps),
     ]
     if alpha == beta:
         floor_sym = 8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0))
@@ -330,7 +329,7 @@ def jacobi_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
         )
         rows += [
             ("jacobi-boundary-product-symmetric", floor_sym, width),
-            ("jacobi-gap-symmetric", gap_sym, gaps),
+            ("jacobi-gap-symmetric", gap_sym, z.gaps),
         ]
     if alpha <= -0.5 or beta <= -0.5:
         rows.append(("jacobi-upper-edge-asymptotic", math.nan, upper, "not-applicable"))

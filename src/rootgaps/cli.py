@@ -17,24 +17,22 @@ The sweep is split into runs of consecutive points, one per ``--jobs``
 worker (one run when serial).  Each run computes the roots of all its
 points, whatever their families, in one ``compute_roots_many`` batch,
 then groups the points by order (at large orders a few points at a
-time, so that no stack exceeds ``_STACK_ENTRIES`` matrix entries).
-For ``verify`` each group's checks are evaluated once on ``(P, n)`` and
-``(P, n, n)`` stacks (its ``S_N``, its eigenbases, its interaction sums;
-``_verify_checks``), and for ``bounds`` each group's ``(lin, cross)``
-come from one ``interaction_sums_stack``.  Each point is then handed its
-``RootVector`` and its slice of that data, and its point function
-returns the point's rows as columns, plus a summary dict: a list per
-column for ``roots`` and ``verify``, the point's ``bounds.BoundColumns``
-for ``bounds`` (only JSON computes the sharpness summary).  One writer,
-``_point_text``, turns any command's columns into text where they are
-computed, so ``--jobs`` workers send text: each column is formatted once
-with its formatter from ``CSV_FORMATS`` or ``JSON_FORMATS`` (a side
-shared by a bound row's entries once, and an array shared by rows once
-per point), then each entry is joined into a CSV line or filled into a
-JSON object template, indented to its place in the document, which is
-written in pieces; the JSON encoder writes only the config header and
-the summaries.  The process pool is imported only when ``--jobs`` asks
-for more than one worker.
+time, so that no stack exceeds ``_STACK_ENTRIES`` matrix entries) and
+hands each group to its command's stage (``_STAGES``).  A stage yields
+each point's table, its rows as columns, and its summary, one point at a
+time: ``verify`` evaluates its checks once on the group's ``(P, n)`` and
+``(P, n, n)`` stacks, and ``bounds`` takes the group's ``(lin, cross)``
+from one ``interaction_sums_stack`` (only JSON computes the sharpness
+summary).  Each table becomes text before the next is computed
+(``_evaluate_point``), so ``--jobs`` workers send text.  The writer,
+``_point_text``, formats each column once with its formatter from
+``CSV_FORMATS`` or ``JSON_FORMATS`` (a side shared by a bound row's
+entries once, and an array shared by rows once per point), then joins
+each entry into a CSV line or fills it into a JSON object template,
+indented to its place in the document, which is written in pieces; the
+JSON encoder writes only the config header and the summaries.  The
+process pool is imported only when ``--jobs`` asks for more than one
+worker.
 
 The parsed ``argparse.Namespace`` is the sweep request: ``main`` writes
 the resolved families, in sweep order, and the ``--n`` range onto it, and
@@ -52,8 +50,9 @@ what it would get alone, so the output does not depend on ``--jobs``.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error (including an empty sweep, a ``--tol`` that is not finite and
 positive, and an ``--out`` path that cannot be written, which is checked
-before the sweep), 3 numerical failure, reported with the sweep point
-that raised it.  A reader that closes stdout early, as ``| head`` does,
+before the sweep), 3 numerical failure, reported with the first sweep
+point that raises it (after a failed batch each point of the run is
+computed alone).  A reader that closes stdout early, as ``| head`` does,
 leaves the exit code to the sweep.  Only ``verify`` takes ``--tol`` and
 ``--corrupt``.  Per-family parameters, default grids and minimum orders
 come from the ``FamilySpec`` rows in ``rootgaps.families``; a wrong
@@ -68,6 +67,7 @@ import os
 import sys
 from itertools import repeat
 from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -164,27 +164,16 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
     return points
 
 
-def _roots_point(fmt: str, rv: RootVector, data: None) -> tuple[tuple, dict]:
-    stats = gap_statistics(rv)
-    z = rv.roots.tolist()
-    gaps = [abs(b - a) for a, b in zip(z, z[1:])] + [None]
-    summary = {
-        "min_gap": stats.min_gap,
-        "boundary_low": stats.boundary_low,
-        "boundary_high": stats.boundary_high,
-    }
-    return ([rv.n], list(range(1, rv.n + 1)), z, gaps), summary
+def _roots_stage(group: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
+    """Each point's roots, the gap after each root, and its gap statistics."""
+    for rv in group:
+        table = ([rv.n], list(range(1, rv.n + 1)), rv.roots.tolist(), rv.gaps.tolist() + [None])
+        yield table, gap_statistics(rv)._asdict()
 
 
-def _verify_point(fmt: str, rv: RootVector, checks: list[tuple]) -> tuple[tuple, dict]:
-    check_ids, values, tolerances = map(list, zip(*sorted(checks)))
-    passed = [value <= tolerance for value, tolerance in zip(values, tolerances)]
-    return ([len(passed)], check_ids, values, tolerances, passed), {"failed": passed.count(False)}
-
-
-def _verify_checks(group: list[RootVector], tol: float | None, corrupt: bool) -> list[list[tuple]]:
-    """The ``(check_id, value, tolerance)`` checks of each point of one
-    order, every check evaluated once for the whole group."""
+def _verify_stage(group: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
+    """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
+    every check evaluated once for the whole group."""
     n = group[0].n
     # one evaluation of the pair terms builds S_N and its interaction sums
     terms = pair_terms(group)
@@ -223,7 +212,6 @@ def _verify_checks(group: list[RootVector], tol: float | None, corrupt: bool) ->
         diff = np.abs(base - alt) / np.maximum(np.maximum(np.abs(base), np.abs(alt)), _TINY)
         coordinate = dict(zip(laguerre, diff.max(axis=(1, 2)).tolist()))
 
-    outcomes = []
     for p, rv in enumerate(group):
         fam = rv.family
         linear_target, square_target = fam.spec.trace_targets(fam, n)
@@ -236,100 +224,90 @@ def _verify_checks(group: list[RootVector], tol: float | None, corrupt: bool) ->
         if p in coordinate:
             checks.append(("coordinate-forms-match", coordinate[p], 1e-13 if tol is None else tol))
         checks.append(("diag-square-consistency", residual[p], ident_tol))
-        outcomes.append(checks)
-    return outcomes
+        check_ids, values, tolerances = map(list, zip(*sorted(checks)))
+        passed = [value <= tolerance for value, tolerance in zip(values, tolerances)]
+        yield ([len(passed)], check_ids, values, tolerances, passed), {"failed": passed.count(False)}
 
 
 def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_point(fmt: str, rv: RootVector, sums: tuple) -> tuple[tuple, dict]:
-    # ids are unique per bound row and each row's entries come in index
-    # order, so the stable sort of the rows by id alone orders the entries
-    # by (id, index)
-    columns = bounds_mod.bound_columns(sorted(bounds_mod.bound_rows(rv, sums), key=itemgetter(0)))
-    summary = {"violations": columns.violations()}
-    if fmt == "json":
-        # CSV writes no summary; the sweep reads only the violation count
-        agg = bounds_mod.sharpness_summary(rv, columns)
-        summary.update(
-            worst_sharpness=agg.worst,
-            mean_sharpness=agg.mean,
-            diag_square_identity_ratio=agg.diag_square_identity_ratio,
-            comparator_ratios=agg.comparator_ratios,
-        )
-    return columns, summary
-
-
-def _bounds_sums(group: list[RootVector], tol: float | None, corrupt: bool) -> list[tuple]:
-    """The ``(lin, cross)`` of each point of one order, from one stack."""
+def _bounds_stage(group: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
+    """Each point's ``bounds.BoundColumns``, its ``(lin, cross)`` from one
+    stack for the whole group; only JSON computes the sharpness summary."""
     lin, cross = interaction_sums_stack(group)
-    return list(zip(lin, cross))
+    for rv, sums in zip(group, zip(lin, cross)):
+        # ids are unique per bound row and each row's entries come in index
+        # order, so the stable sort of the rows by id alone orders the
+        # entries by (id, index)
+        columns = bounds_mod.bound_columns(sorted(bounds_mod.bound_rows(rv, sums), key=itemgetter(0)))
+        summary = {"violations": columns.violations()}
+        if fmt == "json":
+            # CSV writes no summary; the sweep reads only the violation count
+            agg = bounds_mod.sharpness_summary(rv, columns)
+            summary.update(
+                worst_sharpness=agg.worst,
+                mean_sharpness=agg.mean,
+                diag_square_identity_ratio=agg.diag_square_identity_ratio,
+                comparator_ratios=agg.comparator_ratios,
+            )
+        yield columns, summary
 
 
-# one signature: (format, roots, data) -> (the point's table for
-# ``_point_text``, summary without the point key), where data is what the
-# command's group stage gave the point (roots has none)
-_POINT_FUNCTIONS = {"roots": _roots_point, "verify": _verify_point, "bounds": _bounds_point}
+# one signature: (the root vectors of one order, format, tol, corrupt) ->
+# each point's table for ``_point_text`` and its summary without the
+# point key, in order, one point at a time
+_STAGES = {"roots": _roots_stage, "verify": _verify_stage, "bounds": _bounds_stage}
 
-# one signature: (the root vectors of one order, tol, corrupt) -> the data
-# of each point, in order
-_GROUP_STAGES = {"verify": _verify_checks, "bounds": _bounds_sums}
-
-# the most matrix entries of one (P, n, n) stack (2 MB of doubles): a group
-# stage holds several such stacks at once, so the points of a large order
-# are taken a few at a time; each point's values do not depend on its group
+# the most matrix entries of one (P, n, n) stack (2 MB of doubles): a stage
+# holds several such stacks at once, so the points of a large order are
+# taken a few at a time; each point's values do not depend on its group
 _STACK_ENTRIES = 1 << 18
 
 
 def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:
-    """The outcomes of a run of sweep points, in order.  The inputs of all
-    the run's points are computed in one batch; a numerical failure is
-    named by the first point in sweep order that raises it."""
+    """The outcomes of a run of sweep points, in order, all from one batch.
+    After a numerical failure each point runs alone, so the points before
+    the failing one run and the first that raises it is named."""
     command, fmt, points, tol, corrupt = task
     try:
-        batch = _point_inputs(command, points, tol, corrupt)
+        return _point_outcomes(command, fmt, points, tol, corrupt)
     except RootgapsError:
-        # some point failed: each point computes its own inputs, so the
-        # points before it run and the failing one is named
-        batch = None
+        pass
     outcomes = []
-    for i, (fam, n) in enumerate(points):
+    for fam, n in points:
         try:
-            rv, data = batch[i] if batch else _point_inputs(command, [(fam, n)], tol, corrupt)[0]
-            outcomes.append(_evaluate_point(command, fmt, rv, data))
+            outcomes += _point_outcomes(command, fmt, [(fam, n)], tol, corrupt)
         except RootgapsError as exc:
             raise RootgapsError(f"{fam.label()} N={n}: {exc}") from exc
     return outcomes
 
 
-def _point_inputs(
-    command: str, points: list[tuple[PolynomialFamily, int]], tol: float | None, corrupt: bool
-) -> list[tuple]:
-    """The ``(roots, data)`` of each point: its ``RootVector`` from one
-    batch, and the data its rows are written from, which the command's
-    group stage computes once for all the points of each order, at most
-    ``_STACK_ENTRIES`` matrix entries at a time (``roots`` has none)."""
+def _point_outcomes(
+    command: str, fmt: str, points: list[tuple[PolynomialFamily, int]], tol: float | None, corrupt: bool
+) -> list[tuple[str, dict]]:
+    """The text and keyed summary of each point, in order: the roots of all
+    the points from one batch, then the command's stage on the points of
+    each order, at most ``_STACK_ENTRIES`` matrix entries at a time, each
+    point's table turned into text before the stage computes the next."""
     batch = compute_roots_many(points)
-    data = [None] * len(batch)
-    stage = _GROUP_STAGES.get(command)
-    if stage is not None:
-        for n, members in by_order(batch).items():
-            size = max(1, _STACK_ENTRIES // (n * n))
-            for start in range(0, len(members), size):
-                group = members[start:start + size]
-                for i, item in zip(group, stage([batch[i] for i in group], tol, corrupt)):
-                    data[i] = item
-    return list(zip(batch, data))
+    outcomes = [None] * len(batch)
+    for n, members in by_order(batch).items():
+        size = max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), size):
+            group = members[start:start + size]
+            tables = _STAGES[command]([batch[i] for i in group], fmt, tol, corrupt)
+            for i, (table, summary) in zip(group, tables):
+                outcomes[i] = _evaluate_point(command, fmt, batch[i], table, summary)
+    return outcomes
 
 
-def _evaluate_point(command: str, fmt: str, rv: RootVector, data) -> tuple[str, dict]:
-    """One sweep point from its roots and data: the text of its rows in
-    the output format, plus its keyed summary."""
+def _evaluate_point(command: str, fmt: str, rv: RootVector, table: tuple, summary: dict) -> tuple[str, dict]:
+    """One sweep point's rows as text in the output format, from its table,
+    and its summary keyed by the point."""
     fam = rv.family
     key = (fam.kind.value, fam.params_text(), rv.n)
-    table, summary = _POINT_FUNCTIONS[command](fmt, rv, data)
     return _point_text(command, fmt, key, table), dict(zip(POINT_KEY, key), **summary)
 
 

@@ -39,8 +39,9 @@ per-point names :func:`build_S`, :func:`interaction_sums` and
 :func:`laguerre_sqrt_r_S` are stacks of one.
 
 The eigenvectors are known in closed form too; :func:`eigenbasis_stack`
-builds them with one Lanczos per order; a last column that the Lanczos
-loses to rounding is taken from the complement of the others.
+builds them with one Lanczos per order (a point's basis is a stack of
+one); a last column that the Lanczos loses to rounding is taken from the
+complement of the others.
 The spectra, and the shift under which the trace and diagonal-of-square
 identities are stated, come from the family's ``FamilySpec`` row.
 """
@@ -184,12 +185,14 @@ def laguerre_sqrt_r_S_stack(group: Sequence[RootVector]) -> np.ndarray:
     dminus = _pair_differences(r)
     inv_minus = 1.0 / (dminus * dminus)
     dplus = r[..., :, None] + r[..., None, :]
+    # an infinite diagonal, as in dminus: 1 / (2 r_i)^2 overflows once
+    # z_i is below about 1e-309
+    _fill_diagonal(dplus, math.inf)
     inv_plus = 1.0 / (dplus * dplus)
     # 2 (inv_plus - inv_minus) as one product, which does not cancel
     # when r_j / r_i is below rounding
     matrices = -8.0 * _outer(r) * inv_minus * inv_plus
     pair = inv_minus + inv_plus
-    _fill_diagonal(pair, 0.0)
     _fill_diagonal(matrices, 1.0 + 2.0 * nu / (r * r) + 2.0 * pair.sum(axis=-1))
     return matrices
 
@@ -198,18 +201,6 @@ def laguerre_sqrt_r_S(z: RootVector) -> DenseSymmetric:
     """The Laguerre ``S_N`` of ``z`` in ``r_i = sqrt(2 z_i)``:
     :func:`laguerre_sqrt_r_S_stack` of one root vector."""
     return DenseSymmetric(laguerre_sqrt_r_S_stack([z])[0])
-
-
-def eigenbasis(roots: Sequence[RootVector]) -> list[np.ndarray]:
-    """The closed-form eigenvectors of ``S_N`` for each root vector in
-    ``roots``, of any orders, in order: :func:`eigenbasis_stack` of each
-    order's points, one slice per point."""
-    roots = list(roots)
-    bases = [None] * len(roots)
-    for members in by_order(roots).values():
-        for i, basis in zip(members, eigenbasis_stack([roots[i] for i in members])):
-            bases[i] = basis
-    return bases
 
 
 def eigenbasis_stack(group: Sequence[RootVector]) -> np.ndarray:

@@ -11,7 +11,9 @@ Covers the three classical weights in their standard normalization:
 The module provides the symmetric tridiagonal recurrence (Jacobi) matrix
 whose eigenvalues are the polynomial roots, and pointwise evaluation of
 ``P_N`` together with its derivative via the differentiated three-term
-recurrence.
+recurrence.  The batched evaluator, ``_evaluate_scaled``, takes its
+entries sorted by order, descending, as the root polish holds them, and
+raises on any other order.
 
 Everything that differs between the families is data in one
 :class:`FamilySpec` row per kind, ``FAMILY_SPECS``, reached from a family
@@ -30,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import EmptyProblemError, MagnitudeError, ParameterDomainError
+from .errors import EmptyProblemError, InternalConsistencyError, MagnitudeError, ParameterDomainError
 
 
 class FamilyKind(Enum):
@@ -127,7 +129,7 @@ class FamilySpec:
     of the identity removed from ``S_N`` before the trace and
     diagonal-of-square identities are stated.
     ``omega(z)`` is the root factor of the eigenvectors of ``S_N`` (see
-    ``covariance.eigenbasis``).
+    ``covariance.eigenbasis_stack``).
     ``min_n`` is the smallest order of default sweeps and bound sets.
     """
 
@@ -320,56 +322,51 @@ def _evaluate_scaled(
     steps: np.ndarray, orders: np.ndarray, x: np.ndarray, which: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate ``(P_n, P_n')`` at every entry ``(n, x)`` of the integer
-    ``orders`` (each ``>= 1``) and the finite ``x``, returning arrays
-    ``(p, dp, exp2)`` in entry order.  Entry ``j`` is of the family in
-    column ``which[j]`` of the :func:`step_table` ``steps``; a table of one
-    family needs no ``which``.
+    ``orders`` (each ``>= 1``, sorted descending) and the finite ``x``,
+    returning arrays ``(p, dp, exp2)`` in entry order.  Entry ``j`` is of
+    the family in column ``which[j]`` of the :func:`step_table` ``steps``;
+    a table of one family needs no ``which``.
 
     The true values are ``p * 2**exp2`` and ``dp * 2**exp2``; each entry is
     kept inside the representable range by its own power-of-two rescaling.
     One pass of the recurrence, run to the largest order, serves every
-    entry of every family: with the entries sorted by order, descending,
-    the ones still running at step ``k`` are those of order above ``k``, a
-    prefix that shrinks as orders finish, and each step reads the
-    coefficients of that prefix from its row of ``steps``.  Each entry
-    sees the same operations as a scalar recurrence, so the values are bit
-    for bit those of one entry alone.
+    entry of every family: the entries still running at step ``k`` are
+    those of order above ``k``, a prefix that shrinks as orders finish,
+    and each step reads the coefficients of that prefix from its row of
+    ``steps``.  Each entry sees the same operations as a scalar
+    recurrence, so the values are bit for bit those of one entry alone.
     """
+    if np.any(orders[1:] > orders[:-1]):
+        raise InternalConsistencyError("evaluation entries are not sorted by order, descending")
     size = x.size
-    values = np.empty((2, size))  # (P_n, P_n') of each entry, in sorted order
+    values = np.empty((2, size))  # (P_n, P_n') of each entry
     exp2 = np.zeros(size, dtype=np.int64)
-    # entries that come sorted, as the root polish passes them, stay in place
-    rank = None if np.all(orders[1:] <= orders[:-1]) else np.argsort(-orders, kind="stable")
-    descending, xs, pick = orders, x, which
-    if rank is not None:
-        descending, xs = orders[rank], x[rank]
-        pick = None if which is None else which[rank]
     # a table of one family gives its steps as floats; the entries of
     # several families read theirs from each row
     if steps.shape[2] == 1:
-        pick, rows = None, steps[:, :, 0].tolist()
+        which, rows = None, steps[:, :, 0].tolist()
     else:
         rows, coef = steps, np.empty(4 * size)
     # (P_k, P_k') and (P_{k-1}, P_{k-1}') of the entries still running,
     # and room for the next pair
     cur, prev, spare = np.zeros((3, 2, size))
     cur[0] = 1.0
-    top = int(descending[0])
+    top = int(orders[0])
     m = size
     # for every step k, the number of entries with order above k
-    running = np.searchsorted(-descending, -np.arange(top), side="left").tolist()
+    running = np.searchsorted(-orders, -np.arange(top), side="left").tolist()
     for row, count in zip(rows, running):
         if count < m:
             values[:, count:m] = cur[:, count:m]
             m = count
-            cur, prev, spare, xs = cur[:, :m], prev[:, :m], spare[:, :m], xs[:m]
-            if pick is not None:
-                pick = pick[:m]
-        if pick is not None:
+            cur, prev, spare, x = cur[:, :m], prev[:, :m], spare[:, :m], x[:m]
+            if which is not None:
+                which = which[:m]
+        if which is not None:
             # mode="clip" writes into ``out`` directly; every index is valid
-            row = row.take(pick, axis=1, out=coef[:4 * m].reshape(4, m), mode="clip")
+            row = row.take(which, axis=1, out=coef[:4 * m].reshape(4, m), mode="clip")
         a, b, c, d = row
-        t = a * xs + b
+        t = a * x + b
         # (t p - c p_prev) / d and (a p + t p' - c p'_prev) / d, each
         # rounded as the scalar expressions are
         new = np.multiply(t, cur, out=spare)
@@ -384,10 +381,7 @@ def _evaluate_scaled(
             prev[:, big] *= 2.0**-_RESCALE_EXP
             exp2[big] += _RESCALE_EXP
     values[:, :m] = cur
-    if rank is None:
-        return values[0], values[1], exp2
-    unsort = np.argsort(rank)
-    return values[0, unsort], values[1, unsort], exp2[unsort]
+    return values[0], values[1], exp2
 
 
 def evaluate_with_derivative(family: PolynomialFamily, n: int, x: float) -> tuple[float, float]:

@@ -19,12 +19,15 @@ stored descending (``z_1`` largest), Jacobi roots ascending (``z_1``
 smallest).  The direction and the orthogonality interval come from the
 family's ``FamilySpec`` row, and a ``RootVector`` rejects roots that are
 not strictly ordered in that direction, so a flipped vector cannot pass
-for its family; a root that is not finite is rejected too.
+for its family; a root that is not finite is rejected too.  The
+differences that check forms are kept as the vector's positive
+consecutive gaps, ``gaps``, in the same index convention; the ``roots``
+rows, ``gap_statistics`` and the gap bounds all read them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -41,45 +44,52 @@ class RootVector:
     direction (``family.spec.ascending``) and inside its orthogonality
     interval.
 
-    ``polish_skipped`` lists stored-order indices whose Newton refinement
-    was rejected or did not settle (the root was bisected to full width
-    and the midpoint of its bracket kept instead).
+    ``gaps`` holds the ``n - 1`` consecutive gaps, positive, in the
+    family's index convention: ``z_i - z_{i+1}`` for a descending family,
+    ``z_{i+1} - z_i`` for an ascending one.  ``polish_skipped`` lists
+    stored-order indices whose Newton refinement was rejected or did not
+    settle (the root was bisected to full width and the midpoint of its
+    bracket kept instead).
     """
 
     family: PolynomialFamily
     n: int
     roots: np.ndarray
     polish_skipped: tuple[int, ...] = ()
+    gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = np.asarray(self.roots, dtype=float)
         object.__setattr__(self, "roots", roots)
         if roots.size != self.n:
             raise InternalConsistencyError(f"expected {self.n} roots, got {roots.size}")
-        if roots.size:
-            _check_roots(roots, self.family.spec)
+        gaps = _ordered_gaps(roots, self.family.spec) if roots.size else np.empty(0)
+        object.__setattr__(self, "gaps", gaps)
         roots.setflags(write=False)
+        gaps.setflags(write=False)
 
 
-def _check_roots(roots, spec) -> None:
-    """Raise unless ``roots`` are strictly ordered in the direction of
-    ``spec`` and inside its orthogonality interval.  One test accepts them,
-    both end roots inside and every signed difference positive, which a NaN
-    fails; only a failure is classified."""
+def _ordered_gaps(roots, spec) -> np.ndarray:
+    """The consecutive gaps of ``roots`` in the direction of ``spec``;
+    raise unless they are all positive and the roots lie inside its
+    orthogonality interval.  One test accepts them, both end roots inside
+    and every gap positive, which a NaN fails; only a failure is
+    classified."""
     lo, hi = spec.domain
-    diffs = roots[1:] - roots[:-1]
+    gaps = roots[1:] - roots[:-1]
+    low, high = roots[0], roots[-1]
     if not spec.ascending:
-        if lo < roots[-1] and roots[0] < hi and (diffs < 0.0).all():
-            return
-        np.negative(diffs, out=diffs)
-    elif lo < roots[0] and roots[-1] < hi and (diffs > 0.0).all():
-        return
+        # exact: the gap z_i - z_{i+1} is the negated difference
+        np.negative(gaps, out=gaps)
+        low, high = high, low
+    if lo < low and high < hi and (gaps > 0.0).all():
+        return gaps
     if not np.isfinite(roots).all():
         raise InternalConsistencyError("roots are not finite")
-    if (diffs < 0.0).any():
+    if (gaps < 0.0).any():
         order = "ascending" if spec.ascending else "descending"
         raise InternalConsistencyError(f"roots are not {order}")
-    if (diffs == 0.0).any():
+    if (gaps == 0.0).any():
         raise SingularConfigurationError("neighbouring roots coincide in double precision")
     raise InternalConsistencyError(f"roots left the orthogonality interval ({lo}, {hi})")
 
@@ -255,15 +265,12 @@ def _bisect(tables, point, fam, degree, k, lo, hi, pivmin, steps=None) -> np.nda
                 break
         after += isolated
         x = 0.5 * (l + h)
-        # a point's count at x is one number, however many entries ask
-        shared = (x[1:] == x[:-1]) & (pt[1:] == pt[:-1])
-        if shared.any():
-            fresh = np.concatenate(([True], ~shared))
-            heads = np.flatnonzero(fresh)
-            count = _sturm_counts(tables, f[heads], n[heads], x[heads], floor[heads], work)
-            count = count[np.cumsum(fresh) - 1]
-        else:
-            count = _sturm_counts(tables, f, n, x, floor, work)
+        # a point's count at x is one number, however many entries ask:
+        # each run of one point's entries at one midpoint is counted at its head
+        fresh = np.concatenate(([True], (x[1:] != x[:-1]) | (pt[1:] != pt[:-1])))
+        heads = np.flatnonzero(fresh)
+        count = _sturm_counts(tables, f[heads], n[heads], x[heads], floor[heads], work)
+        count = count[np.cumsum(fresh) - 1]
         up = count > kk
         np.copyto(h, x, where=up)
         np.copyto(upto, count, where=up)
@@ -418,7 +425,7 @@ def gap_statistics(rv: RootVector) -> GapStatistics:
     on sides where the orthogonality interval is unbounded.
     """
     roots = rv.roots
-    min_gap = None if rv.n == 1 else float(np.min(np.abs(np.diff(roots))))
+    min_gap = None if rv.n == 1 else float(rv.gaps.min())
     lo, hi = rv.family.spec.domain
     return GapStatistics(
         min_gap,

@@ -16,10 +16,11 @@ import pytest
 import rootgaps.bounds as bounds_mod
 import rootgaps.cli as cli
 from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, hermite, jacobi, laguerre
-from rootgaps.covariance import eigenbasis
+from rootgaps.covariance import eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
 from test_bounds import EDGE_ROWS, expand
+from test_covariance import bases_by_order
 
 real_compute_roots_many = cli.compute_roots_many
 
@@ -112,6 +113,25 @@ class TestVerifyCommand:
         assert code == 1
         rows = read_csv(out)
         assert any(row["passed"] == "false" for row in rows)
+
+    @pytest.mark.parametrize(
+        "nu,n,expected",
+        [
+            ("1e-310", "1", 0), ("1e-310", "2", 0), ("1e-310", "10", 0),
+            ("1e-320", "1", 0), ("1e-320", "2", 0),
+            # the smallest root is subnormal and keeps few bits, so the
+            # checks fail, but without a warning
+            ("1e-320", "10", 1),
+        ],
+    )
+    def test_subnormal_nu_runs_without_warnings(self, capsys, nu, n, expected):
+        # the second Laguerre form inverted (2 r_i)^2 = 8 z_i on its
+        # diagonal, which overflows once z_i is below about 7e-310; the
+        # test config turns that RuntimeWarning into an error
+        code = cli.main(["verify", "--family", "laguerre", "--nu", nu, "--n", n])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (expected, "")
+        assert len(read_csv(captured.out)) == 5
 
     def test_corrupted_sweep_writes_json(self, capsys):
         # the corrupted Hermite N = 2 matrix has a double eigenvalue, so its
@@ -228,7 +248,7 @@ def default_grid():
     """The roots and closed-form eigenbases of every default-grid point."""
     families = cli.default_families()
     roots = compute_roots_many([(fam, n) for fam in families for n in range(fam.spec.min_n, 41)])
-    return roots, eigenbasis(roots)
+    return roots, bases_by_order(roots)
 
 
 def verify_rows(out, fmt):
@@ -268,12 +288,18 @@ class TestStackedChecksMatchReference:
         # point whose eigenbasis takes its last column from the complement
         families = [laguerre(0.5), hermite(), jacobi(1.0, -0.9), laguerre(0.5), laguerre(1e-300)]
         group = compute_roots_many([(fam, 12) for fam in families])
-        checks = cli._verify_checks(group, None, corrupt)
+        checks = stage_checks(group, corrupt)
         assert checks[0] == checks[3]
         for rv, point_checks in zip(group, checks):
-            assert point_checks == cli._verify_checks([rv], None, corrupt)[0], rv.family.label()
-            (basis,) = eigenbasis([rv])
-            assert sorted(point_checks) == reference_verify_checks(rv, basis, None, corrupt)
+            assert point_checks == stage_checks([rv], corrupt)[0], rv.family.label()
+            (basis,) = eigenbasis_stack([rv])
+            assert point_checks == reference_verify_checks(rv, basis, None, corrupt)
+
+
+def stage_checks(group, corrupt):
+    """Each point's ``(check_id, value, tolerance)`` from the verify stage,
+    in its row order."""
+    return [list(zip(*table[1:4])) for table, _ in cli._verify_stage(group, "csv", None, corrupt)]
 
 
 class TestStackSize:

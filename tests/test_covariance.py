@@ -17,7 +17,7 @@ from rootgaps import (
     laguerre_sqrt_r_S,
 )
 from rootgaps import RootVector, covariance
-from rootgaps.covariance import _pair_differences, eigenbasis
+from rootgaps.covariance import _pair_differences, eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, enclose_one
@@ -250,7 +250,7 @@ class TestEigenbasis:
     @pytest.mark.parametrize("family", EIGENBASIS_FAMILIES, ids=lambda fam: fam.label())
     def test_eigenbasis_residual_at_rounding_level(self, family, n):
         rv, s, lam = covariance_of(family, n)
-        (q,) = eigenbasis([rv])
+        (q,) = eigenbasis_stack([rv])
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= n * EPS
         # each column is an eigenvector of S at the exact roots; roots a few
         # ulps off move S by up to sensitivity * eps ||S||, and eigvalsh
@@ -265,7 +265,7 @@ class TestEigenbasis:
     def test_enclosure_holds_eigvalsh(self, family, n):
         rv = compute_roots(family, n)
         s = build_S(rv)
-        (basis,) = eigenbasis([rv])
+        (basis,) = eigenbasis_stack([rv])
         centers, radii = enclose_one(s, basis)
         # disjoint residual intervals stay disjoint at the Kato-Temple radii
         assert np.all(centers[1:] - radii[1:] > centers[:-1] + radii[:-1])
@@ -275,8 +275,18 @@ class TestEigenbasis:
         assert np.all(np.abs(lam - centers) <= radii + slack)
 
 
+def bases_by_order(roots):
+    """The closed-form eigenbasis of each root vector, of any orders, in
+    order: ``eigenbasis_stack`` of each order's points, one slice each."""
+    bases = [None] * len(roots)
+    for members in covariance.by_order(roots).values():
+        for i, basis in zip(members, eigenbasis_stack([roots[i] for i in members])):
+            bases[i] = basis
+    return bases
+
+
 def scalar_eigenbasis(z):
-    """The per-point Lanczos that the batched ``eigenbasis`` replaced, kept
+    """The per-point Lanczos that the batched ``eigenbasis_stack`` replaced, kept
     as its reference: one point, one ``rows[:k] @ v`` per product, and no
     rule for a lost last column."""
     x = z.roots
@@ -298,7 +308,7 @@ def mixed_batch():
     points = [(family, n) for n in range(1, 41) for family in all_families()]
     points += [(jacobi(-0.999, -0.999), 200), (laguerre(1000.0), 300)]
     roots = compute_roots_many(points)
-    return roots, eigenbasis(roots)
+    return roots, bases_by_order(roots)
 
 
 class TestBatchedEigenbasis:
@@ -311,17 +321,14 @@ class TestBatchedEigenbasis:
     def test_basis_does_not_depend_on_the_batch(self):
         roots, bases = mixed_batch()
         for rv, q in zip(roots, bases):
-            (alone,) = eigenbasis([rv])
+            (alone,) = eigenbasis_stack([rv])
             assert np.array_equal(alone, q), (rv.family.label(), rv.n)
-
-    def test_empty_batch(self):
-        assert eigenbasis([]) == []
 
     def test_lost_last_column_is_replaced_in_its_slice_only(self):
         # one order, one tiny-nu slice whose last column is lost and one
         # ordinary slice: only the lost column differs from the reference
         tiny, plain = compute_roots_many([(laguerre(1e-300), 10), (laguerre(2.0), 10)])
-        q_tiny, q_plain = eigenbasis([tiny, plain])
+        q_tiny, q_plain = eigenbasis_stack([tiny, plain])
         assert np.array_equal(q_plain, scalar_eigenbasis(plain))
         reference = scalar_eigenbasis(tiny)
         assert np.array_equal(q_tiny[:, :-1], reference[:, :-1])
@@ -336,7 +343,7 @@ class TestBatchedEigenbasis:
         # underflow level and the last column comes from the complement
         rv = compute_roots(laguerre(nu), n)
         s = build_S(rv)
-        (basis,) = eigenbasis([rv])
+        (basis,) = eigenbasis_stack([rv])
         assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= n * EPS
         centers, radii = enclose_one(s, basis)
         slack = n * EPS * np.linalg.norm(s.entries, 2)

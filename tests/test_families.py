@@ -116,6 +116,35 @@ class TestJacobiMatrix:
             jacobi_matrix(family, 3)
 
 
+_STEP_CANCELS = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND in CHANGES.md: (k + alpha - 1) cancels the digits of alpha + 1 as alpha -> -1",
+)
+
+
+class TestJacobiSteps:
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [
+            (-0.5, -0.5), (0.0, 0.0), (2.0, 3.0), (10.0, 10.0),
+            pytest.param(1.0, -0.9, marks=_STEP_CANCELS),
+            pytest.param(-0.999, -0.999, marks=_STEP_CANCELS),
+        ],
+    )
+    def test_second_step_c_against_mpmath(self, alpha, beta):
+        # the k = 2 step's C = 2 (k + alpha - 1)(k + beta - 1)(2k + alpha + beta),
+        # exactly 2 (alpha + 1)(beta + 1)(4 + alpha + beta)
+        mpmath = pytest.importorskip("mpmath")
+        family = jacobi(alpha, beta)
+        _, (_, _, c, _) = family.spec.steps(family, 2)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            exact = 2 * (a + 1) * (b + 1) * (4 + a + b)
+            error = float(abs(c - exact) / exact)
+        assert error <= 4 * np.finfo(float).eps
+
+
 def _sympy_poly(family, n, x):
     # parameters in the fixtures are exact binary fractions, so Rational()
     # reproduces them without rounding

@@ -471,6 +471,12 @@ class TestBatchPolish:
         ])
         assert_matches_scalar_recurrence(families, orders, x, which)
 
+    def test_evaluator_rejects_unsorted_orders(self):
+        # the root polish passes its entries by order, descending
+        steps = step_table([hermite()], [5])
+        with pytest.raises(InternalConsistencyError, match="not sorted by order"):
+            _evaluate_scaled(steps, np.array([5, 3, 4]), np.array([0.5, 0.5, 0.5]))
+
     def test_rescaled_entries_match_scalar_recurrence(self):
         # Hermite N = 120 at x = 40 passes 2**500; the others stay below it
         orders = np.array([3, 120, 40, 120, 1, 120])
@@ -481,8 +487,12 @@ class TestBatchPolish:
 
 def assert_matches_scalar_recurrence(families, orders, x, which=None):
     """Entry ``j`` is of ``families[which[j]]``, of the only family when
-    ``which`` is not given."""
+    ``which`` is not given.  The entries are evaluated sorted by order,
+    descending, as the evaluator takes them; the exponents come back in
+    the given order."""
     which = np.zeros(orders.size, dtype=int) if which is None else which
+    rank = np.argsort(-orders, kind="stable")
+    orders, x, which = orders[rank], x[rank], which[rank]
     tops = [max([1, *orders[which == f]]) for f in range(len(families))]
     p, dp, exp2 = _evaluate_scaled(step_table(families, tops), orders, x, which)
     want = [
@@ -491,7 +501,9 @@ def assert_matches_scalar_recurrence(families, orders, x, which=None):
     assert p.tolist() == [w[0] for w in want]
     assert dp.tolist() == [w[1] for w in want]
     assert exp2.tolist() == [w[2] for w in want]
-    return exp2
+    given = np.empty_like(exp2)
+    given[rank] = exp2
+    return given
 
 
 def within_eigenvalue_error(family, n, rv):
@@ -657,6 +669,36 @@ class TestSqrtCoordinates:
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatchError):
             to_sqrt_coordinates(compute_roots(hermite(), 3))
+
+
+class TestRootVectorGaps:
+    """``RootVector.gaps`` against the four ways the gaps were formed
+    before it: the ``roots`` rows, ``gap_statistics``, and the gap rows of
+    the descending and of the ascending families' bounds."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(family, n) for family in all_families() for n in range(1, 41)],
+            [(family, n) for family in STRESS_FAMILIES for n in STRESS_ORDERS],
+        ],
+        ids=["default-grid", "stress"],
+    )
+    def test_gaps_match_the_former_formulas(self, points):
+        for rv in compute_roots_many(points):
+            z = rv.roots
+            listed = z.tolist()
+            rows = [abs(b - a) for a, b in zip(listed, listed[1:])]
+            bounds = z[1:] - z[:-1] if rv.family.spec.ascending else z[:-1] - z[1:]
+            for former in (rows, np.abs(np.diff(z)).tolist(), bounds.tolist()):
+                assert rv.gaps.tolist() == former, (rv.family.label(), rv.n)
+            assert np.all(rv.gaps > 0.0)
+
+    def test_gaps_are_read_only(self):
+        rv = compute_roots(jacobi(1.0, -0.9), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            rv.gaps[0] = 1.0
+        assert compute_roots(laguerre(2.0), 1).gaps.size == 0
 
 
 class TestGapStatistics:
