@@ -405,7 +405,7 @@ def sharpness_summary(z: RootVector, columns: BoundColumns) -> SharpnessSummary:
             mean[bound_id] = sum(values) / len(values)
     ratio = None
     fam = z.family
-    _, square_target = fam.spec.trace_targets(fam, z.n)
+    _, square_target = fam.spec.trace_targets(fam.spec.spectrum(fam, z.n))
     diag_id = f"{fam.kind.value}-diag-sq"
     if square_target is not None and diag_id in bounds:
         ratio = sum(bounds[diag_id]) / square_target

@@ -214,7 +214,7 @@ def _verify_stage(group: list[RootVector], fmt: str, tol: float | None, corrupt:
 
     for p, rv in enumerate(group):
         fam = rv.family
-        linear_target, square_target = fam.spec.trace_targets(fam, n)
+        linear_target, square_target = fam.spec.trace_targets(predicted[p])
         checks = [
             ("spectrum-match", spectral[p], spectral_tol),
             ("trace-identity-linear", _rel_defect(linear[p], linear_target), ident_tol),

@@ -26,7 +26,7 @@ The other modules read the row instead of branching on the kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -48,17 +48,28 @@ class PolynomialFamily:
     ``nu`` is the Laguerre weight exponent (the polynomial is
     ``L_N^(nu-1)``); ``alpha`` and ``beta`` are the Jacobi exponents.
     Parameters not belonging to the selected family must stay ``None``.
+
+    The family's ``spec`` row, its ``parameters()`` and its
+    ``params_text()`` are fixed at construction, from the fields; a family
+    made by ``dataclasses.replace`` is constructed anew and gets its own.
+    Equality and hashing read the fields alone.  A family pickles as its
+    constructor arguments, since its ``spec`` holds functions that do not
+    pickle.
     """
 
     kind: FamilyKind
     nu: float | None = None
     alpha: float | None = None
     beta: float | None = None
+    spec: FamilySpec = field(init=False, repr=False, compare=False)
+    _parameters: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _params_text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, FamilyKind):
             raise ParameterDomainError(f"unknown family kind {self.kind!r}")
-        names = self.spec.params
+        spec = FAMILY_SPECS[self.kind]
+        names = spec.params
         given = tuple(name for name in ("nu", "alpha", "beta") if getattr(self, name) is not None)
         if given != names:
             raise ParameterDomainError(
@@ -67,27 +78,30 @@ class PolynomialFamily:
             )
         for name in names:
             value = getattr(self, name)
-            if not (float(value) > self.spec.lower) or not math.isfinite(value):
+            if not (float(value) > spec.lower) or not math.isfinite(value):
                 raise ParameterDomainError(
-                    f"{self.kind.value} requires {name} > {self.spec.lower:g}, got {value}"
+                    f"{self.kind.value} requires {name} > {spec.lower:g}, got {value}"
                 )
+        values = tuple(float(getattr(self, name)) for name in names)
+        text = " ".join(f"{name}={value!r}" for name, value in zip(names, values)) or "-"
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "_parameters", values)
+        object.__setattr__(self, "_params_text", text)
 
-    @property
-    def spec(self) -> FamilySpec:
-        return FAMILY_SPECS[self.kind]
+    def __reduce__(self):
+        return PolynomialFamily, (self.kind, self.nu, self.alpha, self.beta)
 
     def parameters(self) -> tuple[float, ...]:
         """The family's parameter values as floats, in ``spec.params`` order."""
-        return tuple(float(getattr(self, name)) for name in self.spec.params)
+        return self._parameters
 
     def params_text(self) -> str:
         """``name=value`` pairs, e.g. ``alpha=1.0 beta=-0.9``; ``-`` for none."""
-        pairs = zip(self.spec.params, self.parameters())
-        return " ".join(f"{name}={value!r}" for name, value in pairs) or "-"
+        return self._params_text
 
     def label(self) -> str:
         """Short deterministic text form, e.g. ``laguerre(nu=2.0)``."""
-        return f"{self.kind.value}({self.params_text()})" if self.spec.params else self.kind.value
+        return f"{self.kind.value}({self._params_text})" if self.spec.params else self.kind.value
 
 
 def hermite() -> PolynomialFamily:
@@ -146,12 +160,12 @@ class FamilySpec:
     square_identity: bool
     omega: Callable[[np.ndarray], np.ndarray]
 
-    def trace_targets(self, family: PolynomialFamily, n: int) -> tuple[float, float | None]:
+    def trace_targets(self, lam: np.ndarray) -> tuple[float, float | None]:
         """Exact ``tr(S_N - shift I)`` and, where the family states that
-        identity, ``tr((S_N - shift I)^2)``; ``None`` otherwise."""
-        lam = self.spectrum(family, n)
+        identity, ``tr((S_N - shift I)^2)`` (``None`` otherwise), from the
+        closed-form spectrum ``lam`` of ``S_N``."""
         square = float(((lam - self.shift) ** 2).sum()) if self.square_identity else None
-        return float(lam.sum()) - self.shift * n, square
+        return float(lam.sum()) - self.shift * lam.size, square
 
 
 def _laguerre_recurrence(family: PolynomialFamily, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,12 @@ coefficients, so every bisection step is one pass of Sturm counts over all
 the roots of the batch, each distinct midpoint of a point counted once,
 and every Newton step one vectorized evaluation of the recurrence.
 ``compute_roots`` is a batch of one.  Each root is computed from its own
-``T_n`` only, so it does not depend on the batch it came in.
+``T_n`` only, so it does not depend on the batch it came in.  A family
+whose recurrence matrix has an all-zero diagonal (Hermite, and Jacobi with
+``alpha == beta``) has roots symmetric about 0: only its upper half is
+computed, each entry still from its own ``T_n`` alone; the lower half is
+that half negated and reversed and an odd order's middle root is 0, so the
+symmetry holds bit for bit.
 
 Each family keeps its conventional ordering so that index-based formulas
 downstream can be transcribed literally: Hermite and Laguerre roots are
@@ -135,6 +140,15 @@ def compute_roots_many(points) -> list[RootVector]:
     stored-order index is listed in ``polish_skipped``.  Every decision is
     made per entry, from its own ``T_n``, so a point's roots do not depend
     on the other points of the batch.
+
+    When the family's diagonal is all zero, as for Hermite and for Jacobi
+    with ``alpha == beta``, ``T_n`` is similar to ``-T_n`` (conjugated by
+    ``diag(1, -1, 1, ...)``), so its eigenvalues are symmetric about 0 and
+    only the entries above the middle, ``2k + 1 > n``, are bisected and
+    polished.  Each root with ``2k + 1 < n`` is root ``n - 1 - k`` negated,
+    and is in ``polish_skipped`` if that one is; the middle root of an odd
+    order is 0, exactly, since then ``det T_n = -det T_n``.  The roots are
+    exactly symmetric.
     """
     points = list(points)
     if not points:
@@ -142,19 +156,27 @@ def compute_roots_many(points) -> list[RootVector]:
     for _, n in points:
         _check_order(n)
     families = list(dict.fromkeys(fam for fam, _ in points))
-    index = {fam: i for i, fam in enumerate(families)}
+    column = {fam: i for i, fam in enumerate(families)}
     orders = np.array([n for _, n in points])
-    fam_of_point = np.array([index[fam] for fam, _ in points])
+    fam_of_point = np.array([column[fam] for fam, _ in points])
     tops = np.zeros(len(families), dtype=np.int64)
     np.maximum.at(tops, fam_of_point, orders)
     tables, start = _start_brackets(families, tops, fam_of_point, orders)
 
-    # the entries, by order, descending, then by point and index
-    point = np.repeat(np.arange(orders.size), orders)
+    # the entries in point order, each point's by index
+    owner = np.repeat(np.arange(orders.size), orders)
     first = np.cumsum(orders) - orders
-    k = np.arange(point.size) - first[point]
-    rank = np.argsort(-orders[point], kind="stable")
-    point, k = point[rank], k[rank]
+    index = np.arange(owner.size) - first[owner]
+    # a zero diagonal (Hermite, Jacobi with alpha == beta) makes T_n similar
+    # to -T_n, so root k is root n - 1 - k negated and the middle root of an
+    # odd order is 0: of those points only the roots above the middle are
+    # computed
+    side = 2 * index + 1 - orders[owner]  # < 0 below the middle, 0 at it
+    symmetric = ~tables[0].any(axis=0)[fam_of_point[owner]]
+    # the computed entries, by order, descending, then by point and index
+    rank = np.flatnonzero(~symmetric | (side > 0))
+    rank = rank[np.argsort(-orders[owner[rank]], kind="stable")]
+    point, k = owner[rank], index[rank]
     fam, degree = fam_of_point[point], orders[point]
     lo, hi, pivmin, slack = start[:, point]
 
@@ -174,17 +196,23 @@ def compute_roots_many(points) -> list[RootVector]:
         x[rest] = 0.5 * (sub_lo + sub_hi)
 
     # back to point order, each point's roots ascending
-    at = first[point] + k
-    roots, skipped = np.empty(x.size), np.empty(x.size, dtype=bool)
-    roots[at], skipped[at] = x, ~settled
+    roots, skipped = np.zeros(owner.size), np.zeros(owner.size, dtype=bool)
+    roots[rank], skipped[rank] = x, ~settled
+    lower = np.flatnonzero(symmetric & (side < 0))
+    image = lower - side[lower]
+    roots[lower], skipped[lower] = -roots[image], skipped[image]
+    # the stored-order indices of the skipped roots, by point, if any
+    flags = {}
+    for i in np.flatnonzero(skipped).tolist():
+        flags.setdefault(int(owner[i]), []).append(int(index[i]))
     vectors = []
-    for (family, n), begin in zip(points, first.tolist()):
+    for p, ((family, n), begin) in enumerate(zip(points, first.tolist())):
         ascending = roots[begin:begin + n]
-        flags = np.flatnonzero(skipped[begin:begin + n]).tolist()
+        flagged = flags.get(p, ())
         if not family.spec.ascending:
             ascending = ascending[::-1]
-            flags = sorted(n - 1 - i for i in flags)
-        vectors.append(RootVector(family, n, ascending.copy(), tuple(flags)))
+            flagged = [n - 1 - i for i in reversed(flagged)]
+        vectors.append(RootVector(family, n, ascending.copy(), tuple(flagged)))
     return vectors
 
 
@@ -249,7 +277,7 @@ def _bisect(tables, point, fam, degree, k, lo, hi, pivmin, steps=None) -> np.nda
     l, h = lo.copy(), hi.copy()
     below, upto = np.zeros(lo.size, dtype=np.int64), degree.copy()  # eigenvalues below l, h
     after = np.zeros(lo.size, dtype=np.int64)  # steps taken while isolated
-    while True:
+    while live.size:
         done = h - l < 2.0 * _EPS * np.maximum(np.abs(l), np.abs(h)) + floor
         isolated = (below == kk) & (upto == kk + 1)
         if steps is not None:

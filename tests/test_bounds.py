@@ -419,7 +419,7 @@ def summary_of_reports(z, reports):
             mean[bound_id] = sum(values) / len(values)
     ratio = None
     fam = z.family
-    _, square_target = fam.spec.trace_targets(fam, z.n)
+    _, square_target = fam.spec.trace_targets(fam.spec.spectrum(fam, z.n))
     diag_id = f"{fam.kind.value}-diag-sq"
     if square_target is not None and diag_id in by_id:
         ratio = sum(r.bound_value for r in by_id[diag_id]) / square_target

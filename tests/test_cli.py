@@ -227,7 +227,7 @@ def reference_verify_checks(rv, basis, tol, corrupt):
     ident_tol = 1e-10 if tol is None else tol
     cross = (np.outer(d, d) * inv2 * inv2).sum(axis=1)
     diag_square = lin * lin + cross
-    linear_target, square_target = fam.spec.trace_targets(fam, n)
+    linear_target, square_target = fam.spec.trace_targets(predicted)
     checks.append(("trace-identity-linear", cli._rel_defect(float(lin.sum()), linear_target), ident_tol))
     if square_target is not None:
         square = float(diag_square.sum())
@@ -459,35 +459,35 @@ class TestGoldenOutput:
         [
             golden(
                 ["roots", "--n-max", "8"],
-                "2b27ba25e2e58ac71abf6135b2d74bdde1750b0557718509bbfa63bf830cd9b5",
+                "f1508d65461442d61e47f10d1e09f68b91a3e298067d4f564b1d3fafc5540b07",
             ),
             golden(
                 ["roots", "--n-max", "8", "--format", "json"],
-                "5eb19cf80b216a60662c4e868653d7154d057499a291c9f2c891f0470a98c117",
+                "457dbcd18206e439d88951007adbdd96b7e205a6b5ee6b2f8c7ebff7269c23e9",
             ),
             golden(
                 ["bounds", "--n-max", "8"],
-                "5c3dd1020a073255fda72ebeb6f616c41c0cbfca110a0ada013e66ed83596e6b",
+                "c0555decccbfea1bf86373d786c00defa5b77200638ab98d7b95d706b5b28e39",
             ),
             golden(
                 ["bounds", "--n-max", "8", "--format", "json"],
-                "5dda955414ee4538fce4a3ba4aa8e088bb5dcaae4997956685b637fcba472eb2",
+                "7bb15efc380b5a441f8d0cb25b6d22c8d74d81583e299f6f349cdef482a283d0",
             ),
             # the full default sweep, 64,757 rows
             golden(
                 ["bounds"],
-                "363163d6b4f97391e1677d22b9aba9d1fc605169a99a5d40f47651abbbf25d83",
+                "06cda08e399a0950c5890ca7e4722dfffbcfffcd0975cfc5f039265e339984cd",
             ),
             # every default-grid root, 9,839 in 479 points: a root that
             # moves by one ulp and changes no bound cell shows here
             golden(
                 ["roots"],
-                "a9d81fbc35568f095b6c1ac255517aa848364e2579d0d4155b016932349465d5",
+                "28305d0c41de9f672b1a698b3159d6477c2910e75849f223bf6cd5d56f57522e",
             ),
             # the full default sweep as JSON
             golden(
                 ["bounds", "--format", "json"],
-                "9df21d6d780ba5d0679e754ec0c5b8718f29b020890e3ddba9b3eb7721e426ff",
+                "4c1d537fef2bb43afcbe8f70a3d3282c6d672f35139a1de806dc5b2c254e41c2",
             ),
         ],
     )

@@ -122,6 +122,16 @@ class TestLaguerreS:
     def test_coordinate_forms_agree_at_large_nu(self):
         assert coordinate_form_error(compute_roots(laguerre(1000.0), 300)) <= 1e-13
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP items 5 and 9: coordinate-forms-match fails at every default nu"
+        " from N = 600 (1.24e-13 at nu = 2), as r_i - r_j from rounded r loses digits",
+    )
+    @pytest.mark.parametrize("nu", LAGUERRE_NUS)
+    def test_coordinate_forms_agree_at_large_n(self, nu):
+        assert coordinate_form_error(compute_roots(laguerre(nu), 600)) <= 1e-13
+
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatchError):
             laguerre_sqrt_r_S(compute_roots(hermite(), 2))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rootgaps import (
     FamilyKind,
     MagnitudeError,
     ParameterDomainError,
+    PolynomialFamily,
     SymTridiagonal,
     evaluate_with_derivative,
     hermite,
@@ -18,7 +21,9 @@ from rootgaps import (
     jacobi_matrix,
     laguerre,
 )
-from rootgaps.families import _evaluate_scaled, step_table
+from rootgaps.families import FAMILY_SPECS, _evaluate_scaled, step_table
+
+from conftest import all_families
 
 
 class TestFamilyValidation:
@@ -35,10 +40,34 @@ class TestFamilyValidation:
             jacobi(0.0, -1.5)
 
     def test_hermite_takes_no_parameters(self):
-        from rootgaps import PolynomialFamily
-
         with pytest.raises(ParameterDomainError):
             PolynomialFamily(FamilyKind.HERMITE, nu=1.0)
+
+
+# the default grid and one family off it per kind with parameters (Hermite
+# has none, so its one family is on the grid)
+PICKLED_FAMILIES = all_families() + [laguerre(1e-10), jacobi(-0.9999, 5.0)]
+
+
+class TestFamilyFacts:
+    """The facts a family fixes at construction: its spec row, parameters
+    and parameter text."""
+
+    @pytest.mark.parametrize("family", PICKLED_FAMILIES, ids=lambda fam: fam.label())
+    def test_pickle_round_trip_keeps_every_fact(self, family):
+        copy = pickle.loads(pickle.dumps(family))
+        assert copy == family and hash(copy) == hash(family)
+        assert copy.spec is family.spec is FAMILY_SPECS[family.kind]
+        assert copy.parameters() == family.parameters()
+        assert copy.params_text() == family.params_text()
+        assert copy.label() == family.label()
+
+    def test_replaced_family_gets_its_own_facts(self):
+        family = dataclasses.replace(laguerre(2.0), nu=3.0)
+        assert family == laguerre(3.0)
+        assert family.parameters() == (3.0,)
+        assert family.params_text() == "nu=3.0"
+        assert family.label() == "laguerre(nu=3.0)"
 
 
 class TestSymTridiagonal:

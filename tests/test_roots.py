@@ -314,20 +314,26 @@ def scalar_newton(family, n, lo, hi, slack):
 def scalar_polish(family, n):
     """Reference: every root of ``P_n`` one at a time, by Sturm bisection
     from the Gershgorin interval and Newton inside the bracket, with the
-    full bisection of a root whose polish fails.  Returns the roots in
+    full bisection of a root whose polish fails.  With a zero diagonal only
+    the roots above the middle are computed: the others are their mirror
+    images, and an odd order's middle root is 0.  Returns the roots in
     stored order and ``polish_skipped``."""
     t = jacobi_matrix(family, n)
     a, b2 = t.diag.tolist(), (t.offdiag * t.offdiag).tolist()
     start_lo, start_hi, pivmin, slack = scalar_start(family, n)
-    roots, skipped = [], []
-    for k in range(n):
+    mirror, half = not any(a), n // 2
+    roots, skipped = [0.0] * n, []
+    for k in range(n - half if mirror else 0, n):
         lo, hi, alone, _ = scalar_bisect(a, b2, k, start_lo, start_hi, pivmin, roots_mod._STEPS_AFTER)
         x, settled = scalar_newton(family, n, lo, hi, slack) if alone else (None, False)
         if not settled:
             lo, hi, _, _ = scalar_bisect(a, b2, k, lo, hi, pivmin)
             x = 0.5 * (lo + hi)
             skipped.append(k)
-        roots.append(x)
+        roots[k] = x
+    if mirror:
+        roots[:half] = [-x for x in reversed(roots[n - half:])]
+        skipped = [n - 1 - k for k in reversed(skipped)] + skipped
     if family.spec.ascending:
         return np.array(roots), tuple(skipped)
     return np.array(roots[::-1]), tuple(sorted(n - 1 - i for i in skipped))
@@ -590,6 +596,52 @@ def test_unsettled_polish_is_bisected_to_full_width(monkeypatch):
     assert np.array_equal(cut.roots[~flagged], polished.roots[~flagged])
     assert polished.polish_skipped == ()
     assert within_eigenvalue_error(family, n, polished).all()
+
+
+# every family whose recurrence matrix has a zero diagonal, on and off the
+# default grid
+ZERO_DIAGONAL_FAMILIES = (
+    hermite(), jacobi(-0.5, -0.5), jacobi(0.0, 0.0), jacobi(10.0, 10.0),
+    jacobi(-0.999, -0.999), jacobi(50.0, 50.0),
+)
+
+
+def assert_mirrored(rv):
+    """The roots of ``rv`` are their own negated reverse, equal as floats
+    (so bit for bit, but for the sign of a zero), an odd order's middle
+    root is 0, ``polish_skipped`` is its own mirror image, and both
+    boundary distances are the same float."""
+    roots, n = rv.roots, rv.n
+    assert np.array_equal(roots, -roots[::-1]), (rv.family.label(), n)
+    if n % 2:
+        assert roots[n // 2] == 0.0, (rv.family.label(), n)
+    assert rv.polish_skipped == tuple(n - 1 - i for i in reversed(rv.polish_skipped))
+    stats = gap_statistics(rv)
+    assert stats.boundary_low == stats.boundary_high, (rv.family.label(), n)
+
+
+class TestZeroDiagonalSymmetry:
+    """A zero diagonal makes ``T_n`` similar to ``-T_n``, so the roots of
+    Hermite and of Jacobi with alpha == beta are symmetric about 0, and
+    are computed so to the bit."""
+
+    @pytest.mark.parametrize("family", ZERO_DIAGONAL_FAMILIES, ids=lambda fam: fam.label())
+    def test_roots_are_exactly_symmetric(self, family):
+        assert not jacobi_matrix(family, 300).diag.any()
+        batch = compute_roots_many([(family, n) for n in range(1, 61)])
+        # N = 1 alone is a batch with no root left to compute
+        alone = [compute_roots(family, n) for n in (1, 200, 300)]
+        for rv in batch + alone:
+            assert_mirrored(rv)
+
+    @pytest.mark.parametrize("family", ZERO_DIAGONAL_FAMILIES, ids=lambda fam: fam.label())
+    def test_bisected_roots_are_mirrored(self, monkeypatch, family):
+        # with Newton cut at three evaluations, roots of N = 200 are
+        # bisected to full width and flagged, and so are their mirror images
+        monkeypatch.setattr(roots_mod, "_NEWTON_CAP", 3)
+        rv = compute_roots(family, 200)
+        assert rv.polish_skipped
+        assert_mirrored(rv)
 
 
 class TestBisectionStop:
