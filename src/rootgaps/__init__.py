@@ -32,6 +32,7 @@ from .covariance import build_S, interaction_sums, laguerre_sqrt_r_S
 from .bounds import (
     BoundColumns,
     BoundReport,
+    RunColumns,
     SharpnessSummary,
     bound_columns,
     bound_rows,
@@ -58,6 +59,7 @@ __all__ = [
     "PolynomialFamily",
     "RootVector",
     "RootgapsError",
+    "RunColumns",
     "SharpnessSummary",
     "SingularConfigurationError",
     "SymTridiagonal",

@@ -54,40 +54,55 @@ Jacobi (comparator, asymptotic leading term, alpha, beta > -1/2):
 
 Comparator reports never gate anything; a nonpositive comparator bound is
 marked ``vacuous`` and a formula outside its parameter domain is marked
-``not-applicable``.
+``not-applicable``.  The discriminant ``M^2 - 16(alpha+1)(beta+1)`` is at
+least ``4(alpha-beta)^2``, so zero at ``alpha = beta``, ``N = 1``; it is
+clamped at 0 there, where rounding can make it slightly negative.
 
-Each family has one bound function, :func:`hermite_diag_bound`,
+Bounds are evaluated on runs: all the points of one family kind in a
+sweep run, whatever their orders and parameters, at once.  Each family
+has one bound function, :func:`hermite_diag_bound`,
 :func:`laguerre_bounds` and :func:`jacobi_bounds`, which reads the
-family's ``(lin, cross)``, from ``covariance.interaction_sums`` unless
-the caller passes them (the ``bounds`` command takes each point's from
-one ``interaction_sums_stack`` per order), and returns the family's
-derived and comparator bounds as one list of rows
-``(bound_id, bound, observed[, note])``; :func:`bound_rows` picks the
-function of a root vector's family.  A row whose two sides are scalars
-gives one entry with ``index=None``; a row with an array side (per-root
-sums, gaps, boundary products) gives one entry per array element, indices
-``1..k``, with the scalar side repeated, so the gap rows give no entry at
-``N = 1``.  The gap rows read the root vector's ``gaps``, which are in
-the index convention of the formulas above; only the sqrt-scale gaps of
-``laguerre-sqrt-gap`` are formed here.  The comparator flag comes from the id: the comparator ids are
+points' ``(lin, cross)``, from ``covariance.interaction_sums`` unless the
+caller passes them (the ``bounds`` command takes each point's from one
+``interaction_sums_stack`` per order), and returns the family's derived
+and comparator bounds as one list of :class:`BoundRow`: each side is a
+``(P,)`` column, one Python-float expression per point, or a
+:class:`Ragged` array with one value per entry and per-point offsets (the
+gaps, the sqrt-scale gaps, ``lin**2 + cross`` and ``1 - z**2``, each one
+numpy pass over the run).  Given one root vector instead of a run, a
+family function returns that point's rows as tuples ``(bound_id, bound,
+observed, note)`` of floats and arrays; :func:`bound_rows` picks the
+function of the family.  A row whose two sides are scalars gives one
+entry with ``index=None``; a row with an array side gives one entry per
+array element, indices ``1..k``, with the scalar side repeated, so the
+gap rows give no entry at ``N = 1``.  The gap rows read the root
+vectors' ``gaps``, which are in the index convention of the formulas
+above.  The comparator flag comes from the id: the comparator ids are
 the left column of the comparator/derived pairs that the sharpness
 summary compares.
 
-:func:`bound_columns` turns a point's rows into the columns of its output
-rows, with no tuple per entry: one side per row for the id, index, bound
-and observed values and comparator flag, and one value per entry for
-``slack``, ``holds``, ``sharpness`` (one numpy pass) and ``note``.  The
-``bounds`` command writes from these columns, and the library's views
-read them: :func:`bound_set`, a ``BoundReport`` per entry (an immutable
-named tuple, its fields the output row after the point key), and
-:func:`sharpness_summary`, which takes the root vector alongside them.
+:class:`RunColumns` evaluates a run's rows once: it lays out every entry
+of the run point by point, each point's rows in row order, and computes
+``slack``, ``holds``, ``sharpness`` and the notes in one numpy pass and
+each point's violation count in one integer pass.  ``point(p)`` cuts one
+point's :class:`BoundColumns` from them, the columns of its output rows
+after the point key with no tuple per entry: one side per row for the id,
+index, bound and observed values and comparator flag, and one value per
+entry for ``slack``, ``holds``, ``sharpness`` and ``note``.  The
+``bounds`` command writes from these columns, and the library's views are
+the same path on a run of one point: :func:`bound_columns` of one
+point's rows, :func:`bound_set`, a ``BoundReport`` per entry (an
+immutable named tuple, its fields the output row after the point key),
+and :func:`sharpness_summary`, which takes the root vector alongside the
+columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -162,97 +177,158 @@ class BoundColumns(NamedTuple):
         stops = list(accumulate(self.counts))
         return list(zip([0] + stops[:-1], stops))
 
-    def violations(self) -> int:
-        """The number of entries that do not hold of the gating rows, neither
-        comparators nor noted (a gating row's entries share its note)."""
-        return sum(
-            self.holds[start:stop].count(False)
-            for comparator, (start, stop) in zip(self.comparator, self.spans())
-            if not comparator and not any(self.note[start:stop])
-        )
+
+class Ragged(NamedTuple):
+    """One value per entry for a run of points: point ``p``'s values are
+    ``values[starts[p]:starts[p + 1]]``."""
+
+    values: np.ndarray
+    starts: np.ndarray
 
 
-def _entries(side, count: int) -> list:
-    """The values of one side of a row, one per entry."""
-    return side.tolist() if isinstance(side, np.ndarray) else [side] * count
+Side = Union[np.ndarray, Ragged]
 
 
-def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
-    """The columns of the rows ``(bound_id, bound, observed[, note])``, in
-    their order.
+class BoundRow(NamedTuple):
+    """One bound row of a run of ``P`` points.  ``bound`` and ``observed``
+    are each a ``(P,)`` column, one value per point, or a :class:`Ragged`
+    side, one value per entry: a row has one entry per item of its ragged
+    side at a point, or one entry where both sides are columns.  ``note``
+    is the row's note at every point, or a sequence of one note per point;
+    ``applies`` is ``None`` for a row of every point, else a ``(P,)``
+    boolean mask of the points that have it."""
 
-    ``slack = observed - bound``; the bound holds when the slack is at
-    least ``-1e-10 max(|bound|, 1)``, which a NaN side never is;
-    ``sharpness = observed / bound`` when the bound is positive, else NaN.
-    A comparator entry whose bound is not positive carries no information
-    and is noted ``vacuous``, unless its row has a note of its own.
-    """
-    table, bound_value, observed_value, note = [], [], [], []
-    numbers: dict[int, np.ndarray] = {}
-    for bound_id, bound, observed, *rest in rows:
-        if isinstance(bound, np.ndarray):
-            observed, count = float(observed), bound.size
-        elif isinstance(observed, np.ndarray):
-            bound, count = float(bound), observed.size
-        else:
-            bound, observed, count = float(bound), float(observed), None
-        if count is None:
-            count, index = 1, None
-        elif count in numbers:
-            index = numbers[count]
-        else:
-            # rows of one count share one index array
-            index = numbers[count] = np.arange(1, count + 1)
-        row_bounds = _entries(bound, count)
-        bound_value += row_bounds
-        observed_value += _entries(observed, count)
-        row_note = rest[0] if rest else ""
-        comparator = bound_id in _COMPARATOR_IDS
-        if comparator and not row_note:
-            note += ["vacuous" if value <= 0.0 else "" for value in row_bounds]
-        else:
-            note += [row_note] * count
-        table.append((count, bound_id, index, bound, observed, comparator))
-    b, o = np.array(bound_value, dtype=float), np.array(observed_value, dtype=float)
-    # numpy warns where Python floats give a NaN or an infinity silently
-    with np.errstate(invalid="ignore", over="ignore"):
-        slack = o - b
-        holds = slack >= -_HOLDS_RTOL * np.maximum(np.abs(b), 1.0)
-        sharpness = np.divide(o, b, out=np.full_like(b, math.nan), where=b > 0.0)
-    counts, ids, indices, bound_sides, observed_sides, comparators = zip(*table) if table else [()] * 6
-    entries = slack.tolist(), holds.tolist(), sharpness.tolist()
-    return BoundColumns(counts, ids, indices, bound_sides, observed_sides, *entries, comparators, note)
+    bound_id: str
+    bound: Side
+    observed: Side
+    note: Union[str, Sequence[str]] = ""
+    applies: np.ndarray | None = None
 
 
-def hermite_diag_bound(z: RootVector, sums: tuple | None = None) -> list[tuple]:
-    """Hermite rows: the diagonal-of-square caps, their corollaries, and
-    the literature gap comparator.  ``sums`` is ``interaction_sums(z)``,
-    if the caller has it already."""
-    require_kind(z, FamilyKind.HERMITE)
-    n = z.n
-    if n < 2:
-        raise ParameterDomainError("Hermite bounds need N >= 2")
-    inv2, inv4 = interaction_sums(z) if sums is None else sums
+def _starts(counts) -> np.ndarray:
+    """The offsets of consecutive runs of ``counts`` items, with the total last."""
+    starts = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+class _Run(NamedTuple):
+    """A run of root vectors of one kind, their per-entry arrays ragged."""
+
+    points: Sequence[RootVector]
+    n: list[int]
+    roots: Ragged
+    gaps: Ragged
+    lin: Ragged
+    cross: Ragged
+
+    @property
+    def first(self) -> np.ndarray:
+        """Each point's first stored root."""
+        return self.roots.values[self.roots.starts[:-1]]
+
+    @property
+    def last(self) -> np.ndarray:
+        """Each point's last stored root."""
+        return self.roots.values[self.roots.starts[1:] - 1]
+
+
+def _run(points: Sequence[RootVector], kind: FamilyKind, sums: Sequence[tuple] | None) -> _Run:
+    for z in points:
+        require_kind(z, kind)
+    if sums is None:
+        sums = [interaction_sums(z) for z in points]
+    n = [z.n for z in points]
+    starts = _starts(n)
+    gap_starts = _starts([k - 1 for k in n])
+    concat = np.concatenate
+    return _Run(
+        points,
+        n,
+        Ragged(concat([z.roots for z in points]), starts),
+        Ragged(concat([z.gaps for z in points]), gap_starts),
+        Ragged(concat([lin for lin, _ in sums]), starts),
+        Ragged(concat([cross for _, cross in sums]), starts),
+    )
+
+
+def _columns(per_point: Iterable[tuple]) -> np.ndarray:
+    """The ``(P,)`` columns of the scalars that ``per_point`` gives for each
+    point, one tuple per point, as the rows of one array."""
+    return np.array(list(zip(*per_point)), dtype=float)
+
+
+def _point_rows(rows: Sequence[BoundRow], p: int) -> list[tuple]:
+    """Point ``p``'s rows of a run as tuples ``(bound_id, bound, observed,
+    note)``: a column side as a float, a ragged side as the point's array;
+    a row that does not apply at ``p`` is left out."""
     return [
-        ("hermite-diag-sq", inv2 * inv2 + inv4, (n - 1) ** 3 / n),
-        ("hermite-inv4-sum", inv4, (n - 1) ** 3 / (2 * n)),
-        ("hermite-inv2-sum", inv2, (n - 1) ** 1.5 / math.sqrt(n)),
-        ("hermite-gap", (2.0 * n) ** 0.25 / (n - 1) ** 0.75, z.gaps),
-        ("hermite-gap-comparator", 2.0 / math.sqrt(n), z.gaps),
+        (
+            row.bound_id, _side_at(row.bound, p), _side_at(row.observed, p),
+            row.note if isinstance(row.note, str) else row.note[p],
+        )
+        for row in rows
+        if row.applies is None or row.applies[p]
     ]
 
 
-def laguerre_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
+def _side_at(side: Side, p: int):
+    if isinstance(side, Ragged):
+        return side.values[side.starts[p]:side.starts[p + 1]]
+    return float(side[p])
+
+
+def _family_rows(family_rows: Callable[[_Run], list[BoundRow]], kind: FamilyKind, z, sums):
+    """``family_rows`` on ``z``: the run's rows for a run of root vectors,
+    the point's row tuples for one root vector."""
+    if isinstance(z, RootVector):
+        return _point_rows(family_rows(_run([z], kind, None if sums is None else [sums])), 0)
+    return family_rows(_run(z, kind, sums))
+
+
+def hermite_diag_bound(z, sums=None):
+    """Hermite rows: the diagonal-of-square caps, their corollaries, and
+    the literature gap comparator.  ``z`` is a root vector or a run of
+    them; ``sums`` is ``interaction_sums`` of it (one pair per point for a
+    run), if the caller has it already."""
+    return _family_rows(_hermite_rows, FamilyKind.HERMITE, z, sums)
+
+
+def _hermite_rows(run: _Run) -> list[BoundRow]:
+    if min(run.n) < 2:
+        raise ParameterDomainError("Hermite bounds need N >= 2")
+    inv2, inv4 = run.lin, run.cross
+    diag = Ragged(inv2.values * inv2.values + inv4.values, inv2.starts)
+    cap, inv4_cap, inv2_cap, gap_floor, comparator = _columns(
+        (
+            (n - 1) ** 3 / n,
+            (n - 1) ** 3 / (2 * n),
+            (n - 1) ** 1.5 / math.sqrt(n),
+            (2.0 * n) ** 0.25 / (n - 1) ** 0.75,
+            2.0 / math.sqrt(n),
+        )
+        for n in run.n
+    )
+    return [
+        BoundRow("hermite-diag-sq", diag, cap),
+        BoundRow("hermite-inv4-sum", inv4, inv4_cap),
+        BoundRow("hermite-inv2-sum", inv2, inv2_cap),
+        BoundRow("hermite-gap", gap_floor, run.gaps),
+        BoundRow("hermite-gap-comparator", comparator, run.gaps),
+    ]
+
+
+def laguerre_bounds(z, sums=None):
     """Laguerre rows: the derived diagonal caps, smallest-root floor and
     three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale), and
-    the literature comparators (informational).  ``sums`` is
-    ``interaction_sums(z)``, if the caller has it already."""
-    require_kind(z, FamilyKind.LAGUERRE)
-    n = z.n
-    (nu,) = z.family.parameters()
-    lin, cross = interaction_sums(z) if sums is None else sums
+    the literature comparators (informational).  ``z`` is a root vector
+    or a run of them; ``sums`` is ``interaction_sums`` of it (one pair per
+    point for a run), if the caller has it already."""
+    return _family_rows(_laguerre_rows, FamilyKind.LAGUERRE, z, sums)
+
+
+def _laguerre_scalars(n: int, nu: float) -> tuple:
     two_n1 = 2.0 * n - 1.0
-    smallest = float(z.roots[-1])
     if nu >= 1.0:
         q = two_n1**2 * (nu * nu - 1.0) ** 2 / (n + nu / 2.0) ** 2
         bessel_strong = (
@@ -262,80 +338,117 @@ def laguerre_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
         bessel_weak = (
             2.0**0.75 * math.sqrt(nu * nu - 1.0) / math.sqrt(two_n1 * (n + nu / 2.0))
         )
-        note = ""
     else:
         # sqrt(nu^2 - 1) is imaginary below nu = 1; the source floor is
         # vacuous there, so the report carries no values
         bessel_strong = bessel_weak = math.nan
-        note = "not-applicable"
-    strong = math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1
-    weak = 2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1
-    sqrt_gaps = np.sqrt(z.roots[:-1]) - np.sqrt(z.roots[1:])
-    # n - 1 first: at N = 1 the sum in the other order cancels a tiny nu
-    cmp1 = (nu - 1.0) / math.sqrt(((n - 1.0) + nu) * n)
-    cmp2 = 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n)
-    cmp3 = math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n)
+    return (
+        two_n1**2,
+        nu / two_n1,
+        math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1,
+        2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1,
+        bessel_strong,
+        bessel_weak,
+        1.0 / math.sqrt(two_n1),
+        (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)),
+        # n - 1 first: at N = 1 the sum in the other order cancels a tiny nu
+        (nu - 1.0) / math.sqrt(((n - 1.0) + nu) * n),
+        2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n),
+        math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n),
+    )
+
+
+def _laguerre_rows(run: _Run) -> list[BoundRow]:
+    nus = [z.family.parameters()[0] for z in run.points]
+    (cap, min_root, strong, weak, bessel_strong, bessel_weak, sqrt_floor, min_root_bessel,
+     cmp1, cmp2, cmp3) = _columns(map(_laguerre_scalars, run.n, nus))
+    note = ["" if nu >= 1.0 else "not-applicable" for nu in nus]
+    lin, cross, gaps = run.lin, run.cross, run.gaps
+    diag = Ragged(lin.values * lin.values + cross.values, lin.starts)
+    # sqrt(z_i) - sqrt(z_{i+1}) over the run, less the differences that
+    # straddle two points
+    root = np.sqrt(run.roots.values)
+    sqrt_gaps = Ragged(np.delete(root[:-1] - root[1:], run.roots.starts[1:-1] - 1), gaps.starts)
+    smallest = run.last
     return [
-        ("laguerre-diag-sq", lin * lin + cross, two_n1**2),
-        ("laguerre-min-root", nu / two_n1, smallest),
-        ("laguerre-gap-strong", strong, z.gaps),
-        ("laguerre-gap-weak", weak, z.gaps),
-        ("laguerre-gap-bessel-strong", bessel_strong, z.gaps, note),
-        ("laguerre-gap-bessel-weak", bessel_weak, z.gaps, note),
-        ("laguerre-sqrt-gap", 1.0 / math.sqrt(two_n1), sqrt_gaps),
-        ("laguerre-min-root-bessel", (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)), smallest),
-        ("laguerre-gap-comparator-1", cmp1, z.gaps),
-        ("laguerre-gap-comparator-2", cmp2, z.gaps),
-        ("laguerre-gap-comparator-3", cmp3, z.gaps),
+        BoundRow("laguerre-diag-sq", diag, cap),
+        BoundRow("laguerre-min-root", min_root, smallest),
+        BoundRow("laguerre-gap-strong", strong, gaps),
+        BoundRow("laguerre-gap-weak", weak, gaps),
+        BoundRow("laguerre-gap-bessel-strong", bessel_strong, gaps, note),
+        BoundRow("laguerre-gap-bessel-weak", bessel_weak, gaps, note),
+        BoundRow("laguerre-sqrt-gap", sqrt_floor, sqrt_gaps),
+        BoundRow("laguerre-min-root-bessel", min_root_bessel, smallest),
+        BoundRow("laguerre-gap-comparator-1", cmp1, gaps),
+        BoundRow("laguerre-gap-comparator-2", cmp2, gaps),
+        BoundRow("laguerre-gap-comparator-3", cmp3, gaps),
     ]
 
 
-def jacobi_bounds(z: RootVector, sums: tuple | None = None) -> list[tuple]:
+def jacobi_bounds(z, sums=None):
     """Jacobi rows: the derived diagonal caps, the two boundary-distance
     floors, the boundary-product floors and the gap floors, and the
     asymptotic leading-term comparator for the upper boundary distance.
 
     The comparator is only meaningful for ``alpha, beta > -1/2``; the
-    dropped ``o(1/N^2)`` term means it never gates anything.  ``sums`` is
-    ``interaction_sums(z)``, if the caller has it already.
+    dropped ``o(1/N^2)`` term means it never gates anything.  ``z`` is a
+    root vector or a run of them; ``sums`` is ``interaction_sums`` of it
+    (one pair per point for a run), if the caller has it already.
     """
-    require_kind(z, FamilyKind.JACOBI)
-    n = z.n
-    alpha, beta = z.family.parameters()
-    big_m = float(z.family.spec.spectrum(z.family, n)[-1])
-    lin, cross = interaction_sums(z) if sums is None else sums
-    disc = math.sqrt(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0))
-    upper = 1.0 - float(z.roots[-1])
-    lower = 1.0 + float(z.roots[0])
-    width = 1.0 - z.roots * z.roots
-    upper_strong = 8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0) + disc)
-    lower_strong = 8.0 * (beta + 1.0) / (big_m + 4.0 * (beta + 1.0) + disc)
-    floor = 2.0 * min(alpha + 1.0, beta + 1.0) / big_m
-    gap_floor = 2.0**1.75 * math.sqrt(min(alpha + 1.0, beta + 1.0)) / big_m
-    rows = [
-        ("jacobi-diag-sq", lin * lin + cross, big_m**2),
-        ("jacobi-upper-edge-strong", upper_strong, upper),
-        ("jacobi-upper-edge-weak", 4.0 * (alpha + 1.0) / (big_m + 2.0 * (alpha + 1.0)), upper),
-        ("jacobi-lower-edge-strong", lower_strong, lower),
-        ("jacobi-lower-edge-weak", 4.0 * (beta + 1.0) / (big_m + 2.0 * (beta + 1.0)), lower),
-        ("jacobi-boundary-product", floor, width),
-        ("jacobi-gap", gap_floor, z.gaps),
-    ]
-    if alpha == beta:
-        floor_sym = 8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0))
-        gap_sym = (
-            2.0**2.75 * math.sqrt(alpha + 1.0)
-            / math.sqrt(big_m * (big_m + 4.0 * (alpha + 1.0)))
-        )
-        rows += [
-            ("jacobi-boundary-product-symmetric", floor_sym, width),
-            ("jacobi-gap-symmetric", gap_sym, z.gaps),
-        ]
+    return _family_rows(_jacobi_rows, FamilyKind.JACOBI, z, sums)
+
+
+def _jacobi_scalars(n: int, alpha: float, beta: float, big_m: float) -> tuple:
+    # at least 4(alpha - beta)^2, which is 0 at alpha = beta, N = 1
+    disc = math.sqrt(max(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0), 0.0))
     if alpha <= -0.5 or beta <= -0.5:
-        rows.append(("jacobi-upper-edge-asymptotic", math.nan, upper, "not-applicable"))
+        asymptotic = math.nan
     else:
         asymptotic = alpha * (alpha + 2.0) / (2.0 * (n + (alpha + beta + 1.0) / 2.0) ** 2)
-        rows.append(("jacobi-upper-edge-asymptotic", asymptotic, upper))
+    return (
+        big_m**2,
+        8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0) + disc),
+        4.0 * (alpha + 1.0) / (big_m + 2.0 * (alpha + 1.0)),
+        8.0 * (beta + 1.0) / (big_m + 4.0 * (beta + 1.0) + disc),
+        4.0 * (beta + 1.0) / (big_m + 2.0 * (beta + 1.0)),
+        2.0 * min(alpha + 1.0, beta + 1.0) / big_m,
+        2.0**1.75 * math.sqrt(min(alpha + 1.0, beta + 1.0)) / big_m,
+        8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0)),
+        2.0**2.75 * math.sqrt(alpha + 1.0) / math.sqrt(big_m * (big_m + 4.0 * (alpha + 1.0))),
+        asymptotic,
+    )
+
+
+def _jacobi_rows(run: _Run) -> list[BoundRow]:
+    params = [z.family.parameters() for z in run.points]
+    big_m = [float(z.family.spec.spectrum(z.family, z.n)[-1]) for z in run.points]
+    (cap, upper_strong, upper_weak, lower_strong, lower_weak, floor, gap_floor, floor_sym,
+     gap_sym, asymptotic) = _columns(
+        _jacobi_scalars(n, alpha, beta, m) for n, (alpha, beta), m in zip(run.n, params, big_m)
+    )
+    lin, cross, gaps, roots = run.lin, run.cross, run.gaps, run.roots
+    diag = Ragged(lin.values * lin.values + cross.values, lin.starts)
+    upper = 1.0 - run.last
+    lower = 1.0 + run.first
+    width = Ragged(1.0 - roots.values * roots.values, roots.starts)
+    rows = [
+        BoundRow("jacobi-diag-sq", diag, cap),
+        BoundRow("jacobi-upper-edge-strong", upper_strong, upper),
+        BoundRow("jacobi-upper-edge-weak", upper_weak, upper),
+        BoundRow("jacobi-lower-edge-strong", lower_strong, lower),
+        BoundRow("jacobi-lower-edge-weak", lower_weak, lower),
+        BoundRow("jacobi-boundary-product", floor, width),
+        BoundRow("jacobi-gap", gap_floor, gaps),
+    ]
+    symmetric = np.array([alpha == beta for alpha, beta in params])
+    if symmetric.any():
+        applies = None if symmetric.all() else symmetric
+        rows += [
+            BoundRow("jacobi-boundary-product-symmetric", floor_sym, width, "", applies),
+            BoundRow("jacobi-gap-symmetric", gap_sym, gaps, "", applies),
+        ]
+    note = ["not-applicable" if alpha <= -0.5 or beta <= -0.5 else "" for alpha, beta in params]
+    rows.append(BoundRow("jacobi-upper-edge-asymptotic", asymptotic, upper, note))
     return rows
 
 
@@ -348,22 +461,195 @@ _BOUND_SETS = {
 }
 
 
-def bound_rows(z: RootVector, sums: tuple | None = None) -> list[tuple]:
-    """Every derived bound and comparator row for the family of ``z``;
-    ``sums`` is ``interaction_sums(z)``, if the caller has it already."""
-    return _BOUND_SETS[z.family.kind](z, sums)
+def bound_rows(z, sums=None):
+    """Every derived bound and comparator row for the family of ``z``, a
+    root vector (its row tuples) or a run of root vectors of one kind (the
+    run's :class:`BoundRow` list); ``sums`` is ``interaction_sums`` of it,
+    if the caller has it already."""
+    family = z.family if isinstance(z, RootVector) else z[0].family
+    return _BOUND_SETS[family.kind](z, sums)
+
+
+def _getter(positions: list[int]) -> Callable[[list], tuple]:
+    """The items of a list at ``positions``, as a tuple."""
+    if len(positions) == 1:
+        return lambda values, i=positions[0]: (values[i],)
+    return itemgetter(*positions) if positions else lambda values: ()
+
+
+def _distinct(sides) -> list:
+    """The distinct objects of ``sides``, by identity, in order."""
+    return list({id(side): side for side in sides}.values())
+
+
+class RunColumns:
+    """The columns of the bound rows of a run of ``size`` points, every
+    entry evaluated once.  The run's entries lie point by point, each
+    point's rows in row order and each row's entries in index order.
+
+    ``slack = observed - bound``; the bound holds when the slack is at
+    least ``-1e-10 max(|bound|, 1)``, which a NaN side never is;
+    ``sharpness = observed / bound`` when the bound is positive, else NaN.
+    A comparator entry whose bound is not positive carries no information
+    and is noted ``vacuous``, unless its row has a note of its own.  These
+    are one numpy pass over the run.  ``violations`` holds, per point, the
+    number of entries that do not hold of the gating rows, neither
+    comparators nor noted.  :meth:`point` cuts one point's
+    :class:`BoundColumns`.
+    """
+
+    def __init__(self, rows: Sequence[BoundRow], size: int):
+        count = len(rows)
+        # (row, point) tables of entries, note codes and the points that
+        # have each row
+        counts = np.ones((count, size), dtype=np.intp)
+        codes = np.zeros((count, size), dtype=np.intp)
+        present = np.ones((count, size), dtype=bool)
+        notes = {"": 0, "vacuous": 1}
+        bounds, observed, raggeds = [np.empty(0)], [np.empty(0)], []
+        for r, row in enumerate(rows):
+            ragged = next((side for side in row[1:3] if isinstance(side, Ragged)), None)
+            raggeds.append(ragged)
+            if ragged is not None:
+                counts[r] = np.diff(ragged.starts)
+            keep = None
+            if row.applies is not None:
+                present[r] = row.applies
+                keep = np.repeat(row.applies, counts[r])
+                counts[r] *= present[r]
+            for side, entries in ((row.bound, bounds), (row.observed, observed)):
+                if isinstance(side, Ragged):
+                    entries.append(side.values if keep is None else side.values[keep])
+                else:
+                    entries.append(np.repeat(side, counts[r]))
+            if isinstance(row.note, str):
+                codes[r] = notes.setdefault(row.note, len(notes))
+            else:
+                codes[r] = [notes.setdefault(note, len(notes)) for note in row.note]
+
+        # each entry from its place in the rows' concatenation, row by row,
+        # to its place in the run, point by point
+        sizes = counts.ravel()
+        by_row, by_point = _starts(sizes), _starts(counts.T.ravel())
+        dest = np.repeat(by_point[:-1].reshape(size, count).T.ravel() - by_row[:-1], sizes)
+        dest += np.arange(by_row[-1])
+        b_rows = np.concatenate(bounds)
+        flags = np.array([row.bound_id in _COMPARATOR_IDS for row in rows], dtype=bool)
+        comparator = np.repeat(flags, counts.sum(axis=1))
+        code = np.repeat(codes.ravel(), sizes)
+        with np.errstate(invalid="ignore"):
+            code[comparator & (code == 0) & (b_rows <= 0.0)] = 1
+        b, o, self._codes = np.empty_like(b_rows), np.empty_like(b_rows), np.empty_like(code)
+        gating = np.empty(b.size, dtype=bool)
+        b[dest], o[dest], self._codes[dest] = b_rows, np.concatenate(observed), code
+        gating[dest] = ~comparator & (code == 0)
+        # numpy warns where Python floats give a NaN or an infinity silently
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.slack = o - b
+            self.holds = self.slack >= -_HOLDS_RTOL * np.maximum(np.abs(b), 1.0)
+            self.sharpness = np.divide(o, b, out=np.full_like(b, math.nan), where=b > 0.0)
+        point_starts = by_point[::count] if count else np.zeros(size + 1, dtype=np.intp)
+        failed = _starts(gating & ~self.holds)[point_starts]
+        self.violations: list[int] = (failed[1:] - failed[:-1]).tolist()
+
+        # a point's side values: its value of each column, its slice and its
+        # index array of each ragged side, then None
+        columns = _distinct(side for row in rows for side in row[1:3] if not isinstance(side, Ragged))
+        sources = _distinct(side for side in raggeds if side is not None)
+        position = {id(side): k for k, side in enumerate(columns + sources)}
+        none = len(columns) + 2 * len(sources)
+        self._positions = [
+            (
+                position[id(row.bound)], position[id(row.observed)],
+                none if ragged is None else position[id(ragged)] + len(sources),
+            )
+            for row, ragged in zip(rows, raggeds)
+        ]
+        self._scalars = np.array(columns).T.tolist() if columns else [[]] * size
+        self._sources = [(side.values, side.starts.tolist()) for side in sources]
+        self._indices: dict[int, np.ndarray] = {}
+        self._notes = np.array(list(notes), dtype=object)
+        self._rows, self._present = rows, present
+        self._point_starts, self._counts = point_starts.tolist(), counts.T.tolist()
+        # the points that have the same rows share one layout
+        masked = [r for r, row in enumerate(rows) if row.applies is not None]
+        self._keys = list(map(tuple, present[masked].T.tolist())) if masked else [()] * size
+        self._layouts: dict[tuple, tuple] = {}
+
+    def _layout(self, p: int) -> tuple:
+        """The ids and comparator flags of point ``p``'s rows, and getters
+        of their counts, indices, bound and observed sides."""
+        layout = self._layouts.get(self._keys[p])
+        if layout is None:
+            here = np.flatnonzero(self._present[:, p]).tolist()
+            bound, observed, index = zip(*[self._positions[r] for r in here]) if here else ((), (), ())
+            layout = self._layouts[self._keys[p]] = (
+                tuple(self._rows[r].bound_id for r in here),
+                tuple(self._rows[r].bound_id in _COMPARATOR_IDS for r in here),
+                *map(_getter, (here, list(index), list(bound), list(observed))),
+            )
+        return layout
+
+    def point(self, p: int) -> BoundColumns:
+        """Point ``p``'s columns, cut from the run's."""
+        ids, comparator, counts, index, bound, observed = self._layout(p)
+        start, stop = self._point_starts[p], self._point_starts[p + 1]
+        slices, indices = [], []
+        for values, starts in self._sources:
+            lo, hi = starts[p], starts[p + 1]
+            slices.append(values[lo:hi])
+            if hi - lo not in self._indices:
+                self._indices[hi - lo] = np.arange(1, hi - lo + 1)
+            indices.append(self._indices[hi - lo])
+        sides = self._scalars[p] + slices + indices + [None]
+        return BoundColumns(
+            counts(self._counts[p]),
+            ids,
+            index(sides),
+            bound(sides),
+            observed(sides),
+            self.slack[start:stop].tolist(),
+            self.holds[start:stop].tolist(),
+            self.sharpness[start:stop].tolist(),
+            comparator,
+            self._notes[self._codes[start:stop]].tolist(),
+        )
+
+
+def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
+    """The columns of one point's rows ``(bound_id, bound, observed[,
+    note])``, in their order: :class:`RunColumns` of a run of one point.
+    An array side shared by rows stays shared."""
+    sides: dict[int, Side] = {}
+
+    def side(value) -> Side:
+        if not isinstance(value, np.ndarray):
+            return np.array([float(value)])
+        if id(value) not in sides:
+            sides[id(value)] = Ragged(value, np.array([0, value.size], dtype=np.intp))
+        return sides[id(value)]
+
+    run_rows = [
+        BoundRow(bound_id, side(bound), side(observed), *rest) for bound_id, bound, observed, *rest in rows
+    ]
+    return RunColumns(run_rows, 1).point(0)
 
 
 def bound_set(z: RootVector) -> list[BoundReport]:
     """Every derived bound and comparator report for the family of ``z``,
     in row order."""
-    columns = bound_columns(bound_rows(z))
+    columns = RunColumns(bound_rows([z]), 1).point(0)
     fields = [
         column if isinstance(column, list)
         else [value for side, count in zip(column, columns.counts) for value in _entries(side, count)]
         for column in columns[1:]
     ]
     return list(map(BoundReport._make, zip(*fields)))
+
+
+def _entries(side, count: int) -> list:
+    """The values of one side of a row, one per entry."""
+    return side.tolist() if isinstance(side, np.ndarray) else [side] * count
 
 
 @dataclass(frozen=True)

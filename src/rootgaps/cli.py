@@ -16,14 +16,17 @@ eigenbasis (``covariance.eigenbasis_stack``,
 The sweep is split into runs of consecutive points, one per ``--jobs``
 worker (one run when serial).  Each run computes the roots of all its
 points, whatever their families, in one ``compute_roots_many`` batch,
-then groups the points by order (at large orders a few points at a
-time, so that no stack exceeds ``_STACK_ENTRIES`` matrix entries) and
-hands each group to its command's stage (``_STAGES``).  A stage yields
-each point's table, its rows as columns, and its summary, one point at a
-time: ``verify`` evaluates its checks once on the group's ``(P, n)`` and
-``(P, n, n)`` stacks, and ``bounds`` takes the group's ``(lin, cross)``
-from one ``interaction_sums_stack`` (only JSON computes the sharpness
-summary).  Each table becomes text before the next is computed
+then hands the batch to its command's stage (``_STAGES``).  A stage
+yields each point's table, its rows as columns, and its summary, one
+point at a time.  ``verify`` groups the points by order (at large orders
+a few points at a time, so that no stack exceeds ``_STACK_ENTRIES``
+matrix entries) and evaluates its checks once on each group's ``(P, n)``
+and ``(P, n, n)`` stacks.  ``bounds`` takes each point's ``(lin,
+cross)`` from one ``interaction_sums_stack`` per such group, then
+evaluates the bound rows of each family kind once for all the run's
+points of that kind, across orders (``bounds.RunColumns``), and cuts each
+point's columns from them (only JSON computes the sharpness summary).
+Each table becomes text before the next is computed
 (``_evaluate_point``), so ``--jobs`` workers send text.  The writer,
 ``_point_text``, formats each column once with its formatter from
 ``CSV_FORMATS`` or ``JSON_FORMATS`` (a side shared by a bound row's
@@ -164,16 +167,34 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
     return points
 
 
-def _roots_stage(group: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
+def _roots_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's roots, the gap after each root, and its gap statistics."""
-    for rv in group:
+    for i, rv in enumerate(batch):
         table = ([rv.n], list(range(1, rv.n + 1)), rv.roots.tolist(), rv.gaps.tolist() + [None])
-        yield table, gap_statistics(rv)._asdict()
+        yield i, table, gap_statistics(rv)._asdict()
 
 
-def _verify_stage(group: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
+def _order_groups(batch: list[RootVector]) -> Iterator[tuple[list[int], list[RootVector]]]:
+    """The indices and root vectors of the points of each order, at large
+    orders a few points at a time, so that no ``(P, n, n)`` stack exceeds
+    ``_STACK_ENTRIES`` matrix entries."""
+    for n, members in by_order(batch).items():
+        size = max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), size):
+            indices = members[start:start + size]
+            yield indices, [batch[i] for i in indices]
+
+
+def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
-    every check evaluated once for the whole group."""
+    every check evaluated once for each group of one order."""
+    for indices, group in _order_groups(batch):
+        for i, (table, summary) in zip(indices, _verify_group(group, tol, corrupt)):
+            yield i, table, summary
+
+
+def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool) -> Iterator[tuple]:
+    """Each point's table and summary, in order, for the points of one order."""
     n = group[0].n
     # one evaluation of the pair terms builds S_N and its interaction sums
     terms = pair_terms(group)
@@ -233,31 +254,43 @@ def _rel_defect(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1.0)
 
 
-def _bounds_stage(group: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
-    """Each point's ``bounds.BoundColumns``, its ``(lin, cross)`` from one
-    stack for the whole group; only JSON computes the sharpness summary."""
-    lin, cross = interaction_sums_stack(group)
-    for rv, sums in zip(group, zip(lin, cross)):
+def _bounds_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
+    """Each point's ``bounds.BoundColumns``, cut from its kind's
+    ``bounds.RunColumns``: the rows of each kind are evaluated once for all
+    the run's points of that kind, each point's ``(lin, cross)`` taken from
+    one stack per order.  Only JSON computes the sharpness summary."""
+    sums = [None] * len(batch)
+    for indices, group in _order_groups(batch):
+        lin, cross = interaction_sums_stack(group)
+        for i, pair in zip(indices, zip(lin, cross)):
+            sums[i] = pair
+    kinds: dict[FamilyKind, list[int]] = {}
+    for i, rv in enumerate(batch):
+        kinds.setdefault(rv.family.kind, []).append(i)
+    for indices in kinds.values():
+        rows = bounds_mod.bound_rows([batch[i] for i in indices], [sums[i] for i in indices])
         # ids are unique per bound row and each row's entries come in index
         # order, so the stable sort of the rows by id alone orders the
         # entries by (id, index)
-        columns = bounds_mod.bound_columns(sorted(bounds_mod.bound_rows(rv, sums), key=itemgetter(0)))
-        summary = {"violations": columns.violations()}
-        if fmt == "json":
-            # CSV writes no summary; the sweep reads only the violation count
-            agg = bounds_mod.sharpness_summary(rv, columns)
-            summary.update(
-                worst_sharpness=agg.worst,
-                mean_sharpness=agg.mean,
-                diag_square_identity_ratio=agg.diag_square_identity_ratio,
-                comparator_ratios=agg.comparator_ratios,
-            )
-        yield columns, summary
+        run = bounds_mod.RunColumns(sorted(rows, key=itemgetter(0)), len(indices))
+        for p, i in enumerate(indices):
+            columns = run.point(p)
+            summary = {"violations": run.violations[p]}
+            if fmt == "json":
+                # CSV writes no summary; the sweep reads only the violation count
+                agg = bounds_mod.sharpness_summary(batch[i], columns)
+                summary.update(
+                    worst_sharpness=agg.worst,
+                    mean_sharpness=agg.mean,
+                    diag_square_identity_ratio=agg.diag_square_identity_ratio,
+                    comparator_ratios=agg.comparator_ratios,
+                )
+            yield i, columns, summary
 
 
-# one signature: (the root vectors of one order, format, tol, corrupt) ->
-# each point's table for ``_point_text`` and its summary without the
-# point key, in order, one point at a time
+# one signature: (the root vectors of a run, format, tol, corrupt) -> the
+# index in the run, table for ``_point_text`` and summary without the
+# point key of each point, in any order, one point at a time
 _STAGES = {"roots": _roots_stage, "verify": _verify_stage, "bounds": _bounds_stage}
 
 # the most matrix entries of one (P, n, n) stack (2 MB of doubles): a stage
@@ -288,18 +321,12 @@ def _point_outcomes(
     command: str, fmt: str, points: list[tuple[PolynomialFamily, int]], tol: float | None, corrupt: bool
 ) -> list[tuple[str, dict]]:
     """The text and keyed summary of each point, in order: the roots of all
-    the points from one batch, then the command's stage on the points of
-    each order, at most ``_STACK_ENTRIES`` matrix entries at a time, each
+    the points from one batch, then the command's stage on the batch, each
     point's table turned into text before the stage computes the next."""
     batch = compute_roots_many(points)
     outcomes = [None] * len(batch)
-    for n, members in by_order(batch).items():
-        size = max(1, _STACK_ENTRIES // (n * n))
-        for start in range(0, len(members), size):
-            group = members[start:start + size]
-            tables = _STAGES[command]([batch[i] for i in group], fmt, tol, corrupt)
-            for i, (table, summary) in zip(group, tables):
-                outcomes[i] = _evaluate_point(command, fmt, batch[i], table, summary)
+    for i, table, summary in _STAGES[command](batch, fmt, tol, corrupt):
+        outcomes[i] = _evaluate_point(command, fmt, batch[i], table, summary)
     return outcomes
 
 

@@ -80,12 +80,15 @@ def _pair_differences(z: np.ndarray) -> np.ndarray:
     """Pairwise ``z_i - z_l`` along the last axis of ``z``, with the
     diagonal set to ``inf``; for ``(P, n)`` roots a ``(P, n, n)`` stack.
 
+    The values of ``z`` are sorted along its last axis (roots in their
+    storage order, or a monotone map of them such as ``sqrt(2 z)``), so two
+    coincide only if two neighbours do, and only neighbours are compared.
     The infinite diagonal turns every self-interaction term into an exact
     zero, so row sums over ``l != i`` need no masking.
     """
-    diff = z[..., :, None] - z[..., None, :]
-    if np.any((diff == 0.0) & ~np.eye(z.shape[-1], dtype=bool)):
+    if np.any(z[..., 1:] == z[..., :-1]):
         raise SingularConfigurationError("coincident roots")
+    diff = z[..., :, None] - z[..., None, :]
     _fill_diagonal(diff, math.inf)
     return diff
 

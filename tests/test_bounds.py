@@ -1,6 +1,7 @@
 import math
 import struct
-from itertools import count, repeat
+from itertools import count, repeat, zip_longest
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from rootgaps import (
     laguerre_bounds,
     sharpness_summary,
 )
-from rootgaps.bounds import _COMPARATOR_IDS, _COMPARATOR_PAIRS, _HOLDS_RTOL
+from rootgaps import cli
+from rootgaps.bounds import _COMPARATOR_IDS, _COMPARATOR_PAIRS, _HOLDS_RTOL, BoundRow, Ragged, RunColumns
 from rootgaps.cli import DEFAULT_N_MAX, default_families
+from rootgaps.roots import compute_roots_many
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
 
@@ -313,6 +316,18 @@ class TestJacobiBounds:
             < by_id(low_alpha, "jacobi-upper-edge-strong")[0].bound_value
         )
 
+    @pytest.mark.parametrize("alpha", [0.7734820617942575, -0.28503877433830327, 6.520121178923383])
+    def test_n1_symmetric_discriminant_is_clamped(self, alpha, tmp_path):
+        # M^2 - 16(alpha+1)(beta+1) is exactly 0 at alpha = beta, N = 1, but
+        # rounds below 0 here, where its square root raised
+        rv = compute_roots(jacobi(alpha, alpha), 1)
+        big_m = float(rv.family.spec.spectrum(rv.family, 1)[-1])
+        assert big_m**2 - 16.0 * (alpha + 1.0) * (alpha + 1.0) < 0.0
+        for rep in bound_set(rv):
+            assert rep.comparator or rep.note or rep.holds, rep
+        argv = ["bounds", "--family", "jacobi", "--alpha", repr(alpha), "--beta", repr(alpha), "--n", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+
     def test_comparator_markers(self):
         def asymptotic(alpha, beta):
             reports = bound_set(compute_roots(jacobi(alpha, beta), 4))
@@ -476,12 +491,39 @@ def column_entries(columns):
     return list(zip(*fields))
 
 
+def scalar_violations(reports):
+    return sum(1 for r in reports if not r.comparator and not r.note and not r.holds)
+
+
+def run_of(points):
+    """The run rows of points given by their row tuples, each point's rows
+    with the same ids in the same order and a row that a point lacks as
+    ``None``."""
+    rows = []
+    for same in zip(*points):
+        present = [row for row in same if row is not None]
+        padded = [row or present[0] for row in same]
+        sides = []
+        for k in (1, 2):
+            values = [row[k] for row in padded]
+            if isinstance(values[0], np.ndarray):
+                starts = np.cumsum([0] + [value.size for value in values])
+                sides.append(Ragged(np.concatenate(values), starts))
+            else:
+                sides.append(np.array(values, dtype=float))
+        notes = [row[3] if len(row) > 3 else "" for row in padded]
+        applies = None if len(present) == len(same) else np.array([row is not None for row in same])
+        rows.append(BoundRow(present[0][0], *sides, notes, applies))
+    return rows
+
+
 def assert_columns_match_scalar_rule(rows):
     columns = bound_columns(rows)
     reports = expand(rows)
     assert_reports_match(column_entries(columns), reports)
-    violations = sum(1 for r in reports if not r.comparator and not r.note and not r.holds)
-    assert columns.violations() == violations
+    run = RunColumns(run_of([rows]), 1)
+    assert_reports_match(column_entries(run.point(0)), reports)
+    assert run.violations == [scalar_violations(reports)]
     return columns, reports
 
 
@@ -558,3 +600,91 @@ class TestColumnsMatchScalarRule:
             )
             for x, y in zip(got, summary_of_reports(rv, reports)):
                 assert same(x, y), (fam.label(), n, x, y)
+
+
+# the default grid, interleaved with points off it: nu subnormal, tiny and
+# large, alpha and beta near -1, large and symmetric, and alpha = beta at
+# N = 1 where the Jacobi discriminant rounds below 0
+STRESS_POINTS = [
+    (fam, n)
+    for fam in [
+        laguerre(1e-320), laguerre(1e-20), laguerre(0.1), laguerre(1000.0),
+        jacobi(-0.999, -0.999), jacobi(-0.9999, 5.0), jacobi(50.0, 50.0),
+    ]
+    for n in (1, 2, 5, 17, 40)
+] + [(jacobi(0.7734820617942575, 0.7734820617942575), 1)]
+DEFAULT_POINTS = [
+    (fam, n) for fam in default_families() for n in range(fam.spec.min_n, DEFAULT_N_MAX + 1)
+]
+MIXED_POINTS = [
+    point for pair in zip_longest(DEFAULT_POINTS[::2], STRESS_POINTS, DEFAULT_POINTS[1::2])
+    for point in pair if point is not None
+]
+
+
+class TestRunColumnsMatchScalarRule:
+    """One mixed batch, evaluated a kind at a time as one run, against the
+    scalar rule on each point alone, field by field, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return compute_roots_many(MIXED_POINTS)
+
+    def test_library_runs(self, batch):
+        kinds = {}
+        for rv in batch:
+            kinds.setdefault(rv.family.kind, []).append(rv)
+        assert len(kinds) == 3
+        for run in kinds.values():
+            columns = RunColumns(bound_rows(run), len(run))
+            for p, rv in enumerate(run):
+                reports = expand(bound_rows(rv))
+                assert_reports_match(column_entries(columns.point(p)), reports)
+                assert columns.violations[p] == scalar_violations(reports), rv.family.label()
+
+    def test_bounds_stage(self, batch):
+        seen = set()
+        for i, columns, summary in cli._bounds_stage(batch, "json", None, False):
+            rv = batch[i]
+            reports = expand(sorted(bound_rows(rv), key=itemgetter(0)))
+            assert_reports_match(column_entries(columns), reports)
+            assert summary["violations"] == scalar_violations(reports), (rv.family.label(), rv.n)
+            agg = sharpness_summary(rv, columns)
+            for x, y in zip(
+                (agg.worst, agg.mean, agg.diag_square_identity_ratio, agg.comparator_ratios),
+                summary_of_reports(rv, reports),
+            ):
+                assert same(x, y), (rv.family.label(), rv.n, x, y)
+            seen.add(i)
+        assert seen == set(range(len(batch)))
+
+    def test_batch_gives_every_note_and_outcome(self, batch):
+        reports = [rep for rv in batch for rep in bound_set(rv)]
+        assert {rep.note for rep in reports} == {"", "vacuous", "not-applicable"}
+        assert {rep.holds for rep in reports if rep.comparator} == {True, False}
+
+    def test_synthetic_run_with_violations(self):
+        # rows whose entries and outcomes vary from point to point: ragged
+        # sides of 0 to 5 entries, notes, and a row that one order lacks
+        def point_rows(k, shortfall):
+            gaps = 1.0 - shortfall * np.arange(k, dtype=float)
+            note = "" if k % 2 else "not-applicable"
+            return [
+                ("hermite-gap", 0.5, 0.5 - shortfall),
+                ("jacobi-gap", 1.0, gaps),
+                None if k == 3 else ("jacobi-gap-symmetric", 0.75, gaps),
+                ("laguerre-gap-comparator-1", 0.5 - 4e9 * shortfall, gaps),
+                ("laguerre-gap-bessel-strong", math.nan if note else 1.0 - shortfall, gaps, note),
+                ("jacobi-diag-sq", 2.0 * gaps, 2.0),
+            ]
+
+        shortfalls = (0.0, 0.75e-10, 1.5e-10, 0.25, -0.0, 3.0)
+        points = [point_rows(k, shortfall) for k in range(6) for shortfall in shortfalls]
+        columns = RunColumns(run_of(points), len(points))
+        counts = []
+        for p, rows in enumerate(points):
+            reports = expand([row for row in rows if row is not None])
+            assert_reports_match(column_entries(columns.point(p)), reports)
+            counts.append(scalar_violations(reports))
+            assert columns.violations[p] == counts[-1], p
+        assert min(counts) == 0 and max(counts) >= 3

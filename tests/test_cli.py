@@ -299,7 +299,7 @@ class TestStackedChecksMatchReference:
 def stage_checks(group, corrupt):
     """Each point's ``(check_id, value, tolerance)`` from the verify stage,
     in its row order."""
-    return [list(zip(*table[1:4])) for table, _ in cli._verify_stage(group, "csv", None, corrupt)]
+    return [list(zip(*table[1:4])) for _, table, _ in cli._verify_stage(group, "csv", None, corrupt)]
 
 
 class TestStackSize:

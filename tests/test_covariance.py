@@ -373,6 +373,15 @@ def test_coincident_roots_are_singular(roots):
         _pair_differences(np.array(roots))
 
 
+def test_coincident_sqrt_coordinates_are_singular():
+    # two distinct roots whose r = sqrt(2 z) both round to 2.0
+    rv = RootVector(laguerre(2.0), 2, np.array([np.nextafter(2.0, 3.0), 2.0]))
+    assert rv.roots[0] != rv.roots[1]
+    assert np.sqrt(2.0 * rv.roots[0]) == np.sqrt(2.0 * rv.roots[1]) == 2.0
+    with pytest.raises(SingularConfigurationError):
+        covariance.laguerre_sqrt_r_S_stack([rv])
+
+
 # The per-family builders and interaction sums that the one build_S and the
 # one interaction_sums replaced, kept as their references: each writes its
 # family's entries in its own formulas.
