@@ -492,7 +492,8 @@ class RunColumns:
     ``sharpness = observed / bound`` when the bound is positive, else NaN.
     A comparator entry whose bound is not positive carries no information
     and is noted ``vacuous``, unless its row has a note of its own.  These
-    are one numpy pass over the run.  ``violations`` holds, per point, the
+    are one numpy pass over the run; ``slack``, ``holds`` and ``sharpness``
+    hold them for every entry.  ``violations`` holds, per point, the
     number of entries that do not hold of the gating rows, neither
     comparators nor noted.  :meth:`point` cuts one point's
     :class:`BoundColumns`.
