@@ -570,7 +570,7 @@ class RunColumns:
         self._sources = [(side.values, side.starts.tolist()) for side in sources]
         self._indices: dict[int, np.ndarray] = {}
         self._notes = np.array(list(notes), dtype=object)
-        self._rows, self._present = rows, present
+        self._rows, self._present, self._comparator = rows, present, flags.tolist()
         self._point_starts, self._counts = point_starts.tolist(), counts.T.tolist()
         # the points that have the same rows share one layout
         masked = [r for r, row in enumerate(rows) if row.applies is not None]
@@ -586,7 +586,7 @@ class RunColumns:
             bound, observed, index = zip(*[self._positions[r] for r in here]) if here else ((), (), ())
             layout = self._layouts[self._keys[p]] = (
                 tuple(self._rows[r].bound_id for r in here),
-                tuple(self._rows[r].bound_id in _COMPARATOR_IDS for r in here),
+                tuple(self._comparator[r] for r in here),
                 *map(_getter, (here, list(index), list(bound), list(observed))),
             )
         return layout
