@@ -21,7 +21,10 @@ yields each point's table, its rows as columns, and its summary, one
 point at a time.  ``verify`` groups the points by order (at large orders
 a few points at a time, so that no stack exceeds ``_STACK_ENTRIES``
 matrix entries) and evaluates its checks once on each group's ``(P, n)``
-and ``(P, n, n)`` stacks.  ``bounds`` takes each point's ``(lin,
+and ``(P, n, n)`` stacks: each check value of the group is one ``(P,)``
+array, each kind's terms are applied to its runs of consecutive points
+(``covariance.kind_runs``), and each point only picks its values in its
+kind's check order (``VERIFY_CHECKS``).  ``bounds`` takes each point's ``(lin,
 cross)`` from one ``interaction_sums_stack`` per such group, then
 evaluates the bound rows of each family kind once for all the run's
 points of that kind, across orders (``bounds.RunColumns``), and cuts each
@@ -57,7 +60,9 @@ before the sweep), 3 numerical failure, reported with the first sweep
 point that raises it (after a failed batch each point of the run is
 computed alone).  A reader that closes stdout early, as ``| head`` does,
 leaves the exit code to the sweep.  Only ``verify`` takes ``--tol`` and
-``--corrupt``.  Per-family parameters, default grids and minimum orders
+``--corrupt``.  A negative value may follow its option in any float
+notation (``--alpha -1e-05``), not only as ``-N`` or ``-N.N``, which are
+all that argparse takes for a negative number by itself.  Per-family parameters, default grids and minimum orders
 come from the ``FamilySpec`` rows in ``rootgaps.families``; a wrong
 parameter set or value is worded by ``PolynomialFamily`` itself.
 """
@@ -67,6 +72,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import repeat
 from operator import itemgetter
@@ -81,6 +87,7 @@ from .covariance import (
     diag_square_residual,
     eigenbasis_stack,
     interaction_sums_stack,
+    kind_runs,
     laguerre_sqrt_r_S_stack,
     pair_terms,
 )
@@ -185,6 +192,18 @@ def _order_groups(batch: list[RootVector]) -> Iterator[tuple[list[int], list[Roo
             yield indices, [batch[i] for i in indices]
 
 
+# the checks of each kind, in row order (by id): the square trace identity
+# where the family states it, the second coordinate form for Laguerre
+VERIFY_CHECKS = {
+    kind: tuple(sorted(
+        ("spectrum-match", "trace-identity-linear", "diag-square-consistency")
+        + (("trace-identity-square",) if spec.square_identity else ())
+        + (("coordinate-forms-match",) if kind is FamilyKind.LAGUERRE else ())
+    ))
+    for kind, spec in FAMILY_SPECS.items()
+}
+
+
 def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
     every check evaluated once for each group of one order."""
@@ -194,8 +213,11 @@ def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt:
 
 
 def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool) -> Iterator[tuple]:
-    """Each point's table and summary, in order, for the points of one order."""
+    """Each point's table and summary, in order, for the points of one
+    order: every check value is computed once for the group, as a ``(P,)``
+    array, and each point takes its values in its kind's check order."""
     n = group[0].n
+    runs = kind_runs(group)
     # one evaluation of the pair terms builds S_N and its interaction sums
     terms = pair_terms(group)
     s = build_S_stack(group, terms)
@@ -211,47 +233,53 @@ def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool) -> 
     # as given, so a corrupted copy fails here without being diagonalized
     centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(group))
     predicted = np.stack([rv.family.spec.spectrum(rv.family, n) for rv in group])
-    spectral = np.max((np.abs(centers - predicted) + radii) / predicted, axis=1).tolist()
-    spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
+    checks = {"spectrum-match": np.max((np.abs(centers - predicted) + radii) / predicted, axis=1)}
 
     # one (lin, cross) pair feeds both trace identities and the
     # diagonal-of-square check
-    ident_tol = 1e-10 if tol is None else tol
     lin, cross = interaction_sums_stack(group, terms)
     diag_square = lin * lin + cross
-    linear, square = lin.sum(axis=1).tolist(), diag_square.sum(axis=1).tolist()
     shifts = np.array([rv.family.spec.shift for rv in group])
-    residual = diag_square_residual(matrices, shifts, diag_square).tolist()
+    checks["diag-square-consistency"] = diag_square_residual(matrices, shifts, diag_square)
+    # a check that a kind does not make stays NaN and is not read
+    linear_target, square_target, coordinate = np.full((3, len(group)), math.nan)
+    for kind, run in runs:
+        linear_target[run], square = FAMILY_SPECS[kind].trace_targets(predicted[run])
+        if square is not None:
+            square_target[run] = square
+        if kind is FamilyKind.LAGUERRE:
+            alt = laguerre_sqrt_r_S_stack(group[run])
+            # the second form is held to the checks of S_N itself
+            check_symmetric(alt)
+            base = s[run]
+            diff = np.abs(base - alt) / np.maximum(np.maximum(np.abs(base), np.abs(alt)), _TINY)
+            coordinate[run] = diff.max(axis=(1, 2))
+    checks["trace-identity-linear"] = _rel_defect(lin.sum(axis=1), linear_target)
+    checks["trace-identity-square"] = _rel_defect(diag_square.sum(axis=1), square_target)
+    checks["coordinate-forms-match"] = coordinate
 
-    laguerre = [p for p, rv in enumerate(group) if rv.family.kind is FamilyKind.LAGUERRE]
-    coordinate = {}
-    if laguerre:
-        alt = laguerre_sqrt_r_S_stack([group[p] for p in laguerre])
-        # the second form is held to the checks of S_N itself
-        check_symmetric(alt)
-        base = s[laguerre]
-        diff = np.abs(base - alt) / np.maximum(np.maximum(np.abs(base), np.abs(alt)), _TINY)
-        coordinate = dict(zip(laguerre, diff.max(axis=(1, 2)).tolist()))
-
-    for p, rv in enumerate(group):
-        fam = rv.family
-        linear_target, square_target = fam.spec.trace_targets(predicted[p])
-        checks = [
-            ("spectrum-match", spectral[p], spectral_tol),
-            ("trace-identity-linear", _rel_defect(linear[p], linear_target), ident_tol),
-        ]
-        if square_target is not None:
-            checks.append(("trace-identity-square", _rel_defect(square[p], square_target), ident_tol))
-        if p in coordinate:
-            checks.append(("coordinate-forms-match", coordinate[p], 1e-13 if tol is None else tol))
-        checks.append(("diag-square-consistency", residual[p], ident_tol))
-        check_ids, values, tolerances = map(list, zip(*sorted(checks)))
-        passed = [value <= tolerance for value, tolerance in zip(values, tolerances)]
-        yield ([len(passed)], check_ids, values, tolerances, passed), {"failed": passed.count(False)}
+    spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
+    ident_tol = 1e-10 if tol is None else tol
+    tolerances = {
+        "spectrum-match": spectral_tol,
+        "trace-identity-linear": ident_tol,
+        "trace-identity-square": ident_tol,
+        "coordinate-forms-match": 1e-13 if tol is None else tol,
+        "diag-square-consistency": ident_tol,
+    }
+    values = {name: value.tolist() for name, value in checks.items()}
+    passed = {name: (value <= tolerances[name]).tolist() for name, value in checks.items()}
+    for kind, run in runs:
+        check_ids = list(VERIFY_CHECKS[kind])
+        limits = [tolerances[name] for name in check_ids]
+        point_values = zip(*[values[name][run] for name in check_ids])
+        point_passed = zip(*[passed[name][run] for name in check_ids])
+        for value, ok in zip(point_values, point_passed):
+            yield ([len(check_ids)], check_ids, list(value), limits, list(ok)), {"failed": ok.count(False)}
 
 
-def _rel_defect(value: float, target: float) -> float:
-    return abs(value - target) / max(abs(target), 1.0)
+def _rel_defect(value: np.ndarray, target: np.ndarray) -> np.ndarray:
+    return np.abs(value - target) / np.maximum(np.abs(target), 1.0)
 
 
 def _bounds_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
@@ -509,11 +537,22 @@ def _run_command(args: argparse.Namespace, points: list[tuple[PolynomialFamily, 
     return 1 if failed else 0
 
 
+# argparse reads a token that starts with "-" as a value, not an option,
+# only if its negative-number pattern matches it, and its own matches -N
+# and -N.N alone: "--alpha -1e-05" would stop with "expected one argument".
+# This one matches every negative float literal, exponent, inf and nan too;
+# no option of the parser looks like one.
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)(?:e[-+]?\d[\d_]*)?|inf(?:inity)?|nan)\Z", re.IGNORECASE
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootgaps",
         description="Roots of classical orthogonal polynomials and their verified gap bounds.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.set_defaults(tol=None, corrupt=False)  # only verify takes --tol and --corrupt
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -522,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", "evaluate every bound and comparator"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--family", choices=[k.value for k in FamilyKind], default=None)
         p.add_argument("--nu", type=float, default=None, help="Laguerre weight exponent (> 0)")
         p.add_argument("--alpha", type=float, default=None, help="Jacobi exponent (> -1)")

@@ -31,10 +31,11 @@ extensions ``[[1]]`` and ``[[2]]`` with spectra ``{1}`` and ``{2}``.
 
 Every kernel here takes the root vectors of one order, of any families,
 and works on their stacks: ``(P, n)`` roots and ``(P, n, n)`` matrices,
-each kind's terms applied to its own rows (:func:`by_order` groups a
-batch).  Each slice sees the IEEE operations of the point alone: row sums
-run over the contiguous last axis and every decision is taken per slice,
-so a point's values are bit for bit the same in any stack.  The
+each kind's terms applied to its runs of consecutive rows, as views
+(:func:`by_order` groups a batch, :func:`kind_runs` splits a group).
+Each slice sees the IEEE operations of the point alone: row sums run
+over the contiguous last axis and every decision is taken per slice, so
+a point's values are bit for bit the same in any stack.  The
 per-point names :func:`build_S`, :func:`interaction_sums` and
 :func:`laguerre_sqrt_r_S` are stacks of one.
 
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import SingularConfigurationError
 from .eigensolve import DenseSymmetric
 from .families import FamilyKind
-from .roots import RootVector, to_sqrt_coordinates
+from .roots import RootVector, require_kind
 
 _TINY = float(np.finfo(float).tiny)
 _SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
@@ -68,6 +69,22 @@ def by_order(roots: Sequence[RootVector]) -> dict[int, list[int]]:
     for i, rv in enumerate(roots):
         groups.setdefault(rv.n, []).append(i)
     return groups
+
+
+def kind_runs(group: Sequence[RootVector]) -> list[tuple[FamilyKind, slice]]:
+    """The runs of consecutive root vectors of one kind in ``group``, in
+    order, each as its kind and its slice of the group.  A sweep keeps each
+    kind contiguous within an order, so a group has a run per kind; the
+    kernels below apply each kind's terms to its runs, as views of the
+    group's stacks."""
+    runs: list[tuple[FamilyKind, slice]] = []
+    start = 0
+    for p in range(1, len(group) + 1):
+        kind = group[start].family.kind
+        if p == len(group) or group[p].family.kind is not kind:
+            runs.append((kind, slice(start, p)))
+            start = p
+    return runs
 
 
 def _fill_diagonal(matrices: np.ndarray, values) -> None:
@@ -124,21 +141,17 @@ _TERMS = {
 def pair_terms(group: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(d, inv2, lin)`` for the root vectors of one order, stacked: ``d``
     and ``lin`` are ``(P, n)``, ``inv2`` is ``(P, n, n)``.  Each kind's
-    terms are applied to the rows of that kind only.
+    terms are applied to each of its runs (:func:`kind_runs`).
     :func:`interaction_sums_stack` and :func:`build_S_stack` both read them."""
     z = np.stack([rv.roots for rv in group])
     diff = _pair_differences(z)
     inv2 = 1.0 / (diff * diff)
     d, lin = np.empty_like(z), np.empty_like(z)
-    kinds: dict[FamilyKind, list[int]] = {}
-    for p, rv in enumerate(group):
-        kinds.setdefault(rv.family.kind, []).append(p)
-    for kind, rows in kinds.items():
+    for kind, run in kind_runs(group):
         weight, diagonal = _TERMS[kind]
-        parameters = np.array([group[p].family.parameters() for p in rows]).T[..., None]
-        zk = z[rows]
-        d[rows] = dk = weight(zk)
-        lin[rows] = diagonal(zk, dk, inv2[rows], *parameters)
+        parameters = np.array([rv.family.parameters() for rv in group[run]]).T[..., None]
+        d[run] = weight(z[run])
+        lin[run] = diagonal(z[run], d[run], inv2[run], *parameters)
     return d, inv2, lin
 
 
@@ -183,7 +196,9 @@ def laguerre_sqrt_r_S_stack(group: Sequence[RootVector]) -> np.ndarray:
     identical to :func:`build_S_stack` entry by entry:
     ``s_ij = 2 (r_i + r_j)^-2 - 2 (r_i - r_j)^-2`` and
     ``s_ii = 1 + 2 nu / r_i^2 + 2 sum_{l!=i} ((r_i - r_l)^-2 + (r_i + r_l)^-2)``."""
-    r = np.stack([to_sqrt_coordinates(rv) for rv in group])
+    for rv in group:
+        require_kind(rv, FamilyKind.LAGUERRE)
+    r = np.sqrt(2.0 * np.stack([rv.roots for rv in group]))
     nu = np.array([rv.family.parameters() for rv in group])
     dminus = _pair_differences(r)
     inv_minus = 1.0 / (dminus * dminus)
@@ -232,11 +247,11 @@ def eigenbasis_stack(group: Sequence[RootVector]) -> np.ndarray:
     operands as a lone point's, and every decision is made per point, so
     a point's basis is bit for bit the same in any batch.
     """
-    rows = _lanczos(
-        np.stack([rv.roots for rv in group]),
-        np.stack([rv.family.spec.omega(rv.roots) for rv in group]),
-    )
-    return rows.transpose(0, 2, 1)
+    z = np.stack([rv.roots for rv in group])
+    omega = np.empty_like(z)
+    for _, run in kind_runs(group):
+        omega[run] = group[run.start].family.spec.omega(z[run])
+    return _lanczos(z, omega).transpose(0, 2, 1)
 
 
 def _lanczos(x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -13,7 +13,14 @@ whose eigenvalues are the polynomial roots, and pointwise evaluation of
 ``P_N`` together with its derivative via the differentiated three-term
 recurrence.  The batched evaluator, ``_evaluate_scaled``, takes its
 entries sorted by order, descending, as the root polish holds them, and
-raises on any other order.
+raises on any other order.  It pays only for work that can change its
+values: the power-of-two rescaling test runs only from the first row at
+which a bound on the values, from the step table's coefficients and the
+largest ``|x|``, can pass ``2**500`` (never within the 40 rows of the
+default grid), and a call of fewer than ``_SCALAR_ENTRIES`` entries, as
+the last Newton steps make, runs entry by entry in Python floats instead
+of as arrays.  Either way each entry sees the IEEE operations of a scalar
+recurrence, in the same order, so its values are bit for bit the same.
 
 Everything that differs between the families is data in one
 :class:`FamilySpec` row per kind, ``FAMILY_SPECS``, reached from a family
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -160,12 +168,14 @@ class FamilySpec:
     square_identity: bool
     omega: Callable[[np.ndarray], np.ndarray]
 
-    def trace_targets(self, lam: np.ndarray) -> tuple[float, float | None]:
+    def trace_targets(self, lam: np.ndarray) -> tuple:
         """Exact ``tr(S_N - shift I)`` and, where the family states that
         identity, ``tr((S_N - shift I)^2)`` (``None`` otherwise), from the
-        closed-form spectrum ``lam`` of ``S_N``."""
-        square = float(((lam - self.shift) ** 2).sum()) if self.square_identity else None
-        return float(lam.sum()) - self.shift * lam.size, square
+        closed-form spectrum of ``S_N`` along the last axis of ``lam``,
+        each summed over its own contiguous row: floats for one spectrum,
+        lists of them for a stack."""
+        square = ((lam - self.shift) ** 2).sum(axis=-1).tolist() if self.square_identity else None
+        return (lam.sum(axis=-1) - self.shift * lam.shape[-1]).tolist(), square
 
 
 def _laguerre_recurrence(family: PolynomialFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,6 +325,11 @@ def jacobi_matrix(family: PolynomialFamily, n: int) -> SymTridiagonal:
 # polish consumes.
 _RESCALE_LIMIT = 2.0**500
 _RESCALE_EXP = 500
+# below this many entries an evaluation runs entry by entry in Python
+# floats: over 40 rows of mixed families an entry costs about 0.012 ms so,
+# and a pass of array operations about 0.35 ms at any size up to 40 (the
+# two cross at 28 on a 2-vCPU Xeon; over 300 rows of one family, at 40)
+_SCALAR_ENTRIES = 28
 
 
 def step_table(families, tops) -> np.ndarray:
@@ -347,29 +362,36 @@ def _evaluate_scaled(
     entry of every family: the entries still running at step ``k`` are
     those of order above ``k``, a prefix that shrinks as orders finish,
     and each step reads the coefficients of that prefix from its row of
-    ``steps``.  Each entry sees the same operations as a scalar
-    recurrence, so the values are bit for bit those of one entry alone.
+    ``steps``.  The rescaling test runs only from the first row at which a
+    value can pass ``_RESCALE_LIMIT`` (:func:`_first_rescale_row`).  Fewer
+    than ``_SCALAR_ENTRIES`` entries are evaluated one at a time in Python
+    floats instead (:func:`_evaluate_entries`).  Each entry sees the same
+    operations as a scalar recurrence, so the values are bit for bit those
+    of one entry alone.
     """
     if np.any(orders[1:] > orders[:-1]):
         raise InternalConsistencyError("evaluation entries are not sorted by order, descending")
     size = x.size
+    if size < _SCALAR_ENTRIES:
+        return _evaluate_entries(steps, orders, x, which)
+    top = int(orders[0])
+    first = _first_rescale_row(steps[:top], float(np.abs(x).max()))
     values = np.empty((2, size))  # (P_n, P_n') of each entry
     exp2 = np.zeros(size, dtype=np.int64)
     # a table of one family gives its steps as floats; the entries of
     # several families read theirs from each row
     if steps.shape[2] == 1:
-        which, rows = None, steps[:, :, 0].tolist()
+        which, rows = None, steps[:top, :, 0].tolist()
     else:
-        rows, coef = steps, np.empty(4 * size)
+        rows, coef = steps[:top], np.empty(4 * size)
     # (P_k, P_k') and (P_{k-1}, P_{k-1}') of the entries still running,
     # and room for the next pair
     cur, prev, spare = np.zeros((3, 2, size))
     cur[0] = 1.0
-    top = int(orders[0])
     m = size
     # for every step k, the number of entries with order above k
     running = np.searchsorted(-orders, -np.arange(top), side="left").tolist()
-    for row, count in zip(rows, running):
+    for k, (row, count) in enumerate(zip(rows, running)):
         if count < m:
             values[:, count:m] = cur[:, count:m]
             m = count
@@ -388,6 +410,8 @@ def _evaluate_scaled(
         new -= np.multiply(c, prev, out=prev)
         new /= d
         spare, prev, cur = prev, cur, new
+        if k < first:
+            continue
         over = np.abs(new, out=spare) > _RESCALE_LIMIT
         if over.any():
             big = np.flatnonzero(over.any(axis=0))
@@ -396,6 +420,53 @@ def _evaluate_scaled(
             exp2[big] += _RESCALE_EXP
     values[:, :m] = cur
     return values[0], values[1], exp2
+
+
+def _first_rescale_row(steps: np.ndarray, reach: float) -> int:
+    """The first row of the step table ``steps`` whose new values may pass
+    ``_RESCALE_LIMIT`` at some ``|x| <= reach``, for any of its families;
+    ``len(steps)`` if none may.
+
+    With ``M_k`` the largest of ``|P_k|``, ``|P_{k-1}|``, ``|P_k'|`` and
+    ``|P_{k-1}'|`` (``M_0 = 1``), each step gives ``M_{k+1} <= M_k max(1,
+    g_k)``, ``g_k = max_f (|A| (|x| + 1) + |B| + |C|) / |D|``.  A row is
+    skipped only while ``log2`` of that product stays one below the
+    limit's exponent: rounding adds a factor of about ``1 + 10 eps`` per
+    row, to the values and to the bound, so the margin of 2 holds for
+    orders far past any a table can hold.  The zero rows past a family's
+    top order, where ``D = 0``, are left out; a NaN or an infinity in the
+    bound keeps every later test.
+    """
+    a, b, c, d = np.abs(steps).transpose(1, 0, 2)
+    growth = np.divide(a * (reach + 1.0) + b + c, d, out=np.zeros_like(d), where=d != 0.0)
+    bound = np.cumsum(np.log2(np.maximum(growth.max(axis=1), 1.0)))
+    # the bound grows with the row, and a NaN stays, so the rows that pass
+    # this test are a prefix
+    return int(np.count_nonzero(bound <= _RESCALE_EXP - 1))
+
+
+def _evaluate_entries(steps, orders, x, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_evaluate_scaled`, one entry at a time in Python floats: the
+    same IEEE operations in the same order as the array pass, which costs
+    more than these loops below ``_SCALAR_ENTRIES`` entries.  Every ``D``
+    of an admissible family is nonzero, so no division raises."""
+    size = x.size
+    p_out, dp_out, exp2 = np.empty(size), np.empty(size), np.zeros(size, dtype=np.int64)
+    columns: dict[int, list] = {}
+    fams = [0] * size if which is None else which.tolist()
+    for j, (n, xj, f) in enumerate(zip(orders.tolist(), x.tolist(), fams)):
+        rows = columns.get(f)
+        if rows is None:
+            rows = columns[f] = steps[:, :, f].tolist()
+        p, dp, pp, pdp, e = 1.0, 0.0, 0.0, 0.0, 0
+        for a, b, c, d in islice(rows, n):
+            t = a * xj + b
+            p, dp, pp, pdp = (t * p - c * pp) / d, ((t * dp + a * p) - c * pdp) / d, p, dp
+            if abs(p) > _RESCALE_LIMIT or abs(dp) > _RESCALE_LIMIT:
+                p, dp, pp, pdp = (v * 2.0**-_RESCALE_EXP for v in (p, dp, pp, pdp))
+                e += _RESCALE_EXP
+        p_out[j], dp_out[j], exp2[j] = p, dp, e
+    return p_out, dp_out, exp2
 
 
 def evaluate_with_derivative(family: PolynomialFamily, n: int, x: float) -> tuple[float, float]:

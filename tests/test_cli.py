@@ -85,6 +85,34 @@ class TestRootsCommand:
         assert rows[0]["z_i"] == "0.0"
 
 
+class TestNegativeParameters:
+    """argparse alone reads only -N and -N.N as negative numbers; every
+    float literal is a parameter value here."""
+
+    def test_exponent_notation_equals_the_joined_form(self, capsys):
+        flags = ("roots", "--family", "jacobi", "--beta", "2", "--n", "2")
+        code, out = run_cli(capsys, *flags, "--alpha", "-1e-05")
+        assert code == 0
+        assert run_cli(capsys, *flags, "--alpha=-1e-05") == (0, out)
+        assert read_csv(out)[0]["params"] == "alpha=-1e-05 beta=2.0"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("jacobi", "--alpha", "-1e-05", "--beta", "-5e-1"),
+            ("jacobi", "--alpha", "-1e-300", "--beta", "2.5e+2"),
+            ("laguerre", "--nu", "1e-300"),
+        ],
+        ids=lambda flags: "-".join(flags),
+    )
+    def test_a_point_runs_again_from_its_params_text(self, capsys, flags):
+        code, out = run_cli(capsys, "roots", "--n", "3", "--family", *flags)
+        assert code == 0
+        params = read_csv(out)[0]["params"]
+        again = [arg for pair in params.split() for arg in ("--" + pair.partition("=")[0], pair.partition("=")[2])]
+        assert run_cli(capsys, "roots", "--n", "3", "--family", flags[0], *again) == (0, out)
+
+
 class TestVerifyCommand:
     def test_hermite_sweep_passes(self, capsys):
         code, out = run_cli(
@@ -294,6 +322,20 @@ class TestStackedChecksMatchReference:
             assert point_checks == stage_checks([rv], corrupt)[0], rv.family.label()
             (basis,) = eigenbasis_stack([rv])
             assert point_checks == reference_verify_checks(rv, basis, None, corrupt)
+
+
+    @pytest.mark.parametrize("tol", [None, 1e-3], ids=["default-tol", "tol"])
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupt"])
+    def test_interleaved_kinds_match_their_groups_of_one(self, corrupt, tol):
+        # the kinds interleave as H, L, J, L, H, so each kind has two runs
+        # but Jacobi, and each check value comes from the group's arrays
+        families = [hermite(), laguerre(0.5), jacobi(1.0, -0.9), laguerre(1e-300), hermite()]
+        group = compute_roots_many([(fam, 12) for fam in families])
+        tables = list(cli._verify_group(group, tol, corrupt))
+        assert len(tables) == len(group)
+        for rv, got in zip(group, tables):
+            assert got == next(cli._verify_group([rv], tol, corrupt)), rv.family.label()
+            assert tuple(got[0][1]) == cli.VERIFY_CHECKS[rv.family.kind]
 
 
 def stage_checks(group, corrupt):
@@ -687,6 +729,11 @@ class TestUsageErrors:
             (["hermite", "--nu", "1"], "hermite takes exactly the parameters (), got (nu)"),
             (["jacobi", "--alpha", "1"], "jacobi takes exactly the parameters (alpha, beta), got (alpha)"),
             (["laguerre", "--nu", "-3"], "laguerre requires nu > 0, got -3.0"),
+            # a negative value in exponent notation is a value, not an option
+            (["laguerre", "--nu", "-5e-1"], "laguerre requires nu > 0, got -0.5"),
+            (["laguerre", "--nu", "-2e0"], "laguerre requires nu > 0, got -2.0"),
+            (["laguerre", "--nu", "-inf"], "laguerre requires nu > 0, got -inf"),
+            (["jacobi", "--alpha", "-1e-05", "--beta", "-1E+1"], "jacobi requires beta > -1, got -10.0"),
         ],
     )
     def test_parameter_errors_are_worded_by_the_family_record(self, flags, message, capsys):
@@ -695,6 +742,12 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.endswith(f"rootgaps: error: {message}\n")
 
+
+    def test_negative_tolerance_in_exponent_notation(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--family", "hermite", "--n", "3", "--tol", "-1e-3"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith("rootgaps: error: --tol must be finite and > 0\n")
 
     def test_unwritable_out_path(self, monkeypatch, tmp_path, capsys):
         # checked before the sweep: a sweep that ran would exit 3 here

@@ -365,6 +365,46 @@ class TestBatchedEigenbasis:
         assert value <= (1e-8 if n <= 20 else 1e-6)
 
 
+def interleaved_group(n=9):
+    """One order's points whose kinds interleave: H, L, J, L, H."""
+    families = [hermite(), laguerre(0.5), jacobi(1.0, -0.9), laguerre(1e-300), hermite()]
+    return compute_roots_many([(fam, n) for fam in families])
+
+
+class TestKindRuns:
+    """Each kind's terms go to each of its runs of consecutive points, as
+    views of the group's stacks; a group whose kinds interleave has more
+    runs, and every point's values stay those of its stack of one."""
+
+    def test_runs_of_an_interleaved_group(self):
+        runs = covariance.kind_runs(interleaved_group())
+        assert [(kind.value, run.start, run.stop) for kind, run in runs] == [
+            ("hermite", 0, 1), ("laguerre", 1, 2), ("jacobi", 2, 3), ("laguerre", 3, 4), ("hermite", 4, 5),
+        ]
+        group = compute_roots_many([(laguerre(2.0), 5), (laguerre(0.5), 5), (jacobi(2.0, 3.0), 5)])
+        assert [(kind.value, run.start, run.stop) for kind, run in covariance.kind_runs(group)] == [
+            ("laguerre", 0, 2), ("jacobi", 2, 3),
+        ]
+
+    @pytest.mark.parametrize("n", (1, 2, 9, 40))
+    def test_interleaved_kinds_match_stacks_of_one(self, n):
+        group = interleaved_group(n)
+        terms = covariance.pair_terms(group)
+        bases = eigenbasis_stack(group)
+        for p, rv in enumerate(group):
+            for stacked, alone in zip(terms, covariance.pair_terms([rv])):
+                assert np.array_equal(stacked[p], alone[0]), (rv.family.label(), n)
+            assert np.array_equal(bases[p], eigenbasis_stack([rv])[0]), (rv.family.label(), n)
+        laguerres = [group[1], group[3]]
+        for rv, alt in zip(laguerres, covariance.laguerre_sqrt_r_S_stack(laguerres)):
+            assert np.array_equal(alt, covariance.laguerre_sqrt_r_S_stack([rv])[0]), (rv.family.label(), n)
+
+    def test_sqrt_form_takes_laguerre_points_only(self):
+        group = interleaved_group()
+        with pytest.raises(FamilyMismatchError):
+            covariance.laguerre_sqrt_r_S_stack(group[1:3])
+
+
 @pytest.mark.parametrize(
     "roots", [[1.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]]], ids=["point", "stack"]
 )

@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rootgaps import (
     laguerre,
     to_sqrt_coordinates,
 )
+import rootgaps.families as families_mod
 import rootgaps.roots as roots_mod
 from rootgaps.families import _evaluate_scaled, step_table
 from rootgaps.roots import compute_roots_many
@@ -490,23 +492,89 @@ class TestBatchPolish:
         exp2 = assert_matches_scalar_recurrence([hermite()], orders, x)
         assert exp2.tolist() == [0, 500, 0, 0, 0, 500]
 
+    @pytest.mark.parametrize("size", range(1, families_mod._SCALAR_ENTRIES + 3))
+    def test_batches_around_the_crossover(self, size):
+        # below the crossover the evaluator runs entry by entry, from it
+        # on as arrays; the families stop at different top orders, so the
+        # step table holds zero rows past most of them
+        families = all_families()
+        rng = np.random.default_rng(size)
+        which = rng.integers(0, len(families), size=size)
+        orders = np.array([rng.integers(1, 5 * (f + 1) + 1) for f in which])
+        x = np.array([
+            rng.uniform(max(lo, -6.0), min(hi, 60.0))
+            for lo, hi in (families[f].spec.domain for f in which)
+        ])
+        assert_matches_scalar_recurrence(families, orders, x, which)
+
+    def test_zero_rows_leave_the_rescale_bound_finite(self):
+        # rows 3..299 of Hermite and 40..299 of Jacobi are zero, D included
+        families = [hermite(), laguerre(2.0), jacobi(1.0, -0.9)]
+        steps = step_table(families, [3, 300, 40])
+        first = families_mod._first_rescale_row(steps, 1000.0)
+        assert 0 < first < 300
+        assert families_mod._first_rescale_row(steps[:40], 1.0) == 40
+
+    @pytest.mark.parametrize(
+        "family,fired",
+        # the first row at which the largest root's values pass 2**500
+        [(hermite(), 77), (laguerre(2.0), 69)],
+        ids=lambda value: value.label() if hasattr(value, "label") else str(value),
+    )
+    def test_rescale_test_starts_before_the_first_rescale(self, family, fired):
+        rv = compute_roots(family, 1000)
+        x = rv.roots[:1]
+        assert family.spec.ascending is False and x[0] == rv.roots.max()
+        first = families_mod._first_rescale_row(step_table([family], [1000]), abs(float(x[0])))
+        assert 0 < first <= fired
+        assert scalar_rescale_rows(family, 1000, float(x[0]))[0] == fired
+        # both paths, on the largest root alone and among the others
+        assert assert_matches_scalar_recurrence([family], np.array([1000]), x)[0] > 0
+        assert_matches_scalar_recurrence([family], np.full(40, 1000), rv.roots[:40].copy())
+
+    def test_default_grid_runs_no_rescale_test(self):
+        # no value of the default grid can pass 2**500 within its 40 rows
+        families = all_families()
+        steps = step_table(families, [40] * len(families))
+        reach = max(float(np.abs(compute_roots(fam, 40).roots).max()) for fam in families)
+        assert families_mod._first_rescale_row(steps, reach) == 40
+
+
+def scalar_rescale_rows(family, n, x):
+    """The rows of ``family``'s steps at which the scalar recurrence at
+    ``x`` rescales, as ``scalar_evaluate_scaled`` does."""
+    rows = []
+    p, dp, pm1, dm1 = 1.0, 0.0, 0.0, 0.0
+    for k, (a, b, c, d) in enumerate(family.spec.steps(family, n)):
+        t = a * x + b
+        p, dp, pm1, dm1 = (t * p - c * pm1) / d, (a * p + t * dp - c * dm1) / d, p, dp
+        if abs(p) > 2.0**500 or abs(dp) > 2.0**500:
+            p, dp, pm1, dm1 = (v * 2.0**-500 for v in (p, dp, pm1, dm1))
+            rows.append(k)
+    return rows
+
 
 def assert_matches_scalar_recurrence(families, orders, x, which=None):
     """Entry ``j`` is of ``families[which[j]]``, of the only family when
     ``which`` is not given.  The entries are evaluated sorted by order,
-    descending, as the evaluator takes them; the exponents come back in
-    the given order."""
+    descending, as the evaluator takes them, both as arrays and entry by
+    entry, whatever their number; the exponents come back in the given
+    order."""
     which = np.zeros(orders.size, dtype=int) if which is None else which
     rank = np.argsort(-orders, kind="stable")
     orders, x, which = orders[rank], x[rank], which[rank]
     tops = [max([1, *orders[which == f]]) for f in range(len(families))]
-    p, dp, exp2 = _evaluate_scaled(step_table(families, tops), orders, x, which)
+    steps = step_table(families, tops)
     want = [
         scalar_evaluate_scaled(families[f], int(n), float(xi)) for f, n, xi in zip(which, orders, x)
     ]
-    assert p.tolist() == [w[0] for w in want]
-    assert dp.tolist() == [w[1] for w in want]
-    assert exp2.tolist() == [w[2] for w in want]
+    # a crossover of 0 takes the array pass, one above the size the scalar one
+    for crossover in (0, orders.size + 1):
+        with mock.patch.object(families_mod, "_SCALAR_ENTRIES", crossover):
+            p, dp, exp2 = _evaluate_scaled(steps, orders, x, which)
+        assert p.tolist() == [w[0] for w in want]
+        assert dp.tolist() == [w[1] for w in want]
+        assert exp2.tolist() == [w[2] for w in want]
     given = np.empty_like(exp2)
     given[rank] = exp2
     return given
