@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import groupby
 
 import numpy as np
 
@@ -79,11 +80,10 @@ def kind_runs(group: Sequence[RootVector]) -> list[tuple[FamilyKind, slice]]:
     group's stacks."""
     runs: list[tuple[FamilyKind, slice]] = []
     start = 0
-    for p in range(1, len(group) + 1):
-        kind = group[start].family.kind
-        if p == len(group) or group[p].family.kind is not kind:
-            runs.append((kind, slice(start, p)))
-            start = p
+    for kind, members in groupby(rv.family.kind for rv in group):
+        end = start + sum(1 for _ in members)
+        runs.append((kind, slice(start, end)))
+        start = end
     return runs
 
 
