@@ -24,8 +24,8 @@ matrix entries) and evaluates its checks once on each group's ``(P, n)``
 and ``(P, n, n)`` stacks: each check value of the group is one ``(P,)``
 array, each kind's terms are applied to its runs of consecutive points
 (``covariance.kind_runs``), and each point only picks its values in its
-kind's check order (``VERIFY_CHECKS``).  ``bounds`` takes each point's ``(lin,
-cross)`` from one ``interaction_sums_stack`` per such group, then
+kind's check order (``VERIFY_CHECKS``).  ``bounds`` takes each point's
+``(lin, cross)`` from one ``interaction_sums_stack`` per such group, then
 evaluates the bound rows of each family kind once for all the run's
 points of that kind, across orders (``bounds.RunColumns``), and cuts each
 point's columns from them (only JSON computes the sharpness summary).
@@ -62,9 +62,10 @@ computed alone).  A reader that closes stdout early, as ``| head`` does,
 leaves the exit code to the sweep.  Only ``verify`` takes ``--tol`` and
 ``--corrupt``.  A negative value may follow its option in any float
 notation (``--alpha -1e-05``), not only as ``-N`` or ``-N.N``, which are
-all that argparse takes for a negative number by itself.  Per-family parameters, default grids and minimum orders
-come from the ``FamilySpec`` rows in ``rootgaps.families``; a wrong
-parameter set or value is worded by ``PolynomialFamily`` itself.
+all that argparse takes for a negative number by itself.  Per-family
+parameters, default grids and minimum orders come from the
+``FamilySpec`` rows in ``rootgaps.families``; a wrong parameter set or
+value is worded by ``PolynomialFamily`` itself.
 """
 from __future__ import annotations
 
