@@ -401,9 +401,9 @@ def _polish(steps, domain, fam, degree, lo, hi, slack) -> tuple[np.ndarray, np.n
     Each step is one call of this module's ``_evaluate_scaled`` attribute
     on the entries still live, so a stand-in or a timer set on it sees
     every evaluation.  The live entries shrink from step to step (on the
-    default grid from 8,160 to 35, 11, 1 and 1 in the last four); a call
-    of so few runs entry by entry, at a cost per entry rather than per row
-    of arrays.
+    default grid 8,160 at first, and 35, 11, 1 and 1 in the last four
+    steps); a call of fewer than ``families._SCALAR_ENTRIES`` runs entry
+    by entry, at a cost per entry rather than per row of arrays.
     """
     x = 0.5 * (lo + hi)
     lo, hi = np.maximum(lo - slack, domain[0][fam]), np.minimum(hi + slack, domain[1][fam])
