@@ -34,7 +34,6 @@ from .bounds import (
     BoundReport,
     RunColumns,
     SharpnessSummary,
-    bound_columns,
     bound_rows,
     bound_set,
     hermite_diag_bound,
@@ -63,7 +62,6 @@ __all__ = [
     "SharpnessSummary",
     "SingularConfigurationError",
     "SymTridiagonal",
-    "bound_columns",
     "bound_rows",
     "bound_set",
     "build_S",

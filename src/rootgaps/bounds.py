@@ -61,25 +61,24 @@ clamped at 0 there, where rounding can make it slightly negative.
 Bounds are evaluated on runs: all the points of one family kind in a
 sweep run, whatever their orders and parameters, at once.  Each family
 has one bound function, :func:`hermite_diag_bound`,
-:func:`laguerre_bounds` and :func:`jacobi_bounds`, which reads the
-points' ``(lin, cross)``, from ``covariance.interaction_sums`` unless the
-caller passes them (the ``bounds`` command takes each point's from one
+:func:`laguerre_bounds` and :func:`jacobi_bounds`, and :func:`bound_rows`
+picks the function of the run's kind.  Each takes a sequence of root
+vectors of its kind, one point as ``[z]``, reads the points' ``(lin,
+cross)``, from ``covariance.interaction_sums`` unless the caller passes
+one pair per point (the ``bounds`` command takes each point's from one
 ``interaction_sums_stack`` per order), and returns the family's derived
 and comparator bounds as one list of :class:`BoundRow`: each side is a
 ``(P,)`` column, one Python-float expression per point, or a
 :class:`Ragged` array with one value per entry and per-point offsets (the
 gaps, the sqrt-scale gaps, ``lin**2 + cross`` and ``1 - z**2``, each one
-numpy pass over the run).  Given one root vector instead of a run, a
-family function returns that point's rows as tuples ``(bound_id, bound,
-observed, note)`` of floats and arrays; :func:`bound_rows` picks the
-function of the family.  A row whose two sides are scalars gives one
-entry with ``index=None``; a row with an array side gives one entry per
-array element, indices ``1..k``, with the scalar side repeated, so the
-gap rows give no entry at ``N = 1``.  The gap rows read the root
-vectors' ``gaps``, which are in the index convention of the formulas
-above.  The comparator flag comes from the id: the comparator ids are
-the left column of the comparator/derived pairs that the sharpness
-summary compares.
+numpy pass over the run).  At one point, a row whose two sides are
+columns gives one entry with ``index=None``; a row with a ragged side
+gives one entry per value of it, indices ``1..k``, with the column side
+repeated, so the gap rows give no entry at ``N = 1``.  The gap rows read
+the root vectors' ``gaps``, which are in the index convention of the
+formulas above.  The comparator flag comes from the id: the comparator
+ids are the left column of the comparator/derived pairs that the
+sharpness summary compares.
 
 :class:`RunColumns` evaluates a run's rows once: it lays out every entry
 of the run point by point, each point's rows in row order, and computes
@@ -90,8 +89,8 @@ after the point key with no tuple per entry: one side per row for the id,
 index, bound and observed values and comparator flag, and one value per
 entry for ``slack``, ``holds``, ``sharpness`` and ``note``.  The
 ``bounds`` command writes from these columns, and the library's views are
-the same path on a run of one point: :func:`bound_columns` of one
-point's rows, :func:`bound_set`, a ``BoundReport`` per entry (an
+the same path on a run of one point, ``RunColumns(bound_rows([z]),
+1).point(0)``: :func:`bound_set`, a ``BoundReport`` per entry (an
 immutable named tuple, its fields the output row after the point key),
 and :func:`sharpness_summary`, which takes the root vector alongside the
 columns.
@@ -107,7 +106,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .covariance import interaction_sums
-from .errors import ParameterDomainError
+from .errors import EmptyProblemError, ParameterDomainError
 from .families import FamilyKind
 from .roots import RootVector, require_kind
 
@@ -234,10 +233,16 @@ class _Run(NamedTuple):
 
 
 def _run(points: Sequence[RootVector], kind: FamilyKind, sums: Sequence[tuple] | None) -> _Run:
+    if not points:
+        raise EmptyProblemError("bound rows need at least one point")
     for z in points:
         require_kind(z, kind)
     if sums is None:
         sums = [interaction_sums(z) for z in points]
+    elif len(sums) != len(points) or any(
+        len(pair) != 2 or any(np.shape(side) != (z.n,) for side in pair) for z, pair in zip(points, sums)
+    ):
+        raise ParameterDomainError("sums needs one (lin, cross) pair per point, each array of shape (n,)")
     n = [z.n for z in points]
     starts = _starts(n)
     gap_starts = _starts([k - 1 for k in n])
@@ -258,43 +263,11 @@ def _columns(per_point: Iterable[tuple]) -> np.ndarray:
     return np.array(list(zip(*per_point)), dtype=float)
 
 
-def _point_rows(rows: Sequence[BoundRow], p: int) -> list[tuple]:
-    """Point ``p``'s rows of a run as tuples ``(bound_id, bound, observed,
-    note)``: a column side as a float, a ragged side as the point's array;
-    a row that does not apply at ``p`` is left out."""
-    return [
-        (
-            row.bound_id, _side_at(row.bound, p), _side_at(row.observed, p),
-            row.note if isinstance(row.note, str) else row.note[p],
-        )
-        for row in rows
-        if row.applies is None or row.applies[p]
-    ]
-
-
-def _side_at(side: Side, p: int):
-    if isinstance(side, Ragged):
-        return side.values[side.starts[p]:side.starts[p + 1]]
-    return float(side[p])
-
-
-def _family_rows(family_rows: Callable[[_Run], list[BoundRow]], kind: FamilyKind, z, sums):
-    """``family_rows`` on ``z``: the run's rows for a run of root vectors,
-    the point's row tuples for one root vector."""
-    if isinstance(z, RootVector):
-        return _point_rows(family_rows(_run([z], kind, None if sums is None else [sums])), 0)
-    return family_rows(_run(z, kind, sums))
-
-
-def hermite_diag_bound(z, sums=None):
-    """Hermite rows: the diagonal-of-square caps, their corollaries, and
-    the literature gap comparator.  ``z`` is a root vector or a run of
-    them; ``sums`` is ``interaction_sums`` of it (one pair per point for a
-    run), if the caller has it already."""
-    return _family_rows(_hermite_rows, FamilyKind.HERMITE, z, sums)
-
-
-def _hermite_rows(run: _Run) -> list[BoundRow]:
+def hermite_diag_bound(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+    """Hermite rows of a run of root vectors: the diagonal-of-square caps,
+    their corollaries, and the literature gap comparator.  ``sums`` holds
+    each point's ``interaction_sums``, if the caller has them already."""
+    run = _run(points, FamilyKind.HERMITE, sums)
     if min(run.n) < 2:
         raise ParameterDomainError("Hermite bounds need N >= 2")
     inv2, inv4 = run.lin, run.cross
@@ -316,15 +289,6 @@ def _hermite_rows(run: _Run) -> list[BoundRow]:
         BoundRow("hermite-gap", gap_floor, run.gaps),
         BoundRow("hermite-gap-comparator", comparator, run.gaps),
     ]
-
-
-def laguerre_bounds(z, sums=None):
-    """Laguerre rows: the derived diagonal caps, smallest-root floor and
-    three gap floors (plain, Bessel-assisted for nu >= 1, sqrt scale), and
-    the literature comparators (informational).  ``z`` is a root vector
-    or a run of them; ``sums`` is ``interaction_sums`` of it (one pair per
-    point for a run), if the caller has it already."""
-    return _family_rows(_laguerre_rows, FamilyKind.LAGUERRE, z, sums)
 
 
 def _laguerre_scalars(n: int, nu: float) -> tuple:
@@ -358,7 +322,13 @@ def _laguerre_scalars(n: int, nu: float) -> tuple:
     )
 
 
-def _laguerre_rows(run: _Run) -> list[BoundRow]:
+def laguerre_bounds(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+    """Laguerre rows of a run of root vectors: the derived diagonal caps,
+    smallest-root floor and three gap floors (plain, Bessel-assisted for
+    nu >= 1, sqrt scale), and the literature comparators (informational).
+    ``sums`` holds each point's ``interaction_sums``, if the caller has
+    them already."""
+    run = _run(points, FamilyKind.LAGUERRE, sums)
     nus = [z.family.parameters()[0] for z in run.points]
     (cap, min_root, strong, weak, bessel_strong, bessel_weak, sqrt_floor, min_root_bessel,
      cmp1, cmp2, cmp3) = _columns(map(_laguerre_scalars, run.n, nus))
@@ -385,19 +355,6 @@ def _laguerre_rows(run: _Run) -> list[BoundRow]:
     ]
 
 
-def jacobi_bounds(z, sums=None):
-    """Jacobi rows: the derived diagonal caps, the two boundary-distance
-    floors, the boundary-product floors and the gap floors, and the
-    asymptotic leading-term comparator for the upper boundary distance.
-
-    The comparator is only meaningful for ``alpha, beta > -1/2``; the
-    dropped ``o(1/N^2)`` term means it never gates anything.  ``z`` is a
-    root vector or a run of them; ``sums`` is ``interaction_sums`` of it
-    (one pair per point for a run), if the caller has it already.
-    """
-    return _family_rows(_jacobi_rows, FamilyKind.JACOBI, z, sums)
-
-
 def _jacobi_scalars(n: int, alpha: float, beta: float, big_m: float) -> tuple:
     # at least 4(alpha - beta)^2, which is 0 at alpha = beta, N = 1
     disc = math.sqrt(max(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0), 0.0))
@@ -419,7 +376,18 @@ def _jacobi_scalars(n: int, alpha: float, beta: float, big_m: float) -> tuple:
     )
 
 
-def _jacobi_rows(run: _Run) -> list[BoundRow]:
+def jacobi_bounds(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+    """Jacobi rows of a run of root vectors: the derived diagonal caps,
+    the two boundary-distance floors, the boundary-product floors and the
+    gap floors, and the asymptotic leading-term comparator for the upper
+    boundary distance.
+
+    The comparator is only meaningful for ``alpha, beta > -1/2``; the
+    dropped ``o(1/N^2)`` term means it never gates anything.  ``sums``
+    holds each point's ``interaction_sums``, if the caller has them
+    already.
+    """
+    run = _run(points, FamilyKind.JACOBI, sums)
     params = [z.family.parameters() for z in run.points]
     big_m = [float(z.family.spec.spectrum(z.family, z.n)[-1]) for z in run.points]
     (cap, upper_strong, upper_weak, lower_strong, lower_weak, floor, gap_floor, floor_sym,
@@ -455,19 +423,19 @@ def _jacobi_rows(run: _Run) -> list[BoundRow]:
 # Each family's bound rows; the lambdas look the functions up at call time,
 # so wrappers installed on this module's attributes see every call.
 _BOUND_SETS = {
-    FamilyKind.HERMITE: lambda z, sums: hermite_diag_bound(z, sums),
-    FamilyKind.LAGUERRE: lambda z, sums: laguerre_bounds(z, sums),
-    FamilyKind.JACOBI: lambda z, sums: jacobi_bounds(z, sums),
+    FamilyKind.HERMITE: lambda points, sums: hermite_diag_bound(points, sums),
+    FamilyKind.LAGUERRE: lambda points, sums: laguerre_bounds(points, sums),
+    FamilyKind.JACOBI: lambda points, sums: jacobi_bounds(points, sums),
 }
 
 
-def bound_rows(z, sums=None):
-    """Every derived bound and comparator row for the family of ``z``, a
-    root vector (its row tuples) or a run of root vectors of one kind (the
-    run's :class:`BoundRow` list); ``sums`` is ``interaction_sums`` of it,
-    if the caller has it already."""
-    family = z.family if isinstance(z, RootVector) else z[0].family
-    return _BOUND_SETS[family.kind](z, sums)
+def bound_rows(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+    """Every derived bound and comparator row of a run of root vectors of
+    one kind, by the family function of that kind; ``sums`` holds each
+    point's ``interaction_sums``, if the caller has them already."""
+    if not points:
+        raise EmptyProblemError("bound rows need at least one point")
+    return _BOUND_SETS[points[0].family.kind](points, sums)
 
 
 def _getter(positions: list[int]) -> Callable[[list], tuple]:
@@ -615,25 +583,6 @@ class RunColumns:
             comparator,
             self._notes[self._codes[start:stop]].tolist(),
         )
-
-
-def bound_columns(rows: Sequence[tuple]) -> BoundColumns:
-    """The columns of one point's rows ``(bound_id, bound, observed[,
-    note])``, in their order: :class:`RunColumns` of a run of one point.
-    An array side shared by rows stays shared."""
-    sides: dict[int, Side] = {}
-
-    def side(value) -> Side:
-        if not isinstance(value, np.ndarray):
-            return np.array([float(value)])
-        if id(value) not in sides:
-            sides[id(value)] = Ragged(value, np.array([0, value.size], dtype=np.intp))
-        return sides[id(value)]
-
-    run_rows = [
-        BoundRow(bound_id, side(bound), side(observed), *rest) for bound_id, bound, observed, *rest in rows
-    ]
-    return RunColumns(run_rows, 1).point(0)
 
 
 def bound_set(z: RootVector) -> list[BoundReport]:

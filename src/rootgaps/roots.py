@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FamilyMismatchError, InternalConsistencyError, SingularConfigurationError
+from .errors import FamilyMismatchError, InternalConsistencyError, ParameterDomainError, SingularConfigurationError
 from .families import FamilyKind, PolynomialFamily, _check_order, _evaluate_scaled, jacobi_matrix, step_table
 
 _EPS = float(np.finfo(float).eps)
@@ -45,9 +45,9 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class RootVector:
-    """Ordered roots of ``P_n`` for one family, in the family's storage
-    direction (``family.spec.ascending``) and inside its orthogonality
-    interval.
+    """Ordered roots of ``P_n`` for one family, a one-dimensional array in
+    the family's storage direction (``family.spec.ascending``) and inside
+    its orthogonality interval.
 
     ``gaps`` holds the ``n - 1`` consecutive gaps, positive, in the
     family's index convention: ``z_i - z_{i+1}`` for a descending family,
@@ -66,6 +66,8 @@ class RootVector:
     def __post_init__(self):
         roots = np.asarray(self.roots, dtype=float)
         object.__setattr__(self, "roots", roots)
+        if roots.ndim != 1:
+            raise ParameterDomainError("roots must be one-dimensional")
         if roots.size != self.n:
             raise InternalConsistencyError(f"expected {self.n} roots, got {roots.size}")
         gaps = _ordered_gaps(roots, self.family.spec) if roots.size else np.empty(0)

@@ -9,16 +9,17 @@ import pytest
 from rootgaps import (
     BoundColumns,
     BoundReport,
+    EmptyProblemError,
     FamilyKind,
     FamilyMismatchError,
     ParameterDomainError,
-    bound_columns,
     bound_rows,
     bound_set,
     compute_roots,
     hermite,
     hermite_diag_bound,
     jacobi,
+    jacobi_bounds,
     laguerre,
     laguerre_bounds,
     sharpness_summary,
@@ -37,7 +38,7 @@ def reports_for(family, n):
 
 def summary_for(family, n):
     rv = compute_roots(family, n)
-    return sharpness_summary(rv, bound_columns(bound_rows(rv)))
+    return sharpness_summary(rv, RunColumns(bound_rows([rv]), 1).point(0))
 
 
 def by_id(reports, bound_id):
@@ -61,7 +62,7 @@ class TestReportInvariants:
     @pytest.mark.parametrize("shortfall,holds", [(0.75e-10, True), (1.5e-10, False)])
     def test_holds_tolerance_has_a_floor_of_one(self, shortfall, holds):
         # a bound of 0.5 is allowed a shortfall of 1e-10, not 0.5e-10
-        columns = bound_columns([("hermite-gap", 0.5, 0.5 - shortfall)])
+        columns = point_columns([("hermite-gap", 0.5, 0.5 - shortfall)])
         assert columns.holds == [holds]
 
 
@@ -171,11 +172,11 @@ class TestHermiteBounds:
 
     def test_needs_at_least_two_roots(self):
         with pytest.raises(ParameterDomainError):
-            hermite_diag_bound(compute_roots(hermite(), 1))
+            hermite_diag_bound([compute_roots(hermite(), 1)])
 
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatchError):
-            hermite_diag_bound(compute_roots(laguerre(1.0), 3))
+            hermite_diag_bound([compute_roots(laguerre(1.0), 3)])
 
 
 class TestLaguerreBounds:
@@ -244,7 +245,7 @@ class TestLaguerreBounds:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             for n in (1, 2, 4, 16, 40):
-                rows = laguerre_bounds(compute_roots(laguerre(nu), n))
+                rows = rows_at(laguerre_bounds([compute_roots(laguerre(nu), n)]), 0)
                 (bound,) = [row[1] for row in rows if row[0] == "laguerre-gap-comparator-1"]
                 exact = (mpmath.mpf(nu) - 1) / mpmath.sqrt(((n - 1) + mpmath.mpf(nu)) * n)
                 assert abs(mpmath.mpf(bound) - exact) <= 4 * math.ulp(bound), (n, bound)
@@ -340,6 +341,38 @@ class TestJacobiBounds:
         assert math.isnan(outside.bound_value)
 
 
+class TestRunArguments:
+    """Every bound function takes a nonempty run of root vectors and, if
+    the caller has them, one ``(lin, cross)`` pair of shape ``(n,)`` per
+    point."""
+
+    @pytest.mark.parametrize("bounds", [bound_rows, hermite_diag_bound, laguerre_bounds, jacobi_bounds])
+    @pytest.mark.parametrize("sums", [None, []])
+    def test_empty_run_is_an_empty_problem(self, bounds, sums):
+        with pytest.raises(EmptyProblemError):
+            bounds([], sums)
+
+    @pytest.mark.parametrize("bounds", [bound_rows, laguerre_bounds])
+    @pytest.mark.parametrize(
+        "orders,shapes",
+        [
+            ((3,), [((2,), (2,))]),
+            ((3,), [((3,), (2,))]),
+            ((3,), [((1, 3), (3,))]),
+            ((3,), [((3,),)]),
+            ((3, 4), [((3,), (3,))]),
+            ((3,), [((3,), (3,)), ((3,), (3,))]),
+            ((3, 4), [((3,), (3,)), ((3,), (4,))]),
+        ],
+        ids=["short", "short-cross", "two-dimensional", "not-a-pair", "too-few", "too-many", "wrong-point"],
+    )
+    def test_sums_of_the_wrong_shape_are_rejected(self, bounds, orders, shapes):
+        points = [compute_roots(laguerre(2.0), n) for n in orders]
+        sums = [tuple(np.ones(shape) for shape in pair) for pair in shapes]
+        with pytest.raises(ParameterDomainError, match="sums"):
+            bounds(points, sums)
+
+
 class TestUniversalValidity:
     """Every applicable derived bound must hold on the whole sweep; one
     violation is a build-stopping failure."""
@@ -388,15 +421,16 @@ class TestSharpnessSummary:
             assert value >= 1.0 - 1e-10, bound_id
 
     def test_no_reports_give_an_empty_summary(self):
-        summary = sharpness_summary(compute_roots(hermite(), 3), bound_columns([]))
+        summary = sharpness_summary(compute_roots(hermite(), 3), point_columns([]))
         assert (summary.worst, summary.mean, summary.comparator_ratios) == ({}, {}, {})
         assert summary.diag_square_identity_ratio is None
 
 
 def expand(rows):
     """The scalar rule before bound sets went to columns: one report per
-    entry, each field computed on Python floats.  Kept as the reference
-    for ``bound_columns``."""
+    entry, each field computed on Python floats, from one point's rows as
+    tuples ``(bound_id, bound, observed[, note])``.  Kept as the reference
+    for ``RunColumns``."""
     reports = []
     make = BoundReport._make
     for bound_id, bound, observed, *rest in rows:
@@ -495,6 +529,26 @@ def scalar_violations(reports):
     return sum(1 for r in reports if not r.comparator and not r.note and not r.holds)
 
 
+def rows_at(rows, p):
+    """Point ``p``'s rows of a run as tuples ``(bound_id, bound, observed,
+    note)``: a column side as a float, a ragged side as the point's array;
+    a row that does not apply at ``p`` is left out."""
+
+    def side_at(side):
+        if isinstance(side, Ragged):
+            return side.values[side.starts[p]:side.starts[p + 1]]
+        return float(side[p])
+
+    return [
+        (
+            row.bound_id, side_at(row.bound), side_at(row.observed),
+            row.note if isinstance(row.note, str) else row.note[p],
+        )
+        for row in rows
+        if row.applies is None or row.applies[p]
+    ]
+
+
 def run_of(points):
     """The run rows of points given by their row tuples, each point's rows
     with the same ids in the same order and a row that a point lacks as
@@ -517,12 +571,17 @@ def run_of(points):
     return rows
 
 
+def point_columns(rows):
+    """The columns of one point given by its row tuples: ``RunColumns`` of
+    a run of one point."""
+    return RunColumns(run_of([rows]), 1).point(0)
+
+
 def assert_columns_match_scalar_rule(rows):
-    columns = bound_columns(rows)
+    run = RunColumns(run_of([rows]), 1)
+    columns = run.point(0)
     reports = expand(rows)
     assert_reports_match(column_entries(columns), reports)
-    run = RunColumns(run_of([rows]), 1)
-    assert_reports_match(column_entries(run.point(0)), reports)
     assert run.violations == [scalar_violations(reports)]
     return columns, reports
 
@@ -570,9 +629,9 @@ EDGE_ROWS = {
 
 
 class TestColumnsMatchScalarRule:
-    """``bound_columns`` against the scalar rule, field by field, bit for
-    bit, and the views built from the columns against their former
-    report-based computation."""
+    """``RunColumns`` of one point against the scalar rule, field by field,
+    bit for bit, and the views built from the columns against their
+    former report-based computation."""
 
     @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
     def test_edge_rows(self, name):
@@ -589,7 +648,7 @@ class TestColumnsMatchScalarRule:
     def test_every_default_point(self, fam):
         for n in range(fam.spec.min_n, DEFAULT_N_MAX + 1):
             rv = compute_roots(fam, n)
-            rows = bound_rows(rv)
+            rows = rows_at(bound_rows([rv]), 0)
             columns, reports = assert_columns_match_scalar_rule(rows)
             assert_reports_match(bound_set(rv), reports)
             assert all(type(rep) is BoundReport for rep in bound_set(rv))
@@ -638,7 +697,7 @@ class TestRunColumnsMatchScalarRule:
         for run in kinds.values():
             columns = RunColumns(bound_rows(run), len(run))
             for p, rv in enumerate(run):
-                reports = expand(bound_rows(rv))
+                reports = expand(rows_at(bound_rows([rv]), 0))
                 assert_reports_match(column_entries(columns.point(p)), reports)
                 assert columns.violations[p] == scalar_violations(reports), rv.family.label()
 
@@ -646,7 +705,7 @@ class TestRunColumnsMatchScalarRule:
         seen = set()
         for i, columns, summary in cli._bounds_stage(batch, "json", None, False):
             rv = batch[i]
-            reports = expand(sorted(bound_rows(rv), key=itemgetter(0)))
+            reports = expand(rows_at(sorted(bound_rows([rv]), key=itemgetter(0)), 0))
             assert_reports_match(column_entries(columns), reports)
             assert summary["violations"] == scalar_violations(reports), (rv.family.label(), rv.n)
             agg = sharpness_summary(rv, columns)

@@ -19,7 +19,7 @@ from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, herm
 from rootgaps.covariance import eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
-from test_bounds import EDGE_ROWS, expand
+from test_bounds import EDGE_ROWS, expand, point_columns, rows_at
 from test_covariance import bases_by_order
 
 real_compute_roots_many = cli.compute_roots_many
@@ -657,7 +657,7 @@ class TestBoundLines:
     def test_grid_points(self, family, n, fmt):
         for fam in cli.default_families((FamilyKind(family),)):
             rv = compute_roots(fam, n)
-            self.check(("x", fam.params_text(), n), bounds_mod.bound_rows(rv), fmt)
+            self.check(("x", fam.params_text(), n), rows_at(bounds_mod.bound_rows([rv]), 0), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
@@ -679,7 +679,7 @@ class TestBoundLines:
 
     @staticmethod
     def check(key, rows, fmt):
-        columns = bounds_mod.bound_columns(rows)
+        columns = point_columns(rows)
         if fmt == "csv":
             head = ",".join(map(per_cell_format, key)) + ","
             width = len(cli.COLUMNS["bounds"]) - len(key)

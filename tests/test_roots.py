@@ -8,6 +8,7 @@ import pytest
 from rootgaps import (
     FamilyMismatchError,
     InternalConsistencyError,
+    ParameterDomainError,
     RootVector,
     SingularConfigurationError,
     compute_roots,
@@ -161,11 +162,13 @@ class TestRootVectorChecks:
             (laguerre(2.0), [3.0, 1.0, 0.0], InternalConsistencyError, "orthogonality interval"),
             (jacobi(1.0, -0.9), [0.5, 1.0], InternalConsistencyError, "orthogonality interval"),
             (laguerre(2.0), [-1.0], InternalConsistencyError, "orthogonality interval"),
+            (hermite(), [[0.7], [-0.7]], ParameterDomainError, "one-dimensional"),
+            (hermite(), [[0.7, -0.7]], ParameterDomainError, "one-dimensional"),
         ],
         ids=[
             "hermite-order", "laguerre-order", "jacobi-order", "jacobi-order-and-outside",
             "laguerre-repeated", "jacobi-repeated", "laguerre-on-0-at-the-end", "jacobi-on-1",
-            "laguerre-one-root-below-0",
+            "laguerre-one-root-below-0", "column-of-roots", "row-of-roots",
         ],
     )
     def test_each_error_keeps_its_type(self, family, roots, error, message):
