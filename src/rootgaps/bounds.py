@@ -45,40 +45,43 @@ Jacobi (derived; M is the spectral radius, the largest eigenvalue of ``S_N``):
   jacobi-lower-edge-strong  1 + z_1 >= 8(beta+1)/(M + 4(beta+1) + sqrt(M^2 - 16(alpha+1)(beta+1)))
   jacobi-lower-edge-weak    1 + z_1 >= 4(beta+1)/(M + 2(beta+1))
   jacobi-boundary-product   1 - z_i^2 >= 2 min(alpha+1, beta+1)/M
-  jacobi-boundary-product-symmetric  (alpha = beta)  1 - z_i^2 >= 8(alpha+1)/(M + 4(alpha+1))
   jacobi-gap          z_{i+1} - z_i >= 2^(7/4) sqrt(min(alpha+1, beta+1))/M
+  jacobi-boundary-product-symmetric  (alpha = beta)  1 - z_i^2 >= 8(alpha+1)/(M + 4(alpha+1))
   jacobi-gap-symmetric (alpha = beta)
       z_{i+1} - z_i >= 2^(11/4) sqrt(alpha+1)/sqrt(M(M+4(alpha+1)))
 Jacobi (comparator, asymptotic leading term, alpha, beta > -1/2):
   jacobi-upper-edge-asymptotic  1 - z_N >= alpha(alpha+2)/(2(N+(alpha+beta+1)/2)^2)
 
 Comparator reports never gate anything; a nonpositive comparator bound is
-marked ``vacuous`` and a formula outside its parameter domain is marked
-``not-applicable``.  The discriminant ``M^2 - 16(alpha+1)(beta+1)`` is at
+marked ``vacuous``.  The discriminant ``M^2 - 16(alpha+1)(beta+1)`` is at
 least ``4(alpha-beta)^2``, so zero at ``alpha = beta``, ``N = 1``; it is
 clamped at 0 there, where rounding can make it slightly negative.
 
+Each bound is one :class:`BoundSpec` row of ``BOUND_SPECS``, a family's
+rows in the order above: its id; the quantity it observes, from one
+vocabulary (``lin``, ``cross``, ``diag-sq = lin**2 + cross``, ``gaps``,
+``sqrt-gaps``, ``last`` for the last stored root, ``upper = 1 - z_N``,
+``lower = 1 + z_1`` and ``width = 1 - z**2``); its ``formula`` of ``(n,
+M, *params)``, with ``M`` the spectral radius of ``S_N``, in Python
+floats; ``cap`` for an upper bound; the derived ids that a comparator is
+measured ``against``, which give the pairs that the sharpness summary
+compares; and its rules of the parameters: outside its ``domain`` the
+bound is NaN and noted ``not-applicable``, outside ``only`` the point
+has no such row.
+
 Bounds are evaluated on runs: all the points of one family kind in a
-sweep run, whatever their orders and parameters, at once.  Each family
-has one bound function, :func:`hermite_diag_bound`,
-:func:`laguerre_bounds` and :func:`jacobi_bounds`, and :func:`bound_rows`
-picks the function of the run's kind.  Each takes a sequence of root
-vectors of its kind, one point as ``[z]``, reads the points' ``(lin,
-cross)``, from ``covariance.interaction_sums`` unless the caller passes
-one pair per point (the ``bounds`` command takes each point's from one
-``interaction_sums_stack`` per order), and returns the family's derived
-and comparator bounds as one list of :class:`BoundRow`: each side is a
-``(P,)`` column, one Python-float expression per point, or a
-:class:`Ragged` array with one value per entry and per-point offsets (the
-gaps, the sqrt-scale gaps, ``lin**2 + cross`` and ``1 - z**2``, each one
-numpy pass over the run).  At one point, a row whose two sides are
-columns gives one entry with ``index=None``; a row with a ragged side
-gives one entry per value of it, indices ``1..k``, with the column side
-repeated, so the gap rows give no entry at ``N = 1``.  The gap rows read
-the root vectors' ``gaps``, which are in the index convention of the
-formulas above.  The comparator flag comes from the id: the comparator
-ids are the left column of the comparator/derived pairs that the
-sharpness summary compares.
+sweep run, whatever their orders and parameters, at once.
+:func:`bound_rows` evaluates a run's rows by its kind's view of one
+evaluator (:func:`hermite_diag_bound`, :func:`laguerre_bounds`,
+:func:`jacobi_bounds`), from the root vectors, one point as ``[z]``, and
+their ``(lin, cross)``: ``covariance.interaction_sums`` unless the caller
+passes one pair per point, as the ``bounds`` command does.  Each observed
+quantity is built once per run, in one numpy pass, and shared by its
+rows: a ``(P,)`` column, one value per point, or a :class:`Ragged`
+array, one value per entry with per-point offsets.  Each formula gives a
+``(P,)`` column of Python floats.  At one point, a row of two columns
+gives one entry with ``index=None``; a row with a ragged side one entry
+per value, indices ``1..k``, so the gap rows give none at ``N = 1``.
 
 :class:`RunColumns` evaluates a run's rows once: it lays out every entry
 of the run point by point, each point's rows in row order, and computes
@@ -101,7 +104,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -112,18 +115,126 @@ from .roots import RootVector, require_kind
 
 _HOLDS_RTOL = 1e-10
 
-# Each literature comparator with the derived bound it is measured against;
+
+class BoundSpec(NamedTuple):
+    """One row of ``BOUND_SPECS``, as the module docstring has it;
+    ``domain`` and ``only`` take the family's parameters."""
+
+    bound_id: str
+    observed: str
+    formula: Callable[..., float]
+    cap: bool = False
+    against: tuple[str, ...] = ()
+    domain: Callable[..., bool] | None = None
+    only: Callable[..., bool] | None = None
+
+
+def _disc(m: float, a: float, b: float) -> float:
+    # at least 4(alpha - beta)^2, which is 0 at alpha = beta, N = 1
+    return math.sqrt(max(m**2 - 16.0 * (a + 1.0) * (b + 1.0), 0.0))
+
+
+_GAP_STRONG = ("laguerre-gap-strong", "laguerre-gap-bessel-strong")
+
+# Every bound, a family's in row order, its formula in Python floats as in
+# the catalog (numpy's power can round otherwise); Jacobi's a, b are
+# alpha, beta
+BOUND_SPECS = {
+    FamilyKind.HERMITE: (
+        BoundSpec("hermite-diag-sq", "diag-sq", lambda n, m: (n - 1) ** 3 / n, cap=True),
+        BoundSpec("hermite-inv4-sum", "cross", lambda n, m: (n - 1) ** 3 / (2 * n), cap=True),
+        BoundSpec("hermite-inv2-sum", "lin", lambda n, m: (n - 1) ** 1.5 / math.sqrt(n), cap=True),
+        BoundSpec("hermite-gap", "gaps", lambda n, m: (2.0 * n) ** 0.25 / (n - 1) ** 0.75),
+        BoundSpec(
+            "hermite-gap-comparator", "gaps", lambda n, m: 2.0 / math.sqrt(n), against=("hermite-gap",)
+        ),
+    ),
+    FamilyKind.LAGUERRE: (
+        BoundSpec("laguerre-diag-sq", "diag-sq", lambda n, m, nu: (2.0 * n - 1.0) ** 2, cap=True),
+        BoundSpec("laguerre-min-root", "last", lambda n, m, nu: nu / (2.0 * n - 1.0)),
+        BoundSpec(
+            "laguerre-gap-strong", "gaps",
+            lambda n, m, nu: math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / (2.0 * n - 1.0),
+        ),
+        BoundSpec(
+            "laguerre-gap-weak", "gaps", lambda n, m, nu: 2.0 * 2.0**0.25 * math.sqrt(nu) / (2.0 * n - 1.0)
+        ),
+        # sqrt(nu^2 - 1) is imaginary below nu = 1, where the source floors are vacuous
+        BoundSpec(
+            "laguerre-gap-bessel-strong", "gaps",
+            lambda n, m, nu: math.sqrt(2.0) / (2.0 * n - 1.0) * math.sqrt(2.0 + math.sqrt(2.0) * math.sqrt(
+                2.0 + (2.0 * n - 1.0) ** 2 * (nu * nu - 1.0) ** 2 / (n + nu / 2.0) ** 2
+            )),
+            domain=lambda nu: nu >= 1.0,
+        ),
+        BoundSpec(
+            "laguerre-gap-bessel-weak", "gaps",
+            lambda n, m, nu: 2.0**0.75 * math.sqrt(nu * nu - 1.0)
+            / math.sqrt((2.0 * n - 1.0) * (n + nu / 2.0)),
+            domain=lambda nu: nu >= 1.0,
+        ),
+        BoundSpec("laguerre-sqrt-gap", "sqrt-gaps", lambda n, m, nu: 1.0 / math.sqrt(2.0 * n - 1.0)),
+        BoundSpec(
+            "laguerre-min-root-bessel", "last", lambda n, m, nu: (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)),
+            against=("laguerre-min-root",),
+        ),
+        # n - 1 first: at N = 1 the sum in the other order cancels a tiny nu
+        BoundSpec(
+            "laguerre-gap-comparator-1", "gaps",
+            lambda n, m, nu: (nu - 1.0) / math.sqrt(((n - 1.0) + nu) * n),
+            against=_GAP_STRONG,
+        ),
+        BoundSpec(
+            "laguerre-gap-comparator-2", "gaps",
+            lambda n, m, nu: 2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n),
+            against=_GAP_STRONG,
+        ),
+        BoundSpec(
+            "laguerre-gap-comparator-3", "gaps",
+            lambda n, m, nu: math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n),
+            against=_GAP_STRONG,
+        ),
+    ),
+    FamilyKind.JACOBI: (
+        BoundSpec("jacobi-diag-sq", "diag-sq", lambda n, m, a, b: m**2, cap=True),
+        BoundSpec(
+            "jacobi-upper-edge-strong", "upper",
+            lambda n, m, a, b: 8.0 * (a + 1.0) / (m + 4.0 * (a + 1.0) + _disc(m, a, b)),
+        ),
+        BoundSpec(
+            "jacobi-upper-edge-weak", "upper", lambda n, m, a, b: 4.0 * (a + 1.0) / (m + 2.0 * (a + 1.0))
+        ),
+        BoundSpec(
+            "jacobi-lower-edge-strong", "lower",
+            lambda n, m, a, b: 8.0 * (b + 1.0) / (m + 4.0 * (b + 1.0) + _disc(m, a, b)),
+        ),
+        BoundSpec(
+            "jacobi-lower-edge-weak", "lower", lambda n, m, a, b: 4.0 * (b + 1.0) / (m + 2.0 * (b + 1.0))
+        ),
+        BoundSpec("jacobi-boundary-product", "width", lambda n, m, a, b: 2.0 * min(a + 1.0, b + 1.0) / m),
+        BoundSpec("jacobi-gap", "gaps", lambda n, m, a, b: 2.0**1.75 * math.sqrt(min(a + 1.0, b + 1.0)) / m),
+        BoundSpec(
+            "jacobi-boundary-product-symmetric", "width",
+            lambda n, m, a, b: 8.0 * (a + 1.0) / (m + 4.0 * (a + 1.0)), only=lambda a, b: a == b,
+        ),
+        BoundSpec(
+            "jacobi-gap-symmetric", "gaps",
+            lambda n, m, a, b: 2.0**2.75 * math.sqrt(a + 1.0) / math.sqrt(m * (m + 4.0 * (a + 1.0))),
+            only=lambda a, b: a == b,
+        ),
+        # the dropped o(1/N^2) term means it never gates anything
+        BoundSpec(
+            "jacobi-upper-edge-asymptotic", "upper",
+            lambda n, m, a, b: a * (a + 2.0) / (2.0 * (n + (a + b + 1.0) / 2.0) ** 2),
+            against=("jacobi-upper-edge-strong",), domain=lambda a, b: a > -0.5 and b > -0.5,
+        ),
+    ),
+}
+
+# Each literature comparator with a derived bound it is measured against;
 # a report whose id is on the left is a comparator and never gates anything.
-_COMPARATOR_PAIRS = (
-    ("hermite-gap-comparator", "hermite-gap"),
-    ("laguerre-min-root-bessel", "laguerre-min-root"),
-    ("laguerre-gap-comparator-1", "laguerre-gap-strong"),
-    ("laguerre-gap-comparator-2", "laguerre-gap-strong"),
-    ("laguerre-gap-comparator-3", "laguerre-gap-strong"),
-    ("laguerre-gap-comparator-1", "laguerre-gap-bessel-strong"),
-    ("laguerre-gap-comparator-2", "laguerre-gap-bessel-strong"),
-    ("laguerre-gap-comparator-3", "laguerre-gap-bessel-strong"),
-    ("jacobi-upper-edge-asymptotic", "jacobi-upper-edge-strong"),
+_COMPARATOR_PAIRS = tuple(
+    (spec.bound_id, own_id) for specs in BOUND_SPECS.values() for spec in specs for own_id in spec.against
 )
 _COMPARATOR_IDS = frozenset(cmp_id for cmp_id, _ in _COMPARATOR_PAIRS)
 
@@ -214,22 +325,11 @@ def _starts(counts) -> np.ndarray:
 class _Run(NamedTuple):
     """A run of root vectors of one kind, their per-entry arrays ragged."""
 
-    points: Sequence[RootVector]
     n: list[int]
     roots: Ragged
     gaps: Ragged
     lin: Ragged
     cross: Ragged
-
-    @property
-    def first(self) -> np.ndarray:
-        """Each point's first stored root."""
-        return self.roots.values[self.roots.starts[:-1]]
-
-    @property
-    def last(self) -> np.ndarray:
-        """Each point's last stored root."""
-        return self.roots.values[self.roots.starts[1:] - 1]
 
 
 def _run(points: Sequence[RootVector], kind: FamilyKind, sums: Sequence[tuple] | None) -> _Run:
@@ -248,7 +348,6 @@ def _run(points: Sequence[RootVector], kind: FamilyKind, sums: Sequence[tuple] |
     gap_starts = _starts([k - 1 for k in n])
     concat = np.concatenate
     return _Run(
-        points,
         n,
         Ragged(concat([z.roots for z in points]), starts),
         Ragged(concat([z.gaps for z in points]), gap_starts),
@@ -257,167 +356,65 @@ def _run(points: Sequence[RootVector], kind: FamilyKind, sums: Sequence[tuple] |
     )
 
 
-def _columns(per_point: Iterable[tuple]) -> np.ndarray:
-    """The ``(P,)`` columns of the scalars that ``per_point`` gives for each
-    point, one tuple per point, as the rows of one array."""
-    return np.array(list(zip(*per_point)), dtype=float)
+def _sqrt_gaps(run: _Run) -> Ragged:
+    # sqrt(z_i) - sqrt(z_{i+1}) over the run, less those that straddle two points
+    root = np.sqrt(run.roots.values)
+    return Ragged(np.delete(root[:-1] - root[1:], run.roots.starts[1:-1] - 1), run.gaps.starts)
+
+
+# Each observed quantity of a run, from its ragged arrays: a Ragged side of
+# one value per root or per gap, or a (P,) column of one value per point
+_OBSERVED: dict[str, Callable[[_Run], Side]] = {
+    "lin": lambda run: run.lin,
+    "cross": lambda run: run.cross,
+    "diag-sq": lambda run: Ragged(run.lin.values * run.lin.values + run.cross.values, run.lin.starts),
+    "gaps": lambda run: run.gaps,
+    "sqrt-gaps": _sqrt_gaps,
+    "last": lambda run: run.roots.values[run.roots.starts[1:] - 1],
+    "upper": lambda run: 1.0 - run.roots.values[run.roots.starts[1:] - 1],
+    "lower": lambda run: 1.0 + run.roots.values[run.roots.starts[:-1]],
+    "width": lambda run: Ragged(1.0 - run.roots.values * run.roots.values, run.roots.starts),
+}
+
+
+def _evaluate(kind: FamilyKind, points: Sequence[RootVector], sums: Sequence[tuple] | None) -> list[BoundRow]:
+    """The rows of ``BOUND_SPECS[kind]`` on a run of root vectors of that
+    kind, each observed quantity built once and shared by its rows."""
+    run = _run(points, kind, sums)
+    min_n = points[0].family.spec.min_n
+    if min(run.n) < min_n:
+        raise ParameterDomainError(f"{kind.value.capitalize()} bounds need N >= {min_n}")
+    params = [z.family.parameters() for z in points]
+    args = [(z.n, float(z.family.spec.spectrum(z.family, z.n)[-1]), *p) for z, p in zip(points, params)]
+    sides: dict[str, Side] = {}
+    rows = []
+    for spec in BOUND_SPECS[kind]:
+        applies = np.array([spec.only is None or spec.only(*p) for p in params])
+        if not applies.any():
+            continue
+        inside = [spec.domain is None or spec.domain(*p) for p in params]
+        bound = np.array([spec.formula(*a) if ok else math.nan for a, ok in zip(args, inside)], dtype=float)
+        note = "" if spec.domain is None else ["" if ok else "not-applicable" for ok in inside]
+        if spec.observed not in sides:
+            sides[spec.observed] = _OBSERVED[spec.observed](run)
+        sides_of = (sides[spec.observed], bound) if spec.cap else (bound, sides[spec.observed])
+        rows.append(BoundRow(spec.bound_id, *sides_of, note, None if applies.all() else applies))
+    return rows
 
 
 def hermite_diag_bound(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
-    """Hermite rows of a run of root vectors: the diagonal-of-square caps,
-    their corollaries, and the literature gap comparator.  ``sums`` holds
-    each point's ``interaction_sums``, if the caller has them already."""
-    run = _run(points, FamilyKind.HERMITE, sums)
-    if min(run.n) < 2:
-        raise ParameterDomainError("Hermite bounds need N >= 2")
-    inv2, inv4 = run.lin, run.cross
-    diag = Ragged(inv2.values * inv2.values + inv4.values, inv2.starts)
-    cap, inv4_cap, inv2_cap, gap_floor, comparator = _columns(
-        (
-            (n - 1) ** 3 / n,
-            (n - 1) ** 3 / (2 * n),
-            (n - 1) ** 1.5 / math.sqrt(n),
-            (2.0 * n) ** 0.25 / (n - 1) ** 0.75,
-            2.0 / math.sqrt(n),
-        )
-        for n in run.n
-    )
-    return [
-        BoundRow("hermite-diag-sq", diag, cap),
-        BoundRow("hermite-inv4-sum", inv4, inv4_cap),
-        BoundRow("hermite-inv2-sum", inv2, inv2_cap),
-        BoundRow("hermite-gap", gap_floor, run.gaps),
-        BoundRow("hermite-gap-comparator", comparator, run.gaps),
-    ]
-
-
-def _laguerre_scalars(n: int, nu: float) -> tuple:
-    two_n1 = 2.0 * n - 1.0
-    if nu >= 1.0:
-        q = two_n1**2 * (nu * nu - 1.0) ** 2 / (n + nu / 2.0) ** 2
-        bessel_strong = (
-            math.sqrt(2.0) / two_n1
-            * math.sqrt(2.0 + math.sqrt(2.0) * math.sqrt(2.0 + q))
-        )
-        bessel_weak = (
-            2.0**0.75 * math.sqrt(nu * nu - 1.0) / math.sqrt(two_n1 * (n + nu / 2.0))
-        )
-    else:
-        # sqrt(nu^2 - 1) is imaginary below nu = 1; the source floor is
-        # vacuous there, so the report carries no values
-        bessel_strong = bessel_weak = math.nan
-    return (
-        two_n1**2,
-        nu / two_n1,
-        math.sqrt(2.0 * (1.0 + math.sqrt(1.0 + 8.0 * nu * nu))) / two_n1,
-        2.0 * 2.0**0.25 * math.sqrt(nu) / two_n1,
-        bessel_strong,
-        bessel_weak,
-        1.0 / math.sqrt(two_n1),
-        (nu * nu - 1.0) / (4.0 * (n + nu / 2.0)),
-        # n - 1 first: at N = 1 the sum in the other order cancels a tiny nu
-        (nu - 1.0) / math.sqrt(((n - 1.0) + nu) * n),
-        2.0 * math.sqrt(2.0) * nu / math.sqrt((n + nu) * n),
-        math.pi * math.sqrt(2.0) / math.sqrt(2.0 * nu * n + nu + 2.0 * n * n),
-    )
+    """The Hermite rows of ``BOUND_SPECS`` on a run of root vectors."""
+    return _evaluate(FamilyKind.HERMITE, points, sums)
 
 
 def laguerre_bounds(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
-    """Laguerre rows of a run of root vectors: the derived diagonal caps,
-    smallest-root floor and three gap floors (plain, Bessel-assisted for
-    nu >= 1, sqrt scale), and the literature comparators (informational).
-    ``sums`` holds each point's ``interaction_sums``, if the caller has
-    them already."""
-    run = _run(points, FamilyKind.LAGUERRE, sums)
-    nus = [z.family.parameters()[0] for z in run.points]
-    (cap, min_root, strong, weak, bessel_strong, bessel_weak, sqrt_floor, min_root_bessel,
-     cmp1, cmp2, cmp3) = _columns(map(_laguerre_scalars, run.n, nus))
-    note = ["" if nu >= 1.0 else "not-applicable" for nu in nus]
-    lin, cross, gaps = run.lin, run.cross, run.gaps
-    diag = Ragged(lin.values * lin.values + cross.values, lin.starts)
-    # sqrt(z_i) - sqrt(z_{i+1}) over the run, less the differences that
-    # straddle two points
-    root = np.sqrt(run.roots.values)
-    sqrt_gaps = Ragged(np.delete(root[:-1] - root[1:], run.roots.starts[1:-1] - 1), gaps.starts)
-    smallest = run.last
-    return [
-        BoundRow("laguerre-diag-sq", diag, cap),
-        BoundRow("laguerre-min-root", min_root, smallest),
-        BoundRow("laguerre-gap-strong", strong, gaps),
-        BoundRow("laguerre-gap-weak", weak, gaps),
-        BoundRow("laguerre-gap-bessel-strong", bessel_strong, gaps, note),
-        BoundRow("laguerre-gap-bessel-weak", bessel_weak, gaps, note),
-        BoundRow("laguerre-sqrt-gap", sqrt_floor, sqrt_gaps),
-        BoundRow("laguerre-min-root-bessel", min_root_bessel, smallest),
-        BoundRow("laguerre-gap-comparator-1", cmp1, gaps),
-        BoundRow("laguerre-gap-comparator-2", cmp2, gaps),
-        BoundRow("laguerre-gap-comparator-3", cmp3, gaps),
-    ]
-
-
-def _jacobi_scalars(n: int, alpha: float, beta: float, big_m: float) -> tuple:
-    # at least 4(alpha - beta)^2, which is 0 at alpha = beta, N = 1
-    disc = math.sqrt(max(big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0), 0.0))
-    if alpha <= -0.5 or beta <= -0.5:
-        asymptotic = math.nan
-    else:
-        asymptotic = alpha * (alpha + 2.0) / (2.0 * (n + (alpha + beta + 1.0) / 2.0) ** 2)
-    return (
-        big_m**2,
-        8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0) + disc),
-        4.0 * (alpha + 1.0) / (big_m + 2.0 * (alpha + 1.0)),
-        8.0 * (beta + 1.0) / (big_m + 4.0 * (beta + 1.0) + disc),
-        4.0 * (beta + 1.0) / (big_m + 2.0 * (beta + 1.0)),
-        2.0 * min(alpha + 1.0, beta + 1.0) / big_m,
-        2.0**1.75 * math.sqrt(min(alpha + 1.0, beta + 1.0)) / big_m,
-        8.0 * (alpha + 1.0) / (big_m + 4.0 * (alpha + 1.0)),
-        2.0**2.75 * math.sqrt(alpha + 1.0) / math.sqrt(big_m * (big_m + 4.0 * (alpha + 1.0))),
-        asymptotic,
-    )
+    """The Laguerre rows of ``BOUND_SPECS`` on a run of root vectors."""
+    return _evaluate(FamilyKind.LAGUERRE, points, sums)
 
 
 def jacobi_bounds(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
-    """Jacobi rows of a run of root vectors: the derived diagonal caps,
-    the two boundary-distance floors, the boundary-product floors and the
-    gap floors, and the asymptotic leading-term comparator for the upper
-    boundary distance.
-
-    The comparator is only meaningful for ``alpha, beta > -1/2``; the
-    dropped ``o(1/N^2)`` term means it never gates anything.  ``sums``
-    holds each point's ``interaction_sums``, if the caller has them
-    already.
-    """
-    run = _run(points, FamilyKind.JACOBI, sums)
-    params = [z.family.parameters() for z in run.points]
-    big_m = [float(z.family.spec.spectrum(z.family, z.n)[-1]) for z in run.points]
-    (cap, upper_strong, upper_weak, lower_strong, lower_weak, floor, gap_floor, floor_sym,
-     gap_sym, asymptotic) = _columns(
-        _jacobi_scalars(n, alpha, beta, m) for n, (alpha, beta), m in zip(run.n, params, big_m)
-    )
-    lin, cross, gaps, roots = run.lin, run.cross, run.gaps, run.roots
-    diag = Ragged(lin.values * lin.values + cross.values, lin.starts)
-    upper = 1.0 - run.last
-    lower = 1.0 + run.first
-    width = Ragged(1.0 - roots.values * roots.values, roots.starts)
-    rows = [
-        BoundRow("jacobi-diag-sq", diag, cap),
-        BoundRow("jacobi-upper-edge-strong", upper_strong, upper),
-        BoundRow("jacobi-upper-edge-weak", upper_weak, upper),
-        BoundRow("jacobi-lower-edge-strong", lower_strong, lower),
-        BoundRow("jacobi-lower-edge-weak", lower_weak, lower),
-        BoundRow("jacobi-boundary-product", floor, width),
-        BoundRow("jacobi-gap", gap_floor, gaps),
-    ]
-    symmetric = np.array([alpha == beta for alpha, beta in params])
-    if symmetric.any():
-        applies = None if symmetric.all() else symmetric
-        rows += [
-            BoundRow("jacobi-boundary-product-symmetric", floor_sym, width, "", applies),
-            BoundRow("jacobi-gap-symmetric", gap_sym, gaps, "", applies),
-        ]
-    note = ["not-applicable" if alpha <= -0.5 or beta <= -0.5 else "" for alpha, beta in params]
-    rows.append(BoundRow("jacobi-upper-edge-asymptotic", asymptotic, upper, note))
-    return rows
+    """The Jacobi rows of ``BOUND_SPECS`` on a run of root vectors."""
+    return _evaluate(FamilyKind.JACOBI, points, sums)
 
 
 # Each family's bound rows; the lambdas look the functions up at call time,
@@ -431,7 +428,7 @@ _BOUND_SETS = {
 
 def bound_rows(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
     """Every derived bound and comparator row of a run of root vectors of
-    one kind, by the family function of that kind; ``sums`` holds each
+    one kind, by the view of that kind; ``sums`` holds each
     point's ``interaction_sums``, if the caller has them already."""
     if not points:
         raise EmptyProblemError("bound rows need at least one point")
@@ -609,7 +606,8 @@ class SharpnessSummary:
     ``diag_square_identity_ratio`` is the summed diagonal-of-square left
     side divided by its exact trace value; it must be 1 up to rounding for
     Hermite and Laguerre.  ``comparator_ratios`` maps
-    ``"<comparator-id>/<own-id>"`` to the ratio of the two bound values.
+    ``"<comparator-id>/<own-id>"`` to the ratio of the two bound values,
+    in the order of ``BOUND_SPECS`` and of each comparator's ``against``.
     """
 
     worst: dict[str, float]
@@ -642,7 +640,7 @@ def sharpness_summary(z: RootVector, columns: BoundColumns) -> SharpnessSummary:
     ratio = None
     fam = z.family
     _, square_target = fam.spec.trace_targets(fam.spec.spectrum(fam, z.n))
-    diag_id = f"{fam.kind.value}-diag-sq"
+    (diag_id,) = [spec.bound_id for spec in BOUND_SPECS[fam.kind] if spec.observed == "diag-sq"]
     if square_target is not None and diag_id in bounds:
         ratio = sum(bounds[diag_id]) / square_target
     comparator_ratios: dict[str, float] = {}

@@ -105,7 +105,7 @@ def trace_power(m: DenseSymmetric, k: int) -> float:
     Deliberately avoids the spectral route so the result can be checked
     against eigenvalue power sums.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterDomainError(f"power must be a positive integer, got {k!r}")
     result: np.ndarray | None = None
     base = m.entries

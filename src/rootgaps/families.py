@@ -499,7 +499,8 @@ def evaluate_with_derivative(family: PolynomialFamily, n: int, x: float) -> tupl
 
 
 def _check_order(n: int) -> None:
-    if not isinstance(n, (int, np.integer)):
+    # bool is an int subclass, but True is no order
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ParameterDomainError(f"polynomial order must be an integer, got {n!r}")
     if n == 0:
         raise EmptyProblemError("polynomial order N = 0 gives an empty problem")

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from itertools import count, repeat, zip_longest
 from operator import itemgetter
@@ -25,7 +26,17 @@ from rootgaps import (
     sharpness_summary,
 )
 from rootgaps import cli
-from rootgaps.bounds import _COMPARATOR_IDS, _COMPARATOR_PAIRS, _HOLDS_RTOL, BoundRow, Ragged, RunColumns
+import rootgaps.bounds
+from rootgaps.bounds import (
+    _COMPARATOR_IDS,
+    _COMPARATOR_PAIRS,
+    _HOLDS_RTOL,
+    _OBSERVED,
+    BOUND_SPECS,
+    BoundRow,
+    Ragged,
+    RunColumns,
+)
 from rootgaps.cli import DEFAULT_N_MAX, default_families
 from rootgaps.roots import compute_roots_many
 
@@ -43,6 +54,59 @@ def summary_for(family, n):
 
 def by_id(reports, bound_id):
     return [r for r in reports if r.bound_id == bound_id]
+
+
+class TestBoundTable:
+    """``BOUND_SPECS`` against the module docstring's catalog, and the
+    table's cross-references."""
+
+    def catalog(self):
+        # a catalog line starts with a family's id, two spaces in
+        ids = re.findall(r"^  ((?:hermite|laguerre|jacobi)-[a-z0-9-]+)", rootgaps.bounds.__doc__, re.M)
+        assert len(ids) == len(set(ids))
+        return ids
+
+    def test_catalog_names_every_row_in_row_order(self):
+        assert self.catalog() == [spec.bound_id for specs in BOUND_SPECS.values() for spec in specs]
+
+    def test_comparators_are_measured_against_derived_rows_of_their_family(self):
+        for specs in BOUND_SPECS.values():
+            derived = {spec.bound_id for spec in specs if not spec.against}
+            for spec in specs:
+                assert set(spec.against) <= derived, spec.bound_id
+        assert _COMPARATOR_IDS == {
+            spec.bound_id for specs in BOUND_SPECS.values() for spec in specs if spec.against
+        }
+        assert len(set(_COMPARATOR_PAIRS)) == len(_COMPARATOR_PAIRS)
+
+    def test_every_observed_quantity_is_known(self):
+        assert {spec.observed for specs in BOUND_SPECS.values() for spec in specs} == set(_OBSERVED)
+
+
+class TestBenchHook:
+    """The bench counts bound rows by wrapping the family views on the
+    module; both library and command must reach them through it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        view = rootgaps.bounds.laguerre_bounds
+
+        def counting(points, sums=None):
+            calls.append(len(points))
+            return view(points, sums)
+
+        monkeypatch.setattr(rootgaps.bounds, "laguerre_bounds", counting)
+        return calls
+
+    def test_bound_rows_calls_the_view(self, calls):
+        bound_rows([compute_roots(laguerre(2.0), 4)])
+        assert calls == [1]
+
+    def test_bounds_stage_calls_the_view(self, calls):
+        batch = compute_roots_many([(hermite(), 3), (laguerre(2.0), 4), (laguerre(0.5), 5)])
+        assert len(list(cli._bounds_stage(batch, "csv", None, False))) == 3
+        assert calls == [2]
 
 
 class TestReportInvariants:

@@ -531,6 +531,24 @@ class TestGoldenOutput:
                 ["bounds", "--format", "json"],
                 "4c1d537fef2bb43afcbe8f70a3d3282c6d672f35139a1de806dc5b2c254e41c2",
             ),
+            # off the default grid: nu tiny and large, alpha = beta large,
+            # and alpha below -1/2, where the asymptotic comparator does not apply
+            golden(
+                ["bounds", "--family", "laguerre", "--nu", "1e-20", "--n-max", "40"],
+                "93c96277c6a9ea20083cad8d95a96673ae90d94b2b1b2464b72be06b2710bf97",
+            ),
+            golden(
+                ["bounds", "--family", "laguerre", "--nu", "1000", "--n-max", "40"],
+                "ee28e3ea28da1b0f1dc1fef0eb03eefd422eb9e46c0dda0273c0f0d3a6efda83",
+            ),
+            golden(
+                ["bounds", "--family", "jacobi", "--alpha", "50", "--beta", "50", "--n-max", "40", "--format", "json"],
+                "68a6a7fbcfdb7ebbc577a5a82b868e64ed5f82f2460ae95f0f91126ec2039ca9",
+            ),
+            golden(
+                ["bounds", "--family", "jacobi", "--alpha", "-0.7", "--beta", "3", "--n-max", "40", "--format", "json"],
+                "69542a1399ffbe7f4e269c677b0e0b3ae9b604c9e73387c83f5391cc8ad2637c",
+            ),
         ],
     )
     def test_sha256(self, capsys, argv, digest):

@@ -228,6 +228,11 @@ class TestTracePower:
         with pytest.raises(ParameterDomainError):
             trace_power(m, -3)
 
+    def test_rejects_a_bool_power(self):
+        # bool is an int subclass: True read as tr(m)
+        with pytest.raises(ParameterDomainError):
+            trace_power(DenseSymmetric(np.eye(2)), True)
+
     def test_overflow_raises_magnitude_error(self):
         m = DenseSymmetric(np.full((2, 2), 1e60))
         with pytest.raises(MagnitudeError):

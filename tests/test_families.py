@@ -15,6 +15,7 @@ from rootgaps import (
     ParameterDomainError,
     PolynomialFamily,
     SymTridiagonal,
+    compute_roots,
     evaluate_with_derivative,
     hermite,
     jacobi,
@@ -42,6 +43,17 @@ class TestFamilyValidation:
     def test_hermite_takes_no_parameters(self):
         with pytest.raises(ParameterDomainError):
             PolynomialFamily(FamilyKind.HERMITE, nu=1.0)
+
+    @pytest.mark.parametrize("order", [True, False, np.bool_(True)])
+    def test_a_bool_is_no_order(self, order):
+        # bool is an int subclass: True read as P_1, and numpy's negative of
+        # a bool raised its own TypeError in the root batch
+        with pytest.raises(ParameterDomainError, match="integer"):
+            evaluate_with_derivative(hermite(), order, 0.5)
+        with pytest.raises(ParameterDomainError, match="integer"):
+            jacobi_matrix(laguerre(1.0), order)
+        with pytest.raises(ParameterDomainError, match="integer"):
+            compute_roots(laguerre(1.0), order)
 
 
 # the default grid and one family off it per kind with parameters (Hermite
