@@ -30,7 +30,6 @@ from .roots import (
 )
 from .covariance import build_S, interaction_sums, laguerre_sqrt_r_S
 from .bounds import (
-    BoundColumns,
     BoundReport,
     RunColumns,
     SharpnessSummary,
@@ -45,7 +44,6 @@ from .bounds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundColumns",
     "BoundReport",
     "DenseSymmetric",
     "EmptyProblemError",

@@ -80,30 +80,30 @@ quantity is built once per run, in one numpy pass, and shared by its
 rows: a ``(P,)`` column, one value per point, or a :class:`Ragged`
 array, one value per entry with per-point offsets.  Each formula gives a
 ``(P,)`` column of Python floats.  At one point, a row of two columns
-gives one entry with ``index=None``; a row with a ragged side one entry
-per value, indices ``1..k``, so the gap rows give none at ``N = 1``.
+gives one entry, index 0 (``None`` in a report); a row with a ragged side
+one entry per value, indices ``1..k``, so the gap rows give none at
+``N = 1``.
 
-:class:`RunColumns` evaluates a run's rows once: it lays out every entry
-of the run point by point, each point's rows in row order, and computes
-``slack``, ``holds``, ``sharpness`` and the notes in one numpy pass and
-each point's violation count in one integer pass.  ``point(p)`` cuts one
-point's :class:`BoundColumns` from them, the columns of its output rows
-after the point key with no tuple per entry: one side per row for the id,
-index, bound and observed values and comparator flag, and one value per
-entry for ``slack``, ``holds``, ``sharpness`` and ``note``.  The
-``bounds`` command writes from these columns, and the library's views are
-the same path on a run of one point, ``RunColumns(bound_rows([z]),
-1).point(0)``: :func:`bound_set`, a ``BoundReport`` per entry (an
-immutable named tuple, its fields the output row after the point key),
-and :func:`sharpness_summary`, which takes the root vector alongside the
-columns.
+:class:`RunColumns` lays out every entry of a run as flat arrays, point
+by point, each point's rows in row order, with ``starts`` the offsets of
+the points: each entry's ``row`` and ``index``, its ``slack``, ``holds``,
+``sharpness`` and note code from one numpy pass, and each point's
+violation count from one integer pass.  A bound or observed value is a
+key into a pool that holds each distinct side of that column once, so
+the rows that share a side, as the seven Laguerre gap rows share the
+gaps, share its keys.  ``RunColumns.columns`` are the columns of the
+``bounds`` output rows after the point key, each a per-entry array or a
+``(pool, keys)`` pair, which the ``bounds`` command writes a kind's run
+at a time.  The library's views are the same path on a run of one point,
+``RunColumns(bound_rows([z]), 1)``: :func:`bound_set`, a ``BoundReport``
+per entry (an immutable named tuple, its fields the output row after the
+point key), and :func:`sharpness_summary`, which reads one point of a
+run alongside its root vector.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -114,6 +114,10 @@ from .families import FamilyKind
 from .roots import RootVector, require_kind
 
 _HOLDS_RTOL = 1e-10
+
+# a run's per-entry keys, rows, indices and note codes, in half the memory
+# of np.intp; a run of 2**31 entries would not fit in memory anyway
+_ENTRY_INT = np.int32
 
 
 class BoundSpec(NamedTuple):
@@ -260,32 +264,6 @@ class BoundReport(NamedTuple):
     sharpness: float
     comparator: bool = False
     note: str = ""
-
-
-class BoundColumns(NamedTuple):
-    """One point's bound set as the columns of its output rows after the
-    point key, ``counts`` giving the entries of each row.  A tuple column
-    holds one side per row: a scalar for all the row's entries, or an
-    array with one item per entry, which rows may share (the gaps, and
-    the indices ``1..count``; a row of two scalars has one entry and the
-    index ``None``).  A list column holds one Python value per entry.
-    """
-
-    counts: tuple
-    bound_id: tuple
-    index: tuple
-    bound_value: tuple
-    observed_value: tuple
-    slack: list[float]
-    holds: list[bool]
-    sharpness: list[float]
-    comparator: tuple
-    note: list[str]
-
-    def spans(self) -> list[tuple[int, int]]:
-        """The ``start`` and ``stop`` of each row's entries."""
-        stops = list(accumulate(self.counts))
-        return list(zip([0] + stops[:-1], stops))
 
 
 class Ragged(NamedTuple):
@@ -435,168 +413,110 @@ def bound_rows(points: Sequence[RootVector], sums: Sequence[tuple] | None = None
     return _BOUND_SETS[points[0].family.kind](points, sums)
 
 
-def _getter(positions: list[int]) -> Callable[[list], tuple]:
-    """The items of a list at ``positions``, as a tuple."""
-    if len(positions) == 1:
-        return lambda values, i=positions[0]: (values[i],)
-    return itemgetter(*positions) if positions else lambda values: ()
-
-
-def _distinct(sides) -> list:
-    """The distinct objects of ``sides``, by identity, in order."""
-    return list({id(side): side for side in sides}.values())
-
-
 class RunColumns:
-    """The columns of the bound rows of a run of ``size`` points, every
-    entry evaluated once.  The run's entries lie point by point, each
-    point's rows in row order and each row's entries in index order.
+    """The bound entries of a run of ``size`` points, each evaluated once,
+    as flat arrays: point by point, each point's rows in row order and each
+    row's entries in index order, point ``p``'s from ``starts[p]`` to
+    ``starts[p + 1]``.
 
-    ``slack = observed - bound``; the bound holds when the slack is at
-    least ``-1e-10 max(|bound|, 1)``, which a NaN side never is;
-    ``sharpness = observed / bound`` when the bound is positive, else NaN.
-    A comparator entry whose bound is not positive carries no information
-    and is noted ``vacuous``, unless its row has a note of its own.  These
-    are one numpy pass over the run; ``slack``, ``holds`` and ``sharpness``
-    hold them for every entry.  ``violations`` holds, per point, the
-    number of entries that do not hold of the gating rows, neither
-    comparators nor noted.  :meth:`point` cuts one point's
-    :class:`BoundColumns`.
+    Per entry: ``row``; ``index``, ``1..k`` in a ragged row and 0 in a
+    one-entry row; ``slack = observed - bound``; ``holds``, a slack of at
+    least ``-1e-10 max(|bound|, 1)``, which a NaN side never has;
+    ``sharpness = observed / bound`` for a positive bound, else NaN; and
+    ``codes``, the entry's note in ``notes``, ``vacuous`` for a comparator
+    entry whose bound is not positive unless its row has a note of its
+    own.  ``bound_value`` and ``observed_value`` are each a ``(pool,
+    keys)`` pair: the pool holds each distinct side of the column once, so
+    the rows that share a side share its keys.  ``violations`` counts, per
+    point, the entries of the gating rows (neither comparators nor noted)
+    that do not hold.  ``columns`` are the ``BoundReport`` fields, each a
+    per-entry array or a ``(pool, keys)`` pair.
     """
 
     def __init__(self, rows: Sequence[BoundRow], size: int):
         count = len(rows)
-        # (row, point) tables of entries, note codes and the points that
-        # have each row
+        # (row, point) tables of entries and note codes
         counts = np.ones((count, size), dtype=np.intp)
-        codes = np.zeros((count, size), dtype=np.intp)
-        present = np.ones((count, size), dtype=bool)
+        codes = np.zeros((count, size), dtype=_ENTRY_INT)
+        ragged = np.zeros(count, dtype=bool)
         notes = {"": 0, "vacuous": 1}
-        bounds, observed, raggeds = [np.empty(0)], [np.empty(0)], []
+        # per column: each distinct side's offset in the pool, by identity,
+        # the pool's parts, and each row's keys
+        offsets: tuple[dict, dict] = ({}, {})
+        parts = ([np.empty(0)], [np.empty(0)])
+        keys = ([np.empty(0, dtype=_ENTRY_INT)], [np.empty(0, dtype=_ENTRY_INT)])
         for r, row in enumerate(rows):
-            ragged = next((side for side in row[1:3] if isinstance(side, Ragged)), None)
-            raggeds.append(ragged)
-            if ragged is not None:
-                counts[r] = np.diff(ragged.starts)
+            source = next((side for side in row[1:3] if isinstance(side, Ragged)), None)
+            if source is not None:
+                counts[r], ragged[r] = np.diff(source.starts), True
             keep = None
             if row.applies is not None:
-                present[r] = row.applies
                 keep = np.repeat(row.applies, counts[r])
-                counts[r] *= present[r]
-            for side, entries in ((row.bound, bounds), (row.observed, observed)):
+                counts[r] *= row.applies
+            for side, offset, part, key in zip(row[1:3], offsets, parts, keys):
+                values = side.values if isinstance(side, Ragged) else side
+                if id(side) not in offset:
+                    offset[id(side)] = sum(map(len, part))
+                    part.append(values)
+                at = offset[id(side)] + np.arange(len(values), dtype=_ENTRY_INT)
                 if isinstance(side, Ragged):
-                    entries.append(side.values if keep is None else side.values[keep])
+                    key.append(at if keep is None else at[keep])
                 else:
-                    entries.append(np.repeat(side, counts[r]))
+                    key.append(np.repeat(at, counts[r]))
             if isinstance(row.note, str):
                 codes[r] = notes.setdefault(row.note, len(notes))
             else:
                 codes[r] = [notes.setdefault(note, len(notes)) for note in row.note]
 
-        # each entry from its place in the rows' concatenation, row by row,
-        # to its place in the run, point by point
-        sizes = counts.ravel()
-        by_row, by_point = _starts(sizes), _starts(counts.T.ravel())
-        dest = np.repeat(by_point[:-1].reshape(size, count).T.ravel() - by_row[:-1], sizes)
-        dest += np.arange(by_row[-1])
-        b_rows = np.concatenate(bounds)
-        flags = np.array([row.bound_id in _COMPARATOR_IDS for row in rows], dtype=bool)
-        comparator = np.repeat(flags, counts.sum(axis=1))
-        code = np.repeat(codes.ravel(), sizes)
+        # the run's entries, point by point: the entries of each (point, row)
+        # pair, and each entry's place in the rows' concatenation, row by row
+        per_point = counts.T.ravel()
+        by_point, by_row = _starts(per_point), _starts(counts.ravel())
+        order = np.repeat(by_row[:-1].reshape(count, size).T.ravel() - by_point[:-1], per_point)
+        order += np.arange(by_point[-1])
+        self.bound_value, self.observed_value = [
+            (np.concatenate(part), np.concatenate(key)[order]) for part, key in zip(parts, keys)
+        ]
+        self.row = np.repeat(np.tile(np.arange(count, dtype=_ENTRY_INT), size), per_point)
+        index = np.arange(by_point[-1]) - np.repeat(by_point[:-1] - 1, per_point)
+        self.index = index.astype(_ENTRY_INT) * ragged[self.row]
+        self.codes = np.repeat(codes.T.ravel(), per_point)
+        b, o = (pool[key] for pool, key in (self.bound_value, self.observed_value))
+        flags = [row.bound_id in _COMPARATOR_IDS for row in rows]
+        comparator = np.array(flags, dtype=bool)[self.row]
         with np.errstate(invalid="ignore"):
-            code[comparator & (code == 0) & (b_rows <= 0.0)] = 1
-        b, o, self._codes = np.empty_like(b_rows), np.empty_like(b_rows), np.empty_like(code)
-        gating = np.empty(b.size, dtype=bool)
-        b[dest], o[dest], self._codes[dest] = b_rows, np.concatenate(observed), code
-        gating[dest] = ~comparator & (code == 0)
+            self.codes[comparator & (self.codes == 0) & (b <= 0.0)] = 1
         # numpy warns where Python floats give a NaN or an infinity silently
         with np.errstate(invalid="ignore", over="ignore"):
             self.slack = o - b
             self.holds = self.slack >= -_HOLDS_RTOL * np.maximum(np.abs(b), 1.0)
             self.sharpness = np.divide(o, b, out=np.full_like(b, math.nan), where=b > 0.0)
-        point_starts = by_point[::count] if count else np.zeros(size + 1, dtype=np.intp)
-        failed = _starts(gating & ~self.holds)[point_starts]
+        self.starts = by_point[::count] if count else np.zeros(size + 1, dtype=np.intp)
+        failed = _starts(~comparator & (self.codes == 0) & ~self.holds)[self.starts]
         self.violations: list[int] = (failed[1:] - failed[:-1]).tolist()
-
-        # a point's side values: its value of each column, its slice and its
-        # index array of each ragged side, then None
-        columns = _distinct(side for row in rows for side in row[1:3] if not isinstance(side, Ragged))
-        sources = _distinct(side for side in raggeds if side is not None)
-        position = {id(side): k for k, side in enumerate(columns + sources)}
-        none = len(columns) + 2 * len(sources)
-        self._positions = [
-            (
-                position[id(row.bound)], position[id(row.observed)],
-                none if ragged is None else position[id(ragged)] + len(sources),
-            )
-            for row, ragged in zip(rows, raggeds)
-        ]
-        self._scalars = np.array(columns).T.tolist() if columns else [[]] * size
-        self._sources = [(side.values, side.starts.tolist()) for side in sources]
-        self._indices: dict[int, np.ndarray] = {}
-        self._notes = np.array(list(notes), dtype=object)
-        self._rows, self._present, self._comparator = rows, present, flags.tolist()
-        self._point_starts, self._counts = point_starts.tolist(), counts.T.tolist()
-        # the points that have the same rows share one layout
-        masked = [r for r, row in enumerate(rows) if row.applies is not None]
-        self._keys = list(map(tuple, present[masked].T.tolist())) if masked else [()] * size
-        self._layouts: dict[tuple, tuple] = {}
-
-    def _layout(self, p: int) -> tuple:
-        """The ids and comparator flags of point ``p``'s rows, and getters
-        of their counts, indices, bound and observed sides."""
-        layout = self._layouts.get(self._keys[p])
-        if layout is None:
-            here = np.flatnonzero(self._present[:, p]).tolist()
-            bound, observed, index = zip(*[self._positions[r] for r in here]) if here else ((), (), ())
-            layout = self._layouts[self._keys[p]] = (
-                tuple(self._rows[r].bound_id for r in here),
-                tuple(self._comparator[r] for r in here),
-                *map(_getter, (here, list(index), list(bound), list(observed))),
-            )
-        return layout
-
-    def point(self, p: int) -> BoundColumns:
-        """Point ``p``'s columns, cut from the run's."""
-        ids, comparator, counts, index, bound, observed = self._layout(p)
-        start, stop = self._point_starts[p], self._point_starts[p + 1]
-        slices, indices = [], []
-        for values, starts in self._sources:
-            lo, hi = starts[p], starts[p + 1]
-            slices.append(values[lo:hi])
-            if hi - lo not in self._indices:
-                self._indices[hi - lo] = np.arange(1, hi - lo + 1)
-            indices.append(self._indices[hi - lo])
-        sides = self._scalars[p] + slices + indices + [None]
-        return BoundColumns(
-            counts(self._counts[p]),
-            ids,
-            index(sides),
-            bound(sides),
-            observed(sides),
-            self.slack[start:stop].tolist(),
-            self.holds[start:stop].tolist(),
-            self.sharpness[start:stop].tolist(),
-            comparator,
-            self._notes[self._codes[start:stop]].tolist(),
+        self.ids, self.notes = [row.bound_id for row in rows], list(notes)
+        self.columns = (
+            (self.ids, self.row), ([None, *range(1, self.index.max(initial=0) + 1)], self.index),
+            self.bound_value, self.observed_value, self.slack, self.holds, self.sharpness,
+            (flags, self.row), (self.notes, self.codes),
         )
 
 
 def bound_set(z: RootVector) -> list[BoundReport]:
     """Every derived bound and comparator report for the family of ``z``,
     in row order."""
-    columns = RunColumns(bound_rows([z]), 1).point(0)
-    fields = [
-        column if isinstance(column, list)
-        else [value for side, count in zip(column, columns.counts) for value in _entries(side, count)]
-        for column in columns[1:]
-    ]
-    return list(map(BoundReport._make, zip(*fields)))
+    columns = RunColumns(bound_rows([z]), 1).columns
+    return list(map(BoundReport._make, zip(*map(_column_values, columns))))
 
 
-def _entries(side, count: int) -> list:
-    """The values of one side of a row, one per entry."""
-    return side.tolist() if isinstance(side, np.ndarray) else [side] * count
+def _column_values(column) -> list:
+    """One of ``RunColumns.columns`` as Python values, one per entry."""
+    if isinstance(column, tuple):
+        pool, keys = column
+        # an entry is its pool item, so the entries of one key share a float
+        pool = pool.tolist() if isinstance(pool, np.ndarray) else pool
+        return list(map(pool.__getitem__, keys.tolist()))
+    return column.tolist()
 
 
 @dataclass(frozen=True)
@@ -616,31 +536,43 @@ class SharpnessSummary:
     comparator_ratios: dict[str, float]
 
 
-def sharpness_summary(z: RootVector, columns: BoundColumns) -> SharpnessSummary:
-    """Aggregate the bound ``columns`` evaluated on the root vector ``z``.
+# each family's diagonal-of-square bound, whose sum the summary compares
+# with its trace
+_DIAG_SQ_IDS = {
+    kind: spec.bound_id for kind, specs in BOUND_SPECS.items() for spec in specs if spec.observed == "diag-sq"
+}
+
+
+def sharpness_summary(z: RootVector, run: RunColumns, p: int) -> SharpnessSummary:
+    """Aggregate point ``p`` of the bound entries ``run``, evaluated on the
+    root vector ``z``.
 
     A row without entries, such as a gap row at ``N = 1``, is left out.
     Sums are Python's, in entry order.
     """
+    start, stop = run.starts[p], run.starts[p + 1]
+    row = run.row[start:stop]
+    # the first entry of each of the point's rows, and the end
+    cuts = np.flatnonzero(np.diff(row, prepend=-1)).tolist() + [stop - start]
+    pool, keys = run.bound_value
+    bound = pool[keys[start:stop]].tolist()
+    sharpness = run.sharpness[start:stop].tolist()
+    codes = run.codes[start:stop].tolist()
     worst: dict[str, float] = {}
     mean: dict[str, float] = {}
     bounds: dict[str, list[float]] = {}
-    for bound_id, side, (start, stop) in zip(columns.bound_id, columns.bound_value, columns.spans()):
-        if start == stop:
-            continue
-        bounds[bound_id] = _entries(side, stop - start)
+    for r, lo, hi in zip(row[cuts[:-1]].tolist(), cuts, cuts[1:]):
+        bound_id = run.ids[r]
+        bounds[bound_id] = bound[lo:hi]
         # a vacuous entry has a NaN sharpness, and a noted row counts not at all
-        values = [
-            value for value, note in zip(columns.sharpness[start:stop], columns.note[start:stop])
-            if not note and math.isfinite(value)
-        ]
+        values = [value for value, code in zip(sharpness[lo:hi], codes[lo:hi]) if not code and math.isfinite(value)]
         if values:
             worst[bound_id] = min(values)
             mean[bound_id] = sum(values) / len(values)
     ratio = None
     fam = z.family
     _, square_target = fam.spec.trace_targets(fam.spec.spectrum(fam, z.n))
-    (diag_id,) = [spec.bound_id for spec in BOUND_SPECS[fam.kind] if spec.observed == "diag-sq"]
+    diag_id = _DIAG_SQ_IDS[fam.kind]
     if square_target is not None and diag_id in bounds:
         ratio = sum(bounds[diag_id]) / square_target
     comparator_ratios: dict[str, float] = {}

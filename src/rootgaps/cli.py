@@ -16,29 +16,32 @@ eigenbasis (``covariance.eigenbasis_stack``,
 The sweep is split into runs of consecutive points, one per ``--jobs``
 worker (one run when serial).  Each run computes the roots of all its
 points, whatever their families, in one ``compute_roots_many`` batch,
-then hands the batch to its command's stage (``_STAGES``).  A stage
-yields each point's table, its rows as columns, and its summary, one
-point at a time.  ``verify`` groups the points by order (at large orders
-a few points at a time, so that no stack exceeds ``_STACK_ENTRIES``
-matrix entries) and evaluates its checks once on each group's ``(P, n)``
-and ``(P, n, n)`` stacks: each check value of the group is one ``(P,)``
-array, each kind's terms are applied to its runs of consecutive points
-(``covariance.kind_runs``), and each point only picks its values in its
-kind's check order (``VERIFY_CHECKS``).  ``bounds`` takes each point's
-``(lin, cross)`` from one ``interaction_sums_stack`` per such group, then
-evaluates the bound rows of each family kind once for all the run's
-points of that kind, across orders (``bounds.RunColumns``), and cuts each
-point's columns from them (only JSON computes the sharpness summary).
-Each table becomes text before the next is computed
-(``_evaluate_point``), so ``--jobs`` workers send text.  The writer,
-``_point_text``, formats each column once with its formatter from
-``CSV_FORMATS`` or ``JSON_FORMATS`` (a side shared by a bound row's
-entries once, and an array shared by rows once per point), then joins
-each entry into a CSV line or fills it into a JSON object template,
-indented to its place in the document, which is written in pieces; the
-JSON encoder writes only the config header and the summaries.  The
-process pool is imported only when ``--jobs`` asks for more than one
-worker.
+then hands the batch to its command's stage (``_STAGES``), which yields
+chunks of points ``(indices, counts, columns, summaries)``: the points'
+indices in the run, their entry counts, the columns of their rows after
+the point key, and their summaries.  A column holds one value per entry,
+or is a ``(pool, keys)`` pair, each entry the pool's item at its key.
+``roots`` and ``verify`` yield a chunk per point.  ``verify`` groups the
+points by order (at large orders a few points at a time, so that no
+stack exceeds ``_STACK_ENTRIES`` matrix entries) and evaluates its checks
+once on each group's ``(P, n)`` and ``(P, n, n)`` stacks: each check
+value of the group is one ``(P,)`` array, each kind's terms are applied
+to its runs of consecutive points (``covariance.kind_runs``), and each
+point only picks its values in its kind's check order
+(``VERIFY_CHECKS``).  ``bounds`` takes each point's ``(lin, cross)`` from
+one ``interaction_sums_stack`` per such group, then evaluates the bound
+rows of each family kind once for all the run's points of that kind,
+across orders, and yields them as one chunk, the columns of
+``bounds.RunColumns`` (only JSON computes the sharpness summaries).  Each
+chunk becomes text before the next is computed, so ``--jobs`` workers
+send text.  The writer formats each pool once per chunk with the
+column's formatter from ``CSV_FORMATS`` or ``JSON_FORMATS``
+(``_chunk_cells``); each point (``_evaluate_point``) gathers its pool
+cells by its keys, formats its other values, and joins each entry into a
+CSV line or fills it into a JSON object template, indented to its place
+in the document, which is written in pieces; the JSON encoder writes
+only the config header and the summaries.  The process pool is imported
+only when ``--jobs`` asks for more than one worker.
 
 The parsed ``argparse.Namespace`` is the sweep request: ``main`` writes
 the resolved families, in sweep order, and the ``--n`` range onto it, and
@@ -75,9 +78,9 @@ import math
 import os
 import re
 import sys
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -176,10 +179,11 @@ def sweep_points(args: argparse.Namespace) -> list[tuple[PolynomialFamily, int]]
 
 
 def _roots_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
-    """Each point's roots, the gap after each root, and its gap statistics."""
+    """Each point's roots, the gap after each root, and its gap statistics,
+    a chunk per point."""
     for i, rv in enumerate(batch):
-        table = ([rv.n], list(range(1, rv.n + 1)), rv.roots.tolist(), rv.gaps.tolist() + [None])
-        yield i, table, gap_statistics(rv)._asdict()
+        columns = (list(range(1, rv.n + 1)), rv.roots.tolist(), rv.gaps.tolist() + [None])
+        yield [i], [rv.n], columns, [gap_statistics(rv)._asdict()]
 
 
 def _order_groups(batch: list[RootVector]) -> Iterator[tuple[list[int], list[RootVector]]]:
@@ -207,14 +211,15 @@ VERIFY_CHECKS = {
 
 def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
-    every check evaluated once for each group of one order."""
+    a chunk per point, every check evaluated once for each group of one
+    order."""
     for indices, group in _order_groups(batch):
-        for i, (table, summary) in zip(indices, _verify_group(group, tol, corrupt)):
-            yield i, table, summary
+        for i, (columns, summary) in zip(indices, _verify_group(group, tol, corrupt)):
+            yield [i], [len(columns[0])], columns, [summary]
 
 
 def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool) -> Iterator[tuple]:
-    """Each point's table and summary, in order, for the points of one
+    """Each point's columns and summary, in order, for the points of one
     order: every check value is computed once for the group, as a ``(P,)``
     array, and each point takes its values in its kind's check order."""
     n = group[0].n
@@ -276,7 +281,7 @@ def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool) -> 
         point_values = zip(*[values[name][run] for name in check_ids])
         point_passed = zip(*[passed[name][run] for name in check_ids])
         for value, ok in zip(point_values, point_passed):
-            yield ([len(check_ids)], check_ids, list(value), limits, list(ok)), {"failed": ok.count(False)}
+            yield (check_ids, list(value), limits, list(ok)), {"failed": ok.count(False)}
 
 
 def _rel_defect(value: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -284,10 +289,10 @@ def _rel_defect(value: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _bounds_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
-    """Each point's ``bounds.BoundColumns``, cut from its kind's
-    ``bounds.RunColumns``: the rows of each kind are evaluated once for all
-    the run's points of that kind, each point's ``(lin, cross)`` taken from
-    one stack per order.  Only JSON computes the sharpness summary."""
+    """The bound entries of each family kind, a chunk per kind: its rows
+    are evaluated once for all the run's points of that kind
+    (``bounds.RunColumns``), each point's ``(lin, cross)`` taken from one
+    stack per order.  Only JSON computes the sharpness summaries."""
     sums = [None] * len(batch)
     for indices, group in _order_groups(batch):
         lin, cross = interaction_sums_stack(group)
@@ -302,24 +307,23 @@ def _bounds_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt:
         # order, so the stable sort of the rows by id alone orders the
         # entries by (id, index)
         run = bounds_mod.RunColumns(sorted(rows, key=itemgetter(0)), len(indices))
-        for p, i in enumerate(indices):
-            columns = run.point(p)
-            summary = {"violations": run.violations[p]}
-            if fmt == "json":
-                # CSV writes no summary; the sweep reads only the violation count
-                agg = bounds_mod.sharpness_summary(batch[i], columns)
+        summaries = [{"violations": count} for count in run.violations]
+        if fmt == "json":
+            # CSV writes no summary; the sweep reads only the violation count
+            for p, (i, summary) in enumerate(zip(indices, summaries)):
+                agg = bounds_mod.sharpness_summary(batch[i], run, p)
                 summary.update(
                     worst_sharpness=agg.worst,
                     mean_sharpness=agg.mean,
                     diag_square_identity_ratio=agg.diag_square_identity_ratio,
                     comparator_ratios=agg.comparator_ratios,
                 )
-            yield i, columns, summary
+        yield indices, np.diff(run.starts).tolist(), run.columns, summaries
 
 
-# one signature: (the root vectors of a run, format, tol, corrupt) -> the
-# index in the run, table for ``_point_text`` and summary without the
-# point key of each point, in any order, one point at a time
+# one signature: (the root vectors of a run, format, tol, corrupt) -> chunks
+# ``(indices, counts, columns, summaries)`` in any order, as the module
+# docstring has them; a summary leaves out the point key
 _STAGES = {"roots": _roots_stage, "verify": _verify_stage, "bounds": _bounds_stage}
 
 # the most matrix entries of one (P, n, n) stack (2 MB of doubles): a stage
@@ -351,67 +355,78 @@ def _point_outcomes(
 ) -> list[tuple[str, dict]]:
     """The text and keyed summary of each point, in order: the roots of all
     the points from one batch, then the command's stage on the batch, each
-    point's table turned into text before the stage computes the next."""
+    chunk turned into text before the stage computes the next."""
     batch = compute_roots_many(points)
     outcomes = [None] * len(batch)
-    for i, table, summary in _STAGES[command](batch, fmt, tol, corrupt):
-        outcomes[i] = _evaluate_point(command, fmt, batch[i], table, summary)
+    for indices, counts, columns, summaries in _STAGES[command](batch, fmt, tol, corrupt):
+        cells = _chunk_cells(command, fmt, columns)
+        starts = [0, *accumulate(counts)]
+        for i, start, stop, summary in zip(indices, starts, starts[1:], summaries):
+            outcomes[i] = _evaluate_point(command, fmt, batch[i], cells, start, stop, summary)
     return outcomes
 
 
-def _evaluate_point(command: str, fmt: str, rv: RootVector, table: tuple, summary: dict) -> tuple[str, dict]:
-    """One sweep point's rows as text in the output format, from its table,
-    and its summary keyed by the point."""
+def _column_names(command: str, fmt: str) -> tuple[str, ...]:
+    """The columns of a command's rows after the point key; CSV drops the
+    JSON-only ones."""
+    return COLUMNS[command][len(POINT_KEY):] + (JSON_ONLY_COLUMNS.get(command, ()) if fmt == "json" else ())
+
+
+def _chunk_cells(command: str, fmt: str, columns) -> list[Callable[[int, int], list[str]]]:
+    """Each column of a chunk as a function of ``(start, stop)`` that gives
+    the cells of those entries, by the format's formatter for the column:
+    a ``(pool, keys)`` pair's pool is formatted here, each item once for
+    the chunk, and gathered by the keys; a per-entry sequence is formatted
+    entry by entry."""
+    formats = CSV_FORMATS if fmt == "csv" else JSON_FORMATS
+    return [_cell_getter(formats[name], column) for name, column in zip(_column_names(command, fmt), columns)]
+
+
+def _cell_getter(fmt, column) -> Callable[[int, int], list[str]]:
+    # an object array of the pool's cells, so that a point's keys gather them
+    if isinstance(column, tuple):
+        pool, keys = column
+        cells = np.array(list(map(fmt, _python(pool))), dtype=object)
+        return lambda start, stop: cells[keys[start:stop]].tolist()
+    return lambda start, stop: list(map(fmt, _python(column[start:stop])))
+
+
+def _python(values):
+    """Python values of a sequence, so that every formatter sees Python
+    floats, ints and bools."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _evaluate_point(
+    command: str, fmt: str, rv: RootVector, cells: list, start: int, stop: int, summary: dict
+) -> tuple[str, dict]:
+    """One sweep point's rows as text in the output format, from entries
+    ``start:stop`` of its chunk's ``cells``, and its summary keyed by the
+    point."""
     fam = rv.family
     key = (fam.kind.value, fam.params_text(), rv.n)
-    return _point_text(command, fmt, key, table), dict(zip(POINT_KEY, key), **summary)
+    return _point_text(command, fmt, key, cells, start, stop), dict(zip(POINT_KEY, key), **summary)
 
 
-def _point_text(command: str, fmt: str, key: tuple, table: tuple) -> str:
-    """The text of one point's rows in the output format, from its table
-    ``(counts, *columns)``, the columns those of the command's rows after
-    the point key (see ``_column_cells``; CSV drops the JSON-only ones).
-    Each column is formatted once with the format's formatter for it, then
-    each entry is joined into a CSV line or a JSON ``results`` element."""
-    counts, *columns = table
-    names = COLUMNS[command] + (JSON_ONLY_COLUMNS.get(command, ()) if fmt == "json" else ())
-    formats = CSV_FORMATS if fmt == "csv" else JSON_FORMATS
-    # the memo outlives no column, so no id in it can be reused meanwhile
-    memo: dict[tuple, list[str]] = {}
-    cells = [
-        _column_cells(formats[name], column, counts, memo)
-        for name, column in zip(names[len(key):], columns)
-    ]
-    if not cells[0]:
+def _point_text(command: str, fmt: str, key: tuple, cells: list, start: int, stop: int) -> str:
+    """The text of one point's rows in the output format, from entries
+    ``start:stop`` of a chunk's ``cells`` (``_chunk_cells``), each entry
+    joined into a CSV line or a JSON ``results`` element."""
+    if start == stop:
         return ""
+    columns = [column(start, stop) for column in cells]
+    formats = CSV_FORMATS if fmt == "csv" else JSON_FORMATS
     key_cells = [formats[name](value) for name, value in zip(POINT_KEY, key)]
     if fmt == "csv":
         head = ",".join(key_cells) + ","
-        return head + ("\n" + head).join(map(",".join, zip(*cells))) + "\n"
+        return head + ("\n" + head).join(map(",".join, zip(*columns))) + "\n"
     # an object as ``json.dumps(document, indent=2, sort_keys=True)``
     # places it in the ``results`` list
-    by_name = dict(zip(names, [repeat(cell) for cell in key_cells] + cells))
+    names = POINT_KEY + _column_names(command, fmt)
+    by_name = dict(zip(names, [repeat(cell) for cell in key_cells] + columns))
     order = sorted(names)
     template = "    {\n" + ",\n".join(["      " + _JSON_TEXT(name) + ": %s" for name in order]) + "\n    }"
     return ",\n".join(map(template.__mod__, zip(*[by_name[name] for name in order])))
-
-
-def _column_cells(fmt, column, counts: list[int], memo: dict[tuple, list[str]]) -> list[str]:
-    """The cells of one column, one per entry: a list item by item, and a
-    tuple, one side per row group, a scalar side once for its group and an
-    array side once per array object and formatter, for all its groups."""
-    if isinstance(column, list):
-        return list(map(fmt, column))
-    cells = []
-    for side, count in zip(column, counts):
-        if isinstance(side, np.ndarray):
-            shared = memo.get((id(side), fmt))
-            if shared is None:
-                shared = memo[id(side), fmt] = list(map(fmt, side.tolist()))
-            cells += shared
-        else:
-            cells += [fmt(side)] * count
-    return cells
 
 
 def _run_sweep(args: argparse.Namespace, points: list[tuple[PolynomialFamily, int]]) -> list[tuple[str, dict]]:

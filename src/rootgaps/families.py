@@ -33,6 +33,7 @@ The other modules read the row instead of branching on the kind.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -86,6 +87,8 @@ class PolynomialFamily:
             )
         for name in names:
             value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ParameterDomainError(f"{self.kind.value} requires a real {name}, got {value!r}")
             if not (float(value) > spec.lower) or not math.isfinite(value):
                 raise ParameterDomainError(
                     f"{self.kind.value} requires {name} > {spec.lower:g}, got {value}"

@@ -47,7 +47,8 @@ _EPS = float(np.finfo(float).eps)
 class RootVector:
     """Ordered roots of ``P_n`` for one family, a one-dimensional array in
     the family's storage direction (``family.spec.ascending``) and inside
-    its orthogonality interval.
+    its orthogonality interval; ``n`` is a positive integer, as
+    ``compute_roots`` takes it.
 
     ``gaps`` holds the ``n - 1`` consecutive gaps, positive, in the
     family's index convention: ``z_i - z_{i+1}`` for a descending family,
@@ -64,13 +65,14 @@ class RootVector:
     gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_order(self.n)
         roots = np.asarray(self.roots, dtype=float)
         object.__setattr__(self, "roots", roots)
         if roots.ndim != 1:
             raise ParameterDomainError("roots must be one-dimensional")
         if roots.size != self.n:
             raise InternalConsistencyError(f"expected {self.n} roots, got {roots.size}")
-        gaps = _ordered_gaps(roots, self.family.spec) if roots.size else np.empty(0)
+        gaps = _ordered_gaps(roots, self.family.spec)
         object.__setattr__(self, "gaps", gaps)
         roots.setflags(write=False)
         gaps.setflags(write=False)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rootgaps import (
-    BoundColumns,
     BoundReport,
     EmptyProblemError,
     FamilyKind,
@@ -49,7 +48,7 @@ def reports_for(family, n):
 
 def summary_for(family, n):
     rv = compute_roots(family, n)
-    return sharpness_summary(rv, RunColumns(bound_rows([rv]), 1).point(0))
+    return sharpness_summary(rv, RunColumns(bound_rows([rv]), 1), 0)
 
 
 def by_id(reports, bound_id):
@@ -105,7 +104,8 @@ class TestBenchHook:
 
     def test_bounds_stage_calls_the_view(self, calls):
         batch = compute_roots_many([(hermite(), 3), (laguerre(2.0), 4), (laguerre(0.5), 5)])
-        assert len(list(cli._bounds_stage(batch, "csv", None, False))) == 3
+        chunks = list(cli._bounds_stage(batch, "csv", None, False))
+        assert sorted(i for indices, *_ in chunks for i in indices) == [0, 1, 2]
         assert calls == [2]
 
 
@@ -126,8 +126,8 @@ class TestReportInvariants:
     @pytest.mark.parametrize("shortfall,holds", [(0.75e-10, True), (1.5e-10, False)])
     def test_holds_tolerance_has_a_floor_of_one(self, shortfall, holds):
         # a bound of 0.5 is allowed a shortfall of 1e-10, not 0.5e-10
-        columns = point_columns([("hermite-gap", 0.5, 0.5 - shortfall)])
-        assert columns.holds == [holds]
+        run = point_run([("hermite-gap", 0.5, 0.5 - shortfall)])
+        assert run.holds.tolist() == [holds]
 
 
 class TestReportRecord:
@@ -485,7 +485,7 @@ class TestSharpnessSummary:
             assert value >= 1.0 - 1e-10, bound_id
 
     def test_no_reports_give_an_empty_summary(self):
-        summary = sharpness_summary(compute_roots(hermite(), 3), point_columns([]))
+        summary = sharpness_summary(compute_roots(hermite(), 3), point_run([]), 0)
         assert (summary.worst, summary.mean, summary.comparator_ratios) == ({}, {}, {})
         assert summary.diag_square_identity_ratio is None
 
@@ -566,27 +566,29 @@ def assert_reports_match(got, expected):
             assert same(x, y), (name, rep, ref)
 
 
-def column_entries(columns):
-    """One tuple per entry from the columns, its fields those of a
-    ``BoundReport``: a list column item by item, and a tuple column's side
-    repeated over its row's entries, or its array item by item."""
-    total = sum(columns.counts)
+def column_entries(columns, start, stop):
+    """One tuple per entry ``start:stop`` from the columns of a run's
+    ``bounds`` output rows, its fields those of a ``BoundReport``: a
+    per-entry array item by item, and a ``(pool, keys)`` pair's pool item
+    at each entry's key."""
+    assert len(columns) == len(BoundReport._fields)
+    total = columns[4].size
     fields = []
-    for name, column in zip(BoundColumns._fields[1:], columns[1:]):
-        if isinstance(column, list):
-            assert len(column) == total, name
-            fields.append(column)
-            continue
-        assert type(column) is tuple and len(column) == len(columns.counts), name
-        values = []
-        for side, count in zip(column, columns.counts):
-            if isinstance(side, np.ndarray):
-                assert side.shape == (count,), name
-                values += side.tolist()
-            else:
-                values += [side] * count
-        fields.append(values)
+    for name, column in zip(BoundReport._fields, columns):
+        if isinstance(column, tuple):
+            pool, keys = column
+            assert isinstance(keys, np.ndarray) and keys.shape == (total,), name
+            pool = pool.tolist() if isinstance(pool, np.ndarray) else pool
+            fields.append([pool[key] for key in keys[start:stop].tolist()])
+        else:
+            assert isinstance(column, np.ndarray) and column.shape == (total,), name
+            fields.append(column[start:stop].tolist())
     return list(zip(*fields))
+
+
+def point_entries(run, p):
+    """Point ``p``'s entries of a ``RunColumns``, as ``column_entries``."""
+    return column_entries(run.columns, run.starts[p], run.starts[p + 1])
 
 
 def scalar_violations(reports):
@@ -635,19 +637,17 @@ def run_of(points):
     return rows
 
 
-def point_columns(rows):
-    """The columns of one point given by its row tuples: ``RunColumns`` of
-    a run of one point."""
-    return RunColumns(run_of([rows]), 1).point(0)
+def point_run(rows):
+    """``RunColumns`` of a run of one point given by its row tuples."""
+    return RunColumns(run_of([rows]), 1)
 
 
 def assert_columns_match_scalar_rule(rows):
-    run = RunColumns(run_of([rows]), 1)
-    columns = run.point(0)
+    run = point_run(rows)
     reports = expand(rows)
-    assert_reports_match(column_entries(columns), reports)
+    assert_reports_match(point_entries(run, 0), reports)
     assert run.violations == [scalar_violations(reports)]
-    return columns, reports
+    return run, reports
 
 
 # rows that the default grid does not give, or gives only incidentally
@@ -713,10 +713,10 @@ class TestColumnsMatchScalarRule:
         for n in range(fam.spec.min_n, DEFAULT_N_MAX + 1):
             rv = compute_roots(fam, n)
             rows = rows_at(bound_rows([rv]), 0)
-            columns, reports = assert_columns_match_scalar_rule(rows)
+            run, reports = assert_columns_match_scalar_rule(rows)
             assert_reports_match(bound_set(rv), reports)
             assert all(type(rep) is BoundReport for rep in bound_set(rv))
-            summary = sharpness_summary(rv, columns)
+            summary = sharpness_summary(rv, run, 0)
             got = (
                 summary.worst, summary.mean, summary.diag_square_identity_ratio,
                 summary.comparator_ratios,
@@ -762,24 +762,48 @@ class TestRunColumnsMatchScalarRule:
             columns = RunColumns(bound_rows(run), len(run))
             for p, rv in enumerate(run):
                 reports = expand(rows_at(bound_rows([rv]), 0))
-                assert_reports_match(column_entries(columns.point(p)), reports)
+                assert_reports_match(point_entries(columns, p), reports)
                 assert columns.violations[p] == scalar_violations(reports), rv.family.label()
 
     def test_bounds_stage(self, batch):
         seen = set()
-        for i, columns, summary in cli._bounds_stage(batch, "json", None, False):
-            rv = batch[i]
-            reports = expand(rows_at(sorted(bound_rows([rv]), key=itemgetter(0)), 0))
-            assert_reports_match(column_entries(columns), reports)
-            assert summary["violations"] == scalar_violations(reports), (rv.family.label(), rv.n)
-            agg = sharpness_summary(rv, columns)
-            for x, y in zip(
-                (agg.worst, agg.mean, agg.diag_square_identity_ratio, agg.comparator_ratios),
-                summary_of_reports(rv, reports),
-            ):
-                assert same(x, y), (rv.family.label(), rv.n, x, y)
-            seen.add(i)
+        for indices, counts, columns, summaries in cli._bounds_stage(batch, "json", None, False):
+            assert len(indices) == len(counts) == len(summaries)
+            starts = np.cumsum([0, *counts]).tolist()
+            for i, start, stop, summary in zip(indices, starts, starts[1:], summaries):
+                rv = batch[i]
+                reports = expand(rows_at(sorted(bound_rows([rv]), key=itemgetter(0)), 0))
+                assert_reports_match(column_entries(columns, start, stop), reports)
+                assert summary["violations"] == scalar_violations(reports), (rv.family.label(), rv.n)
+                agg = (
+                    summary["worst_sharpness"], summary["mean_sharpness"],
+                    summary["diag_square_identity_ratio"], summary["comparator_ratios"],
+                )
+                for x, y in zip(agg, summary_of_reports(rv, reports)):
+                    assert same(x, y), (rv.family.label(), rv.n, x, y)
+                seen.add(i)
         assert seen == set(range(len(batch)))
+
+    def test_rows_that_share_a_side_share_keys(self, batch):
+        run = [rv for rv in batch if rv.family.kind is FamilyKind.LAGUERRE]
+        rows = bound_rows(run)
+        assert len(rows) == 11
+        columns = RunColumns(rows, len(run))
+        gaps, roots = sum(rv.n - 1 for rv in run), sum(rv.n for rv in run)
+        # observed: the diag-sq cap's column, the last root's column (two
+        # rows), the gaps (seven rows) and the square-root gaps, each once;
+        # bound: ten formula columns and the diag-sq sides, one per root
+        pool, keys = columns.observed_value
+        assert pool.size == 2 * len(run) + 2 * gaps
+        assert columns.bound_value[0].size == 10 * len(run) + roots
+        gap_rows = [r for r, row in enumerate(rows) if row.observed is rows[2].observed]
+        assert len(gap_rows) == 7
+        for p, rv in enumerate(run):
+            start, stop = columns.starts[p], columns.starts[p + 1]
+            row = columns.row[start:stop]
+            point_keys = [keys[start:stop][row == r].tolist() for r in gap_rows]
+            assert all(k == point_keys[0] for k in point_keys)
+            assert len(point_keys[0]) == rv.n - 1
 
     def test_batch_gives_every_note_and_outcome(self, batch):
         reports = [rep for rv in batch for rep in bound_set(rv)]
@@ -807,7 +831,7 @@ class TestRunColumnsMatchScalarRule:
         counts = []
         for p, rows in enumerate(points):
             reports = expand([row for row in rows if row is not None])
-            assert_reports_match(column_entries(columns.point(p)), reports)
+            assert_reports_match(point_entries(columns, p), reports)
             counts.append(scalar_violations(reports))
             assert columns.violations[p] == counts[-1], p
         assert min(counts) == 0 and max(counts) >= 3

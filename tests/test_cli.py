@@ -19,7 +19,7 @@ from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, herm
 from rootgaps.covariance import eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
-from test_bounds import EDGE_ROWS, expand, point_columns, rows_at
+from test_bounds import EDGE_ROWS, MIXED_POINTS, expand, point_run, rows_at
 from test_covariance import bases_by_order
 
 real_compute_roots_many = cli.compute_roots_many
@@ -335,13 +335,13 @@ class TestStackedChecksMatchReference:
         assert len(tables) == len(group)
         for rv, got in zip(group, tables):
             assert got == next(cli._verify_group([rv], tol, corrupt)), rv.family.label()
-            assert tuple(got[0][1]) == cli.VERIFY_CHECKS[rv.family.kind]
+            assert tuple(got[0][0]) == cli.VERIFY_CHECKS[rv.family.kind]
 
 
 def stage_checks(group, corrupt):
     """Each point's ``(check_id, value, tolerance)`` from the verify stage,
     in its row order."""
-    return [list(zip(*table[1:4])) for _, table, _ in cli._verify_stage(group, "csv", None, corrupt)]
+    return [list(zip(*columns[:3])) for _, _, columns, _ in cli._verify_stage(group, "csv", None, corrupt)]
 
 
 class TestStackSize:
@@ -652,15 +652,23 @@ class TestColumnFormats:
         json_only = cli.JSON_ONLY_COLUMNS.get(command, ())
         extra = [itertools.cycle(JSON_ONLY_VALUES[name]) for name in json_only]
         rows = list(itertools.islice(zip(*columns, *extra), count))
-        if fmt == "csv":
-            head = ",".join(map(per_cell_format, key)) + ","
-            expected = "".join(head + ",".join(map(per_cell_format, row[:width])) + "\n" for row in rows)
-        else:
-            expected = json_elements(names + json_only, [key + row for row in rows])
-        table = ([len(rows)], *map(list, zip(*rows)))
-        assert cli._point_text(command, fmt, key, table) == expected
-        empty = ([0], *([] for _ in rows[0]))
-        assert cli._point_text(command, fmt, key, empty) == ""
+        # every other column as a (pool, keys) pair, its pool reversed
+        chunk = [
+            (values[::-1], np.arange(len(values))[::-1]) if k % 2 else values
+            for k, values in enumerate(map(list, zip(*rows)))
+        ]
+        cells = cli._chunk_cells(command, fmt, chunk)
+        for start, stop in ((0, len(rows)), (1, len(rows) - 2)):
+            if fmt == "csv":
+                head = ",".join(map(per_cell_format, key)) + ","
+                lines = (",".join(map(per_cell_format, row[:width])) for row in rows[start:stop])
+                expected = "".join(head + line + "\n" for line in lines)
+            else:
+                expected = json_elements(names + json_only, [key + row for row in rows[start:stop]])
+            assert cli._point_text(command, fmt, key, cells, start, stop) == expected
+        assert cli._point_text(command, fmt, key, cells, 3, 3) == ""
+        empty = cli._chunk_cells(command, fmt, [[] for _ in rows[0]])
+        assert cli._point_text(command, fmt, key, empty, 0, 0) == ""
 
 
 class TestBoundLines:
@@ -682,22 +690,56 @@ class TestBoundLines:
     def test_edge_rows(self, name, fmt):
         self.check(("jacobi", "alpha=1.0 beta=-0.9", 12), EDGE_ROWS[name], fmt)
 
-    def test_shared_side_is_formatted_once_per_formatter(self):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_pool_value_is_formatted_once_per_chunk(self, monkeypatch, fmt):
         calls = []
 
-        def formatter(tag):
-            return lambda value: calls.append(tag) or f"{tag}{value}"
+        def counting(name, formatter, value):
+            calls.append((name, repr(value)))
+            return formatter(value)
 
-        side, memo = np.array([0.5, 0.25]), {}
-        first, second = formatter("a"), formatter("b")
-        got = cli._column_cells(first, (side, 1.0, side), [2, 3, 2], memo)
-        assert got == ["a0.5", "a0.25"] + ["a1.0"] * 3 + ["a0.5", "a0.25"]
-        assert cli._column_cells(second, (side,), [2], memo) == ["b0.5", "b0.25"]
-        assert calls == ["a", "a", "a", "b", "b"]
+        formats = cli.CSV_FORMATS if fmt == "csv" else cli.JSON_FORMATS
+        for name, formatter in list(formats.items()):
+            monkeypatch.setitem(formats, name, functools.partial(counting, name, formatter))
+        batch = compute_roots_many(MIXED_POINTS)
+        names = cli._column_names("bounds", fmt)
+        chunks = list(cli._bounds_stage(batch, fmt, None, False))
+        assert len(chunks) == 3
+        for indices, counts, columns, _ in chunks:
+            calls.clear()
+            cells = cli._chunk_cells("bounds", fmt, columns)
+            pools = {name: column[0] for name, column in zip(names, columns) if isinstance(column, tuple)}
+            assert set(pools) >= {"bound_id", "index", "bound_value", "observed_value"}
+            # each pool value once, in pool order, and nothing else
+            pooled = [(name, repr(value)) for name, pool in pools.items() for value in cli._python(pool)]
+            assert calls == pooled
+            # the rows share sides, so the pools are smaller than the columns
+            assert len(pools["observed_value"]) < sum(counts)
+            calls.clear()
+            starts = np.cumsum([0, *counts]).tolist()
+            for i, start, stop in zip(indices, starts, starts[1:]):
+                key = (batch[i].family.kind.value, batch[i].family.params_text(), batch[i].n)
+                cli._point_text("bounds", fmt, key, cells, start, stop)
+            # writing the points formats their keys and per-entry columns alone
+            assert {name for name, _ in calls} == set(cli.POINT_KEY) | set(names) - set(pools)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunking_never_changes_bytes(self, fmt):
+        # Jacobi alpha = beta points have two rows that the others lack, and
+        # the gap rows have no entries at N = 1
+        points = [
+            (fam, n)
+            for fam in (jacobi(1.0, 1.0), jacobi(1.0, -0.9), jacobi(-0.5, -0.5), hermite(), laguerre(0.5))
+            for n in (1, 2, 3)
+            if n >= fam.spec.min_n
+        ]
+        whole = cli._point_outcomes("bounds", fmt, points, None, False)
+        for point, outcome in zip(points, whole):
+            assert outcome == cli._point_outcomes("bounds", fmt, [point], None, False)[0], point
 
     @staticmethod
     def check(key, rows, fmt):
-        columns = point_columns(rows)
+        run = point_run(rows)
         if fmt == "csv":
             head = ",".join(map(per_cell_format, key)) + ","
             width = len(cli.COLUMNS["bounds"]) - len(key)
@@ -706,7 +748,8 @@ class TestBoundLines:
         else:
             names = cli.COLUMNS["bounds"] + cli.JSON_ONLY_COLUMNS["bounds"]
             expected = json_elements(names, [key + tuple(rep) for rep in expand(rows)])
-        assert cli._point_text("bounds", fmt, key, columns) == expected
+        cells = cli._chunk_cells("bounds", fmt, run.columns)
+        assert cli._point_text("bounds", fmt, key, cells, 0, run.starts[1]) == expected
 
 
 class TestUsageErrors:

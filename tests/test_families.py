@@ -44,6 +44,19 @@ class TestFamilyValidation:
         with pytest.raises(ParameterDomainError):
             PolynomialFamily(FamilyKind.HERMITE, nu=1.0)
 
+    @pytest.mark.parametrize("value", ["2", [1.0], 1j, b"2"], ids=repr)
+    def test_a_parameter_that_is_no_real_number_is_a_domain_error(self, value):
+        # math.isfinite and float() raised their own TypeError on these
+        with pytest.raises(ParameterDomainError, match="real nu"):
+            PolynomialFamily(FamilyKind.LAGUERRE, nu=value)
+        with pytest.raises(ParameterDomainError, match="real beta"):
+            PolynomialFamily(FamilyKind.JACOBI, alpha=1.0, beta=value)
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2)], ids=repr)
+    def test_real_parameters_of_any_type_are_accepted(self, value):
+        fam = PolynomialFamily(FamilyKind.LAGUERRE, nu=value)
+        assert fam.parameters() == (2.0,) and type(fam.parameters()[0]) is float
+
     @pytest.mark.parametrize("order", [True, False, np.bool_(True)])
     def test_a_bool_is_no_order(self, order):
         # bool is an int subclass: True read as P_1, and numpy's negative of

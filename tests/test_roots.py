@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rootgaps import (
+    EmptyProblemError,
     FamilyMismatchError,
     InternalConsistencyError,
     ParameterDomainError,
@@ -150,30 +151,36 @@ class TestRootVectorChecks:
             RootVector(family, 2, np.array(roots))
 
     @pytest.mark.parametrize(
-        "family,roots,error,message",
+        "family,n,roots,error,message",
         [
-            (hermite(), [2.0, -1.0, 0.5], InternalConsistencyError, "not descending"),
-            (laguerre(2.0), [1.0, 3.0], InternalConsistencyError, "not descending"),
-            (jacobi(1.0, -0.9), [-0.5, 0.5, 0.0], InternalConsistencyError, "not ascending"),
+            (hermite(), 3, [2.0, -1.0, 0.5], InternalConsistencyError, "not descending"),
+            (laguerre(2.0), 2, [1.0, 3.0], InternalConsistencyError, "not descending"),
+            (jacobi(1.0, -0.9), 3, [-0.5, 0.5, 0.0], InternalConsistencyError, "not ascending"),
             # a broken order is named before a root outside the interval
-            (jacobi(1.0, -0.9), [0.5, -1.5], InternalConsistencyError, "not ascending"),
-            (laguerre(2.0), [3.0, 1.0, 1.0], SingularConfigurationError, "coincide"),
-            (jacobi(1.0, -0.9), [-0.5, -0.5], SingularConfigurationError, "coincide"),
-            (laguerre(2.0), [3.0, 1.0, 0.0], InternalConsistencyError, "orthogonality interval"),
-            (jacobi(1.0, -0.9), [0.5, 1.0], InternalConsistencyError, "orthogonality interval"),
-            (laguerre(2.0), [-1.0], InternalConsistencyError, "orthogonality interval"),
-            (hermite(), [[0.7], [-0.7]], ParameterDomainError, "one-dimensional"),
-            (hermite(), [[0.7, -0.7]], ParameterDomainError, "one-dimensional"),
+            (jacobi(1.0, -0.9), 2, [0.5, -1.5], InternalConsistencyError, "not ascending"),
+            (laguerre(2.0), 3, [3.0, 1.0, 1.0], SingularConfigurationError, "coincide"),
+            (jacobi(1.0, -0.9), 2, [-0.5, -0.5], SingularConfigurationError, "coincide"),
+            (laguerre(2.0), 3, [3.0, 1.0, 0.0], InternalConsistencyError, "orthogonality interval"),
+            (jacobi(1.0, -0.9), 2, [0.5, 1.0], InternalConsistencyError, "orthogonality interval"),
+            (laguerre(2.0), 1, [-1.0], InternalConsistencyError, "orthogonality interval"),
+            (hermite(), 2, [[0.7], [-0.7]], ParameterDomainError, "one-dimensional"),
+            (hermite(), 2, [[0.7, -0.7]], ParameterDomainError, "one-dimensional"),
+            # the order is checked as compute_roots checks it
+            (laguerre(2.0), True, [3.0], ParameterDomainError, "integer"),
+            (hermite(), 3.0, [1.0, 0.0, -1.0], ParameterDomainError, "integer"),
+            (hermite(), 0, [], EmptyProblemError, "N = 0"),
+            (hermite(), -1, [], ParameterDomainError, "positive"),
         ],
         ids=[
             "hermite-order", "laguerre-order", "jacobi-order", "jacobi-order-and-outside",
             "laguerre-repeated", "jacobi-repeated", "laguerre-on-0-at-the-end", "jacobi-on-1",
             "laguerre-one-root-below-0", "column-of-roots", "row-of-roots",
+            "bool-order", "float-order", "zero-order", "negative-order",
         ],
     )
-    def test_each_error_keeps_its_type(self, family, roots, error, message):
+    def test_each_error_keeps_its_type(self, family, n, roots, error, message):
         with pytest.raises(error, match=message):
-            RootVector(family, len(roots), np.array(roots))
+            RootVector(family, n, np.array(roots))
 
     @pytest.mark.parametrize("family", all_families(), ids=lambda fam: fam.label())
     @pytest.mark.parametrize("at", range(4))
