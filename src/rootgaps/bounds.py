@@ -363,7 +363,9 @@ def _evaluate(kind: FamilyKind, points: Sequence[RootVector], sums: Sequence[tup
     if min(run.n) < min_n:
         raise ParameterDomainError(f"{kind.value.capitalize()} bounds need N >= {min_n}")
     params = [z.family.parameters() for z in points]
-    args = [(z.n, float(z.family.spec.spectrum(z.family, z.n)[-1]), *p) for z, p in zip(points, params)]
+    # M is formed only for Jacobi, whose formulas alone read it
+    radii = (z.family.spec.spectrum(z.family, z.n)[-1] if kind is FamilyKind.JACOBI else math.nan for z in points)
+    args = [(z.n, float(m), *p) for z, m, p in zip(points, radii, params)]
     sides: dict[str, Side] = {}
     rows = []
     for spec in BOUND_SPECS[kind]:

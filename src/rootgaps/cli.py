@@ -10,8 +10,8 @@ Subcommands:
 
 ``spectrum-match`` diagonalizes nothing: it checks the predicted spectrum
 against the eigenvalue enclosure of ``S_N`` from its closed-form
-eigenbasis (``covariance.eigenbasis_stack``,
-``eigensolve.enclose_eigenvalues``).
+eigenbasis, from the family's three-term recurrence at the roots
+(``covariance.eigenbasis_stack``, ``eigensolve.enclose_eigenvalues``).
 
 The sweep is split into runs of consecutive points, one per ``--jobs``
 worker (one run when serial).  Each run computes the roots of all its
@@ -94,6 +94,7 @@ from .covariance import (
     kind_runs,
     laguerre_sqrt_r_S_stack,
     pair_terms,
+    recurrence_table,
 )
 from .eigensolve import check_symmetric, enclose_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
@@ -212,21 +213,27 @@ VERIFY_CHECKS = {
 def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
     a chunk per point, every check evaluated once for each group of one
-    order."""
+    order, from the run's recurrence coefficients, read once."""
+    table, row = recurrence_table(batch)
     for indices, group in _order_groups(batch):
-        for i, (columns, summary) in zip(indices, _verify_group(group, tol, corrupt)):
+        for i, (columns, summary) in zip(indices, _verify_group(group, tol, corrupt, table[:, row[indices]])):
             yield [i], [len(columns[0])], columns, [summary]
 
 
-def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool) -> Iterator[tuple]:
+def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool, coefficients=None) -> Iterator[tuple]:
     """Each point's columns and summary, in order, for the points of one
     order: every check value is computed once for the group, as a ``(P,)``
-    array, and each point takes its values in its kind's check order."""
+    array, and each point takes its values in its kind's check order;
+    ``coefficients`` go to ``covariance.eigenbasis_stack``."""
     n = group[0].n
     runs = kind_runs(group)
-    # one evaluation of the pair terms builds S_N and its interaction sums
+    # one evaluation of the pair terms builds S_N and its interaction sums,
+    # whose (lin, cross) feed both trace identities and the
+    # diagonal-of-square check; the (P, n, n) terms go before the enclosure
     terms = pair_terms(group)
     s = build_S_stack(group, terms)
+    lin, cross = interaction_sums_stack(group, terms)
+    del terms
     matrices = s
     if corrupt:
         # every point's own slice of a copy
@@ -237,13 +244,10 @@ def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool) -> 
 
     # the closed-form eigenbasis encloses the eigenvalues of the matrices
     # as given, so a corrupted copy fails here without being diagonalized
-    centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(group))
+    centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(group, coefficients))
     predicted = np.stack([rv.family.spec.spectrum(rv.family, n) for rv in group])
     checks = {"spectrum-match": np.max((np.abs(centers - predicted) + radii) / predicted, axis=1)}
 
-    # one (lin, cross) pair feeds both trace identities and the
-    # diagonal-of-square check
-    lin, cross = interaction_sums_stack(group, terms)
     diag_square = lin * lin + cross
     shifts = np.array([rv.family.spec.shift for rv in group])
     checks["diag-square-consistency"] = diag_square_residual(matrices, shifts, diag_square)

@@ -39,10 +39,10 @@ a point's values are bit for bit the same in any stack.  The
 per-point names :func:`build_S`, :func:`interaction_sums` and
 :func:`laguerre_sqrt_r_S` are stacks of one.
 
-The eigenvectors are known in closed form too; :func:`eigenbasis_stack`
-builds them with one Lanczos per order (a point's basis is a stack of
-one); a last column that the Lanczos loses to rounding is taken from the
-complement of the others.
+The eigenvectors are known in closed form too: :func:`eigenbasis_stack`
+builds them, the Golub-Welsch eigenvectors of the family's recurrence
+matrix, from its three-term recurrence at the roots (a point's basis is a
+stack of one).
 The spectra, and the shift under which the trace and diagonal-of-square
 identities are stated, come from the family's ``FamilySpec`` row.
 """
@@ -56,11 +56,10 @@ import numpy as np
 
 from .errors import SingularConfigurationError
 from .eigensolve import DenseSymmetric
-from .families import FamilyKind
+from .families import FamilyKind, PolynomialFamily, _RESCALE_EXP, _RESCALE_LIMIT, _first_rescale_row, jacobi_matrix
 from .roots import RootVector, require_kind
 
 _TINY = float(np.finfo(float).tiny)
-_SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 
 
 def by_order(roots: Sequence[RootVector]) -> dict[int, list[int]]:
@@ -221,83 +220,82 @@ def laguerre_sqrt_r_S(z: RootVector) -> DenseSymmetric:
     return DenseSymmetric(laguerre_sqrt_r_S_stack([z])[0])
 
 
-def eigenbasis_stack(group: Sequence[RootVector]) -> np.ndarray:
+def recurrence_table(roots: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, row)``: the recurrence coefficients of each distinct family
+    of ``roots`` up to their largest order, one :func:`jacobi_matrix` each,
+    as ``table[:, f] = (a, b)`` with ``b_0 = 0`` in front of the
+    off-diagonal, and ``row[p]``, the family of ``roots[p]``.  No entry
+    depends on the order, so ``table[:, row]`` serves every order."""
+    families: dict[PolynomialFamily, int] = {}
+    row = np.array([families.setdefault(rv.family, len(families)) for rv in roots])
+    table = np.zeros((2, len(families), max(rv.n for rv in roots)))
+    for f, family in enumerate(families):
+        t = jacobi_matrix(family, table.shape[2])
+        table[0, f], table[1, f, 1:] = t.diag, t.offdiag
+    return table, row
+
+
+def eigenbasis_stack(group: Sequence[RootVector], coefficients: np.ndarray | None = None) -> np.ndarray:
     """The closed-form eigenvectors of ``S_N`` for each root vector of one
     order, as a ``(P, n, n)`` stack: for each, the columns of an
-    orthonormal matrix in ascending eigenvalue order.
+    orthonormal matrix in ascending eigenvalue order.  ``coefficients`` is
+    ``table[:, row]`` of a :func:`recurrence_table` that covers the group,
+    if the caller has it.
 
-    The k-th is ``(omega(z_i) q_{k-1}(z_i))_i``, where ``q_0, q_1, ...``
-    are the polynomials orthonormal on the roots with weights
-    ``omega(z_i)^2`` and ``omega`` (``FamilySpec.omega``) is ``1``,
-    ``sqrt(z)`` and ``sqrt(1 - z^2)`` for Hermite, Laguerre and Jacobi
-    (Ahmed, Bruschi, Calogero, Olshanetsky & Perelomov, Nuovo Cimento B 49,
-    1979).  They come from Lanczos on ``diag(z)`` from the start vector
-    ``omega(z)``: column k is ``z`` times column ``k - 1``, orthogonalized
-    against the earlier columns by classical Gram-Schmidt run twice, which
-    keeps them orthonormal to rounding, then normalized.
+    The family's orthonormal polynomials follow ``b_{k+1} p_{k+1} = (x -
+    a_k) p_k - b_k p_{k-1}``, with ``a`` and ``b`` the diagonal and
+    off-diagonal of its recurrence matrix ``T_N = U diag(z) U^T``, where
+    ``U[k, i] = p_k(z_i) / ||p(z_i)||`` and ``||p(z_i)||^2 = sum_{k<N}
+    p_k(z_i)^2`` (Golub & Welsch, Math. Comp. 23, 1969).  Column ``j`` of
+    the basis is ``s_i p_{N-1-j}(z_i) / ||p(z_i)||``, its rows in storage
+    order and ``s_i`` the sign of ``p_{N-1}(z_i)``, nonzero by interlacing,
+    so the first column is positive, proportional to ``1``, ``sqrt(z)`` or
+    ``sqrt(1 - z^2)`` (Ahmed, Bruschi, Calogero, Olshanetsky & Perelomov,
+    Nuovo Cimento B 49, 1979).
 
-    When ``omega`` spans many decades (Laguerre with a tiny ``nu``), the
-    last column can lose all but rounding of ``z`` times the one before:
-    if Gram-Schmidt leaves less than ``sqrt(eps)`` of its norm, the last
-    column is taken from the orthogonal complement of the others instead,
-    starting from the coordinate vector least represented in them.
-
-    The group runs one Lanczos, every product a stacked ``np.matmul``.
-    Each slice of a stacked product is the same BLAS call on the same
-    operands as a lone point's, and every decision is made per point, so
-    a point's basis is bit for bit the same in any batch.
+    A root's rows are scaled by ``2**-500``, which is exact, whenever a
+    value passes ``2**500`` (as ``p_1 = (z - nu) / sqrt(nu)`` does at a
+    tiny Laguerre ``nu``), tested from the first row at which a bound on
+    the values can pass (``families._first_rescale_row``).  One
+    Newton-Schulz polar step ``Q (3I - Q^T Q) / 2`` makes the columns,
+    orthonormal to the accuracy of the roots, orthonormal to rounding.
+    Every operation is elementwise or a slice's own BLAS call, so a
+    point's basis is bit for bit the same in any stack.
     """
     z = np.stack([rv.roots for rv in group])
-    omega = np.empty_like(z)
-    for _, run in kind_runs(group):
-        omega[run] = group[run.start].family.spec.omega(z[run])
-    return _lanczos(z, omega).transpose(0, 2, 1)
-
-
-def _lanczos(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthonormal Lanczos rows on ``diag(x[p])`` from ``v[p]``, for each
-    row ``p`` of the ``(P, n)`` arrays, as a ``(P, n, n)`` array.  The
-    vectors are ``(P, n, 1)`` stacks of columns, so each product is one
-    stacked matmul."""
-    count, n = x.shape
+    count, n = z.shape
+    if coefficients is None:
+        table, row = recurrence_table(group)
+        coefficients = table[:, row]
+    a, b = coefficients[:, :, :n]
+    # row k of the step table computes p_{k+1} (see families.FamilySpec)
+    steps = np.stack([np.ones_like(z[:, 1:]), -a[:, :-1], b[:, :-1], b[:, 1:]]).transpose(2, 0, 1)
+    first = _first_rescale_row(steps, float(np.abs(z).max()))
+    # rows[:, n - 1 - k] holds p_k at the roots: the basis, transposed
     rows = np.empty((count, n, n))
-    x, v = x[:, :, None], v[:, :, None]
-    for k in range(n):
-        if k:
-            w = x * rows[:, k - 1, :, None]
-            done = rows[:, :k]
-            v = w - _project(done, w)
-            v -= _project(done, v)
-            if k == n - 1:
-                lost = _norms(v)[:, 0, 0] < _SQRT_EPS * _norms(w)[:, 0, 0]
-                if lost.any():
-                    v[lost] = _complement(done[lost])
-        np.divide(v, _norms(v), out=rows[:, k, :, None])
-    return rows
-
-
-def _project(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The component of each column ``v[p]`` in the span of the
-    orthonormal rows ``rows[p]``: ``rows[p].T @ (rows[p] @ v[p])``."""
-    return rows.transpose(0, 2, 1) @ (rows @ v)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each column ``v[p]``, each from one dot
-    product, as a ``(P, 1, 1)`` array."""
-    return np.sqrt(v.transpose(0, 2, 1) @ v)
-
-
-def _complement(rows: np.ndarray) -> np.ndarray:
-    """For each stack of ``n - 1`` orthonormal rows of length ``n``, a
-    column orthogonal to them, not yet normalized: the coordinate vector
-    least represented in them, orthogonalized twice."""
-    count, _, n = rows.shape
-    v = np.zeros((count, n, 1))
-    v[np.arange(count), np.argmin((rows * rows).sum(axis=1), axis=1), 0] = 1.0
-    v -= _project(rows, v)
-    v -= _project(rows, v)
-    return v
+    rows[:, -1] = 1.0
+    prev, norm2 = np.zeros_like(z), np.ones_like(z)
+    for k in range(n - 1):
+        cur, new = rows[:, n - 1 - k], rows[:, n - 2 - k]
+        np.divide((z - a[:, k, None]) * cur - b[:, k, None] * prev, b[:, k + 1, None], out=new)
+        if k >= first:
+            over = np.abs(new) > _RESCALE_LIMIT
+            if over.any():
+                rows.transpose(0, 2, 1)[over, n - 2 - k:] *= 2.0**-_RESCALE_EXP
+                norm2[over] *= 2.0 ** (-2 * _RESCALE_EXP)
+        norm2 += new * new
+        prev = cur
+    rows /= np.copysign(np.sqrt(norm2), rows[:, 0])[:, None, :]
+    basis = rows.transpose(0, 2, 1).copy()
+    # Q^T Q of two operands, so that numpy runs gemm, as the enclosure
+    # does, and not syrk, whose first call alone raises the peak memory
+    gram = rows @ basis
+    del rows
+    gram *= -1.0
+    gram[:, np.arange(n), np.arange(n)] += 3.0
+    basis = basis @ gram
+    basis *= 0.5
+    return basis
 
 
 def diag_square_residual(matrices: np.ndarray, shifts: np.ndarray, closed_route: np.ndarray) -> np.ndarray:

@@ -26,8 +26,7 @@ Everything that differs between the families is data in one
 :class:`FamilySpec` row per kind, ``FAMILY_SPECS``, reached from a family
 as ``family.spec``: parameter names and ranges, recurrence coefficients,
 orthogonality interval and root ordering, the shift and closed-form
-spectrum of ``S_N`` with its trace targets, the factor ``omega`` of its
-eigenvectors, and the default sweep grid.
+spectrum of ``S_N`` with its trace targets, and the default sweep grid.
 The other modules read the row instead of branching on the kind.
 """
 from __future__ import annotations
@@ -87,7 +86,8 @@ class PolynomialFamily:
             )
         for name in names:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            # bool is a numbers.Real, but True is no parameter
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ParameterDomainError(f"{self.kind.value} requires a real {name}, got {value!r}")
             if not (float(value) > spec.lower) or not math.isfinite(value):
                 raise ParameterDomainError(
@@ -153,8 +153,6 @@ class FamilySpec:
     closed-form spectrum of ``S_N`` (ascending) and ``shift`` the multiple
     of the identity removed from ``S_N`` before the trace and
     diagonal-of-square identities are stated.
-    ``omega(z)`` is the root factor of the eigenvectors of ``S_N`` (see
-    ``covariance.eigenbasis_stack``).
     ``min_n`` is the smallest order of default sweeps and bound sets.
     """
 
@@ -169,7 +167,6 @@ class FamilySpec:
     shift: float
     spectrum: Callable[[PolynomialFamily, int], np.ndarray]
     square_identity: bool
-    omega: Callable[[np.ndarray], np.ndarray]
 
     def trace_targets(self, lam: np.ndarray) -> tuple:
         """Exact ``tr(S_N - shift I)`` and, where the family states that
@@ -241,7 +238,6 @@ FAMILY_SPECS = {
         steps=lambda family, n: ((2.0, 0.0, 2.0 * k, 1.0) for k in range(n)),
         domain=(-math.inf, math.inf), ascending=False,
         shift=1.0, spectrum=lambda family, n: np.arange(1.0, n + 1.0), square_identity=True,
-        omega=np.ones_like,
     ),
     FamilyKind.LAGUERRE: FamilySpec(
         params=("nu",), lower=0.0,
@@ -249,7 +245,6 @@ FAMILY_SPECS = {
         recurrence=_laguerre_recurrence, steps=_laguerre_steps,
         domain=(0.0, math.inf), ascending=False,
         shift=1.0, spectrum=lambda family, n: 2.0 * np.arange(1.0, n + 1.0), square_identity=True,
-        omega=np.sqrt,
     ),
     FamilyKind.JACOBI: FamilySpec(
         params=("alpha", "beta"), lower=-1.0,
@@ -257,8 +252,6 @@ FAMILY_SPECS = {
         recurrence=_jacobi_recurrence, steps=_jacobi_steps,
         domain=(-1.0, 1.0), ascending=True,
         shift=0.0, spectrum=_jacobi_spectrum, square_identity=False,
-        # (1 - z)(1 + z) keeps its relative accuracy next to z = +-1
-        omega=lambda z: np.sqrt((1.0 - z) * (1.0 + z)),
     ),
 }
 

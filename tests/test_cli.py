@@ -313,7 +313,7 @@ class TestStackedChecksMatchReference:
     @pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupt"])
     def test_each_point_of_a_group_matches_its_batch_of_one(self, corrupt):
         # all three kinds at one order, a repeated point, and a tiny-nu
-        # point whose eigenbasis takes its last column from the complement
+        # point whose eigenbasis recurrence rescales its larger roots
         families = [laguerre(0.5), hermite(), jacobi(1.0, -0.9), laguerre(0.5), laguerre(1e-300)]
         group = compute_roots_many([(fam, 12) for fam in families])
         checks = stage_checks(group, corrupt)

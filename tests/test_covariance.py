@@ -13,6 +13,7 @@ from rootgaps import (
     hermite,
     interaction_sums,
     jacobi,
+    jacobi_matrix,
     laguerre,
     laguerre_sqrt_r_S,
 )
@@ -296,35 +297,47 @@ def bases_by_order(roots):
 
 
 def scalar_eigenbasis(z):
-    """The per-point Lanczos that the batched ``eigenbasis_stack`` replaced, kept
-    as its reference: one point, one ``rows[:k] @ v`` per product, and no
-    rule for a lost last column."""
-    x = z.roots
-    rows = np.empty((z.n, z.n))
-    v = z.family.spec.omega(x)
-    for k in range(z.n):
-        if k:
-            v = x * rows[k - 1]
-            for _ in range(2):
-                v = v - (rows[:k] @ v) @ rows[:k]
-        rows[k] = v / math.sqrt(float(v @ v))
-    return rows.T
+    """The recurrence and polar step of the batched ``eigenbasis_stack`` on
+    one point, as its reference: the coefficients of the point's own
+    ``jacobi_matrix``, the rescaling test at every row from row 1, root by
+    root, and 2-D products."""
+    x, n = z.roots, z.n
+    t = jacobi_matrix(z.family, n)
+    a, b = t.diag, np.concatenate(([0.0], t.offdiag))
+    rows = np.empty((n, n))  # rows[k] holds p_k at the roots
+    rows[0] = 1.0
+    prev, cur, norm2 = np.zeros(n), np.ones(n), np.ones(n)
+    for k in range(n - 1):
+        new = ((x - a[k]) * cur - b[k] * prev) / b[k + 1]
+        for i in np.flatnonzero(np.abs(new) > 2.0**500):
+            new[i] *= 2.0**-500
+            cur[i] *= 2.0**-500
+            rows[:k + 1, i] *= 2.0**-500
+            norm2[i] *= 2.0**-1000
+        rows[k + 1] = new
+        norm2 += new * new
+        prev, cur = cur, new
+    transposed = rows[::-1] / np.copysign(np.sqrt(norm2), cur)
+    q = np.ascontiguousarray(transposed.T)
+    return q @ (3.0 * np.eye(n) - transposed @ q) / 2.0
 
 
 @functools.cache
 def mixed_batch():
     """One batch over every default-grid point (12 families, N = 1..40),
-    interleaved by order, and two large stress points."""
+    interleaved by order, two large stress points, and two tiny-nu points
+    whose recurrence rescales its larger roots from row 1 on."""
     points = [(family, n) for n in range(1, 41) for family in all_families()]
     points += [(jacobi(-0.999, -0.999), 200), (laguerre(1000.0), 300)]
+    points += [(laguerre(1e-300), 10), (laguerre(1e-310), 2)]
     roots = compute_roots_many(points)
     return roots, bases_by_order(roots)
 
 
 class TestBatchedEigenbasis:
-    def test_matches_scalar_lanczos_bit_for_bit(self):
+    def test_matches_scalar_recurrence_bit_for_bit(self):
         roots, bases = mixed_batch()
-        assert len(bases) == len(roots) == 482
+        assert len(bases) == len(roots) == 484
         for rv, q in zip(roots, bases):
             assert np.array_equal(q, scalar_eigenbasis(rv)), (rv.family.label(), rv.n)
 
@@ -334,23 +347,11 @@ class TestBatchedEigenbasis:
             (alone,) = eigenbasis_stack([rv])
             assert np.array_equal(alone, q), (rv.family.label(), rv.n)
 
-    def test_lost_last_column_is_replaced_in_its_slice_only(self):
-        # one order, one tiny-nu slice whose last column is lost and one
-        # ordinary slice: only the lost column differs from the reference
-        tiny, plain = compute_roots_many([(laguerre(1e-300), 10), (laguerre(2.0), 10)])
-        q_tiny, q_plain = eigenbasis_stack([tiny, plain])
-        assert np.array_equal(q_plain, scalar_eigenbasis(plain))
-        reference = scalar_eigenbasis(tiny)
-        assert np.array_equal(q_tiny[:, :-1], reference[:, :-1])
-        assert not np.array_equal(q_tiny[:, -1], reference[:, -1])
-        assert np.max(np.abs(q_tiny.T @ q_tiny - np.eye(10))) <= 10 * EPS
-
     @pytest.mark.parametrize("n", (3, 10, 40))
     @pytest.mark.parametrize("nu", (1e-100, 1e-300))
     def test_tiny_nu_spectrum(self, nu, n):
-        # omega = sqrt(z) spans more than 1e50 here, so z times the
-        # next-to-last column carries the smallest root only below the
-        # underflow level and the last column comes from the complement
+        # p_1 = (z - nu) / sqrt(nu) passes 2**500 at the larger roots
+        # here, so the recurrence rescales those roots from row 1 on
         rv = compute_roots(laguerre(nu), n)
         s = build_S(rv)
         (basis,) = eigenbasis_stack([rv])
@@ -363,6 +364,26 @@ class TestBatchedEigenbasis:
         predicted = spectrum(laguerre(nu), n)
         value = np.max((np.abs(centers - predicted) + radii) / predicted)
         assert value <= (1e-8 if n <= 20 else 1e-6)
+
+
+@pytest.mark.parametrize("n", (1, 2, 10, 40))
+@pytest.mark.parametrize("family", [hermite(), laguerre(2.0), jacobi(2.0, 3.0)], ids=lambda fam: fam.label())
+def test_eigenbasis_is_the_reversed_transposed_eigh_basis_of_T(family, n):
+    # Golub-Welsch: the eigenvector matrix of T_N, rows by root in storage
+    # order, columns reversed, is the eigenbasis of S_N up to the sign of
+    # each row; eigenvectors of T_N move by up to (rounding of T_N or of
+    # a root) / (smallest root gap), and the roots carry rounding too
+    rv = compute_roots(family, n)
+    t = jacobi_matrix(family, n).to_dense()
+    _, vectors = np.linalg.eigh(t)
+    if not family.spec.ascending:
+        vectors = vectors[:, ::-1]
+    expected = vectors.T[:, ::-1]
+    (q,) = eigenbasis_stack([rv])
+    signs = np.sign((q * expected).sum(axis=1))
+    gap = np.min(np.diff(np.sort(rv.roots))) if n > 1 else math.inf
+    tol = 8.0 * n * EPS * np.linalg.norm(t, 2) / gap
+    assert np.max(np.abs(q - signs[:, None] * expected)) <= tol
 
 
 def interleaved_group(n=9):

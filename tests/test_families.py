@@ -44,9 +44,10 @@ class TestFamilyValidation:
         with pytest.raises(ParameterDomainError):
             PolynomialFamily(FamilyKind.HERMITE, nu=1.0)
 
-    @pytest.mark.parametrize("value", ["2", [1.0], 1j, b"2"], ids=repr)
+    @pytest.mark.parametrize("value", ["2", [1.0], 1j, b"2", True, False], ids=repr)
     def test_a_parameter_that_is_no_real_number_is_a_domain_error(self, value):
-        # math.isfinite and float() raised their own TypeError on these
+        # math.isfinite and float() raised their own TypeError on these; a
+        # bool is a numbers.Real, and nu=True built laguerre(nu=1.0)
         with pytest.raises(ParameterDomainError, match="real nu"):
             PolynomialFamily(FamilyKind.LAGUERRE, nu=value)
         with pytest.raises(ParameterDomainError, match="real beta"):
