@@ -235,6 +235,9 @@ BOUND_SPECS = {
     ),
 }
 
+# The kinds whose formulas read M; the others' are given NaN in its place
+_READS_RADIUS = frozenset({FamilyKind.JACOBI})
+
 # Each literature comparator with a derived bound it is measured against;
 # a report whose id is on the left is a comparator and never gates anything.
 _COMPARATOR_PAIRS = tuple(
@@ -363,8 +366,7 @@ def _evaluate(kind: FamilyKind, points: Sequence[RootVector], sums: Sequence[tup
     if min(run.n) < min_n:
         raise ParameterDomainError(f"{kind.value.capitalize()} bounds need N >= {min_n}")
     params = [z.family.parameters() for z in points]
-    # M is formed only for Jacobi, whose formulas alone read it
-    radii = (z.family.spec.spectrum(z.family, z.n)[-1] if kind is FamilyKind.JACOBI else math.nan for z in points)
+    radii = (z.family.spec.spectrum(z.family, z.n)[-1] if kind in _READS_RADIUS else math.nan for z in points)
     args = [(z.n, float(m), *p) for z, m, p in zip(points, radii, params)]
     sides: dict[str, Side] = {}
     rows = []

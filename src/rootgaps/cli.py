@@ -220,11 +220,14 @@ def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt:
             yield [i], [len(columns[0])], columns, [summary]
 
 
-def _verify_group(group: list[RootVector], tol: float | None, corrupt: bool, coefficients=None) -> Iterator[tuple]:
+def _verify_group(
+    group: list[RootVector], tol: float | None, corrupt: bool, coefficients: np.ndarray
+) -> Iterator[tuple]:
     """Each point's columns and summary, in order, for the points of one
     order: every check value is computed once for the group, as a ``(P,)``
     array, and each point takes its values in its kind's check order;
-    ``coefficients`` go to ``covariance.eigenbasis_stack``."""
+    ``coefficients``, the group's recurrence coefficients, go to
+    ``covariance.eigenbasis_stack``."""
     n = group[0].n
     runs = kind_runs(group)
     # one evaluation of the pair terms builds S_N and its interaction sums,

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import SingularConfigurationError
 from .eigensolve import DenseSymmetric
-from .families import FamilyKind, PolynomialFamily, _RESCALE_EXP, _RESCALE_LIMIT, _first_rescale_row, jacobi_matrix
+from .families import FamilyKind, PolynomialFamily, jacobi_matrix, orthonormal_polynomials
 from .roots import RootVector, require_kind
 
 _TINY = float(np.finfo(float).tiny)
@@ -235,56 +235,32 @@ def recurrence_table(roots: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarra
     return table, row
 
 
-def eigenbasis_stack(group: Sequence[RootVector], coefficients: np.ndarray | None = None) -> np.ndarray:
+def eigenbasis_stack(group: Sequence[RootVector], coefficients: np.ndarray) -> np.ndarray:
     """The closed-form eigenvectors of ``S_N`` for each root vector of one
     order, as a ``(P, n, n)`` stack: for each, the columns of an
     orthonormal matrix in ascending eigenvalue order.  ``coefficients`` is
     ``table[:, row]`` of a :func:`recurrence_table` that covers the group,
-    if the caller has it.
+    gathered for its points.
 
-    The family's orthonormal polynomials follow ``b_{k+1} p_{k+1} = (x -
-    a_k) p_k - b_k p_{k-1}``, with ``a`` and ``b`` the diagonal and
-    off-diagonal of its recurrence matrix ``T_N = U diag(z) U^T``, where
-    ``U[k, i] = p_k(z_i) / ||p(z_i)||`` and ``||p(z_i)||^2 = sum_{k<N}
-    p_k(z_i)^2`` (Golub & Welsch, Math. Comp. 23, 1969).  Column ``j`` of
-    the basis is ``s_i p_{N-1-j}(z_i) / ||p(z_i)||``, its rows in storage
-    order and ``s_i`` the sign of ``p_{N-1}(z_i)``, nonzero by interlacing,
-    so the first column is positive, proportional to ``1``, ``sqrt(z)`` or
-    ``sqrt(1 - z^2)`` (Ahmed, Bruschi, Calogero, Olshanetsky & Perelomov,
-    Nuovo Cimento B 49, 1979).
-
-    A root's rows are scaled by ``2**-500``, which is exact, whenever a
-    value passes ``2**500`` (as ``p_1 = (z - nu) / sqrt(nu)`` does at a
-    tiny Laguerre ``nu``), tested from the first row at which a bound on
-    the values can pass (``families._first_rescale_row``).  One
-    Newton-Schulz polar step ``Q (3I - Q^T Q) / 2`` makes the columns,
-    orthonormal to the accuracy of the roots, orthonormal to rounding.
-    Every operation is elementwise or a slice's own BLAS call, so a
-    point's basis is bit for bit the same in any stack.
+    With ``p_k`` the family's orthonormal polynomials
+    (``families.orthonormal_polynomials``), its recurrence matrix is ``T_N
+    = U diag(z) U^T``, ``U[k, i] = p_k(z_i) / ||p(z_i)||`` and
+    ``||p(z_i)||^2 = sum_{k<N} p_k(z_i)^2`` (Golub & Welsch, Math. Comp.
+    23, 1969).  Column ``j`` of the basis is ``s_i p_{N-1-j}(z_i) /
+    ||p(z_i)||``, its rows in storage order and ``s_i`` the sign of
+    ``p_{N-1}(z_i)``, nonzero by interlacing, so the first column is
+    positive, proportional to ``1``, ``sqrt(z)`` or ``sqrt(1 - z^2)``
+    (Ahmed, Bruschi, Calogero, Olshanetsky & Perelomov, Nuovo Cimento B
+    49, 1979).  One Newton-Schulz polar step ``Q (3I - Q^T Q) / 2`` makes
+    the columns, orthonormal to the accuracy of the roots, orthonormal to
+    rounding.  Every operation is elementwise or a slice's own BLAS call,
+    so a point's basis is bit for bit the same in any stack.
     """
     z = np.stack([rv.roots for rv in group])
-    count, n = z.shape
-    if coefficients is None:
-        table, row = recurrence_table(group)
-        coefficients = table[:, row]
+    n = z.shape[1]
     a, b = coefficients[:, :, :n]
-    # row k of the step table computes p_{k+1} (see families.FamilySpec)
-    steps = np.stack([np.ones_like(z[:, 1:]), -a[:, :-1], b[:, :-1], b[:, 1:]]).transpose(2, 0, 1)
-    first = _first_rescale_row(steps, float(np.abs(z).max()))
     # rows[:, n - 1 - k] holds p_k at the roots: the basis, transposed
-    rows = np.empty((count, n, n))
-    rows[:, -1] = 1.0
-    prev, norm2 = np.zeros_like(z), np.ones_like(z)
-    for k in range(n - 1):
-        cur, new = rows[:, n - 1 - k], rows[:, n - 2 - k]
-        np.divide((z - a[:, k, None]) * cur - b[:, k, None] * prev, b[:, k + 1, None], out=new)
-        if k >= first:
-            over = np.abs(new) > _RESCALE_LIMIT
-            if over.any():
-                rows.transpose(0, 2, 1)[over, n - 2 - k:] *= 2.0**-_RESCALE_EXP
-                norm2[over] *= 2.0 ** (-2 * _RESCALE_EXP)
-        norm2 += new * new
-        prev = cur
+    rows, norm2 = orthonormal_polynomials(a, b, z)
     rows /= np.copysign(np.sqrt(norm2), rows[:, 0])[:, None, :]
     basis = rows.transpose(0, 2, 1).copy()
     # Q^T Q of two operands, so that numpy runs gemm, as the enclosure

@@ -9,17 +9,18 @@ Covers the three classical weights in their standard normalization:
   ``(1-x)^alpha * (1+x)^beta`` on ``(-1, 1)``.
 
 The module provides the symmetric tridiagonal recurrence (Jacobi) matrix
-whose eigenvalues are the polynomial roots, and pointwise evaluation of
-``P_N`` together with its derivative via the differentiated three-term
-recurrence.  The batched evaluator, ``_evaluate_scaled``, takes its
-entries sorted by order, descending, as the root polish holds them, and
-raises on any other order.  It pays only for work that can change its
-values: the power-of-two rescaling test runs only from the first row at
-which a bound on the values, from the step table's coefficients and the
-largest ``|x|``, can pass ``2**500`` (never within the 40 rows of the
-default grid), and a call of fewer than ``_SCALAR_ENTRIES`` entries, as
-the last Newton steps make, runs entry by entry in Python floats instead
-of as arrays.  Either way each entry sees the IEEE operations of a scalar
+whose eigenvalues are the polynomial roots, its orthonormal polynomials
+at given points, and pointwise evaluation of ``P_N`` together with its
+derivative via the differentiated three-term recurrence.  The batched
+evaluator, ``_evaluate_scaled``, takes its entries sorted by order,
+descending, as the root polish holds them, and raises on any other
+order.  It pays only for work that can change its values: the
+power-of-two rescaling test runs only from the first row at which a
+bound on the values, from the step table's coefficients and the largest
+``|x|``, can pass ``2**500`` (never within the 40 rows of the default
+grid), and a call of fewer than ``_SCALAR_ENTRIES`` entries, as the last
+Newton steps make, runs entry by entry in Python floats instead of as
+arrays.  Either way each entry sees the IEEE operations of a scalar
 recurrence, in the same order, so its values are bit for bit the same.
 
 Everything that differs between the families is data in one
@@ -439,6 +440,38 @@ def _first_rescale_row(steps: np.ndarray, reach: float) -> int:
     # the bound grows with the row, and a NaN stays, so the rows that pass
     # this test are a prefix
     return int(np.count_nonzero(bound <= _RESCALE_EXP - 1))
+
+
+def orthonormal_polynomials(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal polynomials ``p_0 .. p_{n-1}`` at ``x``, ``(P, r)``,
+    of ``P`` recurrence matrices, their diagonals the rows of ``a`` and
+    their off-diagonals those of ``b`` after a leading ``0``, both ``(P,
+    n)``: ``b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1}`` from ``p_0 =
+    1``.  Returns ``rows``, ``(P, n, r)`` with ``p_k`` in ``rows[:, n - 1 -
+    k]``, and ``norm2 = sum_k p_k(x)^2``.  A point's values, its rows so
+    far and its ``norm2``, are scaled by ``2**-500`` whenever one passes
+    ``_RESCALE_LIMIT``, tested from :func:`_first_rescale_row` of the
+    recurrence as a step table.  Every operation is elementwise, so a
+    point's values are bit for bit the same in any stack.
+    """
+    count, n = a.shape
+    # row k of the step table computes p_{k+1} (see FamilySpec)
+    steps = np.stack([np.ones_like(a[:, 1:]), -a[:, :-1], b[:, :-1], b[:, 1:]]).transpose(2, 0, 1)
+    first = _first_rescale_row(steps, float(np.abs(x).max()))
+    rows = np.empty((count, n, x.shape[1]))
+    rows[:, -1] = 1.0
+    prev, norm2 = np.zeros_like(x), np.ones_like(x)
+    for k in range(n - 1):
+        cur, new = rows[:, n - 1 - k], rows[:, n - 2 - k]
+        np.divide((x - a[:, k, None]) * cur - b[:, k, None] * prev, b[:, k + 1, None], out=new)
+        if k >= first:
+            over = np.abs(new) > _RESCALE_LIMIT
+            if over.any():
+                rows.transpose(0, 2, 1)[over, n - 2 - k:] *= 2.0**-_RESCALE_EXP
+                norm2[over] *= 2.0 ** (-2 * _RESCALE_EXP)
+        norm2 += new * new
+        prev = cur
+    return rows, norm2
 
 
 def _evaluate_entries(steps, orders, x, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

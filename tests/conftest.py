@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rootgaps import hermite, jacobi, laguerre
+from rootgaps.covariance import eigenbasis_stack, recurrence_table
 from rootgaps.eigensolve import enclose_eigenvalues
 
 # Parameter grid shared by the sweep-style tests; mirrors the CLI default.
@@ -27,6 +28,19 @@ def ones_kernel_projection(a):
     p = np.eye(n) - np.full((n, n), 1.0 / n)
     b = p @ a @ p
     return (b + b.T) / 2.0
+
+
+def recurrence_coefficients(group):
+    """The recurrence coefficients of the root vectors ``group``, gathered
+    from their ``recurrence_table`` as ``verify`` gathers an order's."""
+    table, row = recurrence_table(group)
+    return table[:, row]
+
+
+def closed_form_bases(group):
+    """``eigenbasis_stack`` of the root vectors of one order, from their
+    ``recurrence_coefficients``."""
+    return eigenbasis_stack(group, recurrence_coefficients(group))
 
 
 def enclose_one(m, basis):

@@ -1,7 +1,7 @@
 import math
 import re
 import struct
-from itertools import count, repeat, zip_longest
+from itertools import count, product, repeat, zip_longest
 from operator import itemgetter
 
 import numpy as np
@@ -31,12 +31,14 @@ from rootgaps.bounds import (
     _COMPARATOR_PAIRS,
     _HOLDS_RTOL,
     _OBSERVED,
+    _READS_RADIUS,
     BOUND_SPECS,
     BoundRow,
     Ragged,
     RunColumns,
 )
 from rootgaps.cli import DEFAULT_N_MAX, default_families
+from rootgaps.families import FAMILY_SPECS
 from rootgaps.roots import compute_roots_many
 
 from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families
@@ -80,6 +82,18 @@ class TestBoundTable:
 
     def test_every_observed_quantity_is_known(self):
         assert {spec.observed for specs in BOUND_SPECS.values() for spec in specs} == set(_OBSERVED)
+
+    def test_only_the_kinds_that_read_M_are_given_it(self):
+        # every other kind's formulas get NaN for M, so none may read it:
+        # each must give the same value at M = NaN and at M = 1
+        reads = set()
+        for kind, specs in BOUND_SPECS.items():
+            for spec, params, n in product(specs, FAMILY_SPECS[kind].defaults, (2, 7, 40)):
+                if spec.domain is None or spec.domain(*params):
+                    at_nan, at_one = spec.formula(n, math.nan, *params), spec.formula(n, 1.0, *params)
+                    if not (at_nan == at_one or math.isnan(at_nan) and math.isnan(at_one)):
+                        reads.add(kind)
+        assert reads == _READS_RADIUS
 
 
 class TestBenchHook:

@@ -16,9 +16,9 @@ import pytest
 import rootgaps.bounds as bounds_mod
 import rootgaps.cli as cli
 from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, hermite, jacobi, laguerre
-from rootgaps.covariance import eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
+from conftest import closed_form_bases, recurrence_coefficients
 from test_bounds import EDGE_ROWS, MIXED_POINTS, expand, point_run, rows_at
 from test_covariance import bases_by_order
 
@@ -320,7 +320,7 @@ class TestStackedChecksMatchReference:
         assert checks[0] == checks[3]
         for rv, point_checks in zip(group, checks):
             assert point_checks == stage_checks([rv], corrupt)[0], rv.family.label()
-            (basis,) = eigenbasis_stack([rv])
+            (basis,) = closed_form_bases([rv])
             assert point_checks == reference_verify_checks(rv, basis, None, corrupt)
 
 
@@ -331,10 +331,10 @@ class TestStackedChecksMatchReference:
         # but Jacobi, and each check value comes from the group's arrays
         families = [hermite(), laguerre(0.5), jacobi(1.0, -0.9), laguerre(1e-300), hermite()]
         group = compute_roots_many([(fam, 12) for fam in families])
-        tables = list(cli._verify_group(group, tol, corrupt))
+        tables = list(cli._verify_group(group, tol, corrupt, recurrence_coefficients(group)))
         assert len(tables) == len(group)
         for rv, got in zip(group, tables):
-            assert got == next(cli._verify_group([rv], tol, corrupt)), rv.family.label()
+            assert got == next(cli._verify_group([rv], tol, corrupt, recurrence_coefficients([rv]))), rv.family.label()
             assert tuple(got[0][0]) == cli.VERIFY_CHECKS[rv.family.kind]
 
 

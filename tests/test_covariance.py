@@ -21,7 +21,7 @@ from rootgaps import RootVector, covariance
 from rootgaps.covariance import _pair_differences, eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
-from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, enclose_one
+from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, closed_form_bases, enclose_one
 
 
 def spectrum(family, n):
@@ -261,7 +261,7 @@ class TestEigenbasis:
     @pytest.mark.parametrize("family", EIGENBASIS_FAMILIES, ids=lambda fam: fam.label())
     def test_eigenbasis_residual_at_rounding_level(self, family, n):
         rv, s, lam = covariance_of(family, n)
-        (q,) = eigenbasis_stack([rv])
+        (q,) = closed_form_bases([rv])
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= n * EPS
         # each column is an eigenvector of S at the exact roots; roots a few
         # ulps off move S by up to sensitivity * eps ||S||, and eigvalsh
@@ -276,7 +276,7 @@ class TestEigenbasis:
     def test_enclosure_holds_eigvalsh(self, family, n):
         rv = compute_roots(family, n)
         s = build_S(rv)
-        (basis,) = eigenbasis_stack([rv])
+        (basis,) = closed_form_bases([rv])
         centers, radii = enclose_one(s, basis)
         # disjoint residual intervals stay disjoint at the Kato-Temple radii
         assert np.all(centers[1:] - radii[1:] > centers[:-1] + radii[:-1])
@@ -288,10 +288,13 @@ class TestEigenbasis:
 
 def bases_by_order(roots):
     """The closed-form eigenbasis of each root vector, of any orders, in
-    order: ``eigenbasis_stack`` of each order's points, one slice each."""
+    order: ``eigenbasis_stack`` of each order's points, one slice each,
+    from one ``recurrence_table`` of the batch, as ``verify`` runs it."""
     bases = [None] * len(roots)
+    table, row = covariance.recurrence_table(roots)
     for members in covariance.by_order(roots).values():
-        for i, basis in zip(members, eigenbasis_stack([roots[i] for i in members])):
+        group = [roots[i] for i in members]
+        for i, basis in zip(members, eigenbasis_stack(group, table[:, row[members]])):
             bases[i] = basis
     return bases
 
@@ -344,7 +347,7 @@ class TestBatchedEigenbasis:
     def test_basis_does_not_depend_on_the_batch(self):
         roots, bases = mixed_batch()
         for rv, q in zip(roots, bases):
-            (alone,) = eigenbasis_stack([rv])
+            (alone,) = closed_form_bases([rv])
             assert np.array_equal(alone, q), (rv.family.label(), rv.n)
 
     @pytest.mark.parametrize("n", (3, 10, 40))
@@ -354,7 +357,7 @@ class TestBatchedEigenbasis:
         # here, so the recurrence rescales those roots from row 1 on
         rv = compute_roots(laguerre(nu), n)
         s = build_S(rv)
-        (basis,) = eigenbasis_stack([rv])
+        (basis,) = closed_form_bases([rv])
         assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= n * EPS
         centers, radii = enclose_one(s, basis)
         slack = n * EPS * np.linalg.norm(s.entries, 2)
@@ -379,7 +382,7 @@ def test_eigenbasis_is_the_reversed_transposed_eigh_basis_of_T(family, n):
     if not family.spec.ascending:
         vectors = vectors[:, ::-1]
     expected = vectors.T[:, ::-1]
-    (q,) = eigenbasis_stack([rv])
+    (q,) = closed_form_bases([rv])
     signs = np.sign((q * expected).sum(axis=1))
     gap = np.min(np.diff(np.sort(rv.roots))) if n > 1 else math.inf
     tol = 8.0 * n * EPS * np.linalg.norm(t, 2) / gap
@@ -411,11 +414,11 @@ class TestKindRuns:
     def test_interleaved_kinds_match_stacks_of_one(self, n):
         group = interleaved_group(n)
         terms = covariance.pair_terms(group)
-        bases = eigenbasis_stack(group)
+        bases = closed_form_bases(group)
         for p, rv in enumerate(group):
             for stacked, alone in zip(terms, covariance.pair_terms([rv])):
                 assert np.array_equal(stacked[p], alone[0]), (rv.family.label(), n)
-            assert np.array_equal(bases[p], eigenbasis_stack([rv])[0]), (rv.family.label(), n)
+            assert np.array_equal(bases[p], closed_form_bases([rv])[0]), (rv.family.label(), n)
         laguerres = [group[1], group[3]]
         for rv, alt in zip(laguerres, covariance.laguerre_sqrt_r_S_stack(laguerres)):
             assert np.array_equal(alt, covariance.laguerre_sqrt_r_S_stack([rv])[0]), (rv.family.label(), n)

@@ -18,10 +18,10 @@ from rootgaps import (
     laguerre,
     trace_power,
 )
-from rootgaps.covariance import build_S, eigenbasis_stack
+from rootgaps.covariance import build_S
 from rootgaps.eigensolve import enclose_eigenvalues
 
-from conftest import all_families, enclose_one, ones_kernel_projection, random_symmetric
+from conftest import all_families, closed_form_bases, enclose_one, ones_kernel_projection, random_symmetric
 
 
 class TestDenseSymmetricType:
@@ -163,7 +163,7 @@ class TestEncloseEigenvalues:
         rv = compute_roots(hermite(), 2)
         corrupted = build_S(rv).entries.copy()
         corrupted[0, 1] = corrupted[1, 0] = corrupted[0, 1] + 0.5
-        centers, radii = enclose_one(DenseSymmetric(corrupted), eigenbasis_stack([rv])[0])
+        centers, radii = enclose_one(DenseSymmetric(corrupted), closed_form_bases([rv])[0])
         assert not disjoint(centers, radii)
         assert np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))
         predicted = np.array([1.0, 2.0])
