@@ -366,7 +366,8 @@ def _evaluate(kind: FamilyKind, points: Sequence[RootVector], sums: Sequence[tup
     if min(run.n) < min_n:
         raise ParameterDomainError(f"{kind.value.capitalize()} bounds need N >= {min_n}")
     params = [z.family.parameters() for z in points]
-    radii = (z.family.spec.spectrum(z.family, z.n)[-1] if kind in _READS_RADIUS else math.nan for z in points)
+    spectrum = points[0].family.spec.spectrum
+    radii = (spectrum(z.n, *p)[-1] if kind in _READS_RADIUS else math.nan for z, p in zip(points, params))
     args = [(z.n, float(m), *p) for z, m, p in zip(points, radii, params)]
     sides: dict[str, Side] = {}
     rows = []
@@ -575,7 +576,7 @@ def sharpness_summary(z: RootVector, run: RunColumns, p: int) -> SharpnessSummar
             mean[bound_id] = sum(values) / len(values)
     ratio = None
     fam = z.family
-    _, square_target = fam.spec.trace_targets(fam.spec.spectrum(fam, z.n))
+    _, square_target = fam.spec.trace_targets(fam.spec.spectrum(z.n, *fam.parameters()))
     diag_id = _DIAG_SQ_IDS[fam.kind]
     if square_target is not None and diag_id in bounds:
         ratio = sum(bounds[diag_id]) / square_target

@@ -21,14 +21,19 @@ chunks of points ``(indices, counts, columns, summaries)``: the points'
 indices in the run, their entry counts, the columns of their rows after
 the point key, and their summaries.  A column holds one value per entry,
 or is a ``(pool, keys)`` pair, each entry the pool's item at its key.
-``roots`` and ``verify`` yield a chunk per point.  ``verify`` groups the
-points by order (at large orders a few points at a time, so that no
-stack exceeds ``_STACK_ENTRIES`` matrix entries) and evaluates its checks
-once on each group's ``(P, n)`` and ``(P, n, n)`` stacks: each check
-value of the group is one ``(P,)`` array, each kind's terms are applied
-to its runs of consecutive points (``covariance.kind_runs``), and each
-point only picks its values in its kind's check order
-(``VERIFY_CHECKS``).  ``bounds`` takes each point's ``(lin, cross)`` from
+``roots`` yields a chunk per point.  ``verify`` groups the points by
+order (at large orders a few points at a time, so that no stack exceeds
+``_STACK_ENTRIES`` matrix entries), evaluates its checks once on each
+group's ``(P, n)`` and ``(P, n, n)`` stacks and yields a chunk per group:
+each check value of the group is one ``(P,)`` array, each kind's terms
+and spectra are applied to its runs of consecutive points
+(``covariance.kind_runs``), and each point only picks its values in its
+kind's check order (``VERIFY_CHECKS``).  Its eigenbases come from one
+pass of the orthonormal-polynomial recurrence per band, a run of
+consecutive groups whose stacks total at most ``_STACK_ENTRIES`` entries
+(``covariance.OrthonormalBand``): each group gathers its rows from its
+band's pass, and a band of one group, as at large orders, uses its pass
+in place.  ``bounds`` takes each point's ``(lin, cross)`` from
 one ``interaction_sums_stack`` per such group, then evaluates the bound
 rows of each family kind once for all the run's points of that kind,
 across orders, and yields them as one chunk, the columns of
@@ -86,6 +91,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .covariance import (
+    OrthonormalBand,
     build_S_stack,
     by_order,
     diag_square_residual,
@@ -94,6 +100,7 @@ from .covariance import (
     kind_runs,
     laguerre_sqrt_r_S_stack,
     pair_terms,
+    parameter_columns,
     recurrence_table,
 )
 from .eigensolve import check_symmetric, enclose_eigenvalues
@@ -210,24 +217,44 @@ VERIFY_CHECKS = {
 }
 
 
+def _bands(groups: list[tuple]) -> Iterator[list[tuple]]:
+    """Runs of consecutive order groups whose ``(P, n, n)`` stacks total at
+    most ``_STACK_ENTRIES`` entries, each group on its own if larger, of
+    about equal totals: a band closes once it holds ``1 / ceil(total /
+    _STACK_ENTRIES)`` of all the groups' entries.  A band's recurrence
+    table lives beside each of its groups' stacks, so equal bands keep the
+    largest table, and the peak memory, as small as the fewest bands allow."""
+    sizes = [len(group) * group[0].n ** 2 for _, group in groups]
+    share = sum(sizes) / math.ceil(sum(sizes) / _STACK_ENTRIES)
+    band, entries = [], 0
+    for group, size in zip(groups, sizes):
+        if band and (entries >= share or entries + size > _STACK_ENTRIES):
+            yield band
+            band, entries = [], 0
+        band.append(group)
+        entries += size
+    yield band
+
+
 def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
-    a chunk per point, every check evaluated once for each group of one
-    order, from the run's recurrence coefficients, read once."""
+    a chunk per group of one order, every check evaluated once for the
+    group, from the run's recurrence coefficients, read once, and one
+    orthonormal-polynomial pass per band of groups."""
     table, row = recurrence_table(batch)
-    for indices, group in _order_groups(batch):
-        for i, (columns, summary) in zip(indices, _verify_group(group, tol, corrupt, table[:, row[indices]])):
-            yield [i], [len(columns[0])], columns, [summary]
+    for band in _bands(list(_order_groups(batch))):
+        polynomials = OrthonormalBand([group for _, group in band], table, [row[indices] for indices, _ in band])
+        for g, (indices, _) in enumerate(band):
+            yield (indices, *_verify_group(polynomials, g, tol, corrupt))
 
 
-def _verify_group(
-    group: list[RootVector], tol: float | None, corrupt: bool, coefficients: np.ndarray
-) -> Iterator[tuple]:
-    """Each point's columns and summary, in order, for the points of one
-    order: every check value is computed once for the group, as a ``(P,)``
-    array, and each point takes its values in its kind's check order;
-    ``coefficients``, the group's recurrence coefficients, go to
-    ``covariance.eigenbasis_stack``."""
+def _verify_group(band: OrthonormalBand, g: int, tol: float | None, corrupt: bool) -> tuple:
+    """``(counts, columns, summaries)`` of the points of group ``g`` of
+    ``band``, all of one order, as a chunk in group order: every check
+    value is computed once for the group, as a ``(P,)`` array, and each
+    point takes its values in its kind's check order; ``band`` gives
+    ``covariance.eigenbasis_stack`` the group's orthonormal polynomials."""
+    group = band.groups[g]
     n = group[0].n
     runs = kind_runs(group)
     # one evaluation of the pair terms builds S_N and its interaction sums,
@@ -247,8 +274,10 @@ def _verify_group(
 
     # the closed-form eigenbasis encloses the eigenvalues of the matrices
     # as given, so a corrupted copy fails here without being diagonalized
-    centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(group, coefficients))
-    predicted = np.stack([rv.family.spec.spectrum(rv.family, n) for rv in group])
+    centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(band, g))
+    predicted = np.empty((len(group), n))
+    for kind, run in runs:
+        predicted[run] = FAMILY_SPECS[kind].spectrum(n, *parameter_columns(group[run]))
     checks = {"spectrum-match": np.max((np.abs(centers - predicted) + radii) / predicted, axis=1)}
 
     diag_square = lin * lin + cross
@@ -282,13 +311,19 @@ def _verify_group(
     }
     values = {name: value.tolist() for name, value in checks.items()}
     passed = {name: (value <= tolerances[name]).tolist() for name, value in checks.items()}
+    columns: tuple[list, ...] = ([], [], [], [])
+    counts, summaries = [], []
     for kind, run in runs:
         check_ids = list(VERIFY_CHECKS[kind])
         limits = [tolerances[name] for name in check_ids]
         point_values = zip(*[values[name][run] for name in check_ids])
         point_passed = zip(*[passed[name][run] for name in check_ids])
         for value, ok in zip(point_values, point_passed):
-            yield (check_ids, list(value), limits, list(ok)), {"failed": ok.count(False)}
+            for column, cells in zip(columns, (check_ids, value, limits, ok)):
+                column += cells
+            counts.append(len(check_ids))
+            summaries.append({"failed": ok.count(False)})
+    return counts, columns, summaries
 
 
 def _rel_defect(value: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -335,7 +370,9 @@ _STAGES = {"roots": _roots_stage, "verify": _verify_stage, "bounds": _bounds_sta
 
 # the most matrix entries of one (P, n, n) stack (2 MB of doubles): a stage
 # holds several such stacks at once, so the points of a large order are
-# taken a few at a time; each point's values do not depend on its group
+# taken a few at a time; each point's values do not depend on its group.
+# A verify band's recurrence table holds at most as many values, unless
+# it is one larger group
 _STACK_ENTRIES = 1 << 18
 
 

@@ -40,9 +40,11 @@ per-point names :func:`build_S`, :func:`interaction_sums` and
 :func:`laguerre_sqrt_r_S` are stacks of one.
 
 The eigenvectors are known in closed form too: :func:`eigenbasis_stack`
-builds them, the Golub-Welsch eigenvectors of the family's recurrence
-matrix, from its three-term recurrence at the roots (a point's basis is a
-stack of one).
+builds them for one group, the Golub-Welsch eigenvectors of the family's
+recurrence matrix, from its orthonormal polynomials at the roots.  An
+:class:`OrthonormalBand` runs that recurrence once for a band of several
+order groups, over all their roots, and hands each group its rows; a
+point's basis is a band of one group of one.
 The spectra, and the shift under which the trace and diagonal-of-square
 identities are stated, come from the family's ``FamilySpec`` row.
 """
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -137,6 +139,12 @@ _TERMS = {
 }
 
 
+def parameter_columns(points: Sequence[RootVector]) -> np.ndarray:
+    """The family parameters of ``points``, all of one kind, as ``(P, 1)``
+    columns in ``spec.params`` order, one per parameter."""
+    return np.array([rv.family.parameters() for rv in points]).T[..., None]
+
+
 def pair_terms(group: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(d, inv2, lin)`` for the root vectors of one order, stacked: ``d``
     and ``lin`` are ``(P, n)``, ``inv2`` is ``(P, n, n)``.  Each kind's
@@ -148,9 +156,8 @@ def pair_terms(group: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarray, np.
     d, lin = np.empty_like(z), np.empty_like(z)
     for kind, run in kind_runs(group):
         weight, diagonal = _TERMS[kind]
-        parameters = np.array([rv.family.parameters() for rv in group[run]]).T[..., None]
         d[run] = weight(z[run])
-        lin[run] = diagonal(z[run], d[run], inv2[run], *parameters)
+        lin[run] = diagonal(z[run], d[run], inv2[run], *parameter_columns(group[run]))
     return d, inv2, lin
 
 
@@ -175,8 +182,9 @@ def interaction_sums(z: RootVector) -> tuple[np.ndarray, np.ndarray]:
 
 def build_S_stack(group: Sequence[RootVector], terms: tuple | None = None) -> np.ndarray:
     """``S_N`` for each root vector of one order, as a ``(P, n, n)`` stack;
-    the predicted spectrum of each is ``family.spec.spectrum(family, n)``.
-    ``terms`` is ``pair_terms(group)``, if the caller has it already."""
+    the predicted spectrum of each is ``family.spec.spectrum(n,
+    *family.parameters())``.  ``terms`` is ``pair_terms(group)``, if the
+    caller has it already."""
     d, inv2, lin = pair_terms(group) if terms is None else terms
     matrices = -np.sqrt(_outer(d)) * inv2
     shifts = np.array([rv.family.spec.shift for rv in group])
@@ -235,32 +243,86 @@ def recurrence_table(roots: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarra
     return table, row
 
 
-def eigenbasis_stack(group: Sequence[RootVector], coefficients: np.ndarray) -> np.ndarray:
-    """The closed-form eigenvectors of ``S_N`` for each root vector of one
-    order, as a ``(P, n, n)`` stack: for each, the columns of an
-    orthonormal matrix in ascending eigenvalue order.  ``coefficients`` is
-    ``table[:, row]`` of a :func:`recurrence_table` that covers the group,
-    gathered for its points.
+class OrthonormalBand:
+    """The orthonormal polynomials of the recurrence matrices of a band of
+    order groups at their roots, from one pass of the recurrence over all
+    the band's points (``families.orthonormal_polynomials``), run when a
+    group's rows are first asked for.  ``groups`` are the band's groups,
+    each the root vectors of one order; ``table`` is a
+    :func:`recurrence_table` that covers them and ``columns[g]`` holds the
+    family of each point of group ``g``, its rows of ``table``.
+
+    The pass takes the band's entries, one per root, with the groups
+    sorted by order, descending.  A band of several groups keeps its pass
+    and gathers a copy of each group's rows from it.  A band of one group
+    runs its pass for the call and returns it in place, as the group's
+    rows, so the band holds no array of its own: a ``(P, n, n)`` view whose
+    rows are ``P n`` values apart, which a BLAS call reads with that
+    leading dimension and the same values.
+    """
+
+    def __init__(self, groups: Sequence[Sequence[RootVector]], table: np.ndarray, columns: Sequence[np.ndarray]):
+        self.groups = groups
+        self._table = table
+        self._columns = columns
+        self._pass = None
+
+    def _run(self) -> tuple:
+        """``(rows, starts, norm2, firsts)``: ``orthonormal_polynomials`` of
+        the band's entries and the first entry of each group."""
+        # a stable sort keeps the groups of one order in band order
+        order = sorted(range(len(self.groups)), key=lambda g: -self.groups[g][0].n)
+        groups = [self.groups[g] for g in order]
+        ns = [group[0].n for group in groups]
+        sizes = [len(group) * n for group, n in zip(groups, ns)]
+        firsts = dict(zip(order, accumulate(sizes, initial=0)))
+        x = np.concatenate([rv.roots for group in groups for rv in group])
+        which = np.concatenate([np.repeat(self._columns[g], n) for g, n in zip(order, ns)])
+        return (*orthonormal_polynomials(self._table, which, np.repeat(ns, sizes), x), firsts)
+
+    def rows(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, norm2)`` of group ``g``, ``(P, n, n)`` and ``(P, n)``:
+        ``rows[:, n - 1 - k]`` holds ``p_k`` at the roots of each point, and
+        ``norm2`` the sum of their squares."""
+        points, n = len(self.groups[g]), self.groups[g][0].n
+        if len(self.groups) == 1:
+            # the one order's rows, highest degree first, are the stack
+            rows, _, norm2, _ = self._run()
+            return rows.reshape(n, points, n).transpose(1, 0, 2), norm2.reshape(points, n)
+        if self._pass is None:
+            self._pass = self._run()
+        rows, starts, norm2, firsts = self._pass
+        first = firsts[g]
+        # row k of the group's entries is the stack's row n - 1 - k
+        stack = np.empty((points, n, n))
+        for j, start in enumerate((starts[n - 1::-1] + first).tolist()):
+            stack[:, j] = rows[start:start + points * n].reshape(points, n)
+        return stack, norm2[first:first + points * n].reshape(points, n)
+
+
+def eigenbasis_stack(band: OrthonormalBand, g: int) -> np.ndarray:
+    """The closed-form eigenvectors of ``S_N`` for each root vector of
+    group ``g`` of ``band``, as a ``(P, n, n)`` stack: for each, the
+    columns of an orthonormal matrix in ascending eigenvalue order.
 
     With ``p_k`` the family's orthonormal polynomials
-    (``families.orthonormal_polynomials``), its recurrence matrix is ``T_N
-    = U diag(z) U^T``, ``U[k, i] = p_k(z_i) / ||p(z_i)||`` and
-    ``||p(z_i)||^2 = sum_{k<N} p_k(z_i)^2`` (Golub & Welsch, Math. Comp.
-    23, 1969).  Column ``j`` of the basis is ``s_i p_{N-1-j}(z_i) /
-    ||p(z_i)||``, its rows in storage order and ``s_i`` the sign of
-    ``p_{N-1}(z_i)``, nonzero by interlacing, so the first column is
-    positive, proportional to ``1``, ``sqrt(z)`` or ``sqrt(1 - z^2)``
-    (Ahmed, Bruschi, Calogero, Olshanetsky & Perelomov, Nuovo Cimento B
-    49, 1979).  One Newton-Schulz polar step ``Q (3I - Q^T Q) / 2`` makes
-    the columns, orthonormal to the accuracy of the roots, orthonormal to
-    rounding.  Every operation is elementwise or a slice's own BLAS call,
-    so a point's basis is bit for bit the same in any stack.
+    (:class:`OrthonormalBand`), its recurrence matrix is ``T_N = U diag(z)
+    U^T``, ``U[k, i] = p_k(z_i) / ||p(z_i)||`` and ``||p(z_i)||^2 =
+    sum_{k<N} p_k(z_i)^2`` (Golub & Welsch, Math. Comp. 23, 1969).  Column
+    ``j`` of the basis is ``s_i p_{N-1-j}(z_i) / ||p(z_i)||``, its rows in
+    storage order and ``s_i`` the sign of ``p_{N-1}(z_i)``, nonzero by
+    interlacing, so the first column is positive, proportional to ``1``,
+    ``sqrt(z)`` or ``sqrt(1 - z^2)`` (Ahmed, Bruschi, Calogero,
+    Olshanetsky & Perelomov, Nuovo Cimento B 49, 1979).  One Newton-Schulz
+    polar step ``Q (3I - Q^T Q) / 2`` makes the columns, orthonormal to the
+    accuracy of the roots, orthonormal to rounding.  Every operation is
+    elementwise or a slice's own BLAS call, on the same values whether the
+    rows are a gathered copy or a band of one's pass in place, so a point's
+    basis is bit for bit the same in any band.
     """
-    z = np.stack([rv.roots for rv in group])
-    n = z.shape[1]
-    a, b = coefficients[:, :, :n]
     # rows[:, n - 1 - k] holds p_k at the roots: the basis, transposed
-    rows, norm2 = orthonormal_polynomials(a, b, z)
+    rows, norm2 = band.rows(g)
+    n = rows.shape[1]
     rows /= np.copysign(np.sqrt(norm2), rows[:, 0])[:, None, :]
     basis = rows.transpose(0, 2, 1).copy()
     # Q^T Q of two operands, so that numpy runs gemm, as the enclosure

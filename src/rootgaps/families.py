@@ -22,6 +22,10 @@ grid), and a call of fewer than ``_SCALAR_ENTRIES`` entries, as the last
 Newton steps make, runs entry by entry in Python floats instead of as
 arrays.  Either way each entry sees the IEEE operations of a scalar
 recurrence, in the same order, so its values are bit for bit the same.
+The orthonormal polynomials, ``orthonormal_polynomials``, run the same
+way: one pass over entries of mixed orders and recurrences, sorted by
+order, descending, each step over the prefix still running, with every
+row packed to that prefix.
 
 Everything that differs between the families is data in one
 :class:`FamilySpec` row per kind, ``FAMILY_SPECS``, reached from a family
@@ -150,10 +154,14 @@ class FamilySpec:
     normalization, starting from ``P_0 = 1`` and ``P_{-1} = 0``.
     ``domain`` is the open orthogonality interval; root vectors are stored
     ascending (``z_1`` smallest) when ``ascending`` is true, else
-    descending (``z_1`` largest).  ``spectrum(family, n)`` is the
-    closed-form spectrum of ``S_N`` (ascending) and ``shift`` the multiple
-    of the identity removed from ``S_N`` before the trace and
-    diagonal-of-square identities are stated.
+    descending (``z_1`` largest).  ``spectrum(n, *parameters)`` is the
+    closed-form spectrum of ``S_N`` (ascending) of the family with those
+    parameter values, in ``params`` order: scalars give one spectrum, and
+    ``(P, 1)`` columns of them a ``(P, n)`` stack (a spectrum that reads no
+    parameter stays one ``(n,)`` row, which broadcasts), each row by the
+    operations of its scalar call.  ``shift`` is the multiple of the
+    identity removed from ``S_N`` before the trace and diagonal-of-square
+    identities are stated.
     ``min_n`` is the smallest order of default sweeps and bound sets.
     """
 
@@ -166,7 +174,7 @@ class FamilySpec:
     domain: tuple[float, float]
     ascending: bool
     shift: float
-    spectrum: Callable[[PolynomialFamily, int], np.ndarray]
+    spectrum: Callable[..., np.ndarray]
     square_identity: bool
 
     def trace_targets(self, lam: np.ndarray) -> tuple:
@@ -224,8 +232,7 @@ def _jacobi_steps(family: PolynomialFamily, n: int) -> Steps:
         )
 
 
-def _jacobi_spectrum(family: PolynomialFamily, n: int) -> np.ndarray:
-    alpha, beta = family.parameters()
+def _jacobi_spectrum(n: int, alpha, beta) -> np.ndarray:
     j = np.arange(1.0, n + 1.0)
     return np.sort(2.0 * j * (2.0 * n + alpha + beta + 1.0 - j))
 
@@ -238,14 +245,14 @@ FAMILY_SPECS = {
         recurrence=lambda family, n: (np.zeros(n), np.sqrt(np.arange(1.0, n) / 2.0)),
         steps=lambda family, n: ((2.0, 0.0, 2.0 * k, 1.0) for k in range(n)),
         domain=(-math.inf, math.inf), ascending=False,
-        shift=1.0, spectrum=lambda family, n: np.arange(1.0, n + 1.0), square_identity=True,
+        shift=1.0, spectrum=lambda n: np.arange(1.0, n + 1.0), square_identity=True,
     ),
     FamilyKind.LAGUERRE: FamilySpec(
         params=("nu",), lower=0.0,
         defaults=((0.1,), (0.5,), (1.0,), (2.0,), (10.0,), (50.0,)), min_n=1,
         recurrence=_laguerre_recurrence, steps=_laguerre_steps,
         domain=(0.0, math.inf), ascending=False,
-        shift=1.0, spectrum=lambda family, n: 2.0 * np.arange(1.0, n + 1.0), square_identity=True,
+        shift=1.0, spectrum=lambda n, nu: 2.0 * np.arange(1.0, n + 1.0), square_identity=True,
     ),
     FamilyKind.JACOBI: FamilySpec(
         params=("alpha", "beta"), lower=-1.0,
@@ -442,36 +449,64 @@ def _first_rescale_row(steps: np.ndarray, reach: float) -> int:
     return int(np.count_nonzero(bound <= _RESCALE_EXP - 1))
 
 
-def orthonormal_polynomials(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal polynomials ``p_0 .. p_{n-1}`` at ``x``, ``(P, r)``,
-    of ``P`` recurrence matrices, their diagonals the rows of ``a`` and
-    their off-diagonals those of ``b`` after a leading ``0``, both ``(P,
-    n)``: ``b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1}`` from ``p_0 =
-    1``.  Returns ``rows``, ``(P, n, r)`` with ``p_k`` in ``rows[:, n - 1 -
-    k]``, and ``norm2 = sum_k p_k(x)^2``.  A point's values, its rows so
-    far and its ``norm2``, are scaled by ``2**-500`` whenever one passes
+def orthonormal_polynomials(
+    coefficients: np.ndarray, which: np.ndarray, orders: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orthonormal polynomials ``p_0 .. p_{n-1}`` at every entry ``(n,
+    x)`` of the integer ``orders`` (each ``>= 1``, sorted descending) and
+    the points ``x``, returned as ``(rows, starts, norm2)``.  Entry ``j``
+    is of the recurrence matrix in column ``which[j]`` of ``coefficients``,
+    ``(2, F, top)``: ``coefficients[:, f] = (a, b)``, its diagonal and its
+    off-diagonal after a leading ``0``, with ``b_{k+1} p_{k+1} = (x - a_k)
+    p_k - b_k p_{k-1}`` from ``p_0 = 1``.  ``norm2`` holds ``sum_k
+    p_k(x)^2`` of each entry.
+
+    ``rows`` is packed: row ``k`` holds ``p_k`` of the entries of order
+    above ``k``, a prefix of them, from ``rows[starts[k]]`` on.  The rows
+    are stored from the last down, so the entries of a single order ``n``
+    fill ``rows`` as an ``(n, size)`` array with ``p_k`` in its row ``n -
+    1 - k``.  One pass serves every entry: step ``k`` runs over the prefix
+    of entries of order above ``k + 1``, each reading its ``a_k`` and
+    ``b_{k+1}`` from its column.  An entry's values, its rows so far and
+    its ``norm2``, are scaled by ``2**-500`` whenever one passes
     ``_RESCALE_LIMIT``, tested from :func:`_first_rescale_row` of the
-    recurrence as a step table.  Every operation is elementwise, so a
-    point's values are bit for bit the same in any stack.
+    recurrences in use, as a step table.  Every operation is elementwise,
+    so an entry's values are bit for bit the same in any pass.
     """
-    count, n = a.shape
+    if np.any(orders[1:] > orders[:-1]):
+        raise InternalConsistencyError("recurrence entries are not sorted by order, descending")
+    top = int(orders[0])
+    # for every row k, the number of entries with order above k
+    counts = np.searchsorted(-orders, -np.arange(top), side="left")
+    starts = counts.sum() - np.cumsum(counts)
+    # the columns in use; np.unique would import numpy.ma on its first call
+    a, b = coefficients[:, np.flatnonzero(np.bincount(which)), :top]
     # row k of the step table computes p_{k+1} (see FamilySpec)
     steps = np.stack([np.ones_like(a[:, 1:]), -a[:, :-1], b[:, :-1], b[:, 1:]]).transpose(2, 0, 1)
     first = _first_rescale_row(steps, float(np.abs(x).max()))
-    rows = np.empty((count, n, x.shape[1]))
-    rows[:, -1] = 1.0
+    # row k of the table is (a_k, b_k) of every column
+    table = coefficients[:, :, :top].transpose(2, 0, 1)
+    rows = np.empty(counts.sum())
+    cur = rows[starts[0]:]
+    cur[:] = 1.0
     prev, norm2 = np.zeros_like(x), np.ones_like(x)
-    for k in range(n - 1):
-        cur, new = rows[:, n - 1 - k], rows[:, n - 2 - k]
-        np.divide((x - a[:, k, None]) * cur - b[:, k, None] * prev, b[:, k + 1, None], out=new)
+    # b_k of the entries still running, the divisor of the step before
+    b_k = np.zeros_like(x)
+    for k, (m, start) in enumerate(zip(counts[1:].tolist(), starts[1:].tolist())):
+        x, which, cur, prev, b_k = x[:m], which[:m], cur[:m], prev[:m], b_k[:m]
+        a_k = table[k, 0].take(which)
+        b_next = table[k + 1, 1].take(which)
+        new = rows[start:start + m]
+        np.divide((x - a_k) * cur - b_k * prev, b_next, out=new)
         if k >= first:
             over = np.abs(new) > _RESCALE_LIMIT
             if over.any():
-                rows.transpose(0, 2, 1)[over, n - 2 - k:] *= 2.0**-_RESCALE_EXP
-                norm2[over] *= 2.0 ** (-2 * _RESCALE_EXP)
-        norm2 += new * new
-        prev = cur
-    return rows, norm2
+                big = np.flatnonzero(over)
+                rows[starts[:k + 2, None] + big] *= 2.0**-_RESCALE_EXP
+                norm2[big] *= 2.0 ** (-2 * _RESCALE_EXP)
+        norm2[:m] += new * new
+        prev, cur, b_k = cur, new, b_next
+    return rows, starts, norm2
 
 
 def _evaluate_entries(steps, orders, x, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rootgaps import hermite, jacobi, laguerre
-from rootgaps.covariance import eigenbasis_stack, recurrence_table
+from rootgaps.covariance import OrthonormalBand, eigenbasis_stack, recurrence_table
 from rootgaps.eigensolve import enclose_eigenvalues
 
 # Parameter grid shared by the sweep-style tests; mirrors the CLI default.
@@ -30,17 +30,19 @@ def ones_kernel_projection(a):
     return (b + b.T) / 2.0
 
 
-def recurrence_coefficients(group):
-    """The recurrence coefficients of the root vectors ``group``, gathered
-    from their ``recurrence_table`` as ``verify`` gathers an order's."""
-    table, row = recurrence_table(group)
-    return table[:, row]
+def recurrence_band(groups):
+    """The ``OrthonormalBand`` of ``groups``, each a list of root vectors of
+    one order, from one ``recurrence_table`` of all their points, as
+    ``verify`` builds a band."""
+    table, row = recurrence_table([rv for group in groups for rv in group])
+    ends = np.cumsum([len(group) for group in groups])
+    return OrthonormalBand(groups, table, np.split(row, ends[:-1]))
 
 
 def closed_form_bases(group):
-    """``eigenbasis_stack`` of the root vectors of one order, from their
-    ``recurrence_coefficients``."""
-    return eigenbasis_stack(group, recurrence_coefficients(group))
+    """``eigenbasis_stack`` of the root vectors of one order, a band of
+    one group."""
+    return eigenbasis_stack(recurrence_band([group]), 0)
 
 
 def enclose_one(m, basis):

@@ -43,7 +43,7 @@ def roots_of(family, n):
 @lru_cache(maxsize=None)
 def spectrum_error(family, n):
     computed = np.linalg.eigvalsh(build_S(roots_of(family, n)).entries)
-    predicted = family.spec.spectrum(family, n)
+    predicted = family.spec.spectrum(n, *family.parameters())
     return float(np.max(np.abs(computed - predicted) / predicted))
 
 

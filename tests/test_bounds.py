@@ -400,7 +400,7 @@ class TestJacobiBounds:
         # M^2 - 16(alpha+1)(beta+1) is exactly 0 at alpha = beta, N = 1, but
         # rounds below 0 here, where its square root raised
         rv = compute_roots(jacobi(alpha, alpha), 1)
-        big_m = float(rv.family.spec.spectrum(rv.family, 1)[-1])
+        big_m = float(rv.family.spec.spectrum(1, *rv.family.parameters())[-1])
         assert big_m**2 - 16.0 * (alpha + 1.0) * (alpha + 1.0) < 0.0
         for rep in bound_set(rv):
             assert rep.comparator or rep.note or rep.holds, rep
@@ -546,7 +546,7 @@ def summary_of_reports(z, reports):
             mean[bound_id] = sum(values) / len(values)
     ratio = None
     fam = z.family
-    _, square_target = fam.spec.trace_targets(fam.spec.spectrum(fam, z.n))
+    _, square_target = fam.spec.trace_targets(fam.spec.spectrum(z.n, *fam.parameters()))
     diag_id = f"{fam.kind.value}-diag-sq"
     if square_target is not None and diag_id in by_id:
         ratio = sum(r.bound_value for r in by_id[diag_id]) / square_target

@@ -18,7 +18,7 @@ import rootgaps.cli as cli
 from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, hermite, jacobi, laguerre
 from rootgaps.roots import compute_roots_many
 
-from conftest import closed_form_bases, recurrence_coefficients
+from conftest import closed_form_bases, recurrence_band
 from test_bounds import EDGE_ROWS, MIXED_POINTS, expand, point_run, rows_at
 from test_covariance import bases_by_order
 
@@ -248,7 +248,7 @@ def reference_verify_checks(rv, basis, tol, corrupt):
         matrix[j, 0] = matrix[0, j]
     checks = []
     centers, radii = reference_enclosure(matrix, basis)
-    predicted = fam.spec.spectrum(fam, n)
+    predicted = fam.spec.spectrum(n, *fam.parameters())
     spectral_err = float(np.max((np.abs(centers - predicted) + radii) / predicted))
     spectral_tol = (1e-8 if n <= 20 else 1e-6) if tol is None else tol
     checks.append(("spectrum-match", spectral_err, spectral_tol))
@@ -331,22 +331,41 @@ class TestStackedChecksMatchReference:
         # but Jacobi, and each check value comes from the group's arrays
         families = [hermite(), laguerre(0.5), jacobi(1.0, -0.9), laguerre(1e-300), hermite()]
         group = compute_roots_many([(fam, 12) for fam in families])
-        tables = list(cli._verify_group(group, tol, corrupt, recurrence_coefficients(group)))
+        tables = point_tables(*cli._verify_group(recurrence_band([group]), 0, tol, corrupt))
         assert len(tables) == len(group)
+        # the same group behind another in a band of two orders
+        other = compute_roots_many([(fam, 20) for fam in families[:2]])
+        assert point_tables(*cli._verify_group(recurrence_band([other, group]), 1, tol, corrupt)) == tables
         for rv, got in zip(group, tables):
-            assert got == next(cli._verify_group([rv], tol, corrupt, recurrence_coefficients([rv]))), rv.family.label()
+            (alone,) = point_tables(*cli._verify_group(recurrence_band([[rv]]), 0, tol, corrupt))
+            assert got == alone, rv.family.label()
             assert tuple(got[0][0]) == cli.VERIFY_CHECKS[rv.family.kind]
+
+
+def point_tables(counts, columns, summaries):
+    """Each point's ``(columns, summary)`` of a verify chunk, in order."""
+    starts = [0, *itertools.accumulate(counts)]
+    return [
+        (tuple(column[start:stop] for column in columns), summary)
+        for start, stop, summary in zip(starts, starts[1:], summaries)
+    ]
 
 
 def stage_checks(group, corrupt):
     """Each point's ``(check_id, value, tolerance)`` from the verify stage,
     in its row order."""
-    return [list(zip(*columns[:3])) for _, _, columns, _ in cli._verify_stage(group, "csv", None, corrupt)]
+    return [
+        list(zip(*columns[:3]))
+        for _, counts, chunk, summaries in cli._verify_stage(group, "csv", None, corrupt)
+        for columns, _ in point_tables(counts, chunk, summaries)
+    ]
 
 
 class TestStackSize:
-    @pytest.mark.parametrize("command", ["verify", "bounds"])
-    def test_split_groups_write_the_same_output(self, monkeypatch, capsys, command):
+    # at 50 entries most bands hold one group, at 200 some bands hold the
+    # groups of several orders
+    @pytest.mark.parametrize("command, cap", [("verify", 50), ("verify", 200), ("bounds", 50)])
+    def test_split_groups_write_the_same_output(self, monkeypatch, capsys, command, cap):
         argv = (command, "--n-max", "10")
         whole = run_cli(capsys, *argv)
         groups = []
@@ -356,13 +375,29 @@ class TestStackSize:
             groups.append((group[0].n, len(group)))
             return real_pair_terms(group)
 
+        bands = []
+        real_band = cli.OrthonormalBand
+
+        def band(band_groups, *args):
+            bands.append([(group[0].n, len(group)) for group in band_groups])
+            return real_band(band_groups, *args)
+
         # verify calls the pair terms through cli, bounds through its sums
         monkeypatch.setattr(cli, "pair_terms", pair_terms)
         monkeypatch.setattr(covariance, "pair_terms", pair_terms)
-        monkeypatch.setattr(cli, "_STACK_ENTRIES", 50)
+        monkeypatch.setattr(cli, "OrthonormalBand", band)
+        monkeypatch.setattr(cli, "_STACK_ENTRIES", cap)
         assert run_cli(capsys, *argv) == whole
         assert len(groups) > 10
-        assert all(size <= max(1, 50 // (n * n)) for n, size in groups)
+        assert all(size <= max(1, cap // (n * n)) for n, size in groups)
+        if command == "verify":
+            # every group in one band, and a band of several groups within
+            # the cap
+            assert sorted(group for b in bands for group in b) == sorted(groups)
+            assert any(len(b) == 1 for b in bands)
+            assert all(len(b) == 1 or sum(size * n * n for n, size in b) <= cap for b in bands)
+            if cap == 200:
+                assert any(len({n for n, _ in b}) > 1 for b in bands)
 
 
 def _known_failure(reason):

@@ -21,11 +21,11 @@ from rootgaps import RootVector, covariance
 from rootgaps.covariance import _pair_differences, eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
-from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, closed_form_bases, enclose_one
+from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, closed_form_bases, enclose_one, recurrence_band
 
 
 def spectrum(family, n):
-    return family.spec.spectrum(family, n)
+    return family.spec.spectrum(n, *family.parameters())
 
 
 def covariance_of(family, n):
@@ -289,12 +289,13 @@ class TestEigenbasis:
 def bases_by_order(roots):
     """The closed-form eigenbasis of each root vector, of any orders, in
     order: ``eigenbasis_stack`` of each order's points, one slice each,
-    from one ``recurrence_table`` of the batch, as ``verify`` runs it."""
+    all the orders' groups one band, whose recurrence runs once, from one
+    ``recurrence_table`` of the batch, as ``verify`` runs a band."""
     bases = [None] * len(roots)
-    table, row = covariance.recurrence_table(roots)
-    for members in covariance.by_order(roots).values():
-        group = [roots[i] for i in members]
-        for i, basis in zip(members, eigenbasis_stack(group, table[:, row[members]])):
+    members = list(covariance.by_order(roots).values())
+    band = recurrence_band([[roots[i] for i in indices] for indices in members])
+    for g, indices in enumerate(members):
+        for i, basis in zip(indices, eigenbasis_stack(band, g)):
             bases[i] = basis
     return bases
 
@@ -345,10 +346,27 @@ class TestBatchedEigenbasis:
             assert np.array_equal(q, scalar_eigenbasis(rv)), (rv.family.label(), rv.n)
 
     def test_basis_does_not_depend_on_the_batch(self):
+        # one band over every order, against each point's band of one
         roots, bases = mixed_batch()
         for rv, q in zip(roots, bases):
             (alone,) = closed_form_bases([rv])
             assert np.array_equal(alone, q), (rv.family.label(), rv.n)
+
+    def test_groups_of_one_order_in_a_band_match_bands_of_one(self):
+        # a band whose groups repeat an order and come in no order of it:
+        # the pass sorts them by order, stably, and each group gathers its
+        # own rows; N = 10 and N = 2 hold the tiny-nu points that rescale
+        roots, _ = mixed_batch()
+        members = covariance.by_order(roots)
+        parts = ((10, slice(None, 5)), (2, slice(None)), (10, slice(5, None)), (40, slice(None)), (1, slice(None)))
+        groups = [[roots[i] for i in members[n][part]] for n, part in parts]
+        assert laguerre(1e-300) in [rv.family for rv in groups[2]]
+        assert laguerre(1e-310) in [rv.family for rv in groups[1]]
+        band = recurrence_band(groups)
+        for g, group in enumerate(groups):
+            for rv, q in zip(group, eigenbasis_stack(band, g)):
+                (alone,) = closed_form_bases([rv])
+                assert np.array_equal(alone, q), (rv.family.label(), rv.n, g)
 
     @pytest.mark.parametrize("n", (3, 10, 40))
     @pytest.mark.parametrize("nu", (1e-100, 1e-300))
