@@ -31,10 +31,10 @@ and spectra are applied to its runs of consecutive points
 kind's check order (``VERIFY_CHECKS``).  Its eigenbases come from one
 pass of the orthonormal-polynomial recurrence per band, a run of
 consecutive groups whose stacks total at most ``_STACK_ENTRIES`` entries
-(``covariance.OrthonormalBand``): each group gathers its rows from its
-band's pass, and a band of one group, as at large orders, uses its pass
-in place.  ``bounds`` takes each point's ``(lin, cross)`` from
-one ``interaction_sums_stack`` per such group, then evaluates the bound
+(``covariance.OrthonormalBand``): each group's rows are a view of its
+band's pass, which the band drops once it has served its last group.
+``bounds`` takes each point's ``(lin, cross)`` from one
+``interaction_sums_stack`` per such group, then evaluates the bound
 rows of each family kind once for all the run's points of that kind,
 across orders, and yields them as one chunk, the columns of
 ``bounds.RunColumns`` (only JSON computes the sharpness summaries).  Each
@@ -91,6 +91,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .covariance import (
+    COORDINATE_FORMS,
     OrthonormalBand,
     build_S_stack,
     by_order,
@@ -98,7 +99,6 @@ from .covariance import (
     eigenbasis_stack,
     interaction_sums_stack,
     kind_runs,
-    laguerre_sqrt_r_S_stack,
     pair_terms,
     parameter_columns,
     recurrence_table,
@@ -206,12 +206,12 @@ def _order_groups(batch: list[RootVector]) -> Iterator[tuple[list[int], list[Roo
 
 
 # the checks of each kind, in row order (by id): the square trace identity
-# where the family states it, the second coordinate form for Laguerre
+# where the family states it, the coordinate forms where it has a second
 VERIFY_CHECKS = {
     kind: tuple(sorted(
         ("spectrum-match", "trace-identity-linear", "diag-square-consistency")
         + (("trace-identity-square",) if spec.square_identity else ())
-        + (("coordinate-forms-match",) if kind is FamilyKind.LAGUERRE else ())
+        + (("coordinate-forms-match",) if kind in COORDINATE_FORMS else ())
     ))
     for kind, spec in FAMILY_SPECS.items()
 }
@@ -222,8 +222,11 @@ def _bands(groups: list[tuple]) -> Iterator[list[tuple]]:
     most ``_STACK_ENTRIES`` entries, each group on its own if larger, of
     about equal totals: a band closes once it holds ``1 / ceil(total /
     _STACK_ENTRIES)`` of all the groups' entries.  A band's recurrence
-    table lives beside each of its groups' stacks, so equal bands keep the
-    largest table, and the peak memory, as small as the fewest bands allow."""
+    pass lives beside each of its groups' stacks, so equal bands keep the
+    largest pass, and the peak memory, as small as the fewest bands allow;
+    padded to the band's largest order ``T``, it holds ``3T / (2T + 1) <
+    1.5`` times the stacks' entries for orders 1 to ``T`` of as many
+    points each, and as many for one order."""
     sizes = [len(group) * group[0].n ** 2 for _, group in groups]
     share = sum(sizes) / math.ceil(sum(sizes) / _STACK_ENTRIES)
     band, entries = [], 0
@@ -274,7 +277,7 @@ def _verify_group(band: OrthonormalBand, g: int, tol: float | None, corrupt: boo
 
     # the closed-form eigenbasis encloses the eigenvalues of the matrices
     # as given, so a corrupted copy fails here without being diagonalized
-    centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(band, g))
+    centers, radii = enclose_eigenvalues(matrices, eigenbasis_stack(*band.rows(g)))
     predicted = np.empty((len(group), n))
     for kind, run in runs:
         predicted[run] = FAMILY_SPECS[kind].spectrum(n, *parameter_columns(group[run]))
@@ -289,8 +292,8 @@ def _verify_group(band: OrthonormalBand, g: int, tol: float | None, corrupt: boo
         linear_target[run], square = FAMILY_SPECS[kind].trace_targets(predicted[run])
         if square is not None:
             square_target[run] = square
-        if kind is FamilyKind.LAGUERRE:
-            alt = laguerre_sqrt_r_S_stack(group[run])
+        if kind in COORDINATE_FORMS:
+            alt = COORDINATE_FORMS[kind](group[run])
             # the second form is held to the checks of S_N itself
             check_symmetric(alt)
             base = s[run]
@@ -371,8 +374,8 @@ _STAGES = {"roots": _roots_stage, "verify": _verify_stage, "bounds": _bounds_sta
 # the most matrix entries of one (P, n, n) stack (2 MB of doubles): a stage
 # holds several such stacks at once, so the points of a large order are
 # taken a few at a time; each point's values do not depend on its group.
-# A verify band's recurrence table holds at most as many values, unless
-# it is one larger group
+# A verify band's stacks hold at most as many entries, unless it is one
+# larger group, and its padded recurrence pass about 1.5 times as many
 _STACK_ENTRIES = 1 << 18
 
 

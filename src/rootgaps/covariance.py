@@ -43,8 +43,8 @@ The eigenvectors are known in closed form too: :func:`eigenbasis_stack`
 builds them for one group, the Golub-Welsch eigenvectors of the family's
 recurrence matrix, from its orthonormal polynomials at the roots.  An
 :class:`OrthonormalBand` runs that recurrence once for a band of several
-order groups, over all their roots, and hands each group its rows; a
-point's basis is a band of one group of one.
+order groups, over all their roots, and hands each group its rows as a
+view of that pass; a point's basis is a band of one group of one.
 The spectra, and the shift under which the trace and diagonal-of-square
 identities are stated, come from the family's ``FamilySpec`` row.
 """
@@ -228,6 +228,10 @@ def laguerre_sqrt_r_S(z: RootVector) -> DenseSymmetric:
     return DenseSymmetric(laguerre_sqrt_r_S_stack([z])[0])
 
 
+# the second coordinate form of S_N of each kind that has one
+COORDINATE_FORMS = {FamilyKind.LAGUERRE: laguerre_sqrt_r_S_stack}
+
+
 def recurrence_table(roots: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarray]:
     """``(table, row)``: the recurrence coefficients of each distinct family
     of ``roots`` up to their largest order, one :func:`jacobi_matrix` each,
@@ -253,12 +257,9 @@ class OrthonormalBand:
     family of each point of group ``g``, its rows of ``table``.
 
     The pass takes the band's entries, one per root, with the groups
-    sorted by order, descending.  A band of several groups keeps its pass
-    and gathers a copy of each group's rows from it.  A band of one group
-    runs its pass for the call and returns it in place, as the group's
-    rows, so the band holds no array of its own: a ``(P, n, n)`` view whose
-    rows are ``P n`` values apart, which a BLAS call reads with that
-    leading dimension and the same values.
+    sorted by order, descending; each group's rows are a view of it, and
+    the band drops it once each group has been served (a later call runs
+    it anew), so it lives no longer than the last group's rows.
     """
 
     def __init__(self, groups: Sequence[Sequence[RootVector]], table: np.ndarray, columns: Sequence[np.ndarray]):
@@ -266,10 +267,11 @@ class OrthonormalBand:
         self._table = table
         self._columns = columns
         self._pass = None
+        self._unserved = set(range(len(groups)))
 
     def _run(self) -> tuple:
-        """``(rows, starts, norm2, firsts)``: ``orthonormal_polynomials`` of
-        the band's entries and the first entry of each group."""
+        """``(rows, norm2, firsts)``: ``orthonormal_polynomials`` of the
+        band's entries and the first entry of each group."""
         # a stable sort keeps the groups of one order in band order
         order = sorted(range(len(self.groups)), key=lambda g: -self.groups[g][0].n)
         groups = [self.groups[g] for g in order]
@@ -281,49 +283,43 @@ class OrthonormalBand:
         return (*orthonormal_polynomials(self._table, which, np.repeat(ns, sizes), x), firsts)
 
     def rows(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, norm2)`` of group ``g``, ``(P, n, n)`` and ``(P, n)``:
-        ``rows[:, n - 1 - k]`` holds ``p_k`` at the roots of each point, and
-        ``norm2`` the sum of their squares."""
+        """``(rows, norm2)`` of group ``g``, ``(P, n, n)`` and ``(P, n)``
+        views of the band's pass: ``rows[:, n - 1 - k]`` holds ``p_k`` at
+        the roots of each point, and ``norm2`` the sum of their squares."""
+        rows, norm2, firsts = self._pass = self._pass or self._run()
+        self._unserved.discard(g)
+        if not self._unserved:
+            self._pass = None
         points, n = len(self.groups[g]), self.groups[g][0].n
-        if len(self.groups) == 1:
-            # the one order's rows, highest degree first, are the stack
-            rows, _, norm2, _ = self._run()
-            return rows.reshape(n, points, n).transpose(1, 0, 2), norm2.reshape(points, n)
-        if self._pass is None:
-            self._pass = self._run()
-        rows, starts, norm2, firsts = self._pass
-        first = firsts[g]
-        # row k of the group's entries is the stack's row n - 1 - k
-        stack = np.empty((points, n, n))
-        for j, start in enumerate((starts[n - 1::-1] + first).tolist()):
-            stack[:, j] = rows[start:start + points * n].reshape(points, n)
-        return stack, norm2[first:first + points * n].reshape(points, n)
+        first, stop = firsts[g], firsts[g] + points * n
+        # the pass's last n rows hold p_{n-1} .. p_0 of the group's entries
+        view = rows[len(rows) - n:, first:stop].reshape(n, points, n).transpose(1, 0, 2)
+        return view, norm2[first:stop].reshape(points, n)
 
 
-def eigenbasis_stack(band: OrthonormalBand, g: int) -> np.ndarray:
-    """The closed-form eigenvectors of ``S_N`` for each root vector of
-    group ``g`` of ``band``, as a ``(P, n, n)`` stack: for each, the
-    columns of an orthonormal matrix in ascending eigenvalue order.
+def eigenbasis_stack(rows: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    """The closed-form eigenvectors of ``S_N`` for each root vector of an
+    order group, from its ``(rows, norm2)`` (:meth:`OrthonormalBand.rows`),
+    which it only reads: a ``(P, n, n)`` stack of orthonormal matrices,
+    their columns in ascending eigenvalue order.
 
-    With ``p_k`` the family's orthonormal polynomials
-    (:class:`OrthonormalBand`), its recurrence matrix is ``T_N = U diag(z)
-    U^T``, ``U[k, i] = p_k(z_i) / ||p(z_i)||`` and ``||p(z_i)||^2 =
-    sum_{k<N} p_k(z_i)^2`` (Golub & Welsch, Math. Comp. 23, 1969).  Column
-    ``j`` of the basis is ``s_i p_{N-1-j}(z_i) / ||p(z_i)||``, its rows in
-    storage order and ``s_i`` the sign of ``p_{N-1}(z_i)``, nonzero by
-    interlacing, so the first column is positive, proportional to ``1``,
-    ``sqrt(z)`` or ``sqrt(1 - z^2)`` (Ahmed, Bruschi, Calogero,
-    Olshanetsky & Perelomov, Nuovo Cimento B 49, 1979).  One Newton-Schulz
-    polar step ``Q (3I - Q^T Q) / 2`` makes the columns, orthonormal to the
-    accuracy of the roots, orthonormal to rounding.  Every operation is
-    elementwise or a slice's own BLAS call, on the same values whether the
-    rows are a gathered copy or a band of one's pass in place, so a point's
-    basis is bit for bit the same in any band.
+    With ``p_k`` the family's orthonormal polynomials, its recurrence
+    matrix is ``T_N = U diag(z) U^T``, ``U[k, i] = p_k(z_i) / ||p(z_i)||``
+    and ``||p(z_i)||^2 = sum_{k<N} p_k(z_i)^2`` (Golub & Welsch, Math.
+    Comp. 23, 1969).  Column ``j`` of the basis is ``s_i p_{N-1-j}(z_i) /
+    ||p(z_i)||``, its rows in storage order and ``s_i`` the sign of
+    ``p_{N-1}(z_i)``, nonzero by interlacing, so the first column is
+    positive, proportional to ``1``, ``sqrt(z)`` or ``sqrt(1 - z^2)``
+    (Ahmed, Bruschi, Calogero, Olshanetsky & Perelomov, Nuovo Cimento B
+    49, 1979).  One Newton-Schulz polar step ``Q (3I - Q^T Q) / 2`` makes
+    the columns, orthonormal to the accuracy of the roots, orthonormal to
+    rounding.  Every operation is elementwise or a slice's own BLAS call,
+    which reads a band's rows with its leading dimension and the same
+    values, so a point's basis is bit for bit the same in any band.
     """
     # rows[:, n - 1 - k] holds p_k at the roots: the basis, transposed
-    rows, norm2 = band.rows(g)
     n = rows.shape[1]
-    rows /= np.copysign(np.sqrt(norm2), rows[:, 0])[:, None, :]
+    rows = rows / np.copysign(np.sqrt(norm2), rows[:, 0])[:, None, :]
     basis = rows.transpose(0, 2, 1).copy()
     # Q^T Q of two operands, so that numpy runs gemm, as the enclosure
     # does, and not syrk, whose first call alone raises the peak memory

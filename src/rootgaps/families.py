@@ -24,8 +24,8 @@ arrays.  Either way each entry sees the IEEE operations of a scalar
 recurrence, in the same order, so its values are bit for bit the same.
 The orthonormal polynomials, ``orthonormal_polynomials``, run the same
 way: one pass over entries of mixed orders and recurrences, sorted by
-order, descending, each step over the prefix still running, with every
-row packed to that prefix.
+order, descending, each step over the prefix still running, into one
+array of which the rows of each order are a slice.
 
 Everything that differs between the families is data in one
 :class:`FamilySpec` row per kind, ``FAMILY_SPECS``, reached from a family
@@ -451,22 +451,22 @@ def _first_rescale_row(steps: np.ndarray, reach: float) -> int:
 
 def orthonormal_polynomials(
     coefficients: np.ndarray, which: np.ndarray, orders: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal polynomials ``p_0 .. p_{n-1}`` at every entry ``(n,
     x)`` of the integer ``orders`` (each ``>= 1``, sorted descending) and
-    the points ``x``, returned as ``(rows, starts, norm2)``.  Entry ``j``
-    is of the recurrence matrix in column ``which[j]`` of ``coefficients``,
-    ``(2, F, top)``: ``coefficients[:, f] = (a, b)``, its diagonal and its
+    the points ``x``, returned as ``(rows, norm2)``.  Entry ``j`` is of the
+    recurrence matrix in column ``which[j]`` of ``coefficients``, ``(2, F,
+    top)``: ``coefficients[:, f] = (a, b)``, its diagonal and its
     off-diagonal after a leading ``0``, with ``b_{k+1} p_{k+1} = (x - a_k)
     p_k - b_k p_{k-1}`` from ``p_0 = 1``.  ``norm2`` holds ``sum_k
     p_k(x)^2`` of each entry.
 
-    ``rows`` is packed: row ``k`` holds ``p_k`` of the entries of order
-    above ``k``, a prefix of them, from ``rows[starts[k]]`` on.  The rows
-    are stored from the last down, so the entries of a single order ``n``
-    fill ``rows`` as an ``(n, size)`` array with ``p_k`` in its row ``n -
-    1 - k``.  One pass serves every entry: step ``k`` runs over the prefix
-    of entries of order above ``k + 1``, each reading its ``a_k`` and
+    ``rows`` is ``(top, size)``, ``top`` the largest order: its row ``top -
+    1 - k`` holds ``p_k`` of the entries of order above ``k``, a prefix of
+    them, and is not written past it, so an order ``n`` has its ``p_{n-1}
+    .. p_0`` in the last ``n`` rows.  One pass serves every entry: step
+    ``k`` runs over the prefix of entries of order above ``k + 1``, each
+    reading its ``a_k`` and
     ``b_{k+1}`` from its column.  An entry's values, its rows so far and
     its ``norm2``, are scaled by ``2**-500`` whenever one passes
     ``_RESCALE_LIMIT``, tested from :func:`_first_rescale_row` of the
@@ -477,8 +477,7 @@ def orthonormal_polynomials(
         raise InternalConsistencyError("recurrence entries are not sorted by order, descending")
     top = int(orders[0])
     # for every row k, the number of entries with order above k
-    counts = np.searchsorted(-orders, -np.arange(top), side="left")
-    starts = counts.sum() - np.cumsum(counts)
+    counts = np.searchsorted(-orders, -np.arange(top), side="left").tolist()
     # the columns in use; np.unique would import numpy.ma on its first call
     a, b = coefficients[:, np.flatnonzero(np.bincount(which)), :top]
     # row k of the step table computes p_{k+1} (see FamilySpec)
@@ -486,27 +485,27 @@ def orthonormal_polynomials(
     first = _first_rescale_row(steps, float(np.abs(x).max()))
     # row k of the table is (a_k, b_k) of every column
     table = coefficients[:, :, :top].transpose(2, 0, 1)
-    rows = np.empty(counts.sum())
-    cur = rows[starts[0]:]
+    rows = np.empty((top, x.size))
+    cur = rows[top - 1]
     cur[:] = 1.0
     prev, norm2 = np.zeros_like(x), np.ones_like(x)
     # b_k of the entries still running, the divisor of the step before
     b_k = np.zeros_like(x)
-    for k, (m, start) in enumerate(zip(counts[1:].tolist(), starts[1:].tolist())):
+    for k, m in enumerate(counts[1:]):
         x, which, cur, prev, b_k = x[:m], which[:m], cur[:m], prev[:m], b_k[:m]
         a_k = table[k, 0].take(which)
         b_next = table[k + 1, 1].take(which)
-        new = rows[start:start + m]
+        new = rows[top - 2 - k, :m]
         np.divide((x - a_k) * cur - b_k * prev, b_next, out=new)
         if k >= first:
             over = np.abs(new) > _RESCALE_LIMIT
             if over.any():
                 big = np.flatnonzero(over)
-                rows[starts[:k + 2, None] + big] *= 2.0**-_RESCALE_EXP
+                rows[top - 2 - k:, big] *= 2.0**-_RESCALE_EXP
                 norm2[big] *= 2.0 ** (-2 * _RESCALE_EXP)
         norm2[:m] += new * new
         prev, cur, b_k = cur, new, b_next
-    return rows, starts, norm2
+    return rows, norm2
 
 
 def _evaluate_entries(steps, orders, x, which) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

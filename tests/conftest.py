@@ -42,7 +42,7 @@ def recurrence_band(groups):
 def closed_form_bases(group):
     """``eigenbasis_stack`` of the root vectors of one order, a band of
     one group."""
-    return eigenbasis_stack(recurrence_band([group]), 0)
+    return eigenbasis_stack(*recurrence_band([group]).rows(0))
 
 
 def enclose_one(m, basis):

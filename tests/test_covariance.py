@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ def bases_by_order(roots):
     members = list(covariance.by_order(roots).values())
     band = recurrence_band([[roots[i] for i in indices] for indices in members])
     for g, indices in enumerate(members):
-        for i, basis in zip(indices, eigenbasis_stack(band, g)):
+        for i, basis in zip(indices, eigenbasis_stack(*band.rows(g))):
             bases[i] = basis
     return bases
 
@@ -354,8 +355,8 @@ class TestBatchedEigenbasis:
 
     def test_groups_of_one_order_in_a_band_match_bands_of_one(self):
         # a band whose groups repeat an order and come in no order of it:
-        # the pass sorts them by order, stably, and each group gathers its
-        # own rows; N = 10 and N = 2 hold the tiny-nu points that rescale
+        # the pass sorts them by order, stably, and each group's rows are a
+        # view of it; N = 10 and N = 2 hold the tiny-nu points that rescale
         roots, _ = mixed_batch()
         members = covariance.by_order(roots)
         parts = ((10, slice(None, 5)), (2, slice(None)), (10, slice(5, None)), (40, slice(None)), (1, slice(None)))
@@ -363,10 +364,35 @@ class TestBatchedEigenbasis:
         assert laguerre(1e-300) in [rv.family for rv in groups[2]]
         assert laguerre(1e-310) in [rv.family for rv in groups[1]]
         band = recurrence_band(groups)
-        for g, group in enumerate(groups):
-            for rv, q in zip(group, eigenbasis_stack(band, g)):
+        # every group asked for twice: the second round comes after the
+        # band has served its last group and dropped its pass
+        for g, group in [*enumerate(groups), *enumerate(groups)]:
+            for rv, q in zip(group, eigenbasis_stack(*band.rows(g))):
                 (alone,) = closed_form_bases([rv])
                 assert np.array_equal(alone, q), (rv.family.label(), rv.n, g)
+
+    @pytest.mark.parametrize("orders", [(3, 7, 5), (7,)])
+    def test_band_drops_its_pass_after_its_last_group(self, orders):
+        roots, _ = mixed_batch()
+        members = covariance.by_order(roots)
+        band = recurrence_band([[roots[i] for i in members[n]] for n in orders])
+        rows, norm2 = band.rows(0)
+        passes = weakref.ref(rows.base), weakref.ref(norm2.base)
+        del rows, norm2
+        for g in range(1, len(orders)):
+            rows, norm2 = band.rows(g)
+            # every group's rows are views of the one pass
+            assert rows.base is passes[0]() and norm2.base is passes[1]()
+            del rows, norm2
+        assert passes[0]() is None and passes[1]() is None
+
+    def test_eigenbasis_stack_leaves_its_input(self):
+        roots, _ = mixed_batch()
+        group = [roots[i] for i in covariance.by_order(roots)[10]]
+        rows, norm2 = recurrence_band([group]).rows(0)
+        before = rows.copy(), norm2.copy()
+        eigenbasis_stack(rows, norm2)
+        assert np.array_equal(rows, before[0]) and np.array_equal(norm2, before[1])
 
     @pytest.mark.parametrize("n", (3, 10, 40))
     @pytest.mark.parametrize("nu", (1e-100, 1e-300))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rootgaps import (
     EmptyProblemError,
     FamilyKind,
+    InternalConsistencyError,
     MagnitudeError,
     ParameterDomainError,
     PolynomialFamily,
@@ -22,7 +23,7 @@ from rootgaps import (
     jacobi_matrix,
     laguerre,
 )
-from rootgaps.families import FAMILY_SPECS, _evaluate_scaled, step_table
+from rootgaps.families import FAMILY_SPECS, _evaluate_scaled, orthonormal_polynomials, step_table
 
 from conftest import all_families
 
@@ -282,3 +283,42 @@ class TestEvaluate:
     def test_n_zero_rejected(self):
         with pytest.raises(EmptyProblemError):
             evaluate_with_derivative(hermite(), 0, 1.0)
+
+
+class TestOrthonormalPolynomials:
+    # entries of mixed orders and recurrences, sorted by order, descending;
+    # p_1 = (x - nu) / sqrt(nu) passes 2**500 at x = 30, nu = 1e-300
+    FAMILIES = (hermite(), laguerre(2.0), jacobi(1.0, -0.9), laguerre(1e-300))
+    ENTRIES = (
+        (1, 12, 7.5), (0, 12, -1.25), (2, 9, 0.3), (3, 9, 30.0), (0, 5, 0.7),
+        (3, 5, 0.5), (2, 3, -0.8), (1, 1, 2.0), (3, 1, 40.0),
+    )
+
+    def coefficients(self, top):
+        table = np.zeros((2, len(self.FAMILIES), top))
+        for f, family in enumerate(self.FAMILIES):
+            t = jacobi_matrix(family, top)
+            table[0, f], table[1, f, 1:] = t.diag, t.offdiag
+        return table
+
+    def test_each_entry_matches_its_pass_alone(self):
+        which, orders, x = (np.array(column) for column in zip(*self.ENTRIES))
+        top = int(orders[0])
+        table = self.coefficients(top)
+        rows, norm2 = orthonormal_polynomials(table, which, orders, x)
+        assert rows.shape == (top, len(self.ENTRIES)) and norm2.shape == (len(self.ENTRIES),)
+        for j, (f, n, xj) in enumerate(self.ENTRIES):
+            alone, alone_norm2 = orthonormal_polynomials(table, np.array([f]), np.array([n]), np.array([xj]))
+            assert alone.shape == (n, 1)
+            # row top - 1 - k holds p_k, so the entry's p_{n-1} .. p_0 are
+            # the last n rows of its column
+            assert np.array_equal(rows[top - n:, j], alone[:, 0]), j
+            assert np.array_equal(norm2[j], alone_norm2[0]), j
+        # only the tiny-nu entry at x = 30 rescales, p_0 with it: at x =
+        # 0.5 p_1 stays below 2**500, and an entry of order 1 takes no step
+        assert np.flatnonzero(rows[top - 1] < 1.0).tolist() == [3]
+
+    def test_unsorted_entries_raise(self):
+        table = self.coefficients(5)
+        with pytest.raises(InternalConsistencyError):
+            orthonormal_polynomials(table, np.array([0, 1]), np.array([3, 5]), np.array([0.1, 0.2]))
