@@ -46,7 +46,9 @@ cells by its keys, formats its other values, and joins each entry into a
 CSV line or fills it into a JSON object template, indented to its place
 in the document, which is written in pieces; the JSON encoder writes
 only the config header and the summaries.  The process pool is imported
-only when ``--jobs`` asks for more than one worker.
+only when ``--jobs`` asks for more than one worker, and the bound
+catalogue (``rootgaps.bounds``) only when the ``bounds`` stage runs, so
+``roots`` and ``verify`` never load it.
 
 The parsed ``argparse.Namespace`` is the sweep request: ``main`` writes
 the resolved families, in sweep order, and the ``--n`` range onto it, and
@@ -89,7 +91,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from .covariance import (
     COORDINATE_FORMS,
     OrthonormalBand,
@@ -338,6 +339,8 @@ def _bounds_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt:
     are evaluated once for all the run's points of that kind
     (``bounds.RunColumns``), each point's ``(lin, cross)`` taken from one
     stack per order.  Only JSON computes the sharpness summaries."""
+    from . import bounds as bounds_mod
+
     sums = [None] * len(batch)
     for indices, group in _order_groups(batch):
         lin, cross = interaction_sums_stack(group)

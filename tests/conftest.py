@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rootgaps
 from rootgaps import hermite, jacobi, laguerre
 from rootgaps.covariance import OrthonormalBand, eigenbasis_stack, recurrence_table
 from rootgaps.eigensolve import enclose_eigenvalues
@@ -15,6 +22,25 @@ def all_families():
     fams += [laguerre(nu) for nu in LAGUERRE_NUS]
     fams += [jacobi(a, b) for a, b in JACOBI_PARAMS]
     return fams
+
+
+def loaded_after(script, prefixes):
+    """The sorted names in ``sys.modules`` starting with one of
+    ``prefixes`` once a fresh interpreter, with this ``rootgaps`` first on
+    its path, has run ``script`` (``sys`` imported, ``sys.argv[1]`` the
+    null device)."""
+    src = str(Path(rootgaps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        f"import json, sys; {script}; "
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r}))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.devnull], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
 
 
 def random_symmetric(rng, n, scale=1.0):

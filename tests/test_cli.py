@@ -18,7 +18,7 @@ import rootgaps.cli as cli
 from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, hermite, jacobi, laguerre
 from rootgaps.roots import compute_roots_many
 
-from conftest import closed_form_bases, recurrence_band
+from conftest import closed_form_bases, loaded_after, recurrence_band
 from test_bounds import EDGE_ROWS, MIXED_POINTS, expand, point_run, rows_at
 from test_covariance import bases_by_order
 
@@ -913,18 +913,24 @@ class TestJobs:
         assert run_cli(capsys, *argv[:-2]) == (code, out)
 
     def test_serial_sweep_loads_no_process_pool(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         script = (
-            "import sys, rootgaps.cli as cli; "
-            "assert cli.main(['roots', '--family', 'hermite', '--n-max', '4', '--out', sys.argv[1]]) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+            "import rootgaps.cli as cli; "
+            "assert cli.main(['roots', '--family', 'hermite', '--n-max', '4', '--out', sys.argv[1]]) == 0"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, os.devnull], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        assert loaded_after(script, ("multiprocessing", "concurrent")) == []
+
+    @pytest.mark.parametrize(
+        "command,loaded", [("roots", []), ("verify", []), ("bounds", ["rootgaps.bounds"])],
+    )
+    def test_only_the_bounds_command_loads_the_bound_catalogue(self, command, loaded):
+        script = (
+            "import rootgaps.cli as cli; "
+            f"assert cli.main([{command!r}, '--family', 'hermite', '--n-max', '4', '--out', sys.argv[1]]) == 0"
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        assert loaded_after(script, ("rootgaps.bounds", "multiprocessing")) == loaded
+
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_after("import rootgaps", ("rootgaps.",)) == []
 
 
 class TestNumericalFailure:
