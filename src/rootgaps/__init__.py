@@ -12,7 +12,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the public names by home module, each written once
+# the public names by home module: ``__all__`` and ``__getattr__`` both read it
 _EXPORTS = {
     "errors": (
         "EmptyProblemError",
