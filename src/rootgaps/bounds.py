@@ -73,11 +73,12 @@ Bounds are evaluated on runs: all the points of one family kind in a
 sweep run, whatever their orders and parameters, at once.
 :func:`bound_rows` evaluates a run's rows by its kind's view of one
 evaluator (:func:`hermite_diag_bound`, :func:`laguerre_bounds`,
-:func:`jacobi_bounds`), from the root vectors, one point as ``[z]``, and
-their ``(lin, cross)``: ``covariance.interaction_sums`` unless the caller
-passes one pair per point, as the ``bounds`` command does.  Each observed
-quantity is built once per run, in one numpy pass, and shared by its
-rows: a ``(P,)`` column, one value per point, or a :class:`Ragged`
+:func:`jacobi_bounds`), from the root vectors, one point as ``[z]``.
+The run's ``(lin, cross)`` come from one
+``covariance.interaction_sums_stack`` per order group of the run
+(``covariance.order_groups``), written into the run's flat arrays.  Each
+observed quantity is built once per run, in one numpy pass, and shared
+by its rows: a ``(P,)`` column, one value per point, or a :class:`Ragged`
 array, one value per entry with per-point offsets.  Each formula gives a
 ``(P,)`` column of Python floats.  At one point, a row of two columns
 gives one entry, index 0 (``None`` in a report); a row with a ragged side
@@ -108,7 +109,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .covariance import interaction_sums
+from .covariance import interaction_sums_stack, order_groups
 from .errors import EmptyProblemError, ParameterDomainError
 from .families import FamilyKind
 from .roots import RootVector, require_kind
@@ -313,27 +314,26 @@ class _Run(NamedTuple):
     cross: Ragged
 
 
-def _run(points: Sequence[RootVector], kind: FamilyKind, sums: Sequence[tuple] | None) -> _Run:
+def _run(points: Sequence[RootVector], kind: FamilyKind) -> _Run:
     if not points:
         raise EmptyProblemError("bound rows need at least one point")
     for z in points:
         require_kind(z, kind)
-    if sums is None:
-        sums = [interaction_sums(z) for z in points]
-    elif len(sums) != len(points) or any(
-        len(pair) != 2 or any(np.shape(side) != (z.n,) for side in pair) for z, pair in zip(points, sums)
-    ):
-        raise ParameterDomainError("sums needs one (lin, cross) pair per point, each array of shape (n,)")
     n = [z.n for z in points]
     starts = _starts(n)
     gap_starts = _starts([k - 1 for k in n])
+    # each order group's (lin, cross) stacks, each point's rows at its offset
+    lin, cross = np.empty(starts[-1]), np.empty(starts[-1])
+    for indices, group in order_groups(points):
+        at = starts[indices][:, None] + np.arange(group[0].n)
+        lin[at], cross[at] = interaction_sums_stack(group)
     concat = np.concatenate
     return _Run(
         n,
         Ragged(concat([z.roots for z in points]), starts),
         Ragged(concat([z.gaps for z in points]), gap_starts),
-        Ragged(concat([lin for lin, _ in sums]), starts),
-        Ragged(concat([cross for _, cross in sums]), starts),
+        Ragged(lin, starts),
+        Ragged(cross, starts),
     )
 
 
@@ -358,10 +358,10 @@ _OBSERVED: dict[str, Callable[[_Run], Side]] = {
 }
 
 
-def _evaluate(kind: FamilyKind, points: Sequence[RootVector], sums: Sequence[tuple] | None) -> list[BoundRow]:
+def _evaluate(kind: FamilyKind, points: Sequence[RootVector]) -> list[BoundRow]:
     """The rows of ``BOUND_SPECS[kind]`` on a run of root vectors of that
     kind, each observed quantity built once and shared by its rows."""
-    run = _run(points, kind, sums)
+    run = _run(points, kind)
     min_n = points[0].family.spec.min_n
     if min(run.n) < min_n:
         raise ParameterDomainError(f"{kind.value.capitalize()} bounds need N >= {min_n}")
@@ -385,37 +385,37 @@ def _evaluate(kind: FamilyKind, points: Sequence[RootVector], sums: Sequence[tup
     return rows
 
 
-def hermite_diag_bound(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+def hermite_diag_bound(points: Sequence[RootVector]) -> list[BoundRow]:
     """The Hermite rows of ``BOUND_SPECS`` on a run of root vectors."""
-    return _evaluate(FamilyKind.HERMITE, points, sums)
+    return _evaluate(FamilyKind.HERMITE, points)
 
 
-def laguerre_bounds(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+def laguerre_bounds(points: Sequence[RootVector]) -> list[BoundRow]:
     """The Laguerre rows of ``BOUND_SPECS`` on a run of root vectors."""
-    return _evaluate(FamilyKind.LAGUERRE, points, sums)
+    return _evaluate(FamilyKind.LAGUERRE, points)
 
 
-def jacobi_bounds(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+def jacobi_bounds(points: Sequence[RootVector]) -> list[BoundRow]:
     """The Jacobi rows of ``BOUND_SPECS`` on a run of root vectors."""
-    return _evaluate(FamilyKind.JACOBI, points, sums)
+    return _evaluate(FamilyKind.JACOBI, points)
 
 
 # Each family's bound rows; the lambdas look the functions up at call time,
 # so wrappers installed on this module's attributes see every call.
 _BOUND_SETS = {
-    FamilyKind.HERMITE: lambda points, sums: hermite_diag_bound(points, sums),
-    FamilyKind.LAGUERRE: lambda points, sums: laguerre_bounds(points, sums),
-    FamilyKind.JACOBI: lambda points, sums: jacobi_bounds(points, sums),
+    FamilyKind.HERMITE: lambda points: hermite_diag_bound(points),
+    FamilyKind.LAGUERRE: lambda points: laguerre_bounds(points),
+    FamilyKind.JACOBI: lambda points: jacobi_bounds(points),
 }
 
 
-def bound_rows(points: Sequence[RootVector], sums: Sequence[tuple] | None = None) -> list[BoundRow]:
+def bound_rows(points: Sequence[RootVector]) -> list[BoundRow]:
     """Every derived bound and comparator row of a run of root vectors of
-    one kind, by the view of that kind; ``sums`` holds each
-    point's ``interaction_sums``, if the caller has them already."""
+    one kind, by the view of that kind, the run's ``(lin, cross)`` from
+    one stack per order group (``covariance.order_groups``)."""
     if not points:
         raise EmptyProblemError("bound rows need at least one point")
-    return _BOUND_SETS[points[0].family.kind](points, sums)
+    return _BOUND_SETS[points[0].family.kind](points)
 
 
 class RunColumns:

@@ -22,21 +22,19 @@ indices in the run, their entry counts, the columns of their rows after
 the point key, and their summaries.  A column holds one value per entry,
 or is a ``(pool, keys)`` pair, each entry the pool's item at its key.
 ``roots`` yields a chunk per point.  ``verify`` groups the points by
-order (at large orders a few points at a time, so that no stack exceeds
-``_STACK_ENTRIES`` matrix entries), evaluates its checks once on each
-group's ``(P, n)`` and ``(P, n, n)`` stacks and yields a chunk per group:
+order, at large orders a few at a time (``covariance.order_groups``),
+evaluates its checks once on each group's ``(P, n)`` and ``(P, n, n)``
+stacks and yields a chunk per group:
 each check value of the group is one ``(P,)`` array, each kind's terms
 and spectra are applied to its runs of consecutive points
 (``covariance.kind_runs``), and each point only picks its values in its
 kind's check order (``VERIFY_CHECKS``).  Its eigenbases come from one
-pass of the orthonormal-polynomial recurrence per band, a run of
-consecutive groups whose stacks total at most ``_STACK_ENTRIES`` entries
-(``covariance.OrthonormalBand``): each group's rows are a view of its
-band's pass, which the band drops once it has served its last group.
-``bounds`` takes each point's ``(lin, cross)`` from one
-``interaction_sums_stack`` per such group, then evaluates the bound
-rows of each family kind once for all the run's points of that kind,
-across orders, and yields them as one chunk, the columns of
+pass of the orthonormal-polynomial recurrence per band of consecutive
+groups (``covariance.bands``, ``covariance.OrthonormalBand``): each
+group's rows are a view of its band's pass, which the band drops once
+it has served its last group.  ``bounds`` evaluates the bound rows of
+each family kind once for all the run's points of that kind, across
+orders, and yields them as one chunk, the columns of
 ``bounds.RunColumns`` (only JSON computes the sharpness summaries).  Each
 chunk becomes text before the next is computed, so ``--jobs`` workers
 send text.  The writer formats each pool once per chunk with the
@@ -94,12 +92,13 @@ import numpy as np
 from .covariance import (
     COORDINATE_FORMS,
     OrthonormalBand,
+    bands,
     build_S_stack,
-    by_order,
     diag_square_residual,
     eigenbasis_stack,
     interaction_sums_stack,
     kind_runs,
+    order_groups,
     pair_terms,
     parameter_columns,
     recurrence_table,
@@ -195,17 +194,6 @@ def _roots_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: 
         yield [i], [rv.n], columns, [gap_statistics(rv)._asdict()]
 
 
-def _order_groups(batch: list[RootVector]) -> Iterator[tuple[list[int], list[RootVector]]]:
-    """The indices and root vectors of the points of each order, at large
-    orders a few points at a time, so that no ``(P, n, n)`` stack exceeds
-    ``_STACK_ENTRIES`` matrix entries."""
-    for n, members in by_order(batch).items():
-        size = max(1, _STACK_ENTRIES // (n * n))
-        for start in range(0, len(members), size):
-            indices = members[start:start + size]
-            yield indices, [batch[i] for i in indices]
-
-
 # the checks of each kind, in row order (by id): the square trace identity
 # where the family states it, the coordinate forms where it has a second
 VERIFY_CHECKS = {
@@ -218,35 +206,13 @@ VERIFY_CHECKS = {
 }
 
 
-def _bands(groups: list[tuple]) -> Iterator[list[tuple]]:
-    """Runs of consecutive order groups whose ``(P, n, n)`` stacks total at
-    most ``_STACK_ENTRIES`` entries, each group on its own if larger, of
-    about equal totals: a band closes once it holds ``1 / ceil(total /
-    _STACK_ENTRIES)`` of all the groups' entries.  A band's recurrence
-    pass lives beside each of its groups' stacks, so equal bands keep the
-    largest pass, and the peak memory, as small as the fewest bands allow;
-    padded to the band's largest order ``T``, it holds ``3T / (2T + 1) <
-    1.5`` times the stacks' entries for orders 1 to ``T`` of as many
-    points each, and as many for one order."""
-    sizes = [len(group) * group[0].n ** 2 for _, group in groups]
-    share = sum(sizes) / math.ceil(sum(sizes) / _STACK_ENTRIES)
-    band, entries = [], 0
-    for group, size in zip(groups, sizes):
-        if band and (entries >= share or entries + size > _STACK_ENTRIES):
-            yield band
-            band, entries = [], 0
-        band.append(group)
-        entries += size
-    yield band
-
-
 def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
     a chunk per group of one order, every check evaluated once for the
     group, from the run's recurrence coefficients, read once, and one
     orthonormal-polynomial pass per band of groups."""
     table, row = recurrence_table(batch)
-    for band in _bands(list(_order_groups(batch))):
+    for band in bands(list(order_groups(batch))):
         polynomials = OrthonormalBand([group for _, group in band], table, [row[indices] for indices, _ in band])
         for g, (indices, _) in enumerate(band):
             yield (indices, *_verify_group(polynomials, g, tol, corrupt))
@@ -335,22 +301,15 @@ def _rel_defect(value: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _bounds_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
-    """The bound entries of each family kind, a chunk per kind: its rows
-    are evaluated once for all the run's points of that kind
-    (``bounds.RunColumns``), each point's ``(lin, cross)`` taken from one
-    stack per order.  Only JSON computes the sharpness summaries."""
+    """The bound entries of each family kind, a chunk per run of one kind
+    (``covariance.kind_runs``): its rows are evaluated once for all the
+    run's points (``bounds.RunColumns``).  Only JSON computes the
+    sharpness summaries."""
     from . import bounds as bounds_mod
 
-    sums = [None] * len(batch)
-    for indices, group in _order_groups(batch):
-        lin, cross = interaction_sums_stack(group)
-        for i, pair in zip(indices, zip(lin, cross)):
-            sums[i] = pair
-    kinds: dict[FamilyKind, list[int]] = {}
-    for i, rv in enumerate(batch):
-        kinds.setdefault(rv.family.kind, []).append(i)
-    for indices in kinds.values():
-        rows = bounds_mod.bound_rows([batch[i] for i in indices], [sums[i] for i in indices])
+    for _, members in kind_runs(batch):
+        indices = list(range(len(batch))[members])
+        rows = bounds_mod.bound_rows(batch[members])
         # ids are unique per bound row and each row's entries come in index
         # order, so the stable sort of the rows by id alone orders the
         # entries by (id, index)
@@ -373,13 +332,6 @@ def _bounds_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt:
 # ``(indices, counts, columns, summaries)`` in any order, as the module
 # docstring has them; a summary leaves out the point key
 _STAGES = {"roots": _roots_stage, "verify": _verify_stage, "bounds": _bounds_stage}
-
-# the most matrix entries of one (P, n, n) stack (2 MB of doubles): a stage
-# holds several such stacks at once, so the points of a large order are
-# taken a few at a time; each point's values do not depend on its group.
-# A verify band's stacks hold at most as many entries, unless it is one
-# larger group, and its padded recurrence pass about 1.5 times as many
-_STACK_ENTRIES = 1 << 18
 
 
 def _evaluate_chunk(task: tuple) -> list[tuple[str, dict]]:

@@ -32,12 +32,16 @@ extensions ``[[1]]`` and ``[[2]]`` with spectra ``{1}`` and ``{2}``.
 Every kernel here takes the root vectors of one order, of any families,
 and works on their stacks: ``(P, n)`` roots and ``(P, n, n)`` matrices,
 each kind's terms applied to its runs of consecutive rows, as views
-(:func:`by_order` groups a batch, :func:`kind_runs` splits a group).
-Each slice sees the IEEE operations of the point alone: row sums run
-over the contiguous last axis and every decision is taken per slice, so
-a point's values are bit for bit the same in any stack.  The
-per-point names :func:`build_S`, :func:`interaction_sums` and
-:func:`laguerre_sqrt_r_S` are stacks of one.
+(:func:`kind_runs` splits a group).  Each slice sees the IEEE operations
+of the point alone: row sums run over the contiguous last axis and every
+decision is taken per slice, so a point's values are bit for bit the
+same in any stack.  The per-point names :func:`build_S`,
+:func:`interaction_sums` and :func:`laguerre_sqrt_r_S` are stacks of one.
+
+One rule stacks a batch of any orders, for ``verify`` and ``bounds``:
+:func:`order_groups` groups it by order, at large orders a few points at
+a time, so that no stack exceeds ``_STACK_ENTRIES`` (2**18) entries, and
+:func:`bands` runs consecutive groups together up to that total.
 
 The eigenvectors are known in closed form too: :func:`eigenbasis_stack`
 builds them for one group, the Golub-Welsch eigenvectors of the family's
@@ -51,7 +55,7 @@ identities are stated, come from the family's ``FamilySpec`` row.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -73,12 +77,54 @@ def by_order(roots: Sequence[RootVector]) -> dict[int, list[int]]:
     return groups
 
 
+# the most matrix entries of one (P, n, n) stack (2 MB of doubles): a
+# caller holds several such stacks at once, so the points of a large order
+# are taken a few at a time; each point's values do not depend on its
+# group.  A band's stacks hold at most as many entries, unless it is one
+# larger group, and its padded recurrence pass about 1.5 times as many
+_STACK_ENTRIES = 1 << 18
+
+
+def order_groups(roots: Sequence[RootVector]) -> Iterator[tuple[list[int], list[RootVector]]]:
+    """The indices and root vectors of the points of each order, at large
+    orders a few points at a time, so that no ``(P, n, n)`` stack exceeds
+    ``_STACK_ENTRIES`` matrix entries."""
+    for n, members in by_order(roots).items():
+        size = max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), size):
+            indices = members[start:start + size]
+            yield indices, [roots[i] for i in indices]
+
+
+def bands(groups: list[tuple]) -> Iterator[list[tuple]]:
+    """Runs of consecutive :func:`order_groups` items whose ``(P, n, n)``
+    stacks total at most ``_STACK_ENTRIES`` entries, each group on its own
+    if larger, of about equal totals: a band closes once it holds ``1 /
+    ceil(total / _STACK_ENTRIES)`` of all the groups' entries.  A band's
+    recurrence pass (:class:`OrthonormalBand`) lives beside each of its
+    groups' stacks, so equal bands keep the largest pass, and the peak
+    memory, as small as the fewest bands allow; padded to the band's
+    largest order ``T``, it holds ``3T / (2T + 1) < 1.5`` times the stacks'
+    entries for orders 1 to ``T`` of as many points each, and as many for
+    one order."""
+    sizes = [len(group) * group[0].n ** 2 for _, group in groups]
+    share = sum(sizes) / math.ceil(sum(sizes) / _STACK_ENTRIES)
+    band, entries = [], 0
+    for group, size in zip(groups, sizes):
+        if band and (entries >= share or entries + size > _STACK_ENTRIES):
+            yield band
+            band, entries = [], 0
+        band.append(group)
+        entries += size
+    yield band
+
+
 def kind_runs(group: Sequence[RootVector]) -> list[tuple[FamilyKind, slice]]:
     """The runs of consecutive root vectors of one kind in ``group``, in
     order, each as its kind and its slice of the group.  A sweep keeps each
-    kind contiguous within an order, so a group has a run per kind; the
-    kernels below apply each kind's terms to its runs, as views of the
-    group's stacks."""
+    kind contiguous, so a group or a batch has a run per kind; the kernels
+    below apply each kind's terms to its runs, as views of the group's
+    stacks."""
     runs: list[tuple[FamilyKind, slice]] = []
     start = 0
     for kind, members in groupby(rv.family.kind for rv in group):

@@ -24,7 +24,7 @@ from rootgaps import (
     laguerre_bounds,
     sharpness_summary,
 )
-from rootgaps import cli
+from rootgaps import cli, covariance
 import rootgaps.bounds
 from rootgaps.bounds import (
     _COMPARATOR_IDS,
@@ -105,9 +105,9 @@ class TestBenchHook:
         calls = []
         view = rootgaps.bounds.laguerre_bounds
 
-        def counting(points, sums=None):
+        def counting(points):
             calls.append(len(points))
-            return view(points, sums)
+            return view(points)
 
         monkeypatch.setattr(rootgaps.bounds, "laguerre_bounds", counting)
         return calls
@@ -420,35 +420,61 @@ class TestJacobiBounds:
 
 
 class TestRunArguments:
-    """Every bound function takes a nonempty run of root vectors and, if
-    the caller has them, one ``(lin, cross)`` pair of shape ``(n,)`` per
-    point."""
+    """Every bound function takes a nonempty run of root vectors."""
 
     @pytest.mark.parametrize("bounds", [bound_rows, hermite_diag_bound, laguerre_bounds, jacobi_bounds])
-    @pytest.mark.parametrize("sums", [None, []])
-    def test_empty_run_is_an_empty_problem(self, bounds, sums):
+    def test_empty_run_is_an_empty_problem(self, bounds):
         with pytest.raises(EmptyProblemError):
-            bounds([], sums)
+            bounds([])
 
-    @pytest.mark.parametrize("bounds", [bound_rows, laguerre_bounds])
-    @pytest.mark.parametrize(
-        "orders,shapes",
-        [
-            ((3,), [((2,), (2,))]),
-            ((3,), [((3,), (2,))]),
-            ((3,), [((1, 3), (3,))]),
-            ((3,), [((3,),)]),
-            ((3, 4), [((3,), (3,))]),
-            ((3,), [((3,), (3,)), ((3,), (3,))]),
-            ((3, 4), [((3,), (3,)), ((3,), (4,))]),
-        ],
-        ids=["short", "short-cross", "two-dimensional", "not-a-pair", "too-few", "too-many", "wrong-point"],
-    )
-    def test_sums_of_the_wrong_shape_are_rejected(self, bounds, orders, shapes):
-        points = [compute_roots(laguerre(2.0), n) for n in orders]
-        sums = [tuple(np.ones(shape) for shape in pair) for pair in shapes]
-        with pytest.raises(ParameterDomainError, match="sums"):
-            bounds(points, sums)
+
+def run_bits(run):
+    """A ``RunColumns``' columns, point offsets and violation counts, each
+    array as its dtype, shape and bytes, so that equal means bit for bit."""
+
+    def bits(value):
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return value
+
+    return bits((run.columns, run.starts, run.violations))
+
+
+class TestRunStacks:
+    """A run's ``(lin, cross)`` come from one interaction-sums stack per
+    order group (``covariance.order_groups``), not one per point, and do
+    not depend on how the stack cap splits the groups."""
+
+    # three points of each of two orders, the orders interleaved in the run
+    POINTS = [(laguerre(nu), n) for nu in (0.5, 2.0, 7.0) for n in (3, 8)]
+
+    @pytest.fixture
+    def groups(self, monkeypatch):
+        groups = []
+        real_pair_terms = covariance.pair_terms
+
+        def pair_terms(group):
+            groups.append((group[0].n, len(group)))
+            return real_pair_terms(group)
+
+        monkeypatch.setattr(covariance, "pair_terms", pair_terms)
+        return groups
+
+    def test_one_stack_per_order_group(self, groups):
+        bound_rows(compute_roots_many(self.POINTS))
+        assert groups == [(3, 3), (8, 3)]
+
+    def test_capped_groups_give_the_same_columns(self, monkeypatch, groups):
+        points = compute_roots_many(self.POINTS)
+        whole = RunColumns(bound_rows(points), len(points))
+        groups.clear()
+        # 50 entries hold five points of order 3 and one of order 8
+        monkeypatch.setattr(covariance, "_STACK_ENTRIES", 50)
+        capped = RunColumns(bound_rows(points), len(points))
+        assert groups == [(3, 3), (8, 1), (8, 1), (8, 1)]
+        assert run_bits(capped) == run_bits(whole)
 
 
 class TestUniversalValidity:

@@ -382,11 +382,12 @@ class TestStackSize:
             bands.append([(group[0].n, len(group)) for group in band_groups])
             return real_band(band_groups, *args)
 
-        # verify calls the pair terms through cli, bounds through its sums
+        # verify calls the pair terms through cli, bounds through its
+        # interaction sums in covariance
         monkeypatch.setattr(cli, "pair_terms", pair_terms)
         monkeypatch.setattr(covariance, "pair_terms", pair_terms)
         monkeypatch.setattr(cli, "OrthonormalBand", band)
-        monkeypatch.setattr(cli, "_STACK_ENTRIES", cap)
+        monkeypatch.setattr(covariance, "_STACK_ENTRIES", cap)
         assert run_cli(capsys, *argv) == whole
         assert len(groups) > 10
         assert all(size <= max(1, cap // (n * n)) for n, size in groups)
@@ -739,7 +740,9 @@ class TestBoundLines:
         batch = compute_roots_many(MIXED_POINTS)
         names = cli._column_names("bounds", fmt)
         chunks = list(cli._bounds_stage(batch, fmt, None, False))
-        assert len(chunks) == 3
+        # a chunk per run of one kind, which the batch interleaves
+        runs = [list(range(len(batch))[members]) for _, members in covariance.kind_runs(batch)]
+        assert [indices for indices, *_ in chunks] == runs and len(runs) > 3
         for indices, counts, columns, _ in chunks:
             calls.clear()
             cells = cli._chunk_cells("bounds", fmt, columns)
