@@ -445,10 +445,24 @@ def run_bits(run):
 class TestRunStacks:
     """A run's ``(lin, cross)`` come from one interaction-sums stack per
     order group (``covariance.order_groups``), not one per point, and do
-    not depend on how the stack cap splits the groups."""
+    not depend on how the stack cap splits the groups, for every kind and
+    through ``bound_rows`` as through the kind's own view."""
 
     # three points of each of two orders, the orders interleaved in the run
-    POINTS = [(laguerre(nu), n) for nu in (0.5, 2.0, 7.0) for n in (3, 8)]
+    POINTS = {
+        "hermite": [(hermite(), n) for _ in range(3) for n in (3, 8)],
+        "laguerre": [(laguerre(nu), n) for nu in (0.5, 2.0, 7.0) for n in (3, 8)],
+        "jacobi": [(jacobi(a, b), n) for a, b in ((-0.5, -0.5), (1.0, -0.9), (2.0, 3.0)) for n in (3, 8)],
+    }
+    VIEWS = {"hermite": hermite_diag_bound, "laguerre": laguerre_bounds, "jacobi": jacobi_bounds}
+
+    @pytest.fixture(params=["hermite", "laguerre", "jacobi"])
+    def kind(self, request):
+        return request.param
+
+    @pytest.fixture(params=["bound_rows", "view"])
+    def rows_of(self, request, kind):
+        return bound_rows if request.param == "bound_rows" else self.VIEWS[kind]
 
     @pytest.fixture
     def groups(self, monkeypatch):
@@ -462,19 +476,27 @@ class TestRunStacks:
         monkeypatch.setattr(covariance, "pair_terms", pair_terms)
         return groups
 
-    def test_one_stack_per_order_group(self, groups):
-        bound_rows(compute_roots_many(self.POINTS))
+    def test_one_stack_per_order_group(self, kind, rows_of, groups):
+        rows_of(compute_roots_many(self.POINTS[kind]))
         assert groups == [(3, 3), (8, 3)]
 
-    def test_capped_groups_give_the_same_columns(self, monkeypatch, groups):
-        points = compute_roots_many(self.POINTS)
-        whole = RunColumns(bound_rows(points), len(points))
+    def test_capped_groups_give_the_same_columns(self, monkeypatch, kind, rows_of, groups):
+        points = compute_roots_many(self.POINTS[kind])
+        whole = RunColumns(rows_of(points), len(points))
         groups.clear()
         # 50 entries hold five points of order 3 and one of order 8
         monkeypatch.setattr(covariance, "_STACK_ENTRIES", 50)
-        capped = RunColumns(bound_rows(points), len(points))
+        capped = RunColumns(rows_of(points), len(points))
         assert groups == [(3, 3), (8, 1), (8, 1), (8, 1)]
         assert run_bits(capped) == run_bits(whole)
+
+    @pytest.mark.parametrize("kind", ["hermite", "laguerre", "jacobi"])
+    def test_a_point_of_another_kind_is_rejected(self, kind):
+        # the odd point comes last, after a run whose stacks are of one kind
+        other = jacobi(1.0, 1.0) if kind == "laguerre" else laguerre(1.0)
+        points = compute_roots_many([*self.POINTS[kind], (other, 3)])
+        with pytest.raises(FamilyMismatchError):
+            self.VIEWS[kind](points)
 
 
 class TestUniversalValidity:

@@ -433,6 +433,43 @@ def test_eigenbasis_is_the_reversed_transposed_eigh_basis_of_T(family, n):
     assert np.max(np.abs(q - signs[:, None] * expected)) <= tol
 
 
+class TestOrderGroups:
+    """``order_groups`` splits a batch into stacks of one order of at most
+    ``_STACK_ENTRIES`` entries, a larger point alone; ``bands`` runs them
+    into bands of at most as many entries, a larger group alone."""
+
+    CAPS = [1, 50, 1 << 18]
+
+    @pytest.fixture(params=CAPS)
+    def cap(self, request, monkeypatch):
+        monkeypatch.setattr(covariance, "_STACK_ENTRIES", request.param)
+        return request.param
+
+    def test_groups_cover_the_batch_by_order(self, cap):
+        roots, _ = mixed_batch()
+        groups = list(covariance.order_groups(roots))
+        indices = [i for members, _ in groups for i in members]
+        assert sorted(indices) == list(range(len(roots)))
+        # the orders in order of first appearance, each order's points in
+        # batch order, every group full but each order's last
+        assert indices == [i for members in covariance.by_order(roots).values() for i in members]
+        for (members, group), (next_members, _) in zip(groups, [*groups[1:], ([], [])]):
+            n = group[0].n
+            assert group == [roots[i] for i in members]
+            assert {rv.n for rv in group} == {n}
+            size = max(1, cap // (n * n))
+            assert len(group) == size or not next_members or roots[next_members[0]].n != n
+
+    def test_bands_run_the_groups_in_order(self, cap):
+        roots, _ = mixed_batch()
+        groups = list(covariance.order_groups(roots))
+        bands = list(covariance.bands(groups))
+        assert [group for band in bands for group in band] == groups
+        for band in bands:
+            entries = sum(len(group) * group[0].n ** 2 for _, group in band)
+            assert entries <= cap or len(band) == 1
+
+
 def interleaved_group(n=9):
     """One order's points whose kinds interleave: H, L, J, L, H."""
     families = [hermite(), laguerre(0.5), jacobi(1.0, -0.9), laguerre(1e-300), hermite()]
