@@ -30,9 +30,10 @@ and spectra are applied to its runs of consecutive points
 (``covariance.kind_runs``), and each point only picks its values in its
 kind's check order (``VERIFY_CHECKS``).  Its eigenbases come from one
 pass of the orthonormal-polynomial recurrence per band of consecutive
-groups (``covariance.bands``, ``covariance.OrthonormalBand``): each
-group's rows are a view of its band's pass, which the band drops once
-it has served its last group.  ``bounds`` evaluates the bound rows of
+groups (``covariance.bands``, ``covariance.OrthonormalBand``), which
+reads its own families' recurrence coefficients: each group's rows are a
+view of its band's pass, which the band drops once it has served its
+last group.  ``bounds`` evaluates the bound rows of
 each family kind once for all the run's points of that kind, across
 orders, and yields them as one chunk, the columns of
 ``bounds.RunColumns`` (only JSON computes the sharpness summaries).  Each
@@ -101,7 +102,6 @@ from .covariance import (
     order_groups,
     pair_terms,
     parameter_columns,
-    recurrence_table,
 )
 from .eigensolve import check_symmetric, enclose_eigenvalues
 from .errors import ParameterDomainError, RootgapsError
@@ -209,11 +209,9 @@ VERIFY_CHECKS = {
 def _verify_stage(batch: list[RootVector], fmt: str, tol: float | None, corrupt: bool) -> Iterator[tuple]:
     """Each point's checks ``(check_id, value, tolerance, passed)``, by id,
     a chunk per group of one order, every check evaluated once for the
-    group, from the run's recurrence coefficients, read once, and one
-    orthonormal-polynomial pass per band of groups."""
-    table, row = recurrence_table(batch)
+    group, and one orthonormal-polynomial pass per band of groups."""
     for band in bands(list(order_groups(batch))):
-        polynomials = OrthonormalBand([group for _, group in band], table, [row[indices] for indices, _ in band])
+        polynomials = OrthonormalBand([group for _, group in band])
         for g, (indices, _) in enumerate(band):
             yield (indices, *_verify_group(polynomials, g, tol, corrupt))
 

@@ -47,8 +47,10 @@ The eigenvectors are known in closed form too: :func:`eigenbasis_stack`
 builds them for one group, the Golub-Welsch eigenvectors of the family's
 recurrence matrix, from its orthonormal polynomials at the roots.  An
 :class:`OrthonormalBand` runs that recurrence once for a band of several
-order groups, over all their roots, and hands each group its rows as a
-view of that pass; a point's basis is a band of one group of one.
+order groups, over all their roots, from one :func:`jacobi_matrix` per
+distinct family at the band's largest order, and hands each group its
+rows as a view of that pass; a point's basis is a band of one group of
+one.
 The spectra, and the shift under which the trace and diagonal-of-square
 identities are stated, come from the family's ``FamilySpec`` row.
 """
@@ -278,40 +280,25 @@ def laguerre_sqrt_r_S(z: RootVector) -> DenseSymmetric:
 COORDINATE_FORMS = {FamilyKind.LAGUERRE: laguerre_sqrt_r_S_stack}
 
 
-def recurrence_table(roots: Sequence[RootVector]) -> tuple[np.ndarray, np.ndarray]:
-    """``(table, row)``: the recurrence coefficients of each distinct family
-    of ``roots`` up to their largest order, one :func:`jacobi_matrix` each,
-    as ``table[:, f] = (a, b)`` with ``b_0 = 0`` in front of the
-    off-diagonal, and ``row[p]``, the family of ``roots[p]``.  No entry
-    depends on the order, so ``table[:, row]`` serves every order."""
-    families: dict[PolynomialFamily, int] = {}
-    row = np.array([families.setdefault(rv.family, len(families)) for rv in roots])
-    table = np.zeros((2, len(families), max(rv.n for rv in roots)))
-    for f, family in enumerate(families):
-        t = jacobi_matrix(family, table.shape[2])
-        table[0, f], table[1, f, 1:] = t.diag, t.offdiag
-    return table, row
-
-
 class OrthonormalBand:
     """The orthonormal polynomials of the recurrence matrices of a band of
     order groups at their roots, from one pass of the recurrence over all
     the band's points (``families.orthonormal_polynomials``), run when a
     group's rows are first asked for.  ``groups`` are the band's groups,
-    each the root vectors of one order; ``table`` is a
-    :func:`recurrence_table` that covers them and ``columns[g]`` holds the
-    family of each point of group ``g``, its rows of ``table``.
+    each the root vectors of one order.
 
-    The pass takes the band's entries, one per root, with the groups
-    sorted by order, descending; each group's rows are a view of it, and
-    the band drops it once each group has been served (a later call runs
-    it anew), so it lives no longer than the last group's rows.
+    The pass reads the recurrence coefficients of the band's distinct
+    families from one :func:`jacobi_matrix` each, at the band's largest
+    order: each coefficient is a closed form of its index, so it has the
+    same bits at any order that covers it.  The pass takes the
+    band's entries, one per root, with the groups sorted by order,
+    descending; each group's rows are a view of it, and the band drops it
+    once each group has been served (a later call runs it anew), so it
+    lives no longer than the last group's rows.
     """
 
-    def __init__(self, groups: Sequence[Sequence[RootVector]], table: np.ndarray, columns: Sequence[np.ndarray]):
+    def __init__(self, groups: Sequence[Sequence[RootVector]]):
         self.groups = groups
-        self._table = table
-        self._columns = columns
         self._pass = None
         self._unserved = set(range(len(groups)))
 
@@ -324,9 +311,17 @@ class OrthonormalBand:
         ns = [group[0].n for group in groups]
         sizes = [len(group) * n for group, n in zip(groups, ns)]
         firsts = dict(zip(order, accumulate(sizes, initial=0)))
-        x = np.concatenate([rv.roots for group in groups for rv in group])
-        which = np.concatenate([np.repeat(self._columns[g], n) for g, n in zip(order, ns)])
-        return (*orthonormal_polynomials(self._table, which, np.repeat(ns, sizes), x), firsts)
+        points = [rv for group in groups for rv in group]
+        # each family's column holds (a, b) with b_0 = 0 in front of the off-diagonal
+        families: dict[PolynomialFamily, int] = {}
+        columns = [families.setdefault(rv.family, len(families)) for rv in points]
+        table = np.zeros((2, len(families), ns[0]))
+        for f, family in enumerate(families):
+            t = jacobi_matrix(family, ns[0])
+            table[0, f], table[1, f, 1:] = t.diag, t.offdiag
+        x = np.concatenate([rv.roots for rv in points])
+        which = np.repeat(columns, [rv.n for rv in points])
+        return (*orthonormal_polynomials(table, which, np.repeat(ns, sizes), x), firsts)
 
     def rows(self, g: int) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, norm2)`` of group ``g``, ``(P, n, n)`` and ``(P, n)``

@@ -9,7 +9,7 @@ import pytest
 
 import rootgaps
 from rootgaps import hermite, jacobi, laguerre
-from rootgaps.covariance import OrthonormalBand, eigenbasis_stack, recurrence_table
+from rootgaps.covariance import OrthonormalBand, eigenbasis_stack
 from rootgaps.eigensolve import enclose_eigenvalues
 
 # Parameter grid shared by the sweep-style tests; mirrors the CLI default.
@@ -56,19 +56,10 @@ def ones_kernel_projection(a):
     return (b + b.T) / 2.0
 
 
-def recurrence_band(groups):
-    """The ``OrthonormalBand`` of ``groups``, each a list of root vectors of
-    one order, from one ``recurrence_table`` of all their points, as
-    ``verify`` builds a band."""
-    table, row = recurrence_table([rv for group in groups for rv in group])
-    ends = np.cumsum([len(group) for group in groups])
-    return OrthonormalBand(groups, table, np.split(row, ends[:-1]))
-
-
 def closed_form_bases(group):
     """``eigenbasis_stack`` of the root vectors of one order, a band of
     one group."""
-    return eigenbasis_stack(*recurrence_band([group]).rows(0))
+    return eigenbasis_stack(*OrthonormalBand([group]).rows(0))
 
 
 def enclose_one(m, basis):

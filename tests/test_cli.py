@@ -18,7 +18,7 @@ import rootgaps.cli as cli
 from rootgaps import FamilyKind, MagnitudeError, compute_roots, covariance, hermite, jacobi, laguerre
 from rootgaps.roots import compute_roots_many
 
-from conftest import closed_form_bases, loaded_after, recurrence_band
+from conftest import closed_form_bases, loaded_after
 from test_bounds import EDGE_ROWS, MIXED_POINTS, expand, point_run, rows_at
 from test_covariance import bases_by_order
 
@@ -331,13 +331,13 @@ class TestStackedChecksMatchReference:
         # but Jacobi, and each check value comes from the group's arrays
         families = [hermite(), laguerre(0.5), jacobi(1.0, -0.9), laguerre(1e-300), hermite()]
         group = compute_roots_many([(fam, 12) for fam in families])
-        tables = point_tables(*cli._verify_group(recurrence_band([group]), 0, tol, corrupt))
+        tables = point_tables(*cli._verify_group(covariance.OrthonormalBand([group]), 0, tol, corrupt))
         assert len(tables) == len(group)
         # the same group behind another in a band of two orders
         other = compute_roots_many([(fam, 20) for fam in families[:2]])
-        assert point_tables(*cli._verify_group(recurrence_band([other, group]), 1, tol, corrupt)) == tables
+        assert point_tables(*cli._verify_group(covariance.OrthonormalBand([other, group]), 1, tol, corrupt)) == tables
         for rv, got in zip(group, tables):
-            (alone,) = point_tables(*cli._verify_group(recurrence_band([[rv]]), 0, tol, corrupt))
+            (alone,) = point_tables(*cli._verify_group(covariance.OrthonormalBand([[rv]]), 0, tol, corrupt))
             assert got == alone, rv.family.label()
             assert tuple(got[0][0]) == cli.VERIFY_CHECKS[rv.family.kind]
 

@@ -22,7 +22,7 @@ from rootgaps import RootVector, covariance
 from rootgaps.covariance import _pair_differences, eigenbasis_stack
 from rootgaps.roots import compute_roots_many
 
-from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, closed_form_bases, enclose_one, recurrence_band
+from conftest import JACOBI_PARAMS, LAGUERRE_NUS, all_families, closed_form_bases, enclose_one
 
 
 def spectrum(family, n):
@@ -290,11 +290,11 @@ class TestEigenbasis:
 def bases_by_order(roots):
     """The closed-form eigenbasis of each root vector, of any orders, in
     order: ``eigenbasis_stack`` of each order's points, one slice each,
-    all the orders' groups one band, whose recurrence runs once, from one
-    ``recurrence_table`` of the batch, as ``verify`` runs a band."""
+    all the orders' groups one band, whose recurrence runs once, as
+    ``verify`` runs a band."""
     bases = [None] * len(roots)
     members = list(covariance.by_order(roots).values())
-    band = recurrence_band([[roots[i] for i in indices] for indices in members])
+    band = covariance.OrthonormalBand([[roots[i] for i in indices] for indices in members])
     for g, indices in enumerate(members):
         for i, basis in zip(indices, eigenbasis_stack(*band.rows(g))):
             bases[i] = basis
@@ -363,7 +363,7 @@ class TestBatchedEigenbasis:
         groups = [[roots[i] for i in members[n][part]] for n, part in parts]
         assert laguerre(1e-300) in [rv.family for rv in groups[2]]
         assert laguerre(1e-310) in [rv.family for rv in groups[1]]
-        band = recurrence_band(groups)
+        band = covariance.OrthonormalBand(groups)
         # every group asked for twice: the second round comes after the
         # band has served its last group and dropped its pass
         for g, group in [*enumerate(groups), *enumerate(groups)]:
@@ -375,7 +375,7 @@ class TestBatchedEigenbasis:
     def test_band_drops_its_pass_after_its_last_group(self, orders):
         roots, _ = mixed_batch()
         members = covariance.by_order(roots)
-        band = recurrence_band([[roots[i] for i in members[n]] for n in orders])
+        band = covariance.OrthonormalBand([[roots[i] for i in members[n]] for n in orders])
         rows, norm2 = band.rows(0)
         passes = weakref.ref(rows.base), weakref.ref(norm2.base)
         del rows, norm2
@@ -389,7 +389,7 @@ class TestBatchedEigenbasis:
     def test_eigenbasis_stack_leaves_its_input(self):
         roots, _ = mixed_batch()
         group = [roots[i] for i in covariance.by_order(roots)[10]]
-        rows, norm2 = recurrence_band([group]).rows(0)
+        rows, norm2 = covariance.OrthonormalBand([group]).rows(0)
         before = rows.copy(), norm2.copy()
         eigenbasis_stack(rows, norm2)
         assert np.array_equal(rows, before[0]) and np.array_equal(norm2, before[1])

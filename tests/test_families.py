@@ -171,6 +171,20 @@ class TestJacobiMatrix:
         with pytest.raises(MagnitudeError, match="recurrence coefficients overflow"):
             jacobi_matrix(family, 3)
 
+    # covariance.OrthonormalBand reads a band's coefficients from one
+    # matrix at its largest order, for the points of every smaller order
+    @pytest.mark.parametrize(
+        "family",
+        all_families() + [jacobi(-0.999, -0.999), jacobi(-0.9999, 5.0), laguerre(1e-300), laguerre(1000.0)],
+        ids=lambda fam: fam.label(),
+    )
+    def test_each_order_is_the_leading_block_of_a_larger_one(self, family):
+        big = jacobi_matrix(family, 300)
+        for n in (1, 2, 3, 10, 40, 299):
+            t = jacobi_matrix(family, n)
+            assert np.array_equal(t.diag, big.diag[:n]), n
+            assert np.array_equal(t.offdiag, big.offdiag[:n - 1]), n
+
 
 _STEP_CANCELS = pytest.mark.xfail(
     strict=True,
