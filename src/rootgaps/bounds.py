@@ -54,8 +54,9 @@ Jacobi (comparator, asymptotic leading term, alpha, beta > -1/2):
 
 Comparator reports never gate anything; a nonpositive comparator bound is
 marked ``vacuous``.  The discriminant ``M^2 - 16(alpha+1)(beta+1)`` is at
-least ``4(alpha-beta)^2``, so zero at ``alpha = beta``, ``N = 1``; it is
-clamped at 0 there, where rounding can make it slightly negative.
+least ``4(alpha-beta)^2``, with equality at ``N = 1``, where it is exactly
+0 at ``alpha = beta``; it is clamped at 0, since rounding can make it
+slightly negative when ``beta`` is within rounding of ``alpha``.
 
 Each bound is one :class:`BoundSpec` row of ``BOUND_SPECS``, a family's
 rows in the order above: its id; the quantity it observes, from one

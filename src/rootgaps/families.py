@@ -234,7 +234,9 @@ def _jacobi_steps(family: PolynomialFamily, n: int) -> Steps:
 
 def _jacobi_spectrum(n: int, alpha, beta) -> np.ndarray:
     j = np.arange(1.0, n + 1.0)
-    return np.sort(2.0 * j * (2.0 * n + alpha + beta + 1.0 - j))
+    # 2N + alpha + beta + 1 - j summed from alpha + 1 and beta + 1, which
+    # do not cancel as alpha, beta -> -1, and the exact 2N - 1 - j
+    return np.sort(2.0 * j * ((alpha + 1.0) + (beta + 1.0) + (2.0 * n - 1.0 - j)))
 
 
 # Default grid: the Laguerre weights span the small- and large-nu regimes,

@@ -395,17 +395,33 @@ class TestJacobiBounds:
             < by_id(low_alpha, "jacobi-upper-edge-strong")[0].bound_value
         )
 
+    @pytest.mark.parametrize("alpha", [0.7734820617942575, -0.28503877433830327, 6.520121178923383, -0.999])
+    def test_n1_symmetric_discriminant_is_zero(self, alpha):
+        # M = 2((alpha + 1) + (beta + 1)) = 4(alpha + 1) exactly at
+        # alpha = beta, N = 1, so M^2 and 16(alpha+1)(beta+1) round alike
+        big_m = float(jacobi(alpha, alpha).spec.spectrum(1, alpha, alpha)[-1])
+        assert big_m**2 - 16.0 * (alpha + 1.0) * (alpha + 1.0) == 0.0
+
     @pytest.mark.parametrize("alpha", [0.7734820617942575, -0.28503877433830327, 6.520121178923383])
-    def test_n1_symmetric_discriminant_is_clamped(self, alpha, tmp_path):
-        # M^2 - 16(alpha+1)(beta+1) is exactly 0 at alpha = beta, N = 1, but
-        # rounds below 0 here, where its square root raised
-        rv = compute_roots(jacobi(alpha, alpha), 1)
+    def test_n1_nearly_symmetric_discriminant_is_clamped(self, alpha, tmp_path):
+        # M^2 - 16(alpha+1)(beta+1) = 4(alpha - beta)^2 at N = 1 is below
+        # rounding with beta one ulp under alpha, and rounds below 0 here,
+        # where its square root raised
+        beta = math.nextafter(alpha, -math.inf)
+        rv = compute_roots(jacobi(alpha, beta), 1)
         big_m = float(rv.family.spec.spectrum(1, *rv.family.parameters())[-1])
-        assert big_m**2 - 16.0 * (alpha + 1.0) * (alpha + 1.0) < 0.0
+        assert big_m**2 - 16.0 * (alpha + 1.0) * (beta + 1.0) < 0.0
         for rep in bound_set(rv):
             assert rep.comparator or rep.note or rep.holds, rep
-        argv = ["bounds", "--family", "jacobi", "--alpha", repr(alpha), "--beta", repr(alpha), "--n", "1"]
+        argv = ["bounds", "--family", "jacobi", "--alpha", repr(alpha), "--beta", repr(beta), "--n", "1"]
         assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize("alpha", [-0.999, 0.7734820617942575])
+    def test_n1_symmetric_entries_have_no_negative_slack(self, alpha):
+        # M sums alpha + 1 and beta + 1, which do not cancel as alpha -> -1,
+        # so the edge and product floors meet the one root's distances
+        for rep in bound_set(compute_roots(jacobi(alpha, alpha), 1)):
+            assert not rep.slack < 0.0, rep
 
     def test_comparator_markers(self):
         def asymptotic(alpha, beta):
@@ -789,7 +805,7 @@ class TestColumnsMatchScalarRule:
 
 # the default grid, interleaved with points off it: nu subnormal, tiny and
 # large, alpha and beta near -1, large and symmetric, and alpha = beta at
-# N = 1 where the Jacobi discriminant rounds below 0
+# N = 1 where the Jacobi discriminant is exactly 0
 STRESS_POINTS = [
     (fam, n)
     for fam in [

@@ -545,16 +545,16 @@ class TestGoldenOutput:
             ),
             golden(
                 ["bounds", "--n-max", "8"],
-                "c0555decccbfea1bf86373d786c00defa5b77200638ab98d7b95d706b5b28e39",
+                "69bd27aa17123ade25b8618dba5c09c6485dd26e40154d7dd1a0562d95d9314f",
             ),
             golden(
                 ["bounds", "--n-max", "8", "--format", "json"],
-                "7bb15efc380b5a441f8d0cb25b6d22c8d74d81583e299f6f349cdef482a283d0",
+                "721cdca44ee66971065d1aa2742a1102c461e90eee1899534959fc1b299b7ed9",
             ),
             # the full default sweep, 64,757 rows
             golden(
                 ["bounds"],
-                "06cda08e399a0950c5890ca7e4722dfffbcfffcd0975cfc5f039265e339984cd",
+                "52f2bca34a63972a055a55ed0a8295e81d942802b5a9c56986d92dda77347ec4",
             ),
             # every default-grid root, 9,839 in 479 points: a root that
             # moves by one ulp and changes no bound cell shows here
@@ -565,7 +565,7 @@ class TestGoldenOutput:
             # the full default sweep as JSON
             golden(
                 ["bounds", "--format", "json"],
-                "4c1d537fef2bb43afcbe8f70a3d3282c6d672f35139a1de806dc5b2c254e41c2",
+                "f1d40c448aeda22702225735b5b171e67b1cafb38aedd226ff94bf6ee405423b",
             ),
             # off the default grid: nu tiny and large, alpha = beta large,
             # and alpha below -1/2, where the asymptotic comparator does not apply
@@ -583,7 +583,7 @@ class TestGoldenOutput:
             ),
             golden(
                 ["bounds", "--family", "jacobi", "--alpha", "-0.7", "--beta", "3", "--n-max", "40", "--format", "json"],
-                "69542a1399ffbe7f4e269c677b0e0b3ae9b604c9e73387c83f5391cc8ad2637c",
+                "4202f93d46e1b0c484ba886e55f1b794183846e806d9bdb98d4ef92805f2986e",
             ),
         ],
     )

@@ -1,6 +1,7 @@
 import functools
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def coordinate_form_error(rv):
 
 def max_eigenvalue(alpha, beta, n):
     return float(spectrum(jacobi(alpha, beta), n)[-1])
+
+
+def exact_jacobi_spectrum(n, alpha, beta):
+    """``2j(2n + alpha + beta + 1 - j)``, ``j = 1 .. n``, as exact rationals
+    of the binary ``alpha`` and ``beta``."""
+    a, b = Fraction(alpha), Fraction(beta)
+    return [2 * j * (2 * n + a + b + 1 - j) for j in range(1, n + 1)]
+
+
+def within_one_ulp(got, exact):
+    """Whether the float ``got`` is at most one float from the rational
+    ``exact`` rounded to nearest."""
+    want = float(exact)
+    return want in (math.nextafter(got, -math.inf), got, math.nextafter(got, math.inf))
 
 
 def diag_of_square(rv):
@@ -181,12 +196,24 @@ class TestMaxEigenvalue:
     @pytest.mark.parametrize("alpha,beta", JACOBI_PARAMS + ((-0.9, -0.9),))
     @pytest.mark.parametrize("n", (1, 2, 5, 17, 40))
     def test_scan_oracle_and_cap(self, alpha, beta, n):
-        want = max(2.0 * j * (2 * n + alpha + beta + 1 - j) for j in range(1, n + 1))
         got = max_eigenvalue(alpha, beta, n)
-        assert got == want
+        assert within_one_ulp(got, max(exact_jacobi_spectrum(n, alpha, beta)))
         assert got <= 2.0 * (n + (alpha + beta + 1.0) / 2.0) ** 2 * (1 + 1e-15)
         if alpha + beta + 1.0 >= 0.0:
             assert abs(got - 2.0 * n * (n + alpha + beta + 1.0)) <= 1e-12 * got
+
+
+    # the default pairs and alpha, beta near -1, where 2N + alpha + beta + 1
+    # cancelled, at the CI's symmetric N = 1 point and at large orders
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        JACOBI_PARAMS + ((-0.999, -0.999), (0.7734820617942575, 0.7734820617942575), (-0.9999, 5.0), (-0.9, -0.9)),
+    )
+    def test_every_value_is_within_one_ulp_of_the_exact_one(self, alpha, beta):
+        for n in [*range(1, 41), 100, 200, 300]:
+            got = spectrum(jacobi(alpha, beta), n).tolist()
+            for j, (value, exact) in enumerate(zip(got, exact_jacobi_spectrum(n, alpha, beta)), 1):
+                assert within_one_ulp(value, exact), (n, j)
 
 
 class TestDiagOfSquare:
