@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from rootgaps import (
     FamilyKind,
@@ -172,6 +173,73 @@ class TestJacobiS:
         _, s, lam = covariance_of(jacobi(alpha, beta), n)
         trace = float(np.trace(s))
         assert abs(trace - float(lam.sum())) <= 1e-10 * abs(trace)
+
+
+# The roots minimize a log-gas energy W on the ordered chamber, and S_N is
+# its Hessian there (item 14 of the roadmap); each identity below is
+# algebraic, so it holds at any point of the chamber:
+#   Hermite   W = sum z^2/2 - sum_{i<j} log|z_i - z_j|, and S_N = H;
+#   Laguerre  W = sum r^2/4 - sum_{i<j} log|r_i^2 - r_j^2| - nu sum log r
+#             in r = sqrt(2z), and the r-form of S_N is 2H;
+#   Jacobi    W = -sum_{i<j} log|z_i - z_j| - (alpha+1)/2 sum log(1 - z)
+#             - (beta+1)/2 sum log(1 + z), and S_N = D^1/2 H D^1/2 with
+#             D = diag(4(1 - z)(1 + z)).
+LOG_GAS_N = 5
+
+
+@functools.lru_cache(maxsize=None)
+def log_gas(kind):
+    """``(x, params, weight, hessian)``: the coordinates and parameters of
+    the kind's ``W`` as sympy symbols, the factor ``sqrt(D_i D_j)`` of each
+    entry and the Hessian of ``W``, each a function of them."""
+    n = LOG_GAS_N
+    x = sympy.symbols(f"x:{n}")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # log|u| as log(u^2) / 2, which sympy differentiates without a sign
+    if kind is FamilyKind.HERMITE:
+        params = ()
+        w = sum(xi**2 / 2 for xi in x) - sum(sympy.log((x[i] - x[j]) ** 2) / 2 for i, j in pairs)
+        weight = [sympy.Integer(1)] * n
+    elif kind is FamilyKind.LAGUERRE:
+        params = (nu,) = (sympy.Symbol("nu"),)
+        w = sum(xi**2 / 4 - nu * sympy.log(xi) for xi in x)
+        w -= sum(sympy.log((x[i] ** 2 - x[j] ** 2) ** 2) / 2 for i, j in pairs)
+        weight = [sympy.sqrt(2)] * n
+    else:
+        params = alpha, beta = sympy.symbols("alpha beta")
+        w = -sum(sympy.log((x[i] - x[j]) ** 2) / 2 for i, j in pairs)
+        w -= sum((alpha + 1) / 2 * sympy.log(1 - xi) + (beta + 1) / 2 * sympy.log(1 + xi) for xi in x)
+        weight = [sympy.sqrt(4 * (1 - xi) * (1 + xi)) for xi in x]
+    hessian = sympy.hessian(w, x)
+    return x, params, weight, hessian
+
+
+class TestLogGasHessian:
+    @pytest.mark.parametrize(
+        "family", [hermite(), laguerre(0.1), laguerre(50.0), jacobi(1.0, -0.9), jacobi(-0.999, 5.0)],
+        ids=lambda fam: fam.label(),
+    )
+    def test_S_is_the_hessian_at_random_points_of_the_chamber(self, family, rng):
+        n = LOG_GAS_N
+        x, params, weight, hessian = log_gas(family.kind)
+        lo, hi = max(family.spec.domain[0], -4.0), min(family.spec.domain[1], 20.0)
+        for _ in range(3):
+            z = np.sort(rng.uniform(lo, hi, n))
+            rv = RootVector(family, n, z if family.spec.ascending else z[::-1])
+            if family.kind is FamilyKind.LAGUERRE:
+                # the r-form, evaluated at the r it computes
+                got, coordinates = laguerre_sqrt_r_S(rv).entries, np.sqrt(2.0 * rv.roots)
+            else:
+                got, coordinates = build_S(rv).entries, rv.roots
+            # exact rationals of the binary coordinates and parameters
+            values = dict(zip(x, map(sympy.Rational, coordinates.tolist())))
+            values.update(zip(params, map(sympy.Rational, family.parameters())))
+            scale = [f.subs(values) for f in weight]
+            want = np.array(
+                [[float((scale[i] * scale[j] * hessian[i, j].subs(values)).evalf(30)) for j in range(n)] for i in range(n)]
+            )
+            # each entry is a row sum of n terms, rounded once each
+            assert np.max(np.abs(got - want)) <= 4 * n * EPS * np.max(np.abs(want)), (family.label(), z)
 
 
 class TestPredictedSpectrum:
