@@ -33,9 +33,9 @@ pass of the orthonormal-polynomial recurrence per band of consecutive
 groups (``covariance.bands``, ``covariance.OrthonormalBand``), which
 reads its own families' recurrence coefficients: each group's rows are a
 view of its band's pass, which the band drops once it has served its
-last group.  ``bounds`` evaluates the bound rows of
-each family kind once for all the run's points of that kind, across
-orders, and yields them as one chunk, the columns of
+last group.  ``bounds`` evaluates the bound rows of each family kind
+once for all the run's points of that kind, across orders, and yields
+them as one chunk, the columns of
 ``bounds.RunColumns`` (only JSON computes the sharpness summaries).  Each
 chunk becomes text before the next is computed, so ``--jobs`` workers
 send text.  The writer formats each pool once per chunk with the

@@ -290,11 +290,11 @@ class OrthonormalBand:
     The pass reads the recurrence coefficients of the band's distinct
     families from one :func:`jacobi_matrix` each, at the band's largest
     order: each coefficient is a closed form of its index, so it has the
-    same bits at any order that covers it.  The pass takes the
-    band's entries, one per root, with the groups sorted by order,
-    descending; each group's rows are a view of it, and the band drops it
-    once each group has been served (a later call runs it anew), so it
-    lives no longer than the last group's rows.
+    same bits at any order that covers it.  The pass takes the band's
+    entries, one per root, with the groups sorted by order, descending;
+    each group's rows are a view of it, and the band drops it once each
+    group has been served (a later call runs it anew), so it lives no
+    longer than the last group's rows.
     """
 
     def __init__(self, groups: Sequence[Sequence[RootVector]]):
